@@ -33,6 +33,28 @@ import (
 	"hurricane/internal/workload"
 )
 
+// machineProcs is the processor count of the default HECTOR machine every
+// run uses (4 stations x 4 processors).
+const machineProcs = 16
+
+// validate rejects flag values the run cannot honor, before any machine is
+// built, so a bad invocation fails with one line instead of a panic.
+func validate(size, procs, pages, rounds int, wl string) error {
+	switch {
+	case size < 1 || machineProcs%size != 0:
+		return fmt.Errorf("-size %d must divide %d", size, machineProcs)
+	case procs < 1 || procs > machineProcs:
+		return fmt.Errorf("-procs %d must be 1-%d", procs, machineProcs)
+	case pages < 1:
+		return fmt.Errorf("-pages %d must be at least 1", pages)
+	case rounds < 1:
+		return fmt.Errorf("-rounds %d must be at least 1", rounds)
+	case wl != "independent" && wl != "shared":
+		return fmt.Errorf("-workload %q must be independent or shared", wl)
+	}
+	return nil
+}
+
 func main() {
 	size := flag.Int("size", 4, "processors per cluster (must divide 16)")
 	procs := flag.Int("procs", 16, "faulting processes")
@@ -45,6 +67,10 @@ func main() {
 	migrate := flag.Bool("migrate", false, "run the online placement daemon (migratable kernel-data slots)")
 	auto := flag.Bool("autonomic", false, "run the full kernel autonomics plane: tuned locks + migration + replication under one cadence")
 	flag.Parse()
+	if err := validate(*size, *procs, *pages, *rounds, *wl); err != nil {
+		fmt.Fprintf(os.Stderr, "clustersim: %v\n", err)
+		os.Exit(2)
+	}
 
 	kinds := map[string]locks.Kind{
 		"mcs": locks.KindMCS, "h2mcs": locks.KindH2MCS,
@@ -128,9 +154,6 @@ func main() {
 		res = workload.IndependentFaults(sys, *procs, *pages, *rounds)
 	case "shared":
 		res = workload.SharedFaults(sys, *procs, *pages, *rounds)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown workload %q\n", *wl)
-		os.Exit(2)
 	}
 
 	d := res.Dist

@@ -15,7 +15,6 @@
 //	hurricane-bench -seed 7         # different deterministic seed
 //	hurricane-bench -json out.json  # summary path ("" disables)
 //	hurricane-bench -jobs 1         # serial (default: GOMAXPROCS workers)
-//	hurricane-bench -wall wall.json # wall-clock metrics path
 //	hurricane-bench -cpuprofile cpu.pprof -memprofile mem.pprof
 package main
 
@@ -33,29 +32,6 @@ import (
 	"hurricane/internal/sim"
 )
 
-// WallReport records how long the run itself took — the simulator's own
-// performance trajectory, kept out of BENCH_sim.json so that file stays a
-// pure function of (seed, quick) and diffs exactly across hosts and -jobs
-// values.
-type WallReport struct {
-	Jobs           int              `json:"jobs"`
-	TotalSeconds   float64          `json:"total_seconds"`
-	EngineEvents   uint64           `json:"engine_events"` // dispatched + elided
-	ElidedEvents   uint64           `json:"elided_events"`
-	EventsPerSec   float64          `json:"events_per_sec"`
-	Experiments    []ExperimentWall `json:"experiments"`
-	GoMaxProcs     int              `json:"gomaxprocs"`
-	QuickMode      bool             `json:"quick"`
-	ReportedBySeed uint64           `json:"seed"`
-}
-
-// ExperimentWall is one experiment's wall time (under -jobs > 1 experiments
-// overlap, so these sum to more than total_seconds).
-type ExperimentWall struct {
-	Name    string  `json:"name"`
-	Seconds float64 `json:"seconds"`
-}
-
 func main() {
 	runPat := flag.String("run", "", "regexp selecting experiments by name")
 	seed := flag.Uint64("seed", 1, "simulation seed")
@@ -63,7 +39,6 @@ func main() {
 	jsonPath := flag.String("json", "BENCH_sim.json", "machine-readable summary path (empty to disable)")
 	jobs := flag.Int("jobs", runtime.GOMAXPROCS(0), "worker pool size for experiments and their cells (1 = serial)")
 	parworkers := flag.Int("parworkers", 8, "logical-process worker count inside parallel-engine experiments (deterministic: any value yields the same summary)")
-	wallPath := flag.String("wall", "", "wall-clock metrics path (empty to disable)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this path")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this path")
 	flag.Parse()
@@ -174,34 +149,27 @@ func main() {
 	total := time.Since(start)
 
 	report := exp.Report{Seed: *seed, Quick: *quick}
-	wall := WallReport{Jobs: *jobs, GoMaxProcs: runtime.GOMAXPROCS(0), QuickMode: *quick, ReportedBySeed: *seed}
 	for i, e := range selected {
 		fmt.Println(tables[i].String())
 		fmt.Printf("[%s completed in %v wall time]\n\n", e.name, durations[i].Round(time.Millisecond))
 		report.Experiments = append(report.Experiments, exp.Result{
 			Name: e.name, Title: tables[i].Title, Metrics: tables[i].Metrics,
 		})
-		wall.Experiments = append(wall.Experiments, ExperimentWall{Name: e.name, Seconds: durations[i].Seconds()})
 	}
 
 	dispatched, elided := sim.TotalEvents()
-	wall.TotalSeconds = total.Seconds()
-	wall.EngineEvents = dispatched + elided
-	wall.ElidedEvents = elided
+	events := dispatched + elided
+	rate := 0.0
 	if s := total.Seconds(); s > 0 {
-		wall.EventsPerSec = float64(dispatched+elided) / s
+		rate = float64(events) / s
 	}
 	fmt.Printf("wall: %d experiments in %v at -jobs %d; %d engine events (%.0f%% elided), %.2fM events/sec\n",
 		len(selected), total.Round(time.Millisecond), *jobs,
-		wall.EngineEvents, 100*float64(elided)/float64(max(wall.EngineEvents, 1)), wall.EventsPerSec/1e6)
+		events, 100*float64(elided)/float64(max(events, 1)), rate/1e6)
 
 	if *jsonPath != "" {
 		writeJSON(*jsonPath, report)
 		fmt.Printf("wrote %s (%d experiments, %d metrics)\n", *jsonPath, len(selected), countMetrics(report))
-	}
-	if *wallPath != "" {
-		writeJSON(*wallPath, wall)
-		fmt.Printf("wrote %s\n", *wallPath)
 	}
 	if *memprofile != "" {
 		f, err := os.Create(*memprofile)

@@ -25,7 +25,9 @@ func main() {
 	fmt.Println()
 	fmt.Println("16 processors pounding one lock, 25us critical sections:")
 	for _, k := range []locks.Kind{locks.KindMCS, locks.KindH2MCS, locks.KindSpin, locks.KindSpin2ms} {
-		r := workload.LockStress(1, k, 16, 150, sim.Micros(25))
+		r := workload.LockStressRun(workload.StressConfig{
+			Machine: sim.Config{Seed: 1}, Kind: k, Procs: 16, Rounds: 150, Hold: sim.Micros(25),
+		})
 		fmt.Printf("  %-9s mean acquire %7.1f us   worst %8.0f us   >2ms on %4.1f%% of acquires\n",
 			k, r.AcquireUS, r.AcquireDist.Max(), r.AcquireDist.FracAbove(2000)*100)
 	}

@@ -28,6 +28,24 @@ type ReplicaSlot struct {
 	Collapse func(p *sim.Proc)
 }
 
+// The replication policy's fixed thresholds.
+const (
+	// replicaWriteLow and replicaWriteHigh are the write-fraction hysteresis
+	// band: replicate only at or below replicaWriteLow, collapse only at or
+	// above replicaWriteHigh. The gap is what keeps an alternating workload
+	// from flapping replicate<->collapse every phase shift.
+	replicaWriteLow  = 0.05
+	replicaWriteHigh = 0.25
+	// replicaBudget caps replicate+collapse actions per slot over the whole
+	// run.
+	replicaBudget = 4
+	// replicaCooldown is the minimum time between two actions on the same
+	// slot: eight windows of the default 100us cadence. It is an absolute
+	// duration, not a multiple of the plane's period, so a plane ticking
+	// every 25us spaces actions exactly as one ticking every 100us does.
+	replicaCooldown sim.Duration = 800 * sim.CyclesPerMicrosecond
+)
+
 // ReplicatorParams bounds the replication policy. The zero value takes
 // defaults. The shape is the placement daemon's — EWMA-smoothed windows,
 // confirmation streak, per-slot budget and cooldown, priced actuation —
@@ -36,36 +54,18 @@ type ReplicaSlot struct {
 // pays an update per replica), a write-hot one must collapse back to a
 // single copy that migration alone may place.
 type ReplicatorParams struct {
-	// Period is the sampling cadence when self-scheduled via Start
-	// (default 100us); under a Plane the plane's cadence rules.
-	Period sim.Duration
 	// Decay is the per-window EWMA retention of the smoothed read/write
 	// vectors (default 0.75 — the shared controller horizon).
 	Decay float64
 	// MinWeight is the smoothed per-window access mass (reads + writes) a
 	// slot must carry before the policy considers it (default 16).
 	MinWeight float64
-	// WriteLow and WriteHigh are the write-fraction hysteresis band
-	// (defaults 0.05 and 0.25): replicate only below WriteLow, collapse
-	// only at or above WriteHigh. The gap is what keeps an alternating
-	// workload from flapping replicate<->collapse every phase shift.
-	WriteLow, WriteHigh float64
-	// Budget caps replicate+collapse actions per slot over the whole run
-	// (default 4).
-	Budget int
 	// Confirm is the consecutive-window confirmation streak (default 2).
 	Confirm int
 	// Payback is the rent-vs-buy horizon in windows (default 64): a
 	// replica's projected per-window read saving, net of the write-update
 	// penalty, must repay the copy cost (region words x ring weight).
 	Payback int
-	// Cooldown is the minimum time between two actions on the same slot
-	// (default 8x Period).
-	Cooldown sim.Duration
-	// MaxReplicas caps the extra copies per slot beyond the primary
-	// (default Stations-1, at least 1 — one copy per station is where the
-	// read saving saturates).
-	MaxReplicas int
 	// Exec picks the processor that executes an action, given the slot's
 	// primary home (default: the co-located processor).
 	Exec func(home int) int
@@ -78,39 +78,18 @@ type ReplicatorParams struct {
 	Worth func(benefit float64, horizon int, cost float64) bool
 }
 
-func (p ReplicatorParams) withDefaults(stations int) ReplicatorParams {
-	if p.Period == 0 {
-		p.Period = sim.Micros(100)
-	}
+func (p ReplicatorParams) withDefaults() ReplicatorParams {
 	if p.Decay == 0 {
 		p.Decay = 0.75
 	}
 	if p.MinWeight == 0 {
 		p.MinWeight = 16
 	}
-	if p.WriteLow == 0 {
-		p.WriteLow = 0.05
-	}
-	if p.WriteHigh == 0 {
-		p.WriteHigh = 0.25
-	}
-	if p.Budget == 0 {
-		p.Budget = 4
-	}
 	if p.Confirm == 0 {
 		p.Confirm = 2
 	}
 	if p.Payback == 0 {
 		p.Payback = 64
-	}
-	if p.Cooldown == 0 {
-		p.Cooldown = 8 * p.Period
-	}
-	if p.MaxReplicas == 0 {
-		p.MaxReplicas = stations - 1
-		if p.MaxReplicas < 1 {
-			p.MaxReplicas = 1
-		}
 	}
 	return p
 }
@@ -133,22 +112,26 @@ const collapseCand = -2
 
 // Replicator is the replication policy: per window it folds each slot's
 // read and write traffic into smoothed vectors, and on a read-mostly slot
-// (write fraction through WriteLow) installs a replica on the module where
-// the projected read saving — each reader rerouted to its nearest copy —
-// net of the write-update penalty best repays the copy within the payback
-// horizon. A slot that turns write-hot (write fraction through WriteHigh)
-// collapses back to its primary, returning it to the migration policy's
-// jurisdiction: the daemon skips replicated regions, so replicate vs
-// migrate vs pin is decided by the write fraction alone and the two
-// policies can never fight over one slot.
+// (write fraction through replicaWriteLow) installs a replica on the
+// module where the projected read saving — each reader rerouted to its
+// nearest copy — net of the write-update penalty best repays the copy
+// within the payback horizon. A slot that turns write-hot (write fraction through
+// replicaWriteHigh) collapses back to its primary, returning it to the
+// migration policy's jurisdiction: the daemon skips replicated regions, so
+// replicate vs migrate vs pin is decided by the write fraction alone and
+// the two policies can never fight over one slot.
 type Replicator struct {
-	m       *sim.Machine
-	topo    Topo
-	costs   Costs
-	p       ReplicatorParams
-	slots   []*replicaSlotState
-	actions []ReplicaAction
-	ticks   uint64
+	m     *sim.Machine
+	topo  Topo
+	costs Costs
+	p     ReplicatorParams
+	// maxReplicas caps the extra copies per slot beyond the primary: one
+	// per other station, at least one — one copy per station is where the
+	// read saving saturates.
+	maxReplicas int
+	slots       []*replicaSlotState
+	actions     []ReplicaAction
+	ticks       uint64
 }
 
 type replicaSlotState struct {
@@ -163,9 +146,10 @@ type replicaSlotState struct {
 }
 
 // NewReplicator builds the policy over machine m managing the given
-// slots. Register it on a Plane (or call Start for standalone use).
+// slots. Register it on a Plane to run it.
 func NewReplicator(m *sim.Machine, topo Topo, costs Costs, params ReplicatorParams, slots []ReplicaSlot) *Replicator {
-	r := &Replicator{m: m, topo: topo, costs: costs, p: params.withDefaults(topo.Stations)}
+	r := &Replicator{m: m, topo: topo, costs: costs, p: params.withDefaults(),
+		maxReplicas: max(1, topo.Stations-1)}
 	n := topo.Modules()
 	for _, s := range slots {
 		r.slots = append(r.slots, &replicaSlotState{
@@ -174,7 +158,7 @@ func NewReplicator(m *sim.Machine, topo Topo, costs Costs, params ReplicatorPara
 			snapW:       make([]uint64, n),
 			smoothR:     make([]float64, n),
 			smoothW:     make([]float64, n),
-			gate:        Gate{Budget: r.p.Budget, Cooldown: r.p.Cooldown},
+			gate:        Gate{Budget: replicaBudget, Cooldown: replicaCooldown},
 			streak:      NewStreak(r.p.Confirm),
 			pending:     -1,
 		})
@@ -221,19 +205,13 @@ func (r *Replicator) Claimed(region int) bool {
 			sumW += s.smoothW[i]
 		}
 		weight := sumR + sumW
-		return weight >= r.p.MinWeight && sumW < r.p.WriteHigh*weight
+		return weight >= r.p.MinWeight && sumW < replicaWriteHigh*weight
 	}
 	return false
 }
 
 // Name implements Policy.
 func (r *Replicator) Name() string { return "replicate" }
-
-// Start self-schedules the policy at its own Period (standalone use; under
-// a Plane, Add it there instead).
-func (r *Replicator) Start() {
-	r.m.Eng.Every(r.p.Period, r.Tick)
-}
 
 // Tick implements Policy: one observation window.
 func (r *Replicator) Tick(now sim.Time) {
@@ -294,7 +272,7 @@ func (r *Replicator) Tick(now sim.Time) {
 		wf := sumW / weight
 		home := r.m.Mem.Home(s.Region)
 
-		if len(replicas) > 0 && wf >= r.p.WriteHigh {
+		if len(replicas) > 0 && wf >= replicaWriteHigh {
 			// Write-hot while replicated: every write is paying an update
 			// per replica. Collapse back to the single migratable copy.
 			if !s.streak.Observe(collapseCand) {
@@ -307,7 +285,7 @@ func (r *Replicator) Tick(now sim.Time) {
 			r.dispatch(home, s.Collapse)
 			continue
 		}
-		if wf <= r.p.WriteLow && len(replicas) < r.p.MaxReplicas {
+		if wf <= replicaWriteLow && len(replicas) < r.maxReplicas {
 			cand, benefit := r.bestReplica(s, home, replicas, sumW)
 			if cand < 0 {
 				s.streak.Clear()

@@ -27,6 +27,13 @@ func regionSlot(m *sim.Machine, agg *trace.Aggregate, region int, name string) a
 	}
 }
 
+// startPlane runs policy on its own 25us plane.
+func startPlane(m *sim.Machine, policy autonomic.Policy) {
+	plane := autonomic.NewPlane(sim.Micros(25))
+	plane.Add(policy)
+	plane.Start(m.Eng)
+}
+
 // A region homed on station 0 but read almost exclusively from station 3
 // is replication's textbook case: the policy must install a copy on the
 // reader's module and the reader's loads must get cheaper.
@@ -39,12 +46,11 @@ func TestReplicatorReplicatesReadMostlyRemoteTraffic(t *testing.T) {
 
 	r := autonomic.NewReplicator(m, testTopo, autonomic.DefaultCosts(),
 		autonomic.ReplicatorParams{
-			Period:    sim.Micros(25),
 			MinWeight: 2,
 			Exec:      func(int) int { return 0 }, // proc 0 runs the actuations
 		},
 		[]autonomic.ReplicaSlot{regionSlot(m, agg, region, "data")})
-	r.Start()
+	startPlane(m, r)
 
 	horizon := sim.Time(sim.Micros(2000))
 	var firstLoad, lastLoad sim.Time
@@ -95,12 +101,11 @@ func TestReplicatorCollapsesWriteHotSlot(t *testing.T) {
 
 	r := autonomic.NewReplicator(m, testTopo, autonomic.DefaultCosts(),
 		autonomic.ReplicatorParams{
-			Period:    sim.Micros(25),
 			MinWeight: 2,
 			Exec:      func(int) int { return 0 },
 		},
 		[]autonomic.ReplicaSlot{regionSlot(m, agg, region, "data")})
-	r.Start()
+	startPlane(m, r)
 
 	horizon := sim.Time(sim.Micros(2000))
 	m.Go(12, func(p *sim.Proc) {
@@ -140,11 +145,16 @@ func TestReplicatorCollapsesWriteHotSlot(t *testing.T) {
 // The adversarial case the hysteresis band, budgets and the Yield hook
 // exist for: one slot alternating read-mostly and write-hot faster than
 // any placement can pay off, with BOTH policies live on one plane. The
-// run must stay bounded — each policy may be wrong at most Budget times —
-// and the two policies must hand the slot back and forth rather than
-// fight: no migration ever lands while the slot is replicated.
+// run must stay bounded — each policy may be wrong at most its budget
+// times — and the two policies must hand the slot back and forth rather
+// than fight: no migration ever lands while the slot is replicated. Once
+// the daemon moves the slot onto its reader, replication has nothing left
+// to gain; TestReplicatorBudgetBoundsAlternation drives the replicator's
+// budget on its own.
 func TestReplicatorAdversarialAlternationNoOscillation(t *testing.T) {
-	const budget = 3
+	// budget is the daemon's per-slot move budget; repBudget is the
+	// replicator's fixed per-slot action budget.
+	const budget, repBudget = 3, 4
 	m := sim.NewMachine(sim.Config{Seed: 1})
 	agg := trace.NewAggregate(16)
 	m.SetTracer(agg)
@@ -154,10 +164,7 @@ func TestReplicatorAdversarialAlternationNoOscillation(t *testing.T) {
 	plane := autonomic.NewPlane(sim.Micros(25))
 	rep := autonomic.NewReplicator(m, testTopo, autonomic.DefaultCosts(),
 		autonomic.ReplicatorParams{
-			Period:    sim.Micros(25),
 			MinWeight: 1,
-			Budget:    budget,
-			Cooldown:  sim.Micros(50), // deliberately permissive: let it try
 			Exec:      func(int) int { return 0 },
 		},
 		[]autonomic.ReplicaSlot{regionSlot(m, agg, region, "data")})
@@ -167,7 +174,6 @@ func TestReplicatorAdversarialAlternationNoOscillation(t *testing.T) {
 			Period:    sim.Micros(25),
 			MinWeight: 1,
 			Budget:    budget,
-			Cooldown:  sim.Micros(50),
 			Yield:     rep.Claimed,
 			Exec:      func(int) int { return 0 },
 		},
@@ -212,15 +218,65 @@ func TestReplicatorAdversarialAlternationNoOscillation(t *testing.T) {
 	m.RunAll()
 	m.Shutdown()
 
-	if n := rep.SlotActions("data"); n > budget {
+	if n := rep.SlotActions("data"); n > repBudget {
 		t.Fatalf("alternating load drove %d replication actions, budget is %d:\n%s",
-			n, budget, rep.Report())
+			n, repBudget, rep.Report())
 	}
 	if n := d.SlotMoves("data"); n > budget {
 		t.Fatalf("alternating load drove %d moves, budget is %d:\n%s", n, budget, d.Report())
 	}
 	if len(rep.Actions()) == 0 {
 		t.Fatal("replicator never acted — the alternation was not observed")
+	}
+}
+
+// With no migration policy to move the region onto its reader, a slot
+// alternating read-mostly and write-hot gives the replicator a fresh
+// replicate or collapse after every phase shift. Over 40 phases of 400us
+// (16ms) the 800us cooldown alone would let it act 14 times, so only the
+// per-slot budget of 4 can stop it — and must, exactly there.
+func TestReplicatorBudgetBoundsAlternation(t *testing.T) {
+	const repBudget = 4
+	m := sim.NewMachine(sim.Config{Seed: 1})
+	agg := trace.NewAggregate(16)
+	m.SetTracer(agg)
+	region := m.Mem.NewRegion(0)
+	data := m.Alloc(region, 16)
+
+	rep := autonomic.NewReplicator(m, testTopo, autonomic.DefaultCosts(),
+		autonomic.ReplicatorParams{
+			MinWeight: 1,
+			Exec:      func(int) int { return 0 },
+		},
+		[]autonomic.ReplicaSlot{regionSlot(m, agg, region, "data")})
+	startPlane(m, rep)
+
+	const phases = 40
+	m.Go(12, func(p *sim.Proc) {
+		for ph := 0; ph < phases; ph++ {
+			deadline := p.Now() + sim.Time(sim.Micros(400))
+			for p.Now() < deadline {
+				if ph%2 == 0 {
+					p.Load(data)
+				} else {
+					p.Store(data, uint64(ph))
+				}
+				p.Think(50)
+			}
+		}
+	})
+	m.Go(0, func(p *sim.Proc) {
+		end := sim.Time(sim.Micros(400 * (phases + 1)))
+		for p.Now() < end {
+			p.Think(50)
+		}
+	})
+	m.RunAll()
+	m.Shutdown()
+
+	if n := rep.SlotActions("data"); n != repBudget {
+		t.Fatalf("alternating load drove %d replication actions, want the budget %d exactly:\n%s",
+			n, repBudget, rep.Report())
 	}
 }
 

@@ -53,12 +53,12 @@ var modelMachines = []struct {
 }
 
 // modelSatUtil is the home-module utilization above which a validation
-// cell counts as saturated. It matches tune.Params.SatHigh: past this
+// cell counts as saturated: the tuner's own saturation threshold. Past this
 // point the simulator is in the regime where backoff unfairness and
 // module queueing dominate, which the closed forms only track through
 // the clamped rho term — the headline error metric excludes these cells
 // and the table still shows them.
-const modelSatUtil = 0.70
+const modelSatUtil = tune.SatHigh
 
 // modelCell is one measured grid cell, averaged over a machine's seeds.
 // pair is the serialized per-round overhead C — LockStressResult.PairUS

@@ -64,7 +64,8 @@ var parStressKinds = []locks.Kind{
 // cross-station, so the Tuned controller's ring-traffic signal sees a
 // remote fraction near 1.0 and its queue->cohort escalation fires
 // organically (the switches/mode note records it), where the same
-// saturation on hector16 stays below the RingFrac threshold.
+// saturation on hector16 stays below the tuner's 0.5 ring-fraction
+// threshold.
 //
 // windowUS is the measured window per cell in simulated microseconds;
 // full adds the NUMAchine-1024 rows.
@@ -164,8 +165,8 @@ var parSpeedWorkers = []int{1, 2, 4, 8}
 // covers that regime.
 //
 // The wall metrics are host measurements: run it standalone
-// (hurricane-bench -run '^parspeed$' -jobs 1, as `make bench-wall` does)
-// for clean numbers; under a loaded pool they undercount.
+// (hurricane-bench -run '^parspeed$' -jobs 1) for clean numbers; under a
+// loaded pool they undercount.
 func ParSpeed(seed uint64, windowUS int) *Table {
 	t := &Table{
 		Title: fmt.Sprintf("Parallel-engine speedup: NUMAchine-256 dense per-station stress, %dus window", windowUS),

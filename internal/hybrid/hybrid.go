@@ -98,9 +98,6 @@ func (t *Table) Home() int { return t.home }
 // needs to hold it across multi-structure operations).
 func (t *Table) Lock() locks.Lock { return t.lock }
 
-// PayloadWords reports the payload size entries were declared with.
-func (t *Table) PayloadWords() int { return t.payload }
-
 func (t *Table) bucket(key uint64) sim.Addr {
 	// Multiplicative (Fibonacci) hashing: kernel keys have structured low
 	// bits, and long chains would be walked while holding the coarse lock.

@@ -38,6 +38,9 @@ func (pr Protocol) String() string {
 	return "optimistic"
 }
 
+// buckets sizes every kernel hash table.
+const buckets = 64
+
 // Config selects the kernel's structure.
 type Config struct {
 	// ClusterSize is the number of processors per cluster.
@@ -46,8 +49,6 @@ type Config struct {
 	LockKind locks.Kind
 	// Protocol is the cross-cluster deadlock-management discipline.
 	Protocol Protocol
-	// Buckets sizes the kernel hash tables (default 64).
-	Buckets int
 	// SlotModule, when non-nil, overrides where cluster c's kernel data
 	// slot lives: it receives the cluster, the slot and the topology's
 	// default module and returns the module to use. Trace-guided placement
@@ -106,9 +107,6 @@ type Kernel struct {
 func New(m *sim.Machine, cfg Config) *Kernel {
 	if cfg.ClusterSize == 0 {
 		cfg.ClusterSize = m.NumProcs()
-	}
-	if cfg.Buckets == 0 {
-		cfg.Buckets = 64
 	}
 	k := &Kernel{M: m, cfg: cfg}
 	k.Topo = cluster.NewTopology(m, cfg.ClusterSize)

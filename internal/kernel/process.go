@@ -38,7 +38,7 @@ func newProcessManager(k *Kernel) *ProcessManager {
 	}
 	for c := 0; c < k.Topo.N; c++ {
 		home := k.Topo.SlotModule(c, 3)
-		t := hybrid.NewShared(k.M, k.newLock(home), home, k.cfg.Buckets, descPayload)
+		t := hybrid.NewShared(k.M, k.newLock(home), home, buckets, descPayload)
 		t.Guard = k.Gate
 		pm.tables[c] = t
 	}

@@ -120,14 +120,14 @@ func newVM(k *Kernel) *VM {
 		v.mmLocks[c] = k.newLock(mmModule(c))
 	}
 	lockOf := func(c int) locks.Lock { return v.mmLocks[c] }
-	v.regions = cluster.NewReplicatedShared(k.Topo, k.RPC, k.cfg.Buckets, 2, lockOf, mmModule)
-	v.fcbs = cluster.NewReplicatedShared(k.Topo, k.RPC, k.cfg.Buckets, 1, lockOf, mmModule)
-	v.pages = cluster.NewReplicatedShared(k.Topo, k.RPC, k.cfg.Buckets, 4, lockOf, mmModule)
+	v.regions = cluster.NewReplicatedShared(k.Topo, k.RPC, buckets, 2, lockOf, mmModule)
+	v.fcbs = cluster.NewReplicatedShared(k.Topo, k.RPC, buckets, 1, lockOf, mmModule)
+	v.pages = cluster.NewReplicatedShared(k.Topo, k.RPC, buckets, 4, lockOf, mmModule)
 	v.aspaces = make([]*hybrid.Table, k.Topo.N)
 	v.scratch = make([][]sim.Addr, k.Topo.N)
 	for c := 0; c < k.Topo.N; c++ {
 		module := v.slotModule(c, 3)
-		v.aspaces[c] = hybrid.NewShared(k.M, k.newLock(module), module, k.cfg.Buckets, 1)
+		v.aspaces[c] = hybrid.NewShared(k.M, k.newLock(module), module, buckets, 1)
 		v.aspaces[c].Guard = k.Gate
 		for s := 0; s < 4; s++ {
 			m := v.slotModule(c, s)

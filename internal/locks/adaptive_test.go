@@ -76,29 +76,26 @@ func TestAdaptiveGrantRestore(t *testing.T) {
 		headAcquired bool
 		tryResult    = -1 // -1 not run, 0 false, 1 true
 		wordAfterTry uint64
-		inCS         int
+		g            csGuard
 	)
 	// Holder: takes the lock uncontended, holds long enough for the head's
 	// backoff to grow, then releases — storing adGranted because the queue
 	// is non-empty.
 	m.Go(0, func(p *sim.Proc) {
 		l.Acquire(p)
-		inCS++
+		g.enter(p)
 		p.Think(hold)
-		inCS--
+		g.exit()
 		l.Release(p)
 	})
 	// Queue head: arrives second, joins the MCS queue, polls the word.
 	m.Go(1, func(p *sim.Proc) {
 		p.Think(sim.Micros(5))
 		l.Acquire(p)
-		inCS++
-		if inCS != 1 {
-			t.Errorf("%d processors in critical section", inCS)
-		}
+		g.enter(p)
 		headAcquired = true
 		p.Think(sim.Micros(10))
-		inCS--
+		g.exit()
 		l.Release(p)
 	})
 	// Trier: watches for the grant, then fires one TryAcquire into it. The
@@ -117,6 +114,9 @@ func TestAdaptiveGrantRestore(t *testing.T) {
 	m.RunAll()
 	m.Shutdown()
 
+	if g.violations != 0 {
+		t.Errorf("%d critical-section overlaps", g.violations)
+	}
 	if tryResult != 0 {
 		t.Fatalf("TryAcquire on a granted word: result=%d, want 0 (failure with restore)", tryResult)
 	}
@@ -147,43 +147,26 @@ func TestAdaptiveNoLostHandoffAcrossSeeds(t *testing.T) {
 	for seed := uint64(1); seed <= 6; seed++ {
 		m := sim.NewMachine(sim.Config{Seed: seed})
 		l := NewAdaptive(m, 0)
-		inCS := 0
-		completed := 0
-		for i := 0; i < acquirers; i++ {
-			m.Go(i, func(p *sim.Proc) {
-				for r := 0; r < rounds; r++ {
-					l.Acquire(p)
-					inCS++
-					if inCS != 1 {
-						t.Errorf("seed %d: %d processors in critical section", seed, inCS)
-					}
-					p.Think(p.RNG().Duration(sim.Micros(8)))
-					inCS--
-					l.Release(p)
-					p.Think(p.RNG().Duration(sim.Micros(10)))
-				}
-				completed++
-			})
-		}
-		for i := 0; i < triers; i++ {
-			m.Go(acquirers+i, func(p *sim.Proc) {
-				for k := 0; k < tries; k++ {
-					if l.TryAcquire(p) {
-						inCS++
-						if inCS != 1 {
-							t.Errorf("seed %d: %d processors in critical section (trier)", seed, inCS)
-						}
-						p.Think(p.RNG().Duration(sim.Micros(4)))
-						inCS--
-						l.Release(p)
-					}
-					p.Think(sim.Micros(3) + p.RNG().Duration(sim.Micros(6)))
-				}
-			})
-		}
+		g := &csGuard{}
+		exclusionLoop(m, l, g, exclusionCase{
+			procs: acquirers, rounds: rounds,
+			hold: jitter(sim.Micros(8)), after: jitter(sim.Micros(10)),
+		})
+		exclusionLoop(m, l, g, exclusionCase{
+			first: acquirers, procs: triers, rounds: tries,
+			try:  func(int) bool { return true },
+			hold: jitter(sim.Micros(4)),
+			after: func(p *sim.Proc) sim.Duration {
+				return sim.Micros(3) + p.RNG().Duration(sim.Micros(6))
+			},
+		})
 		m.Eng.Run(sim.Micros(5_000_000)) // generous bound; a lost hand-off never finishes
-		if completed != acquirers {
-			t.Fatalf("seed %d: %d/%d acquirers completed — hand-off lost", seed, completed, acquirers)
+		if g.violations != 0 {
+			t.Errorf("seed %d: %d critical-section overlaps", seed, g.violations)
+		}
+		if g.acquired != acquirers*rounds {
+			t.Fatalf("seed %d: %d/%d blocking acquisitions completed — hand-off lost",
+				seed, g.acquired, acquirers*rounds)
 		}
 		if m.Eng.Pending() == 0 {
 			m.Shutdown()

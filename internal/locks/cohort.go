@@ -86,9 +86,6 @@ func (l *Cohort) Name() string { return "Cohort" }
 // Home implements Lock.
 func (l *Cohort) Home() int { return l.global.Home() }
 
-// Global exposes the global-level lock (for tests).
-func (l *Cohort) Global() *MCS { return l.global }
-
 // Local exposes station s's local lock (for tests).
 func (l *Cohort) Local(s int) *MCS { return l.locals[s] }
 

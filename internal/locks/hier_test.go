@@ -32,30 +32,23 @@ func stationRuns(entries []int, procsPerStation int) int {
 // cycles (continuous contention) and returns the grant order.
 func saturate(t *testing.T, m *sim.Machine, l Lock, nprocs, rounds int, hold sim.Duration) []int {
 	t.Helper()
-	var entries []int
-	inCS := 0
-	for i := 0; i < nprocs; i++ {
-		m.Go(i, func(p *sim.Proc) {
-			// Stagger the first arrival: starting all procs at t=0 would
-			// enqueue them in ID order, and a FIFO lock would then show
-			// station-clustered grants as a pure start-order artifact.
-			p.Think(p.RNG().Duration(sim.Micros(50)))
-			for r := 0; r < rounds; r++ {
-				l.Acquire(p)
-				inCS++
-				if inCS != 1 {
-					t.Errorf("%s: %d holders", l.Name(), inCS)
-				}
-				entries = append(entries, p.ID())
-				p.Think(hold)
-				inCS--
-				l.Release(p)
+	g := &csGuard{}
+	// Stagger the first arrival: starting all procs at t=0 would enqueue
+	// them in ID order, and a FIFO lock would then show station-clustered
+	// grants as a pure start-order artifact.
+	exclusionLoop(m, l, g, exclusionCase{
+		procs: nprocs, rounds: rounds, hold: fixed(hold),
+		before: func(p *sim.Proc, r int) sim.Duration {
+			if r == 0 {
+				return p.RNG().Duration(sim.Micros(50))
 			}
-		})
-	}
+			return 0
+		},
+	})
 	m.RunAll()
 	m.Shutdown()
-	return entries
+	g.check(t, l.Name(), nprocs*rounds)
+	return g.order
 }
 
 // localFrac measures the station-or-closer hand-off fraction of a kind
@@ -129,8 +122,6 @@ func TestHierarchicalStarvationBound(t *testing.T) {
 // off period so arrivals come in bursts separated by idle stretches.
 func burstySaturate(t *testing.T, m *sim.Machine, l Lock, nprocs, rounds int, hold sim.Duration) []int {
 	t.Helper()
-	var entries []int
-	inCS := 0
 	pps := m.Config().ProcsPerStation
 	exp := func(p *sim.Proc, mean float64) sim.Duration {
 		d := sim.Duration(-mean * math.Log(1-p.RNG().Float64()))
@@ -139,32 +130,25 @@ func burstySaturate(t *testing.T, m *sim.Machine, l Lock, nprocs, rounds int, ho
 		}
 		return d
 	}
-	for i := 0; i < nprocs; i++ {
-		m.Go(i, func(p *sim.Proc) {
+	g := &csGuard{}
+	exclusionLoop(m, l, g, exclusionCase{
+		procs: nprocs, rounds: rounds, hold: fixed(hold),
+		before: func(p *sim.Proc, r int) sim.Duration {
 			mean := float64(sim.Micros(24))
 			if p.ID()/pps == 0 {
 				mean = float64(sim.Micros(6))
 			}
-			for r := 0; r < rounds; r++ {
-				p.Think(exp(p, mean))
-				if r%8 == 7 {
-					p.Think(exp(p, float64(sim.Micros(100))))
-				}
-				l.Acquire(p)
-				inCS++
-				if inCS != 1 {
-					t.Errorf("%s: %d holders", l.Name(), inCS)
-				}
-				entries = append(entries, p.ID())
-				p.Think(hold)
-				inCS--
-				l.Release(p)
+			d := exp(p, mean)
+			if r%8 == 7 {
+				d += exp(p, float64(sim.Micros(100)))
 			}
-		})
-	}
+			return d
+		},
+	})
 	m.RunAll()
 	m.Shutdown()
-	return entries
+	g.check(t, l.Name(), nprocs*rounds)
+	return g.order
 }
 
 // TestHierarchicalStarvationBoundBursty re-checks the B+1 starvation bound
@@ -342,39 +326,16 @@ func TestHierTryLockPropertyMixed(t *testing.T) {
 			l = NewCNA(m, int(seed%16))
 		}
 		nprocs := int(procsRaw)%14 + 2
-		inCS, acquired := 0, 0
-		ok := true
-		for i := 0; i < nprocs; i++ {
-			m.Go(i, func(p *sim.Proc) {
-				for r := 0; r < 6; r++ {
-					if r%3 == 2 {
-						t0 := p.Now()
-						got := l.TryAcquire(p)
-						if !got {
-							if p.Now()-t0 > sim.Micros(20) {
-								ok = false // a failed try must not wait
-							}
-							p.Think(p.RNG().Duration(sim.Micros(10)))
-							continue
-						}
-					} else {
-						l.Acquire(p)
-					}
-					inCS++
-					if inCS != 1 {
-						ok = false
-					}
-					acquired++
-					p.Think(p.RNG().Duration(sim.Micros(8)))
-					inCS--
-					l.Release(p)
-					p.Think(p.RNG().Duration(sim.Micros(12)))
-				}
-			})
-		}
+		g := &csGuard{}
+		exclusionLoop(m, l, g, exclusionCase{
+			procs: nprocs, rounds: 6, try: func(r int) bool { return r%3 == 2 },
+			hold: jitter(sim.Micros(8)), after: jitter(sim.Micros(12)),
+		})
 		m.RunAll()
 		m.Shutdown()
-		return ok && acquired >= nprocs*4 // all non-try rounds completed
+		// Every non-try round completed, and a failed try never waited.
+		return g.violations == 0 && g.acquired == nprocs*4 &&
+			g.slowestFail <= sim.Micros(20)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)

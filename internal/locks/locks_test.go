@@ -11,36 +11,115 @@ func newHector(seed uint64) *sim.Machine {
 	return sim.NewMachine(sim.Config{Seed: seed})
 }
 
-// exclusionStress runs nprocs processors through rounds acquire/hold/release
-// cycles and fails on any mutual-exclusion violation. Returns total
-// simulated time.
-func exclusionStress(t *testing.T, mk func(*sim.Machine) Lock, seed uint64, nprocs, rounds int, hold sim.Duration) sim.Time {
+// csGuard is the one mutual-exclusion checker the lock tests share: enter
+// and exit bracket every critical section, and a processor entering while
+// another is inside counts as a violation. The simulator runs one
+// processor at a time, so plain counters suffice.
+type csGuard struct {
+	in, violations int
+	// acquired counts blocking Acquire grants; tried counts successful
+	// TryAcquires.
+	acquired, tried int
+	// slowestFail is the longest a failed TryAcquire took.
+	slowestFail sim.Duration
+	// order is the grant order, by processor ID.
+	order []int
+}
+
+func (g *csGuard) enter(p *sim.Proc) {
+	g.in++
+	if g.in != 1 {
+		g.violations++
+	}
+	g.order = append(g.order, p.ID())
+}
+
+func (g *csGuard) exit() { g.in-- }
+
+// check fails the test on any overlap, or when the run granted other than
+// want critical sections in total.
+func (g *csGuard) check(t *testing.T, name string, want int) {
 	t.Helper()
-	m := newHector(seed)
-	l := mk(m)
-	inCS := 0
-	acquired := 0
-	for i := 0; i < nprocs; i++ {
+	if g.violations != 0 {
+		t.Errorf("%s: %d critical-section overlaps", name, g.violations)
+	}
+	if got := g.acquired + g.tried; got != want {
+		t.Fatalf("%s: %d acquisitions, want %d", name, got, want)
+	}
+}
+
+// exclusionCase is one group of processors running an acquire loop. Every
+// think hook may be nil (no think at all).
+type exclusionCase struct {
+	// first is the group's first processor ID; procs run rounds rounds each.
+	first, procs, rounds int
+	// before is each processor's think before round r's acquire.
+	before func(p *sim.Proc, r int) sim.Duration
+	// try selects rounds that use TryAcquire (the lock must be a
+	// TryLocker); a failed try skips straight to after.
+	try func(r int) bool
+	// hold is the critical section; after the think following it.
+	hold, after func(p *sim.Proc) sim.Duration
+}
+
+// fixed and jitter are the common think hooks: a constant, and a uniform
+// draw from [0, d).
+func fixed(d sim.Duration) func(*sim.Proc) sim.Duration {
+	return func(*sim.Proc) sim.Duration { return d }
+}
+
+func jitter(d sim.Duration) func(*sim.Proc) sim.Duration {
+	return func(p *sim.Proc) sim.Duration { return p.RNG().Duration(d) }
+}
+
+func think(p *sim.Proc, d func(*sim.Proc) sim.Duration) {
+	if d != nil {
+		p.Think(d(p))
+	}
+}
+
+// exclusionLoop starts c's processors on their acquire loop against l,
+// bracketing every critical section with g. The caller runs the machine,
+// so several groups can share one guard.
+func exclusionLoop(m *sim.Machine, l Lock, g *csGuard, c exclusionCase) {
+	for i := c.first; i < c.first+c.procs; i++ {
 		m.Go(i, func(p *sim.Proc) {
-			for r := 0; r < rounds; r++ {
-				l.Acquire(p)
-				inCS++
-				if inCS != 1 {
-					t.Errorf("%s: %d processors in critical section", l.Name(), inCS)
+			for r := 0; r < c.rounds; r++ {
+				if c.before != nil {
+					p.Think(c.before(p, r))
 				}
-				acquired++
-				p.Think(hold)
-				inCS--
+				if c.try != nil && c.try(r) {
+					t0 := p.Now()
+					if !l.(TryLocker).TryAcquire(p) {
+						g.slowestFail = max(g.slowestFail, p.Now()-t0)
+						think(p, c.after)
+						continue
+					}
+					g.tried++
+				} else {
+					l.Acquire(p)
+					g.acquired++
+				}
+				g.enter(p)
+				think(p, c.hold)
+				g.exit()
 				l.Release(p)
-				p.Think(p.RNG().Duration(100))
+				think(p, c.after)
 			}
 		})
 	}
+}
+
+// exclusionStress runs nprocs processors through rounds acquire/hold/release
+// cycles with jittered gaps and fails on any mutual-exclusion violation.
+func exclusionStress(t *testing.T, mk func(*sim.Machine) Lock, seed uint64, nprocs, rounds int, hold sim.Duration) {
+	t.Helper()
+	m := newHector(seed)
+	l := mk(m)
+	g := &csGuard{}
+	exclusionLoop(m, l, g, exclusionCase{procs: nprocs, rounds: rounds, hold: fixed(hold), after: jitter(100)})
 	m.RunAll()
-	if acquired != nprocs*rounds {
-		t.Fatalf("%s: %d acquisitions, want %d", l.Name(), acquired, nprocs*rounds)
-	}
-	return m.Eng.Now()
+	g.check(t, l.Name(), nprocs*rounds)
 }
 
 func allKinds() []Kind {
@@ -72,27 +151,12 @@ func TestExclusionPropertyOverSeeds(t *testing.T) {
 		k := kinds[int(kindRaw)%len(kinds)]
 		nprocs := int(procsRaw)%15 + 2
 		m := newHector(seed)
-		l := New(m, k, int(seed%16))
-		inCS, acquired := 0, 0
-		violated := false
-		for i := 0; i < nprocs; i++ {
-			m.Go(i, func(p *sim.Proc) {
-				for r := 0; r < 6; r++ {
-					l.Acquire(p)
-					inCS++
-					if inCS != 1 {
-						violated = true
-					}
-					acquired++
-					p.Think(p.RNG().Duration(40))
-					inCS--
-					l.Release(p)
-					p.Think(p.RNG().Duration(60))
-				}
-			})
-		}
+		g := &csGuard{}
+		exclusionLoop(m, New(m, k, int(seed%16)), g, exclusionCase{
+			procs: nprocs, rounds: 6, hold: jitter(40), after: jitter(60),
+		})
 		m.RunAll()
-		return !violated && acquired == nprocs*6
+		return g.violations == 0 && g.acquired == nprocs*6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -350,39 +414,17 @@ func TestTryLockV2Semantics(t *testing.T) {
 func TestTryLockV2ExclusionUnderMixedUse(t *testing.T) {
 	m := newHector(10)
 	l := NewTryLockV2(m, 7)
-	inCS, acquired, trySuccess := 0, 0, 0
-	for i := 0; i < 10; i++ {
-		m.Go(i, func(p *sim.Proc) {
-			for r := 0; r < 12; r++ {
-				if r%3 == 2 {
-					if l.TryAcquire(p) {
-						inCS++
-						if inCS != 1 {
-							t.Errorf("exclusion violated (try)")
-						}
-						trySuccess++
-						p.Think(20)
-						inCS--
-						l.Release(p)
-					}
-				} else {
-					l.Acquire(p)
-					inCS++
-					if inCS != 1 {
-						t.Errorf("exclusion violated")
-					}
-					acquired++
-					p.Think(20)
-					inCS--
-					l.Release(p)
-				}
-				p.Think(p.RNG().Duration(200))
-			}
-		})
-	}
+	g := &csGuard{}
+	exclusionLoop(m, l, g, exclusionCase{
+		procs: 10, rounds: 12, try: func(r int) bool { return r%3 == 2 },
+		hold: fixed(20), after: jitter(200),
+	})
 	m.RunAll()
-	if acquired != 10*8 {
-		t.Fatalf("normal acquisitions = %d, want 80", acquired)
+	if g.violations != 0 {
+		t.Errorf("exclusion violated %d times", g.violations)
+	}
+	if g.acquired != 10*8 {
+		t.Fatalf("normal acquisitions = %d, want 80", g.acquired)
 	}
 	// All abandoned nodes must eventually be reclaimed.
 	for i := 0; i < m.NumProcs(); i++ {
@@ -390,7 +432,6 @@ func TestTryLockV2ExclusionUnderMixedUse(t *testing.T) {
 			t.Errorf("proc %d try node leaked in state %d", i, st)
 		}
 	}
-	_ = trySuccess // may be 0 under unlucky timing; exclusion is the point
 }
 
 func TestTryLockV2StarvationUnderSaturation(t *testing.T) {

@@ -59,9 +59,6 @@ func NewStats(m *sim.Machine, l Lock) *Stats {
 		waitName: "wait " + l.Name(), holdName: "hold " + l.Name()}
 }
 
-// Inner returns the wrapped lock.
-func (s *Stats) Inner() Lock { return s.inner }
-
 // Name implements Lock.
 func (s *Stats) Name() string { return s.inner.Name() }
 

@@ -11,24 +11,14 @@ func TestStatsCountsAndDistributions(t *testing.T) {
 	m := sim.NewMachine(sim.Config{Seed: 11})
 	s := NewStats(m, New(m, KindH2MCS, 0))
 	const nprocs, rounds = 8, 10
-	inCS := 0
-	for i := 0; i < nprocs; i++ {
-		m.Go(i, func(p *sim.Proc) {
-			for r := 0; r < rounds; r++ {
-				s.Acquire(p)
-				inCS++
-				if inCS != 1 {
-					t.Errorf("%d processors in critical section", inCS)
-				}
-				p.Think(sim.Micros(10))
-				inCS--
-				s.Release(p)
-				p.Think(p.RNG().Duration(sim.Micros(5)))
-			}
-		})
-	}
+	g := &csGuard{}
+	exclusionLoop(m, s, g, exclusionCase{
+		procs: nprocs, rounds: rounds,
+		hold: fixed(sim.Micros(10)), after: jitter(sim.Micros(5)),
+	})
 	m.RunAll()
 	m.Shutdown()
+	g.check(t, s.Name(), nprocs*rounds)
 
 	if s.Acquisitions != nprocs*rounds {
 		t.Fatalf("Acquisitions = %d, want %d", s.Acquisitions, nprocs*rounds)

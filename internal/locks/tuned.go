@@ -65,16 +65,11 @@ type tunedCounts struct {
 // NewTuned builds a tuned lock homed on module home and attaches its
 // sampling hook to the machine's engine. Zero-value params take defaults.
 func NewTuned(m *sim.Machine, home int, p tune.Params) *Tuned {
-	if p.Stations == 0 {
-		// Tell the controller how hierarchical the machine is: cohort mode
-		// only exists past one station.
-		p.Stations = m.Config().Stations
-	}
 	l := &Tuned{
 		word:        m.Mem.Alloc(home, 1),
 		queue:       NewMCS(m, home, VariantH2),
 		cohort:      NewCohort(m, home),
-		ctl:         tune.NewController(p),
+		ctl:         tune.NewController(p, m.Config().Stations),
 		home:        home,
 		homeStation: m.Mem.StationOf(home),
 		counts:      make([]tunedCounts, m.Config().Stations),

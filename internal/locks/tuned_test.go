@@ -53,7 +53,7 @@ func TestTunedUncontendedMatchesSpin(t *testing.T) {
 // the optimistic stance — spin mode, minimum cap, zero fast-path failures.
 func TestTunedZeroContentionConvergence(t *testing.T) {
 	m := sim.NewMachine(sim.Config{Seed: 11})
-	l := NewTuned(m, 0, tune.Params{Period: sim.Micros(50)})
+	l := NewTuned(m, 0, tune.Params{})
 	m.Go(0, func(p *sim.Proc) {
 		for i := 0; i < 200; i++ {
 			l.Acquire(p)
@@ -70,8 +70,8 @@ func TestTunedZeroContentionConvergence(t *testing.T) {
 	if c.Mode() != tune.ModeSpin {
 		t.Fatalf("mode = %v, want spin", c.Mode())
 	}
-	if c.BackoffCap() != c.Params().MinCap {
-		t.Fatalf("cap = %v, want MinCap %v", c.BackoffCap(), c.Params().MinCap)
+	if c.BackoffCap() != tune.MinCap {
+		t.Fatalf("cap = %v, want MinCap %v", c.BackoffCap(), tune.MinCap)
 	}
 	var fastFailures uint64
 	for i := range l.counts {
@@ -91,10 +91,7 @@ func TestTunedZeroContentionConvergence(t *testing.T) {
 // crossover, exercised end-to-end rather than on a synthetic Sample feed.
 func TestTunedCrossesOverUnderSaturation(t *testing.T) {
 	m := sim.NewMachine(sim.Config{Seed: 3})
-	l := NewTuned(m, 0, tune.Params{
-		Period: sim.Micros(50),
-		MaxCap: sim.Micros(16),
-	})
+	l := NewTuned(m, 0, tune.Params{MaxCap: sim.Micros(16)})
 	for i := 0; i < 16; i++ {
 		m.Go(i, func(p *sim.Proc) {
 			for r := 0; r < 40; r++ {

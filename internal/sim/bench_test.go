@@ -4,7 +4,7 @@ import "testing"
 
 // reportPerSimEvent converts a benchmark's wall time into nanoseconds of
 // host time per logical engine event (dispatched + elided), the simulator's
-// core throughput number (`make bench-wall`).
+// core throughput number (`go test -bench . -run NONE ./internal/sim/`).
 func reportPerSimEvent(b *testing.B, e *Engine) {
 	if n := e.Processed(); n > 0 {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n), "ns/simevent")

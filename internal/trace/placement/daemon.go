@@ -18,7 +18,8 @@ import (
 // hard budgets so the feedback loop cannot thrash.
 type DaemonParams struct {
 	// Period is the sampling cadence (default 100us). Each tick diffs the
-	// live trace.Aggregate region vectors into one observation window.
+	// live trace.Aggregate region vectors into one observation window. Two
+	// moves of one slot are at least eight periods apart.
 	Period sim.Duration
 	// Decay is the per-window EWMA retention of the smoothed access
 	// vectors (default 0.75, a ~4-window horizon — the same constant tune
@@ -46,17 +47,6 @@ type DaemonParams struct {
 	// Confirm×Period — one processor's single fault, say — can nominate a
 	// destination but never confirm it, so only sustained shifts move data.
 	Confirm int
-	// Payback is the rent-vs-buy horizon, in windows (default 64): a move
-	// executes only if its projected per-window saving repays the copy's
-	// estimated cost (region words × the ring access weight) within Payback
-	// windows. This is what keeps large slots from chasing small
-	// improvements — the copy grows with the slot, the saving does not —
-	// while leaving small slots cheap to re-home.
-	Payback int
-	// Cooldown is the minimum time between two moves of the same slot
-	// (default 8x Period), so an oscillating workload at most flips a slot
-	// once per cooldown until the budget runs out.
-	Cooldown sim.Duration
 	// Yield, when non-nil, marks regions another policy has claimed: the
 	// daemon folds their windows but never moves them. On a shared
 	// autonomics plane this is wired to the replication policy's Claimed,
@@ -97,14 +87,16 @@ func (p DaemonParams) withDefaults() DaemonParams {
 	if p.Confirm == 0 {
 		p.Confirm = 2
 	}
-	if p.Payback == 0 {
-		p.Payback = 64
-	}
-	if p.Cooldown == 0 {
-		p.Cooldown = 8 * p.Period
-	}
 	return p
 }
+
+// payback is the rent-vs-buy horizon, in windows: a move executes only if
+// its projected per-window saving repays the copy's estimated cost (region
+// words × the ring access weight) within payback windows. This is what
+// keeps large slots from chasing small improvements — the copy grows with
+// the slot, the saving does not — while leaving small slots cheap to
+// re-home.
+const payback = 64
 
 // DefaultDaemonParams returns the defaulted parameter set.
 func DefaultDaemonParams() DaemonParams { return DaemonParams{}.withDefaults() }
@@ -170,9 +162,12 @@ func NewDaemon(m *sim.Machine, agg *trace.Aggregate, topo Topo, costs Costs, par
 			DaemonSlot: s,
 			snap:       make([]uint64, n),
 			smooth:     make([]float64, n),
-			gate:       autonomic.Gate{Budget: d.p.Budget, Cooldown: d.p.Cooldown},
-			target:     -1,
-			streak:     autonomic.NewStreak(d.p.Confirm),
+			// The cooldown between two moves of one slot is eight sampling
+			// periods, so an oscillating workload at most flips a slot once
+			// per cooldown until the budget runs out.
+			gate:   autonomic.Gate{Budget: d.p.Budget, Cooldown: 8 * d.p.Period},
+			target: -1,
+			streak: autonomic.NewStreak(d.p.Confirm),
 		})
 	}
 	return d
@@ -272,14 +267,14 @@ func (d *Daemon) Tick(now sim.Time) {
 		prop := propose(s.Name, home, ivec, d.topo, d.costs, load, d.p.Improve)
 		if prop.Moved() {
 			// Rent vs buy: the per-window saving (undo the fixed-point
-			// scale) must repay the copy within the Payback horizon.
+			// scale) must repay the copy within the payback horizon.
 			benefit := (prop.CurCost - prop.NewCost) / 16
 			copyCost := float64(d.m.Mem.RegionWords(s.Region)) * d.costs.Ring
 			worth := d.p.Worth
 			if worth == nil {
 				worth = autonomic.Worthwhile
 			}
-			if !worth(benefit, d.p.Payback, copyCost) {
+			if !worth(benefit, payback, copyCost) {
 				prop.Proposed = prop.Home
 			}
 		}

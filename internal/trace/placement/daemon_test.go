@@ -93,7 +93,6 @@ func TestDaemonThrashBudget(t *testing.T) {
 			MinWeight: 0.25,
 			Confirm:   2,
 			Budget:    budget,
-			Cooldown:  sim.Micros(50), // deliberately permissive: let it try
 			Exec:      func(int) int { return 0 },
 		},
 		[]placement.DaemonSlot{{

@@ -65,8 +65,8 @@ func TestQueueModeDwellLatencyBoundedCap(t *testing.T) {
 			t.Errorf("window %d: cap %v exceeds the %dus latency bound", i, d.Cap, maxCapUS)
 		}
 		if i > 0 && d.Mode != log[i-1].Mode {
-			if last >= 0 && i-last < ctl.Params().DwellWindows {
-				t.Errorf("switches %d windows apart (< dwell %d)", i-last, ctl.Params().DwellWindows)
+			if last >= 0 && i-last < tune.DwellWindows {
+				t.Errorf("switches %d windows apart (< dwell %d)", i-last, tune.DwellWindows)
 			}
 			last = i
 			if d.Mode == tune.ModeQueue && crossed < 0 {

@@ -107,7 +107,7 @@ func TestModelModeJumps(t *testing.T) {
 	log := ctl.Log()
 	for i := 1; i < len(log); i++ {
 		if log[i].Mode == tune.ModeSpin && log[i-1].Mode != tune.ModeSpin {
-			if log[i].Cap == tune.DefaultParams().MinCap {
+			if log[i].Cap == tune.MinCap {
 				t.Errorf("re-entered spin at MinCap — expected the advisor's priced cap")
 			}
 			return

@@ -68,7 +68,7 @@ func (s *Sampler) Tick(now sim.Time) {
 // Attach wires a Controller to a machine. With Params.Plane set the
 // sampler registers on the shared autonomics plane (one daemon cadence
 // ticks every policy in phase order); otherwise it self-schedules a
-// private daemon event every Period — the historical shape, byte-identical
+// private daemon event every period — the historical shape, byte-identical
 // to the plane at the same period because daemon events at one timestamp
 // fire in registration order either way.
 func Attach(eng *sim.Engine, home *sim.Resource, probe func() Counters, c *Controller) {
@@ -77,5 +77,5 @@ func Attach(eng *sim.Engine, home *sim.Resource, probe func() Counters, c *Contr
 		pl.Add(s)
 		return
 	}
-	eng.Every(c.p.Period, s.Tick)
+	eng.Every(period, s.Tick)
 }

@@ -9,10 +9,10 @@ import (
 // StartMode warm-starts the controller anywhere on the mode chain; the
 // zero value keeps the historical optimistic spin start byte for byte.
 func TestStartModeWarmStart(t *testing.T) {
-	if NewController(Params{}).Mode() != ModeSpin {
+	if NewController(Params{}, 1).Mode() != ModeSpin {
 		t.Fatal("zero-value StartMode did not start in ModeSpin")
 	}
-	c := NewController(Params{StartMode: ModeQueue})
+	c := NewController(Params{StartMode: ModeQueue}, 1)
 	if c.Mode() != ModeQueue {
 		t.Fatalf("StartMode ModeQueue started in %v", c.Mode())
 	}

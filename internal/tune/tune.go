@@ -11,8 +11,8 @@
 //   - The windowed mean acquire latency. A spinner's useful poll rate is
 //     set by how long it actually waits — Figure 5b's sweep shows the best
 //     fixed cap grows with contention roughly like the wait itself — so
-//     the cap multiplicatively tracks WaitFactor x the measured wait,
-//     staying within a factor of two of the target. This is what lets one
+//     the cap multiplicatively tracks the measured wait, staying within a
+//     factor of two of the target. This is what lets one
 //     lock match the best fixed cap at every contention level.
 //
 //   - The home module's measured utilization. Spinning remote to a lock's
@@ -73,7 +73,7 @@ const (
 	// whose grants batch by station — the regime where even local-spin
 	// queueing leaves the home module saturated because every hand-off
 	// crosses the ring. Only reachable on machines with more than one
-	// station (Params.Stations).
+	// station.
 	ModeCohort
 )
 
@@ -88,65 +88,68 @@ func (m Mode) String() string {
 	return "spin"
 }
 
-// Params bounds the controller. The zero value takes defaults.
-type Params struct {
-	// Period is the sampling window (default 100us). Shorter windows react
-	// faster; longer windows smooth transient bursts.
-	Period sim.Duration
-	// SatHigh is the home-module utilization above which the module counts
-	// as saturating: the cap doubles, and if the cap is already at MaxCap
-	// the lock crosses over to queue mode (default 0.70 — between the
-	// holder-only baseline and the ~1.0 a saturated small-cap spin lock
-	// measures).
-	SatHigh float64
-	// SatLow is the utilization below which a queue-mode lock returns to
-	// spinning (default 0.45). The [SatLow, SatHigh] gap is the mode
-	// hysteresis band.
-	SatLow float64
-	// WaitFactor scales the windowed mean acquire latency into the cap
-	// target: the cap climbs while below half the target and decays while
-	// above double it (default 1.0).
-	WaitFactor float64
-	// MinCap and MaxCap clamp the backoff cap (defaults 8us and 2ms — the
-	// two ends of the paper's own Figure 5 sweep).
-	MinCap, MaxCap sim.Duration
-	// MinHead and MaxHead clamp the queue head's polling backoff in queue
-	// mode (defaults 2us and 64us).
-	MinHead, MaxHead sim.Duration
-	// Stations is the machine's station count. Cohort mode only exists on
-	// hierarchical machines, so it is reachable only when Stations > 1
-	// (default 1: disabled).
-	Stations int
-	// RingFrac is the smoothed cross-station acquisition fraction above
-	// which a saturated queue-mode lock escalates to cohort mode (default
-	// 0.5). The fraction is measured ring traffic — the share of
-	// acquisitions arriving from stations other than the lock's home — so
-	// the escalation fires only when ring-crossing hand-offs really are the
-	// traffic, not merely because the machine has stations to spare.
-	RingFrac float64
-	// CohortWait is the ring-bound escalation threshold (default 2ms, the
+// The controller's fixed thresholds. HURRICANE ran its kernel locks on a
+// few fixed constants (the 35us backoff cap); the tuner moves the cap and
+// the lock shape at run time, but the bounds and bands it moves them within
+// are fixed here.
+const (
+	// period is the sampling window of a self-scheduled controller. Shorter
+	// windows react faster; longer windows smooth transient bursts. Under a
+	// Plane the plane's period rules.
+	period sim.Duration = 100 * sim.CyclesPerMicrosecond
+	// SatHigh is the smoothed home-module utilization at or above which the
+	// module counts as saturating: the cap doubles, and if the cap is
+	// already at MaxCap the lock crosses over to queue mode. 0.70 sits
+	// between the holder-only baseline and the ~1.0 a saturated small-cap
+	// spin lock measures.
+	SatHigh = 0.70
+	// satLow is the utilization below which a queue-mode lock returns to
+	// spinning. The [satLow, SatHigh] gap is the mode hysteresis band.
+	satLow = 0.45
+	// MinCap is the floor of the backoff cap (8us), the low end of the
+	// paper's own Figure 5 sweep; MaxCap's 2ms default is the other.
+	MinCap sim.Duration = 8 * sim.CyclesPerMicrosecond
+	// minHead and maxHead clamp the queue head's polling backoff in queue
+	// mode.
+	minHead sim.Duration = 2 * sim.CyclesPerMicrosecond
+	maxHead sim.Duration = 64 * sim.CyclesPerMicrosecond
+	// cohortRingFrac is the smoothed cross-station acquisition fraction
+	// above which a saturated queue-mode lock escalates to cohort mode. The
+	// fraction is measured ring traffic — the share of acquisitions
+	// arriving from stations other than the lock's home — so the escalation
+	// fires only when ring-crossing hand-offs really are the traffic, not
+	// merely because the machine has stations to spare.
+	cohortRingFrac = 0.5
+	// cohortWait is the ring-bound escalation threshold (2ms, the
 	// unconstrained spin stance's largest backoff): in queue mode, a
 	// smoothed mean acquire wait at or above it while ring traffic exceeds
-	// RingFrac escalates to cohort mode even though the home module looks
-	// idle. On a large machine the ring serializes hand-offs while the
-	// home module sleeps, so the utilization signal alone reads that
-	// regime as "contention gone" and thrashes queue<->spin. It is an
-	// absolute duration, deliberately not tied to MaxCap: a
-	// latency-bounded deployment clamps MaxCap far below any wait that
-	// should force the cohort shape.
-	CohortWait sim.Duration
+	// cohortRingFrac escalates to cohort mode even though the home module
+	// looks idle. On a large machine the ring serializes hand-offs while the
+	// home module sleeps, so the utilization signal alone reads that regime
+	// as "contention gone" and thrashes queue<->spin. It is an absolute
+	// duration, deliberately not tied to MaxCap: a latency-bounded
+	// deployment clamps MaxCap far below any wait that should force the
+	// cohort shape.
+	cohortWait sim.Duration = 2000 * sim.CyclesPerMicrosecond
+	// DwellWindows is the minimum number of observation windows between
+	// mode switches (the EWMA horizon). A switch resets the smoothed
+	// signals, and the dwell holds the new mode until the fresh windows can
+	// speak, so stale pre-switch samples can never bounce the mode straight
+	// back.
+	DwellWindows = 4
+)
+
+// Params bounds the controller. The zero value takes defaults.
+type Params struct {
+	// MaxCap clamps the backoff cap from above (default 2ms — with MinCap,
+	// the two ends of the paper's own Figure 5 sweep).
+	MaxCap sim.Duration
 	// StartMode is the lock shape the controller begins in (default
 	// ModeSpin — the optimistic stance). A deployment that knows its locks
 	// open contended — a saturated server, say — warm-starts at ModeQueue
 	// and skips the first escalation ramp; the controller still walks the
 	// mode chain both ways from wherever it starts.
 	StartMode Mode
-	// DwellWindows is the minimum number of observation windows between
-	// mode switches (default 4 — the EWMA horizon). A switch resets the
-	// smoothed signals, and the dwell holds the new mode until the fresh
-	// windows can speak, so stale pre-switch samples can never bounce the
-	// mode straight back.
-	DwellWindows int
 	// LogLimit bounds the retained decision log (default 256; 0 takes the
 	// default, negative disables logging).
 	LogLimit int
@@ -154,7 +157,7 @@ type Params struct {
 	// autonomics plane instead of a private Engine.Every daemon: the plane's
 	// single cadence then ticks it alongside the placement and replication
 	// policies, so each phase observes the others' actions. The plane's
-	// period rules; Period is ignored for a plane-scheduled sampler.
+	// period rules for a plane-scheduled sampler.
 	Plane *autonomic.Plane
 	// Model, when non-nil, switches the controller to model-driven mode:
 	// instead of walking the cap multiplicatively and escalating through
@@ -170,41 +173,8 @@ type Params struct {
 }
 
 func (p Params) withDefaults() Params {
-	if p.Period == 0 {
-		p.Period = sim.Micros(100)
-	}
-	if p.SatHigh == 0 {
-		p.SatHigh = 0.70
-	}
-	if p.SatLow == 0 {
-		p.SatLow = 0.45
-	}
-	if p.WaitFactor == 0 {
-		p.WaitFactor = 1.0
-	}
-	if p.MinCap == 0 {
-		p.MinCap = sim.Micros(8)
-	}
 	if p.MaxCap == 0 {
 		p.MaxCap = sim.Micros(2000)
-	}
-	if p.MinHead == 0 {
-		p.MinHead = sim.Micros(2)
-	}
-	if p.MaxHead == 0 {
-		p.MaxHead = sim.Micros(64)
-	}
-	if p.Stations == 0 {
-		p.Stations = 1
-	}
-	if p.RingFrac == 0 {
-		p.RingFrac = 0.5
-	}
-	if p.CohortWait == 0 {
-		p.CohortWait = sim.Micros(2000)
-	}
-	if p.DwellWindows == 0 {
-		p.DwellWindows = 4
 	}
 	if p.LogLimit == 0 {
 		p.LogLimit = 256
@@ -298,10 +268,13 @@ type Decision struct {
 // the controller's reads are the zero-cost observation the sampling hook
 // promises.
 type Controller struct {
-	p    Params
-	mode Mode
-	cap  sim.Duration
-	head sim.Duration
+	p Params
+	// stations is the machine's station count: cohort mode only exists on
+	// hierarchical machines, so it is reachable only past one station.
+	stations int
+	mode     Mode
+	cap      sim.Duration
+	head     sim.Duration
 	// wait is the decayed ratio of windowed wait cycles to completed
 	// acquisitions. Under an unfair spin lock the per-window mean is
 	// bimodal — windows where only lucky near-release winners complete
@@ -338,7 +311,7 @@ type Controller struct {
 	// sustained saturation — not a one-window burst — can force the cap up
 	// or cross the lock over to queue mode.
 	util autonomic.EWMA
-	// band is the [SatLow, SatHigh] utilization hysteresis band the mode
+	// band is the [satLow, SatHigh] utilization hysteresis band the mode
 	// chain walks on.
 	band autonomic.Band
 	// dwell counts observation windows remaining before another mode
@@ -364,20 +337,21 @@ type Controller struct {
 	log               []Decision
 }
 
-// NewController builds a controller starting in Params.StartMode (spin by
-// default) at MinCap — the optimistic stance: assume no contention until
-// the measurements say otherwise.
-func NewController(p Params) *Controller {
+// NewController builds a controller for a lock on a machine with the given
+// station count, starting in Params.StartMode (spin by default) at MinCap —
+// the optimistic stance: assume no contention until the measurements say
+// otherwise.
+func NewController(p Params, stations int) *Controller {
 	p = p.withDefaults()
 	return &Controller{
-		p: p, mode: p.StartMode, cap: p.MinCap, head: p.MinHead,
+		p: p, stations: stations, mode: p.StartMode, cap: MinCap, head: minHead,
 		wait:  autonomic.DecayedRatio{Decay: waitDecay, Floor: waitDenFloor},
 		ring:  autonomic.DecayedRatio{Decay: waitDecay, Floor: waitDenFloor},
 		svc:   autonomic.DecayedRatio{Decay: waitDecay, Floor: waitDenFloor},
 		att:   autonomic.DecayedSum{Decay: waitDecay},
 		util:  autonomic.EWMA{Decay: waitDecay},
-		band:  autonomic.Band{Low: p.SatLow, High: p.SatHigh},
-		dwell: autonomic.Dwell{Windows: p.DwellWindows},
+		band:  autonomic.Band{Low: satLow, High: SatHigh},
+		dwell: autonomic.Dwell{Windows: DwellWindows},
 	}
 }
 
@@ -402,9 +376,9 @@ func (c *Controller) RingFrac() float64 { return c.ring.Value() }
 // Samples reports how many observation windows have been consumed.
 func (c *Controller) Samples() uint64 { return c.samples }
 
-// NextCap is the pure cap-update law. The target is WaitFactor x the
-// measured mean acquire latency, clamped to [MinCap, MaxCap]; the cap
-// moves multiplicatively toward it — doubling while below half the
+// NextCap is the pure cap-update law. The target is the measured mean
+// acquire latency, clamped to [MinCap, MaxCap]; the cap moves
+// multiplicatively toward it — doubling while below half the
 // target, halving while above double it — so it is always within a factor
 // of two of a stable target. Home-module saturation (util >= SatHigh)
 // overrides the wait signal in the upward direction only: it forces an
@@ -416,16 +390,16 @@ func (c *Controller) Samples() uint64 { return c.samples }
 // cap.
 func (p Params) NextCap(prev sim.Duration, util, waitUS float64) sim.Duration {
 	p = p.withDefaults()
-	target := sim.Micros(p.WaitFactor * waitUS)
+	target := sim.Micros(waitUS)
 	next := prev
 	switch {
-	case util >= p.SatHigh || target >= 2*prev:
+	case util >= SatHigh || target >= 2*prev:
 		next = prev * 2
 	case target <= prev/2:
 		next = prev / 2
 	}
-	if next < p.MinCap {
-		next = p.MinCap
+	if next < MinCap {
+		next = MinCap
 	}
 	if next > p.MaxCap {
 		next = p.MaxCap
@@ -437,19 +411,19 @@ func (p Params) NextCap(prev sim.Duration, util, waitUS float64) sim.Duration {
 // polling cap. Only the utilization signal drives it: in queue mode the
 // head is the sole poller, so its wait reflects hold time, not bandwidth
 // pressure.
-func (p Params) nextHead(prev sim.Duration, util float64) sim.Duration {
+func nextHead(prev sim.Duration, util float64) sim.Duration {
 	next := prev
 	switch {
-	case util >= p.SatHigh:
+	case util >= SatHigh:
 		next = prev * 2
-	case util <= p.SatLow:
+	case util <= satLow:
 		next = prev / 2
 	}
-	if next < p.MinHead {
-		next = p.MinHead
+	if next < minHead {
+		next = minHead
 	}
-	if next > p.MaxHead {
-		next = p.MaxHead
+	if next > maxHead {
+		next = maxHead
 	}
 	return next
 }
@@ -465,9 +439,9 @@ func (p Params) nextHead(prev sim.Duration, util float64) sim.Duration {
 // hierarchical cohort shape (multi-station machines only) when the
 // ring-traffic signal shows that ring-crossing hand-offs themselves are the
 // traffic — either alongside sustained saturation, or alone once the mean
-// wait passes CohortWait (on a large machine the ring serializes hand-offs
+// wait passes cohortWait (on a large machine the ring serializes hand-offs
 // while the home module idles, so utilization alone never sees this
-// regime). Retreats require smoothed utilization through SatLow and
+// regime). Retreats require smoothed utilization through satLow and
 // evidence that the calm is real: attempts still arriving without
 // completions mean a queue is forming, not that the lock is idle.
 //
@@ -525,16 +499,16 @@ func (c *Controller) Observe(s Sample) {
 func (c *Controller) reactive(util, waitUS, ringFrac float64, ready bool) {
 	atMax := c.cap == c.p.MaxCap
 	c.cap = c.p.NextCap(c.cap, util, waitUS)
-	c.head = c.p.nextHead(c.head, util)
+	c.head = nextHead(c.head, util)
 	if ready {
 		// ringBound: most acquisitions arrive over the ring AND the mean
-		// wait is past the CohortWait threshold. Home-module utilization
+		// wait is past the cohortWait threshold. Home-module utilization
 		// cannot see this regime — on a large machine the ring serializes
 		// hand-offs while the home module idles — so without this signal
 		// the controller reads the idle module as "contention gone" and
 		// thrashes queue<->spin forever.
-		ringBound := c.p.Stations > 1 && ringFrac >= c.p.RingFrac &&
-			waitUS >= c.p.CohortWait.Microseconds()
+		ringBound := c.stations > 1 && ringFrac >= cohortRingFrac &&
+			waitUS >= cohortWait.Microseconds()
 		// wedged: attempts keep arriving but nothing completes — a queue
 		// still forming behind a convoy, not an idle lock. A low home-module
 		// reading in this state means the ring (or the queue hand-off
@@ -549,7 +523,7 @@ func (c *Controller) reactive(util, waitUS, ringFrac float64, ready bool) {
 		case ModeQueue:
 			switch {
 			case ringBound,
-				c.band.Above(util) && c.p.Stations > 1 && ringFrac >= c.p.RingFrac:
+				c.band.Above(util) && c.stations > 1 && ringFrac >= cohortRingFrac:
 				// Saturated with local-only spinning AND most acquisitions
 				// arrive over the ring: hand-off traffic itself is the load,
 				// which is what station-batched cohort grants relieve.
@@ -565,10 +539,10 @@ func (c *Controller) reactive(util, waitUS, ringFrac float64, ready bool) {
 			// The ring signal cannot arbitrate a cohort retreat: station
 			// batching makes whole windows read all-local or all-remote by
 			// construction. Retreat on the wait signal instead, with a
-			// half-threshold hysteresis band under the CohortWait that
+			// half-threshold hysteresis band under the cohortWait that
 			// forced the escalation.
 			if c.band.Below(util) && !wedged &&
-				waitUS < c.p.CohortWait.Microseconds()/2 {
+				waitUS < cohortWait.Microseconds()/2 {
 				c.mode = ModeQueue
 			}
 		}
@@ -599,7 +573,7 @@ func (c *Controller) adviseModel(util, waitUS float64, ready, fresh bool) {
 	// of the reactive law stays replaced: that is the half the pricing
 	// supersedes.
 	var escape sim.Duration
-	if util >= c.p.SatHigh {
+	if util >= SatHigh {
 		escape = c.cap * 2
 		if escape > c.p.MaxCap {
 			escape = c.p.MaxCap
@@ -624,8 +598,8 @@ func (c *Controller) adviseModel(util, waitUS float64, ready, fresh bool) {
 	if cap < escape {
 		cap = escape
 	}
-	if cap < c.p.MinCap {
-		cap = c.p.MinCap
+	if cap < MinCap {
+		cap = MinCap
 	}
 	if cap > c.p.MaxCap {
 		cap = c.p.MaxCap
@@ -649,11 +623,11 @@ func (c *Controller) adviseModel(util, waitUS float64, ready, fresh bool) {
 	settled := c.capSettled >= ewmaHorizon
 	c.cap = cap
 	head := sim.Micros(adv.HeadUS)
-	if head < c.p.MinHead {
-		head = c.p.MinHead
+	if head < minHead {
+		head = minHead
 	}
-	if head > c.p.MaxHead {
-		head = c.p.MaxHead
+	if head > maxHead {
+		head = maxHead
 	}
 	c.head = head
 	target := c.mode
@@ -662,9 +636,8 @@ func (c *Controller) adviseModel(util, waitUS float64, ready, fresh bool) {
 		target = ModeQueue
 	case model.ShapeCohort:
 		// The advisor already gates cohort on a multi-station machine, but
-		// the controller's own Stations bound rules (a deployment may
-		// disable the shape outright).
-		if c.p.Stations > 1 {
+		// the controller's own station count rules.
+		if c.stations > 1 {
 			target = ModeCohort
 		} else {
 			target = ModeQueue

@@ -23,7 +23,7 @@ func TestNextCapMonotoneInLoad(t *testing.T) {
 		if w1 > w2 {
 			w1, w2 = w2, w1
 		}
-		prev := p.MinCap + sim.Duration(prevRaw)%(p.MaxCap-p.MinCap+1)
+		prev := MinCap + sim.Duration(prevRaw)%(p.MaxCap-MinCap+1)
 		return p.NextCap(prev, u2, w2) >= p.NextCap(prev, u1, w1)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -60,7 +60,7 @@ func TestNextCapClamps(t *testing.T) {
 	if got := p.NextCap(p.MaxCap, 1.0, 4000); got != p.MaxCap {
 		t.Fatalf("cap above MaxCap: %v", got)
 	}
-	if got := p.NextCap(p.MinCap, 0.0, 0); got != p.MinCap {
+	if got := p.NextCap(MinCap, 0.0, 0); got != MinCap {
 		t.Fatalf("cap below MinCap: %v", got)
 	}
 	// A wait near the current cap holds it (the factor-of-two dead band),
@@ -80,12 +80,12 @@ func TestNextCapClamps(t *testing.T) {
 	}
 	// A short wait shrinks an overshot cap even while the module sits
 	// inside the mode-hysteresis band — only saturation pins the cap up.
-	mid := (p.SatLow + p.SatHigh) / 2
+	mid := (satLow + SatHigh) / 2
 	if got := p.NextCap(prev, mid, 0); got != prev/2 {
 		t.Fatalf("overshot cap did not decay below saturation: %v", got)
 	}
 	// At saturation the same short wait cannot shrink it.
-	if got := p.NextCap(prev, p.SatHigh, 0); got != 2*prev {
+	if got := p.NextCap(prev, SatHigh, 0); got != 2*prev {
 		t.Fatalf("cap at saturation with short wait = %v, want %v", got, 2*prev)
 	}
 }
@@ -95,7 +95,7 @@ func TestNextCapClamps(t *testing.T) {
 // home module is still saturated — the "measured saturation threshold" of
 // the paper's analysis, not a queue-length heuristic.
 func TestCrossoverRequiresSaturationAtMaxCap(t *testing.T) {
-	c := NewController(Params{})
+	c := NewController(Params{}, 1)
 	p := c.Params()
 	// Saturated, but cap still climbing: stays in spin mode. (The smoothed
 	// utilization takes a few windows to register the saturation at all —
@@ -115,12 +115,12 @@ func TestCrossoverRequiresSaturationAtMaxCap(t *testing.T) {
 		t.Fatal("did not cross over at MaxCap under saturation")
 	}
 	// Inside the hysteresis band: stays queued.
-	c.Observe(Sample{HomeUtil: (p.SatLow + p.SatHigh) / 2})
+	c.Observe(Sample{HomeUtil: (satLow + SatHigh) / 2})
 	if c.Mode() != ModeQueue {
 		t.Fatal("left queue mode inside the hysteresis band")
 	}
 	// Sustained idle: back to spinning once the smoothed utilization falls
-	// through SatLow — and not on the first idle window (anti-flap).
+	// through satLow — and not on the first idle window (anti-flap).
 	c.Observe(Sample{HomeUtil: 0.10})
 	if c.Mode() != ModeQueue {
 		t.Fatal("left queue mode on a single low window (no smoothing lag)")
@@ -154,7 +154,7 @@ func saturateToQueue(t *testing.T, c *Controller, wait Counters) {
 // (here ~1000us per acquisition) dominated the first queue-mode estimate
 // and could bounce the controller straight back.
 func TestModeSwitchResetsEWMAWindows(t *testing.T) {
-	c := NewController(Params{})
+	c := NewController(Params{}, 1)
 	saturateToQueue(t, c, Counters{Acquisitions: 4, WaitCycles: sim.Micros(1000 * 4)})
 	// First post-switch window: short waits under the new protocol.
 	c.Observe(Sample{HomeUtil: 0.30, Lock: Counters{Acquisitions: 4, WaitCycles: sim.Micros(5 * 4)}})
@@ -165,8 +165,7 @@ func TestModeSwitchResetsEWMAWindows(t *testing.T) {
 	}
 	// The utilization EWMA restarted from the neutral mid-band, not the
 	// saturated pre-switch value.
-	p := c.Params()
-	mid := (p.SatLow + p.SatHigh) / 2
+	mid := (satLow + SatHigh) / 2
 	if want := waitDecay*mid + (1-waitDecay)*0.30; log[len(log)-1].UtilEWMA != want {
 		t.Fatalf("post-switch util EWMA = %.3f, want %.3f (restarted from mid-band)",
 			log[len(log)-1].UtilEWMA, want)
@@ -177,7 +176,7 @@ func TestModeSwitchResetsEWMAWindows(t *testing.T) {
 // un-dwelled controller would flap, and asserts the mode never switches
 // twice within one dwell period.
 func TestHysteresisOneSwitchPerDwell(t *testing.T) {
-	c := NewController(Params{LogLimit: 1024})
+	c := NewController(Params{LogLimit: 1024}, 1)
 	saturateToQueue(t, c, Counters{})
 	// Alternate saturated and idle phases, each shorter than the EWMA
 	// horizon plus dwell, for many windows.
@@ -190,15 +189,14 @@ func TestHysteresisOneSwitchPerDwell(t *testing.T) {
 	}
 	log := c.Log()
 	last, seen := -1, 0
-	dwell := c.Params().DwellWindows
 	for i := 1; i < len(log); i++ {
 		if log[i].Mode == log[i-1].Mode {
 			continue
 		}
 		seen++
-		if last >= 0 && i-last < dwell {
+		if last >= 0 && i-last < DwellWindows {
 			t.Fatalf("modes switched %d windows apart (< dwell %d): windows %d and %d",
-				i-last, dwell, last, i)
+				i-last, DwellWindows, last, i)
 		}
 		last = i
 	}
@@ -216,7 +214,7 @@ func TestHysteresisOneSwitchPerDwell(t *testing.T) {
 func TestEscalatesToCohortUnderSustainedSaturation(t *testing.T) {
 	// Saturated queue mode whose acquisitions nearly all cross the ring.
 	remote := Counters{Acquisitions: 8, RemoteAcquisitions: 7}
-	c := NewController(Params{Stations: 8})
+	c := NewController(Params{}, 8)
 	saturateToQueue(t, c, remote)
 	for i := 0; c.Mode() != ModeCohort; i++ {
 		c.Observe(Sample{HomeUtil: 0.95, Lock: remote})
@@ -240,7 +238,7 @@ func TestEscalatesToCohortUnderSustainedSaturation(t *testing.T) {
 
 	// Single-station machine: cohort mode is unreachable even with the
 	// ring signal asserted.
-	c1 := NewController(Params{})
+	c1 := NewController(Params{}, 1)
 	saturateToQueue(t, c1, remote)
 	for i := 0; i < 50; i++ {
 		c1.Observe(Sample{HomeUtil: 0.95, Lock: remote})
@@ -254,7 +252,7 @@ func TestEscalatesToCohortUnderSustainedSaturation(t *testing.T) {
 	// must hold the controller in queue mode (the old static station-count
 	// check would have escalated here).
 	local := Counters{Acquisitions: 8, RemoteAcquisitions: 1}
-	c2 := NewController(Params{Stations: 8})
+	c2 := NewController(Params{}, 8)
 	saturateToQueue(t, c2, local)
 	for i := 0; i < 50; i++ {
 		c2.Observe(Sample{HomeUtil: 0.95, Lock: local})
@@ -270,12 +268,12 @@ func TestEscalatesToCohortUnderSustainedSaturation(t *testing.T) {
 // for the whole episode. The controller must (a) hold queue mode through
 // the dead windows where attempts arrive but nothing completes — a queue
 // forming, not an idle lock — (b) escalate to cohort on the ring signal
-// alone once the measured mean wait passes CohortWait, never dipping
+// alone once the measured mean wait passes cohortWait, never dipping
 // through spin, (c) hold cohort while waits stay above the hysteresis
 // band even when station batching makes windows read all-local, and
 // (d) retreat once waits genuinely collapse.
 func TestRingBoundEscalationWithIdleHomeModule(t *testing.T) {
-	c := NewController(Params{Stations: 16})
+	c := NewController(Params{}, 16)
 	saturateToQueue(t, c, Counters{})
 	// Dead windows: waiters pile in (queue-head polls register attempts)
 	// but nothing completes and the home module reads idle.
@@ -286,7 +284,7 @@ func TestRingBoundEscalationWithIdleHomeModule(t *testing.T) {
 		}
 	}
 	// Completions arrive, nearly all remote, with 2500us waits — past the
-	// 2ms CohortWait default and past any spin cap. The module still idles.
+	// 2ms cohortWait and past any spin cap. The module still idles.
 	long := Counters{Attempts: 6, Acquisitions: 4, RemoteAcquisitions: 4,
 		WaitCycles: sim.Micros(2500 * 4)}
 	for i := 0; c.Mode() != ModeCohort; i++ {
@@ -298,7 +296,7 @@ func TestRingBoundEscalationWithIdleHomeModule(t *testing.T) {
 			t.Fatal("never escalated to cohort on the ring-bound signal")
 		}
 	}
-	// Cohort holds while waits stay above CohortWait/2, even though station
+	// Cohort holds while waits stay above cohortWait/2, even though station
 	// batching now makes every window read all-local.
 	held := Counters{Attempts: 6, Acquisitions: 4, WaitCycles: sim.Micros(1500 * 4)}
 	for i := 0; i < 30; i++ {
@@ -321,7 +319,7 @@ func TestRingBoundEscalationWithIdleHomeModule(t *testing.T) {
 // idle module walks the cap back down to MinCap (the uncontended-latency
 // half of the trade-off).
 func TestCapDecaysToMinUnderIdle(t *testing.T) {
-	c := NewController(Params{})
+	c := NewController(Params{}, 1)
 	for i := 0; i < 20; i++ {
 		c.Observe(Sample{HomeUtil: 0.95})
 	}
@@ -331,7 +329,7 @@ func TestCapDecaysToMinUnderIdle(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		c.Observe(Sample{HomeUtil: 0.0})
 	}
-	if c.BackoffCap() != c.Params().MinCap {
+	if c.BackoffCap() != MinCap {
 		t.Fatalf("cap after sustained idle = %v, want MinCap", c.BackoffCap())
 	}
 	if c.Mode() != ModeSpin {
@@ -344,7 +342,7 @@ func TestCapDecaysToMinUnderIdle(t *testing.T) {
 // saturated — and a window with no completed acquisitions carries the
 // estimate forward instead of reading as "no waiting".
 func TestCapTracksMeasuredWait(t *testing.T) {
-	c := NewController(Params{})
+	c := NewController(Params{}, 1)
 	waited := func(us float64) Sample {
 		return Sample{HomeUtil: 0.30, Lock: Counters{
 			Acquisitions: 4,
@@ -371,7 +369,7 @@ func TestCapTracksMeasuredWait(t *testing.T) {
 // flap the cap by 8x every window; the decayed estimator must converge and
 // then hold the cap steady near the true mean wait.
 func TestCapStableUnderBimodalWait(t *testing.T) {
-	c := NewController(Params{})
+	c := NewController(Params{}, 1)
 	window := func(us float64) Sample {
 		return Sample{HomeUtil: 0.30, Lock: Counters{
 			Acquisitions: 3,
@@ -404,17 +402,18 @@ func TestCapStableUnderBimodalWait(t *testing.T) {
 func TestAttachSamplesUtilization(t *testing.T) {
 	eng := sim.NewEngine()
 	res := &sim.Resource{Name: "module0"}
-	c := NewController(Params{Period: 100})
+	c := NewController(Params{}, 1)
 	var utils []float64
 	// Shadow controller observation via the log.
 	Attach(eng, res, func() Counters { return Counters{} }, c)
-	// Window 1 [0,100]: 50 busy cycles. Window 2 [100,200]: reset at 150.
-	// Window 3 [200,300]: 30 busy cycles.
-	eng.At(0, func() { res.Acquire(0, 50) })
-	eng.At(140, func() { res.Acquire(140, 10) })
-	eng.At(150, func() { res.ResetStats(150) })
-	eng.At(210, func() { res.Acquire(210, 30) })
-	eng.At(301, func() {}) // keep the run alive through the third window
+	// Window 1 [0,w]: w/2 busy cycles. Window 2 [w,2w]: reset at 1.5w.
+	// Window 3 [2w,3w]: 0.3w busy cycles.
+	const w = period
+	eng.At(0, func() { res.Acquire(0, w/2) })
+	eng.At(w+w*4/10, func() { res.Acquire(w+w*4/10, w/10) })
+	eng.At(w+w/2, func() { res.ResetStats(w + w/2) })
+	eng.At(2*w+w/10, func() { res.Acquire(2*w+w/10, w*3/10) })
+	eng.At(3*w+1, func() {}) // keep the run alive through the third window
 	eng.RunAll()
 	for _, d := range c.Log() {
 		utils = append(utils, d.HomeUtil)
@@ -425,8 +424,8 @@ func TestAttachSamplesUtilization(t *testing.T) {
 	if utils[0] != 0.5 {
 		t.Fatalf("window 1 utilization = %v, want 0.5", utils[0])
 	}
-	// Window 3 diffs from the resynchronized post-reset counter: 30 busy
-	// cycles over [200, 300].
+	// Window 3 diffs from the resynchronized post-reset counter: 0.3w busy
+	// cycles over [2w, 3w].
 	if utils[1] != 30.0/100.0 {
 		t.Fatalf("window 3 utilization = %v, want 0.3", utils[1])
 	}
@@ -437,16 +436,16 @@ func TestAttachSamplesUtilization(t *testing.T) {
 func TestAttachDiffsLockCounters(t *testing.T) {
 	eng := sim.NewEngine()
 	res := &sim.Resource{Name: "module0"}
-	c := NewController(Params{Period: 100})
+	c := NewController(Params{}, 1)
 	cum := Counters{}
 	Attach(eng, res, func() Counters { return cum }, c)
 	eng.At(10, func() {
 		cum = Counters{Attempts: 5, Failures: 2, Acquisitions: 3, WaitCycles: 90}
 	})
-	eng.At(110, func() {
+	eng.At(period+10, func() {
 		cum = Counters{Attempts: 9, Failures: 2, Acquisitions: 7, WaitCycles: 150}
 	})
-	eng.At(201, func() {})
+	eng.At(2*period+1, func() {})
 	eng.RunAll()
 	log := c.Log()
 	if len(log) != 2 {
@@ -470,7 +469,7 @@ func TestAttachDiffsLockCounters(t *testing.T) {
 
 // TestControllerReportRendering sanity-checks the text report.
 func TestControllerReportRendering(t *testing.T) {
-	c := NewController(Params{})
+	c := NewController(Params{}, 1)
 	c.Observe(Sample{Now: 100, HomeUtil: 0.9, Lock: Counters{Attempts: 10, Failures: 5}})
 	s := c.Report()
 	if s == "" || c.Samples() != 1 {

@@ -11,6 +11,9 @@ import (
 	"hurricane/internal/tune"
 )
 
+// pagesPerTenant sizes each tenant's working set.
+const pagesPerTenant = 4
+
 // ServerConfig parameterizes the open-loop multi-tenant server scenario:
 // requests arrive on an ArrivalSpec schedule (Poisson, MMPP bursts, ramp,
 // flash crowd), each request is served by a pool of worker processors that
@@ -44,8 +47,6 @@ type ServerConfig struct {
 	// Tenants is the number of tenants; ZipfS the access skew exponent.
 	Tenants int
 	ZipfS   float64
-	// PagesPerTenant sizes each tenant's working set.
-	PagesPerTenant int
 	// Arrivals is the open-loop schedule (MeanGap, Horizon, bursts, ramp,
 	// flash crowd).
 	Arrivals ArrivalSpec
@@ -177,9 +178,6 @@ func ServerRun(cfg ServerConfig) *ServerResult {
 	if cfg.Tenants == 0 {
 		cfg.Tenants = 16
 	}
-	if cfg.PagesPerTenant == 0 {
-		cfg.PagesPerTenant = 4
-	}
 	if cfg.QueueLimit == 0 {
 		cfg.QueueLimit = 4 * cfg.Workers
 	}
@@ -226,7 +224,7 @@ func ServerRun(cfg ServerConfig) *ServerResult {
 		reqs[i] = serverRequest{
 			at:    at,
 			rank:  zipf.Sample(rr),
-			vpn:   uint64(rr.Intn(cfg.PagesPerTenant)),
+			vpn:   uint64(rr.Intn(pagesPerTenant)),
 			churn: cfg.ChurnEvery > 0 && i%cfg.ChurnEvery == cfg.ChurnEvery-1,
 		}
 		if cfg.TenantDataWords > 0 {
@@ -423,7 +421,7 @@ func ServerRun(cfg ServerConfig) *ServerResult {
 					file := kernel.MakeKey(c, 2, uint64(rank+1)<<20)
 					base := kernel.MakeKey(c, 3, uint64(rank+1)<<20)
 					k.VM.SetupRegion(p, region, file, base)
-					for v := 0; v < cfg.PagesPerTenant; v++ {
+					for v := 0; v < pagesPerTenant; v++ {
 						k.VM.SetupFCB(p, file+uint64(v))
 						k.VM.SetupPage(p, base+uint64(v), uint64(cfg.Workers),
 							kernel.FlagCoherent, uint64(rank+1)<<20|uint64(v))

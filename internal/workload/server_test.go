@@ -9,6 +9,7 @@ import (
 	"hurricane/internal/sim"
 	"hurricane/internal/trace"
 	"hurricane/internal/trace/placement"
+	"hurricane/internal/tune"
 )
 
 // serverTestConfig is a small open-loop run on HECTOR-16: ~1.2x offered
@@ -137,9 +138,9 @@ func TestServerControllerInteraction(t *testing.T) {
 			if log[j].Mode == log[j-1].Mode {
 				continue
 			}
-			if last >= 0 && j-last < c.Params().DwellWindows {
+			if last >= 0 && j-last < tune.DwellWindows {
 				t.Errorf("controller %d: switches %d windows apart (< dwell %d)",
-					i, j-last, c.Params().DwellWindows)
+					i, j-last, tune.DwellWindows)
 			}
 			last = j
 		}

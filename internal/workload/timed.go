@@ -153,14 +153,7 @@ func TimedStressRun(cfg TimedStressConfig) *TimedStressResult {
 						}
 					}
 				}
-				h := cfg.Hold
-				chunk := sim.Micros(2)
-				for h >= chunk {
-					p.Store(data+sim.Addr(p.ID()%8), uint64(p.ID()))
-					h -= chunk
-					p.Think(chunk - 20)
-				}
-				p.Think(h)
+				holdWork(p, data, cfg.Hold)
 				l.Release(p)
 				if cfg.Think > 0 {
 					p.Think(p.RNG().Duration(cfg.Think))

@@ -30,7 +30,7 @@ func TestTunedCapMonotoneInOfferedLoad(t *testing.T) {
 			Warmup: 4,
 			Hold:   sim.Micros(25),
 		})
-		peak := l.Controller().Params().MinCap
+		peak := tune.MinCap
 		for _, d := range l.Controller().Log() {
 			if d.Cap > peak {
 				peak = d.Cap

@@ -67,48 +67,18 @@ type LockStressResult struct {
 	AcquireDist *stats.Dist
 }
 
-// LockStress runs the Figure 5 experiment: nprocs processors continuously
-// acquire and release one lock of the given kind (homed on module 0),
-// holding it for hold cycles, rounds times each.
-func LockStress(seed uint64, kind locks.Kind, nprocs, rounds int, hold sim.Duration) LockStressResult {
-	m := sim.NewMachine(sim.Config{Seed: seed})
-	l := locks.New(m, kind, 0)
-	// The protected data lives with the lock, as kernel data does: the
-	// holder's critical section touches it, so remote spinning on the lock
-	// module slows the holder — the second-order effect of §2.1.
-	data := m.Alloc(0, 8)
-	holdWork := func(p *sim.Proc, h sim.Duration) {
-		chunk := sim.Micros(2)
-		for h >= chunk {
-			p.Store(data+sim.Addr(p.ID()%8), uint64(p.ID()))
-			h -= chunk
-			p.Think(chunk - 20)
-		}
-		p.Think(h)
+// holdWork is the critical section of every stress loop: the holder stores
+// into the protected data once per 2us chunk of the hold, so remote
+// spinning on the data's module slows the holder — the second-order effect
+// of §2.1 — and thinks out the remainder.
+func holdWork(p *sim.Proc, data sim.Addr, h sim.Duration) {
+	chunk := sim.Micros(2)
+	for h >= chunk {
+		p.Store(data+sim.Addr(p.ID()%8), uint64(p.ID()))
+		h -= chunk
+		p.Think(chunk - 20)
 	}
-	dist := &stats.Dist{}
-	for i := 0; i < nprocs; i++ {
-		m.Go(i, func(p *sim.Proc) {
-			for r := 0; r < rounds; r++ {
-				t0 := p.Now()
-				l.Acquire(p)
-				dist.Add((p.Now() - t0).Microseconds())
-				holdWork(p, hold)
-				l.Release(p)
-			}
-		})
-	}
-	m.RunAll()
-	m.Shutdown()
-	elapsed := m.Eng.Now()
-	// Throughput view: average time per completed operation across the
-	// whole machine, minus the hold itself — the per-pair overhead.
-	perOp := float64(elapsed) / float64(rounds) / sim.CyclesPerMicrosecond
-	return LockStressResult{
-		PairUS:      perOp - hold.Microseconds(),
-		AcquireUS:   dist.Mean(),
-		AcquireDist: dist,
-	}
+	p.Think(h)
 }
 
 // ResourceUtil is one resource's windowed activity summary.
@@ -119,9 +89,10 @@ type ResourceUtil struct {
 	MaxQueueUS  float64
 }
 
-// LockStressObserved is LockStress with the observability layer attached:
-// per-lock telemetry, per-resource windowed utilization over just the
-// measured rounds, and (optionally) a full event trace.
+// LockStressObserved is one stress run's Figure 5 numbers with the
+// observability layer attached: per-lock telemetry, per-resource windowed
+// utilization over just the measured rounds, and (optionally) a full event
+// trace.
 type LockStressObserved struct {
 	LockStressResult
 	// M is the machine the run executed on (trace sinks read its topology).
@@ -186,26 +157,13 @@ type StressConfig struct {
 	Attach func(r *LockStressObserved)
 }
 
-// LockStressInstrumented runs the LockStress experiment with warmup
-// warm-up rounds per processor excluded from every statistic: after the
-// warm-up all processors barrier, the resource windows and lock telemetry
-// reset, and only then do the measured rounds count. A non-nil tracer
-// observes the whole run (including warm-up).
-func LockStressInstrumented(seed uint64, kind locks.Kind, nprocs, rounds, warmup int, hold sim.Duration, tracer sim.Tracer) *LockStressObserved {
-	return LockStressRun(StressConfig{
-		Machine: sim.Config{Seed: seed},
-		Kind:    kind,
-		Procs:   nprocs,
-		Rounds:  rounds,
-		Warmup:  warmup,
-		Hold:    hold,
-		Tracer:  tracer,
-	})
-}
-
-// LockStressRun is the config-driven form of LockStressInstrumented. With a
-// zero-value Machine it reproduces LockStressInstrumented exactly (same
-// event order, same statistics).
+// LockStressRun runs the Figure 5 experiment: Procs processors
+// continuously acquire and release one lock, holding it for Hold, Rounds
+// times each. Warmup warm-up rounds per processor are excluded from every
+// statistic: after the warm-up all processors barrier, the resource windows
+// and lock telemetry reset, and only then do the measured rounds count.
+// With no warm-up there is no barrier, and the window opens at time zero.
+// A non-nil Tracer observes the whole run (including warm-up).
 func LockStressRun(cfg StressConfig) *LockStressObserved {
 	home := cfg.Home
 	m := sim.NewMachine(cfg.Machine)
@@ -222,15 +180,6 @@ func LockStressRun(cfg StressConfig) *LockStressObserved {
 		dataHome = dataRegion
 	}
 	data := m.Alloc(dataHome, 8)
-	holdWork := func(p *sim.Proc, h sim.Duration) {
-		chunk := sim.Micros(2)
-		for h >= chunk {
-			p.Store(data+sim.Addr(p.ID()%8), uint64(p.ID()))
-			h -= chunk
-			p.Think(chunk - 20)
-		}
-		p.Think(h)
-	}
 	res := &LockStressObserved{M: m, Lock: l, HomeModule: home, DataRegion: dataRegion}
 	if cfg.Attach != nil {
 		cfg.Attach(res)
@@ -242,10 +191,14 @@ func LockStressRun(cfg StressConfig) *LockStressObserved {
 		m.Go(i, func(p *sim.Proc) {
 			for r := 0; r < cfg.Warmup; r++ {
 				l.Acquire(p)
-				holdWork(p, cfg.Hold)
+				holdWork(p, data, cfg.Hold)
 				l.Release(p)
 			}
-			bar.Wait(p)
+			// Without a warm-up there is nothing to align: a barrier at time
+			// zero would only reorder the first acquisitions.
+			if cfg.Warmup > 0 {
+				bar.Wait(p)
+			}
 			// The first processor to resume opens the measurement window;
 			// the simulator is single-threaded, so this runs before any
 			// post-barrier lock traffic.
@@ -266,7 +219,7 @@ func LockStressRun(cfg StressConfig) *LockStressObserved {
 				t0 := p.Now()
 				l.Acquire(p)
 				dist.Add((p.Now() - t0).Microseconds())
-				holdWork(p, cfg.Hold)
+				holdWork(p, data, cfg.Hold)
 				l.Release(p)
 			}
 		})

@@ -56,16 +56,24 @@ func TestBarrierReusableAcrossGenerations(t *testing.T) {
 	}
 }
 
+// stress runs the Figure 5 loop on the default HECTOR machine.
+func stress(seed uint64, kind locks.Kind, procs, rounds, warmup int, hold sim.Duration) *LockStressObserved {
+	return LockStressRun(StressConfig{
+		Machine: sim.Config{Seed: seed}, Kind: kind,
+		Procs: procs, Rounds: rounds, Warmup: warmup, Hold: hold,
+	})
+}
+
 func TestLockStressShape(t *testing.T) {
 	// Contended response time must grow with p, and distributed locks must
 	// beat short-backoff spin locks at high p.
-	mcs1 := LockStress(1, locks.KindH2MCS, 1, 50, 0)
-	mcs8 := LockStress(1, locks.KindH2MCS, 8, 50, 0)
+	mcs1 := stress(1, locks.KindH2MCS, 1, 50, 0, 0)
+	mcs8 := stress(1, locks.KindH2MCS, 8, 50, 0, 0)
 	if mcs8.AcquireUS <= mcs1.AcquireUS {
 		t.Errorf("H2-MCS response did not grow with p: p1=%.2f p8=%.2f", mcs1.AcquireUS, mcs8.AcquireUS)
 	}
-	spin16 := LockStress(1, locks.KindSpin, 16, 50, sim.Micros(25))
-	mcs16 := LockStress(1, locks.KindH2MCS, 16, 50, sim.Micros(25))
+	spin16 := stress(1, locks.KindSpin, 16, 50, 0, sim.Micros(25))
+	mcs16 := stress(1, locks.KindH2MCS, 16, 50, 0, sim.Micros(25))
 	if spin16.AcquireUS <= mcs16.AcquireUS {
 		t.Errorf("spin-35us (%.1fus) not worse than H2-MCS (%.1fus) at p=16", spin16.AcquireUS, mcs16.AcquireUS)
 	}
@@ -78,12 +86,12 @@ func TestSpin2msStarvation(t *testing.T) {
 	// §4.1.2: with 16 processors and 25us holds, >2ms acquires happened on
 	// over 13% of attempts with the 2ms-backoff lock. Distributed locks are
 	// FIFO and must show none.
-	spin := LockStress(3, locks.KindSpin2ms, 16, 120, sim.Micros(25))
+	spin := stress(3, locks.KindSpin2ms, 16, 120, 0, sim.Micros(25))
 	frac := spin.AcquireDist.FracAbove(2000)
 	if frac < 0.01 {
 		t.Errorf("spin-2ms starvation fraction = %.3f, expected a real heavy tail (paper: 0.13)", frac)
 	}
-	mcs := LockStress(3, locks.KindH2MCS, 16, 120, sim.Micros(25))
+	mcs := stress(3, locks.KindH2MCS, 16, 120, 0, sim.Micros(25))
 	if f := mcs.AcquireDist.FracAbove(2000); f > 0.001 {
 		t.Errorf("H2-MCS starvation fraction = %.3f, expected 0 (FIFO)", f)
 	}
@@ -188,7 +196,7 @@ func TestProtocolsBothCompleteSharedFaults(t *testing.T) {
 func TestLockStressInstrumentedWindowing(t *testing.T) {
 	// The observability harness: warm-up rounds must be excluded from both
 	// the latency distribution and the windowed resource utilization.
-	r := LockStressInstrumented(5, locks.KindSpin, 8, 20, 10, sim.Micros(10), nil)
+	r := stress(5, locks.KindSpin, 8, 20, 10, sim.Micros(10))
 	if n := r.AcquireDist.N(); n != 8*20 {
 		t.Fatalf("measured samples = %d, want %d (warm-up must not be sampled)", n, 8*20)
 	}
@@ -224,8 +232,8 @@ func TestLockStressInstrumentedWindowing(t *testing.T) {
 func TestLockStressInstrumentedSpinVsMCSUtilization(t *testing.T) {
 	// The acceptance check for the observability layer: remote spinning
 	// saturates the lock's home module; the distributed lock does not.
-	spin := LockStressInstrumented(5, locks.KindSpin, 16, 15, 5, sim.Micros(25), nil)
-	mcs := LockStressInstrumented(5, locks.KindH2MCS, 16, 15, 5, sim.Micros(25), nil)
+	spin := stress(5, locks.KindSpin, 16, 15, 5, sim.Micros(25))
+	mcs := stress(5, locks.KindH2MCS, 16, 15, 5, sim.Micros(25))
 	su := spin.Resources[spin.HomeModule].Utilization
 	mu := mcs.Resources[mcs.HomeModule].Utilization
 	if su < 2*mu {
