@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race bench bench-smoke results bench-diff bench-baseline jobs-equiv par-equiv trace-smoke server-smoke autonomic-smoke model-smoke doc-lint profile
+.PHONY: ci vet build test race bench bench-smoke fuzz-smoke results bench-diff bench-baseline jobs-equiv par-equiv trace-smoke server-smoke autonomic-smoke model-smoke doc-lint profile
 
-ci: vet build test race bench-smoke bench-diff jobs-equiv par-equiv trace-smoke server-smoke autonomic-smoke model-smoke doc-lint
+ci: vet build test race bench-smoke fuzz-smoke bench-diff jobs-equiv par-equiv trace-smoke server-smoke autonomic-smoke model-smoke doc-lint
 
 vet:
 	$(GO) vet ./...
@@ -38,6 +38,12 @@ bench:
 # tests here, so an internal API change that breaks the benchmark fails ci.
 bench-smoke:
 	$(GO) -C benchmark test ./...
+
+# Ten seconds of randomized event schedules against the engine's (time,
+# sequence) dispatch order, past the checked-in corpus that every
+# `go test` runs (internal/sim/testdata/fuzz).
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzEventOrder$$' -fuzztime 10s ./internal/sim/
 
 # Regenerate every table/figure plus the machine-readable BENCH_sim.json.
 results:

@@ -89,6 +89,30 @@ var machines = map[string]machineSpec{
 	"numachine64": {machine.NUMAchine64, 64, placement.Topo{Stations: 8, ProcsPerStation: 8}, 8, 180},
 }
 
+// maxHoldUS bounds -hold: one simulated second per critical section.
+const maxHoldUS = 1e6
+
+// validate rejects flag values the run cannot honor, before any machine is
+// built, so a bad invocation fails with one line instead of a panic, a run
+// that never ends, or zeroed statistics.
+func validate(name string, mc machineSpec, procs, home int, holdUS float64, rounds, warmup, horizonMS int) error {
+	switch {
+	case procs < 1 || procs > mc.maxProcs:
+		return fmt.Errorf("-procs %d must be 1-%d (%s)", procs, mc.maxProcs, name)
+	case home < 0 || home >= mc.maxProcs:
+		return fmt.Errorf("-home %d must be a module 0-%d (%s)", home, mc.maxProcs-1, name)
+	case !(holdUS >= 0 && holdUS <= maxHoldUS):
+		return fmt.Errorf("-hold %g must be 0-%.0f microseconds", holdUS, float64(maxHoldUS))
+	case rounds < 1:
+		return fmt.Errorf("-rounds %d must be at least 1", rounds)
+	case warmup < -1 || warmup >= rounds:
+		return fmt.Errorf("-warmup %d must be -1 (rounds/4) or 0-%d", warmup, rounds-1)
+	case horizonMS < 1:
+		return fmt.Errorf("-ms %d must be at least 1", horizonMS)
+	}
+	return nil
+}
+
 func main() {
 	lock := flag.String("lock", "h2mcs", "mcs | h1mcs | h2mcs | spin | spin2ms | clh | adaptive | tuned | cohort | cna")
 	tuned := flag.Bool("tune", false, "shorthand for -lock tuned; prints the controller's decision log")
@@ -128,8 +152,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown machine %q; choose hector16 or numachine64\n", *machineName)
 		os.Exit(2)
 	}
-	if *procs < 1 || *procs > mc.maxProcs {
-		fmt.Fprintf(os.Stderr, "procs must be 1-%d (%s)\n", mc.maxProcs, *machineName)
+	if err := validate(*machineName, mc, *procs, *home, *holdUS, *rounds, *warmup, *horizonMS); err != nil {
+		fmt.Fprintf(os.Stderr, "lockstat: %v\n", err)
 		os.Exit(2)
 	}
 	if *warmup < 0 {

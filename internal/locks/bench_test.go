@@ -3,6 +3,7 @@ package locks
 import (
 	"testing"
 
+	"hurricane/internal/machine"
 	"hurricane/internal/sim"
 )
 
@@ -44,6 +45,33 @@ func BenchmarkContendedH2MCS(b *testing.B) {
 			for k := 0; k < per; k++ {
 				l.Acquire(p)
 				p.Think(100)
+				l.Release(p)
+			}
+		})
+	}
+	b.ResetTimer()
+	m.RunAll()
+	b.StopTimer()
+	if n := m.Eng.Processed(); n > 0 {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n), "ns/simevent")
+	}
+}
+
+// BenchmarkSpinStorm drives the saturated backoff path: 64 processors of
+// NUMAchine-64 contending one Spin-35us lock with a 25us hold, so nearly
+// every poll fails and the engine queue holds an event per processor, past
+// the size at which its timing wheel starts. This is the shape of the
+// model sweep's Spin-35us calibration cells; b.N counts acquisitions.
+func BenchmarkSpinStorm(b *testing.B) {
+	const procs = 64
+	m := sim.NewMachine(machine.NUMAchine64(1))
+	l := New(m, KindSpin, 0)
+	per := b.N/procs + 1
+	for i := 0; i < procs; i++ {
+		m.Go(i, func(p *sim.Proc) {
+			for k := 0; k < per; k++ {
+				l.Acquire(p)
+				p.Think(sim.Micros(25))
 				l.Release(p)
 			}
 		})

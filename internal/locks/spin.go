@@ -60,20 +60,8 @@ func (l *Spin) Acquire(p *sim.Proc) {
 		return
 	}
 	p.Branch(2)
-	delay := l.Initial
-	for {
-		// Back off locally, with jitter so contenders desynchronize.
-		p.Think(delay/2 + p.RNG().Duration(delay/2+1))
-		if p.Swap(l.lock, 1) == 0 {
-			p.Branch(1)
-			return
-		}
-		p.Branch(1)
-		delay *= 2
-		if delay > l.Max {
-			delay = l.Max
-		}
-	}
+	// Back off locally, with jitter so contenders desynchronize.
+	p.BackoffSwap(l.lock, l.Initial, l.Max)
 }
 
 // TryAcquire implements TryLocker: one swap, no waiting.

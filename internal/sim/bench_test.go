@@ -11,8 +11,10 @@ func reportPerSimEvent(b *testing.B, e *Engine) {
 	}
 }
 
-// BenchmarkEventDispatch measures the bare heap: a chain of closure events
-// with nothing to coalesce, so every event is pushed, popped and dispatched.
+// BenchmarkEventDispatch measures the heap-only dispatch path: a chain of
+// closure events with nothing to coalesce, one queued at a time, so every
+// event is pushed onto and popped off the 4-ary heap and the timing wheel
+// never starts (see BenchmarkSpinStorm in internal/locks for the wheel).
 func BenchmarkEventDispatch(b *testing.B) {
 	e := NewEngine()
 	n := 0
