@@ -342,10 +342,16 @@ func (p *Proc) postIRQ(h IRQHandler) {
 
 // checkIRQ delivers pending interrupts at an instruction boundary.
 func (p *Proc) checkIRQ() {
-	if !p.irqEnabled || p.inISR {
+	if !p.irqDeliverable() {
 		return
 	}
 	p.deliverIRQs()
+}
+
+// irqDeliverable reports whether an instruction boundary reached now would
+// deliver an interrupt.
+func (p *Proc) irqDeliverable() bool {
+	return p.irqEnabled && !p.inISR && len(p.pendingIRQ) > 0
 }
 
 func (p *Proc) deliverIRQs() {
