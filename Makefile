@@ -133,8 +133,10 @@ model-smoke:
 	@echo "model-smoke: calibrated model ranks the lock zoo correctly on all machines"
 
 # Documentation gate: every exported identifier in the model, autonomic,
-# and tune packages carries a doc comment, and every intra-repo markdown
-# link (file and #anchor) in the top-level docs resolves.
+# and tune packages carries a doc comment, every intra-repo markdown link
+# (file and #anchor) in the top-level docs resolves, and every exported
+# internal/ identifier has a non-test caller in this module or benchmark/
+# (or a `//doclint:keep <reason>` line saying why it stays).
 doc-lint:
 	$(GO) run ./cmd/doclint
 

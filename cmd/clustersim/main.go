@@ -138,8 +138,8 @@ func main() {
 			plane.Add(rep)
 			dp.Yield = rep.Claimed
 		}
-		daemon = placement.NewDaemon(sys.M, agg, placement.Topo(topo),
-			placement.DefaultCosts(), dp, placement.ManageKernel(sys.K))
+		daemon = placement.NewDaemon(sys.M, agg, topo,
+			autonomic.DefaultCosts(), dp, placement.ManageKernel(sys.K))
 		if plane != nil {
 			plane.Add(daemon)
 			plane.Start(sys.M.Eng)

@@ -3,7 +3,7 @@
 //
 //	doclint [-pkgs dir,dir,...] [-docs file,file,...]
 //
-// Two checks, both fatal on failure:
+// Three checks, all fatal on failure:
 //
 //  1. Godoc coverage. Every exported identifier (type, function, method,
 //     and exported struct field) in the listed packages must carry a doc
@@ -17,6 +17,14 @@
 //     must resolve: the file must exist and the fragment must match a
 //     heading's GitHub-style slug (lowercase, spaces to dashes,
 //     punctuation dropped). Broken links are how a docs overhaul rots.
+//
+//  3. Reachability. Every exported identifier declared in a non-test file
+//     under internal/ must be referenced from a non-test file of some
+//     module under the current directory (the main module and nested ones
+//     such as benchmark/). Methods that implement an interface method are
+//     exempt, and so is an identifier whose doc comment carries a
+//     `//doclint:keep <reason>` line; a keep without a reason is itself a
+//     problem. Struct fields are out of scope. See reach.go.
 package main
 
 import (
@@ -43,6 +51,7 @@ func main() {
 		problems = append(problems, lintPackage(strings.TrimSpace(dir))...)
 	}
 	problems = append(problems, lintMarkdown(strings.Split(*docs, ","))...)
+	problems = append(problems, reachability(".")...)
 
 	if len(problems) > 0 {
 		for _, p := range problems {
@@ -51,7 +60,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "doclint: %d problem(s)\n", len(problems))
 		os.Exit(1)
 	}
-	fmt.Println("doclint: all exported identifiers documented, all markdown links resolve")
+	fmt.Println("doclint: all exported identifiers documented and reachable, all markdown links resolve")
 }
 
 // lintPackage parses every non-test Go file in dir and reports exported

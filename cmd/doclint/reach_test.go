@@ -1,0 +1,46 @@
+package main
+
+import (
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// TestReachability runs the check on a two-module fixture whose
+// identifiers each cover one rule.
+func TestReachability(t *testing.T) {
+	got := reachability(filepath.Join("testdata", "reach"))
+	has := func(s string) bool {
+		for _, p := range got {
+			if strings.Contains(p, s) {
+				return true
+			}
+		}
+		return false
+	}
+	for _, c := range []struct {
+		what    string
+		flagged bool
+	}{
+		{"func Used", false},
+		{"func TestOnly", true}, // a test is not a caller
+		{"func Unused", true},
+		{"func BySecond", false}, // a second module is a caller
+		{"type Shape", false},
+		{"func NewShape", false},
+		{"method Shape.String", false}, // fmt.Stringer reaches it
+		{"method Shape.Area", true},
+		{"func Kept", false},    // keep with a reason
+		{"func KeptBare", true}, // keep without a reason exempts nothing
+	} {
+		if f := has(" " + c.what + " has no non-test caller"); f != c.flagged {
+			t.Errorf("%s: flagged=%v, want %v", c.what, f, c.flagged)
+		}
+	}
+	if !has(keepDirective + " needs a reason") {
+		t.Errorf("a keep directive without a reason was accepted")
+	}
+	if len(got) != 5 {
+		t.Errorf("%d problems, want 5:\n%s", len(got), strings.Join(got, "\n"))
+	}
+}

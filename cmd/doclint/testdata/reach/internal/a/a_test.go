@@ -1,0 +1,5 @@
+package a
+
+import "testing"
+
+func TestCallsTestOnly(t *testing.T) { TestOnly() }

@@ -1,0 +1,12 @@
+package main
+
+import (
+	"fmt"
+
+	"fix/internal/a"
+)
+
+func main() {
+	a.Used()
+	fmt.Println(a.NewShape())
+}

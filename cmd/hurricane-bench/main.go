@@ -32,6 +32,18 @@ import (
 	"hurricane/internal/sim"
 )
 
+// validate rejects worker counts that cannot mean anything, before any
+// experiment runs.
+func validate(jobs, parworkers int) error {
+	switch {
+	case jobs < 1:
+		return fmt.Errorf("-jobs %d must be at least 1", jobs)
+	case parworkers < 1:
+		return fmt.Errorf("-parworkers %d must be at least 1", parworkers)
+	}
+	return nil
+}
+
 func main() {
 	runPat := flag.String("run", "", "regexp selecting experiments by name")
 	seed := flag.Uint64("seed", 1, "simulation seed")
@@ -42,6 +54,10 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this path")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this path")
 	flag.Parse()
+	if err := validate(*jobs, *parworkers); err != nil {
+		fmt.Fprintf(os.Stderr, "hurricane-bench: %v\n", err)
+		os.Exit(2)
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)

@@ -39,11 +39,12 @@
 // instead of walking the backoff cap and escalating through the mode
 // chain reactively, it asks the analytic performance model
 // (internal/model) for the predicted-best shape and cap and jumps
-// straight there. Combined with -autonomic, the model also prices the
-// replication and migration rent-vs-buy decisions through the same hook.
+// straight there. The model drives only the lock controller: with
+// -autonomic, migration and replication keep the plane's own rent-vs-buy
+// payback test (autonomic.Worthwhile).
 //
 //	lockstat -model -procs 16 -hold 25           # model-driven controller
-//	lockstat -run server -autonomic -model       # model prices the whole plane
+//	lockstat -run server -autonomic -model       # model-driven controller inside the plane
 package main
 
 import (
@@ -79,14 +80,14 @@ var kinds = map[string]locks.Kind{
 type machineSpec struct {
 	cfg         func(seed uint64) sim.Config
 	maxProcs    int
-	topo        placement.Topo
+	topo        autonomic.Topo
 	clusterSize int
 	serverGapUS float64
 }
 
 var machines = map[string]machineSpec{
-	"hector16":    {machine.Hector16, 16, placement.Topo{Stations: 4, ProcsPerStation: 4}, 4, 90},
-	"numachine64": {machine.NUMAchine64, 64, placement.Topo{Stations: 8, ProcsPerStation: 8}, 8, 180},
+	"hector16":    {machine.Hector16, 16, autonomic.Topo{Stations: 4, ProcsPerStation: 4}, 4, 90},
+	"numachine64": {machine.NUMAchine64, 64, autonomic.Topo{Stations: 8, ProcsPerStation: 8}, 8, 180},
 }
 
 // maxHoldUS bounds -hold: one simulated second per critical section.
@@ -127,7 +128,7 @@ func main() {
 	home := flag.Int("home", 0, "home module of the lock and its protected data")
 	migrate := flag.Bool("migrate", false, "protected data in a migratable region managed by the online placement daemon")
 	auto := flag.Bool("autonomic", false, "full autonomics plane: tuned lock + migration + replication under one cadence")
-	useModel := flag.Bool("model", false, "model-driven tuner mode (implies -tune); with -autonomic the model also prices placement decisions")
+	useModel := flag.Bool("model", false, "model-driven tuner mode (implies -tune)")
 	run := flag.String("run", "stress", "stress | server (open-loop multi-tenant server, tail-latency summary)")
 	horizonMS := flag.Int("ms", 20, "server mode: arrival horizon in simulated milliseconds")
 	flag.Parse()
@@ -212,16 +213,12 @@ func main() {
 	if *auto {
 		plane = autonomic.NewPlane(placement.DefaultDaemonParams().Period)
 	}
-	// Model-driven mode: one advisor (and one pricing hook) built from the
-	// same machine config the run uses. The calibration is unfitted here —
-	// lockstat is a one-shot microscope; exp.ModelSweep runs the fitted
-	// path — so the pricing bar matches Worthwhile and only the controller
-	// behaviour changes.
+	// Model-driven mode: one advisor built from the same machine config
+	// the run uses. The calibration is unfitted here — lockstat is a
+	// one-shot microscope; exp.ModelSweep runs the fitted path.
 	var adv *model.Advisor
-	var worth func(benefit float64, horizon int, cost float64) bool
 	if *useModel {
 		adv = model.NewAdvisor(model.FromConfig(cfg.Machine), model.Calibration{})
-		worth = model.Calibration{}.Worth()
 	}
 	if kind == locks.KindTuned {
 		cfg.MakeLock = func(m *sim.Machine, home int) locks.Lock {
@@ -239,12 +236,11 @@ func main() {
 			// in-flight accesses by the module/ring resource queues.
 			params := placement.DefaultDaemonParams()
 			params.Exec = func(int) int { return 0 }
-			params.Worth = worth
 			region := r.DataRegion
 			if plane != nil {
-				rep = autonomic.NewReplicator(r.M, autonomic.Topo(mc.topo),
+				rep = autonomic.NewReplicator(r.M, mc.topo,
 					autonomic.CostsFromLatency(r.M.Lat()),
-					autonomic.ReplicatorParams{Exec: func(int) int { return 0 }, Worth: worth},
+					autonomic.ReplicatorParams{Exec: func(int) int { return 0 }},
 					[]autonomic.ReplicaSlot{{
 						Name:   "lock data",
 						Region: region,
@@ -259,7 +255,7 @@ func main() {
 				params.Yield = rep.Claimed
 			}
 			daemon = placement.NewDaemon(r.M, agg, mc.topo,
-				placement.CostsFromLatency(r.M.Lat()), params,
+				autonomic.CostsFromLatency(r.M.Lat()), params,
 				[]placement.DaemonSlot{{
 					Name:   "lock data",
 					Region: region,
@@ -375,10 +371,8 @@ func runServer(name string, mc machineSpec, kind locks.Kind, seed uint64, horizo
 	var rep *autonomic.Replicator
 	var plane *autonomic.Plane
 	var adv *model.Advisor
-	var worth func(benefit float64, horizon int, cost float64) bool
 	if useModel {
 		adv = model.NewAdvisor(model.FromConfig(cfg.Machine), model.Calibration{})
-		worth = model.Calibration{}.Worth()
 	}
 	if auto {
 		// The AutonomicSweep workload shape: per-tenant migratable data,
@@ -409,11 +403,10 @@ func runServer(name string, mc machineSpec, kind locks.Kind, seed uint64, horizo
 		cfg.Tracer = agg
 		cfg.Attach = func(sys *core.System) {
 			dp := placement.DefaultDaemonParams()
-			dp.Worth = worth
 			if plane != nil {
-				rep = autonomic.NewReplicator(sys.M, autonomic.Topo(mc.topo),
+				rep = autonomic.NewReplicator(sys.M, mc.topo,
 					autonomic.CostsFromLatency(sys.M.Lat()),
-					autonomic.ReplicatorParams{Decay: 0.95, MinWeight: 4, Confirm: 3, Payback: 48, Worth: worth},
+					autonomic.ReplicatorParams{Decay: 0.95, MinWeight: 4, Confirm: 3, Payback: 48},
 					placement.ReplicateKernel(sys.K, agg))
 				plane.Add(rep)
 				dp.Yield = rep.Claimed
@@ -421,7 +414,7 @@ func runServer(name string, mc machineSpec, kind locks.Kind, seed uint64, horizo
 				dp.Improve, dp.Budget = 0.25, 2
 			}
 			daemon = placement.NewDaemon(sys.M, agg, mc.topo,
-				placement.CostsFromLatency(sys.M.Lat()), dp,
+				autonomic.CostsFromLatency(sys.M.Lat()), dp,
 				placement.ManageKernel(sys.K))
 			if plane != nil {
 				plane.Add(daemon)
@@ -442,9 +435,9 @@ func runServer(name string, mc machineSpec, kind locks.Kind, seed uint64, horizo
 		r.Offered, r.Admitted, r.Dropped, dropPct, r.GoodputRPS)
 	fmt.Printf("  sojourn (us): %s\n", r.Lat.Tail())
 	fmt.Println("  per-tenant (rank order):")
-	for _, ts := range r.Tenants {
+	for rank, ts := range r.Tenants {
 		fmt.Printf("    tenant %-3d w=%.3f adm=%-5d drop=%-4d %s\n",
-			ts.Label, ts.Weight, ts.Admitted, ts.Dropped, ts.Lat.Tail())
+			rank, ts.Weight, ts.Admitted, ts.Dropped, ts.Lat.Tail())
 	}
 	if kind == locks.KindTuned {
 		for i, ctl := range r.Sys.K.Controllers() {

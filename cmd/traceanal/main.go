@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"os"
 
+	"hurricane/internal/autonomic"
 	"hurricane/internal/sim"
 	"hurricane/internal/trace"
 	"hurricane/internal/trace/placement"
@@ -76,12 +77,12 @@ func main() {
 	}
 
 	// Topology and cost weights: trace metadata, overridable by flags.
-	topo := placement.Topo{Stations: 4, ProcsPerStation: 4}
-	costs := placement.DefaultCosts()
+	topo := autonomic.Topo{Stations: 4, ProcsPerStation: 4}
+	costs := autonomic.DefaultCosts()
 	if meta, ok := tf.OtherData["machine"].(map[string]interface{}); ok {
 		topo.Stations = argInt(meta, "stations", topo.Stations)
 		topo.ProcsPerStation = argInt(meta, "procsPerStation", topo.ProcsPerStation)
-		costs = placement.Costs{
+		costs = autonomic.Costs{
 			Local:   float64(argInt(meta, "latLocal", int(costs.Local))),
 			Station: float64(argInt(meta, "latStation", int(costs.Station))),
 			Ring:    float64(argInt(meta, "latRing", int(costs.Ring))),

@@ -181,9 +181,6 @@ func (s *Streak) Observe(cand int) bool {
 // Clear drops the candidate (no proposal this window, or action taken).
 func (s *Streak) Clear() { s.cand, s.n = -1, 0 }
 
-// Candidate returns the current candidate (-1 when none).
-func (s *Streak) Candidate() int { return s.cand }
-
 // Gate is the per-target action limiter: a hard budget over the whole run
 // plus a cooldown between consecutive actions on the same target.
 type Gate struct {
@@ -208,9 +205,6 @@ func (g *Gate) Ready(now sim.Time) bool {
 
 // Spend records an action at time now.
 func (g *Gate) Spend(now sim.Time) { g.used++; g.last = now }
-
-// Used reports how many actions have been spent.
-func (g *Gate) Used() int { return g.used }
 
 // Worthwhile is the priced-actuator contract: an action whose estimated
 // cost is cost and whose projected per-window benefit is benefit executes

@@ -114,16 +114,16 @@ func TestStreakRequiresConsecutiveWins(t *testing.T) {
 	if s.Observe(7) {
 		t.Fatal("candidate change must not confirm")
 	}
-	if s.Candidate() != 7 {
-		t.Fatalf("candidate = %d, want 7", s.Candidate())
+	if s.cand != 7 {
+		t.Fatalf("candidate = %d, want 7", s.cand)
 	}
 	s.Observe(7)
 	if !s.Observe(7) {
 		t.Fatal("3 consecutive wins did not confirm")
 	}
 	s.Clear()
-	if s.Candidate() != -1 {
-		t.Fatalf("candidate after Clear = %d, want -1", s.Candidate())
+	if s.cand != -1 {
+		t.Fatalf("candidate after Clear = %d, want -1", s.cand)
 	}
 	if s.Observe(7) || s.Observe(7) || !s.Observe(7) {
 		t.Fatal("streak did not restart cleanly after Clear")
@@ -146,8 +146,8 @@ func TestGateBudgetAndCooldown(t *testing.T) {
 	if g.Ready(10000) {
 		t.Fatal("ready past the budget")
 	}
-	if g.Used() != 2 {
-		t.Fatalf("Used = %d, want 2", g.Used())
+	if g.used != 2 {
+		t.Fatalf("Used = %d, want 2", g.used)
 	}
 }
 
@@ -228,8 +228,8 @@ func TestPlaneTicksPoliciesInOrder(t *testing.T) {
 func TestPlaneStartTwicePanics(t *testing.T) {
 	m := sim.NewMachine(sim.Config{Seed: 1})
 	pl := NewPlane(0)
-	if pl.Period() != sim.Micros(100) {
-		t.Fatalf("default period = %v, want 100us", pl.Period())
+	if pl.period != sim.Micros(100) {
+		t.Fatalf("default period = %v, want 100us", pl.period)
 	}
 	pl.Start(m.Eng)
 	defer func() {

@@ -45,9 +45,6 @@ func NewPlane(period sim.Duration) *Plane {
 	return &Plane{period: period}
 }
 
-// Period reports the sampling cadence.
-func (pl *Plane) Period() sim.Duration { return pl.period }
-
 // Add registers a policy. Registration order is phase order within each
 // tick; a policy ticked by the plane must not also self-schedule.
 func (pl *Plane) Add(p Policy) { pl.policies = append(pl.policies, p) }

@@ -69,13 +69,6 @@ type ReplicatorParams struct {
 	// Exec picks the processor that executes an action, given the slot's
 	// primary home (default: the co-located processor).
 	Exec func(home int) int
-	// Worth, when non-nil, replaces the Worthwhile payback heuristic for
-	// the replicate decision (same signature and meaning). The analytic
-	// model supplies one via model.Calibration.Worth — the same bar with
-	// the model's fitted uncertainty as margin — so the replicator can
-	// price copies from calibrated estimates instead of the bare
-	// heuristic. Nil keeps Worthwhile; every default is unchanged.
-	Worth func(benefit float64, horizon int, cost float64) bool
 }
 
 func (p ReplicatorParams) withDefaults() ReplicatorParams {
@@ -166,24 +159,8 @@ func NewReplicator(m *sim.Machine, topo Topo, costs Costs, params ReplicatorPara
 	return r
 }
 
-// Params returns the defaulted parameters.
-func (r *Replicator) Params() ReplicatorParams { return r.p }
-
 // Actions returns the action log (oldest first).
 func (r *Replicator) Actions() []ReplicaAction { return r.actions }
-
-// SlotActions reports how many actions the named slot has spent.
-func (r *Replicator) SlotActions(name string) int {
-	for _, s := range r.slots {
-		if s.Name == name {
-			return s.gate.Used()
-		}
-	}
-	return 0
-}
-
-// Ticks reports how many sampling windows have been consumed.
-func (r *Replicator) Ticks() uint64 { return r.ticks }
 
 // Claimed reports whether the policy considers the region its jurisdiction:
 // already replicated, or carrying enough smoothed traffic to act on and not
@@ -292,11 +269,7 @@ func (r *Replicator) Tick(now sim.Time) {
 				continue
 			}
 			copyCost := float64(r.m.Mem.RegionWords(s.Region)) * r.costs.Ring
-			worth := r.p.Worth
-			if worth == nil {
-				worth = Worthwhile
-			}
-			if !worth(benefit, r.p.Payback, copyCost) {
+			if !Worthwhile(benefit, r.p.Payback, copyCost) {
 				s.streak.Clear()
 				continue
 			}

@@ -11,6 +11,28 @@ import (
 
 var testTopo = autonomic.Topo{Stations: 4, ProcsPerStation: 4}
 
+// slotActions counts the replicator's logged actions on one slot; each
+// spent the slot's budget once.
+func slotActions(rep *autonomic.Replicator, slot string) (n int) {
+	for _, a := range rep.Actions() {
+		if a.Slot == slot {
+			n++
+		}
+	}
+	return n
+}
+
+// slotMoves counts the daemon's logged moves of one slot; each spent the
+// slot's budget once.
+func slotMoves(d *placement.Daemon, slot string) (n int) {
+	for _, mv := range d.Moves() {
+		if mv.Slot == slot {
+			n++
+		}
+	}
+	return n
+}
+
 // regionSlot wires a raw sim region into a ReplicaSlot the way
 // placement.ReplicateKernel wires kernel slots: traffic vectors from the
 // live aggregate, actuators straight into sim memory. Migration semantics
@@ -169,7 +191,7 @@ func TestReplicatorAdversarialAlternationNoOscillation(t *testing.T) {
 		},
 		[]autonomic.ReplicaSlot{regionSlot(m, agg, region, "data")})
 	plane.Add(rep)
-	d := placement.NewDaemon(m, agg, placement.Topo(testTopo), placement.DefaultCosts(),
+	d := placement.NewDaemon(m, agg, testTopo, autonomic.DefaultCosts(),
 		placement.DaemonParams{
 			Period:    sim.Micros(25),
 			MinWeight: 1,
@@ -218,11 +240,11 @@ func TestReplicatorAdversarialAlternationNoOscillation(t *testing.T) {
 	m.RunAll()
 	m.Shutdown()
 
-	if n := rep.SlotActions("data"); n > repBudget {
+	if n := slotActions(rep, "data"); n > repBudget {
 		t.Fatalf("alternating load drove %d replication actions, budget is %d:\n%s",
 			n, repBudget, rep.Report())
 	}
-	if n := d.SlotMoves("data"); n > budget {
+	if n := slotMoves(d, "data"); n > budget {
 		t.Fatalf("alternating load drove %d moves, budget is %d:\n%s", n, budget, d.Report())
 	}
 	if len(rep.Actions()) == 0 {
@@ -274,7 +296,7 @@ func TestReplicatorBudgetBoundsAlternation(t *testing.T) {
 	m.RunAll()
 	m.Shutdown()
 
-	if n := rep.SlotActions("data"); n != repBudget {
+	if n := slotActions(rep, "data"); n != repBudget {
 		t.Fatalf("alternating load drove %d replication actions, want the budget %d exactly:\n%s",
 			n, repBudget, rep.Report())
 	}

@@ -89,10 +89,6 @@ type RPC struct {
 	topo *Topology
 	gate *Gate
 
-	// CallerOverhead and HandlerOverhead model the trap/marshal code on
-	// each side.
-	CallerOverhead, HandlerOverhead sim.Duration
-
 	// Calls counts RPCs issued; Retries counts StatusRetry results.
 	Calls, Retries uint64
 }
@@ -100,16 +96,14 @@ type RPC struct {
 // NewRPC builds the RPC transport for a topology. gate may be nil if
 // logical masking is not used.
 func NewRPC(t *Topology, gate *Gate) *RPC {
-	return &RPC{
-		topo:            t,
-		gate:            gate,
-		CallerOverhead:  140,
-		HandlerOverhead: 220,
-	}
+	return &RPC{topo: t, gate: gate}
 }
 
-// Gate returns the logical-mask gate (nil if none).
-func (r *RPC) Gate() *Gate { return r.gate }
+// The trap/marshal code on each side of an RPC, in cycles.
+const (
+	callerOverhead  sim.Duration = 140
+	handlerOverhead sim.Duration = 220
+)
 
 // Call runs fn on the peer processor of targetCluster and blocks until it
 // replies, returning fn's status. fn executes in interrupt context on the
@@ -135,11 +129,11 @@ func (r *RPC) Call(p *sim.Proc, targetCluster int, fn func(h *sim.Proc) Status) 
 	c0 := p.Now()
 	caller := p.ID()
 	reply := m.Alloc(p.ID(), 1) // completion word in caller-local memory
-	p.Think(r.CallerOverhead)
+	p.Think(callerOverhead)
 	m.SendIPI(target, func(h *sim.Proc) {
 		run := func(h *sim.Proc) {
 			h0 := h.Now()
-			h.Think(r.HandlerOverhead)
+			h.Think(handlerOverhead)
 			st := fn(h)
 			h.Store(reply, uint64(st)<<1|1)
 			if traced {

@@ -30,67 +30,15 @@ func TryLockFairness(seed uint64, attempts int) *Table {
 	}
 
 	// V2: true TryLock against a saturated lock.
-	{
-		m := sim.NewMachine(sim.Config{Seed: seed})
-		l := locks.NewTryLockV2(m, 0)
-		stop := false
-		for i := 0; i < 4; i++ {
-			m.Go(i, func(p *sim.Proc) {
-				for !stop {
-					l.Acquire(p)
-					p.Think(sim.Micros(10))
-					l.Release(p)
-				}
-			})
-		}
-		wins := 0
-		m.Go(8, func(p *sim.Proc) {
-			for k := 0; k < attempts; k++ {
-				if l.TryAcquire(p) {
-					wins++
-					l.Release(p)
-				}
-				p.Think(sim.Micros(50))
-			}
-			stop = true
-		})
-		m.RunAll()
-		m.Shutdown()
-		t.AddRow("V2 true TryLock", fmt.Sprintf("%d", attempts), fmt.Sprintf("%d", wins),
-			"abandoned nodes GC'd by release; remote retries starve")
-	}
+	wins := tryUnderSaturation(seed, attempts, func(m *sim.Machine) locks.TryLocker { return locks.NewTryLockV2(m, 0) })
+	t.AddRow("V2 true TryLock", fmt.Sprintf("%d", attempts), fmt.Sprintf("%d", wins),
+		"abandoned nodes GC'd by release; remote retries starve")
 
 	// V1: deadlock-safe wait variant — every attempt eventually succeeds,
 	// because the trier enqueues FIFO like everyone else.
-	{
-		m := sim.NewMachine(sim.Config{Seed: seed})
-		l := locks.NewTryLockV1(m, 0)
-		stop := false
-		for i := 0; i < 4; i++ {
-			m.Go(i, func(p *sim.Proc) {
-				for !stop {
-					l.Acquire(p)
-					p.Think(sim.Micros(10))
-					l.Release(p)
-				}
-			})
-		}
-		wins := 0
-		m.Go(8, func(p *sim.Proc) {
-			for k := 0; k < attempts; k++ {
-				if l.TryAcquire(p) {
-					wins++
-					l.Release(p)
-				}
-				p.Think(sim.Micros(50))
-			}
-			stop = true
-		})
-		m.RunAll()
-		m.Shutdown()
-		t.AddRow("V1 wait-if-safe", fmt.Sprintf("%d", attempts), fmt.Sprintf("%d", wins),
-			"enqueues FIFO when it did not interrupt a holder")
-	}
+	wins = tryUnderSaturation(seed, attempts, func(m *sim.Machine) locks.TryLocker { return locks.NewTryLockV1(m, 0) })
+	t.AddRow("V1 wait-if-safe", fmt.Sprintf("%d", attempts), fmt.Sprintf("%d", wins),
+		"enqueues FIFO when it did not interrupt a holder")
 
 	// Logical mask + work queue: IPIs arriving while the flag is set are
 	// queued and run at Exit — fair access to the processor.
@@ -120,6 +68,37 @@ func TryLockFairness(seed uint64, attempts int) *Table {
 			fmt.Sprintf("%d deferred then completed at Exit", gate.Deferred))
 	}
 	return t
+}
+
+// tryUnderSaturation saturates a lock built by mk with 4 local holders and
+// returns how many of a remote processor's TryAcquire attempts succeed.
+func tryUnderSaturation(seed uint64, attempts int, mk func(*sim.Machine) locks.TryLocker) int {
+	m := sim.NewMachine(sim.Config{Seed: seed})
+	l := mk(m)
+	stop := false
+	for i := 0; i < 4; i++ {
+		m.Go(i, func(p *sim.Proc) {
+			for !stop {
+				l.Acquire(p)
+				p.Think(sim.Micros(10))
+				l.Release(p)
+			}
+		})
+	}
+	wins := 0
+	m.Go(8, func(p *sim.Proc) {
+		for k := 0; k < attempts; k++ {
+			if l.TryAcquire(p) {
+				wins++
+				l.Release(p)
+			}
+			p.Think(sim.Micros(50))
+		}
+		stop = true
+	})
+	m.RunAll()
+	m.Shutdown()
+	return wins
 }
 
 // Protocols compares the optimistic and pessimistic deadlock-management

@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 
+	"hurricane/internal/autonomic"
 	"hurricane/internal/core"
 	"hurricane/internal/kernel"
 	"hurricane/internal/locks"
@@ -18,8 +19,8 @@ import (
 type placementCell struct {
 	machine sim.Config
 	size    int // cluster size == processor count
-	topo    placement.Topo
-	costs   placement.Costs
+	topo    autonomic.Topo
+	costs   autonomic.Costs
 }
 
 // placementPhase is one traced, telemetry-wrapped run of the station-0
@@ -120,8 +121,8 @@ func hectorCell(seed uint64) placementCell {
 	return placementCell{
 		machine: sim.Config{Seed: seed},
 		size:    16,
-		topo:    placement.Topo{Stations: 4, ProcsPerStation: 4},
-		costs:   placement.DefaultCosts(),
+		topo:    autonomic.Topo{Stations: 4, ProcsPerStation: 4},
+		costs:   autonomic.DefaultCosts(),
 	}
 }
 

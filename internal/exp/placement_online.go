@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"hurricane/internal/autonomic"
 	"hurricane/internal/machine"
 	"hurricane/internal/sim"
 	"hurricane/internal/trace/placement"
@@ -48,8 +49,8 @@ func PlacementOnline(seed uint64, rounds int) *Table {
 		{"numachine64", placementCell{
 			machine: n64,
 			size:    64,
-			topo:    placement.Topo{Stations: 8, ProcsPerStation: 8},
-			costs:   placement.CostsFromLatency(n64.Lat),
+			topo:    autonomic.Topo{Stations: 8, ProcsPerStation: 8},
+			costs:   autonomic.CostsFromLatency(n64.Lat),
 		}},
 	}
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"hurricane/internal/autonomic"
 	"hurricane/internal/core"
 	"hurricane/internal/locks"
 	"hurricane/internal/machine"
@@ -57,14 +58,14 @@ type serverMachineConfig struct {
 	name        string
 	cfg         func(seed uint64) sim.Config
 	clusterSize int
-	topo        placement.Topo
+	topo        autonomic.Topo
 	meanGap     sim.Duration
 	tenants     int
 }
 
 var serverMachineConfigs = []serverMachineConfig{
-	{"hector16", machine.Hector16, 4, placement.Topo{Stations: 4, ProcsPerStation: 4}, sim.Micros(90), 16},
-	{"numachine64", machine.NUMAchine64, 8, placement.Topo{Stations: 8, ProcsPerStation: 8}, sim.Micros(180), 32},
+	{"hector16", machine.Hector16, 4, autonomic.Topo{Stations: 4, ProcsPerStation: 4}, sim.Micros(90), 16},
+	{"numachine64", machine.NUMAchine64, 8, autonomic.Topo{Stations: 8, ProcsPerStation: 8}, sim.Micros(180), 32},
 }
 
 // serverArrivals is the shared open-loop shape: Poisson base load, 3x MMPP
@@ -134,7 +135,7 @@ func ServerSweep(seed uint64, horizonMS int) *Table {
 			topo := mc.topo
 			cfg.Attach = func(sys *core.System) {
 				daemon = placement.NewDaemon(sys.M, agg, topo,
-					placement.CostsFromLatency(sys.M.Lat()),
+					autonomic.CostsFromLatency(sys.M.Lat()),
 					placement.DefaultDaemonParams(), placement.ManageKernel(sys.K))
 				daemon.Start()
 			}
@@ -170,10 +171,10 @@ func ServerSweep(seed uint64, horizonMS int) *Table {
 				}
 				abandCell = f2(abandPct)
 				t.AddMetric(fmt.Sprintf("%s.%s.aband", mc.name, lc.name), abandPct, "%")
-				for _, ts := range r.Tenants {
+				for rank, ts := range r.Tenants {
 					if ts.Abandoned > 0 {
 						t.Note("%s %s: tenant %d abandoned %d of %d admitted (w=%.3f)",
-							mc.name, lc.name, ts.Label, ts.Abandoned, ts.Admitted, ts.Weight)
+							mc.name, lc.name, rank, ts.Abandoned, ts.Admitted, ts.Weight)
 					}
 				}
 			}

@@ -57,8 +57,6 @@ type FineGrain struct {
 	buckets     sim.Addr
 	nbuckets    int
 	payload     int
-	BackoffInit sim.Duration
-	BackoffMax  sim.Duration
 }
 
 // NewFineGrain builds the fine-grained table homed on module home.
@@ -69,8 +67,6 @@ func NewFineGrain(m *sim.Machine, home, nbuckets, payload int) *FineGrain {
 		buckets:     m.Mem.Alloc(home, nbuckets),
 		nbuckets:    nbuckets,
 		payload:     payload,
-		BackoffInit: sim.Micros(2),
-		BackoffMax:  sim.Micros(35),
 	}
 	for i := range t.bucketLocks {
 		t.bucketLocks[i] = locks.NewSpin(m, home, sim.Micros(35))
@@ -100,7 +96,7 @@ func (t *FineGrain) search(p *sim.Proc, key uint64) sim.Addr {
 // take its spin lock with an atomic swap; if the element is busy, drop the
 // bucket lock, back off, and retry.
 func (t *FineGrain) AcquireEntry(p *sim.Proc, key uint64) (sim.Addr, bool) {
-	backoff := t.BackoffInit
+	backoff := backoffInit
 	for {
 		bl := t.bucketLocks[t.bucketOf(key)]
 		bl.Acquire(p)
@@ -117,8 +113,8 @@ func (t *FineGrain) AcquireEntry(p *sim.Proc, key uint64) (sim.Addr, bool) {
 		}
 		p.Think(backoff/2 + p.RNG().Duration(backoff/2+1))
 		backoff *= 2
-		if backoff > t.BackoffMax {
-			backoff = t.BackoffMax
+		if backoff > backoffMax {
+			backoff = backoffMax
 		}
 	}
 }

@@ -27,6 +27,14 @@ const (
 	EntData   = 3
 )
 
+// Reserve-bit waits (and the fine-grain baseline's element waits) back
+// off exponentially from backoffInit (2us) to backoffMax (35us, the
+// kernel's spin cap).
+const (
+	backoffInit sim.Duration = 2 * sim.CyclesPerMicrosecond
+	backoffMax  sim.Duration = 35 * sim.CyclesPerMicrosecond
+)
+
 // Mode selects how an element is reserved.
 type Mode int
 
@@ -47,10 +55,6 @@ type Table struct {
 	buckets  sim.Addr
 	nbuckets int
 	payload  int
-	home     int
-
-	// BackoffInit and BackoffMax govern reserve-bit spinning.
-	BackoffInit, BackoffMax sim.Duration
 
 	// Guard, if set, brackets every coarse-lock critical section. The
 	// kernel installs the logical interrupt mask (§3.2) here: the mask is
@@ -80,19 +84,13 @@ func New(m *sim.Machine, home, nbuckets, payload int, kind locks.Kind) *Table {
 // primitives of every table it protects in a single hold.
 func NewShared(m *sim.Machine, lock locks.Lock, home, nbuckets, payload int) *Table {
 	return &Table{
-		m:           m,
-		lock:        lock,
-		buckets:     m.Mem.Alloc(home, nbuckets),
-		nbuckets:    nbuckets,
-		payload:     payload,
-		home:        home,
-		BackoffInit: sim.Micros(2),
-		BackoffMax:  sim.Micros(35),
+		m:        m,
+		lock:     lock,
+		buckets:  m.Mem.Alloc(home, nbuckets),
+		nbuckets: nbuckets,
+		payload:  payload,
 	}
 }
-
-// Home reports the module the table lives on.
-func (t *Table) Home() int { return t.home }
 
 // Lock exposes the coarse-grained lock (the deadlock-avoidance protocol
 // needs to hold it across multi-structure operations).
@@ -239,22 +237,13 @@ func (t *Table) Lookup(p *sim.Proc, key uint64) (sim.Addr, bool) {
 	return e, e != 0
 }
 
-// Remove unlinks the entry for key under the coarse lock and returns it.
-// Entries reserved exclusively by someone else are not removed (returns 0,
-// false) — callers reserve before removing.
-func (t *Table) Remove(p *sim.Proc, key uint64) (sim.Addr, bool) {
-	var e sim.Addr
-	t.WithLock(p, func() { e = t.RemoveLocked(p, key) })
-	return e, e != 0
-}
-
 // Reserve implements the full Figure 1b acquire: hold the coarse lock just
 // long enough to search and set the reserve bit; on conflict, release the
 // coarse lock, spin on the status word with exponential backoff, and retry
 // the search. Returns the reserved entry, or 0 if the key is (or becomes)
 // absent.
 func (t *Table) Reserve(p *sim.Proc, key uint64, mode Mode) (sim.Addr, bool) {
-	backoff := t.BackoffInit
+	backoff := backoffInit
 	for {
 		var e sim.Addr
 		got := false
@@ -284,8 +273,8 @@ func (t *Table) Reserve(p *sim.Proc, key uint64, mode Mode) (sim.Addr, bool) {
 				break
 			}
 			backoff *= 2
-			if backoff > t.BackoffMax {
-				backoff = t.BackoffMax
+			if backoff > backoffMax {
+				backoff = backoffMax
 			}
 		}
 		t.ReserveRetries++

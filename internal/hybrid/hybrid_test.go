@@ -40,13 +40,19 @@ func TestInsertLookupRemove(t *testing.T) {
 		if _, ok := tb.Lookup(p, 999); ok {
 			t.Error("lookup of absent key succeeded")
 		}
-		if _, ok := tb.Remove(p, 7); !ok {
+		// Remove under the coarse lock, as the kernel's destroy path does.
+		remove := func(key uint64) bool {
+			var e sim.Addr
+			tb.WithLock(p, func() { e = tb.RemoveLocked(p, key) })
+			return e != 0
+		}
+		if !remove(7) {
 			t.Error("remove failed")
 		}
 		if _, ok := tb.Lookup(p, 7); ok {
 			t.Error("removed key still present")
 		}
-		if _, ok := tb.Remove(p, 7); ok {
+		if remove(7) {
 			t.Error("double remove succeeded")
 		}
 		// Chains with collisions (8 buckets, 20 keys) survived all this:

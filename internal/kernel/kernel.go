@@ -118,6 +118,8 @@ func New(m *sim.Machine, cfg Config) *Kernel {
 }
 
 // Config returns the kernel's configuration.
+//
+//doclint:keep core's tests check through it that NewSystem plumbs its config into the kernel
 func (k *Kernel) Config() Config { return k.cfg }
 
 // newLock builds one coarse-grained kernel lock homed on the given module

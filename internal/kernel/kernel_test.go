@@ -78,20 +78,20 @@ func TestFaultInstallsAndUnmapClearsPTE(t *testing.T) {
 		if _, err := k.VM.Fault(p, 7, region, 0, false); err != nil {
 			t.Fatal(err)
 		}
-		if pte := k.VM.PTE(7, 0, 0); pte&1 != 1 {
+		if pte := k.M.Mem.Peek(k.VM.pt(7, 0)); pte&1 != 1 {
 			t.Fatalf("PTE not installed: %#x", pte)
 		}
 		if err := k.VM.Unmap(p, 7, region, 0); err != nil {
 			t.Fatal(err)
 		}
-		if pte := k.VM.PTE(7, 0, 0); pte != 0 {
+		if pte := k.M.Mem.Peek(k.VM.pt(7, 0)); pte != 0 {
 			t.Fatalf("PTE not cleared: %#x", pte)
 		}
 		// Re-fault after unmap (the shared-fault test's cycle).
 		if _, err := k.VM.Fault(p, 7, region, 0, false); err != nil {
 			t.Fatal(err)
 		}
-		if pte := k.VM.PTE(7, 0, 0); pte&1 != 1 {
+		if pte := k.M.Mem.Peek(k.VM.pt(7, 0)); pte&1 != 1 {
 			t.Fatal("re-fault did not reinstall PTE")
 		}
 	})
@@ -143,7 +143,7 @@ func TestRemoteFaultReplicatesDescriptors(t *testing.T) {
 		cluster.Serve(p)
 	})
 	k.M.Eng.Run(sim.Micros(50000))
-	if k.VM.Pages().Replications == 0 || k.VM.Regions().Replications == 0 {
+	if k.VM.Pages().Replications == 0 || k.VM.regions.Replications == 0 {
 		t.Fatal("remote fault did not replicate descriptors")
 	}
 	// The replication premium: the paper reports ~88us for a cluster-wide
@@ -290,7 +290,7 @@ func TestDestroyMaintainsChain(t *testing.T) {
 				if k.PM.Alive(kids[1]) {
 					t.Fatal("victim still alive")
 				}
-				if n := k.PM.NextSibling(kids[2]); n != kids[0] {
+				if n := k.PM.PeekField(kids[2], dNextSib); n != kids[0] {
 					t.Fatalf("chain not spliced: next = %#x, want %#x", n, kids[0])
 				}
 				// Destroy the head child (k3): parent's firstChild moves.
@@ -420,14 +420,14 @@ func TestMessagePassing(t *testing.T) {
 			if sends != 20 {
 				t.Fatalf("sends completed = %d / 20", sends)
 			}
-			if got := k.PM.Msgs(a); got != 10 {
+			if got := k.PM.PeekField(a, dMsgs); got != 10 {
 				t.Errorf("a received %d, want 10", got)
 			}
-			if got := k.PM.Msgs(b); got != 10 {
+			if got := k.PM.PeekField(b, dMsgs); got != 10 {
 				t.Errorf("b received %d, want 10", got)
 			}
-			if k.PM.Sent(a) != 10 || k.PM.Sent(b) != 10 {
-				t.Errorf("sent counters wrong: a=%d b=%d", k.PM.Sent(a), k.PM.Sent(b))
+			if k.PM.PeekField(a, dSent) != 10 || k.PM.PeekField(b, dSent) != 10 {
+				t.Errorf("sent counters wrong: a=%d b=%d", k.PM.PeekField(a, dSent), k.PM.PeekField(b, dSent))
 			}
 		})
 	}

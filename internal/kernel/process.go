@@ -48,9 +48,6 @@ func newProcessManager(k *Kernel) *ProcessManager {
 // PIDKey builds the descriptor key for process n homed on cluster c.
 func PIDKey(c int, n uint64) uint64 { return MakeKey(c, classProc, n) }
 
-// Table exposes cluster c's descriptor table (tests).
-func (pm *ProcessManager) Table(c int) *hybrid.Table { return pm.tables[c] }
-
 // --- descriptor primitives: local direct or one RPC each ---
 
 func (pm *ProcessManager) local(p *sim.Proc, key uint64) bool {
@@ -232,6 +229,8 @@ func (pm *ProcessManager) Create(p *sim.Proc, pidKey, parentKey uint64) error {
 
 // Alive reports whether the descriptor exists. Uncharged instrumentation,
 // callable from outside the simulation.
+//
+//doclint:keep core's end-to-end tests check process destruction through it
 func (pm *ProcessManager) Alive(pidKey uint64) bool {
 	return pm.tables[HomeOf(pidKey)].PeekSearch(pidKey) != 0
 }
@@ -246,25 +245,11 @@ func (pm *ProcessManager) PeekField(pidKey uint64, off sim.Addr) uint64 {
 	return pm.k.M.Mem.Peek(e + hybrid.EntData + off)
 }
 
-// Msgs reads the received-message counter (uncharged instrumentation).
-func (pm *ProcessManager) Msgs(pidKey uint64) uint64 {
-	return pm.PeekField(pidKey, dMsgs)
-}
-
-// Sent reads the sent-message counter (uncharged instrumentation).
-func (pm *ProcessManager) Sent(pidKey uint64) uint64 {
-	return pm.PeekField(pidKey, dSent)
-}
-
 // FirstChild reads the family-tree head link (uncharged instrumentation).
+//
+//doclint:keep core's end-to-end tests check the emptied process tree through it
 func (pm *ProcessManager) FirstChild(pidKey uint64) uint64 {
 	return pm.PeekField(pidKey, dFirstChild)
-}
-
-// NextSibling reads the family-tree sibling link (uncharged
-// instrumentation).
-func (pm *ProcessManager) NextSibling(pidKey uint64) uint64 {
-	return pm.PeekField(pidKey, dNextSib)
 }
 
 // Destroy removes a leaf process from the system and from its parent's

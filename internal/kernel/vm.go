@@ -169,9 +169,6 @@ func (v *VM) slotModule(c, slot int) int {
 // Pages exposes the page-descriptor table (experiments read its counters).
 func (v *VM) Pages() *cluster.Replicated { return v.pages }
 
-// Regions exposes the region table.
-func (v *VM) Regions() *cluster.Replicated { return v.regions }
-
 // SetupRegion installs a region descriptor: fileKey is the FCB key base of
 // the backing file, baseKey the page-descriptor key base. Setup is charged
 // to p like any kernel operation.
@@ -211,12 +208,6 @@ func (v *VM) pt(pid uint64, proc int) sim.Addr {
 		m[proc] = a
 	}
 	return a
-}
-
-// PTE reads the current PTE value for (pid, proc, vpn) without charge
-// (instrumentation).
-func (v *VM) PTE(pid uint64, proc int, vpn uint64) uint64 {
-	return v.k.M.Mem.Peek(v.pt(pid, proc) + sim.Addr(vpn%ptWords))
 }
 
 // work charges cycles of kernel computation whose memory references hit

@@ -1,7 +1,7 @@
 // Package lockfree implements the §5 "advanced atomic primitives"
-// extension: simple lock-free leaf data structures built on
-// compare-and-swap, runnable on a CAS-capable simulated machine
-// (machine.HectorWithCAS / machine.NUMAchine64). The paper's position is
+// extension: a lock-free counter built on compare-and-swap, runnable on a
+// CAS-capable simulated machine (sim.Config.HasCAS, as on
+// machine.NUMAchine64). The paper's position is
 // that lock-free techniques suit single-word leaf state — counters, free
 // lists — particularly state touched by interrupt handlers, while larger
 // structures stay under hybrid locks. The Compare experiment puts numbers
@@ -34,54 +34,6 @@ func (c *Counter) Add(p *sim.Proc, delta uint64) uint64 {
 			return old + delta
 		}
 		p.Branch(1)
-	}
-}
-
-// Value reads the counter.
-func (c *Counter) Value(p *sim.Proc) uint64 { return p.Load(c.addr) }
-
-// Stack is a lock-free Treiber stack of single-word values. Each node is
-// two words (next, value) allocated on push — memory is type-stable and
-// never recycled, which sidesteps ABA (the discipline the paper's footnote
-// 2 describes for reserve bits).
-type Stack struct {
-	m    *sim.Machine
-	head sim.Addr // word holding the top node's address
-}
-
-// NewStack allocates the stack head on the given module.
-func NewStack(m *sim.Machine, module int) *Stack {
-	return &Stack{m: m, head: m.Mem.Alloc(module, 1)}
-}
-
-// Push adds a value, allocating the node on the pusher's module.
-func (s *Stack) Push(p *sim.Proc, value uint64) {
-	n := s.m.Mem.Alloc(p.ID(), 2)
-	p.Store(n+1, value)
-	for {
-		h := p.Load(s.head)
-		p.Store(n, h)
-		if _, ok := p.CAS(s.head, h, uint64(n)); ok {
-			p.Branch(1)
-			return
-		}
-		p.Branch(1)
-	}
-}
-
-// Pop removes the top value; ok is false if the stack is empty.
-func (s *Stack) Pop(p *sim.Proc) (uint64, bool) {
-	for {
-		h := p.Load(s.head)
-		p.Branch(1)
-		if h == 0 {
-			return 0, false
-		}
-		next := p.Load(sim.Addr(h))
-		if _, ok := p.CAS(s.head, h, next); ok {
-			v := p.Load(sim.Addr(h) + 1)
-			return v, true
-		}
 	}
 }
 

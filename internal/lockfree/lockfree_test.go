@@ -2,7 +2,6 @@ package lockfree
 
 import (
 	"testing"
-	"testing/quick"
 
 	"hurricane/internal/sim"
 )
@@ -26,82 +25,6 @@ func TestCounterConcurrentIncrements(t *testing.T) {
 	m.Shutdown()
 	if got := m.Mem.Peek(c.addr); got != 600 {
 		t.Fatalf("counter = %d, want 600 (increments lost)", got)
-	}
-}
-
-func TestStackLIFOAndConservation(t *testing.T) {
-	m := casMachine(2)
-	s := NewStack(m, 0)
-	m.Go(0, func(p *sim.Proc) {
-		if _, ok := s.Pop(p); ok {
-			t.Error("pop from empty stack succeeded")
-		}
-		s.Push(p, 10)
-		s.Push(p, 20)
-		s.Push(p, 30)
-		for _, want := range []uint64{30, 20, 10} {
-			v, ok := s.Pop(p)
-			if !ok || v != want {
-				t.Errorf("pop = %d,%v want %d", v, ok, want)
-			}
-		}
-		if _, ok := s.Pop(p); ok {
-			t.Error("stack not empty at end")
-		}
-	})
-	m.RunAll()
-	m.Shutdown()
-}
-
-func TestStackConcurrentProperty(t *testing.T) {
-	// Property: with n producers pushing unique tokens and n consumers
-	// popping, every pushed token is popped exactly once.
-	f := func(seed uint64, nRaw uint8) bool {
-		n := int(nRaw)%6 + 2
-		m := casMachine(seed)
-		s := NewStack(m, int(seed%16))
-		popped := make(map[uint64]int)
-		pushes := 20
-		for i := 0; i < n; i++ {
-			i := i
-			m.Go(i, func(p *sim.Proc) {
-				for r := 0; r < pushes; r++ {
-					s.Push(p, uint64(i+1)<<32|uint64(r))
-					p.Think(p.RNG().Duration(60))
-				}
-			})
-		}
-		for i := n; i < 2*n && i < 16; i++ {
-			m.Go(i, func(p *sim.Proc) {
-				for {
-					v, ok := s.Pop(p)
-					if ok {
-						popped[v]++
-					} else {
-						p.Think(sim.Micros(5))
-						if p.Now() > sim.Micros(100000) {
-							return
-						}
-					}
-				}
-			})
-		}
-		m.RunAll()
-		m.Shutdown()
-		// Drain what remains single-threaded (consumers may time out).
-		rest := 0
-		for a := m.Mem.Peek(s.head); a != 0; a = m.Mem.Peek(sim.Addr(a)) {
-			rest++
-		}
-		for v, c := range popped {
-			if c != 1 || v == 0 {
-				return false
-			}
-		}
-		return len(popped)+rest == n*pushes
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
-		t.Fatal(err)
 	}
 }
 

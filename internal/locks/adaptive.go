@@ -24,16 +24,11 @@ const (
 type Adaptive struct {
 	word  sim.Addr
 	queue *MCS
-	// HeadBackoff bounds the queue head's polling of the word. It defaults
-	// to DefaultHeadBackoff (4us) — a deliberately tighter bound than the
-	// kernel's 35us DefaultSpinCap for contender spinning, because only
-	// one processor (the queue head) ever polls here.
-	//
-	// Deprecated: direct mutation is superseded by the feedback tuner —
-	// use Tuned (or tune.Params) to move this constant from measured
-	// home-module utilization; mutating it under a Tuned lock would fight
-	// the controller.
-	HeadBackoff sim.Duration
+	// headBackoff bounds the queue head's polling of the word:
+	// DefaultHeadBackoff, a deliberately tighter bound than the kernel's
+	// 35us DefaultSpinCap for contender spinning, because only one
+	// processor (the queue head) ever polls here.
+	headBackoff sim.Duration
 }
 
 // NewAdaptive builds an adaptive lock homed on module home.
@@ -41,7 +36,7 @@ func NewAdaptive(m *sim.Machine, home int) *Adaptive {
 	return &Adaptive{
 		word:        m.Mem.Alloc(home, 1),
 		queue:       NewMCS(m, home, VariantH2),
-		HeadBackoff: DefaultHeadBackoff,
+		headBackoff: DefaultHeadBackoff,
 	}
 }
 
@@ -51,38 +46,12 @@ func (l *Adaptive) Name() string { return "Adaptive" }
 // Home implements Lock.
 func (l *Adaptive) Home() int { return l.word.Module() }
 
-// Word exposes the fast-path word address (for tests).
-func (l *Adaptive) Word() sim.Addr { return l.word }
-
-// Acquire implements Lock.
+// Acquire implements Lock: the fast path, else a place in the queue.
 func (l *Adaptive) Acquire(p *sim.Proc) {
-	p.Reg(1)
-	old := p.Swap(l.word, adHeld)
-	p.Branch(2)
-	if old == adFree {
+	if l.TryAcquire(p) {
 		return
 	}
-	if old == adGranted {
-		// We consumed a hand-off meant for the queue head; put it back
-		// and take our place in line.
-		p.Store(l.word, adGranted)
-	}
-	l.queue.Acquire(p)
-	// Queue head: the only processor polling the word. It takes the lock
-	// on a free word or on a grant.
-	delay := sim.Duration(sim.Micros(1))
-	for {
-		old = p.Swap(l.word, adHeld)
-		p.Branch(1)
-		if old == adFree || old == adGranted {
-			break
-		}
-		p.Think(delay/2 + p.RNG().Duration(delay/2+1))
-		if delay < l.HeadBackoff {
-			delay *= 2
-		}
-	}
-	l.queue.Release(p)
+	headPoll(p, l.word, l.queue, func() sim.Duration { return l.headBackoff }, nil)
 }
 
 // TryAcquire implements TryLocker: a single fast-path attempt.
@@ -94,9 +63,39 @@ func (l *Adaptive) TryAcquire(p *sim.Proc) bool {
 		return true
 	}
 	if old == adGranted {
+		// We consumed a hand-off meant for the queue head; put it back.
 		p.Store(l.word, adGranted)
 	}
 	return false
+}
+
+// headPoll is the waiting path Adaptive and Tuned share: serialize through
+// q, and as its holder — the only processor polling — swap the word until
+// it is free or granted, backing off exponentially below bound (re-read
+// every poll: the tuner may move it mid-wait). c, when non-nil, is the
+// poller's counter shard; the sampler reads it mid-wait, so it counts
+// every poll as it happens.
+func headPoll(p *sim.Proc, word sim.Addr, q Lock, bound func() sim.Duration, c *tunedCounts) {
+	q.Acquire(p)
+	delay := initialBackoff
+	for {
+		old := p.Swap(word, adHeld)
+		p.Branch(1)
+		if c != nil {
+			c.fastAttempts++
+		}
+		if old == adFree || old == adGranted {
+			break
+		}
+		if c != nil {
+			c.fastFailures++
+		}
+		p.Think(delay/2 + p.RNG().Duration(delay/2+1))
+		if delay < bound() {
+			delay *= 2
+		}
+	}
+	q.Release(p)
 }
 
 // Release implements Lock: hand off to the queue head if anyone is

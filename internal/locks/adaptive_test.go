@@ -69,7 +69,7 @@ func TestAdaptiveGrantRestore(t *testing.T) {
 	// A huge head backoff makes the queue head's polls sparse, so the
 	// trier (woken within a memory access of the grant store) always wins
 	// the race for the granted word.
-	l.HeadBackoff = sim.Micros(100000)
+	l.headBackoff = sim.Micros(100000)
 	hold := sim.Micros(10000)
 
 	var (
@@ -101,7 +101,7 @@ func TestAdaptiveGrantRestore(t *testing.T) {
 	// Trier: watches for the grant, then fires one TryAcquire into it. The
 	// swap consumes adGranted; the restore path must put it back.
 	m.Go(2, func(p *sim.Proc) {
-		p.WaitLocal(l.Word(), func(v uint64) bool { return v == adGranted })
+		p.WaitLocal(l.word, func(v uint64) bool { return v == adGranted })
 		ok := l.TryAcquire(p)
 		if ok {
 			tryResult = 1
@@ -109,7 +109,7 @@ func TestAdaptiveGrantRestore(t *testing.T) {
 			return
 		}
 		tryResult = 0
-		wordAfterTry = m.Mem.Peek(l.Word())
+		wordAfterTry = m.Mem.Peek(l.word)
 	})
 	m.RunAll()
 	m.Shutdown()
@@ -126,7 +126,7 @@ func TestAdaptiveGrantRestore(t *testing.T) {
 	if !headAcquired {
 		t.Fatal("queue head never acquired the lock: hand-off lost")
 	}
-	if got := m.Mem.Peek(l.Word()); got != adFree {
+	if got := m.Mem.Peek(l.word); got != adFree {
 		t.Fatalf("final word = %d, want adFree", got)
 	}
 }

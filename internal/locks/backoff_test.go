@@ -21,7 +21,7 @@ func (l refSpin) Acquire(p *sim.Proc) {
 		return
 	}
 	p.Branch(2)
-	delay := l.Initial
+	delay := initialBackoff
 	for {
 		p.Think(delay/2 + p.RNG().Duration(delay/2+1))
 		if p.Swap(l.lock, 1) == 0 {
@@ -30,8 +30,8 @@ func (l refSpin) Acquire(p *sim.Proc) {
 		}
 		p.Branch(1)
 		delay *= 2
-		if delay > l.Max {
-			delay = l.Max
+		if delay > l.max {
+			delay = l.max
 		}
 	}
 }
@@ -77,7 +77,7 @@ func runSpinCase(c spinCase, ref bool) spinRun {
 	if c.workers == 0 {
 		m.SetTracer(log)
 	}
-	spin := NewSpinFull(m, m.NumProcs()-1, sim.Micros(1), c.max)
+	spin := NewSpin(m, m.NumProcs()-1, c.max)
 	var l Lock = spin
 	if ref {
 		l = refSpin{spin}

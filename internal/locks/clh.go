@@ -14,16 +14,15 @@ import "hurricane/internal/sim"
 // releaser's node is recycled by its successor), so the "spin locally"
 // property is topology-dependent rather than guaranteed.
 type CLH struct {
-	m    *sim.Machine
 	lock sim.Addr // tail: address of the last waiter's node
 	// cur[i] is the node processor i will enqueue next; pred[i] is the
 	// node it is currently spinning on / recycling.
 	cur  []sim.Addr
 	pred []sim.Addr
-	// Poll is the delay between remote polls of the predecessor's flag
-	// (cycles). Zero means back-to-back polling.
-	Poll sim.Duration
 }
+
+// clhPoll is the delay between remote polls of the predecessor's flag.
+const clhPoll sim.Duration = 10
 
 // Node layout: a single word, 1 = holder still busy, 0 = released.
 
@@ -31,11 +30,9 @@ type CLH struct {
 // seeds the queue.
 func NewCLH(m *sim.Machine, home int) *CLH {
 	l := &CLH{
-		m:    m,
 		lock: m.Alloc(home, 1),
 		cur:  make([]sim.Addr, m.NumProcs()),
 		pred: make([]sim.Addr, m.NumProcs()),
-		Poll: 10,
 	}
 	dummy := m.Alloc(home, 1) // value 0: released
 	m.Mem.Poke(l.lock, uint64(dummy))
@@ -64,9 +61,7 @@ func (l *CLH) Acquire(p *sim.Proc) {
 	// machine, each poll a charged memory access.
 	for p.Load(pred) != 0 {
 		p.Branch(1)
-		if l.Poll > 0 {
-			p.Think(l.Poll)
-		}
+		p.Think(clhPoll)
 	}
 	p.Branch(1)
 }

@@ -12,7 +12,7 @@ const DefaultSpillThreshold = 16
 // release reorders waiters by station instead of keeping per-station lock
 // state. The releaser scans the primary queue for the first waiter on its
 // own station, moves the skipped (remote) waiters to a secondary queue,
-// and grants locally; after SpillThreshold consecutive same-station grants
+// and grants locally; after spill consecutive same-station grants
 // — or when no local waiter exists — the secondary queue is spliced back
 // in front of the primary queue and the lock is granted in arrival order.
 // Locality batching thus costs one pointer scan per release and two words
@@ -33,23 +33,21 @@ type CNA struct {
 	// primary is the arrival-order queue of waiting proc ids; sec holds
 	// waiters a releaser skipped to grant locally.
 	primary, sec []int
-	holder       int // proc id of the holder, -1 when free
 	tail         int // proc id of the last enqueuer (holder or waiter), -1 when free
 	passes       int // consecutive same-station grants since the last spill
-	// SpillThreshold is the starvation bound (DefaultSpillThreshold when
-	// built via New; mutate before first use only).
-	SpillThreshold int
+	spill        int // the starvation bound
 }
 
-// NewCNA builds a CNA lock whose tail word lives on module home.
-func NewCNA(m *sim.Machine, home int) *CNA {
+// NewCNA builds a CNA lock whose tail word lives on module home, spilling
+// after spill consecutive same-station grants (New uses
+// DefaultSpillThreshold).
+func NewCNA(m *sim.Machine, home, spill int) *CNA {
 	l := &CNA{
-		m:              m,
-		lock:           m.Alloc(home, 1),
-		node:           make([]sim.Addr, m.NumProcs()),
-		holder:         -1,
-		tail:           -1,
-		SpillThreshold: DefaultSpillThreshold,
+		m:     m,
+		lock:  m.Alloc(home, 1),
+		node:  make([]sim.Addr, m.NumProcs()),
+		tail:  -1,
+		spill: spill,
 	}
 	for i := range l.node {
 		n := m.Alloc(i, 2)
@@ -81,7 +79,6 @@ func (l *CNA) Acquire(p *sim.Proc) {
 	prev := l.tail
 	l.tail = id
 	if prev == -1 {
-		l.holder = id
 		return
 	}
 	l.primary = append(l.primary, id)
@@ -96,7 +93,7 @@ func (l *CNA) Acquire(p *sim.Proc) {
 // secondary queue is spliced back in front and the head is granted in
 // arrival order, resetting the pass counter.
 func (l *CNA) pick(s int) int {
-	if l.passes < l.SpillThreshold {
+	if l.passes < l.spill {
 		for i, w := range l.primary {
 			if l.station(w) == s {
 				l.sec = append(l.sec, l.primary[:i]...)
@@ -122,7 +119,7 @@ func (l *CNA) Release(p *sim.Proc) {
 	id := p.ID()
 	s := l.station(id)
 	// Charge the successor scan the policy is about to perform.
-	if l.passes < l.SpillThreshold {
+	if l.passes < l.spill {
 		for _, w := range append([]int(nil), l.primary...) {
 			p.Load(l.node[w] + qnNext) // read the node's station word
 			p.Branch(1)
@@ -137,16 +134,14 @@ func (l *CNA) Release(p *sim.Proc) {
 		old := p.Swap(l.lock, 0)
 		p.Branch(2)
 		if len(l.primary) == 0 && len(l.sec) == 0 {
-			l.holder, l.tail = -1, -1
+			l.tail = -1
 			return
 		}
 		// An enqueue raced in during the release: restore the tail and
 		// grant (the MCS repair shape, one extra swap).
 		p.Swap(l.lock, old)
 	}
-	w := l.pick(s)
-	l.holder = w
-	p.Store(l.node[w]+qnLocked, 0)
+	p.Store(l.node[l.pick(s)]+qnLocked, 0)
 }
 
 // TryAcquire implements TryLocker: a single attempt that never waits and
@@ -160,7 +155,6 @@ func (l *CNA) TryAcquire(p *sim.Proc) bool {
 	p.Branch(2)
 	if l.tail == -1 {
 		l.tail = id
-		l.holder = id
 		return true
 	}
 	p.Store(l.lock, uint64(l.node[l.tail]))

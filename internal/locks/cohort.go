@@ -31,7 +31,6 @@ const DefaultBatchLimit = 16
 // module for the local lock, on the station representative's module for
 // the global lock.
 type Cohort struct {
-	m      *sim.Machine
 	global *MCS
 	locals []*MCS // one per station, homed on the station's first module
 	// ownGlobal[s] is a per-station word (on station s's first module): 1
@@ -65,7 +64,6 @@ func NewCohort(m *sim.Machine, home int) *Cohort {
 		gSlot[i] = i / cfg.ProcsPerStation
 	}
 	l := &Cohort{
-		m:          m,
 		global:     newMCSSlots(m, home, VariantH2, gHomes, gSlot),
 		locals:     make([]*MCS, cfg.Stations),
 		ownGlobal:  make([]sim.Addr, cfg.Stations),
@@ -85,9 +83,6 @@ func (l *Cohort) Name() string { return "Cohort" }
 
 // Home implements Lock.
 func (l *Cohort) Home() int { return l.global.Home() }
-
-// Local exposes station s's local lock (for tests).
-func (l *Cohort) Local(s int) *MCS { return l.locals[s] }
 
 // Acquire implements Lock: local lock first, then the global lock unless
 // it arrived with the local hand-off.

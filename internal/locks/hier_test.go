@@ -92,9 +92,7 @@ func TestHierarchicalStarvationBound(t *testing.T) {
 			return l
 		},
 		"CNA": func(m *sim.Machine) Lock {
-			l := NewCNA(m, 0)
-			l.SpillThreshold = limit
-			return l
+			return NewCNA(m, 0, limit)
 		},
 	}
 	for name, mk := range mk {
@@ -166,9 +164,7 @@ func TestHierarchicalStarvationBoundBursty(t *testing.T) {
 			return l
 		},
 		"CNA": func(m *sim.Machine) Lock {
-			l := NewCNA(m, 0)
-			l.SpillThreshold = limit
-			return l
+			return NewCNA(m, 0, limit)
 		},
 	}
 	for name, mk := range mk {
@@ -219,7 +215,7 @@ func TestHierarchicalBatchKnob(t *testing.T) {
 func TestHierTryAcquireFailsFastWhileHeld(t *testing.T) {
 	mk := map[string]func(*sim.Machine) TryLocker{
 		"Cohort": func(m *sim.Machine) TryLocker { return NewCohort(m, 0) },
-		"CNA":    func(m *sim.Machine) TryLocker { return NewCNA(m, 0) },
+		"CNA":    func(m *sim.Machine) TryLocker { return NewCNA(m, 0, DefaultSpillThreshold) },
 	}
 	for name, mk := range mk {
 		mk := mk
@@ -268,7 +264,7 @@ func TestHierTryAcquireFailsFastWhileHeld(t *testing.T) {
 func TestHierTryAcquireBreaksSelfInterruptCycle(t *testing.T) {
 	mk := map[string]func(*sim.Machine) TryLocker{
 		"Cohort": func(m *sim.Machine) TryLocker { return NewCohort(m, 0) },
-		"CNA":    func(m *sim.Machine) TryLocker { return NewCNA(m, 0) },
+		"CNA":    func(m *sim.Machine) TryLocker { return NewCNA(m, 0, DefaultSpillThreshold) },
 	}
 	for name, mk := range mk {
 		mk := mk
@@ -323,7 +319,7 @@ func TestHierTryLockPropertyMixed(t *testing.T) {
 		if family {
 			l = NewCohort(m, int(seed%16))
 		} else {
-			l = NewCNA(m, int(seed%16))
+			l = NewCNA(m, int(seed%16), DefaultSpillThreshold)
 		}
 		nprocs := int(procsRaw)%14 + 2
 		g := &csGuard{}

@@ -22,9 +22,7 @@ import (
 // The fixed tuning constants of the paper's kernel. These are the values
 // the tune.Controller replaces at runtime: a Tuned lock starts from the
 // same defaults and moves them as measured home-module utilization
-// dictates. Prefer locks.Tuned (or explicit tune.Params) over mutating
-// Spin.Max / Adaptive.HeadBackoff directly — direct mutation bypasses the
-// controller and the two will fight over the value.
+// dictates.
 const (
 	// DefaultSpinCap is the kernel-internal backoff cap for cluster-level
 	// spin locks (§4.1: 35us).
@@ -144,7 +142,7 @@ func New(m *sim.Machine, k Kind, home int) Lock {
 	case KindCohort:
 		return NewCohort(m, home)
 	case KindCNA:
-		return NewCNA(m, home)
+		return NewCNA(m, home, DefaultSpillThreshold)
 	}
 	panic("locks: unknown kind")
 }

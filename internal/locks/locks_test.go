@@ -283,7 +283,7 @@ func TestH1H2NodesReinitialized(t *testing.T) {
 					v, i, m.Mem.Peek(n+qnNext), m.Mem.Peek(n+qnLocked))
 			}
 		}
-		if m.Mem.Peek(l.Word()) != 0 {
+		if m.Mem.Peek(l.lock) != 0 {
 			t.Fatalf("%s lock word not free after quiescence", v)
 		}
 	}
@@ -406,7 +406,7 @@ func TestTryLockV2Semantics(t *testing.T) {
 	if !results["afterRelease"] {
 		t.Error("TryAcquire failed after release garbage-collected the node")
 	}
-	if st := l.TryNodeState(1); st != v2Free {
+	if st := m.Mem.Peek(l.tryNodes[1] + qnLocked); st != v2Free {
 		t.Errorf("try node state = %d, want free", st)
 	}
 }
@@ -428,7 +428,7 @@ func TestTryLockV2ExclusionUnderMixedUse(t *testing.T) {
 	}
 	// All abandoned nodes must eventually be reclaimed.
 	for i := 0; i < m.NumProcs(); i++ {
-		if st := l.TryNodeState(i); st != v2Free {
+		if st := m.Mem.Peek(l.tryNodes[i] + qnLocked); st != v2Free {
 			t.Errorf("proc %d try node leaked in state %d", i, st)
 		}
 	}
@@ -485,7 +485,12 @@ func TestCLHGeneratesRemoteSpinTraffic(t *testing.T) {
 			})
 		}
 		m.RunAll()
-		return m.Mem.Ring().Requests
+		m.Mem.Resources(func(r *sim.Resource) {
+			if r.Name == "ring" {
+				ringReqs = r.Requests
+			}
+		})
+		return ringReqs
 	}
 	clh := run(func(m *sim.Machine) Lock { return NewCLH(m, 15) })
 	mcs := run(func(m *sim.Machine) Lock { return NewMCS(m, 15, VariantH2) })

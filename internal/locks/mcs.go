@@ -47,7 +47,6 @@ const (
 // their own local memory, so waiting generates no traffic on the
 // interconnection network or the lock's home memory module.
 type MCS struct {
-	m       *sim.Machine
 	variant Variant
 	lock    sim.Addr   // tail of the waiter queue; 0 when free
 	nodes   []sim.Addr // queue nodes, one per slot (local memory)
@@ -78,7 +77,6 @@ func NewMCS(m *sim.Machine, home int, v Variant) *MCS {
 // provides.
 func newMCSSlots(m *sim.Machine, home int, v Variant, nodeHomes, slot []int) *MCS {
 	l := &MCS{
-		m:       m,
 		variant: v,
 		lock:    m.Alloc(home, 1),
 		nodes:   make([]sim.Addr, len(nodeHomes)),

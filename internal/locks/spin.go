@@ -11,34 +11,24 @@ import (
 // lock's home module, so contended spinning loads the module and the
 // interconnect — the second-order effect distributed locks avoid.
 type Spin struct {
-	m    *sim.Machine
 	lock sim.Addr
-	// Initial and Max bound the backoff delay; the paper's kernel uses a
-	// 35us cap for cluster-internal locks (DefaultSpinCap) and Figure 5
-	// also measures 2ms (Figure5SpinCap). Prefer Tuned over mutating Max
-	// at runtime: the tuner owns the cap there and adapts it to measured
-	// home-module utilization.
-	Initial, Max sim.Duration
-	name         string
+	// max caps the backoff delay; the paper's kernel uses a 35us cap for
+	// cluster-internal locks (DefaultSpinCap) and Figure 5 also measures
+	// 2ms (Figure5SpinCap). Tuned is the lock whose cap moves.
+	max  sim.Duration
+	name string
 }
+
+// initialBackoff is the first backoff delay of every spinning contender.
+const initialBackoff sim.Duration = 1 * sim.CyclesPerMicrosecond
 
 // NewSpin builds a backoff spin lock with the given cap, homed on module
 // home. The initial backoff is one microsecond.
 func NewSpin(m *sim.Machine, home int, max sim.Duration) *Spin {
-	return NewSpinFull(m, home, sim.Micros(1), max)
-}
-
-// NewSpinFull also sets the initial backoff.
-func NewSpinFull(m *sim.Machine, home int, initial, max sim.Duration) *Spin {
-	if initial == 0 {
-		initial = 1
-	}
 	return &Spin{
-		m:       m,
-		lock:    m.Alloc(home, 1),
-		Initial: initial,
-		Max:     max,
-		name:    fmt.Sprintf("Spin-%gus", max.Microseconds()),
+		lock: m.Alloc(home, 1),
+		max:  max,
+		name: fmt.Sprintf("Spin-%gus", max.Microseconds()),
 	}
 }
 
@@ -48,27 +38,21 @@ func (l *Spin) Name() string { return l.name }
 // Home implements Lock.
 func (l *Spin) Home() int { return l.lock.Module() }
 
-// Word exposes the lock word address (for tests).
-func (l *Spin) Word() sim.Addr { return l.lock }
-
 // Acquire implements Lock. Uncontended cost: 1 atomic + 1 reg + 2 br
 // (Figure 4's Spin row, split across the acquire/release pair).
 func (l *Spin) Acquire(p *sim.Proc) {
-	p.Reg(1) // operand setup
-	if p.Swap(l.lock, 1) == 0 {
-		p.Branch(2) // test + return
+	if l.TryAcquire(p) {
 		return
 	}
-	p.Branch(2)
 	// Back off locally, with jitter so contenders desynchronize.
-	p.BackoffSwap(l.lock, l.Initial, l.Max)
+	p.BackoffSwap(l.lock, initialBackoff, l.max)
 }
 
 // TryAcquire implements TryLocker: one swap, no waiting.
 func (l *Spin) TryAcquire(p *sim.Proc) bool {
-	p.Reg(1)
+	p.Reg(1) // operand setup
 	ok := p.Swap(l.lock, 1) == 0
-	p.Branch(2)
+	p.Branch(2) // test + return
 	return ok
 }
 

@@ -69,7 +69,6 @@ func (l *TryLockV1) TryAcquire(p *sim.Proc) bool {
 // callers: a saturated lock is handed queue-to-queue among local waiters
 // and a TryAcquire never sees it free.
 type TryLockV2 struct {
-	m    *sim.Machine
 	lock sim.Addr
 	// nodes are the normal acquire nodes; tryNodes the interrupt-handler
 	// nodes. current records which node a holder used, for Release.
@@ -92,7 +91,6 @@ const (
 // NewTryLockV2 builds the abandon/GC variant homed on module home.
 func NewTryLockV2(m *sim.Machine, home int) *TryLockV2 {
 	l := &TryLockV2{
-		m:        m,
 		lock:     m.Alloc(home, 1),
 		nodes:    make([]sim.Addr, m.NumProcs()),
 		tryNodes: make([]sim.Addr, m.NumProcs()),
@@ -112,11 +110,6 @@ func (l *TryLockV2) Name() string { return "TryLockV2" }
 
 // Home implements Lock.
 func (l *TryLockV2) Home() int { return l.lock.Module() }
-
-// TryNodeState exposes the state of processor id's interrupt node (tests).
-func (l *TryLockV2) TryNodeState(id int) uint64 {
-	return l.m.Mem.Peek(l.tryNodes[id] + qnLocked)
-}
 
 // Acquire implements Lock (the normal, waiting path — H1/H2 style).
 func (l *TryLockV2) Acquire(p *sim.Proc) {

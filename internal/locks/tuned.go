@@ -98,9 +98,6 @@ func (l *Tuned) Home() int { return l.home }
 // Controller exposes the feedback controller (for reports and tests).
 func (l *Tuned) Controller() *tune.Controller { return l.ctl }
 
-// Word exposes the fast-path word address (for tests).
-func (l *Tuned) Word() sim.Addr { return l.word }
-
 // Acquire implements Lock.
 func (l *Tuned) Acquire(p *sim.Proc) {
 	t0 := p.Now()
@@ -116,25 +113,16 @@ func (l *Tuned) Acquire(p *sim.Proc) {
 // acquire is the acquisition protocol; Acquire wraps it with the zero-cost
 // latency accounting the controller's wait signal consumes.
 func (l *Tuned) acquire(p *sim.Proc) {
-	c := &l.counts[p.Station()]
-	p.Reg(1)
-	old := p.Swap(l.word, adHeld)
-	p.Branch(2)
-	c.fastAttempts++
-	if old == adFree {
+	if l.TryAcquire(p) {
 		return
 	}
-	c.fastFailures++
-	if old == adGranted {
-		// A hand-off meant for the queue head; put it back.
-		p.Store(l.word, adGranted)
-	}
+	c := &l.counts[p.Station()]
 	// Contended. Spin on the word while the controller says the home
 	// module has headroom; fall through to the queue on crossover.
-	delay := sim.Duration(sim.Micros(1))
+	delay := initialBackoff
 	for l.ctl.Mode() == tune.ModeSpin {
 		p.Think(delay/2 + p.RNG().Duration(delay/2+1))
-		old = p.Swap(l.word, adHeld)
+		old := p.Swap(l.word, adHeld)
 		p.Branch(1)
 		c.fastAttempts++
 		if old == adFree {
@@ -149,59 +137,16 @@ func (l *Tuned) acquire(p *sim.Proc) {
 			delay = cap
 		}
 	}
+	// Queue mode is the Adaptive queue path with the head's polling bound
+	// taken from the controller. Cohort mode is the hierarchical path:
+	// contenders serialize through the cohort lock, whose grant order
+	// batches by station. Either way the word protocol is unchanged, so
+	// spinners and queuers from an in-flight mode transition mix safely.
+	var q Lock = l.queue
 	if l.ctl.Mode() == tune.ModeCohort {
-		l.cohortAcquire(p)
-		return
+		q = l.cohort
 	}
-	l.queueAcquire(p)
-}
-
-// cohortAcquire is the hierarchical path: contenders serialize through the
-// cohort lock — whose grant order batches by station — and only the cohort
-// holder polls the word, bounded by the controller's head backoff. The word
-// protocol is unchanged, so spinners and queuers from an in-flight mode
-// transition mix safely: a swallowed grant is restored exactly as on the
-// other paths.
-func (l *Tuned) cohortAcquire(p *sim.Proc) {
-	c := &l.counts[p.Station()]
-	l.cohort.Acquire(p)
-	delay := sim.Duration(sim.Micros(1))
-	for {
-		old := p.Swap(l.word, adHeld)
-		p.Branch(1)
-		c.fastAttempts++
-		if old == adFree || old == adGranted {
-			break
-		}
-		c.fastFailures++
-		p.Think(delay/2 + p.RNG().Duration(delay/2+1))
-		if delay < l.ctl.HeadBackoff() {
-			delay *= 2
-		}
-	}
-	l.cohort.Release(p)
-}
-
-// queueAcquire is the Adaptive queue path with the head's polling bound
-// taken from the controller instead of a fixed HeadBackoff.
-func (l *Tuned) queueAcquire(p *sim.Proc) {
-	c := &l.counts[p.Station()]
-	l.queue.Acquire(p)
-	delay := sim.Duration(sim.Micros(1))
-	for {
-		old := p.Swap(l.word, adHeld)
-		p.Branch(1)
-		c.fastAttempts++
-		if old == adFree || old == adGranted {
-			break
-		}
-		c.fastFailures++
-		p.Think(delay/2 + p.RNG().Duration(delay/2+1))
-		if delay < l.ctl.HeadBackoff() {
-			delay *= 2
-		}
-	}
-	l.queue.Release(p)
+	headPoll(p, l.word, q, l.ctl.HeadBackoff, c)
 }
 
 // TryAcquire implements TryLocker: a single fast-path attempt.

@@ -64,7 +64,7 @@ func TestTunedZeroContentionConvergence(t *testing.T) {
 	m.RunAll()
 	m.Shutdown()
 	c := l.Controller()
-	if c.Samples() == 0 {
+	if len(c.Log()) == 0 {
 		t.Fatal("controller observed no windows")
 	}
 	if c.Mode() != tune.ModeSpin {
@@ -106,12 +106,12 @@ func TestTunedCrossesOverUnderSaturation(t *testing.T) {
 	c := l.Controller()
 	if c.Switches() == 0 {
 		t.Fatalf("no spin->queue crossover under saturation; final cap %v, mode %v, %d windows",
-			c.BackoffCap(), c.Mode(), c.Samples())
+			c.BackoffCap(), c.Mode(), len(c.Log()))
 	}
 	// The word must still have served every acquisition exactly once:
 	// 16 procs x 40 rounds with mutual exclusion is checked by the stress
 	// tests; here just confirm the lock ended free.
-	if got := m.Mem.Peek(l.Word()); got != adFree {
+	if got := m.Mem.Peek(l.word); got != adFree {
 		t.Fatalf("lock word = %d after run, want free", got)
 	}
 }

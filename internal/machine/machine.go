@@ -1,7 +1,6 @@
 // Package machine provides named configurations of the simulated hardware:
-// the 16-processor HECTOR prototype the paper measured, plus variants used
-// by ablations (CAS-capable machines for the §5 lock-free discussion, and a
-// larger NUMAchine-style machine for the §5.3 scaling outlook).
+// the 16-processor HECTOR prototype the paper measured, plus the larger,
+// CAS-capable NUMAchine-style machines of the §5.3 scaling outlook.
 package machine
 
 import "hurricane/internal/sim"
@@ -12,19 +11,6 @@ import "hurricane/internal/sim"
 // access times.
 func Hector16(seed uint64) sim.Config {
 	return sim.Config{Stations: 4, ProcsPerStation: 4, Seed: seed}
-}
-
-// Hector at arbitrary size keeps HECTOR timing but scales the topology.
-func Hector(stations, procsPerStation int, seed uint64) sim.Config {
-	return sim.Config{Stations: stations, ProcsPerStation: procsPerStation, Seed: seed}
-}
-
-// HectorWithCAS is HECTOR extended with a compare-and-swap primitive, used
-// by the lock-free ablation (§5.2 "Advanced atomic primitives").
-func HectorWithCAS(seed uint64) sim.Config {
-	c := Hector16(seed)
-	c.HasCAS = true
-	return c
 }
 
 // NUMAchine64 sketches the paper's §5.3 target: an order of magnitude
@@ -76,6 +62,3 @@ func NUMAchine1024(seed uint64) sim.Config {
 	c.Lat.Ring2 = 160
 	return c
 }
-
-// New builds a machine from a config (convenience wrapper).
-func New(cfg sim.Config) *sim.Machine { return sim.NewMachine(cfg) }

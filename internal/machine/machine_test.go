@@ -7,7 +7,7 @@ import (
 )
 
 func TestHector16Preset(t *testing.T) {
-	m := New(Hector16(1))
+	m := sim.NewMachine(Hector16(1))
 	if m.NumProcs() != 16 {
 		t.Fatalf("procs = %d", m.NumProcs())
 	}
@@ -19,8 +19,11 @@ func TestHector16Preset(t *testing.T) {
 	}
 }
 
+// A scaled HECTOR keeps the preset's timing and changes only the topology.
 func TestHectorScaled(t *testing.T) {
-	m := New(Hector(2, 8, 3))
+	c := Hector16(3)
+	c.Stations, c.ProcsPerStation = 2, 8
+	m := sim.NewMachine(c)
 	if m.NumProcs() != 16 {
 		t.Fatalf("procs = %d", m.NumProcs())
 	}
@@ -30,7 +33,9 @@ func TestHectorScaled(t *testing.T) {
 }
 
 func TestHectorWithCAS(t *testing.T) {
-	m := New(HectorWithCAS(1))
+	c := Hector16(1)
+	c.HasCAS = true
+	m := sim.NewMachine(c)
 	a := m.Alloc(0, 1)
 	m.Go(0, func(p *sim.Proc) {
 		if _, ok := p.CAS(a, 0, 7); !ok {
@@ -42,7 +47,7 @@ func TestHectorWithCAS(t *testing.T) {
 
 func TestNUMAchine64Preset(t *testing.T) {
 	cfg := NUMAchine64(2)
-	m := New(cfg)
+	m := sim.NewMachine(cfg)
 	if m.NumProcs() != 64 {
 		t.Fatalf("procs = %d", m.NumProcs())
 	}

@@ -294,7 +294,7 @@ func (a *Advisor) bestCapUS(pt Point) float64 {
 // measured signals were produced under (the inference inverts the
 // incumbent's own closed form; see Infer). A challenger must undercut the
 // incumbent's price by the calibration's own uncertainty margin
-// (1 + MedianErr, clamped like Calibration.Worth) before the advisor
+// (1 + MedianErr, clamped to at most 2) before the advisor
 // recommends moving — a predicted gain inside the model's error bar is
 // noise, and acting on it flaps the shape. The queue and cohort
 // candidates carry the implTaxUS surcharge: the advisor prices the tuned

@@ -37,7 +37,7 @@ type Calibration struct {
 	Wait map[string]float64
 	// MedianErr is the median relative wait error remaining on the fit
 	// grid after applying the residuals — the model's own uncertainty
-	// estimate, consumed by Worth.
+	// estimate, consumed by the advisor's switching margin.
 	MedianErr float64
 }
 
@@ -117,22 +117,6 @@ func (m Machine) Calibrate(obs []Observation) Calibration {
 	}
 	cal.MedianErr = Median(errs)
 	return cal
-}
-
-// Worth returns a pricing predicate with the signature of
-// autonomic.Worthwhile, for ReplicatorParams.Worth / DaemonParams.Worth:
-// an action must pay back its cost with the model's own uncertainty as
-// margin — benefit x horizon must cover cost x (1 + MedianErr), the
-// margin clamped to at most double the heuristic bar. An unfitted
-// calibration (MedianErr 0) prices exactly like Worthwhile.
-func (c Calibration) Worth() func(benefit float64, horizon int, cost float64) bool {
-	margin := 1 + c.MedianErr
-	if margin > 2 {
-		margin = 2
-	}
-	return func(benefit float64, horizon int, cost float64) bool {
-		return benefit*float64(horizon) >= cost*margin
-	}
 }
 
 // Median returns the median of a slice (0 when empty). Sorted copy, so the

@@ -38,39 +38,3 @@ func (pr Predictor) Crossover(a, b Lock, holdUS float64, lo, hi int) (int, bool)
 	}
 	return p, true
 }
-
-// crossoverHoldSteps is the grid resolution CrossoverHold scans at.
-const crossoverHoldSteps = 4096
-
-// CrossoverHold finds the stable crossover in the hold dimension: the
-// smallest hold time in [loUS, hiUS] from which lock b stays strictly
-// cheaper than lock a at a fixed contention level, evaluated on a
-// 4096-point grid (so the answer is exact to (hiUS-loUS)/4096). The
-// boolean is false when b is not cheaper at hiUS. Only the spin family's
-// overhead depends on the hold — longer holds mean more module-bandwidth
-// exposure — so this locates where spinning stops being worth it as
-// critical sections grow.
-func (pr Predictor) CrossoverHold(a, b Lock, procs int, loUS, hiUS float64) (float64, bool) {
-	if loUS < 0 {
-		loUS = 0
-	}
-	if loUS > hiUS {
-		return 0, false
-	}
-	beats := func(h float64) bool {
-		pt := Point{Procs: procs, HoldUS: h}
-		return pr.Predict(b, pt).PairUS < pr.Predict(a, pt).PairUS
-	}
-	if !beats(hiUS) {
-		return 0, false
-	}
-	cross := hiUS
-	for i := crossoverHoldSteps - 1; i >= 0; i-- {
-		h := loUS + (hiUS-loUS)*float64(i)/crossoverHoldSteps
-		if !beats(h) {
-			break
-		}
-		cross = h
-	}
-	return cross, true
-}

@@ -111,32 +111,6 @@ func TestCrossoverAgreesWithBruteForce(t *testing.T) {
 	}
 }
 
-// CrossoverHold must bracket the brute-force scan's sign change.
-func TestCrossoverHoldAgreesWithScan(t *testing.T) {
-	m := hector16()
-	pr := Predictor{M: m}
-	a := Lock{Family: FamilySpin, CapUS: 35}
-	b := Lock{Family: FamilyQueue}
-	for _, p := range []int{4, 8, 16} {
-		got, ok := pr.CrossoverHold(a, b, p, 0, 500)
-		// Brute force on a fine grid.
-		want, wantOK := 0.0, false
-		for h := 0.0; h <= 500; h += 0.25 {
-			pt := Point{Procs: p, HoldUS: h}
-			if pr.Predict(b, pt).PairUS < pr.Predict(a, pt).PairUS {
-				want, wantOK = h, true
-				break
-			}
-		}
-		if ok != wantOK {
-			t.Fatalf("p=%d: CrossoverHold ok=%v scan ok=%v", p, ok, wantOK)
-		}
-		if ok && math.Abs(got-want) > 0.3 {
-			t.Errorf("p=%d: CrossoverHold=%.2f scan=%.2f", p, got, want)
-		}
-	}
-}
-
 // The closed-form BestCap must (near-)minimize the model's own spin
 // overhead over a dense cap scan.
 func TestBestCapMinimizesOverhead(t *testing.T) {
@@ -190,22 +164,6 @@ func TestCalibrateRecoversResiduals(t *testing.T) {
 	}
 	if cal.MedianErr > 1e-6 {
 		t.Errorf("MedianErr = %g on a perfectly fittable grid", cal.MedianErr)
-	}
-}
-
-// An unfitted calibration must price exactly like autonomic.Worthwhile,
-// and a fitted one must demand the uncertainty margin.
-func TestWorthMargin(t *testing.T) {
-	base := Calibration{}.Worth()
-	if !base(10, 10, 100) || base(10, 10, 101) {
-		t.Fatalf("unfitted Worth should be the plain payback bar")
-	}
-	strict := Calibration{MedianErr: 0.5}.Worth()
-	if strict(10, 10, 100) {
-		t.Errorf("Worth with MedianErr=0.5 accepted a marginal action")
-	}
-	if !strict(15, 10, 100) {
-		t.Errorf("Worth with MedianErr=0.5 rejected a clearly-paying action")
 	}
 }
 

@@ -245,9 +245,7 @@ func TestSimNativeCNACrossValidation(t *testing.T) {
 			if m.Config().ProcsPerStation != pps {
 				t.Fatalf("sim machine has %d procs/station, model assumed %d", m.Config().ProcsPerStation, pps)
 			}
-			l := locks.NewCNA(m, 0)
-			l.SpillThreshold = spill
-			return l
+			return locks.NewCNA(m, 0, spill)
 		})
 		natGot := runNativeCNASchedule(t, steps, actors, pps, spill)
 		diffEntries(t, "sim cna", simGot, want)

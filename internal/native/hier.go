@@ -62,6 +62,8 @@ type Cohort struct {
 }
 
 // NewCohort builds a cohort lock over the given number of stations.
+//
+//doclint:keep reference port that the sim↔native cross-validation replays schedules against
 func NewCohort(stations int) *Cohort {
 	return &Cohort{
 		local: make([]MCS, stations),
@@ -71,6 +73,8 @@ func NewCohort(stations int) *Cohort {
 
 // Acquire blocks until the lock is held and returns the local-queue token
 // that must be passed to Release along with the same station.
+//
+//doclint:keep reference port that the sim↔native cross-validation replays schedules against
 func (l *Cohort) Acquire(station int) *qnode {
 	n, held := l.EnqueueLocal(station)
 	if !held {
@@ -89,6 +93,8 @@ func (l *Cohort) EnqueueLocal(station int) (*qnode, bool) {
 }
 
 // WaitGrantLocal spins until the local queue grants the node.
+//
+//doclint:keep reference port that the sim↔native cross-validation replays schedules against
 func (l *Cohort) WaitGrantLocal(station int, n *qnode) {
 	l.local[station].WaitGrant(n)
 }
@@ -113,10 +119,14 @@ func (l *Cohort) FinishAcquire(station int) {
 }
 
 // GlobalEnqueues returns the number of global-queue enqueues so far.
+//
+//doclint:keep reference port that the sim↔native cross-validation replays schedules against
 func (l *Cohort) GlobalEnqueues() uint64 { return l.gEnqueues.Load() }
 
 // Release unlocks: pass locally while a waiter is queued and the batch
 // budget lasts, else release the global lock first and then the local one.
+//
+//doclint:keep reference port that the sim↔native cross-validation replays schedules against
 func (l *Cohort) Release(station int, n *qnode) {
 	limit := l.BatchLimit
 	if limit == 0 {
@@ -167,10 +177,14 @@ type CNA struct {
 }
 
 // NewCNA returns a ready-to-use CNA lock.
+//
+//doclint:keep reference port that the sim↔native cross-validation replays schedules against
 func NewCNA() *CNA { return &CNA{} }
 
 // Acquire blocks until the lock is held and returns the token for Release.
 // station tags the acquisition for the releaser's locality scan.
+//
+//doclint:keep reference port that the sim↔native cross-validation replays schedules against
 func (l *CNA) Acquire(station int) *cnaNode {
 	n, held := l.Enqueue(station)
 	if !held {
@@ -204,6 +218,8 @@ func (l *CNA) WaitGrant(n *cnaNode) {
 // TryAcquire makes a single attempt: a free queue is claimed with one CAS,
 // a busy one fails immediately with nothing left behind — CNA needs no
 // abandonment protocol because a trylock never enqueues.
+//
+//doclint:keep reference port that the sim↔native cross-validation replays schedules against
 func (l *CNA) TryAcquire(station int) (*cnaNode, bool) {
 	n := &cnaNode{station: station}
 	n.locked.Store(true)
@@ -217,6 +233,8 @@ func (l *CNA) TryAcquire(station int) (*cnaNode, bool) {
 // n's successor up to the queue tail is owned by the holder (new arrivals
 // touch only the tail), so the scan is single-threaded; the only waits are
 // for in-flight next-pointer links, as in any MCS release.
+//
+//doclint:keep reference port that the sim↔native cross-validation replays schedules against
 func (l *CNA) Release(n *cnaNode) {
 	spill := l.SpillThreshold
 	if spill == 0 {

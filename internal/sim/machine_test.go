@@ -14,8 +14,8 @@ func TestMachineDefaults(t *testing.T) {
 	if m.NumProcs() != 16 {
 		t.Fatalf("procs = %d, want 16", m.NumProcs())
 	}
-	if m.Mem.NumModules() != 16 {
-		t.Fatalf("modules = %d, want 16", m.Mem.NumModules())
+	if len(m.Mem.modules) != 16 {
+		t.Fatalf("modules = %d, want 16", len(m.Mem.modules))
 	}
 	if m.Procs[5].Station() != 1 || m.Procs[12].Station() != 3 {
 		t.Fatal("station mapping wrong")
@@ -225,24 +225,38 @@ func TestWaitLocalNoMissedWake(t *testing.T) {
 	}
 }
 
+// TestIPIDeliveryAndMasking checks that an IPI is taken at the next
+// instruction boundary, and that interrupts are masked while a handler
+// runs: an IPI arriving mid-handler waits until that handler returns.
 func TestIPIDeliveryAndMasking(t *testing.T) {
 	m := hector(6)
-	var handledAt Time
+	var firstAt, firstDone, secondAt Time
 	m.Go(1, func(p *Proc) {
-		p.SetIRQ(false)
-		p.Think(Micros(50))
-		p.SetIRQ(true) // pending IPI must be delivered here
-		p.Think(Micros(1))
+		for i := 0; i < 100; i++ {
+			p.Think(Micros(1))
+		}
 	})
 	m.Eng.At(0, func() {
-		m.SendIPI(1, func(p *Proc) { handledAt = p.Now() })
+		m.SendIPI(1, func(p *Proc) {
+			firstAt = p.Now()
+			for i := 0; i < 50; i++ {
+				p.Think(Micros(1))
+			}
+			firstDone = p.Now()
+		})
+	})
+	m.Eng.At(Micros(10), func() {
+		m.SendIPI(1, func(p *Proc) { secondAt = p.Now() })
 	})
 	m.RunAll()
-	if handledAt < Micros(50) {
-		t.Fatalf("IPI delivered while masked at %v", handledAt)
+	if firstAt == 0 || firstAt > m.cfg.Lat.IPI+Micros(1) {
+		t.Fatalf("IPI delivered at %v, want within 1us of %v", firstAt, m.cfg.Lat.IPI)
 	}
-	if handledAt > Micros(51) {
-		t.Fatalf("IPI delivered too late: %v", handledAt)
+	if secondAt < firstDone {
+		t.Fatalf("IPI delivered at %v inside a handler that ran until %v", secondAt, firstDone)
+	}
+	if secondAt > firstDone+Micros(1) {
+		t.Fatalf("masked IPI delivered too late: %v, handler returned at %v", secondAt, firstDone)
 	}
 }
 
@@ -267,7 +281,7 @@ func TestIPIHandlerRunsInline(t *testing.T) {
 	m.Go(2, func(p *Proc) { p.WaitIRQ() })
 	m.Eng.At(0, func() {
 		m.SendIPI(2, func(p *Proc) {
-			if !p.InISR() {
+			if !p.inISR {
 				t.Error("handler not marked in-ISR")
 			}
 			p.Store(a, 11) // handlers can touch memory with normal costs

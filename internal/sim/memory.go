@@ -200,9 +200,6 @@ func (m *Memory) watchShard(a Addr) map[Addr]watchList {
 	return m.watchers[m.stationOf(mod)]
 }
 
-// NumModules reports the number of processor-memory modules.
-func (m *Memory) NumModules() int { return len(m.modules) }
-
 // NewRegion creates a migratable memory region homed on the given physical
 // module and returns its region id — a virtual module number ≥ NumModules
 // that Alloc and every access accept exactly like a physical module.
@@ -438,9 +435,6 @@ func (m *Memory) Poke(a Addr, v uint64) {
 // Module exposes a module's resource counters (utilization statistics).
 // Region ids resolve to the module currently backing them.
 func (m *Memory) Module(i int) *Resource { return &m.modules[m.Home(i)] }
-
-// Ring exposes the ring's resource counters.
-func (m *Memory) Ring() *Resource { return &m.ring }
 
 // ResetStats opens a fresh accounting window on every resource at the
 // current simulated time, clearing the utilization counters. Utilization

@@ -91,8 +91,8 @@ const maxScheduled = 4096
 // machine and checks that its events dispatch in (time, sequence) order.
 // The input picks how many processors sleep (each a few times, for chosen
 // delays) and how many closure events start the run; each closure may
-// schedule further closures or daemons and may Stop the engine, and the
-// driver alternates RunAll with Run to chosen bounds.
+// schedule further closures or daemons, and the driver alternates RunAll
+// with Run to chosen bounds.
 func checkEventOrder(t *testing.T, input []byte) {
 	s := &schedule{b: input}
 	m := NewMachine(Config{Stations: 8, ProcsPerStation: 8})
@@ -118,9 +118,6 @@ func checkEventOrder(t *testing.T, input []byte) {
 			c.ran++
 			for k := s.next() % 3; k > 0; k-- {
 				add(s.next()%8 == 7)
-			}
-			if s.next()%16 == 15 {
-				e.Stop()
 			}
 		}
 		if daemon {
@@ -181,7 +178,7 @@ func checkEventOrder(t *testing.T, input []byte) {
 
 // FuzzEventOrder checks the engine's dispatch order on random schedules of
 // At, AtDaemon and processor wake-ups, with queues on both sides of the
-// wheel's gate, times within and past its span, and Stop and Run(until)
+// wheel's gate, times within and past its span, and Run(until)
 // boundaries. `make fuzz-smoke` runs it for ten seconds; the checked-in
 // corpus under testdata/fuzz runs with every `go test`.
 func FuzzEventOrder(f *testing.F) {

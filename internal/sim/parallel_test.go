@@ -37,7 +37,7 @@ func parMixRun(t *testing.T, cfg Config, rounds int) string {
 				old := p.Swap(w, uint64(p.ID())<<16|uint64(k))
 				p.Store(private[p.ID()], old)
 				v := p.Load(w)
-				if p.Machine().Config().HasCAS {
+				if p.mach.cfg.HasCAS {
 					p.CAS(w, v, v+1)
 				}
 				acc[p.ID()] += v + p.Load(private[p.ID()])
@@ -253,7 +253,7 @@ func TestParallelRunWindows(t *testing.T) {
 				m.RunAll()
 			} else {
 				for end := Time(step); m.par.totalLive() > 0; end += step {
-					m.Run(end)
+					m.par.run(end)
 				}
 			}
 			m.Shutdown()

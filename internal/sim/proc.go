@@ -70,7 +70,6 @@ type Proc struct {
 	remoteVal  uint64
 	remoteOK   bool
 
-	irqEnabled bool
 	inISR      bool
 	pendingIRQ []IRQHandler
 
@@ -79,13 +78,12 @@ type Proc struct {
 
 func newProc(id int, mach *Machine) *Proc {
 	return &Proc{
-		id:         id,
-		module:     id,
-		eng:        mach.Eng,
-		mem:        mach.Mem,
-		mach:       mach,
-		rng:        NewRNG(mach.cfg.Seed*0x9e3779b9 + uint64(id)*0x7f4a7c15 + 1),
-		irqEnabled: true,
+		id:     id,
+		module: id,
+		eng:    mach.Eng,
+		mem:    mach.Mem,
+		mach:   mach,
+		rng:    NewRNG(mach.cfg.Seed*0x9e3779b9 + uint64(id)*0x7f4a7c15 + 1),
 	}
 }
 
@@ -100,9 +98,6 @@ func (p *Proc) Now() Time { return p.eng.Now() }
 
 // RNG returns the processor's private random generator.
 func (p *Proc) RNG() *RNG { return p.rng }
-
-// Machine returns the machine the processor belongs to.
-func (p *Proc) Machine() *Machine { return p.mach }
 
 // Counters returns the instruction counters accumulated so far.
 func (p *Proc) Counters() InstrCounters { return p.counters }
@@ -314,19 +309,6 @@ func (p *Proc) WaitLocal(a Addr, pred func(uint64) bool) uint64 {
 
 // --- Interrupts ---
 
-// SetIRQ enables or disables all interrupts (HECTOR only supports
-// enable/disable-all, per §3.2).
-func (p *Proc) SetIRQ(on bool) {
-	p.irqEnabled = on
-	if on {
-		p.checkIRQ()
-	}
-}
-
-// InISR reports whether the processor is currently running an interrupt
-// handler.
-func (p *Proc) InISR() bool { return p.inISR }
-
 // postIRQ enqueues an interrupt; called from engine context by SendIPI.
 func (p *Proc) postIRQ(h IRQHandler) {
 	if p.eng.tracer != nil {
@@ -351,7 +333,7 @@ func (p *Proc) checkIRQ() {
 // irqDeliverable reports whether an instruction boundary reached now would
 // deliver an interrupt.
 func (p *Proc) irqDeliverable() bool {
-	return p.irqEnabled && !p.inISR && len(p.pendingIRQ) > 0
+	return !p.inISR && len(p.pendingIRQ) > 0
 }
 
 func (p *Proc) deliverIRQs() {
@@ -382,6 +364,8 @@ func (p *Proc) Unpark() {
 // processor `to` after the machine's IPI latency, like Machine.SendIPI but
 // callable in parallel mode: a cross-station IPI travels as an inter-LP
 // message (Lat.IPI is validated to cover the lookahead window).
+//
+//doclint:keep the LP engine's only IPI path, which the one-engine plan (ROADMAP item 2) builds on
 func (p *Proc) SendIPI(to int, h IRQHandler) {
 	m := p.mach
 	target := m.Procs[to]
@@ -394,8 +378,8 @@ func (p *Proc) SendIPI(to int, h IRQHandler) {
 }
 
 // WaitIRQ idles the processor until at least one interrupt arrives, then
-// delivers all pending interrupts (regardless of the enable flag — this is
-// an explicit receive, the kernel idle loop).
+// delivers all pending interrupts (an explicit receive, the kernel idle
+// loop).
 func (p *Proc) WaitIRQ() {
 	for len(p.pendingIRQ) == 0 {
 		p.park()

@@ -7,13 +7,13 @@ import "testing"
 func TestRegionAllocAndHome(t *testing.T) {
 	m := hector(1)
 	r := m.Mem.NewRegion(12)
-	if r < m.Mem.NumModules() {
+	if r < len(m.Mem.modules) {
 		t.Fatalf("region id %d collides with physical modules", r)
 	}
 	if m.Mem.Home(r) != 12 {
 		t.Fatalf("Home(region) = %d, want 12", m.Mem.Home(r))
 	}
-	for i := 0; i < m.Mem.NumModules(); i++ {
+	for i := 0; i < len(m.Mem.modules); i++ {
 		if m.Mem.Home(i) != i {
 			t.Fatalf("physical module %d resolves to %d", i, m.Mem.Home(i))
 		}

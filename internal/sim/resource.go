@@ -51,16 +51,10 @@ func (r *Resource) Acquire(at Time, dur Duration) (start Time) {
 	return start
 }
 
-// BusyUntil reports when the resource next becomes free.
-func (r *Resource) BusyUntil() Time { return r.busyUntil }
-
-// WindowStart reports when the current accounting window opened.
-func (r *Resource) WindowStart() Time { return r.windowStart }
-
 // Utilization reports the fraction of the interval [since, now] the
 // resource spent busy. Busy time is accumulated per window, so since should
-// be at or after the current WindowStart (typically exactly WindowStart, or
-// the time the caller recorded when it last called ResetStats). It can
+// be at or after the current window's start (typically exactly that, the
+// time the caller recorded when it last called ResetStats). It can
 // exceed 1 only if Acquire was called with times beyond now (requests
 // already queued into the future).
 func (r *Resource) Utilization(since, now Time) float64 {
@@ -71,7 +65,7 @@ func (r *Resource) Utilization(since, now Time) float64 {
 }
 
 // WindowUtilization reports the busy fraction of the current window,
-// [WindowStart, now].
+// [window start, now].
 func (r *Resource) WindowUtilization(now Time) float64 {
 	return r.Utilization(r.windowStart, now)
 }

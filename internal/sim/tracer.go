@@ -200,9 +200,6 @@ type Tracer interface {
 // engine's machine.
 func (e *Engine) SetTracer(t Tracer) { e.tracer = t }
 
-// Tracer reports the installed tracer, nil if none.
-func (e *Engine) Tracer() Tracer { return e.tracer }
-
 // Emit forwards an event to the installed tracer, if any. Instrumentation
 // code calls this so it need not track whether tracing is on.
 func (e *Engine) Emit(ev TraceEvent) {

@@ -37,29 +37,6 @@ func (d *Dist) Mean() float64 {
 	return s / float64(len(d.samples))
 }
 
-// Std reports the sample standard deviation.
-func (d *Dist) Std() float64 {
-	n := len(d.samples)
-	if n < 2 {
-		return 0
-	}
-	m := d.Mean()
-	s := 0.0
-	for _, x := range d.samples {
-		s += (x - m) * (x - m)
-	}
-	return math.Sqrt(s / float64(n-1))
-}
-
-// Min reports the smallest sample (0 if empty).
-func (d *Dist) Min() float64 {
-	if len(d.samples) == 0 {
-		return 0
-	}
-	d.sort()
-	return d.samples[0]
-}
-
 // Max reports the largest sample (0 if empty).
 func (d *Dist) Max() float64 {
 	if len(d.samples) == 0 {
@@ -119,9 +96,9 @@ func (d *Dist) String() string {
 // never alone — the paper's §3.2 starvation discussion is exactly the case
 // where a lock design looks fine on the mean and terrible at p999.
 type Tail struct {
-	N                        int
+	N                         int
 	Mean, P50, P95, P99, P999 float64
-	Max                      float64
+	Max                       float64
 }
 
 // Tail computes the tail summary of the distribution.

@@ -8,13 +8,13 @@ import (
 
 func TestDistBasics(t *testing.T) {
 	var d Dist
-	if d.Mean() != 0 || d.Max() != 0 || d.Min() != 0 || d.Percentile(50) != 0 {
+	if d.Mean() != 0 || d.Max() != 0 || d.Percentile(0) != 0 || d.Percentile(50) != 0 {
 		t.Fatal("empty dist not all-zero")
 	}
 	for _, x := range []float64{4, 1, 3, 2, 5} {
 		d.Add(x)
 	}
-	if d.N() != 5 || d.Mean() != 3 || d.Min() != 1 || d.Max() != 5 {
+	if d.N() != 5 || d.Mean() != 3 || d.Max() != 5 {
 		t.Fatalf("basics wrong: %s", d.String())
 	}
 	if d.Percentile(50) != 3 {
@@ -26,9 +26,6 @@ func TestDistBasics(t *testing.T) {
 	if got := d.FracAbove(3); got != 0.4 {
 		t.Fatalf("FracAbove(3) = %v, want 0.4", got)
 	}
-	if math.Abs(d.Std()-math.Sqrt(2.5)) > 1e-12 {
-		t.Fatalf("std = %v", d.Std())
-	}
 }
 
 func TestDistAddAfterSortedQuery(t *testing.T) {
@@ -36,7 +33,7 @@ func TestDistAddAfterSortedQuery(t *testing.T) {
 	d.Add(10)
 	_ = d.Max() // forces sort
 	d.Add(1)
-	if d.Min() != 1 || d.Max() != 10 {
+	if d.Percentile(0) != 1 || d.Max() != 10 {
 		t.Fatal("Add after query broke ordering")
 	}
 }
@@ -44,11 +41,13 @@ func TestDistAddAfterSortedQuery(t *testing.T) {
 func TestPercentileProperties(t *testing.T) {
 	f := func(xs []float64) bool {
 		var d Dist
+		lo, hi := math.Inf(1), math.Inf(-1)
 		for _, x := range xs {
 			if math.IsNaN(x) || math.IsInf(x, 0) {
 				continue
 			}
 			d.Add(x)
+			lo, hi = math.Min(lo, x), math.Max(hi, x)
 		}
 		if d.N() == 0 {
 			return true
@@ -62,7 +61,7 @@ func TestPercentileProperties(t *testing.T) {
 			}
 			last = v
 		}
-		return d.Percentile(0) == d.Min() && d.Percentile(100) == d.Max()
+		return d.Percentile(0) == lo && d.Percentile(100) == hi
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -55,9 +55,6 @@ func (c *Chrome) Event(ev sim.TraceEvent) {
 // Events exposes the collected events (for tests and custom reports).
 func (c *Chrome) Events() []sim.TraceEvent { return c.events }
 
-// Dropped reports how many events were discarded by the MaxEvents cap.
-func (c *Chrome) Dropped() uint64 { return c.dropped }
-
 // chromeEvent is one JSON record of the trace-event format.
 type chromeEvent struct {
 	Name string                 `json:"name"`

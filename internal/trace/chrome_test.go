@@ -131,8 +131,8 @@ func TestChromeMaxEvents(t *testing.T) {
 	if len(c.Events()) != 3 {
 		t.Fatalf("retained %d events, want 3", len(c.Events()))
 	}
-	if c.Dropped() != 7 {
-		t.Fatalf("dropped = %d, want 7", c.Dropped())
+	if c.dropped != 7 {
+		t.Fatalf("dropped = %d, want 7", c.dropped)
 	}
 	var buf bytes.Buffer
 	if err := c.Export(&buf); err != nil {

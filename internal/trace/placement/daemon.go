@@ -59,13 +59,6 @@ type DaemonParams struct {
 	// home (processor and module numbers coincide on HECTOR). Override
 	// when not every processor runs (lockstat's stress loop).
 	Exec func(home int) int
-	// Worth, when non-nil, replaces the Worthwhile payback heuristic for
-	// the move decision (same signature and meaning: does benefit×horizon
-	// repay cost?). The analytic model supplies one via
-	// model.Calibration.Worth, which inflates the bar by the model's
-	// residual fit error so uncertain predictions buy less. Nil keeps
-	// Worthwhile; every default is unchanged.
-	Worth func(benefit float64, horizon int, cost float64) bool
 }
 
 func (p DaemonParams) withDefaults() DaemonParams {
@@ -134,8 +127,8 @@ type Move struct {
 type Daemon struct {
 	m     *sim.Machine
 	agg   *trace.Aggregate
-	topo  Topo
-	costs Costs
+	topo  autonomic.Topo
+	costs autonomic.Costs
 	p     DaemonParams
 	slots []*slotState
 	moves []Move
@@ -154,7 +147,7 @@ type slotState struct {
 // NewDaemon builds a daemon over machine m, observing the live aggregate
 // agg (which must be installed as the machine's tracer) and managing the
 // given slots. Call Start to begin sampling.
-func NewDaemon(m *sim.Machine, agg *trace.Aggregate, topo Topo, costs Costs, params DaemonParams, slots []DaemonSlot) *Daemon {
+func NewDaemon(m *sim.Machine, agg *trace.Aggregate, topo autonomic.Topo, costs autonomic.Costs, params DaemonParams, slots []DaemonSlot) *Daemon {
 	d := &Daemon{m: m, agg: agg, topo: topo, costs: costs, p: params.withDefaults()}
 	n := agg.Modules()
 	for _, s := range slots {
@@ -173,27 +166,11 @@ func NewDaemon(m *sim.Machine, agg *trace.Aggregate, topo Topo, costs Costs, par
 	return d
 }
 
-// Params returns the defaulted parameters.
-func (d *Daemon) Params() DaemonParams { return d.p }
-
 // Moves returns the move log (oldest first).
 func (d *Daemon) Moves() []Move { return d.moves }
 
-// SlotMoves reports how many times the named slot has moved.
-func (d *Daemon) SlotMoves(name string) int {
-	for _, s := range d.slots {
-		if s.Name == name {
-			return s.gate.Used()
-		}
-	}
-	return 0
-}
-
 // Name implements autonomic.Policy.
 func (d *Daemon) Name() string { return "migrate" }
-
-// Ticks reports how many sampling windows have been consumed.
-func (d *Daemon) Ticks() uint64 { return d.ticks }
 
 // Start registers the sampling hook: a daemon event every Period that
 // neither consumes simulated time nor keeps the run alive. Determinism is
@@ -270,11 +247,7 @@ func (d *Daemon) Tick(now sim.Time) {
 			// scale) must repay the copy within the payback horizon.
 			benefit := (prop.CurCost - prop.NewCost) / 16
 			copyCost := float64(d.m.Mem.RegionWords(s.Region)) * d.costs.Ring
-			worth := d.p.Worth
-			if worth == nil {
-				worth = autonomic.Worthwhile
-			}
-			if !worth(benefit, payback, copyCost) {
+			if !autonomic.Worthwhile(benefit, payback, copyCost) {
 				prop.Proposed = prop.Home
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"hurricane/internal/autonomic"
 	"hurricane/internal/core"
 	"hurricane/internal/locks"
 	"hurricane/internal/sim"
@@ -11,6 +12,17 @@ import (
 	"hurricane/internal/trace/placement"
 	"hurricane/internal/workload"
 )
+
+// slotMoves counts the daemon's logged moves of one slot; each spent the
+// slot's budget once.
+func slotMoves(d *placement.Daemon, slot string) (n int) {
+	for _, mv := range d.Moves() {
+		if mv.Slot == slot {
+			n++
+		}
+	}
+	return n
+}
 
 // daemonRun executes the station-0 faulter workload with the online daemon
 // attached and returns a fingerprint covering everything observable: move
@@ -24,8 +36,8 @@ func daemonRun(seed uint64) string {
 		Tracer:      agg,
 		Migratable:  true,
 	})
-	d := placement.NewDaemon(sys.M, agg, placement.Topo{Stations: 4, ProcsPerStation: 4},
-		placement.DefaultCosts(),
+	d := placement.NewDaemon(sys.M, agg, autonomic.Topo{Stations: 4, ProcsPerStation: 4},
+		autonomic.DefaultCosts(),
 		placement.DaemonParams{Period: sim.Micros(25), Decay: 0.9, MinWeight: 0.25, Confirm: 3},
 		placement.ManageKernel(sys.K))
 	d.Start()
@@ -60,8 +72,8 @@ func TestDaemonNoOpOnOptimalLayout(t *testing.T) {
 		// station-0 module, which is inside the indifference band.
 		SlotModule: func(c, slot, def int) int { return slot },
 	})
-	d := placement.NewDaemon(sys.M, agg, placement.Topo{Stations: 4, ProcsPerStation: 4},
-		placement.DefaultCosts(),
+	d := placement.NewDaemon(sys.M, agg, autonomic.Topo{Stations: 4, ProcsPerStation: 4},
+		autonomic.DefaultCosts(),
 		placement.DaemonParams{Period: sim.Micros(25), Decay: 0.9, MinWeight: 0.25, Confirm: 3},
 		placement.ManageKernel(sys.K))
 	d.Start()
@@ -85,8 +97,8 @@ func TestDaemonThrashBudget(t *testing.T) {
 	m.SetTracer(agg)
 	region := m.Mem.NewRegion(0)
 	data := m.Alloc(region, 4)
-	d := placement.NewDaemon(m, agg, placement.Topo{Stations: 4, ProcsPerStation: 4},
-		placement.DefaultCosts(),
+	d := placement.NewDaemon(m, agg, autonomic.Topo{Stations: 4, ProcsPerStation: 4},
+		autonomic.DefaultCosts(),
 		placement.DaemonParams{
 			Period:    sim.Micros(25),
 			Decay:     0.9,
@@ -132,7 +144,7 @@ func TestDaemonThrashBudget(t *testing.T) {
 	m.RunAll()
 	m.Shutdown()
 
-	if n := d.SlotMoves("data"); n > budget {
+	if n := slotMoves(d, "data"); n > budget {
 		t.Fatalf("oscillating workload drove %d moves, budget is %d:\n%s", n, budget, d.Report())
 	}
 	if len(d.Moves()) == 0 {

@@ -32,21 +32,6 @@ import (
 	"hurricane/internal/trace"
 )
 
-// Topo and Costs live in internal/autonomic now — every policy of the
-// autonomics plane (migration, replication) shares one topology and cost
-// model. The aliases keep this package's historical API, and
-// cmd/traceanal's trace-metadata round trip, intact.
-type (
-	Topo  = autonomic.Topo
-	Costs = autonomic.Costs
-)
-
-// CostsFromLatency derives weights from a machine's latency parameters.
-func CostsFromLatency(lat sim.Latency) Costs { return autonomic.CostsFromLatency(lat) }
-
-// DefaultCosts are the HECTOR weights (10/19/23 cycles).
-func DefaultCosts() Costs { return autonomic.DefaultCosts() }
-
 // keepEpsilon is the indifference band: a move must beat the current home
 // by more than this fraction of cost to be proposed, and candidates within
 // the band of the optimum are interchangeable (the least-loaded one wins,
@@ -76,8 +61,8 @@ func (p Proposal) Moved() bool { return p.Proposed != p.Home }
 
 // Report is the full analysis.
 type Report struct {
-	Topo  Topo
-	Costs Costs
+	Topo  autonomic.Topo
+	Costs autonomic.Costs
 	// Data holds one proposal per home module with traffic, hottest first.
 	Data []Proposal
 	// Locks holds one proposal per traced lock (from wait spans).
@@ -85,7 +70,7 @@ type Report struct {
 }
 
 // Analyze derives placement proposals from an aggregated trace.
-func Analyze(agg *trace.Aggregate, topo Topo, costs Costs) *Report {
+func Analyze(agg *trace.Aggregate, topo autonomic.Topo, costs autonomic.Costs) *Report {
 	n := topo.Modules()
 	if agg.Modules() < n {
 		n = agg.Modules()
@@ -142,7 +127,7 @@ func Analyze(agg *trace.Aggregate, topo Topo, costs Costs) *Report {
 // eps-wide indifference band and least-projected-load tie-breaking. The
 // offline analyzer uses keepEpsilon; the online Daemon passes its (wider)
 // Improve band, since an in-run move charges real copy traffic.
-func propose(object string, home int, vector []uint64, topo Topo, costs Costs, load []float64, eps float64) Proposal {
+func propose(object string, home int, vector []uint64, topo autonomic.Topo, costs autonomic.Costs, load []float64, eps float64) Proposal {
 	n := len(load)
 	cost := func(cand int) float64 {
 		var c float64

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"hurricane/internal/autonomic"
 	"hurricane/internal/sim"
 	"hurricane/internal/trace"
 )
@@ -12,7 +13,7 @@ import (
 // accessed almost entirely from station 0: the analyzer must propose moving
 // it into station 0, and the projection must show the ring traffic gone.
 func TestAnalyzeMovesRemoteData(t *testing.T) {
-	topo := Topo{Stations: 4, ProcsPerStation: 4}
+	topo := autonomic.Topo{Stations: 4, ProcsPerStation: 4}
 	agg := trace.NewAggregate(topo.Modules())
 	emit := func(src, dst int, n int) {
 		for i := 0; i < n; i++ {
@@ -30,7 +31,7 @@ func TestAnalyzeMovesRemoteData(t *testing.T) {
 	emit(4, 5, 50)
 	emit(5, 5, 50)
 
-	rep := Analyze(agg, topo, DefaultCosts())
+	rep := Analyze(agg, topo, autonomic.DefaultCosts())
 	if len(rep.Data) != 2 {
 		t.Fatalf("got %d data proposals, want 2", len(rep.Data))
 	}
@@ -67,7 +68,7 @@ func TestAnalyzeMovesRemoteData(t *testing.T) {
 
 // TestAnalyzeLockProposals checks lock-wait spans produce lock proposals.
 func TestAnalyzeLockProposals(t *testing.T) {
-	topo := Topo{Stations: 4, ProcsPerStation: 4}
+	topo := autonomic.Topo{Stations: 4, ProcsPerStation: 4}
 	agg := trace.NewAggregate(topo.Modules())
 	for src, n := range map[int]int{0: 50, 1: 40, 2: 30} {
 		for i := 0; i < n; i++ {
@@ -76,7 +77,7 @@ func TestAnalyzeLockProposals(t *testing.T) {
 				Dist: topo.Dist(src, 12)})
 		}
 	}
-	rep := Analyze(agg, topo, DefaultCosts())
+	rep := Analyze(agg, topo, autonomic.DefaultCosts())
 	if len(rep.Locks) != 1 {
 		t.Fatalf("got %d lock proposals, want 1", len(rep.Locks))
 	}
@@ -93,7 +94,7 @@ func TestAnalyzeLockProposals(t *testing.T) {
 // objects contended from the same sources should not both land on the same
 // module when an equal-cost alternative exists.
 func TestAnalyzeSpreadsTies(t *testing.T) {
-	topo := Topo{Stations: 4, ProcsPerStation: 4}
+	topo := autonomic.Topo{Stations: 4, ProcsPerStation: 4}
 	agg := trace.NewAggregate(topo.Modules())
 	emit := func(src, dst int, n int) {
 		for i := 0; i < n; i++ {
@@ -107,7 +108,7 @@ func TestAnalyzeSpreadsTies(t *testing.T) {
 	emit(1, 12, 100)
 	emit(0, 13, 100)
 	emit(1, 13, 100)
-	rep := Analyze(agg, topo, DefaultCosts())
+	rep := Analyze(agg, topo, autonomic.DefaultCosts())
 	if len(rep.Data) != 2 || !rep.Data[0].Moved() || !rep.Data[1].Moved() {
 		t.Fatalf("expected both objects moved: %+v", rep.Data)
 	}

@@ -26,9 +26,6 @@ func NewPipeline(sinks ...Sink) *Pipeline {
 	return &Pipeline{sinks: sinks}
 }
 
-// Attach adds another sink.
-func (p *Pipeline) Attach(s Sink) { p.sinks = append(p.sinks, s) }
-
 // Event implements sim.Tracer.
 func (p *Pipeline) Event(ev sim.TraceEvent) {
 	for _, s := range p.sinks {

@@ -38,8 +38,9 @@ func runModelTuned(t *testing.T, seed uint64, start tune.Mode) *tune.Controller 
 		MedianErr: 0.10,
 	}
 	adv := model.NewAdvisor(model.FromConfig(cfg), cal)
-	l := locks.NewTuned(m, 0, tune.Params{Model: adv, StartMode: start})
+	l := locks.NewTuned(m, 0, tune.Params{Model: adv})
 	ctl := l.Controller()
+	tune.WarmStart(ctl, start)
 	deadline := sim.Time(sim.Micros(12000))
 	hold := sim.Micros(25)
 	for i := 0; i < 16; i++ {

@@ -34,9 +34,6 @@ func NewSampler(home *sim.Resource, probe func() Counters, c *Controller) *Sampl
 	return &Sampler{c: c, home: home, probe: probe, lastBusy: home.Busy, last: probe()}
 }
 
-// Controller exposes the controller the sampler feeds.
-func (s *Sampler) Controller() *Controller { return s.c }
-
 // Name implements autonomic.Policy.
 func (s *Sampler) Name() string { return "tune" }
 

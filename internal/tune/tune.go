@@ -144,12 +144,6 @@ type Params struct {
 	// MaxCap clamps the backoff cap from above (default 2ms — with MinCap,
 	// the two ends of the paper's own Figure 5 sweep).
 	MaxCap sim.Duration
-	// StartMode is the lock shape the controller begins in (default
-	// ModeSpin — the optimistic stance). A deployment that knows its locks
-	// open contended — a saturated server, say — warm-starts at ModeQueue
-	// and skips the first escalation ramp; the controller still walks the
-	// mode chain both ways from wherever it starts.
-	StartMode Mode
 	// LogLimit bounds the retained decision log (default 256; 0 takes the
 	// default, negative disables logging).
 	LogLimit int
@@ -181,9 +175,6 @@ func (p Params) withDefaults() Params {
 	}
 	return p
 }
-
-// DefaultParams returns the defaulted parameter set.
-func DefaultParams() Params { return Params{}.withDefaults() }
 
 // waitDecay is the per-window retention of the decayed wait sums and the
 // utilization EWMA (a ~4 window horizon); waitDenFloor is the decayed-
@@ -338,13 +329,12 @@ type Controller struct {
 }
 
 // NewController builds a controller for a lock on a machine with the given
-// station count, starting in Params.StartMode (spin by default) at MinCap —
-// the optimistic stance: assume no contention until the measurements say
-// otherwise.
+// station count, starting in spin mode at MinCap — the optimistic stance:
+// assume no contention until the measurements say otherwise.
 func NewController(p Params, stations int) *Controller {
 	p = p.withDefaults()
 	return &Controller{
-		p: p, stations: stations, mode: p.StartMode, cap: MinCap, head: minHead,
+		p: p, stations: stations, mode: ModeSpin, cap: MinCap, head: minHead,
 		wait:  autonomic.DecayedRatio{Decay: waitDecay, Floor: waitDenFloor},
 		ring:  autonomic.DecayedRatio{Decay: waitDecay, Floor: waitDenFloor},
 		svc:   autonomic.DecayedRatio{Decay: waitDecay, Floor: waitDenFloor},
@@ -354,9 +344,6 @@ func NewController(p Params, stations int) *Controller {
 		dwell: autonomic.Dwell{Windows: DwellWindows},
 	}
 }
-
-// Params returns the defaulted parameters.
-func (c *Controller) Params() Params { return c.p }
 
 // Mode reports the currently chosen lock shape.
 func (c *Controller) Mode() Mode { return c.mode }
@@ -372,9 +359,6 @@ func (c *Controller) Switches() uint64 { return c.switches }
 
 // RingFrac reports the smoothed cross-station acquisition fraction.
 func (c *Controller) RingFrac() float64 { return c.ring.Value() }
-
-// Samples reports how many observation windows have been consumed.
-func (c *Controller) Samples() uint64 { return c.samples }
 
 // NextCap is the pure cap-update law. The target is the measured mean
 // acquire latency, clamped to [MinCap, MaxCap]; the cap moves

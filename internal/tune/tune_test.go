@@ -13,7 +13,7 @@ import (
 // yields a lower cap. Raising offered load raises both signals, so offered
 // load can never lower the chosen backoff cap.
 func TestNextCapMonotoneInLoad(t *testing.T) {
-	p := DefaultParams()
+	p := Params{}.withDefaults()
 	f := func(prevRaw uint32, a, b, wa, wb float64) bool {
 		u1, u2 := normUtil(a), normUtil(b)
 		if u1 > u2 {
@@ -56,7 +56,7 @@ func normWait(x float64) float64 {
 }
 
 func TestNextCapClamps(t *testing.T) {
-	p := DefaultParams()
+	p := Params{}.withDefaults()
 	if got := p.NextCap(p.MaxCap, 1.0, 4000); got != p.MaxCap {
 		t.Fatalf("cap above MaxCap: %v", got)
 	}
@@ -96,7 +96,7 @@ func TestNextCapClamps(t *testing.T) {
 // the paper's analysis, not a queue-length heuristic.
 func TestCrossoverRequiresSaturationAtMaxCap(t *testing.T) {
 	c := NewController(Params{}, 1)
-	p := c.Params()
+	p := c.p
 	// Saturated, but cap still climbing: stays in spin mode. (The smoothed
 	// utilization takes a few windows to register the saturation at all —
 	// the anti-flap lag — so bound the loop.)
@@ -323,7 +323,7 @@ func TestCapDecaysToMinUnderIdle(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		c.Observe(Sample{HomeUtil: 0.95})
 	}
-	if c.BackoffCap() != c.Params().MaxCap {
+	if c.BackoffCap() != c.p.MaxCap {
 		t.Fatalf("cap after sustained saturation = %v, want MaxCap", c.BackoffCap())
 	}
 	for i := 0; i < 20; i++ {
@@ -472,7 +472,7 @@ func TestControllerReportRendering(t *testing.T) {
 	c := NewController(Params{}, 1)
 	c.Observe(Sample{Now: 100, HomeUtil: 0.9, Lock: Counters{Attempts: 10, Failures: 5}})
 	s := c.Report()
-	if s == "" || c.Samples() != 1 {
-		t.Fatalf("empty report or samples=%d", c.Samples())
+	if s == "" || c.samples != 1 {
+		t.Fatalf("empty report or samples=%d", c.samples)
 	}
 }

@@ -20,12 +20,11 @@ import (
 // most of the traffic.
 type Zipf struct {
 	cdf []float64
-	s   float64
 }
 
 // NewZipf builds a sampler over n ranks with exponent s.
 func NewZipf(n int, s float64) *Zipf {
-	z := &Zipf{cdf: make([]float64, n), s: s}
+	z := &Zipf{cdf: make([]float64, n)}
 	sum := 0.0
 	for i := 0; i < n; i++ {
 		sum += math.Pow(float64(i+1), -s)
@@ -36,9 +35,6 @@ func NewZipf(n int, s float64) *Zipf {
 	}
 	return z
 }
-
-// N reports the number of ranks.
-func (z *Zipf) N() int { return len(z.cdf) }
 
 // Weight reports rank's probability mass.
 func (z *Zipf) Weight(rank int) float64 {

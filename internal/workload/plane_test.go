@@ -43,8 +43,8 @@ func TestServerPlaneObservationByteIdentical(t *testing.T) {
 			autonomic.ReplicatorParams{MinWeight: never},
 			placement.ReplicateKernel(sys.K, agg))
 		plane.Add(rep)
-		plane.Add(placement.NewDaemon(sys.M, agg, placement.Topo(topo),
-			placement.DefaultCosts(),
+		plane.Add(placement.NewDaemon(sys.M, agg, topo,
+			autonomic.DefaultCosts(),
 			placement.DaemonParams{MinWeight: never, Yield: rep.Claimed},
 			placement.ManageKernel(sys.K)))
 		plane.Start(sys.M.Eng)

@@ -66,11 +66,6 @@ type ServerConfig struct {
 	// ChurnEvery makes every Nth admitted request fork/message/destroy a
 	// child process homed on the tenant's cluster (0 disables).
 	ChurnEvery int
-	// TenantIDs, when non-nil, relabels tenants: rank r reports as tenant
-	// TenantIDs[r]. The rank — not the label — drives page access, so
-	// permuting labels permutes per-tenant stats without changing the
-	// latency distribution (the metamorphic property the tests pin).
-	TenantIDs []int
 	// TenantDataWords, when nonzero, gives every tenant a per-tenant data
 	// region of that many words, homed on the tenant's cluster and
 	// registered as a migratable kernel slot (kernel.RegisterSlot) — the
@@ -103,10 +98,9 @@ type ServerConfig struct {
 	Attach func(sys *core.System)
 }
 
-// TenantStats is one tenant's measured-window summary.
+// TenantStats is one tenant's measured-window summary; ServerResult lists
+// them by Zipf rank, which is also the tenant's ID.
 type TenantStats struct {
-	// Label is the tenant's reported ID (TenantIDs[rank], or the rank).
-	Label int
 	// Weight is the tenant's Zipf probability mass.
 	Weight float64
 	// Admitted and Dropped count the tenant's measured-window arrivals.
@@ -152,9 +146,9 @@ func (r *ServerResult) Fingerprint() string {
 		r.Offered, r.Admitted, r.Dropped, r.Abandoned, r.Completed, r.Elapsed, r.GoodputRPS)
 	s += fmt.Sprintf("lat %s\n", r.Lat.Tail())
 	s += fmt.Sprintf("kstats %+v\n", r.KStats)
-	for _, t := range r.Tenants {
+	for rank, t := range r.Tenants {
 		s += fmt.Sprintf("tenant %d w=%.4f adm=%d drop=%d aband=%d %s\n",
-			t.Label, t.Weight, t.Admitted, t.Dropped, t.Abandoned, t.Lat.Tail())
+			rank, t.Weight, t.Admitted, t.Dropped, t.Abandoned, t.Lat.Tail())
 	}
 	return s
 }
@@ -241,11 +235,7 @@ func ServerRun(cfg ServerConfig) *ServerResult {
 	res := &ServerResult{Lat: &stats.Dist{}, Sys: sys}
 	res.Tenants = make([]TenantStats, cfg.Tenants)
 	for rank := range res.Tenants {
-		label := rank
-		if cfg.TenantIDs != nil {
-			label = cfg.TenantIDs[rank]
-		}
-		res.Tenants[rank] = TenantStats{Label: label, Weight: zipf.Weight(rank), Lat: &stats.Dist{}}
+		res.Tenants[rank] = TenantStats{Weight: zipf.Weight(rank), Lat: &stats.Dist{}}
 	}
 
 	// Tenant rank -> kernel objects, homed on the tenant's cluster so hot
@@ -399,7 +389,7 @@ func ServerRun(cfg ServerConfig) *ServerResult {
 				panic(err)
 			}
 		}
-		k.EndRequest(p, uint64(res.Tenants[req.rank].Label), req.at)
+		k.EndRequest(p, uint64(req.rank), req.at)
 		if measured(i) {
 			lat := (p.Now() - req.at).Microseconds()
 			res.Lat.Add(lat)

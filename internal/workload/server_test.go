@@ -3,6 +3,7 @@ package workload
 import (
 	"testing"
 
+	"hurricane/internal/autonomic"
 	"hurricane/internal/core"
 	"hurricane/internal/locks"
 	"hurricane/internal/machine"
@@ -110,11 +111,11 @@ func TestServerControllerInteraction(t *testing.T) {
 	cfg.Migratable = true
 	agg := trace.NewAggregate(16)
 	cfg.Tracer = agg
-	topo := placement.Topo{Stations: 4, ProcsPerStation: 4}
+	topo := autonomic.Topo{Stations: 4, ProcsPerStation: 4}
 	var daemon *placement.Daemon
 	cfg.Attach = func(sys *core.System) {
 		daemon = placement.NewDaemon(sys.M, agg, topo,
-			placement.CostsFromLatency(sys.M.Lat()), placement.DefaultDaemonParams(),
+			autonomic.CostsFromLatency(sys.M.Lat()), placement.DefaultDaemonParams(),
 			placement.ManageKernel(sys.K))
 		daemon.Start()
 	}
@@ -145,7 +146,7 @@ func TestServerControllerInteraction(t *testing.T) {
 			last = j
 		}
 	}
-	budget := daemon.Params().Budget
+	budget := placement.DefaultDaemonParams().Budget
 	perSlot := map[string]int{}
 	for _, mv := range daemon.Moves() {
 		perSlot[mv.Slot]++
