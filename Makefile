@@ -147,8 +147,11 @@ bench-baseline:
 
 # CPU/allocation profiles of the quick suite (serial, so one experiment's
 # profile is not polluted by another's goroutine): start here before any
-# perf PR.
+# perf PR. The second listing is per instruction: a function's flat time
+# does not say which of its instructions stalls (DESIGN.md, "How to
+# profile").
 profile:
 	$(GO) run ./cmd/hurricane-bench -quick -jobs 1 -json /tmp/hurricane_prof.json \
 		-cpuprofile cpu.pprof -memprofile mem.pprof > /dev/null
 	$(GO) tool pprof -top -nodecount 15 cpu.pprof
+	$(GO) tool pprof -top -addresses -nodecount 15 cpu.pprof

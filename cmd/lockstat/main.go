@@ -7,6 +7,7 @@
 //	lockstat -lock spin -procs 16 -hold 25 -stats    # per-lock + per-resource telemetry
 //	lockstat -tune -procs 16 -hold 25            # feedback-tuned lock + controller decisions
 //	lockstat -tune -machine numachine64 -procs 64    # tuning on the 64-proc NUMAchine
+//	lockstat -lock spin -machine numachine256 -procs 256 -rounds 10   # stress at 256 processors
 //	lockstat -lock h2mcs -procs 4 -rounds 20 -trace out.json   # chrome://tracing / Perfetto
 //
 // With -stats, warm-up rounds (default rounds/4) are excluded from every
@@ -77,6 +78,8 @@ var kinds = map[string]locks.Kind{
 	"cna":      locks.KindCNA,
 }
 
+// machineSpec is one -machine preset. clusterSize and serverGapUS
+// calibrate -run server; they are zero on the presets that only run stress.
 type machineSpec struct {
 	cfg         func(seed uint64) sim.Config
 	maxProcs    int
@@ -86,8 +89,10 @@ type machineSpec struct {
 }
 
 var machines = map[string]machineSpec{
-	"hector16":    {machine.Hector16, 16, autonomic.Topo{Stations: 4, ProcsPerStation: 4}, 4, 90},
-	"numachine64": {machine.NUMAchine64, 64, autonomic.Topo{Stations: 8, ProcsPerStation: 8}, 8, 180},
+	"hector16":      {machine.Hector16, 16, autonomic.Topo{Stations: 4, ProcsPerStation: 4}, 4, 90},
+	"numachine64":   {machine.NUMAchine64, 64, autonomic.Topo{Stations: 8, ProcsPerStation: 8}, 8, 180},
+	"numachine256":  {machine.NUMAchine256, 256, autonomic.Topo{Stations: 32, ProcsPerStation: 8}, 0, 0},
+	"numachine1024": {machine.NUMAchine1024, 1024, autonomic.Topo{Stations: 64, ProcsPerStation: 16}, 0, 0},
 }
 
 // maxHoldUS bounds -hold: one simulated second per critical section.
@@ -96,8 +101,12 @@ const maxHoldUS = 1e6
 // validate rejects flag values the run cannot honor, before any machine is
 // built, so a bad invocation fails with one line instead of a panic, a run
 // that never ends, or zeroed statistics.
-func validate(name string, mc machineSpec, procs, home int, holdUS float64, rounds, warmup, horizonMS int) error {
+func validate(name string, mc machineSpec, run string, procs, home int, holdUS float64, rounds, warmup, horizonMS int) error {
 	switch {
+	case run != "stress" && run != "server":
+		return fmt.Errorf("unknown -run %q; choose stress or server", run)
+	case run == "server" && mc.serverGapUS == 0:
+		return fmt.Errorf("-run server has no calibrated arrival gap or cluster size for %s; use hector16 or numachine64", name)
 	case procs < 1 || procs > mc.maxProcs:
 		return fmt.Errorf("-procs %d must be 1-%d (%s)", procs, mc.maxProcs, name)
 	case home < 0 || home >= mc.maxProcs:
@@ -117,7 +126,7 @@ func validate(name string, mc machineSpec, procs, home int, holdUS float64, roun
 func main() {
 	lock := flag.String("lock", "h2mcs", "mcs | h1mcs | h2mcs | spin | spin2ms | clh | adaptive | tuned | cohort | cna")
 	tuned := flag.Bool("tune", false, "shorthand for -lock tuned; prints the controller's decision log")
-	machineName := flag.String("machine", "hector16", "hector16 | numachine64")
+	machineName := flag.String("machine", "hector16", "hector16 | numachine64 | numachine256 | numachine1024 (the last two: stress only)")
 	procs := flag.Int("procs", 16, "contending processors")
 	holdUS := flag.Float64("hold", 25, "critical-section length in microseconds")
 	rounds := flag.Int("rounds", 300, "acquisitions per processor")
@@ -150,10 +159,10 @@ func main() {
 	}
 	mc, ok := machines[*machineName]
 	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown machine %q; choose hector16 or numachine64\n", *machineName)
+		fmt.Fprintf(os.Stderr, "unknown machine %q; choose hector16, numachine64, numachine256 or numachine1024\n", *machineName)
 		os.Exit(2)
 	}
-	if err := validate(*machineName, mc, *procs, *home, *holdUS, *rounds, *warmup, *horizonMS); err != nil {
+	if err := validate(*machineName, mc, *run, *procs, *home, *holdUS, *rounds, *warmup, *horizonMS); err != nil {
 		fmt.Fprintf(os.Stderr, "lockstat: %v\n", err)
 		os.Exit(2)
 	}
@@ -161,14 +170,9 @@ func main() {
 		*warmup = *rounds / 4
 	}
 
-	switch *run {
-	case "server":
+	if *run == "server" {
 		runServer(*machineName, mc, kind, *seed, *horizonMS, *migrate, *auto, *useModel)
 		return
-	case "stress":
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -run %q; choose stress or server\n", *run)
-		os.Exit(2)
 	}
 
 	us, counts := workload.UncontendedPair(*seed, kind)

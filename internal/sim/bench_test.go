@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // reportPerSimEvent converts a benchmark's wall time into nanoseconds of
 // host time per logical engine event (dispatched + elided), the simulator's
@@ -11,28 +14,44 @@ func reportPerSimEvent(b *testing.B, e *Engine) {
 	}
 }
 
-// BenchmarkEventDispatch measures the heap-only dispatch path: a chain of
-// closure events with nothing to coalesce, one queued at a time, so every
-// event is pushed onto and popped off the 4-ary heap and the timing wheel
-// never starts (see BenchmarkSpinStorm in internal/locks for the wheel).
+// BenchmarkEventDispatch measures the bare queue path: closure events with
+// nothing to coalesce, each rescheduling itself at a seeded distance below
+// wheelSpan, so every event is pushed and popped. The queue depth picks
+// the path: one event and 32 (below wheelGate) stay on the 4-ary heap,
+// 512 run on the timing wheel (see BenchmarkSpinStorm in internal/locks
+// for the wheel under a real lock).
 func BenchmarkEventDispatch(b *testing.B) {
-	e := NewEngine()
-	n := 0
-	var tick func()
-	tick = func() {
-		n++
-		if n < b.N {
-			e.After(1, tick)
-		}
+	for _, depth := range []int{1, 32, 512} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			e := NewEngine()
+			rng := NewRNG(1)
+			n, scheduled := 0, 0
+			var tick func()
+			schedule := func() {
+				scheduled++
+				e.After(1+rng.Duration(wheelSpan-1), tick)
+			}
+			tick = func() {
+				n++
+				if scheduled < b.N {
+					schedule()
+				}
+			}
+			for scheduled < min(depth, b.N) {
+				schedule()
+			}
+			b.ResetTimer()
+			e.RunAll()
+			b.StopTimer()
+			if n != b.N {
+				b.Fatalf("dispatched %d events, want %d", n, b.N)
+			}
+			if (e.wheel != nil) != (depth >= wheelGate && b.N >= wheelGate) {
+				b.Fatalf("depth %d: wheel started = %v", depth, e.wheel != nil)
+			}
+			reportPerSimEvent(b, e)
+		})
 	}
-	e.After(1, tick)
-	b.ResetTimer()
-	e.RunAll()
-	b.StopTimer()
-	if n != b.N {
-		b.Fatalf("dispatched %d events, want %d", n, b.N)
-	}
-	reportPerSimEvent(b, e)
 }
 
 // BenchmarkThink measures the coalescing fast path: one processor running

@@ -29,6 +29,11 @@ func (a *event) before(b *event) bool {
 	return a.seq < b.seq
 }
 
+// set stores an event's fields one by one (see Engine.push).
+func (ev *event) set(at Time, seq uint64, proc *Proc, fn func(), daemon bool) {
+	ev.at, ev.seq, ev.proc, ev.fn, ev.daemon = at, seq, proc, fn, daemon
+}
+
 // totalDispatched and totalElided accumulate event counts across every
 // engine in the process, so the parallel harness can report aggregate
 // events/sec. They are the only cross-engine shared state in the simulator
@@ -81,26 +86,34 @@ func (e *Engine) Now() Time { return e.now }
 // both dispatched heap events and elided fast-path clock advances.
 func (e *Engine) Processed() uint64 { return e.processed + e.elided }
 
-// push queues ev: in the wheel if there is one and ev is due within its
-// span, else in the 4-ary heap. A 4-ary heap trades slightly more
-// comparisons on pop for half the swap depth and better cache locality than
-// the binary container/heap, and inlining it removes the interface{} boxing
-// that made every push allocate.
-func (e *Engine) push(ev event) {
-	if w := e.wheel; w != nil && ev.at-e.now < wheelSpan {
-		w.push(ev)
+// push queues an event with the given fields: in the wheel if there is one
+// and it is due within the wheel's span, else in the 4-ary heap. A 4-ary
+// heap trades slightly more comparisons on pop for half the sift depth and
+// better cache locality than the binary container/heap, and inlining it
+// removes the interface{} boxing that made every push allocate.
+//
+// The fields travel as scalars and are stored once, at the event's final
+// slot, rather than as an event value: a 40-byte struct written field by
+// field and then reloaded as 16-byte words defeats the CPU's store-to-load
+// forwarding, which cost a stall on every push and every dispatch. Sift-up
+// moves a hole from the new leaf toward the root instead of swapping.
+func (e *Engine) push(at Time, seq uint64, proc *Proc, fn func(), daemon bool) {
+	if w := e.wheel; w != nil && at-e.now < wheelSpan {
+		w.push(at, seq, proc, fn, daemon)
 		return
 	}
-	e.events = append(e.events, ev)
+	e.events = append(e.events, event{})
 	i := len(e.events) - 1
 	for i > 0 {
 		parent := (i - 1) / 4
-		if !e.events[i].before(&e.events[parent]) {
+		p := &e.events[parent]
+		if at > p.at || at == p.at && seq > p.seq {
 			break
 		}
-		e.events[i], e.events[parent] = e.events[parent], e.events[i]
+		e.events[i] = *p
 		i = parent
 	}
+	e.events[i].set(at, seq, proc, fn, daemon)
 	if e.wheel == nil && len(e.events) >= wheelGate {
 		e.wheel = newWheel()
 	}
@@ -123,13 +136,21 @@ func (e *Engine) peek() (at Time, inWheel, ok bool) {
 	return e.events[0].at, false, true
 }
 
-// popHeap removes and returns the heap's minimum event.
-func (e *Engine) popHeap() event {
-	top := e.events[0]
+// popHeap removes the heap's minimum event and returns its fields. The
+// last element fills the hole the top leaves: sift-down moves the hole
+// toward the leaves while its least child precedes the last element, then
+// stores that element once, at the hole (see push).
+func (e *Engine) popHeap() (at Time, proc *Proc, fn func(), daemon bool) {
+	top := &e.events[0]
+	at, proc, fn, daemon = top.at, top.proc, top.fn, top.daemon
 	n := len(e.events) - 1
-	e.events[0] = e.events[n]
-	e.events[n] = event{} // drop fn/proc references
+	last := &e.events[n]
+	lat, lseq, lproc, lfn, ldaemon := last.at, last.seq, last.proc, last.fn, last.daemon
+	*last = event{} // drop fn/proc references
 	e.events = e.events[:n]
+	if n == 0 {
+		return
+	}
 	i := 0
 	for {
 		first := 4*i + 1
@@ -137,22 +158,24 @@ func (e *Engine) popHeap() event {
 			break
 		}
 		min := first
-		last := first + 4
-		if last > n {
-			last = n
+		end := first + 4
+		if end > n {
+			end = n
 		}
-		for c := first + 1; c < last; c++ {
+		for c := first + 1; c < end; c++ {
 			if e.events[c].before(&e.events[min]) {
 				min = c
 			}
 		}
-		if !e.events[min].before(&e.events[i]) {
+		m := &e.events[min]
+		if lat < m.at || lat == m.at && lseq < m.seq {
 			break
 		}
-		e.events[i], e.events[min] = e.events[min], e.events[i]
+		e.events[i] = *m
 		i = min
 	}
-	return top
+	e.events[i].set(lat, lseq, lproc, lfn, ldaemon)
+	return
 }
 
 // At schedules fn to run at time t. Scheduling in the past panics: it would
@@ -163,7 +186,7 @@ func (e *Engine) At(t Time, fn func()) {
 	}
 	e.seq++
 	e.live++
-	e.push(event{at: t, seq: e.seq, fn: fn})
+	e.push(t, e.seq, nil, fn, false)
 }
 
 // atProc schedules a wake-up of p at time t: the closure-free equivalent of
@@ -174,7 +197,7 @@ func (e *Engine) atProc(t Time, p *Proc) {
 	}
 	e.seq++
 	e.live++
-	e.push(event{at: t, seq: e.seq, proc: p})
+	e.push(t, e.seq, p, nil, false)
 }
 
 // sleepOrElide advances the clock to t on behalf of a sleeping processor.
@@ -223,7 +246,7 @@ func (e *Engine) AtDaemon(t Time, fn func()) {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	e.seq++
-	e.push(event{at: t, seq: e.seq, fn: fn, daemon: true})
+	e.push(t, e.seq, nil, fn, true)
 }
 
 // Every runs fn as a daemon every period cycles, first at now+period, until
@@ -317,21 +340,24 @@ func (e *Engine) runCoordinator(until Time) {
 // dispatch pops the earliest queued event, from the wheel when peek found
 // it there, advances the clock to its time and runs it.
 func (e *Engine) dispatch(inWheel bool) {
-	var ev event
+	var at Time
+	var proc *Proc
+	var fn func()
+	var daemon bool
 	if inWheel {
-		ev = e.wheel.pop()
+		at, proc, fn, daemon = e.wheel.pop()
 	} else {
-		ev = e.popHeap()
+		at, proc, fn, daemon = e.popHeap()
 	}
-	e.now = ev.at
+	e.now = at
 	e.processed++
-	if !ev.daemon {
+	if !daemon {
 		e.live--
 	}
-	if ev.proc != nil {
-		ev.proc.wakeEvent()
+	if proc != nil {
+		proc.wakeEvent()
 	} else {
-		ev.fn()
+		fn()
 	}
 }
 

@@ -57,17 +57,21 @@ func newWheel() *wheel {
 // headEv is the wheel's earliest event. n must be positive.
 func (w *wheel) headEv() *event { return &w.nodes[w.buckets[w.first].head].ev }
 
-// push appends ev to its bucket. ev must be due within wheelSpan of now.
-func (w *wheel) push(ev event) {
+// push appends an event with the given fields to its bucket, storing them
+// into the node directly (see Engine.push). It must be due within
+// wheelSpan of now.
+func (w *wheel) push(at Time, seq uint64, proc *Proc, fn func(), daemon bool) {
 	ni := w.free
 	if ni != 0 {
 		w.free = w.nodes[ni].next
-		w.nodes[ni] = wheelNode{ev: ev}
 	} else {
 		ni = int32(len(w.nodes))
-		w.nodes = append(w.nodes, wheelNode{ev: ev})
+		w.nodes = append(w.nodes, wheelNode{})
 	}
-	b := int(ev.at & wheelMask)
+	nd := &w.nodes[ni]
+	nd.ev.set(at, seq, proc, fn, daemon)
+	nd.next = 0
+	b := int(at & wheelMask)
 	bk := &w.buckets[b]
 	if bk.head == 0 {
 		bk.head = ni
@@ -77,21 +81,23 @@ func (w *wheel) push(ev event) {
 		w.nodes[bk.tail].next = ni
 	}
 	bk.tail = ni
-	if w.n == 0 || ev.at < w.firstAt {
-		w.first, w.firstAt = b, ev.at
+	if w.n == 0 || at < w.firstAt {
+		w.first, w.firstAt = b, at
 	}
 	w.n++
 }
 
-// pop removes and returns the earliest event. n must be positive.
-func (w *wheel) pop() event {
+// pop removes the earliest event and returns its fields. n must be
+// positive.
+func (w *wheel) pop() (at Time, proc *Proc, fn func(), daemon bool) {
 	b := w.first
 	bk := &w.buckets[b]
 	ni := bk.head
 	nd := &w.nodes[ni]
-	ev := nd.ev
+	at, proc, fn, daemon = nd.ev.at, nd.ev.proc, nd.ev.fn, nd.ev.daemon
 	bk.head = nd.next
-	*nd = wheelNode{next: w.free} // drop fn/proc references
+	nd.ev.proc, nd.ev.fn = nil, nil // drop references
+	nd.next = w.free
 	w.free = ni
 	w.n--
 	if bk.head == 0 {
@@ -100,10 +106,10 @@ func (w *wheel) pop() event {
 		}
 		if w.n > 0 {
 			w.first = w.scan(b)
-			w.firstAt = ev.at + Time((w.first-b)&wheelMask)
+			w.firstAt = at + Time((w.first-b)&wheelMask)
 		}
 	}
-	return ev
+	return
 }
 
 // scan finds the first non-empty bucket at or after b, wrapping around:
