@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race bench bench-smoke fuzz-smoke results bench-diff bench-baseline jobs-equiv par-equiv trace-smoke server-smoke autonomic-smoke model-smoke doc-lint profile
+.PHONY: ci vet build test race bench bench-smoke fuzz-smoke results bench-sim bench-diff bench-baseline wall-baseline jobs-equiv par-equiv trace-smoke server-smoke autonomic-smoke model-smoke doc-lint profile
 
 ci: vet build test race bench-smoke fuzz-smoke bench-diff jobs-equiv par-equiv trace-smoke server-smoke autonomic-smoke model-smoke doc-lint
 
@@ -49,21 +49,32 @@ fuzz-smoke:
 results:
 	$(GO) run ./cmd/hurricane-bench | tee results_full.txt
 
-# Regression gate: regenerate the quick summary and compare it against the
-# checked-in baseline; fails on >5% regression in any us-unit figure
-# metric. The simulation is deterministic, so an unchanged tree diffs
-# exactly.
-bench-diff:
+# The quick summary, BENCH_sim.json: one run per make invocation, which
+# bench-diff and the smoke targets below all read.
+bench-sim:
 	$(GO) run ./cmd/hurricane-bench -quick -json BENCH_sim.json > /dev/null
+
+# Regression gate: compare the quick summary against the checked-in
+# baseline; fails on >5% regression in any us-unit figure metric. The
+# simulation is deterministic, so an unchanged tree diffs exactly.
+bench-diff: bench-sim
 	$(GO) run ./cmd/bench-diff
 
 # Determinism gate for the worker pool: the quick summary must be
-# byte-identical when cells run serially and on an 8-way pool.
+# byte-identical when cells run serially and on an 8-way pool. The serial
+# run also records each experiment's engine event counts, which must equal
+# BENCH_wall.baseline.json: a change that moves one does more (or less)
+# simulated work, and must regenerate the baseline (make wall-baseline)
+# with the reason in CHANGES.md.
 jobs-equiv:
-	$(GO) run ./cmd/hurricane-bench -quick -jobs 1 -json /tmp/hurricane_jobs1.json > /dev/null
+	$(GO) run ./cmd/hurricane-bench -quick -jobs 1 -json /tmp/hurricane_jobs1.json -walljson /tmp/hurricane_wall.json > /dev/null
 	$(GO) run ./cmd/hurricane-bench -quick -jobs 8 -json /tmp/hurricane_jobs8.json > /dev/null
 	cmp /tmp/hurricane_jobs1.json /tmp/hurricane_jobs8.json
 	@echo "jobs-equiv: -jobs 1 and -jobs 8 summaries are byte-identical"
+	@cmp BENCH_wall.baseline.json /tmp/hurricane_wall.json || { \
+		echo "jobs-equiv: engine event counts differ from BENCH_wall.baseline.json;" \
+			"if intended, run make wall-baseline and give the reason in CHANGES.md" >&2; exit 1; }
+	@echo "jobs-equiv: per-experiment engine event counts equal BENCH_wall.baseline.json"
 
 # Determinism gate for the parallel discrete-event engine: the parstress
 # sweep must be byte-identical with 1 logical-process worker (the inline
@@ -92,24 +103,22 @@ trace-smoke:
 # server run must report a populated sojourn tail and per-tenant skew,
 # and the quick server sweep must publish p999 + rank-divergence metrics
 # on both machines.
-server-smoke:
+server-smoke: bench-sim
 	$(GO) run ./cmd/lockstat -run server -tune -ms 6 > /tmp/hurricane_server.txt
 	grep -Eq "sojourn \(us\): n=[1-9][0-9]* mean=[0-9.]+ p50=[0-9.]+ p95=[0-9.]+ p99=[0-9.]+ p999=[0-9.]+" /tmp/hurricane_server.txt
 	grep -q "per-tenant" /tmp/hurricane_server.txt
 	grep -q "kernel lock controller" /tmp/hurricane_server.txt
-	$(GO) run ./cmd/hurricane-bench -quick -run '^server$$' -json /tmp/hurricane_server.json > /dev/null
-	grep -q '"hector16.CNA.p999"' /tmp/hurricane_server.json
-	grep -q '"numachine64.Tuned.p999"' /tmp/hurricane_server.json
-	grep -q '"hector16.rank_divergence"' /tmp/hurricane_server.json
+	grep -q '"hector16.CNA.p999"' BENCH_sim.json
+	grep -q '"numachine64.Tuned.p999"' BENCH_sim.json
+	grep -q '"hector16.rank_divergence"' BENCH_sim.json
 	@echo "server-smoke: open-loop server harness reports tail latency on both machines"
 
 # End-to-end check of the kernel autonomics plane: the combined
 # tune+migrate+replicate run must beat every single policy on the mixed
 # tenant workload (the tentpole acceptance metric), and both interactive
 # harnesses must run the full plane under one cadence.
-autonomic-smoke:
-	$(GO) run ./cmd/hurricane-bench -quick -run '^autonomic$$' -json /tmp/hurricane_autonomic.json > /dev/null
-	grep -A 1 '"hector16.combined_wins"' /tmp/hurricane_autonomic.json | grep -q '"value": 3'
+autonomic-smoke: bench-sim
+	grep -A 1 '"hector16.combined_wins"' BENCH_sim.json | grep -q '"value": 3'
 	$(GO) run ./cmd/clustersim -size 16 -procs 4 -rounds 8 -autonomic > /tmp/hurricane_autosim.txt
 	grep -q "autonomics plane" /tmp/hurricane_autosim.txt
 	grep -Eq "replication policy: [0-9]+ windows, [1-9]" /tmp/hurricane_autosim.txt
@@ -123,13 +132,12 @@ autonomic-smoke:
 # the head-to-head tuner metrics. (The quick head-to-head is too short
 # for the model tuner's confirmation gates to act — its elapsed ratio is
 # informational here; EXPERIMENTS.md quotes the full-scale run.)
-model-smoke:
-	$(GO) run ./cmd/hurricane-bench -quick -run '^model$$' -json /tmp/hurricane_model.json > /dev/null
-	grep -A 1 '"hector16.rank_agreement"' /tmp/hurricane_model.json | grep -q '"value": 100'
-	grep -A 1 '"numachine64.rank_agreement"' /tmp/hurricane_model.json | grep -q '"value": 100'
-	grep -A 1 '"numachine256.rank_agreement"' /tmp/hurricane_model.json | grep -q '"value": 100'
-	grep -q '"hector16.model_regret_us"' /tmp/hurricane_model.json
-	grep -q '"numachine64.model_vs_reactive_elapsed"' /tmp/hurricane_model.json
+model-smoke: bench-sim
+	grep -A 1 '"hector16.rank_agreement"' BENCH_sim.json | grep -q '"value": 100'
+	grep -A 1 '"numachine64.rank_agreement"' BENCH_sim.json | grep -q '"value": 100'
+	grep -A 1 '"numachine256.rank_agreement"' BENCH_sim.json | grep -q '"value": 100'
+	grep -q '"hector16.model_regret_us"' BENCH_sim.json
+	grep -q '"numachine64.model_vs_reactive_elapsed"' BENCH_sim.json
 	@echo "model-smoke: calibrated model ranks the lock zoo correctly on all machines"
 
 # Documentation gate: every exported identifier in the model, autonomic,
@@ -145,13 +153,19 @@ doc-lint:
 bench-baseline:
 	$(GO) run ./cmd/hurricane-bench -quick -json BENCH_sim.baseline.json > /dev/null
 
+# Refresh the per-experiment engine event counts that jobs-equiv checks,
+# after a change that intentionally does more or less simulated work
+# (give the reason in CHANGES.md).
+wall-baseline:
+	$(GO) run ./cmd/hurricane-bench -quick -jobs 1 -json "" -walljson BENCH_wall.baseline.json > /dev/null
+
 # CPU/allocation profiles of the quick suite (serial, so one experiment's
 # profile is not polluted by another's goroutine): start here before any
 # perf PR. The second listing is per instruction: a function's flat time
 # does not say which of its instructions stalls (DESIGN.md, "How to
 # profile").
 profile:
-	$(GO) run ./cmd/hurricane-bench -quick -jobs 1 -json /tmp/hurricane_prof.json \
+	$(GO) run ./cmd/hurricane-bench -quick -jobs 1 -json /tmp/hurricane_prof.json -walljson "" \
 		-cpuprofile cpu.pprof -memprofile mem.pprof > /dev/null
 	$(GO) tool pprof -top -nodecount 15 cpu.pprof
 	$(GO) tool pprof -top -addresses -nodecount 15 cpu.pprof

@@ -16,6 +16,10 @@
 //	hurricane-bench -json out.json  # summary path ("" disables)
 //	hurricane-bench -jobs 1         # serial (default: GOMAXPROCS workers)
 //	hurricane-bench -cpuprofile cpu.pprof -memprofile mem.pprof
+//
+// At -jobs 1 experiments run one at a time, so each one's engine event
+// counts are exact; they go to BENCH_wall.json (-walljson), which
+// `make jobs-equiv` compares with the checked-in BENCH_wall.baseline.json.
 package main
 
 import (
@@ -50,7 +54,8 @@ func main() {
 	quick := flag.Bool("quick", false, "reduced round counts")
 	jsonPath := flag.String("json", "BENCH_sim.json", "machine-readable summary path (empty to disable)")
 	jobs := flag.Int("jobs", runtime.GOMAXPROCS(0), "worker pool size for experiments and their cells (1 = serial)")
-	parworkers := flag.Int("parworkers", 8, "logical-process worker count inside parallel-engine experiments (deterministic: any value yields the same summary)")
+	parworkers := flag.Int("parworkers", 1, "logical-process worker count inside parallel-engine experiments (deterministic: any value yields the same summary; more than one is slower on a 2-CPU host)")
+	wallPath := flag.String("walljson", "BENCH_wall.json", "at -jobs 1, write each experiment's dispatched and elided engine events here (empty to disable)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this path")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this path")
 	flag.Parse()
@@ -155,11 +160,16 @@ func main() {
 	// declaration order.
 	tables := make([]*exp.Table, len(selected))
 	durations := make([]time.Duration, len(selected))
+	counts := make([]eventCounts, len(selected))
 	start := time.Now()
 	exp.RunParallel(len(selected), func(i int) {
 		t0 := time.Now()
+		d0, e0 := sim.TotalEvents()
 		tables[i] = selected[i].run()
+		d1, e1 := sim.TotalEvents()
 		durations[i] = time.Since(t0)
+		// Exact only when no other experiment ran meanwhile (-jobs 1).
+		counts[i] = eventCounts{Name: selected[i].name, Dispatched: d1 - d0, Elided: e1 - e0}
 		fmt.Fprintf(os.Stderr, "[%s done in %v]\n", selected[i].name, durations[i].Round(time.Millisecond))
 	})
 	total := time.Since(start)
@@ -187,6 +197,11 @@ func main() {
 		writeJSON(*jsonPath, report)
 		fmt.Printf("wrote %s (%d experiments, %d metrics)\n", *jsonPath, len(selected), countMetrics(report))
 	}
+	if *wallPath != "" && *jobs == 1 {
+		writeJSON(*wallPath, wallReport{Seed: *seed, Quick: *quick, Experiments: counts,
+			Dispatched: dispatched, Elided: elided})
+		fmt.Printf("wrote %s (%d engine events)\n", *wallPath, events)
+	}
 	if *memprofile != "" {
 		f, err := os.Create(*memprofile)
 		if err != nil {
@@ -200,6 +215,25 @@ func main() {
 		}
 		f.Close()
 	}
+}
+
+// eventCounts is one experiment's engine activity: heap events dispatched
+// and clock advances elided, as sim.TotalEvents counts them.
+type eventCounts struct {
+	Name       string `json:"name"`
+	Dispatched uint64 `json:"dispatched"`
+	Elided     uint64 `json:"elided"`
+}
+
+// wallReport is BENCH_wall.json. The simulation is deterministic, so the
+// counts are too: a change that moves one did more, or less, simulated
+// work.
+type wallReport struct {
+	Seed        uint64        `json:"seed"`
+	Quick       bool          `json:"quick"`
+	Experiments []eventCounts `json:"experiments"`
+	Dispatched  uint64        `json:"dispatched"`
+	Elided      uint64        `json:"elided"`
 }
 
 func writeJSON(path string, v interface{}) {

@@ -248,8 +248,8 @@ func main() {
 					[]autonomic.ReplicaSlot{{
 						Name:   "lock data",
 						Region: region,
-						Reads:  func() []uint64 { return agg.RegionReads[region] },
-						Writes: func() []uint64 { return agg.RegionWrites[region] },
+						Reads:  func() []uint64 { return agg.RegionReads.Of(region) },
+						Writes: func() []uint64 { return agg.RegionWrites.Of(region) },
 						Replicate: func(p *sim.Proc, to int) {
 							r.M.Mem.ReplicateRegion(p, region, to)
 						},

@@ -2,6 +2,7 @@ package autonomic
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"hurricane/internal/sim"
@@ -238,4 +239,105 @@ func TestPlaneStartTwicePanics(t *testing.T) {
 		}
 	}()
 	pl.Start(m.Eng)
+}
+
+// Weights tabulates Costs.Of(Topo.Dist) for every module pair, and prices
+// a pair outside the topology directly.
+func TestWeightsMatchCosts(t *testing.T) {
+	topo := Topo{Stations: 4, ProcsPerStation: 4}
+	c := Costs{Local: 10, Station: 19, Ring: 23}
+	w := NewWeights(topo, c)
+	for src := -1; src <= topo.Modules()+1; src++ {
+		for dst := -1; dst <= topo.Modules()+1; dst++ {
+			if got, want := w.Of(src, dst), c.Of(topo.Dist(src, dst)); got != want {
+				t.Errorf("Of(%d, %d) = %g, want %g", src, dst, got, want)
+			}
+		}
+	}
+	for src := 0; src < topo.Modules(); src++ {
+		row := w.Row(src)
+		if len(row) != topo.Modules() {
+			t.Fatalf("Row(%d) has %d weights, want %d", src, len(row), topo.Modules())
+		}
+		for dst, v := range row {
+			if v != w.Of(src, dst) {
+				t.Errorf("Row(%d)[%d] = %g, Of = %g", src, dst, v, w.Of(src, dst))
+			}
+		}
+	}
+}
+
+// refBestReplica is bestReplica as first written, re-deriving every
+// weight, and each reader's serving copy once per candidate: the
+// reference the tabulated version must match bit for bit.
+func refBestReplica(r *Replicator, s *replicaSlotState, home int, replicas []int, sumW float64) (int, float64) {
+	n := r.topo.Modules()
+	serving := func(src int) float64 {
+		c := r.costs.Of(r.topo.Dist(src, home))
+		for _, m := range replicas {
+			if v := r.costs.Of(r.topo.Dist(src, m)); v < c {
+				c = v
+			}
+		}
+		return c
+	}
+	best, bestBenefit := -1, 0.0
+	for cand := 0; cand < n; cand++ {
+		if cand == home || slices.Contains(replicas, cand) {
+			continue
+		}
+		var saving float64
+		for src := 0; src < n; src++ {
+			if s.smoothR[src] == 0 {
+				continue
+			}
+			cur := serving(src)
+			if c := r.costs.Of(r.topo.Dist(src, cand)); c < cur {
+				saving += s.smoothR[src] * (cur - c)
+			}
+		}
+		benefit := saving - sumW*r.costs.Of(r.topo.Dist(home, cand))
+		if benefit > bestBenefit {
+			best, bestBenefit = cand, benefit
+		}
+	}
+	return best, bestBenefit
+}
+
+// bestReplica prices each candidate once from the weight table, with the
+// same float operations in the same order as the reference.
+func TestBestReplicaMatchesReference(t *testing.T) {
+	topo := Topo{Stations: 4, ProcsPerStation: 4}
+	m := sim.NewMachine(sim.Config{Seed: 1})
+	r := NewReplicator(m, topo, CostsFromLatency(m.Lat()), ReplicatorParams{}, nil)
+	s := &replicaSlotState{smoothR: make([]float64, topo.Modules())}
+	rng := sim.NewRNG(0xbe57)
+	found := 0
+	for n := 0; n < 500; n++ {
+		for i := range s.smoothR {
+			s.smoothR[i] = 0
+			if rng.Intn(3) > 0 {
+				s.smoothR[i] = 40 * rng.Float64()
+			}
+		}
+		home := rng.Intn(topo.Modules())
+		var replicas []int
+		for mod := 0; mod < topo.Modules(); mod++ {
+			if mod != home && rng.Intn(6) == 0 {
+				replicas = append(replicas, mod)
+			}
+		}
+		sumW := 4 * rng.Float64()
+		gotCand, gotBenefit := r.bestReplica(s, home, replicas, sumW)
+		wantCand, wantBenefit := refBestReplica(r, s, home, replicas, sumW)
+		if gotCand != wantCand || gotBenefit != wantBenefit {
+			t.Fatalf("case %d: bestReplica = (%d, %v), reference (%d, %v)", n, gotCand, gotBenefit, wantCand, wantBenefit)
+		}
+		if gotCand >= 0 {
+			found++
+		}
+	}
+	if found == 0 {
+		t.Fatal("no case found a worthwhile replica")
+	}
 }

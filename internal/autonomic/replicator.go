@@ -114,17 +114,24 @@ const collapseCand = -2
 // replicate vs migrate vs pin is decided by the write fraction alone and
 // the two policies can never fight over one slot.
 type Replicator struct {
-	m     *sim.Machine
-	topo  Topo
-	costs Costs
-	p     ReplicatorParams
+	m       *sim.Machine
+	topo    Topo
+	costs   Costs
+	weights Weights
+	p       ReplicatorParams
 	// maxReplicas caps the extra copies per slot beyond the primary: one
 	// per other station, at least one — one copy per station is where the
 	// read saving saturates.
 	maxReplicas int
 	slots       []*replicaSlotState
-	actions     []ReplicaAction
-	ticks       uint64
+	// byRegion indexes the slots by region id (nil where none), so Claimed
+	// finds a slot without a search.
+	byRegion []*replicaSlotState
+	// serving is bestReplica's per-source buffer: the weight of each
+	// reader's current nearest copy.
+	serving []float64
+	actions []ReplicaAction
+	ticks   uint64
 }
 
 type replicaSlotState struct {
@@ -141,11 +148,11 @@ type replicaSlotState struct {
 // NewReplicator builds the policy over machine m managing the given
 // slots. Register it on a Plane to run it.
 func NewReplicator(m *sim.Machine, topo Topo, costs Costs, params ReplicatorParams, slots []ReplicaSlot) *Replicator {
-	r := &Replicator{m: m, topo: topo, costs: costs, p: params.withDefaults(),
-		maxReplicas: max(1, topo.Stations-1)}
+	r := &Replicator{m: m, topo: topo, costs: costs, weights: NewWeights(topo, costs), p: params.withDefaults(),
+		maxReplicas: max(1, topo.Stations-1), serving: make([]float64, topo.Modules())}
 	n := topo.Modules()
 	for _, s := range slots {
-		r.slots = append(r.slots, &replicaSlotState{
+		st := &replicaSlotState{
 			ReplicaSlot: s,
 			snapR:       make([]uint64, n),
 			snapW:       make([]uint64, n),
@@ -154,7 +161,17 @@ func NewReplicator(m *sim.Machine, topo Topo, costs Costs, params ReplicatorPara
 			gate:        Gate{Budget: replicaBudget, Cooldown: replicaCooldown},
 			streak:      NewStreak(r.p.Confirm),
 			pending:     -1,
-		})
+		}
+		r.slots = append(r.slots, st)
+		if s.Region < 0 {
+			continue
+		}
+		if s.Region >= len(r.byRegion) {
+			r.byRegion = append(r.byRegion, make([]*replicaSlotState, s.Region+1-len(r.byRegion))...)
+		}
+		if r.byRegion[s.Region] == nil {
+			r.byRegion[s.Region] = st // the first slot of a region answers Claimed
+		}
 	}
 	return r
 }
@@ -169,22 +186,20 @@ func (r *Replicator) Actions() []ReplicaAction { return r.actions }
 // write-hot — holds even before the first replica is installed, instead of
 // the daemon racing the replicator to move a slot it is about to copy.
 func (r *Replicator) Claimed(region int) bool {
-	for _, s := range r.slots {
-		if s.Region != region {
-			continue
-		}
-		if len(r.m.Mem.Replicas(region)) > 0 {
-			return true
-		}
-		var sumR, sumW float64
-		for i := range s.smoothR {
-			sumR += s.smoothR[i]
-			sumW += s.smoothW[i]
-		}
-		weight := sumR + sumW
-		return weight >= r.p.MinWeight && sumW < replicaWriteHigh*weight
+	if region < 0 || region >= len(r.byRegion) || r.byRegion[region] == nil {
+		return false
 	}
-	return false
+	s := r.byRegion[region]
+	if len(r.m.Mem.Replicas(region)) > 0 {
+		return true
+	}
+	var sumR, sumW float64
+	for i := range s.smoothR {
+		sumR += s.smoothR[i]
+		sumW += s.smoothW[i]
+	}
+	weight := sumR + sumW
+	return weight >= r.p.MinWeight && sumW < replicaWriteHigh*weight
 }
 
 // Name implements Policy.
@@ -295,17 +310,20 @@ func (r *Replicator) Tick(now sim.Time) {
 // net per-window benefit: each reader's traffic rerouted from its current
 // nearest copy to the candidate when closer, minus the write-update
 // penalty of one more copy. Returns (-1, 0) when no candidate nets out
-// positive.
+// positive. Each reader's current weight is found once per call, and
+// each candidate priced once.
 func (r *Replicator) bestReplica(s *replicaSlotState, home int, replicas []int, sumW float64) (int, float64) {
 	n := r.topo.Modules()
-	serving := func(src int) float64 {
-		c := r.costs.Of(r.topo.Dist(src, home))
+	w := r.weights
+	serving := r.serving
+	for src := range serving {
+		c := w.Of(src, home)
 		for _, m := range replicas {
-			if v := r.costs.Of(r.topo.Dist(src, m)); v < c {
+			if v := w.Of(src, m); v < c {
 				c = v
 			}
 		}
-		return c
+		serving[src] = c
 	}
 	best, bestBenefit := -1, 0.0
 	for cand := 0; cand < n; cand++ {
@@ -326,13 +344,13 @@ func (r *Replicator) bestReplica(s *replicaSlotState, home int, replicas []int, 
 			if s.smoothR[src] == 0 {
 				continue
 			}
-			cur := serving(src)
-			if c := r.costs.Of(r.topo.Dist(src, cand)); c < cur {
+			cur := serving[src]
+			if c := w.Of(src, cand); c < cur {
 				saving += s.smoothR[src] * (cur - c)
 			}
 		}
 		// Every write to the region now also updates the new copy.
-		benefit := saving - sumW*r.costs.Of(r.topo.Dist(home, cand))
+		benefit := saving - sumW*w.Of(home, cand)
 		if benefit > bestBenefit {
 			best, bestBenefit = cand, benefit
 		}

@@ -42,8 +42,8 @@ func regionSlot(m *sim.Machine, agg *trace.Aggregate, region int, name string) a
 	return autonomic.ReplicaSlot{
 		Name:      name,
 		Region:    region,
-		Reads:     func() []uint64 { return agg.RegionReads[region] },
-		Writes:    func() []uint64 { return agg.RegionWrites[region] },
+		Reads:     func() []uint64 { return agg.RegionReads.Of(region) },
+		Writes:    func() []uint64 { return agg.RegionWrites.Of(region) },
 		Replicate: func(p *sim.Proc, to int) { m.Mem.ReplicateRegion(p, region, to) },
 		Collapse:  func(p *sim.Proc) { m.Mem.CollapseRegion(region) },
 	}

@@ -217,15 +217,12 @@ func (v *VM) pt(pid uint64, proc int) sim.Addr {
 func (v *VM) work(p *sim.Proc, cycles sim.Duration) {
 	c := v.k.Topo.ClusterOf(p.ID())
 	sc := v.scratch[c]
-	i := p.ID()
-	for cycles >= 100 {
-		a := sc[i%len(sc)] + sim.Addr(i%4)
-		p.Load(a)
-		p.Think(80)
-		cycles -= 100
-		i++
-	}
-	p.Think(cycles)
+	id := p.ID()
+	p.Sweep(int(cycles/100), func(j int) sim.Addr {
+		i := id + j
+		return sc[i%len(sc)] + sim.Addr(i%4)
+	}, false, 0, 80)
+	p.Think(cycles % 100)
 }
 
 // ensureAS lazily creates the caller's cluster's address-space and HAT

@@ -17,11 +17,12 @@ package sim
 //		delay = min(2*delay, maxDelay)
 //	}
 //
-// but on the serial engine a failed poll costs only queue work: between
-// wake-ups the loop runs in engine context, and the processor's coroutine
-// is resumed only when the swap succeeds or an interrupt is deliverable at
-// an instruction boundary. The handler then runs on the coroutine, as
-// always, and may itself call BackoffSwap: each call keeps its own state.
+// but on the serial engine a failed poll costs only queue work: the loop
+// is an engineLoop (engineloop.go), so between wake-ups it runs in engine
+// context, and the processor's coroutine is resumed only when the swap
+// succeeds or an interrupt is deliverable at an instruction boundary. The
+// handler then runs on the coroutine, as always, and may itself call
+// BackoffSwap: each call keeps its own state.
 func (p *Proc) BackoffSwap(a Addr, initial, maxDelay Duration) {
 	if p.mach.par != nil {
 		// On the LP engine a cross-station swap parks the coroutine until
@@ -38,18 +39,9 @@ func (p *Proc) BackoffSwap(a Addr, initial, maxDelay Duration) {
 			delay = min(2*delay, maxDelay)
 		}
 	}
-	b := &backoffPoll{p: p, a: a, delay: initial, maxDelay: maxDelay}
+	b := &backoffPoll{a: a, delay: initial, maxDelay: maxDelay}
 	b.wake = b.resume
-	for {
-		if !b.run() {
-			p.block() // b.resume hands the coroutine back
-		}
-		if !b.boundary {
-			return // acquired
-		}
-		b.boundary = false
-		p.checkIRQ()
-	}
+	b.drive(p, b)
 }
 
 // pollStep is the next instruction of a BackoffSwap loop.
@@ -62,36 +54,19 @@ const (
 	stepTest                    // stop if the swap fetched 0, else double the delay
 )
 
-// backoffPoll is the state of one BackoffSwap call. It belongs to the call,
-// not to the processor: an interrupt handler delivered mid-loop may start a
-// loop of its own, which must not disturb this one.
+// backoffPoll is the state of one BackoffSwap call.
 type backoffPoll struct {
-	p               *Proc
+	engineLoop
 	a               Addr
 	delay, maxDelay Duration
 	next            pollStep
 	old             uint64 // the value the last swap fetched
-	// boundary is set when an instruction has just completed, and the
-	// interrupt check that Proc's instructions make there is still owed.
-	boundary bool
-	wake     func() // resume, bound once per call
 }
 
-// run executes the loop from b.next. It returns false when it scheduled a
-// wake event (b.wake) and the engine must dispatch other events first, and
-// true when the coroutine must take over: either the swap won (boundary is
-// clear) or an interrupt is deliverable at the boundary reached (boundary
-// is set). It runs on the coroutine until the loop first waits, and in
-// engine context after that.
+// run executes the poll loop's steps (see stepper).
 func (b *backoffPoll) run() bool {
 	p := b.p
-	for {
-		if b.boundary {
-			if p.irqDeliverable() {
-				return true
-			}
-			b.boundary = false
-		}
+	for !b.interrupted() {
 		switch b.next {
 		case stepBackoff:
 			b.next = stepSwap
@@ -115,28 +90,16 @@ func (b *backoffPoll) run() bool {
 			}
 		case stepTest:
 			if b.old == 0 {
-				return true
+				return true // acquired
 			}
 			b.next = stepBackoff
 			b.delay = min(2*b.delay, b.maxDelay)
 		}
 	}
+	return true
 }
 
-// sleep advances the processor to t as Proc.sleepUntil does, eliding the
-// wake-up when nothing else can run first, and marks the instruction
-// boundary. It reports false when it scheduled the wake event instead.
-func (b *backoffPoll) sleep(t Time) bool {
-	b.boundary = true
-	if b.p.eng.elide(t) {
-		return true
-	}
-	b.p.eng.At(t, b.wake)
-	return false
-}
-
-// resume is the wake event of a loop waiting in engine context: it carries
-// on polling, and hands the coroutine back only when run asks for it.
+// resume is the poll loop's wake event (see stepper).
 func (b *backoffPoll) resume() {
 	if b.run() {
 		b.p.wakeEvent()

@@ -17,11 +17,12 @@ func reportPerSimEvent(b *testing.B, e *Engine) {
 // BenchmarkEventDispatch measures the bare queue path: closure events with
 // nothing to coalesce, each rescheduling itself at a seeded distance below
 // wheelSpan, so every event is pushed and popped. The queue depth picks
-// the path: one event and 32 (below wheelGate) stay on the 4-ary heap,
-// 512 run on the timing wheel (see BenchmarkSpinStorm in internal/locks
-// for the wheel under a real lock).
+// the path: one event and 8 (below wheelGate, an LP engine's depth) stay
+// on the 4-ary heap; 32 (a 16-processor server's depth) and 512 run on the
+// timing wheel (see BenchmarkSpinStorm in internal/locks for the wheel
+// under a real lock).
 func BenchmarkEventDispatch(b *testing.B) {
-	for _, depth := range []int{1, 32, 512} {
+	for _, depth := range []int{1, 8, 32, 512} {
 		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
 			e := NewEngine()
 			rng := NewRNG(1)

@@ -109,14 +109,15 @@ type Memory struct {
 	// words never move, only the traffic does.
 	data  [][]uint64
 	homes []int
-	// replicas maps a region id to the extra physical modules holding a
-	// copy (sorted; the primary stays homes[region]). Nil until the first
-	// ReplicateRegion, so unreplicated runs pay no lookup. A replicated
-	// region serves loads from the requester's nearest copy and charges
-	// every write an update per replica — the classic read-mostly
-	// replication trade (see cluster/replicated.go for the lock-level
-	// analogue).
-	replicas map[int][]int
+	// replicas, indexed by region id, lists the extra physical modules
+	// holding a copy of the region (sorted; the primary stays
+	// homes[region]). It grows on the first ReplicateRegion of an id, so
+	// every access finds its region's set by index, and unreplicated runs
+	// never allocate it. A replicated region serves loads from the
+	// requester's nearest copy and charges every write an update per
+	// replica — the classic read-mostly replication trade (see
+	// cluster/replicated.go for the lock-level analogue).
+	replicas [][]int
 	// ReplicaUpdates counts write-propagation transfers charged to keep
 	// replicas coherent (one per extra copy per write).
 	ReplicaUpdates uint64
@@ -259,7 +260,7 @@ func (m *Memory) MigrateRegion(p *Proc, region, to int) (words int, cost Duratio
 	if to < 0 || to >= len(m.modules) {
 		panic(fmt.Sprintf("sim: MigrateRegion to invalid module %d", to))
 	}
-	if len(m.replicas[region]) > 0 {
+	if m.Replicated(region) {
 		panic(fmt.Sprintf("sim: MigrateRegion of replicated region %d (collapse first)", region))
 	}
 	from := m.homes[region]
@@ -331,7 +332,7 @@ func (m *Memory) ReplicateRegion(p *Proc, region, to int) (words int, cost Durat
 	if to == m.homes[region] {
 		return 0, 0
 	}
-	for _, r := range m.replicas[region] {
+	for _, r := range m.Replicas(region) {
 		if r == to {
 			return 0, 0
 		}
@@ -340,8 +341,8 @@ func (m *Memory) ReplicateRegion(p *Proc, region, to int) (words int, cost Durat
 	if words > 0 {
 		cost = m.burst(m.homes[region], to, words)
 	}
-	if m.replicas == nil {
-		m.replicas = make(map[int][]int)
+	if region >= len(m.replicas) {
+		m.replicas = append(m.replicas, make([][]int, region+1-len(m.replicas))...)
 	}
 	reps := append(m.replicas[region], to)
 	// Keep the set sorted so nearest-copy tie-breaking is deterministic
@@ -364,17 +365,18 @@ func (m *Memory) CollapseRegion(region int) int {
 	if region < 0 || region >= len(m.data) {
 		panic(fmt.Sprintf("sim: CollapseRegion of invalid id %d", region))
 	}
-	n := len(m.replicas[region])
+	n := len(m.Replicas(region))
 	if n > 0 {
-		delete(m.replicas, region)
+		m.replicas[region] = nil
 	}
 	return n
 }
 
 // Replicas returns the region's extra copy modules (sorted, primary
-// excluded), nil when unreplicated. The slice is live; do not mutate.
+// excluded), nil when unreplicated or when region is no region id. The
+// slice is live; do not mutate.
 func (m *Memory) Replicas(region int) []int {
-	if m.replicas == nil {
+	if region < 0 || region >= len(m.replicas) {
 		return nil
 	}
 	return m.replicas[region]
@@ -497,7 +499,7 @@ func (m *Memory) access(p *Proc, a Addr, kind accessKind, operand, expect uint64
 	idx := a.Module()
 	dst := m.homes[idx] // resolve region → current physical home
 	var reps []int
-	if m.replicas != nil && idx >= len(m.modules) {
+	if idx < len(m.replicas) {
 		reps = m.replicas[idx]
 	}
 	if len(reps) > 0 && kind == accLoad {
@@ -670,6 +672,9 @@ func (m *Memory) unwatch(a Addr, p *Proc) {
 
 func (m *Memory) wakeWatchers(a Addr, at Time) {
 	shard := m.watchShard(a)
+	if len(shard) == 0 {
+		return // nobody watches a word of this shard: no lookup
+	}
 	l, ok := shard[a]
 	if !ok {
 		return

@@ -134,3 +134,50 @@ func TestReplicasSortedDeterministically(t *testing.T) {
 		}
 	}
 }
+
+// Replica sets are indexed by region id: a region replicated, collapsed
+// and replicated again holds exactly its new set, a region replicated
+// before a lower id leaves that one alone, and every id that is no
+// replicated region — never replicated, a physical module, out of range —
+// has no replicas.
+func TestReplicaSetsByRegionIndex(t *testing.T) {
+	m := hector(1)
+	low := m.Mem.NewRegion(0)
+	high := m.Mem.NewRegion(4)
+	a := m.Alloc(high, 4)
+	m.Alloc(low, 4)
+	var far, near Time
+	m.Go(12, func(p *Proc) {
+		m.Mem.ReplicateRegion(p, high, 8) // the higher id first: the index grows past low
+		if reps := m.Mem.Replicas(low); reps != nil {
+			t.Errorf("Replicas of never-replicated region %d = %v, want nil", low, reps)
+		}
+		m.Mem.CollapseRegion(high)
+		if m.Mem.Replicated(high) {
+			t.Errorf("region %d still replicated after collapse: %v", high, m.Mem.Replicas(high))
+		}
+		t0 := p.Now()
+		p.Load(a)
+		far = p.Now() - t0
+		m.Mem.ReplicateRegion(p, high, 12)
+		t0 = p.Now()
+		p.Load(a)
+		near = p.Now() - t0
+	})
+	m.RunAll()
+	m.Shutdown()
+	if reps := m.Mem.Replicas(high); len(reps) != 1 || reps[0] != 12 {
+		t.Fatalf("Replicas after replicate, collapse, replicate = %v, want [12]", reps)
+	}
+	if near != Time(m.Lat().Local) || far <= near {
+		t.Fatalf("load cost %d before the second replica and %d after, want more, then local %d", far, near, m.Lat().Local)
+	}
+	for _, id := range []int{low, 0, 15, high + 1, 1 << 20, -1} {
+		if reps := m.Mem.Replicas(id); reps != nil {
+			t.Errorf("Replicas(%d) = %v, want nil", id, reps)
+		}
+		if m.Mem.Replicated(id) {
+			t.Errorf("Replicated(%d) = true", id)
+		}
+	}
+}

@@ -73,6 +73,9 @@ const (
 	EvInstant
 )
 
+// NumEventKinds sizes arrays indexed by EventKind.
+const NumEventKinds = int(EvInstant) + 1
+
 // String names the kind for the trace category field.
 func (k EventKind) String() string {
 	switch k {

@@ -23,10 +23,12 @@ const (
 	wheelMask = wheelSpan - 1
 	// wheelGate is the heap size at which an engine starts its wheel.
 	// Below it the heap is shallow; the per-station LP engines (under 8
-	// queued events in the dense NUMAchine-256 runs) and 16-processor
-	// machines (under 32 in the server workloads) stay below it, so they
-	// keep the heap path and never allocate a wheel's 64 KB of buckets.
-	wheelGate = 64
+	// queued events in the dense NUMAchine-256 runs) stay below it, so
+	// they keep the heap path and never allocate a wheel's 64 KB of
+	// buckets. A 16-processor machine serving requests holds about 20
+	// events, where the heap already costs more than twice the wheel per
+	// event (BenchmarkEventDispatch), so it crosses the gate.
+	wheelGate = 16
 )
 
 // wheel is the bucket array. Bucket i is a singly linked FIFO of nodes;

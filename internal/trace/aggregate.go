@@ -26,17 +26,37 @@ type Aggregate struct {
 	// home stay distinguishable here, which is what lets the online
 	// placement daemon move them independently; the matrices above fold the
 	// same traffic into the physical home for distance accounting.
-	RegionAccess map[int][]uint64
+	RegionAccess RegionVecs
 	// RegionReads and RegionWrites split RegionAccess by operation: loads
 	// on one side, stores and atomics (swap, cas) on the other. The
 	// replication policy feeds on the split — a region's write fraction is
 	// what decides replicate vs migrate vs collapse.
-	RegionReads  map[int][]uint64
-	RegionWrites map[int][]uint64
+	RegionReads  RegionVecs
+	RegionWrites RegionVecs
 	// EventCount totals events by kind (EvAccess..EvInstant).
-	EventCount map[sim.EventKind]uint64
+	EventCount [sim.NumEventKinds]uint64
 	// Objects accumulates span statistics keyed by (span kind, name, home).
 	Objects map[ObjKey]*ObjStats
+}
+
+// maxRegions bounds how many region ids past the physical modules an
+// aggregate keeps vectors for. The vectors are indexed by id, and a trace
+// read back from a file (traceanal) may carry any address; a simulated
+// machine has a few dozen regions.
+const maxRegions = 1 << 16
+
+// RegionVecs holds one per-accessor-module vector per region id, indexed
+// by the id itself: an access finds its region's counters without
+// hashing. Entries stay nil until the region's first access, and every id
+// below the aggregate's module count (a physical module) stays nil.
+type RegionVecs [][]uint64
+
+// Of returns region id's vector, nil while it has none.
+func (v RegionVecs) Of(id int) []uint64 {
+	if id < 0 || id >= len(v) {
+		return nil
+	}
+	return v[id]
 }
 
 // ObjKey identifies one spanned object: a lock's wait or hold stream, a
@@ -62,10 +82,9 @@ type ObjStats struct {
 // processor-memory modules.
 func NewAggregate(modules int) *Aggregate {
 	a := &Aggregate{
-		modules:    modules,
-		Access:     make([][]uint64, modules),
-		EventCount: make(map[sim.EventKind]uint64),
-		Objects:    make(map[ObjKey]*ObjStats),
+		modules: modules,
+		Access:  make([][]uint64, modules),
+		Objects: make(map[ObjKey]*ObjStats),
 	}
 	for i := range a.Access {
 		a.Access[i] = make([]uint64, modules)
@@ -78,26 +97,19 @@ func (a *Aggregate) Modules() int { return a.modules }
 
 // Event implements Sink.
 func (a *Aggregate) Event(ev sim.TraceEvent) {
-	a.EventCount[ev.Kind]++
+	if ev.Kind >= 0 && int(ev.Kind) < sim.NumEventKinds {
+		a.EventCount[ev.Kind]++
+	}
 	switch ev.Kind {
 	case sim.EvAccess:
 		if ev.Src >= 0 && ev.Src < a.modules && ev.Dst >= 0 && ev.Dst < a.modules {
 			a.Access[ev.Dst][ev.Src]++
 			a.AccessByDist[ev.Dist]++
-			if id := sim.Addr(ev.Arg).Module(); id >= a.modules {
-				vec := a.RegionAccess[id]
-				if vec == nil {
-					if a.RegionAccess == nil {
-						a.RegionAccess = make(map[int][]uint64)
-						a.RegionReads = make(map[int][]uint64)
-						a.RegionWrites = make(map[int][]uint64)
-					}
-					vec = make([]uint64, a.modules)
-					a.RegionAccess[id] = vec
-					a.RegionReads[id] = make([]uint64, a.modules)
-					a.RegionWrites[id] = make([]uint64, a.modules)
+			if id := sim.Addr(ev.Arg).Module(); id >= a.modules && id-a.modules < maxRegions {
+				if id >= len(a.RegionAccess) || a.RegionAccess[id] == nil {
+					a.addRegion(id)
 				}
-				vec[ev.Src]++
+				a.RegionAccess[id][ev.Src]++
 				if ev.Name == "load" {
 					a.RegionReads[id][ev.Src]++
 				} else {
@@ -121,6 +133,19 @@ func (a *Aggregate) Event(ev sim.TraceEvent) {
 			}
 		}
 	}
+}
+
+// addRegion creates region id's three vectors, growing the indexes to
+// cover it.
+func (a *Aggregate) addRegion(id int) {
+	if grow := id + 1 - len(a.RegionAccess); grow > 0 {
+		a.RegionAccess = append(a.RegionAccess, make(RegionVecs, grow)...)
+		a.RegionReads = append(a.RegionReads, make(RegionVecs, grow)...)
+		a.RegionWrites = append(a.RegionWrites, make(RegionVecs, grow)...)
+	}
+	a.RegionAccess[id] = make([]uint64, a.modules)
+	a.RegionReads[id] = make([]uint64, a.modules)
+	a.RegionWrites[id] = make([]uint64, a.modules)
 }
 
 // AccessTotal reports the total accesses homed on module dst.

@@ -1,0 +1,78 @@
+package trace
+
+import (
+	"slices"
+	"testing"
+
+	"hurricane/internal/sim"
+)
+
+// access is an EvAccess record of operation op from module src to a word
+// of address-space index id homed on physical module dst.
+func access(op string, src, dst, id int) sim.TraceEvent {
+	return sim.TraceEvent{Kind: sim.EvAccess, Name: op, Proc: src, Src: src, Dst: dst,
+		Arg: uint64(id)<<32 | 1}
+}
+
+// Region vectors are indexed by region id: ids first touched out of order
+// each get their own vectors, loads count as reads and stores and atomics
+// as writes, accesses to physical modules never create a vector, an id
+// past the tracked range creates none either, and event counts are kept
+// by kind.
+func TestAggregateRegionVectors(t *testing.T) {
+	agg := NewAggregate(16)
+	agg.Event(access("load", 3, 5, 5)) // a physical module: no vector
+	if len(agg.RegionAccess) != 0 {
+		t.Fatalf("an access to module 5 created region vectors: %v", agg.RegionAccess)
+	}
+	agg.Event(access("load", 1, 2, 21))
+	agg.Event(access("store", 1, 2, 21))
+	agg.Event(access("load", 7, 9, 17))
+	agg.Event(access("swap", 4, 9, 17))
+	agg.Event(access("cas", 4, 9, 17))
+	agg.Event(access("load", 7, 9, 17))
+
+	want := map[int][3][]int{ // id: access, reads, writes by src
+		17: {{7, 7, 4, 4}, {7, 7}, {4, 4}},
+		21: {{1, 1}, {1}, {1}},
+	}
+	for id, w := range want {
+		for i, vecs := range []RegionVecs{agg.RegionAccess, agg.RegionReads, agg.RegionWrites} {
+			got := vecs.Of(id)
+			if len(got) != 16 {
+				t.Fatalf("region %d vector %d has %d entries, want 16", id, i, len(got))
+			}
+			exp := make([]uint64, 16)
+			for _, src := range w[i] {
+				exp[src]++
+			}
+			if !slices.Equal(got, exp) {
+				t.Errorf("region %d vector %d = %v, want %v", id, i, got, exp)
+			}
+		}
+	}
+	for id := -1; id < 40; id++ {
+		if _, ok := want[id]; ok {
+			continue
+		}
+		if agg.RegionAccess.Of(id) != nil || agg.RegionReads.Of(id) != nil || agg.RegionWrites.Of(id) != nil {
+			t.Errorf("id %d has a region vector, but no access addressed it as a region", id)
+		}
+	}
+	// An address from a trace file may name any id: one past the tracked
+	// range counts in the physical matrix only.
+	agg.Event(sim.TraceEvent{Kind: sim.EvAccess, Name: "load", Src: 1, Dst: 2, Arg: ^uint64(0)})
+	if len(agg.RegionAccess) != 22 {
+		t.Errorf("region index grew to %d ids, want 22", len(agg.RegionAccess))
+	}
+	if agg.Access[2][1] != 3 || agg.Access[9][4] != 2 || agg.Access[5][3] != 1 {
+		t.Errorf("physical matrix lost region traffic: %v", agg.Access)
+	}
+
+	agg.Event(sim.TraceEvent{Kind: sim.EvIRQ, Src: -1, Dst: -1})
+	agg.Event(sim.TraceEvent{Kind: sim.EventKind(99), Src: -1, Dst: -1}) // unknown: not counted
+	wantCounts := [sim.NumEventKinds]uint64{sim.EvAccess: 8, sim.EvIRQ: 1}
+	if agg.EventCount != wantCounts {
+		t.Errorf("EventCount = %v, want %v", agg.EventCount, wantCounts)
+	}
+}

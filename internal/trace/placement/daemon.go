@@ -125,20 +125,25 @@ type Move struct {
 // cycle costs no simulated time, so a daemon that never finds a
 // worthwhile move leaves the run bit-identical.
 type Daemon struct {
-	m     *sim.Machine
-	agg   *trace.Aggregate
-	topo  autonomic.Topo
-	costs autonomic.Costs
-	p     DaemonParams
-	slots []*slotState
-	moves []Move
-	ticks uint64
+	m       *sim.Machine
+	agg     *trace.Aggregate
+	topo    autonomic.Topo
+	costs   autonomic.Costs
+	weights autonomic.Weights
+	p       DaemonParams
+	slots   []*slotState
+	moves   []Move
+	ticks   uint64
+	// load and cost are Tick's per-module buffers: the projected load and
+	// propose's per-candidate costs.
+	load, cost []float64
 }
 
 type slotState struct {
 	DaemonSlot
 	snap   []uint64         // cumulative vector at last tick
 	smooth []float64        // EWMA of windowed diffs
+	ivec   []uint64         // smooth in fixed point, propose's input
 	gate   autonomic.Gate   // per-slot move budget + cooldown
 	target int              // requested home of an in-flight move, -1 when idle
 	streak autonomic.Streak // destination confirmation across windows
@@ -148,13 +153,16 @@ type slotState struct {
 // agg (which must be installed as the machine's tracer) and managing the
 // given slots. Call Start to begin sampling.
 func NewDaemon(m *sim.Machine, agg *trace.Aggregate, topo autonomic.Topo, costs autonomic.Costs, params DaemonParams, slots []DaemonSlot) *Daemon {
-	d := &Daemon{m: m, agg: agg, topo: topo, costs: costs, p: params.withDefaults()}
+	d := &Daemon{m: m, agg: agg, topo: topo, costs: costs, weights: autonomic.NewWeights(topo, costs), p: params.withDefaults()}
 	n := agg.Modules()
+	d.load = make([]float64, min(n, topo.Modules()))
+	d.cost = make([]float64, len(d.load))
 	for _, s := range slots {
 		d.slots = append(d.slots, &slotState{
 			DaemonSlot: s,
 			snap:       make([]uint64, n),
 			smooth:     make([]float64, n),
+			ivec:       make([]uint64, n),
 			// The cooldown between two moves of one slot is eight sampling
 			// periods, so an oscillating workload at most flips a slot once
 			// per cooldown until the budget runs out.
@@ -186,20 +194,17 @@ func (d *Daemon) Start() {
 // Tick implements autonomic.Policy: one observation window.
 func (d *Daemon) Tick(now sim.Time) {
 	d.ticks++
-	n := d.topo.Modules()
-	if m := d.agg.Modules(); m < n {
-		n = m
-	}
 	// Projected per-module load for propose()'s tie-breaking, from the
 	// cumulative physical access matrix.
-	load := make([]float64, n)
+	load := d.load
+	n := len(load)
 	for i := 0; i < n; i++ {
 		load[i] = float64(d.agg.AccessTotal(i))
 	}
 	for _, s := range d.slots {
 		// Fold this window into the EWMA even when the slot cannot move
 		// right now — the signal must stay fresh for when it can.
-		vec := d.agg.RegionAccess[s.Region]
+		vec := d.agg.RegionAccess.Of(s.Region)
 		for i := range s.smooth {
 			var cur uint64
 			if vec != nil {
@@ -231,7 +236,7 @@ func (d *Daemon) Tick(now sim.Time) {
 			continue
 		}
 		var weight float64
-		ivec := make([]uint64, len(s.smooth))
+		ivec := s.ivec
 		for i, v := range s.smooth {
 			weight += v
 			// Fixed-point (1/16 access) so propose() keeps the EWMA's
@@ -241,7 +246,7 @@ func (d *Daemon) Tick(now sim.Time) {
 		if weight < d.p.MinWeight {
 			continue
 		}
-		prop := propose(s.Name, home, ivec, d.topo, d.costs, load, d.p.Improve)
+		prop := propose(s.Name, home, ivec, d.topo, d.weights, load, d.cost, d.p.Improve)
 		if prop.Moved() {
 			// Rent vs buy: the per-window saving (undo the fixed-point
 			// scale) must repay the copy within the payback horizon.
@@ -329,8 +334,8 @@ func ReplicateKernel(k *kernel.Kernel, agg *trace.Aggregate) []autonomic.Replica
 		slots = append(slots, autonomic.ReplicaSlot{
 			Name:   ref.Name(),
 			Region: region,
-			Reads:  func() []uint64 { return agg.RegionReads[region] },
-			Writes: func() []uint64 { return agg.RegionWrites[region] },
+			Reads:  func() []uint64 { return agg.RegionReads.Of(region) },
+			Writes: func() []uint64 { return agg.RegionWrites.Of(region) },
 			Replicate: func(p *sim.Proc, to int) {
 				k.Gate.Dispatch(p, func(h *sim.Proc) {
 					k.ReplicateSlot(h, ref.Cluster, ref.Slot, to)

@@ -76,6 +76,8 @@ func Analyze(agg *trace.Aggregate, topo autonomic.Topo, costs autonomic.Costs) *
 		n = agg.Modules()
 	}
 	r := &Report{Topo: topo, Costs: costs}
+	w := autonomic.NewWeights(topo, costs)
+	cost := make([]float64, n)
 
 	// load tracks projected incoming accesses per module as moves are
 	// assigned, so near-tied candidates spread instead of piling up.
@@ -102,7 +104,7 @@ func Analyze(agg *trace.Aggregate, topo autonomic.Topo, costs autonomic.Costs) *
 		return items[i].home < items[j].home
 	})
 	for _, it := range items {
-		p := propose(fmt.Sprintf("module %d data", it.home), it.home, it.vector, topo, costs, load, keepEpsilon)
+		p := propose(fmt.Sprintf("module %d data", it.home), it.home, it.vector, topo, w, load, cost, keepEpsilon)
 		if p.Moved() {
 			load[p.Proposed] += float64(it.total)
 			load[p.Home] -= float64(it.total)
@@ -117,7 +119,7 @@ func Analyze(agg *trace.Aggregate, topo autonomic.Topo, costs autonomic.Costs) *
 			continue
 		}
 		name := strings.TrimPrefix(o.Name, "wait ")
-		p := propose(fmt.Sprintf("lock %q", name), o.Home, o.BySrc, topo, costs, load, keepEpsilon)
+		p := propose(fmt.Sprintf("lock %q", name), o.Home, o.BySrc, topo, w, load, cost, keepEpsilon)
 		r.Locks = append(r.Locks, p)
 	}
 	return r
@@ -126,16 +128,32 @@ func Analyze(agg *trace.Aggregate, topo autonomic.Topo, costs autonomic.Costs) *
 // propose picks the cost-minimizing home for one access vector, with an
 // eps-wide indifference band and least-projected-load tie-breaking. The
 // offline analyzer uses keepEpsilon; the online Daemon passes its (wider)
-// Improve band, since an in-run move charges real copy traffic.
-func propose(object string, home int, vector []uint64, topo autonomic.Topo, costs autonomic.Costs, load []float64, eps float64) Proposal {
+// Improve band, since an in-run move charges real copy traffic. The
+// candidates are the first len(load) modules of topo, which w weighs; cost is
+// scratch space for one cost per candidate, and each candidate is priced
+// once, summing its sources in module order.
+func propose(object string, home int, vector []uint64, topo autonomic.Topo, w autonomic.Weights, load, cost []float64, eps float64) Proposal {
 	n := len(load)
-	cost := func(cand int) float64 {
-		var c float64
+	cost = cost[:n]
+	clear(cost)
+	for src, cnt := range vector {
+		if cnt == 0 || src >= n {
+			continue
+		}
+		for cand, wt := range w.Row(src)[:n] {
+			cost[cand] += float64(cnt) * wt
+		}
+	}
+	costOf := func(cand int) float64 {
+		if cand < n {
+			return cost[cand]
+		}
+		var c float64 // a home outside the candidates
 		for src, cnt := range vector {
 			if cnt == 0 || src >= n {
 				continue
 			}
-			c += float64(cnt) * costs.Of(topo.Dist(src, cand))
+			c += float64(cnt) * w.Of(src, cand)
 		}
 		return c
 	}
@@ -149,10 +167,10 @@ func propose(object string, home int, vector []uint64, topo autonomic.Topo, cost
 		return d
 	}
 
-	cur := cost(home)
+	cur := costOf(home)
 	best, bestCost := home, cur
-	for cand := 0; cand < n; cand++ {
-		if c := cost(cand); c < bestCost {
+	for cand, c := range cost {
+		if c < bestCost {
 			best, bestCost = cand, c
 		}
 	}
@@ -161,23 +179,23 @@ func propose(object string, home int, vector []uint64, topo autonomic.Topo, cost
 	choice := home
 	if cur > bestCost*(1+eps) {
 		choice = best
-		for cand := 0; cand < n; cand++ {
+		for cand, c := range cost {
 			if cand == choice {
 				continue
 			}
-			if cost(cand) <= bestCost*(1+eps) && load[cand] < load[choice] {
+			if c <= bestCost*(1+eps) && load[cand] < load[choice] {
 				choice = cand
 			}
 		}
 	}
 
-	var w uint64
+	var wt uint64
 	for _, cnt := range vector {
-		w += cnt
+		wt += cnt
 	}
 	return Proposal{
-		Object: object, Home: home, Proposed: choice, Weight: w,
-		CurCost: cur, NewCost: cost(choice),
+		Object: object, Home: home, Proposed: choice, Weight: wt,
+		CurCost: cur, NewCost: costOf(choice),
 		CurByDist: byDist(home), NewByDist: byDist(choice),
 	}
 }

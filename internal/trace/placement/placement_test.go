@@ -116,3 +116,96 @@ func TestAnalyzeSpreadsTies(t *testing.T) {
 		t.Fatalf("both objects piled onto module %d", rep.Data[0].Proposed)
 	}
 }
+
+// refPropose is propose as first written, pricing a candidate each time it
+// looks at one: the reference the tabulated version must match bit for
+// bit.
+func refPropose(object string, home int, vector []uint64, topo autonomic.Topo, costs autonomic.Costs, load []float64, eps float64) Proposal {
+	n := len(load)
+	cost := func(cand int) float64 {
+		var c float64
+		for src, cnt := range vector {
+			if cnt == 0 || src >= n {
+				continue
+			}
+			c += float64(cnt) * costs.Of(topo.Dist(src, cand))
+		}
+		return c
+	}
+	byDist := func(cand int) (d [sim.NumDistClasses]uint64) {
+		for src, cnt := range vector {
+			if cnt == 0 || src >= n {
+				continue
+			}
+			d[topo.Dist(src, cand)] += cnt
+		}
+		return d
+	}
+	cur := cost(home)
+	best, bestCost := home, cur
+	for cand := 0; cand < n; cand++ {
+		if c := cost(cand); c < bestCost {
+			best, bestCost = cand, c
+		}
+	}
+	choice := home
+	if cur > bestCost*(1+eps) {
+		choice = best
+		for cand := 0; cand < n; cand++ {
+			if cand == choice {
+				continue
+			}
+			if cost(cand) <= bestCost*(1+eps) && load[cand] < load[choice] {
+				choice = cand
+			}
+		}
+	}
+	var w uint64
+	for _, cnt := range vector {
+		w += cnt
+	}
+	return Proposal{
+		Object: object, Home: home, Proposed: choice, Weight: w,
+		CurCost: cur, NewCost: cost(choice),
+		CurByDist: byDist(home), NewByDist: byDist(choice),
+	}
+}
+
+// propose prices each candidate once from the weight table, with the same
+// float operations in the same order as the reference: on random vectors,
+// homes, loads and bands — some homes outside the candidate set, some
+// vectors longer than it — both return the same proposal.
+func TestProposeMatchesReference(t *testing.T) {
+	topo := autonomic.Topo{Stations: 4, ProcsPerStation: 4}
+	costs := autonomic.DefaultCosts()
+	w := autonomic.NewWeights(topo, costs)
+	cost := make([]float64, topo.Modules())
+	rng := sim.NewRNG(0x9a0)
+	moved := 0
+	for n := 0; n < 500; n++ {
+		cands := topo.Modules() - rng.Intn(3)
+		vector := make([]uint64, topo.Modules())
+		for i := range vector {
+			if rng.Intn(3) > 0 {
+				vector[i] = uint64(rng.Intn(1 << uint(rng.Intn(14))))
+			}
+		}
+		load := make([]float64, cands)
+		for i := range load {
+			load[i] = float64(rng.Intn(4)) * 1000
+		}
+		home := rng.Intn(topo.Modules())
+		eps := []float64{0, keepEpsilon, 0.10, 0.25}[rng.Intn(4)]
+		got := propose("obj", home, vector, topo, w, load, cost, eps)
+		want := refPropose("obj", home, vector, topo, costs, load, eps)
+		if got != want {
+			t.Fatalf("case %d: propose = %+v\nreference %+v", n, got, want)
+		}
+		if got.Moved() {
+			moved++
+		}
+	}
+	if moved == 0 {
+		t.Fatal("no case proposed a move")
+	}
+}

@@ -362,15 +362,10 @@ func ServerRun(cfg ServerConfig) *ServerResult {
 			// Reads follow the region's nearest copy when it is replicated;
 			// writes charge an update per replica — the traffic the
 			// replication policy prices.
-			base := tenantBase[req.rank]
-			for j := 0; j < cfg.TenantTouch; j++ {
-				a := base + sim.Addr((int(req.vpn)*cfg.TenantTouch+j)%cfg.TenantDataWords)
-				if req.write {
-					p.Store(a, uint64(i))
-				} else {
-					p.Load(a)
-				}
-			}
+			base, start := tenantBase[req.rank], int(req.vpn)*cfg.TenantTouch
+			p.Sweep(cfg.TenantTouch, func(j int) sim.Addr {
+				return base + sim.Addr((start+j)%cfg.TenantDataWords)
+			}, req.write, uint64(i), 0)
 		}
 		k.VM.Unmap(p, pid, region, req.vpn)
 		if req.churn {
