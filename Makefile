@@ -128,23 +128,23 @@ autonomic-smoke: bench-sim
 
 # End-to-end check of the analytic model pipeline: a CI-scale
 # calibrate-and-validate cell must fit residuals, rank the lock zoo
-# correctly at every validation point on all three machines, and publish
-# the head-to-head tuner metrics. (The quick head-to-head is too short
-# for the model tuner's confirmation gates to act — its elapsed ratio is
-# informational here; EXPERIMENTS.md quotes the full-scale run.)
+# correctly at every validation point on all three machines, and predict
+# the stable spin->queue crossover at p=1 on each of them.
 model-smoke: bench-sim
 	grep -A 1 '"hector16.rank_agreement"' BENCH_sim.json | grep -q '"value": 100'
 	grep -A 1 '"numachine64.rank_agreement"' BENCH_sim.json | grep -q '"value": 100'
 	grep -A 1 '"numachine256.rank_agreement"' BENCH_sim.json | grep -q '"value": 100'
-	grep -q '"hector16.model_regret_us"' BENCH_sim.json
-	grep -q '"numachine64.model_vs_reactive_elapsed"' BENCH_sim.json
-	@echo "model-smoke: calibrated model ranks the lock zoo correctly on all machines"
+	grep -A 1 '"hector16.pred_cross_spin_queue"' BENCH_sim.json | grep -q '"value": 1,'
+	grep -A 1 '"numachine64.pred_cross_spin_queue"' BENCH_sim.json | grep -q '"value": 1,'
+	grep -A 1 '"numachine256.pred_cross_spin_queue"' BENCH_sim.json | grep -q '"value": 1,'
+	@echo "model-smoke: calibrated model ranks the lock zoo correctly and puts the spin->queue crossover at p=1 on all machines"
 
 # Documentation gate: every exported identifier in the model, autonomic,
 # and tune packages carries a doc comment, every intra-repo markdown link
-# (file and #anchor) in the top-level docs resolves, and every exported
-# internal/ identifier has a non-test caller in this module or benchmark/
-# (or a `//doclint:keep <reason>` line saying why it stays).
+# (file and #anchor) in the top-level docs resolves, and every
+# package-level declaration under internal/, exported or unexported, has a
+# non-test caller in this module or benchmark/ (or a `//doclint:keep
+# <reason>` line saying why it stays).
 doc-lint:
 	$(GO) run ./cmd/doclint
 

@@ -18,13 +18,14 @@
 //     heading's GitHub-style slug (lowercase, spaces to dashes,
 //     punctuation dropped). Broken links are how a docs overhaul rots.
 //
-//  3. Reachability. Every exported identifier declared in a non-test file
-//     under internal/ must be referenced from a non-test file of some
-//     module under the current directory (the main module and nested ones
-//     such as benchmark/). Methods that implement an interface method are
-//     exempt, and so is an identifier whose doc comment carries a
-//     `//doclint:keep <reason>` line; a keep without a reason is itself a
-//     problem. Struct fields are out of scope. See reach.go.
+//  3. Reachability. Every package-level func, method, type, const and var
+//     declared in a non-test file under internal/, exported or not, must
+//     be referenced from a non-test file of some module under the current
+//     directory (the main module and nested ones such as benchmark/).
+//     Methods that implement an interface method are exempt, and so is an
+//     identifier whose doc comment carries a `//doclint:keep <reason>`
+//     line; a keep without a reason is itself a problem. Struct fields are
+//     out of scope. See reach.go.
 package main
 
 import (
@@ -60,7 +61,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "doclint: %d problem(s)\n", len(problems))
 		os.Exit(1)
 	}
-	fmt.Println("doclint: all exported identifiers documented and reachable, all markdown links resolve")
+	fmt.Println("doclint: all exported identifiers documented, all internal/ declarations reachable, all markdown links resolve")
 }
 
 // lintPackage parses every non-test Go file in dir and reports exported

@@ -114,18 +114,21 @@ func (l *loader) loadTree(root string) error {
 	})
 }
 
-// candidate is an exported identifier declared under internal/.
+// candidate is a package-level identifier declared under internal/.
 type candidate struct {
 	kind, name string
 	keep       bool
 }
 
-// reachability is the third check: every exported identifier declared in
-// a non-test file under root/internal must be referenced from a non-test
-// file of some module under root. Methods that implement an interface
-// method are exempt (dynamic dispatch reaches them), as is anything whose
-// doc comment carries `//doclint:keep <reason>`. Struct fields are out of
-// scope.
+// reachability is the third check: every package-level identifier
+// (func, method, type, const or var; exported or not) declared in a
+// non-test file under root/internal must be referenced from a non-test
+// file of some module under root. Unexported ones can only be referenced
+// from their own package, so deleting a caller cannot strand a helper
+// unseen. Methods that implement an interface method are exempt (dynamic
+// dispatch reaches them), as is anything whose doc comment carries
+// `//doclint:keep <reason>`, the blank identifier, and init. Struct fields
+// are out of scope.
 func reachability(root string) []string {
 	fset := token.NewFileSet()
 	l := &loader{fset: fset, std: importer.ForCompiler(fset, "gc", nil), pkgs: map[string]*pkg{}}
@@ -166,7 +169,7 @@ func reachability(root string) []string {
 	return out
 }
 
-// collect records the file's exported declarations as candidates and
+// collect records the file's package-level declarations as candidates and
 // returns a problem for each keep directive without a reason.
 func collect(fset *token.FileSet, info *types.Info, f *ast.File, cands map[types.Object]candidate) []string {
 	var bad []string
@@ -192,7 +195,7 @@ func collect(fset *token.FileSet, info *types.Info, f *ast.File, cands map[types
 		return k
 	}
 	add := func(id *ast.Ident, kind, name string, k bool) {
-		if obj := info.Defs[id]; obj != nil && id.IsExported() {
+		if obj := info.Defs[id]; obj != nil && id.Name != "_" && !(kind == "func" && id.Name == "init") {
 			cands[obj] = candidate{kind: kind, name: name, keep: k}
 		}
 	}

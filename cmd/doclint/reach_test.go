@@ -32,6 +32,10 @@ func TestReachability(t *testing.T) {
 		{"method Shape.Area", true},
 		{"func Kept", false},    // keep with a reason
 		{"func KeptBare", true}, // keep without a reason exempts nothing
+		{"func helper", false},  // unexported, called in its package
+		{"func unused", true},
+		{"func testOnly", true},
+		{"method Shape.size", false}, // sizer reaches it
 	} {
 		if f := has(" " + c.what + " has no non-test caller"); f != c.flagged {
 			t.Errorf("%s: flagged=%v, want %v", c.what, f, c.flagged)
@@ -40,7 +44,7 @@ func TestReachability(t *testing.T) {
 	if !has(keepDirective + " needs a reason") {
 		t.Errorf("a keep directive without a reason was accepted")
 	}
-	if len(got) != 5 {
-		t.Errorf("%d problems, want 5:\n%s", len(got), strings.Join(got, "\n"))
+	if len(got) != 7 {
+		t.Errorf("%d problems, want 7:\n%s", len(got), strings.Join(got, "\n"))
 	}
 }

@@ -2,4 +2,4 @@ package a
 
 import "testing"
 
-func TestCallsTestOnly(t *testing.T) { TestOnly() }
+func TestCallsTestOnly(t *testing.T) { TestOnly(); testOnly() }

@@ -35,17 +35,6 @@
 // combined plane exists for.
 //
 //	lockstat -run server -autonomic -ms 20
-//
-// With -model (implies -tune), the controller runs in model-driven mode:
-// instead of walking the backoff cap and escalating through the mode
-// chain reactively, it asks the analytic performance model
-// (internal/model) for the predicted-best shape and cap and jumps
-// straight there. The model drives only the lock controller: with
-// -autonomic, migration and replication keep the plane's own rent-vs-buy
-// payback test (autonomic.Worthwhile).
-//
-//	lockstat -model -procs 16 -hold 25           # model-driven controller
-//	lockstat -run server -autonomic -model       # model-driven controller inside the plane
 package main
 
 import (
@@ -57,7 +46,6 @@ import (
 	"hurricane/internal/core"
 	"hurricane/internal/locks"
 	"hurricane/internal/machine"
-	"hurricane/internal/model"
 	"hurricane/internal/sim"
 	"hurricane/internal/trace"
 	"hurricane/internal/trace/placement"
@@ -137,7 +125,6 @@ func main() {
 	home := flag.Int("home", 0, "home module of the lock and its protected data")
 	migrate := flag.Bool("migrate", false, "protected data in a migratable region managed by the online placement daemon")
 	auto := flag.Bool("autonomic", false, "full autonomics plane: tuned lock + migration + replication under one cadence")
-	useModel := flag.Bool("model", false, "model-driven tuner mode (implies -tune)")
 	run := flag.String("run", "stress", "stress | server (open-loop multi-tenant server, tail-latency summary)")
 	horizonMS := flag.Int("ms", 20, "server mode: arrival horizon in simulated milliseconds")
 	flag.Parse()
@@ -145,9 +132,6 @@ func main() {
 	if *auto {
 		*tuned = true
 		*migrate = true
-	}
-	if *useModel {
-		*tuned = true
 	}
 	if *tuned {
 		*lock = "tuned"
@@ -171,7 +155,7 @@ func main() {
 	}
 
 	if *run == "server" {
-		runServer(*machineName, mc, kind, *seed, *horizonMS, *migrate, *auto, *useModel)
+		runServer(*machineName, mc, kind, *seed, *horizonMS, *migrate, *auto)
 		return
 	}
 
@@ -217,16 +201,9 @@ func main() {
 	if *auto {
 		plane = autonomic.NewPlane(placement.DefaultDaemonParams().Period)
 	}
-	// Model-driven mode: one advisor built from the same machine config
-	// the run uses. The calibration is unfitted here — lockstat is a
-	// one-shot microscope; exp.ModelSweep runs the fitted path.
-	var adv *model.Advisor
-	if *useModel {
-		adv = model.NewAdvisor(model.FromConfig(cfg.Machine), model.Calibration{})
-	}
 	if kind == locks.KindTuned {
 		cfg.MakeLock = func(m *sim.Machine, home int) locks.Lock {
-			tl = locks.NewTuned(m, home, tune.Params{Plane: plane, Model: adv})
+			tl = locks.NewTuned(m, home, tune.Params{Plane: plane})
 			return tl
 		}
 	}
@@ -352,7 +329,7 @@ func main() {
 // the tenants get migratable data regions (three of four read-mostly, one
 // of four write-hot and sharded off its data's home cluster) and the full
 // plane — tuned locks, migration, replication — manages the run.
-func runServer(name string, mc machineSpec, kind locks.Kind, seed uint64, horizonMS int, migrate, auto, useModel bool) {
+func runServer(name string, mc machineSpec, kind locks.Kind, seed uint64, horizonMS int, migrate, auto bool) {
 	cfg := workload.ServerConfig{
 		Machine:     mc.cfg(seed),
 		ClusterSize: mc.clusterSize,
@@ -374,10 +351,6 @@ func runServer(name string, mc machineSpec, kind locks.Kind, seed uint64, horizo
 	var daemon *placement.Daemon
 	var rep *autonomic.Replicator
 	var plane *autonomic.Plane
-	var adv *model.Advisor
-	if useModel {
-		adv = model.NewAdvisor(model.FromConfig(cfg.Machine), model.Calibration{})
-	}
 	if auto {
 		// The AutonomicSweep workload shape: per-tenant migratable data,
 		// three of four tenants read-mostly (replication's case), every
@@ -397,9 +370,7 @@ func runServer(name string, mc machineSpec, kind locks.Kind, seed uint64, horizo
 			return -1
 		}
 		plane = autonomic.NewPlane(sim.Micros(100))
-	}
-	if auto || useModel {
-		cfg.TuneParams = &tune.Params{Plane: plane, Model: adv}
+		cfg.TuneParams = &tune.Params{Plane: plane}
 	}
 	if migrate {
 		cfg.Migratable = true

@@ -39,17 +39,16 @@ var modelMachines = []struct {
 	FitHolds, ValHolds []float64
 	MaxRounds          int // 0 = the experiment's round count as-is
 	Seeds              int
-	HeadToHead         int // contender count for the tuner head-to-head (0 = skip)
 }{
 	{"hector16", machine.Hector16,
 		[]int{2, 16}, []int{2, 4, 8, 16},
-		[]float64{10, 40}, []float64{5, 25}, 0, 3, 16},
+		[]float64{10, 40}, []float64{5, 25}, 0, 3},
 	{"numachine64", machine.NUMAchine64,
 		[]int{16, 64}, []int{4, 16, 32, 64},
-		[]float64{10, 40}, []float64{5, 25}, 0, 3, 64},
+		[]float64{10, 40}, []float64{5, 25}, 0, 3},
 	{"numachine256", machine.NUMAchine256,
 		[]int{16, 256}, []int{64, 256},
-		[]float64{25}, []float64{10}, 10, 1, 0},
+		[]float64{25}, []float64{10}, 10, 1},
 }
 
 // modelSatUtil is the home-module utilization above which a validation
@@ -92,76 +91,8 @@ func modelRun(cfg func(uint64) sim.Config, kind locks.Kind, seed uint64, seeds, 
 	return c
 }
 
-// tunedRun is one head-to-head tuner measurement: the mean pair overhead,
-// the time of the controller's first departure from the spin shape, and
-// the transient regret — the excess of each window's smoothed wait over
-// the run's own steady state (the median wait of the last quarter of
-// windows), summed over all windows. A controller that converges fast and
-// clean accumulates little regret even if both controllers end at the
-// same configuration.
-type tunedRun struct {
-	pair, crossUS, regretUS float64
-}
-
-func runTunedVariant(cfg func(uint64) sim.Config, params tune.Params, seed uint64, seeds, procs, rounds int, holdUS float64) tunedRun {
-	warmup := rounds / 4
-	if warmup < 2 {
-		warmup = 2
-	}
-	// Retain the whole decision history: the 64-processor run outlives the
-	// default 256-window log and the regret sum needs every window.
-	params.LogLimit = 1 << 14
-	var out tunedRun
-	for s := uint64(0); s < uint64(seeds); s++ {
-		var tl *locks.Tuned
-		r := workload.LockStressRun(workload.StressConfig{
-			Machine: cfg(seed + s),
-			MakeLock: func(m *sim.Machine, home int) locks.Lock {
-				tl = locks.NewTuned(m, home, params)
-				return tl
-			},
-			Procs: procs, Rounds: rounds, Warmup: warmup, Hold: sim.Micros(holdUS),
-		})
-		out.pair += r.PairUS
-		log := tl.Controller().Log()
-		cross := 0.0
-		if n := len(log); n > 0 {
-			cross = float64(log[n-1].At) / sim.CyclesPerMicrosecond
-		}
-		var waits []float64
-		for _, d := range log {
-			if d.Mode != tune.ModeSpin {
-				c := float64(d.At) / sim.CyclesPerMicrosecond
-				if c < cross {
-					cross = c
-				}
-			}
-			waits = append(waits, d.WaitUS)
-		}
-		steady := 0.0
-		if n := len(waits); n > 0 {
-			q := waits[n-n/4:]
-			if len(q) == 0 {
-				q = waits
-			}
-			steady = model.Median(q)
-		}
-		for _, w := range waits {
-			if w > steady {
-				out.regretUS += w - steady
-			}
-		}
-		out.crossUS += cross
-	}
-	n := float64(seeds)
-	out.pair /= n
-	out.crossUS /= n
-	out.regretUS /= n
-	return out
-}
-
 // ModelSweep validates the analytic performance model (internal/model)
-// against the simulator and closes the loop on the model-driven tuner.
+// against the simulator.
 //
 // Phase one measures a calibration grid per machine and fits the per-lock
 // residuals (model.Calibrate). Phase two measures a disjoint validation
@@ -170,10 +101,7 @@ func runTunedVariant(cfg func(uint64) sim.Config, params tune.Params, seed uint6
 // cells (home-module utilization below modelSatUtil) and the ranking
 // agreement — the fraction of (procs, hold) points where the lock the
 // model predicts cheapest is measurably within 10% of the actual cheapest
-// (the decision the tuner consumes; exact order among near-ties is
-// noise). Phase three runs the reactive and the model-driven controller
-// head-to-head at full contention and compares steady-state overhead,
-// crossover time, and transient regret.
+// (the decision the tuner makes; exact order among near-ties is noise).
 func ModelSweep(seed uint64, rounds int) *Table {
 	t := &Table{
 		Title: "Analytic model: measured vs predicted pair overhead (us, meas/pred)",
@@ -228,7 +156,6 @@ func ModelSweep(seed uint64, rounds int) *Table {
 	}
 
 	// Fit, validate, and report per machine, in declaration order.
-	cals := make([]model.Calibration, len(modelMachines))
 	for mi, mc := range modelMachines {
 		mach := model.FromConfig(mc.Cfg(seed))
 		cellRounds := rounds
@@ -248,7 +175,6 @@ func ModelSweep(seed uint64, rounds int) *Table {
 			}
 		}
 		cal := mach.Calibrate(obs)
-		cals[mi] = cal
 		pr := model.Predictor{M: mach, Cal: cal}
 
 		var pairErrs, waitErrs []float64
@@ -325,44 +251,6 @@ func ModelSweep(seed uint64, rounds int) *Table {
 			t.AddMetric(mc.Name+".pred_cross_queue_cohort", float64(p), "procs")
 			t.Note("%s: predicted stable queue->cohort crossover at p=%d (hold 25us)", mc.Name, p)
 		}
-	}
-
-	// Head-to-head: the reactive controller vs the model-driven jump, at
-	// full contention where the reactive path must walk its cap ladder to
-	// MaxCap before it may cross. Both run the identical workload.
-	type h2hKey struct {
-		mi      int
-		variant int // 0 reactive, 1 model-driven
-	}
-	var h2h []h2hKey
-	for mi, mc := range modelMachines {
-		if mc.HeadToHead > 0 {
-			h2h = append(h2h, h2hKey{mi, 0}, h2hKey{mi, 1})
-		}
-	}
-	h2hRes := make([]tunedRun, len(h2h))
-	RunParallel(len(h2h), func(i int) {
-		k := h2h[i]
-		mc := modelMachines[k.mi]
-		var params tune.Params
-		if k.variant == 1 {
-			params.Model = model.NewAdvisor(model.FromConfig(mc.Cfg(seed)), cals[k.mi])
-		}
-		h2hRes[i] = runTunedVariant(mc.Cfg, params, seed, mc.Seeds, mc.HeadToHead, rounds, 25)
-	})
-	for i := 0; i+1 < len(h2h); i += 2 {
-		mc := modelMachines[h2h[i].mi]
-		re, mo := h2hRes[i], h2hRes[i+1]
-		ratio := (mo.pair + 25) / (re.pair + 25)
-		t.AddMetric(mc.Name+".reactive_pair", re.pair, "us")
-		t.AddMetric(mc.Name+".model_pair", mo.pair, "us")
-		t.AddMetric(mc.Name+".model_vs_reactive_elapsed", ratio, "ratio")
-		t.AddMetric(mc.Name+".reactive_cross_us", re.crossUS, "us")
-		t.AddMetric(mc.Name+".model_cross_us", mo.crossUS, "us")
-		t.AddMetric(mc.Name+".reactive_regret_us", re.regretUS, "us")
-		t.AddMetric(mc.Name+".model_regret_us", mo.regretUS, "us")
-		t.Note("%s head-to-head (p=%d, hold 25us): reactive pair %.1fus cross %.0fus regret %.0fus; model pair %.1fus cross %.0fus regret %.0fus (elapsed ratio %.2f)",
-			mc.Name, mc.HeadToHead, re.pair, re.crossUS, re.regretUS, mo.pair, mo.crossUS, mo.regretUS, ratio)
 	}
 	return t
 }

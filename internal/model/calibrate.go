@@ -37,7 +37,7 @@ type Calibration struct {
 	Wait map[string]float64
 	// MedianErr is the median relative wait error remaining on the fit
 	// grid after applying the residuals — the model's own uncertainty
-	// estimate, consumed by the advisor's switching margin.
+	// estimate, which the model sweep publishes as fit_median_err.
 	MedianErr float64
 }
 

@@ -6,10 +6,8 @@
 // per-round overhead and mean acquire wait without running the simulator.
 //
 // The model answers the same question the reactive tune.Controller answers
-// by search — which lock shape and backoff cap is cheapest in this regime —
-// but analytically, so a controller consuming it (tune.Params.Model) can
-// jump straight to the predicted-best configuration instead of
-// multiplicatively walking toward it.
+// by search — which lock shape is cheapest in this regime — but
+// analytically; exp.ModelSweep checks its answers against the simulator.
 //
 // # Modeling assumptions
 //
@@ -500,47 +498,6 @@ func (m Machine) batchOverhead(p, batch int, cohort bool) float64 {
 	}
 	b := float64(bEff)
 	return (b*local + global) / (b + 1)
-}
-
-// BestCap is the optimal spin backoff cap for a point, clamped to
-// [minUS, maxUS]. Within the wait-limited regime the gap term rises with
-// the cap while the poll inflation falls, an interior optimum at
-// B* = (p-1) occ sqrt(n_d / 2) / duty; past the wait limit (cap above
-// (p-1)(H+base)/2) the overhead is flat in the cap, and below the utilization
-// clamp it falls toward small caps. Rather than track the piecewise
-// boundaries, the candidates — the interior optimum, both regime
-// boundaries, and both interval endpoints — are evaluated directly and
-// the cheapest wins, smallest cap on ties (a smaller cap bounds the
-// worst-case acquire latency, which the throughput objective does not
-// see). Below two contenders any cap is equal and minUS is returned.
-func (m Machine) BestCap(pt Point, minUS, maxUS float64) float64 {
-	if pt.Procs < 2 {
-		return minUS
-	}
-	w := float64(pt.Procs - 1)
-	occ := m.moduleOccupancyUS()
-	nd := pt.HoldUS / holdAccessPeriodUS
-	clamp := func(b float64) float64 {
-		if b < minUS {
-			return minUS
-		}
-		if b > maxUS {
-			return maxUS
-		}
-		return b
-	}
-	at := func(cap float64) float64 { return m.spinOverhead(pt.Procs, pt.HoldUS, cap) }
-	best := clamp(w * occ * math.Sqrt(nd/2) / backoffDuty)
-	for _, cand := range []float64{
-		clamp(w * occ / backoffDuty),                        // utilization clamp boundary (rho = 1)
-		clamp(w * (pt.HoldUS + m.spinBaseUS(pt.Procs)) / 2), // wait limit: larger caps change nothing
-		minUS, maxUS,
-	} {
-		if at(cand) < at(best) || (at(cand) == at(best) && cand < best) {
-			best = cand
-		}
-	}
-	return best
 }
 
 // Predictor pairs a machine with a calibration and produces predictions.

@@ -111,30 +111,6 @@ func TestCrossoverAgreesWithBruteForce(t *testing.T) {
 	}
 }
 
-// The closed-form BestCap must (near-)minimize the model's own spin
-// overhead over a dense cap scan.
-func TestBestCapMinimizesOverhead(t *testing.T) {
-	for _, m := range []Machine{hector16(), numachine64()} {
-		for _, p := range []int{2, 4, 8, m.Procs()} {
-			for _, hold := range []float64{5, 25, 100} {
-				pt := Point{Procs: p, HoldUS: hold}
-				best := m.BestCap(pt, 1, 4000)
-				atBest := m.spinOverhead(p, hold, best)
-				scanMin := math.Inf(1)
-				for cap := 1.0; cap <= 4000; cap *= 1.05 {
-					if c := m.spinOverhead(p, hold, cap); c < scanMin {
-						scanMin = c
-					}
-				}
-				if atBest > scanMin*1.05+0.5 {
-					t.Errorf("machine=%dx%d p=%d hold=%g: overhead(BestCap=%.1f)=%.2f vs scan min %.2f",
-						m.Stations, m.ProcsPerStation, p, hold, best, atBest, scanMin)
-				}
-			}
-		}
-	}
-}
-
 // Calibration must drive the fit-grid residual error to (near) zero when
 // the observations come from the model itself scaled by per-lock
 // constants — the identifiability sanity check.
@@ -164,26 +140,6 @@ func TestCalibrateRecoversResiduals(t *testing.T) {
 	}
 	if cal.MedianErr > 1e-6 {
 		t.Errorf("MedianErr = %g on a perfectly fittable grid", cal.MedianErr)
-	}
-}
-
-// The advisor must recommend spin for an uncontended lock and escalate to
-// the hierarchical shape for ring-dominated contention on the large
-// machine — the two ends of the mode chain.
-func TestAdvisorEndpoints(t *testing.T) {
-	adv := NewAdvisor(hector16(), Calibration{})
-	a := adv.Advise(ShapeSpin, 35, 2, 27) // wait ~ svc: nobody queued
-	if a.Shape != ShapeSpin {
-		t.Errorf("uncontended advice = %v, want spin (advice %+v)", a.Shape, a)
-	}
-	big := NewAdvisor(numachine256(), Calibration{})
-	// 255 waiters at ~30us service: deep ring-crossing queue.
-	b := big.Advise(ShapeSpin, 35, 255*30, 30)
-	if b.Shape == ShapeSpin {
-		t.Errorf("saturated 256-proc advice = %v, want queue or cohort (advice %+v)", b.Shape, b)
-	}
-	if b.Procs < 200 {
-		t.Errorf("inferred procs = %d, want near 256", b.Procs)
 	}
 }
 

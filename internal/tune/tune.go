@@ -42,12 +42,6 @@
 // which are free to change, while the placement daemon and replicator move
 // or copy kernel data, which charges real traffic — hence their extra
 // payback and budget guards.
-//
-// Since PR 10 the controller also has a model-driven mode: when
-// Params.Model carries a calibrated model.Advisor, the reactive walk is
-// replaced by analytic pricing — the controller infers the operating point
-// from its windowed signals, asks the advisor for the predicted-best shape
-// and backoff cap, and jumps straight there (see Observe).
 package tune
 
 import (
@@ -55,7 +49,6 @@ import (
 	"strings"
 
 	"hurricane/internal/autonomic"
-	"hurricane/internal/model"
 	"hurricane/internal/sim"
 )
 
@@ -144,34 +137,17 @@ type Params struct {
 	// MaxCap clamps the backoff cap from above (default 2ms — with MinCap,
 	// the two ends of the paper's own Figure 5 sweep).
 	MaxCap sim.Duration
-	// LogLimit bounds the retained decision log (default 256; 0 takes the
-	// default, negative disables logging).
-	LogLimit int
 	// Plane, when non-nil, registers the controller's sampler on the shared
 	// autonomics plane instead of a private Engine.Every daemon: the plane's
 	// single cadence then ticks it alongside the placement and replication
 	// policies, so each phase observes the others' actions. The plane's
 	// period rules for a plane-scheduled sampler.
 	Plane *autonomic.Plane
-	// Model, when non-nil, switches the controller to model-driven mode:
-	// instead of walking the cap multiplicatively and escalating through
-	// the mode chain on saturation evidence, each decision window infers
-	// the operating point (contenders, hold) from the measured wait and
-	// completion interval, prices the candidate shapes through the
-	// calibrated advisor, and jumps straight to the predicted-best mode
-	// and backoff cap. Dwell hysteresis and the signal reset on mode
-	// switches still apply — the model prices regimes, the dwell keeps
-	// estimate noise from flapping the mode. The advisor's cap bounds
-	// should match MinCap/MaxCap.
-	Model *model.Advisor
 }
 
 func (p Params) withDefaults() Params {
 	if p.MaxCap == 0 {
 		p.MaxCap = sim.Micros(2000)
-	}
-	if p.LogLimit == 0 {
-		p.LogLimit = 256
 	}
 	return p
 }
@@ -185,12 +161,9 @@ const (
 	waitDenFloor = 0.5
 )
 
-// ewmaHorizon is the number of windows the 0.75-retention smoothing takes
-// to mostly forget an old regime (0.75^4 ≈ 0.32). The model-driven mode
-// requires the advised cap to have been stable for this long before it
-// will act on a shape recommendation: any shorter and the wait/svc
-// evidence still reflects the cap the advisor already rejected.
-const ewmaHorizon = 4
+// logLimit bounds the retained decision log: Log and Report see only the
+// first logLimit windows of a run.
+const logLimit = 256
 
 // Counters is the cumulative per-lock telemetry a sampling hook reads;
 // the sampler diffs successive snapshots into per-window Samples. All
@@ -285,15 +258,6 @@ type Controller struct {
 	// genuinely idle lock shows neither — only the latter may walk the
 	// mode chain back down.
 	att autonomic.DecayedSum
-	// svc decays window length over completed acquisitions: the smoothed
-	// completion interval. Under the saturated closed loop one round
-	// completes every hold + overhead, so this is the model-driven mode's
-	// estimate of H + C — the denominator that turns the measured wait
-	// into an inferred contender count (model.Advisor.Infer). Only
-	// consulted when Params.Model is set.
-	svc autonomic.DecayedRatio
-	// lastNow is the previous sample time, for svc's window length.
-	lastNow sim.Time
 	// util smooths home-module utilization over the same horizon. Windowed
 	// spin-lock utilization is bimodal too: each completed acquisition
 	// restarts the winner's backoff at 1us, so windows catching a restart
@@ -311,18 +275,6 @@ type Controller struct {
 	// the dwell also covers the windows the fresh EWMA needs to mean
 	// anything.
 	dwell autonomic.Dwell
-	// capSettled counts consecutive model-mode windows in which the
-	// advised cap agreed (within 2x) with the cap already in force; a
-	// shape switch waits for a full smoothing horizon of agreement.
-	capSettled int
-	// rec and recRun track the advisor's current non-incumbent shape
-	// recommendation and how many consecutive ready windows it has
-	// persisted; recProcs is the contender count the last confirmation
-	// window inferred. A shape switch waits for a full horizon of the same
-	// recommendation at a stable inferred operating point.
-	rec      Mode
-	recRun   int
-	recProcs int
 	// switches counts mode transitions; samples counts observations.
 	switches, samples uint64
 	log               []Decision
@@ -337,7 +289,6 @@ func NewController(p Params, stations int) *Controller {
 		p: p, stations: stations, mode: ModeSpin, cap: MinCap, head: minHead,
 		wait:  autonomic.DecayedRatio{Decay: waitDecay, Floor: waitDenFloor},
 		ring:  autonomic.DecayedRatio{Decay: waitDecay, Floor: waitDenFloor},
-		svc:   autonomic.DecayedRatio{Decay: waitDecay, Floor: waitDenFloor},
 		att:   autonomic.DecayedSum{Decay: waitDecay},
 		util:  autonomic.EWMA{Decay: waitDecay},
 		band:  autonomic.Band{Low: satLow, High: SatHigh},
@@ -414,10 +365,8 @@ func nextHead(prev sim.Duration, util float64) sim.Duration {
 
 // Observe consumes one sampling window and updates the published constants.
 // Both signals are smoothed over a ~4-window horizon before any decision is
-// taken. With Params.Model set the decision body is the analytic advisor
-// (see adviseModel); otherwise the reactive crossover chain below runs.
-// The chain runs spin → queue → cohort as pressure grows:
-// spinning is abandoned only when the home module stays saturated with the
+// taken (see reactive). The chain runs spin → queue → cohort as pressure
+// grows: spinning is abandoned only when the home module stays saturated with the
 // cap already at MaxCap — i.e. when backing off further is impossible and
 // the module still has no headroom — and queue mode escalates to the
 // hierarchical cohort shape (multi-station machines only) when the
@@ -444,31 +393,21 @@ func (c *Controller) Observe(s Sample) {
 	ringFrac := c.ring.Observe(float64(s.Lock.RemoteAcquisitions), float64(s.Lock.Acquisitions))
 	c.att.Add(float64(s.Lock.Attempts))
 	util := c.util.Observe(s.HomeUtil)
-	c.svc.Observe(float64(s.Now-c.lastNow), float64(s.Lock.Acquisitions))
-	c.lastNow = s.Now
-	ready := c.dwell.Ready()
-	if c.p.Model != nil {
-		c.adviseModel(util, waitUS, ready, s.Lock.Acquisitions > 0)
-	} else {
-		c.reactive(util, waitUS, ringFrac, ready)
-	}
+	c.reactive(util, waitUS, ringFrac, c.dwell.Ready())
 	if c.mode != prevMode {
 		c.switches++
 		// Start the new mode from clean windows: drop the old-mode wait
 		// mass (the estimate freezes until fresh acquisitions arrive) and
-		// restart the utilization EWMA from the neutral mid-band. The
-		// completion-interval estimate resets too: it measured the old
-		// protocol's overhead.
+		// restart the utilization EWMA from the neutral mid-band.
 		c.wait.Reset()
 		c.ring.Clear()
-		c.svc.Reset()
 		// att is deliberately NOT reset: it only ever blocks a retreat,
 		// and the attempts backlog it carries across a switch is exactly the
 		// evidence that waiters from the old mode are still in flight.
 		c.util.Set(c.band.Mid())
 		c.dwell.Arm()
 	}
-	if c.p.LogLimit > 0 && len(c.log) < c.p.LogLimit {
+	if len(c.log) < logLimit {
 		c.log = append(c.log, Decision{
 			At: s.Now, HomeUtil: s.HomeUtil, UtilEWMA: util, WaitUS: waitUS,
 			FailFrac: s.failFrac(), RingFrac: c.ring.Value(),
@@ -533,140 +472,9 @@ func (c *Controller) reactive(util, waitUS, ringFrac float64, ready bool) {
 	}
 }
 
-// adviseModel is the model-driven decision body: infer the operating
-// point from the smoothed wait and completion interval, ask the advisor
-// to price the candidate shapes, and jump to the answer. The advisor is
-// told the incumbent shape, so a recommendation to move already cleared
-// the calibration's uncertainty margin. The cap and head jumps are free
-// and happen every window (both knobs are priced by the model — the head
-// from BestHeadUS instead of the reactive utilization walk); a mode jump
-// still respects the dwell — the model prices regimes, the dwell keeps
-// one noisy inference from flapping the shape. While the smoothing
-// horizon carries no completed acquisitions (startup, or the post-switch
-// signal reset) there is no evidence to invert, and the controller holds
-// its position.
-func (c *Controller) adviseModel(util, waitUS float64, ready, fresh bool) {
-	// Saturation escape, first and unconditionally: a saturating home
-	// module with a small cap starves the very signals the inference
-	// needs — completions stall, the wait freezes or loses its mass
-	// entirely, and any advised cap would be priced at a phantom point —
-	// so the cap cannot be trusted to stay down on the model's word.
-	// Keep the reactive law's utilization half as a lower bound (double
-	// out of saturation); the model reclaims the cap the moment its
-	// signals carry mass and price a larger one. The wait-tracking half
-	// of the reactive law stays replaced: that is the half the pricing
-	// supersedes.
-	var escape sim.Duration
-	if util >= SatHigh {
-		escape = c.cap * 2
-		if escape > c.p.MaxCap {
-			escape = c.p.MaxCap
-		}
-	}
-	svcUS := c.svc.Value() / sim.CyclesPerMicrosecond
-	if c.wait.Mass() < waitDenFloor || svcUS <= 0 {
-		if escape > c.cap {
-			c.cap = escape
-		}
-		return
-	}
-	cur := model.ShapeSpin
-	switch c.mode {
-	case ModeQueue:
-		cur = model.ShapeQueue
-	case ModeCohort:
-		cur = model.ShapeCohort
-	}
-	adv := c.p.Model.Advise(cur, float64(c.cap)/sim.CyclesPerMicrosecond, waitUS, svcUS)
-	cap := sim.Micros(adv.CapUS)
-	if cap < escape {
-		cap = escape
-	}
-	if cap < MinCap {
-		cap = MinCap
-	}
-	if cap > c.p.MaxCap {
-		cap = c.p.MaxCap
-	}
-	// settled: the advised cap has agreed with the cap the measured
-	// signals were produced under (within the walk's own doubling step)
-	// for a full smoothing horizon. A large cap jump means the horizon's
-	// svc and wait were measured at a cap the advisor has just rejected —
-	// the startup windows, with the cap still at MinCap, are the canonical
-	// case: a 64-processor storm on an 8us cap inflates the completion
-	// interval, the inference reads the excess as hold time, and a mode
-	// decision on that evidence jumps at a regime that does not exist.
-	// Let the cap land first and the smoothed signals re-converge under
-	// it; the shape decision follows, priced from evidence the advised
-	// cap actually produced.
-	if cap <= c.cap*2 && c.cap <= cap*2 {
-		c.capSettled++
-	} else {
-		c.capSettled = 0
-	}
-	settled := c.capSettled >= ewmaHorizon
-	c.cap = cap
-	head := sim.Micros(adv.HeadUS)
-	if head < minHead {
-		head = minHead
-	}
-	if head > maxHead {
-		head = maxHead
-	}
-	c.head = head
-	target := c.mode
-	switch adv.Shape {
-	case model.ShapeQueue:
-		target = ModeQueue
-	case model.ShapeCohort:
-		// The advisor already gates cohort on a multi-station machine, but
-		// the controller's own station count rules.
-		if c.stations > 1 {
-			target = ModeCohort
-		} else {
-			target = ModeQueue
-		}
-	default:
-		target = ModeSpin
-	}
-	// Confirmation: one window's inversion can land on a phantom operating
-	// point (the startup storm is the canonical case — wait and completion
-	// interval are both storm-dominated, so their ratio reads as two
-	// processors with an enormous hold). A single closed form cannot tell
-	// that window from a real regime, but a real regime persists: require
-	// the same non-incumbent recommendation across a full smoothing
-	// horizon of ready windows before acting on it. Phantom points decay
-	// with the storm that produced them; real crossings don't.
-	// A window with no completed acquisitions carries no new evidence —
-	// the wait estimate is frozen and the completion interval only grew —
-	// so it neither advances nor resets the run. A window whose inferred
-	// contender count disagrees with the previous confirmation window's
-	// restarts it: during the startup ramp the inferred point climbs every
-	// window as the wait backlog rotates into the estimate, and a
-	// recommendation priced at a still-moving point is a recommendation
-	// about a regime that is still arriving.
-	if target == c.mode {
-		c.recRun = 0
-	} else if ready && fresh {
-		dp := adv.Procs - c.recProcs
-		if dp < 0 {
-			dp = -dp
-		}
-		stable := dp <= 1 || dp*4 <= adv.Procs
-		if target == c.rec && stable {
-			c.recRun++
-		} else {
-			c.rec, c.recRun = target, 1
-		}
-		c.recProcs = adv.Procs
-	}
-	if ready && settled && c.recRun >= ewmaHorizon && target != c.mode {
-		c.mode = target
-		c.recRun = 0
-	}
-}
-
 // Log returns the retained decision history (oldest first).
+//
+//doclint:keep tests in tune, locks and workload read the decision history through it
 func (c *Controller) Log() []Decision { return c.log }
 
 // Report renders the decision history and final state as an indented block.

@@ -176,7 +176,7 @@ func TestModeSwitchResetsEWMAWindows(t *testing.T) {
 // un-dwelled controller would flap, and asserts the mode never switches
 // twice within one dwell period.
 func TestHysteresisOneSwitchPerDwell(t *testing.T) {
-	c := NewController(Params{LogLimit: 1024}, 1)
+	c := NewController(Params{}, 1)
 	saturateToQueue(t, c, Counters{})
 	// Alternate saturated and idle phases, each shorter than the EWMA
 	// horizon plus dwell, for many windows.
@@ -188,6 +188,9 @@ func TestHysteresisOneSwitchPerDwell(t *testing.T) {
 		c.Observe(Sample{HomeUtil: util})
 	}
 	log := c.Log()
+	if uint64(len(log)) != c.samples {
+		t.Fatalf("log holds %d of %d windows; a truncated log hides late switches", len(log), c.samples)
+	}
 	last, seen := -1, 0
 	for i := 1; i < len(log); i++ {
 		if log[i].Mode == log[i-1].Mode {
