@@ -144,7 +144,9 @@ model-smoke: bench-sim
 # (file and #anchor) in the top-level docs resolves, and every
 # package-level declaration under internal/, exported or unexported, has a
 # non-test caller in this module or benchmark/ (or a `//doclint:keep
-# <reason>` line saying why it stays).
+# <reason>` line saying why it stays), and every decimal in an
+# EXPERIMENTS.md table row appears in results_full.txt (host-timing tables
+# and derived cells, marked, are skipped).
 doc-lint:
 	$(GO) run ./cmd/doclint
 

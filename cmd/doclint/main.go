@@ -3,7 +3,7 @@
 //
 //	doclint [-pkgs dir,dir,...] [-docs file,file,...]
 //
-// Three checks, all fatal on failure:
+// Four checks, all fatal on failure:
 //
 //  1. Godoc coverage. Every exported identifier (type, function, method,
 //     and exported struct field) in the listed packages must carry a doc
@@ -26,6 +26,12 @@
 //     identifier whose doc comment carries a `//doclint:keep <reason>`
 //     line; a keep without a reason is itself a problem. Struct fields are
 //     out of scope. See reach.go.
+//
+//  4. Quoted results. Every decimal in an EXPERIMENTS.md table row must
+//     appear in results_full.txt, the full run the tables quote, so a
+//     change that moves the run cannot leave a table stale. Tables marked
+//     as host timing and cells (or columns) marked as derived are skipped.
+//     See results.go.
 package main
 
 import (
@@ -53,6 +59,7 @@ func main() {
 	}
 	problems = append(problems, lintMarkdown(strings.Split(*docs, ","))...)
 	problems = append(problems, reachability(".")...)
+	problems = append(problems, lintTables("EXPERIMENTS.md", "results_full.txt")...)
 
 	if len(problems) > 0 {
 		for _, p := range problems {
@@ -61,7 +68,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "doclint: %d problem(s)\n", len(problems))
 		os.Exit(1)
 	}
-	fmt.Println("doclint: all exported identifiers documented, all internal/ declarations reachable, all markdown links resolve")
+	fmt.Println("doclint: all exported identifiers documented, all internal/ declarations reachable, all markdown links resolve, all EXPERIMENTS.md table numbers in results_full.txt")
 }
 
 // lintPackage parses every non-test Go file in dir and reports exported

@@ -11,7 +11,7 @@ import (
 
 // refSpin is Spin with the backoff loop written out on the processor's
 // coroutine, as Spin.Acquire was before sim.Proc.BackoffSwap: the
-// reference the engine-side loop must match event for event.
+// per-instruction loop that BackoffSwap still runs on the LP engine.
 type refSpin struct{ *Spin }
 
 func (l refSpin) Acquire(p *sim.Proc) {
@@ -36,15 +36,6 @@ func (l refSpin) Acquire(p *sim.Proc) {
 	}
 }
 
-// accessLog records the machine's memory accesses in emission order.
-type accessLog struct{ evs []sim.TraceEvent }
-
-func (a *accessLog) Event(ev sim.TraceEvent) {
-	if ev.Kind == sim.EvAccess {
-		a.evs = append(a.evs, ev)
-	}
-}
-
 // spinCase is one randomized contention scenario. Processor i sends an
 // interrupt to processor i+1 before its rounds listed in ipiRounds[i]; the
 // handler computes briefly, so it lands mid-backoff as often as not.
@@ -55,7 +46,7 @@ type spinCase struct {
 	max       sim.Duration
 	rounds    int
 	ipiRounds [][]int
-	workers   int // 0: serial engine, traced
+	workers   int // LP engine workers
 }
 
 // spinRun is everything a case must reproduce exactly.
@@ -63,7 +54,6 @@ type spinRun struct {
 	acquired [][]sim.Time
 	counters []sim.InstrCounters
 	events   uint64
-	accesses []sim.TraceEvent
 }
 
 func runSpinCase(c spinCase, ref bool) spinRun {
@@ -73,10 +63,6 @@ func runSpinCase(c spinCase, ref bool) spinRun {
 	}
 	cfg.Workers = c.workers
 	m := sim.NewMachine(cfg)
-	log := &accessLog{}
-	if c.workers == 0 {
-		m.SetTracer(log)
-	}
 	spin := NewSpin(m, m.NumProcs()-1, c.max)
 	var l Lock = spin
 	if ref {
@@ -104,26 +90,22 @@ func runSpinCase(c spinCase, ref bool) spinRun {
 	m.RunAll()
 	d1, e1 := sim.TotalEvents()
 	m.Shutdown()
-	if c.workers == 0 {
-		r.events = m.Eng.Processed()
-	} else {
-		// The LP engines are internal; their runs add to the process-wide
-		// totals, and no other simulation runs in this test binary meanwhile.
-		r.events = d1 - d0 + e1 - e0
-	}
+	// The LP engines are internal; their runs add to the process-wide
+	// totals, and no other simulation runs in this test binary meanwhile.
+	r.events = d1 - d0 + e1 - e0
 	for i := 0; i < c.procs; i++ {
 		r.counters = append(r.counters, m.Procs[i].Counters())
 	}
-	r.accesses = log.evs
 	return r
 }
 
 // TestSpinMatchesCoroutineLoop holds Spin, whose waiting runs through
-// sim.Proc.BackoffSwap, to the coroutine loop it replaced: on random
-// cases, both give the same acquisition times, instruction counters,
-// engine event counts and (traced, on the serial engine) the same memory
-// access sequence. The LP engine runs the loop on the coroutine, so its
-// cases check that fallback at one and two workers.
+// sim.Proc.BackoffSwap, to the coroutine loop it replaced, on the LP
+// engine, where BackoffSwap runs that loop on the coroutine: on random
+// cases at one and two workers, both give the same acquisition times,
+// instruction counters and engine event counts. The serial engine makes a
+// failed poll one step; sim.TestBackoffSwapMatchesStepLoop holds it to
+// its own reference on the same cases.
 func TestSpinMatchesCoroutineLoop(t *testing.T) {
 	rng := sim.NewRNG(0x5b1)
 	caps := []sim.Duration{sim.Micros(35), sim.Micros(2000)}
@@ -144,7 +126,7 @@ func TestSpinMatchesCoroutineLoop(t *testing.T) {
 				}
 			}
 		}
-		for _, workers := range []int{0, 1, 2} {
+		for _, workers := range []int{1, 2} {
 			c.workers = workers
 			name := fmt.Sprintf("case%d/p%d/cap%gus/workers%d", n, c.procs, c.max.Microseconds(), workers)
 			t.Run(name, func(t *testing.T) {
@@ -157,12 +139,6 @@ func TestSpinMatchesCoroutineLoop(t *testing.T) {
 				}
 				if want.events != got.events {
 					t.Fatalf("engine processed %d events, the coroutine loop %d", got.events, want.events)
-				}
-				if !slices.Equal(want.accesses, got.accesses) {
-					t.Fatalf("memory access sequences differ (%d vs %d accesses)", len(want.accesses), len(got.accesses))
-				}
-				if workers == 0 && len(got.accesses) == 0 {
-					t.Fatal("traced run recorded no accesses")
 				}
 			})
 		}

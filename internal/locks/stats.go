@@ -18,6 +18,11 @@ import (
 //
 // When a tracer is installed on the machine, Stats also emits wait and
 // hold spans, so a Chrome trace shows who waited on what and for how long.
+//
+// Stats also checks mutual exclusion on every run, at no simulated cost:
+// a grant (Acquire, or a successful TryAcquire) that finds the lock held,
+// or a release by a processor that does not hold it, panics with the
+// lock, both processors and the simulated time.
 type Stats struct {
 	inner Lock
 	m     *sim.Machine
@@ -45,7 +50,7 @@ type Stats struct {
 	Handoffs [sim.NumDistClasses]uint64 // indexed by sim.DistClass
 
 	waiting    int
-	holding    int // 0 or 1
+	holder     int // processor holding the lock, -1 when free
 	lastHolder int // module of the previous holder, -1 before any release
 	acquiredAt sim.Time
 	home       int
@@ -55,7 +60,7 @@ type Stats struct {
 
 // NewStats wraps l with telemetry on machine m.
 func NewStats(m *sim.Machine, l Lock) *Stats {
-	return &Stats{inner: l, m: m, lastHolder: -1, home: l.Home(),
+	return &Stats{inner: l, m: m, holder: -1, lastHolder: -1, home: l.Home(),
 		waitName: "wait " + l.Name(), holdName: "hold " + l.Name()}
 }
 
@@ -64,6 +69,23 @@ func (s *Stats) Name() string { return s.inner.Name() }
 
 // Home implements Lock.
 func (s *Stats) Home() int { return s.home }
+
+// held reports the number of holders, 0 or 1.
+func (s *Stats) held() int {
+	if s.holder < 0 {
+		return 0
+	}
+	return 1
+}
+
+// grant makes p the holder, panicking if another processor holds the lock.
+func (s *Stats) grant(p *sim.Proc) {
+	if s.holder >= 0 {
+		panic(fmt.Sprintf("locks: %s granted to processor %d at %v while processor %d holds it",
+			s.Name(), p.ID(), p.Now(), s.holder))
+	}
+	s.holder = p.ID()
+}
 
 // recordHandoff counts the lock transfer to the new holder p by its
 // topological distance from the previous holder. The first acquisition of
@@ -94,14 +116,14 @@ func (s *Stats) ResetWindow() {
 // Acquire implements Lock.
 func (s *Stats) Acquire(p *sim.Proc) {
 	t0 := p.Now()
-	s.QueueDepth.Add(float64(s.waiting + s.holding))
+	s.QueueDepth.Add(float64(s.waiting + s.held()))
 	s.waiting++
-	if d := s.waiting + s.holding; d > s.MaxQueueDepth {
+	if d := s.waiting + s.held(); d > s.MaxQueueDepth {
 		s.MaxQueueDepth = d
 	}
 	s.inner.Acquire(p)
 	s.waiting--
-	s.holding = 1
+	s.grant(p)
 	now := p.Now()
 	s.Acquisitions++
 	s.AcquireUS.Add((now - t0).Microseconds())
@@ -118,13 +140,21 @@ func (s *Stats) Acquire(p *sim.Proc) {
 // previous-holder marker is cleared instead.
 func (s *Stats) Release(p *sim.Proc) {
 	now := p.Now()
+	if s.holder != p.ID() {
+		if s.holder < 0 {
+			panic(fmt.Sprintf("locks: processor %d released %s at %v, which no processor holds",
+				p.ID(), s.Name(), now))
+		}
+		panic(fmt.Sprintf("locks: processor %d released %s at %v, which processor %d holds",
+			p.ID(), s.Name(), now, s.holder))
+	}
 	s.HoldUS.Add((now - s.acquiredAt).Microseconds())
 	if s.waiting > 0 {
 		s.lastHolder = p.ID()
 	} else {
 		s.lastHolder = -1
 	}
-	s.holding = 0
+	s.holder = -1
 	s.m.EmitSpan(sim.SpanLockHold, s.holdName, p.ID(), s.acquiredAt, now, s.home, 0)
 	s.inner.Release(p)
 }
@@ -141,7 +171,7 @@ func (s *Stats) TryAcquire(p *sim.Proc) bool {
 	got := tl.TryAcquire(p)
 	if got {
 		s.TrySuccesses++
-		s.holding = 1
+		s.grant(p)
 		s.Acquisitions++
 		s.recordHandoff(p)
 		s.acquiredAt = p.Now()

@@ -1,6 +1,7 @@
 package locks
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -247,5 +248,93 @@ func TestStatsSelfReacquireNotHandoff(t *testing.T) {
 	if got := s.HandoffTotal(); got != 0 {
 		t.Fatalf("uncontended self-reacquires counted %d hand-offs (%d local), want 0",
 			got, s.Handoffs[sim.DistLocal])
+	}
+}
+
+// brokenLock is a deliberately broken lock: Acquire and TryAcquire grant
+// at once, without waiting, and record when they did.
+type brokenLock struct {
+	*Spin
+	granted sim.Time
+}
+
+func (l *brokenLock) Acquire(p *sim.Proc) {
+	p.Reg(1)
+	l.granted = p.Now()
+}
+
+func (l *brokenLock) TryAcquire(p *sim.Proc) bool {
+	l.Acquire(p)
+	return true
+}
+
+func (l *brokenLock) Release(p *sim.Proc) { p.Reg(1) }
+
+// TestStatsChecksMutualExclusion breaks a lock and requires Stats to panic
+// at the first grant that finds a holder and at a release by a processor
+// that does not hold the lock, naming the lock, both processors and the
+// simulated time.
+func TestStatsChecksMutualExclusion(t *testing.T) {
+	cases := []struct {
+		name string
+		// first runs on processor 0, second on processor 1 2us later.
+		first, second func(s *Stats, p *sim.Proc)
+		want          func(l *brokenLock) string
+	}{
+		{
+			name:   "grant",
+			first:  (*Stats).Acquire,
+			second: (*Stats).Acquire,
+			want: func(l *brokenLock) string {
+				return fmt.Sprintf("locks: Spin-35us granted to processor 1 at %v while processor 0 holds it", l.granted)
+			},
+		},
+		{
+			name:   "try-grant",
+			first:  (*Stats).Acquire,
+			second: func(s *Stats, p *sim.Proc) { s.TryAcquire(p) },
+			want: func(l *brokenLock) string {
+				return fmt.Sprintf("locks: Spin-35us granted to processor 1 at %v while processor 0 holds it", l.granted)
+			},
+		},
+		{
+			name:   "foreign-release",
+			first:  (*Stats).Acquire,
+			second: (*Stats).Release,
+			want: func(*brokenLock) string {
+				return fmt.Sprintf("locks: processor 1 released Spin-35us at %v, which processor 0 holds", sim.Time(sim.Micros(2)))
+			},
+		},
+		{
+			name:   "free-release",
+			first:  func(*Stats, *sim.Proc) {},
+			second: (*Stats).Release,
+			want: func(*brokenLock) string {
+				return fmt.Sprintf("locks: processor 1 released Spin-35us at %v, which no processor holds", sim.Time(sim.Micros(2)))
+			},
+		},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			m := sim.NewMachine(sim.Config{Seed: 18})
+			l := &brokenLock{Spin: NewSpin(m, 0, DefaultSpinCap)}
+			s := NewStats(m, l)
+			m.Go(0, func(p *sim.Proc) {
+				c.first(s, p)
+				p.Think(sim.Micros(10))
+			})
+			m.Go(1, func(p *sim.Proc) {
+				p.Think(sim.Micros(2))
+				c.second(s, p)
+			})
+			var got any
+			func() {
+				defer func() { got = recover() }()
+				m.RunAll()
+			}()
+			if want := c.want(l); got != want {
+				t.Fatalf("panic %v, want %q", got, want)
+			}
+		})
 	}
 }

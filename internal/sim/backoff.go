@@ -5,53 +5,61 @@ package sim
 // word at a fetches 0, it backs off locally for a jittered delay, swaps,
 // and spends one branch on the test; the delay starts at initial and
 // doubles after every failed poll up to maxDelay. Its instruction stream,
-// counters, RNG draws, trace events and engine events are exactly those of
+// counters, RNG draws and memory accesses are those of
 //
-//	for {
-//		p.Think(delay/2 + p.RNG().Duration(delay/2+1))
-//		if p.Swap(a, 1) == 0 {
-//			p.Branch(1)
-//			return
-//		}
+//	delay := initial
+//	p.Think(delay/2 + p.RNG().Duration(delay/2+1))
+//	for p.Swap(a, 1) != 0 {
 //		p.Branch(1)
 //		delay = min(2*delay, maxDelay)
+//		p.Think(delay/2 + p.RNG().Duration(delay/2+1))
 //	}
+//	p.Branch(1)
 //
-// but on the serial engine a failed poll costs only queue work: the loop
-// is an engineLoop (engineloop.go), so between wake-ups it runs in engine
-// context, and the processor's coroutine is resumed only when the swap
-// succeeds or an interrupt is deliverable at an instruction boundary. The
-// handler then runs on the coroutine, as always, and may itself call
-// BackoffSwap: each call keeps its own state.
+// On the serial engine the loop is an engineLoop (engineloop.go): between
+// wake-ups it runs in engine context, and the processor's coroutine is
+// resumed only when the swap succeeds or an interrupt is deliverable at an
+// instruction boundary. Only a swap's issue touches shared state, so a
+// failed poll is one step: the swap issues, and the test's branch, the
+// doubled delay and the next jitter are settled at once, in one sleep from
+// the issue to fetch return + branch + backoff, whose end is the poll's
+// one instruction boundary. Against the loop above this moves two things,
+// both below what any published figure resolves: a same-cycle tie of that
+// wake-up is sequenced at the swap's issue instead of at its fetch return,
+// and an interrupt arriving before the backoff starts is taken at the end
+// of the step, where one arriving during the backoff is taken already (a
+// Think is one uninterruptible sleep). A winning swap keeps its separate
+// fetch and branch. The handler runs on the coroutine, as always, and may
+// itself call BackoffSwap: each call keeps its own state.
+//
+// On the LP engine a cross-station swap parks the coroutine until its
+// response arrives (parSim.remoteAccess), so there the loop above runs on
+// the coroutine, instruction by instruction.
 func (p *Proc) BackoffSwap(a Addr, initial, maxDelay Duration) {
 	if p.mach.par != nil {
-		// On the LP engine a cross-station swap parks the coroutine until
-		// its response arrives (parSim.remoteAccess), so the loop must run
-		// on the coroutine.
 		delay := initial
-		for {
-			p.Think(delay/2 + p.rng.Duration(delay/2+1))
-			if p.Swap(a, 1) == 0 {
-				p.Branch(1)
-				return
-			}
+		p.Think(delay/2 + p.rng.Duration(delay/2+1))
+		for p.Swap(a, 1) != 0 {
 			p.Branch(1)
 			delay = min(2*delay, maxDelay)
+			p.Think(delay/2 + p.rng.Duration(delay/2+1))
 		}
+		p.Branch(1)
+		return
 	}
 	b := &backoffPoll{a: a, delay: initial, maxDelay: maxDelay}
 	b.wake = b.resume
 	b.drive(p, b)
 }
 
-// pollStep is the next instruction of a BackoffSwap loop.
+// pollStep is the next step of a BackoffSwap loop.
 type pollStep uint8
 
 const (
-	stepBackoff pollStep = iota // the jittered local delay
-	stepSwap                    // the swap on the lock word
-	stepBranch                  // the test's branch
-	stepTest                    // stop if the swap fetched 0, else double the delay
+	stepBackoff pollStep = iota // the first jittered local delay
+	stepSwap                    // a swap on the lock word, and a failed one's backoff
+	stepBranch                  // the winning swap's branch
+	stepDone                    // the lock is taken
 )
 
 // backoffPoll is the state of one BackoffSwap call.
@@ -60,7 +68,11 @@ type backoffPoll struct {
 	a               Addr
 	delay, maxDelay Duration
 	next            pollStep
-	old             uint64 // the value the last swap fetched
+}
+
+// jitter draws the next backoff from the current delay.
+func (b *backoffPoll) jitter() Duration {
+	return b.delay/2 + b.p.rng.Duration(b.delay/2+1)
 }
 
 // run executes the poll loop's steps (see stepper).
@@ -71,29 +83,32 @@ func (b *backoffPoll) run() bool {
 		case stepBackoff:
 			b.next = stepSwap
 			// Think(0) is not an instruction boundary.
-			if d := b.delay/2 + p.rng.Duration(b.delay/2+1); d != 0 && !b.sleep(p.eng.now+d) {
+			if d := b.jitter(); d != 0 && !b.sleep(p.eng.now+d) {
 				return false
 			}
 		case stepSwap:
-			b.next = stepBranch
 			p.counters.Atomic++
-			var done Time
-			b.old, done, _ = p.mem.access(p, b.a, accSwap, 1, 0)
+			old, done, _ := p.mem.access(p, b.a, accSwap, 1, 0)
+			if old == 0 {
+				b.next = stepBranch
+			} else {
+				// A failed poll: its branch and the next backoff join
+				// the fetch in one sleep, up to the next swap.
+				p.counters.Branch++
+				b.delay = min(2*b.delay, b.maxDelay)
+				done += p.mem.lat.Branch + b.jitter()
+			}
 			if !b.sleep(done) {
 				return false
 			}
 		case stepBranch:
-			b.next = stepTest
+			b.next = stepDone
 			p.counters.Branch++
 			if d := p.mem.lat.Branch; d != 0 && !b.sleep(p.eng.now+d) {
 				return false
 			}
-		case stepTest:
-			if b.old == 0 {
-				return true // acquired
-			}
-			b.next = stepBackoff
-			b.delay = min(2*b.delay, b.maxDelay)
+		case stepDone:
+			return true // acquired
 		}
 	}
 	return true

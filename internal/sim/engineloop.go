@@ -7,12 +7,14 @@ package sim
 // instruction it carries, and loops like a spinning swap or a sweep over a
 // table make most of a run's events.
 //
-// The loop's stepper executes one instruction per step against the memory
-// system exactly as the Proc method would: same counters, same RNG draws,
-// same Memory.access calls (so the same trace events). engineLoop keeps
-// the rest of the contract. A wake-up that nothing else could precede is
+// The loop's stepper executes its steps against the memory system exactly
+// as Proc's methods would: same counters, same RNG draws, same
+// Memory.access calls (so the same trace events). A step is one
+// instruction, except that a failed BackoffSwap poll is one step from the
+// swap's issue to the next swap (see BackoffSwap). engineLoop keeps the
+// rest of the contract. A wake-up that nothing else could precede is
 // elided as Proc.sleepUntil elides it, and otherwise scheduled with the
-// same (time, sequence) key. Every completed instruction is an instruction
+// same (time, sequence) key. Every completed step is an instruction
 // boundary, where an interrupt deliverable at that instant hands the
 // coroutine back to run its handler, as Proc's instructions call checkIRQ
 // there; the loop resumes after it. The coroutine also takes over once the
