@@ -144,9 +144,12 @@ model-smoke: bench-sim
 # (file and #anchor) in the top-level docs resolves, and every
 # package-level declaration under internal/, exported or unexported, has a
 # non-test caller in this module or benchmark/ (or a `//doclint:keep
-# <reason>` line saying why it stays), and every decimal in an
+# <reason>` line saying why it stays), every decimal in an
 # EXPERIMENTS.md table row appears in results_full.txt (host-timing tables
-# and derived cells, marked, are skipped).
+# and derived cells, marked, are skipped), and every struct field under
+# internal/ that non-test code reads is also set by non-test code (a
+# default filled in under `if x.f == 0` does not count; tagged fields and
+# `//doclint:keep <reason>` fields are exempt).
 doc-lint:
 	$(GO) run ./cmd/doclint
 

@@ -10,7 +10,8 @@
 // With -migrate, kernel-data slots are allocated in migratable regions and
 // an online placement daemon samples the live access trace, re-homing hot
 // slots toward their accessors mid-run; the daemon's move log and the
-// charged migration cost are printed after the run.
+// charged migration cost are printed after the run. The daemon runs with
+// the placement_online experiment's parameters.
 //
 // With -autonomic, the whole kernel autonomics plane runs: feedback-tuned
 // kernel locks, the placement daemon, and the replication policy for
@@ -25,7 +26,9 @@ import (
 
 	"hurricane/internal/autonomic"
 	"hurricane/internal/core"
+	"hurricane/internal/exp"
 	"hurricane/internal/locks"
+	"hurricane/internal/machine"
 	"hurricane/internal/sim"
 	"hurricane/internal/trace"
 	"hurricane/internal/trace/placement"
@@ -96,7 +99,7 @@ func main() {
 	if *migrate {
 		// The daemon reads the live aggregate, so it must be in the sink
 		// chain; a Chrome trace, if also requested, rides the same stream.
-		agg = trace.NewAggregate(16)
+		agg = trace.NewAggregate(machineProcs)
 		if tracer != nil {
 			t = trace.NewPipeline(tracer, agg)
 		} else {
@@ -104,17 +107,21 @@ func main() {
 		}
 	}
 	cc := core.Config{
-		Machine:     sim.Config{Seed: *seed},
+		Machine:     machine.Hector16(*seed),
 		ClusterSize: *size,
 		LockKind:    lk,
 		Tracer:      t,
 		Migratable:  *migrate,
 	}
+	// One cadence for every policy: with -autonomic the tune samplers
+	// register on the plane during kernel construction, the data policies
+	// after.
+	dp := exp.OnlineDaemonParams()
 	var plane *autonomic.Plane
+	if *migrate {
+		plane = autonomic.NewPlane(dp.Period)
+	}
 	if *auto {
-		// One cadence for every policy; the tune samplers register on the
-		// plane during kernel construction, the data policies after.
-		plane = autonomic.NewPlane(sim.Micros(25))
 		cc.TuneParams = &tune.Params{Plane: plane}
 	}
 	sys := core.NewSystem(cc)
@@ -129,23 +136,11 @@ func main() {
 	var daemon *placement.Daemon
 	var rep *autonomic.Replicator
 	if *migrate {
-		topo := autonomic.Topo{Stations: 4, ProcsPerStation: 4}
-		dp := placement.DaemonParams{Period: sim.Micros(25), Decay: 0.9, MinWeight: 0.25, Confirm: 3}
-		if plane != nil {
-			rep = autonomic.NewReplicator(sys.M, topo, autonomic.DefaultCosts(),
-				autonomic.ReplicatorParams{Decay: 0.9, MinWeight: 0.25, Confirm: 3},
-				placement.ReplicateKernel(sys.K, agg))
-			plane.Add(rep)
-			dp.Yield = rep.Claimed
+		var rp *autonomic.ReplicatorParams
+		if *auto {
+			rp = &autonomic.ReplicatorParams{Decay: 0.9, MinWeight: 0.25, Confirm: 3}
 		}
-		daemon = placement.NewDaemon(sys.M, agg, topo,
-			autonomic.DefaultCosts(), dp, placement.ManageKernel(sys.K))
-		if plane != nil {
-			plane.Add(daemon)
-			plane.Start(sys.M.Eng)
-		} else {
-			daemon.Start()
-		}
+		rep, daemon = placement.Attach(plane, sys.K, agg, rp, &dp)
 	}
 
 	var res workload.FaultResult
@@ -173,7 +168,7 @@ func main() {
 			float64(res.Stats.MigrationCycles)/sim.CyclesPerMicrosecond)
 		fmt.Print("  " + daemon.Report())
 	}
-	if plane != nil {
+	if rep != nil {
 		fmt.Print("  " + plane.Report())
 		fmt.Print("  " + rep.Report())
 		var switches uint64

@@ -3,7 +3,7 @@
 //
 //	doclint [-pkgs dir,dir,...] [-docs file,file,...]
 //
-// Four checks, all fatal on failure:
+// Five checks, all fatal on failure:
 //
 //  1. Godoc coverage. Every exported identifier (type, function, method,
 //     and exported struct field) in the listed packages must carry a doc
@@ -25,13 +25,21 @@
 //     Methods that implement an interface method are exempt, and so is an
 //     identifier whose doc comment carries a `//doclint:keep <reason>`
 //     line; a keep without a reason is itself a problem. Struct fields are
-//     out of scope. See reach.go.
+//     the fifth check's. See reach.go.
 //
 //  4. Quoted results. Every decimal in an EXPERIMENTS.md table row must
 //     appear in results_full.txt, the full run the tables quote, so a
 //     change that moves the run cannot leave a table stale. Tables marked
 //     as host timing and cells (or columns) marked as derived are skipped.
 //     See results.go.
+//
+//  5. Set fields. Every struct field declared in a non-test file under
+//     internal/ that non-test code reads must also be set by non-test
+//     code: by a composite literal, an assignment, ++/--, taking its
+//     address or calling a pointer method on it. Filling in a default
+//     under `if x.f == 0` does not count, so a knob nobody turns is
+//     flagged and becomes a constant. Tagged fields and fields carrying
+//     `//doclint:keep <reason>` are exempt. See fields.go.
 package main
 
 import (
@@ -58,7 +66,12 @@ func main() {
 		problems = append(problems, lintPackage(strings.TrimSpace(dir))...)
 	}
 	problems = append(problems, lintMarkdown(strings.Split(*docs, ","))...)
-	problems = append(problems, reachability(".")...)
+	if l, errs := load("."); l == nil {
+		problems = append(problems, errs...)
+	} else {
+		problems = append(problems, reachability(l)...)
+		problems = append(problems, unsetFields(l)...)
+	}
 	problems = append(problems, lintTables("EXPERIMENTS.md", "results_full.txt")...)
 
 	if len(problems) > 0 {
@@ -68,7 +81,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "doclint: %d problem(s)\n", len(problems))
 		os.Exit(1)
 	}
-	fmt.Println("doclint: all exported identifiers documented, all internal/ declarations reachable, all markdown links resolve, all EXPERIMENTS.md table numbers in results_full.txt")
+	fmt.Println("doclint: all exported identifiers documented, all internal/ declarations reachable, every read internal/ field set, all markdown links resolve, all EXPERIMENTS.md table numbers in results_full.txt")
 }
 
 // lintPackage parses every non-test Go file in dir and reports exported

@@ -40,6 +40,8 @@ type loader struct {
 	std  types.Importer
 	pkgs map[string]*pkg
 	errs []string
+	// internal is root/internal with a trailing separator, set by load.
+	internal string
 }
 
 func (l *loader) Import(path string) (*types.Package, error) {
@@ -64,7 +66,12 @@ func (l *loader) load(path, dir string) (*pkg, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &pkg{dir: dir, info: &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}}
+	p := &pkg{dir: dir, info: &types.Info{
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}}
 	for _, name := range bp.GoFiles {
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
@@ -114,6 +121,52 @@ func (l *loader) loadTree(root string) error {
 	})
 }
 
+// load parses and type-checks every module under root once, for the
+// checks that need types (reachability and unset fields). It returns the
+// type errors instead of a loader when the tree does not check.
+func load(root string) (*loader, []string) {
+	fset := token.NewFileSet()
+	l := &loader{fset: fset, std: importer.ForCompiler(fset, "gc", nil), pkgs: map[string]*pkg{}}
+	if err := l.loadTree(root); err != nil {
+		return nil, []string{err.Error()}
+	}
+	if len(l.errs) > 0 {
+		return nil, l.errs
+	}
+	l.internal = filepath.Join(root, "internal") + string(filepath.Separator)
+	return l, nil
+}
+
+// underInternal reports whether p is a package of root/internal, whose
+// declarations the typed checks hold to account.
+func (l *loader) underInternal(p *pkg) bool {
+	return strings.HasPrefix(p.dir+string(filepath.Separator), l.internal)
+}
+
+// kept reports whether one of the comment groups carries a keep directive
+// with a reason, and appends a problem to bad for each one without.
+func kept(fset *token.FileSet, bad *[]string, docs ...*ast.CommentGroup) bool {
+	k := false
+	for _, doc := range docs {
+		if doc == nil {
+			continue
+		}
+		for _, c := range doc.List {
+			rest, ok := strings.CutPrefix(c.Text, keepDirective)
+			if !ok || rest != "" && rest[0] != ' ' && rest[0] != '\t' {
+				continue
+			}
+			if strings.TrimSpace(rest) == "" {
+				p := fset.Position(c.Pos())
+				*bad = append(*bad, fmt.Sprintf("%s:%d: %s needs a reason", p.Filename, p.Line, keepDirective))
+				continue
+			}
+			k = true
+		}
+	}
+	return k
+}
+
 // candidate is a package-level identifier declared under internal/.
 type candidate struct {
 	kind, name string
@@ -128,22 +181,13 @@ type candidate struct {
 // unseen. Methods that implement an interface method are exempt (dynamic
 // dispatch reaches them), as is anything whose doc comment carries
 // `//doclint:keep <reason>`, the blank identifier, and init. Struct fields
-// are out of scope.
-func reachability(root string) []string {
-	fset := token.NewFileSet()
-	l := &loader{fset: fset, std: importer.ForCompiler(fset, "gc", nil), pkgs: map[string]*pkg{}}
-	if err := l.loadTree(root); err != nil {
-		return []string{err.Error()}
-	}
-	if len(l.errs) > 0 {
-		return l.errs
-	}
-
+// are the fifth check's (fields.go).
+func reachability(l *loader) []string {
+	fset := l.fset
 	var out []string
 	cands := map[types.Object]candidate{}
-	internal := filepath.Join(root, "internal") + string(filepath.Separator)
 	for _, p := range l.pkgs {
-		if strings.HasPrefix(p.dir+string(filepath.Separator), internal) {
+		if l.underInternal(p) {
 			for _, f := range p.files {
 				out = append(out, collect(fset, p.info, f, cands)...)
 			}
@@ -173,27 +217,7 @@ func reachability(root string) []string {
 // returns a problem for each keep directive without a reason.
 func collect(fset *token.FileSet, info *types.Info, f *ast.File, cands map[types.Object]candidate) []string {
 	var bad []string
-	keep := func(docs ...*ast.CommentGroup) bool {
-		k := false
-		for _, doc := range docs {
-			if doc == nil {
-				continue
-			}
-			for _, c := range doc.List {
-				rest, ok := strings.CutPrefix(c.Text, keepDirective)
-				if !ok || rest != "" && rest[0] != ' ' && rest[0] != '\t' {
-					continue
-				}
-				if strings.TrimSpace(rest) == "" {
-					p := fset.Position(c.Pos())
-					bad = append(bad, fmt.Sprintf("%s:%d: %s needs a reason", p.Filename, p.Line, keepDirective))
-					continue
-				}
-				k = true
-			}
-		}
-		return k
-	}
+	keep := func(docs ...*ast.CommentGroup) bool { return kept(fset, &bad, docs...) }
 	add := func(id *ast.Ident, kind, name string, k bool) {
 		if obj := info.Defs[id]; obj != nil && id.Name != "_" && !(kind == "func" && id.Name == "init") {
 			cands[obj] = candidate{kind: kind, name: name, keep: k}

@@ -9,7 +9,7 @@ import (
 // TestReachability runs the check on a two-module fixture whose
 // identifiers each cover one rule.
 func TestReachability(t *testing.T) {
-	got := reachability(filepath.Join("testdata", "reach"))
+	got := reachability(mustLoad(t))
 	has := func(s string) bool {
 		for _, p := range got {
 			if strings.Contains(p, s) {
@@ -47,4 +47,14 @@ func TestReachability(t *testing.T) {
 	if len(got) != 7 {
 		t.Errorf("%d problems, want 7:\n%s", len(got), strings.Join(got, "\n"))
 	}
+}
+
+// mustLoad type-checks the two-module fixture.
+func mustLoad(t *testing.T) *loader {
+	t.Helper()
+	l, errs := load(filepath.Join("testdata", "reach"))
+	if l == nil {
+		t.Fatalf("fixture does not type-check:\n%s", strings.Join(errs, "\n"))
+	}
+	return l
 }

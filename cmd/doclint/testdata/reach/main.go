@@ -8,5 +8,5 @@ import (
 
 func main() {
 	a.Used()
-	fmt.Println(a.NewShape(), a.Measure(a.NewShape()))
+	fmt.Println(a.NewShape(), a.Measure(a.NewShape()), a.Knobs{Lit: 1}.Sum())
 }

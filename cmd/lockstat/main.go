@@ -30,20 +30,26 @@
 // With -autonomic, the full kernel autonomics plane runs under one shared
 // cadence: the tuned lock's controller, the placement daemon, and the
 // replication policy for read-mostly data (-tune and -migrate remain the
-// single-policy aliases). In server mode the tenants get migratable data
-// regions with a mixed read-mostly/write-hot profile — the workload the
-// combined plane exists for.
+// single-policy aliases).
 //
-//	lockstat -run server -autonomic -ms 20
+// With -run server, lockstat runs one cell of the server sweep — the
+// machine, lock and horizon chosen by -machine, -lock and -ms, with -migrate
+// the Tuned+mig row's placement daemon — and with -autonomic the autonomic
+// sweep's combined row, which runs on hector16 only. Each prints the
+// metrics the sweep publishes for that cell.
+//
+//	lockstat -run server -lock h2mcs -ms 20
+//	lockstat -run server -autonomic -ms 15
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"hurricane/internal/autonomic"
-	"hurricane/internal/core"
+	"hurricane/internal/exp"
 	"hurricane/internal/locks"
 	"hurricane/internal/machine"
 	"hurricane/internal/sim"
@@ -66,21 +72,12 @@ var kinds = map[string]locks.Kind{
 	"cna":      locks.KindCNA,
 }
 
-// machineSpec is one -machine preset. clusterSize and serverGapUS
-// calibrate -run server; they are zero on the presets that only run stress.
-type machineSpec struct {
-	cfg         func(seed uint64) sim.Config
-	maxProcs    int
-	topo        autonomic.Topo
-	clusterSize int
-	serverGapUS float64
-}
-
-var machines = map[string]machineSpec{
-	"hector16":      {machine.Hector16, 16, autonomic.Topo{Stations: 4, ProcsPerStation: 4}, 4, 90},
-	"numachine64":   {machine.NUMAchine64, 64, autonomic.Topo{Stations: 8, ProcsPerStation: 8}, 8, 180},
-	"numachine256":  {machine.NUMAchine256, 256, autonomic.Topo{Stations: 32, ProcsPerStation: 8}, 0, 0},
-	"numachine1024": {machine.NUMAchine1024, 1024, autonomic.Topo{Stations: 64, ProcsPerStation: 16}, 0, 0},
+// machines are the -machine presets.
+var machines = map[string]func(seed uint64) sim.Config{
+	"hector16":      machine.Hector16,
+	"numachine64":   machine.NUMAchine64,
+	"numachine256":  machine.NUMAchine256,
+	"numachine1024": machine.NUMAchine1024,
 }
 
 // maxHoldUS bounds -hold: one simulated second per critical section.
@@ -89,16 +86,20 @@ const maxHoldUS = 1e6
 // validate rejects flag values the run cannot honor, before any machine is
 // built, so a bad invocation fails with one line instead of a panic, a run
 // that never ends, or zeroed statistics.
-func validate(name string, mc machineSpec, run string, procs, home int, holdUS float64, rounds, warmup, horizonMS int) error {
+func validate(name string, mc sim.Config, run string, procs, home int, holdUS float64, rounds, warmup, horizonMS int) error {
+	if run == "server" {
+		if _, err := exp.NewServerCell(mc.Seed, name, locks.KindH2MCS, false, horizonMS); err != nil {
+			return fmt.Errorf("-run server: %v", err)
+		}
+	}
+	maxProcs := mc.Stations * mc.ProcsPerStation
 	switch {
 	case run != "stress" && run != "server":
 		return fmt.Errorf("unknown -run %q; choose stress or server", run)
-	case run == "server" && mc.serverGapUS == 0:
-		return fmt.Errorf("-run server has no calibrated arrival gap or cluster size for %s; use hector16 or numachine64", name)
-	case procs < 1 || procs > mc.maxProcs:
-		return fmt.Errorf("-procs %d must be 1-%d (%s)", procs, mc.maxProcs, name)
-	case home < 0 || home >= mc.maxProcs:
-		return fmt.Errorf("-home %d must be a module 0-%d (%s)", home, mc.maxProcs-1, name)
+	case procs < 1 || procs > maxProcs:
+		return fmt.Errorf("-procs %d must be 1-%d (%s)", procs, maxProcs, name)
+	case home < 0 || home >= maxProcs:
+		return fmt.Errorf("-home %d must be a module 0-%d (%s)", home, maxProcs-1, name)
 	case !(holdUS >= 0 && holdUS <= maxHoldUS):
 		return fmt.Errorf("-hold %g must be 0-%.0f microseconds", holdUS, float64(maxHoldUS))
 	case rounds < 1:
@@ -141,11 +142,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown lock %q; choose one of mcs, h1mcs, h2mcs, spin, spin2ms, clh, adaptive, tuned, cohort, cna\n", *lock)
 		os.Exit(2)
 	}
-	mc, ok := machines[*machineName]
+	mcfg, ok := machines[*machineName]
 	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown machine %q; choose hector16, numachine64, numachine256 or numachine1024\n", *machineName)
 		os.Exit(2)
 	}
+	mc := mcfg(*seed)
 	if err := validate(*machineName, mc, *run, *procs, *home, *holdUS, *rounds, *warmup, *horizonMS); err != nil {
 		fmt.Fprintf(os.Stderr, "lockstat: %v\n", err)
 		os.Exit(2)
@@ -155,7 +157,10 @@ func main() {
 	}
 
 	if *run == "server" {
-		runServer(*machineName, mc, kind, *seed, *horizonMS, *migrate, *auto)
+		if err := runServer(os.Stdout, *machineName, kind, *seed, *horizonMS, *migrate, *auto); err != nil {
+			fmt.Fprintf(os.Stderr, "lockstat: -run server: %v\n", err)
+			os.Exit(2)
+		}
 		return
 	}
 
@@ -173,7 +178,7 @@ func main() {
 	if *migrate {
 		// The daemon's control signal is the live aggregate; fan the event
 		// stream out if a Chrome trace was also requested.
-		agg = trace.NewAggregate(mc.topo.Modules())
+		agg = trace.NewAggregate(mc.Stations * mc.ProcsPerStation)
 		if tracer != nil {
 			t = trace.NewPipeline(tracer, agg)
 		} else {
@@ -186,7 +191,7 @@ func main() {
 	var tl *locks.Tuned
 	var daemon *placement.Daemon
 	cfg := workload.StressConfig{
-		Machine: mc.cfg(*seed),
+		Machine: mc,
 		Kind:    kind,
 		Procs:   *procs,
 		Rounds:  *rounds,
@@ -196,14 +201,20 @@ func main() {
 		Tracer:  t,
 		Region:  *migrate,
 	}
-	var plane *autonomic.Plane
+	// The daemon, and with -autonomic the replicator, run on a plane. With
+	// -autonomic the tuned lock's sampler joins it as the lock comes up,
+	// ahead of the data policies.
+	var plane, tunePlane *autonomic.Plane
 	var rep *autonomic.Replicator
-	if *auto {
+	if *migrate {
 		plane = autonomic.NewPlane(placement.DefaultDaemonParams().Period)
+	}
+	if *auto {
+		tunePlane = plane
 	}
 	if kind == locks.KindTuned {
 		cfg.MakeLock = func(m *sim.Machine, home int) locks.Lock {
-			tl = locks.NewTuned(m, home, tune.Params{Plane: plane})
+			tl = locks.NewTuned(m, home, tune.Params{Plane: tunePlane})
 			return tl
 		}
 	}
@@ -218,9 +229,9 @@ func main() {
 			params := placement.DefaultDaemonParams()
 			params.Exec = func(int) int { return 0 }
 			region := r.DataRegion
-			if plane != nil {
-				rep = autonomic.NewReplicator(r.M, mc.topo,
-					autonomic.CostsFromLatency(r.M.Lat()),
+			topo, costs := autonomic.TopoOf(r.M), autonomic.CostsFromLatency(r.M.Lat())
+			if *auto {
+				rep = autonomic.NewReplicator(r.M, topo, costs,
 					autonomic.ReplicatorParams{Exec: func(int) int { return 0 }},
 					[]autonomic.ReplicaSlot{{
 						Name:   "lock data",
@@ -235,8 +246,7 @@ func main() {
 				plane.Add(rep)
 				params.Yield = rep.Claimed
 			}
-			daemon = placement.NewDaemon(r.M, agg, mc.topo,
-				autonomic.CostsFromLatency(r.M.Lat()), params,
+			daemon = placement.NewDaemon(r.M, agg, topo, costs, params,
 				[]placement.DaemonSlot{{
 					Name:   "lock data",
 					Region: region,
@@ -247,12 +257,8 @@ func main() {
 						r.M.Mem.MigrateRegion(p, region, to)
 					},
 				}})
-			if plane != nil {
-				plane.Add(daemon)
-				plane.Start(r.M.Eng)
-			} else {
-				daemon.Start()
-			}
+			plane.Add(daemon)
+			plane.Start(r.M.Eng)
 		}
 	}
 	r := workload.LockStressRun(cfg)
@@ -273,7 +279,7 @@ func main() {
 
 	if daemon != nil {
 		fmt.Println()
-		if plane != nil {
+		if rep != nil {
 			fmt.Print(plane.Report())
 			fmt.Print(rep.Report())
 		}
@@ -322,110 +328,56 @@ func main() {
 	}
 }
 
-// runServer executes the open-loop multi-tenant server scenario (the
-// exp.ServerSweep workload at one point) and prints the sojourn-time tail,
-// the per-tenant breakdown, and — for the tuned lock or with -migrate —
-// the controller decision logs and the daemon's move log. With -autonomic
-// the tenants get migratable data regions (three of four read-mostly, one
-// of four write-hot and sharded off its data's home cluster) and the full
-// plane — tuned locks, migration, replication — manages the run.
-func runServer(name string, mc machineSpec, kind locks.Kind, seed uint64, horizonMS int, migrate, auto bool) {
-	cfg := workload.ServerConfig{
-		Machine:     mc.cfg(seed),
-		ClusterSize: mc.clusterSize,
-		LockKind:    kind,
-		Tenants:     2 * mc.topo.Stations,
-		ZipfS:       1.0,
-		Arrivals: workload.ArrivalSpec{
-			MeanGap:     sim.Micros(mc.serverGapUS),
-			Horizon:     sim.Micros(float64(horizonMS) * 1000),
-			BurstFactor: 3,
-			OnMean:      sim.Micros(400),
-			OffMean:     sim.Micros(800),
-			RampFrom:    0.8, RampTo: 1.2,
-			FlashAt: 0.55, FlashFor: 0.15, FlashFactor: 2.5,
-		},
-		Warmup:     sim.Micros(2000),
-		ChurnEvery: 8,
-	}
-	var daemon *placement.Daemon
-	var rep *autonomic.Replicator
-	var plane *autonomic.Plane
+// runServer runs one sweep cell of the open-loop multi-tenant server — the
+// autonomic sweep's combined row with auto, else the server sweep's cell
+// for the machine and lock, with its placement daemon when migrate is set
+// — and prints to w the sojourn-time tail and the per-tenant breakdown,
+// then the reports of whichever controllers the cell runs: the tuned
+// kernel locks' decision logs, the plane's schedule, the replicator's
+// actions and the daemon's move log. The error names a machine the sweep
+// has no cell for.
+func runServer(w io.Writer, name string, kind locks.Kind, seed uint64, horizonMS int, migrate, auto bool) error {
+	var cell *exp.ServerCell
+	var err error
 	if auto {
-		// The AutonomicSweep workload shape: per-tenant migratable data,
-		// three of four tenants read-mostly (replication's case), every
-		// fourth write-hot and sharded onto the wrong cluster (migration's).
-		cfg.TenantDataWords = 128
-		cfg.TenantTouch = 128
-		cfg.TenantWriteFrac = func(rank int) float64 {
-			if rank%4 == 0 {
-				return 0.75
-			}
-			return 0.02
-		}
-		cfg.TenantAffinity = func(rank int) int {
-			if rank%4 == 0 {
-				return (rank/4 + 1) % mc.topo.Stations
-			}
-			return -1
-		}
-		plane = autonomic.NewPlane(sim.Micros(100))
-		cfg.TuneParams = &tune.Params{Plane: plane}
+		cell, err = exp.NewAutonomicCell(seed, name, horizonMS)
+	} else {
+		cell, err = exp.NewServerCell(seed, name, kind, migrate, horizonMS)
 	}
-	if migrate {
-		cfg.Migratable = true
-		agg := trace.NewAggregate(mc.topo.Stations * mc.topo.ProcsPerStation)
-		cfg.Tracer = agg
-		cfg.Attach = func(sys *core.System) {
-			dp := placement.DefaultDaemonParams()
-			if plane != nil {
-				rep = autonomic.NewReplicator(sys.M, mc.topo,
-					autonomic.CostsFromLatency(sys.M.Lat()),
-					autonomic.ReplicatorParams{Decay: 0.95, MinWeight: 4, Confirm: 3, Payback: 48},
-					placement.ReplicateKernel(sys.K, agg))
-				plane.Add(rep)
-				dp.Yield = rep.Claimed
-				dp.Decay, dp.MinWeight, dp.Confirm = 0.9, 2, 6
-				dp.Improve, dp.Budget = 0.25, 2
-			}
-			daemon = placement.NewDaemon(sys.M, agg, mc.topo,
-				autonomic.CostsFromLatency(sys.M.Lat()), dp,
-				placement.ManageKernel(sys.K))
-			if plane != nil {
-				plane.Add(daemon)
-				plane.Start(sys.M.Eng)
-			} else {
-				daemon.Start()
-			}
-		}
+	if err != nil {
+		return err
 	}
+	cfg := cell.Config
 	r := workload.ServerRun(cfg)
-	fmt.Printf("%s %s: open-loop server, %dms horizon + drain (2ms warm-up), mean gap %gus\n",
-		name, kind, horizonMS, mc.serverGapUS)
+	fmt.Fprintf(w, "%s %s: open-loop server, %dms horizon + drain (2ms warm-up), mean gap %gus\n",
+		name, cfg.LockKind, horizonMS, cfg.Arrivals.MeanGap.Microseconds())
 	dropPct := 0.0
 	if r.Offered > 0 {
 		dropPct = 100 * float64(r.Dropped) / float64(r.Offered)
 	}
-	fmt.Printf("  offered %d  admitted %d  dropped %d (%.2f%%)  goodput %.0f r/s\n",
+	fmt.Fprintf(w, "  offered %d  admitted %d  dropped %d (%.2f%%)  goodput %.0f r/s\n",
 		r.Offered, r.Admitted, r.Dropped, dropPct, r.GoodputRPS)
-	fmt.Printf("  sojourn (us): %s\n", r.Lat.Tail())
-	fmt.Println("  per-tenant (rank order):")
+	fmt.Fprintf(w, "  sojourn (us): %s\n", r.Lat.Tail())
+	fmt.Fprintln(w, "  per-tenant (rank order):")
 	for rank, ts := range r.Tenants {
-		fmt.Printf("    tenant %-3d w=%.3f adm=%-5d drop=%-4d %s\n",
+		fmt.Fprintf(w, "    tenant %-3d w=%.3f adm=%-5d drop=%-4d %s\n",
 			rank, ts.Weight, ts.Admitted, ts.Dropped, ts.Lat.Tail())
 	}
-	if kind == locks.KindTuned {
+	if cfg.LockKind == locks.KindTuned {
 		for i, ctl := range r.Sys.K.Controllers() {
-			fmt.Printf("\nkernel lock controller %d:\n%s", i, ctl.Report())
+			fmt.Fprintf(w, "\nkernel lock controller %d:\n%s", i, ctl.Report())
 		}
 	}
-	if plane != nil {
-		fmt.Println()
-		fmt.Print(plane.Report())
-		fmt.Print(rep.Report())
+	if cell.Plane != nil {
+		fmt.Fprintln(w)
+		fmt.Fprint(w, cell.Plane.Report())
 	}
-	if daemon != nil {
-		fmt.Println()
-		fmt.Print(daemon.Report())
+	if cell.Replicator != nil {
+		fmt.Fprint(w, cell.Replicator.Report())
 	}
+	if cell.Daemon != nil {
+		fmt.Fprintln(w)
+		fmt.Fprint(w, cell.Daemon.Report())
+	}
+	return nil
 }

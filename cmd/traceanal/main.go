@@ -46,16 +46,6 @@ func argInt(args map[string]interface{}, key string, def int) int {
 	return def
 }
 
-func distFromString(s string) sim.DistClass {
-	switch s {
-	case "station":
-		return sim.DistStation
-	case "ring":
-		return sim.DistRing
-	}
-	return sim.DistLocal
-}
-
 func main() {
 	stations := flag.Int("stations", 0, "override/assume station count (0 = from trace metadata)")
 	perStation := flag.Int("procs-per-station", 0, "override/assume processors per station")
@@ -107,7 +97,7 @@ func main() {
 			Dst:   argInt(ev.Args, "dst", -1),
 		}
 		if d, ok := ev.Args["dist"].(string); ok {
-			rec.Dist = distFromString(d)
+			rec.Dist = sim.DistClassFromString(d)
 		}
 		switch ev.Cat {
 		case "mem":
@@ -133,9 +123,6 @@ func main() {
 	}
 
 	fmt.Printf("%s: %d events\n", flag.Arg(0), len(tf.TraceEvents))
-	if dropped, ok := tf.OtherData["droppedEvents"].(float64); ok && dropped > 0 {
-		fmt.Printf("warning: trace dropped %d events (MaxEvents cap); aggregates are partial\n", int(dropped))
-	}
 	fmt.Print(agg.Summary())
 	fmt.Println()
 	fmt.Print(placement.Analyze(agg, topo, costs).String())

@@ -222,6 +222,12 @@ type Topo struct {
 	Stations, ProcsPerStation int
 }
 
+// TopoOf returns machine m's topology.
+func TopoOf(m *sim.Machine) Topo {
+	cfg := m.Config()
+	return Topo{Stations: cfg.Stations, ProcsPerStation: cfg.ProcsPerStation}
+}
+
 // Modules reports the module count.
 func (t Topo) Modules() int { return t.Stations * t.ProcsPerStation }
 

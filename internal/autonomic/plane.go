@@ -27,7 +27,8 @@ type Policy interface {
 // Build the plane before the machine's policies are constructed
 // (NewPlane), register policies as they come up (Add — tune samplers
 // register themselves during kernel construction via tune.Params.Plane),
-// then Start it once the engine exists. Policies added after Start still
+// then Start it once the engine exists; placement.Attach adds a kernel's
+// data policies and starts the plane. Policies added after Start still
 // run: the daemon event ranges over the live slice.
 type Plane struct {
 	period   sim.Duration

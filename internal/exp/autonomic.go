@@ -4,11 +4,9 @@ import (
 	"fmt"
 
 	"hurricane/internal/autonomic"
-	"hurricane/internal/core"
 	"hurricane/internal/locks"
 	"hurricane/internal/machine"
 	"hurricane/internal/sim"
-	"hurricane/internal/trace"
 	"hurricane/internal/trace/placement"
 	"hurricane/internal/tune"
 	"hurricane/internal/workload"
@@ -26,16 +24,94 @@ type autonomicRow struct {
 
 // autonomicRows is the policy ladder: the static kernel (the paper's
 // backoff spin locks, static placement, no replication), each adaptive
-// policy alone, then all three under one plane. Every row runs the
-// identical workload on the identical machine — migratable kernel slots,
-// tenant data regions, the live aggregate tracer — so the rows differ only
-// in who acts on it.
+// policy alone, then all three under one plane (the last row).
 var autonomicRows = []autonomicRow{
 	{"off", locks.KindSpin, false, false, false},
 	{"tune", locks.KindTuned, false, false, false},
 	{"migrate", locks.KindSpin, false, true, false},
 	{"replicate", locks.KindSpin, false, false, true},
 	{"combined", locks.KindTuned, true, true, true},
+}
+
+// NewAutonomicCell returns the autonomic sweep's combined row: tuned kernel
+// locks, migration and replication under one plane, on the mixed
+// read-mostly/write-hot tenant workload. The sweep runs on hector16 only;
+// the error says so for any other machine.
+func NewAutonomicCell(seed uint64, name string, horizonMS int) (*ServerCell, error) {
+	if name != "hector16" {
+		return nil, fmt.Errorf("the autonomic sweep has no %s cell; it runs on hector16", name)
+	}
+	return autonomicCell(seed, autonomicRows[len(autonomicRows)-1], horizonMS), nil
+}
+
+// autonomicCell is the autonomic sweep's definition of one row's cell.
+// Every row runs the identical workload on the identical machine —
+// migratable kernel slots, tenant data regions, the live aggregate tracer
+// — so the rows differ only in who acts on it.
+func autonomicCell(seed uint64, row autonomicRow, horizonMS int) *ServerCell {
+	c := &ServerCell{Config: workload.ServerConfig{
+		Machine:     machine.Hector16(seed),
+		ClusterSize: 4,
+		LockKind:    row.kind,
+		Tenants:     16,
+		ZipfS:       1.0,
+		Arrivals:    serverArrivals(sim.Micros(180), horizonMS),
+		Warmup:      serverWarmup,
+		ChurnEvery:  8,
+		// Tenant data: enough words that placement matters, enough
+		// touches per request that data latency shows in the sojourn.
+		TenantDataWords: 128,
+		TenantTouch:     128,
+		TenantWriteFrac: func(rank int) float64 {
+			if rank%4 == 0 {
+				return 0.75 // write-hot: migrate, never replicate
+			}
+			return 0.02 // read-mostly: replicate
+		},
+		// Write-hot tenants — rank 0 among them, so nearly half the
+		// offered load — are sharded: one cluster's workers serve each,
+		// and it is NOT the cluster their data and kernel objects were
+		// statically homed on. The static placement got them wrong, and
+		// every touch crosses the ring until the daemon re-homes the
+		// data. Read-mostly tenants are served by any worker, so their
+		// data is read from every station and no single home can be
+		// right — replication's case, not migration's.
+		TenantAffinity: func(rank int) int {
+			if rank%4 == 0 {
+				return (rank/4 + 1) % 4
+			}
+			return -1
+		},
+	}}
+	// One 100us cadence for every policy — the tuner's calibrated window
+	// (a faster plane would re-tune the tuner), and long enough that the
+	// replicator's smoothed write fraction spans many requests per tenant
+	// (Decay 0.95 ≈ a 2ms horizon; a sub-request horizon would classify
+	// each tenant by its *last* request, not its mix).
+	if row.tunePlane || row.migrate || row.replicate {
+		c.Plane = autonomic.NewPlane(sim.Micros(100))
+	}
+	if row.kind == locks.KindTuned {
+		// Default tuner in both tuned rows — it starts as the very spin
+		// lock the static rows run, and escalates only when its own
+		// measurements demand — so tune-only and combined differ in
+		// scheduling alone.
+		tp := tune.Params{}
+		if row.tunePlane {
+			tp.Plane = c.Plane
+		}
+		c.Config.TuneParams = &tp
+	}
+	var rp *autonomic.ReplicatorParams
+	var dp *placement.DaemonParams
+	if row.replicate {
+		rp = &autonomic.ReplicatorParams{Decay: 0.95, MinWeight: 4, Confirm: 3, Payback: 48}
+	}
+	if row.migrate {
+		dp = &placement.DaemonParams{Decay: 0.9, MinWeight: 2, Confirm: 6, Improve: 0.25, Budget: 2}
+	}
+	c.attach(rp, dp)
+	return c
 }
 
 // AutonomicSweep pits the unified autonomics plane against each of its
@@ -55,9 +131,6 @@ func AutonomicSweep(seed uint64, horizonMS int) *Table {
 		Cols: []string{"config", "p50", "p99", "p999", "mean", "good(r/s)", "drop%",
 			"moves", "repl", "coll", "switches"},
 	}
-	horizon := sim.Micros(float64(horizonMS) * 1000)
-	warmup := sim.Micros(2000)
-	topo := autonomic.Topo{Stations: 4, ProcsPerStation: 4}
 
 	type cell struct {
 		res                    *workload.ServerResult
@@ -69,99 +142,18 @@ func AutonomicSweep(seed uint64, horizonMS int) *Table {
 	cells := make([]cell, len(autonomicRows))
 	RunParallel(len(autonomicRows), func(i int) {
 		row := autonomicRows[i]
-		agg := trace.NewAggregate(topo.Modules())
-		cfg := workload.ServerConfig{
-			Machine:     machine.Hector16(seed),
-			ClusterSize: 4,
-			LockKind:    row.kind,
-			Tenants:     16,
-			ZipfS:       1.0,
-			Arrivals:    serverArrivals(sim.Micros(180), horizon),
-			Warmup:      warmup,
-			ChurnEvery:  8,
-			Migratable:  true,
-			Tracer:      agg,
-			// Tenant data: enough words that placement matters, enough
-			// touches per request that data latency shows in the sojourn.
-			TenantDataWords: 128,
-			TenantTouch:     128,
-			TenantWriteFrac: func(rank int) float64 {
-				if rank%4 == 0 {
-					return 0.75 // write-hot: migrate, never replicate
-				}
-				return 0.02 // read-mostly: replicate
-			},
-			// Write-hot tenants — rank 0 among them, so nearly half the
-			// offered load — are sharded: one cluster's workers serve each,
-			// and it is NOT the cluster their data and kernel objects were
-			// statically homed on. The static placement got them wrong, and
-			// every touch crosses the ring until the daemon re-homes the
-			// data. Read-mostly tenants are served by any worker, so their
-			// data is read from every station and no single home can be
-			// right — replication's case, not migration's.
-			TenantAffinity: func(rank int) int {
-				if rank%4 == 0 {
-					return (rank/4 + 1) % 4
-				}
-				return -1
-			},
-		}
-		// One 100us cadence for every policy — the tuner's calibrated window
-		// (a faster plane would re-tune the tuner), and long enough that the
-		// replicator's smoothed write fraction spans many requests per
-		// tenant (Decay 0.95 ≈ a 2ms horizon; a sub-request horizon would
-		// classify each tenant by its *last* request, not its mix).
-		var plane *autonomic.Plane
-		if row.tunePlane || row.migrate || row.replicate {
-			plane = autonomic.NewPlane(sim.Micros(100))
-		}
-		if row.kind == locks.KindTuned {
-			// Default tuner in both tuned rows — it starts as the very spin
-			// lock the static rows run, and escalates only when its own
-			// measurements demand — so tune-only and combined differ in
-			// scheduling alone.
-			tp := tune.Params{}
-			if row.tunePlane {
-				tp.Plane = plane
-			}
-			cfg.TuneParams = &tp
-		}
-		var daemon *placement.Daemon
-		var rep *autonomic.Replicator
-		cfg.Attach = func(sys *core.System) {
-			costs := autonomic.CostsFromLatency(sys.M.Lat())
-			if row.replicate {
-				rep = autonomic.NewReplicator(sys.M, topo, costs,
-					autonomic.ReplicatorParams{Decay: 0.95, MinWeight: 4, Confirm: 3, Payback: 48},
-					placement.ReplicateKernel(sys.K, agg))
-				plane.Add(rep)
-			}
-			if row.migrate {
-				dp := placement.DaemonParams{Decay: 0.9, MinWeight: 2, Confirm: 6, Improve: 0.25, Budget: 2}
-				if rep != nil {
-					// The plane's division of labor: the migrator yields any
-					// slot the replicator claims as read-mostly.
-					dp.Yield = rep.Claimed
-				}
-				daemon = placement.NewDaemon(sys.M, agg, topo, costs, dp,
-					placement.ManageKernel(sys.K))
-				plane.Add(daemon)
-			}
-			if plane != nil {
-				plane.Start(sys.M.Eng)
-			}
-		}
-		c := cell{res: workload.ServerRun(cfg)}
+		ac := autonomicCell(seed, row, horizonMS)
+		c := cell{res: workload.ServerRun(ac.Config)}
 		if row.kind == locks.KindTuned {
 			for _, ctl := range c.res.Sys.K.Controllers() {
 				c.switches += int(ctl.Switches())
 			}
 		}
-		if daemon != nil {
-			c.moves = len(daemon.Moves())
+		if ac.Daemon != nil {
+			c.moves = len(ac.Daemon.Moves())
 		}
-		if rep != nil {
-			for _, a := range rep.Actions() {
+		if ac.Replicator != nil {
+			for _, a := range ac.Replicator.Actions() {
 				if a.Kind == "collapse" {
 					c.collapses++
 				} else {
@@ -169,8 +161,8 @@ func AutonomicSweep(seed uint64, horizonMS int) *Table {
 				}
 			}
 		}
-		if plane != nil {
-			c.planeTicks = plane.Ticks()
+		if ac.Plane != nil {
+			c.planeTicks = ac.Plane.Ticks()
 		}
 		c.replicaUpdates = c.res.Sys.M.Mem.ReplicaUpdates
 		cells[i] = c

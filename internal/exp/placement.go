@@ -7,21 +7,12 @@ import (
 	"hurricane/internal/core"
 	"hurricane/internal/kernel"
 	"hurricane/internal/locks"
+	"hurricane/internal/machine"
 	"hurricane/internal/sim"
 	"hurricane/internal/trace"
 	"hurricane/internal/trace/placement"
 	"hurricane/internal/workload"
 )
-
-// placementCell describes the machine a placement experiment cell runs on:
-// a single cluster spanning the whole machine, with the analyzer's topology
-// and cost model matching the hardware.
-type placementCell struct {
-	machine sim.Config
-	size    int // cluster size == processor count
-	topo    autonomic.Topo
-	costs   autonomic.Costs
-}
 
 // placementPhase is one traced, telemetry-wrapped run of the station-0
 // faulter workload: 4 faulting processes concentrated in station 0 while
@@ -29,6 +20,7 @@ type placementCell struct {
 // default), so most slots are pure cross-ring traffic placement should
 // eliminate.
 type placementPhase struct {
+	m       *sim.Machine
 	agg     *trace.Aggregate
 	mm      *locks.Stats
 	faultUS float64
@@ -36,17 +28,19 @@ type placementPhase struct {
 	daemon  *placement.Daemon // non-nil when the online daemon ran
 }
 
-// runPlacement executes the workload once on cell's machine. A non-nil
+// runPlacement executes the workload once on mc, as a single cluster
+// spanning the whole machine; the analyzer and the daemon take their
+// topology and cost model from the machine. A non-nil
 // moves map replays analyzer-proposed homes offline (kernel SlotModule); a
 // non-nil daemon parameter set instead allocates the kernel data in
 // migratable regions and lets the online daemon re-home it mid-run. Both
 // nil is the static baseline.
-func runPlacement(cell placementCell, rounds int, moves map[int]int, daemon *placement.DaemonParams) placementPhase {
+func runPlacement(mc sim.Config, rounds int, moves map[int]int, daemon *placement.DaemonParams) placementPhase {
 	var ph placementPhase
-	ph.agg = trace.NewAggregate(cell.topo.Modules())
+	ph.agg = trace.NewAggregate(procsOf(mc))
 	cfg := core.Config{
-		Machine:     cell.machine,
-		ClusterSize: cell.size,
+		Machine:     mc,
+		ClusterSize: procsOf(mc),
 		LockKind:    locks.KindH2MCS,
 		Tracer:      ph.agg,
 	}
@@ -62,17 +56,22 @@ func runPlacement(cell placementCell, rounds int, moves map[int]int, daemon *pla
 		cfg.Migratable = true
 	}
 	sys := core.NewSystem(cfg)
+	ph.m = sys.M
 	ph.mm = locks.NewStats(sys.M, sys.K.VM.MMLock(0))
 	sys.K.VM.SetMMLock(0, ph.mm)
 	if daemon != nil {
-		ph.daemon = placement.NewDaemon(sys.M, ph.agg, cell.topo, cell.costs,
-			*daemon, placement.ManageKernel(sys.K))
-		ph.daemon.Start()
+		_, ph.daemon = placement.Attach(autonomic.NewPlane(daemon.Period), sys.K, ph.agg, nil, daemon)
 	}
 	res := workload.IndependentFaults(sys, 4, 4, rounds)
 	ph.faultUS = res.Dist.Mean()
 	ph.kstats = res.Stats
 	return ph
+}
+
+// analyze runs the offline analyzer over the phase's trace, against its
+// machine's topology and costs.
+func (ph placementPhase) analyze() *placement.Report {
+	return placement.Analyze(ph.agg, autonomic.TopoOf(ph.m), autonomic.CostsFromLatency(ph.m.Lat()))
 }
 
 // placementReport appends one phase's shared measurement columns (fault
@@ -116,16 +115,6 @@ func placementReport(t *Table, prefix, name string, ph placementPhase, extra ...
 	return ringAcc
 }
 
-// hectorCell is the paper's machine as a placement cell.
-func hectorCell(seed uint64) placementCell {
-	return placementCell{
-		machine: sim.Config{Seed: seed},
-		size:    16,
-		topo:    autonomic.Topo{Stations: 4, ProcsPerStation: 4},
-		costs:   autonomic.DefaultCosts(),
-	}
-}
-
 // Placement closes the loop the trace pipeline exists for: trace a
 // Figure-7-style fault workload, feed the aggregated access matrix to the
 // placement analyzer, then replay the identical workload with the proposed
@@ -144,16 +133,16 @@ func Placement(seed uint64, rounds int) *Table {
 		Cols: []string{"run", "fault_us", "mm_acq_us", "ring_acc%", "ring_accesses",
 			"ring_handoffs", "rpc_ring%"},
 	}
-	cell := hectorCell(seed)
+	mc := machine.Hector16(seed)
 
 	// Phase A: trace the default placement (doubling as the baseline run —
 	// tracing and telemetry charge no simulated time).
-	base := runPlacement(cell, rounds, nil, nil)
-	rep := placement.Analyze(base.agg, cell.topo, cell.costs)
+	base := runPlacement(mc, rounds, nil, nil)
+	rep := base.analyze()
 	moves := rep.Moves()
 
 	// Phase B: replay with the proposed homes.
-	placed := runPlacement(cell, rounds, moves, nil)
+	placed := runPlacement(mc, rounds, moves, nil)
 
 	ringBase := placementReport(t, "", "baseline", base)
 	ringPlaced := placementReport(t, "", "placed", placed)

@@ -1,20 +1,20 @@
 package exp
 
 import (
-	"hurricane/internal/autonomic"
 	"hurricane/internal/machine"
 	"hurricane/internal/sim"
 	"hurricane/internal/trace/placement"
 )
 
-// onlineDaemonParams is the controller tuning both machines use: sampling
-// fast (25us against a ~200us fault) so a placement mistake is noticed
-// within one fault; smoothing over a ~250us horizon (Decay 0.9 at this
-// cadence) so no single fault's burst dominates the vector; MinWeight low
-// enough that even the scratch slots' ~1 access/window steady rate clears
-// it; and three confirming windows before any copy. Budget and cooldown
-// keep their defaults.
-func onlineDaemonParams() placement.DaemonParams {
+// OnlineDaemonParams is the controller tuning for kernel data under a page
+// fault workload, which placement_online runs on both machines and
+// clustersim runs too: sampling fast (25us against a ~200us fault) so a
+// placement mistake is noticed within one fault; smoothing over a ~250us
+// horizon (Decay 0.9 at this cadence) so no single fault's burst dominates
+// the vector; MinWeight low enough that even the scratch slots' ~1
+// access/window steady rate clears it; and three confirming windows before
+// any copy. Budget and cooldown keep their defaults.
+func OnlineDaemonParams() placement.DaemonParams {
 	return placement.DaemonParams{
 		Period:    sim.Micros(25),
 		Decay:     0.9,
@@ -41,17 +41,11 @@ func PlacementOnline(seed uint64, rounds int) *Table {
 
 	type setup struct {
 		name string
-		cell placementCell
+		mc   sim.Config
 	}
-	n64 := machine.NUMAchine64(seed)
 	setups := []setup{
-		{"hector16", hectorCell(seed)},
-		{"numachine64", placementCell{
-			machine: n64,
-			size:    64,
-			topo:    autonomic.Topo{Stations: 8, ProcsPerStation: 8},
-			costs:   autonomic.CostsFromLatency(n64.Lat),
-		}},
+		{"hector16", machine.Hector16(seed)},
+		{"numachine64", machine.NUMAchine64(seed)},
 	}
 
 	type outcome struct {
@@ -60,15 +54,15 @@ func PlacementOnline(seed uint64, rounds int) *Table {
 	}
 	outs := make([]outcome, len(setups))
 	RunParallel(len(setups), func(i int) {
-		cell := setups[i].cell
+		mc := setups[i].mc
 		o := &outs[i]
 		// Static striping doubles as the offline analyzer's training trace.
-		o.static = runPlacement(cell, rounds, nil, nil)
-		moves := placement.Analyze(o.static.agg, cell.topo, cell.costs).Moves()
+		o.static = runPlacement(mc, rounds, nil, nil)
+		moves := o.static.analyze().Moves()
 		o.offlineMoves = len(moves)
-		o.offline = runPlacement(cell, rounds, moves, nil)
-		dp := onlineDaemonParams()
-		o.online = runPlacement(cell, rounds, nil, &dp)
+		o.offline = runPlacement(mc, rounds, moves, nil)
+		dp := OnlineDaemonParams()
+		o.online = runPlacement(mc, rounds, nil, &dp)
 	})
 
 	var rel [2]float64

@@ -58,24 +58,28 @@ type serverMachineConfig struct {
 	name        string
 	cfg         func(seed uint64) sim.Config
 	clusterSize int
-	topo        autonomic.Topo
 	meanGap     sim.Duration
 	tenants     int
 }
 
 var serverMachineConfigs = []serverMachineConfig{
-	{"hector16", machine.Hector16, 4, autonomic.Topo{Stations: 4, ProcsPerStation: 4}, sim.Micros(90), 16},
-	{"numachine64", machine.NUMAchine64, 8, autonomic.Topo{Stations: 8, ProcsPerStation: 8}, sim.Micros(180), 32},
+	{"hector16", machine.Hector16, 4, sim.Micros(90), 16},
+	{"numachine64", machine.NUMAchine64, 8, sim.Micros(180), 32},
 }
+
+// serverWarmup is excluded from every statistic of the server and
+// autonomic sweeps.
+var serverWarmup = sim.Micros(2000)
 
 // serverArrivals is the shared open-loop shape: Poisson base load, 3x MMPP
 // bursts with a 1/3 duty cycle, a mild diurnal ramp, and a late 2.5x flash
 // crowd — the mid-run load shifts none of the fixed locks (or the tuner's
-// thresholds) were chosen against.
-func serverArrivals(gap sim.Duration, horizon sim.Duration) workload.ArrivalSpec {
+// thresholds) were chosen against. The arrivals stop horizonMS simulated
+// milliseconds in; the run then drains.
+func serverArrivals(gap sim.Duration, horizonMS int) workload.ArrivalSpec {
 	return workload.ArrivalSpec{
 		MeanGap:     gap,
-		Horizon:     horizon,
+		Horizon:     sim.Micros(float64(horizonMS) * 1000),
 		BurstFactor: 3,
 		OnMean:      sim.Micros(400),
 		OffMean:     sim.Micros(800),
@@ -83,6 +87,77 @@ func serverArrivals(gap sim.Duration, horizon sim.Duration) workload.ArrivalSpec
 		FlashAt: 0.55, FlashFor: 0.15, FlashFactor: 2.5,
 	}
 }
+
+// ServerCell is one run of the open-loop server as a sweep defines it: the
+// workload and, when any policy runs on one, the autonomics plane with the
+// data policies attached to it. The server and autonomic sweeps build every
+// cell through NewServerCell's and NewAutonomicCell's definitions, and
+// `lockstat -run server` calls those two, so the command line prints the
+// published cell.
+type ServerCell struct {
+	// Config is the run; its Attach hook wires the data policies.
+	Config workload.ServerConfig
+	// Plane is the shared cadence, nil when no policy runs on one.
+	Plane *autonomic.Plane
+	// Replicator and Daemon are the data policies: nil until the run
+	// attaches them, and nil throughout when the cell runs neither.
+	Replicator *autonomic.Replicator
+	Daemon     *placement.Daemon
+}
+
+// NewServerCell returns the server sweep's cell for the named machine and
+// lock kind, with the placement daemon migrating kernel data when migrate
+// is set (the sweep's Tuned+mig row). The error names the machines the
+// sweep runs.
+func NewServerCell(seed uint64, name string, kind locks.Kind, migrate bool, horizonMS int) (*ServerCell, error) {
+	for _, mc := range serverMachineConfigs {
+		if mc.name == name {
+			return serverCell(seed, mc, serverLockConfig{kind: kind, daemon: migrate}, horizonMS), nil
+		}
+	}
+	return nil, fmt.Errorf("the server sweep has no %s cell; use hector16 or numachine64", name)
+}
+
+// serverCell is the server sweep's definition of one (machine, lock) cell.
+func serverCell(seed uint64, mc serverMachineConfig, lc serverLockConfig, horizonMS int) *ServerCell {
+	c := &ServerCell{Config: workload.ServerConfig{
+		Machine:     mc.cfg(seed),
+		ClusterSize: mc.clusterSize,
+		LockKind:    lc.kind,
+		Tenants:     mc.tenants,
+		ZipfS:       1.0,
+		Arrivals:    serverArrivals(mc.meanGap, horizonMS),
+		Warmup:      serverWarmup,
+		ChurnEvery:  8,
+	}}
+	if lc.deadline > 0 {
+		c.Config.Deadline = lc.deadline
+		c.Config.QueueLimit = 16 * procsOf(c.Config.Machine)
+	}
+	if lc.daemon {
+		dp := placement.DefaultDaemonParams()
+		c.Plane = autonomic.NewPlane(dp.Period)
+		c.attach(nil, &dp)
+	}
+	return c
+}
+
+// attach makes the cell's kernel data migratable under a live aggregate
+// tracer and, when the cell has a plane, wires the data policies onto it
+// once the kernel exists (placement.Attach).
+func (c *ServerCell) attach(rp *autonomic.ReplicatorParams, dp *placement.DaemonParams) {
+	agg := trace.NewAggregate(procsOf(c.Config.Machine))
+	c.Config.Migratable = true
+	c.Config.Tracer = agg
+	if c.Plane != nil {
+		c.Config.Attach = func(sys *core.System) {
+			c.Replicator, c.Daemon = placement.Attach(c.Plane, sys.K, agg, rp, dp)
+		}
+	}
+}
+
+// procsOf is the processor (and memory module) count of a machine preset.
+func procsOf(cfg sim.Config) int { return cfg.Stations * cfg.ProcsPerStation }
 
 // ServerSweep runs the open-loop multi-tenant server workload over the
 // lock zoo on both machines and reports the sojourn-time distribution —
@@ -100,8 +175,6 @@ func ServerSweep(seed uint64, horizonMS int) *Table {
 		Title: "Server sweep: open-loop multi-tenant sojourn time (us) by lock, MMPP bursts + flash crowd",
 		Cols:  []string{"machine", "lock", "p50", "p99", "p999", "mean", "good(r/s)", "drop%", "aband%"},
 	}
-	horizon := sim.Micros(float64(horizonMS) * 1000)
-	warmup := sim.Micros(2000)
 
 	type cell struct {
 		res      *workload.ServerResult
@@ -111,43 +184,16 @@ func ServerSweep(seed uint64, horizonMS int) *Table {
 	nl := len(serverLockConfigs)
 	results := make([]cell, len(serverMachineConfigs)*nl)
 	RunParallel(len(results), func(i int) {
-		mc := serverMachineConfigs[i/nl]
 		lc := serverLockConfigs[i%nl]
-		cfg := workload.ServerConfig{
-			Machine:     mc.cfg(seed),
-			ClusterSize: mc.clusterSize,
-			LockKind:    lc.kind,
-			Tenants:     mc.tenants,
-			ZipfS:       1.0,
-			Arrivals:    serverArrivals(mc.meanGap, horizon),
-			Warmup:      warmup,
-			ChurnEvery:  8,
-		}
-		if lc.deadline > 0 {
-			cfg.Deadline = lc.deadline
-			cfg.QueueLimit = 16 * mc.topo.Stations * mc.topo.ProcsPerStation
-		}
-		var daemon *placement.Daemon
-		if lc.daemon {
-			cfg.Migratable = true
-			agg := trace.NewAggregate(mc.topo.Stations * mc.topo.ProcsPerStation)
-			cfg.Tracer = agg
-			topo := mc.topo
-			cfg.Attach = func(sys *core.System) {
-				daemon = placement.NewDaemon(sys.M, agg, topo,
-					autonomic.CostsFromLatency(sys.M.Lat()),
-					placement.DefaultDaemonParams(), placement.ManageKernel(sys.K))
-				daemon.Start()
-			}
-		}
-		c := cell{res: workload.ServerRun(cfg)}
+		sc := serverCell(seed, serverMachineConfigs[i/nl], lc, horizonMS)
+		c := cell{res: workload.ServerRun(sc.Config)}
 		if lc.kind == locks.KindTuned {
 			for _, ctl := range c.res.Sys.K.Controllers() {
 				c.switches += int(ctl.Switches())
 			}
 		}
-		if daemon != nil {
-			c.moves = len(daemon.Moves())
+		if sc.Daemon != nil {
+			c.moves = len(sc.Daemon.Moves())
 		}
 		results[i] = c
 	})

@@ -47,10 +47,10 @@ const (
 	// FamilyQueue is a local-spin FIFO queue lock (MCS, H2-MCS, CLH).
 	FamilyQueue
 	// FamilyCohort is the station-batched hierarchical cohort lock
-	// (locks.Cohort), parameterized by Lock.Batch.
+	// (locks.Cohort) at the zoo's local-pass budget, batch.
 	FamilyCohort
-	// FamilyCNA is the compact NUMA-aware queue lock (locks.CNA),
-	// parameterized by Lock.Batch (its spill threshold).
+	// FamilyCNA is the compact NUMA-aware queue lock (locks.CNA) at the
+	// zoo's spill threshold, batch.
 	FamilyCNA
 )
 
@@ -67,9 +67,10 @@ func (f Family) String() string {
 	return "spin"
 }
 
-// defaultBatch mirrors locks.DefaultBatchLimit / DefaultSpillThreshold
-// (not imported: model sits below locks in the dependency order).
-const defaultBatch = 16
+// batch is the cohort local-pass budget and the CNA spill threshold: it
+// mirrors locks.DefaultBatchLimit / DefaultSpillThreshold (not imported:
+// model sits below locks in the dependency order).
+const batch = 16
 
 // Lock is a modeled lock configuration: a family plus its knob.
 type Lock struct {
@@ -78,17 +79,11 @@ type Lock struct {
 	// CapUS is the spin family's backoff cap in microseconds (0 takes the
 	// kernel's 35us). Ignored by the other families.
 	CapUS float64
-	// Batch is the cohort local-pass budget or CNA spill threshold
-	// (0 takes the lock zoo's default of 16). Ignored by spin and queue.
-	Batch int
 }
 
 func (l Lock) withDefaults() Lock {
 	if l.Family == FamilySpin && l.CapUS == 0 {
 		l.CapUS = 35
-	}
-	if (l.Family == FamilyCohort || l.Family == FamilyCNA) && l.Batch == 0 {
-		l.Batch = defaultBatch
 	}
 	return l
 }
@@ -102,9 +97,9 @@ func (l Lock) Key() string {
 	case FamilySpin:
 		return fmt.Sprintf("spin:%g", l.CapUS)
 	case FamilyCohort:
-		return fmt.Sprintf("cohort:%d", l.Batch)
+		return fmt.Sprintf("cohort:%d", batch)
 	case FamilyCNA:
-		return fmt.Sprintf("cna:%d", l.Batch)
+		return fmt.Sprintf("cna:%d", batch)
 	}
 	return "queue"
 }
@@ -125,13 +120,6 @@ type Point struct {
 	Procs int
 	// HoldUS is the critical-section hold time in microseconds.
 	HoldUS float64
-	// ThinkUS is the mean time a processor spends outside the critical
-	// section between rounds. Zero is the saturated stress loop the model
-	// is validated against. A positive think time models a lower arrival
-	// intensity: the model applies a single effective-contention correction
-	// (see effectiveProcs), an approximation that is not simulator-
-	// validated — treat predictions with large ThinkUS as extrapolation.
-	ThinkUS float64
 }
 
 // Prediction is the model's output for one (lock, point).
@@ -145,9 +133,6 @@ type Prediction struct {
 	// WaitUS is the predicted mean acquire latency, comparable to
 	// LockStressResult.AcquireUS.
 	WaitUS float64
-	// Throughput is predicted completed rounds per millisecond for the
-	// whole machine (the lock serializes it): 1000 / (HoldUS + PairUS).
-	Throughput float64
 }
 
 // Machine is the cost-constant view of a simulated machine: everything the
@@ -364,24 +349,6 @@ func (m Machine) uncontended(instrs int) float64 {
 	return 2*(m.LocalUS+m.AtomicExtraUS) + float64(instrs)*m.InstrUS
 }
 
-// effectiveProcs applies the think-time correction: with think T between
-// rounds a contender is absent from the queue for T out of every
-// W + H + T microseconds, so the expected queue the arriving contender
-// sees shrinks accordingly. One correction step, no fixed point — see
-// Point.ThinkUS for the caveat.
-func (m Machine) effectiveProcs(l Lock, pt Point) int {
-	if pt.ThinkUS <= 0 || pt.Procs <= 1 {
-		return pt.Procs
-	}
-	c := m.overhead(l, Point{Procs: pt.Procs, HoldUS: pt.HoldUS})
-	cycle := float64(pt.Procs-1)*(pt.HoldUS+c) + pt.HoldUS + c
-	pEff := int(math.Ceil(float64(pt.Procs) * cycle / (cycle + pt.ThinkUS)))
-	if pEff < 1 {
-		pEff = 1
-	}
-	return pEff
-}
-
 // overhead is the uncalibrated per-round overhead C for one (lock, point):
 // the family-specific hand-off critical path described in each branch,
 // plus the family-independent holder exposure (remote data accesses
@@ -409,9 +376,9 @@ func (m Machine) overhead(l Lock, pt Point) float64 {
 	case FamilyQueue:
 		return m.queueOverhead(p) + exposure
 	case FamilyCohort:
-		return m.batchOverhead(p, l.Batch, true) + exposure
+		return m.batchOverhead(p, true) + exposure
 	case FamilyCNA:
-		return m.batchOverhead(p, l.Batch, false) + exposure
+		return m.batchOverhead(p, false) + exposure
 	default:
 		return m.spinOverhead(p, pt.HoldUS, l.CapUS) + exposure
 	}
@@ -480,7 +447,7 @@ func (m Machine) spinBaseUS(p int) float64 {
 // queue splice. Within one station both degrade to a local queue. The
 // batch is capped at the station's capacity (ProcsPerStation-1 waiters),
 // not the instantaneous occupancy, keeping the formula monotone in p.
-func (m Machine) batchOverhead(p, batch int, cohort bool) float64 {
+func (m Machine) batchOverhead(p int, cohort bool) float64 {
 	local := m.StationUS + m.LocalUS + 4*m.InstrUS
 	if p <= m.ProcsPerStation {
 		return local
@@ -513,18 +480,13 @@ type Predictor struct {
 // Predict evaluates the calibrated closed form for one (lock, point).
 func (pr Predictor) Predict(l Lock, pt Point) Prediction {
 	l = l.withDefaults()
-	pEff := pr.M.effectiveProcs(l, pt)
-	c := pr.M.overhead(l, Point{Procs: pEff, HoldUS: pt.HoldUS}) * pr.Cal.PairResidual(l)
+	c := pr.M.overhead(l, pt) * pr.Cal.PairResidual(l)
 	// Uncontended, the only wait is the acquire half of the round
 	// overhead; contended, a FIFO arrival waits out the queue ahead of it
 	// (unfair families are corrected by the fitted wait residual).
 	wait := c / 2
-	if pEff > 1 {
-		wait = float64(pEff-1) * (pt.HoldUS + c) * pr.Cal.WaitResidual(l)
+	if pt.Procs > 1 {
+		wait = float64(pt.Procs-1) * (pt.HoldUS + c) * pr.Cal.WaitResidual(l)
 	}
-	return Prediction{
-		PairUS:     c,
-		WaitUS:     wait,
-		Throughput: 1000 / (pt.HoldUS + c),
-	}
+	return Prediction{PairUS: c, WaitUS: wait}
 }

@@ -55,6 +55,8 @@ type Cohort struct {
 	st     []cohortStation
 	// BatchLimit bounds consecutive local passes; zero means
 	// DefaultBatchLimit. Set it before first use.
+	//
+	//doclint:keep the sim-native cross-validation replays schedules at several limits
 	BatchLimit int
 	// gEnqueues counts global-queue enqueues; the cross-validation
 	// coordinator settles on it to pin the (otherwise racy) global order.
@@ -173,6 +175,8 @@ type CNA struct {
 	passes           int
 	// SpillThreshold bounds consecutive same-station grants; zero means
 	// DefaultSpillThreshold. Set it before first use.
+	//
+	//doclint:keep the sim-native cross-validation replays schedules at several thresholds
 	SpillThreshold int
 }
 

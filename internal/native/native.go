@@ -151,11 +151,13 @@ func (p *pool) get() *qnode {
 
 func (p *pool) put(n *qnode) { p.p.Put(n) }
 
+// maxBackoff caps the delay between a Spin's attempts and between a
+// Table reservation's re-searches.
+const maxBackoff = 100 * time.Microsecond
+
 // Spin is a test-and-set lock with capped exponential backoff (Figure 3c).
 type Spin struct {
 	word atomic.Uint32
-	// MaxBackoff caps the delay between attempts; zero means 100us.
-	MaxBackoff time.Duration
 }
 
 // Acquire spins (with backoff) until the lock is held.
@@ -163,20 +165,13 @@ func (l *Spin) Acquire() {
 	if l.word.CompareAndSwap(0, 1) {
 		return
 	}
-	max := l.MaxBackoff
-	if max == 0 {
-		max = 100 * time.Microsecond
-	}
 	delay := time.Microsecond
 	for {
 		time.Sleep(delay)
 		if l.word.CompareAndSwap(0, 1) {
 			return
 		}
-		delay *= 2
-		if delay > max {
-			delay = max
-		}
+		delay = min(2*delay, maxBackoff)
 	}
 }
 

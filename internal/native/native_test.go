@@ -304,7 +304,6 @@ func TestTablePropertyCountsPreserved(t *testing.T) {
 
 func TestSpinBackoffPathUnderHold(t *testing.T) {
 	var l Spin
-	l.MaxBackoff = 50 * time.Microsecond
 	l.Acquire()
 	acquired := make(chan struct{})
 	go func() {
@@ -366,7 +365,6 @@ func TestEntryReservedReporting(t *testing.T) {
 
 func TestTableReserveWaitsOutWriter(t *testing.T) {
 	tb := NewTable()
-	tb.MaxBackoff = 50 * time.Microsecond
 	tb.Insert(4, new(int))
 	e, _ := tb.Reserve(4, true)
 	done := make(chan struct{})

@@ -24,8 +24,6 @@ type Entry struct {
 type Table struct {
 	lock MCS
 	m    map[uint64]*Entry
-	// MaxBackoff caps reservation-wait backoff; zero means 100us.
-	MaxBackoff time.Duration
 }
 
 // NewTable builds an empty table.
@@ -80,10 +78,6 @@ func (t *Table) Remove(key uint64) bool {
 // re-searching after each wait (the Figure 1b protocol). ok is false if
 // the key is absent.
 func (t *Table) Reserve(key uint64, exclusive bool) (*Entry, bool) {
-	max := t.MaxBackoff
-	if max == 0 {
-		max = 100 * time.Microsecond
-	}
 	delay := time.Microsecond
 	for {
 		var e *Entry
@@ -116,10 +110,7 @@ func (t *Table) Reserve(key uint64, exclusive bool) (*Entry, bool) {
 			if exclusive && st == 0 || !exclusive && st >= 0 {
 				break
 			}
-			delay *= 2
-			if delay > max {
-				delay = max
-			}
+			delay = min(2*delay, maxBackoff)
 		}
 	}
 }

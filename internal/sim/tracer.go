@@ -35,6 +35,17 @@ func (d DistClass) String() string {
 	return fmt.Sprintf("DistClass(%d)", int(d))
 }
 
+// DistClassFromString inverts String (trace files round-trip through
+// JSON). Unknown names map to DistLocal.
+func DistClassFromString(s string) DistClass {
+	for d := DistLocal; d < NumDistClasses; d++ {
+		if d.String() == s {
+			return d
+		}
+	}
+	return DistLocal
+}
+
 // Distance classifies the topological distance from module src to module
 // dst given the machine's station grouping. Region ids resolve to the
 // physical module currently backing them, so the class reflects where the

@@ -113,6 +113,16 @@ func TestEmitSpanDistance(t *testing.T) {
 	}
 }
 
+// TestDistClassRoundTrip holds DistClassFromString to String for every
+// class, so a trace file's distances read back as written.
+func TestDistClassRoundTrip(t *testing.T) {
+	for d := DistLocal; d < NumDistClasses; d++ {
+		if got := DistClassFromString(d.String()); got != d {
+			t.Errorf("DistClassFromString(%q) = %v, want %v", d.String(), got, d)
+		}
+	}
+}
+
 // TestAllocBoundary is the regression test for the off-by-one in Alloc's
 // address-space check: an allocation that exactly fills a module must
 // succeed (the seed code rejected it), one word more must panic.

@@ -95,7 +95,7 @@ func NewAggregate(modules int) *Aggregate {
 // Modules reports the module count the aggregator was built for.
 func (a *Aggregate) Modules() int { return a.modules }
 
-// Event implements Sink.
+// Event implements sim.Tracer.
 func (a *Aggregate) Event(ev sim.TraceEvent) {
 	if ev.Kind >= 0 && int(ev.Kind) < sim.NumEventKinds {
 		a.EventCount[ev.Kind]++

@@ -15,13 +15,7 @@ import (
 // events. Timestamps are microseconds of simulated time, sorted ascending
 // on export so viewers (and the golden-file test) see a monotonic stream.
 type Chrome struct {
-	// MaxEvents caps the number of retained events (0 = unlimited); once
-	// reached, further events are counted but dropped, and the count is
-	// recorded in the trace metadata.
-	MaxEvents int
-
 	events  []sim.TraceEvent
-	dropped uint64
 	machine map[string]interface{}
 }
 
@@ -43,14 +37,9 @@ func (c *Chrome) SetMachine(m *sim.Machine) {
 	}
 }
 
-// Event implements Sink (and sim.Tracer, so Chrome also installs alone).
-func (c *Chrome) Event(ev sim.TraceEvent) {
-	if c.MaxEvents > 0 && len(c.events) >= c.MaxEvents {
-		c.dropped++
-		return
-	}
-	c.events = append(c.events, ev)
-}
+// Event implements sim.Tracer, so Chrome is a pipeline sink or installs
+// alone.
+func (c *Chrome) Event(ev sim.TraceEvent) { c.events = append(c.events, ev) }
 
 // Events exposes the collected events (for tests and custom reports).
 func (c *Chrome) Events() []sim.TraceEvent { return c.events }
@@ -87,14 +76,8 @@ func (c *Chrome) Export(w io.Writer) error {
 		TraceEvents:     make([]chromeEvent, 0, len(sorted)),
 		DisplayTimeUnit: "ms",
 	}
-	if c.dropped > 0 || c.machine != nil {
-		out.OtherData = map[string]interface{}{}
-		if c.dropped > 0 {
-			out.OtherData["droppedEvents"] = c.dropped
-		}
-		if c.machine != nil {
-			out.OtherData["machine"] = c.machine
-		}
+	if c.machine != nil {
+		out.OtherData = map[string]interface{}{"machine": c.machine}
 	}
 	for _, ev := range sorted {
 		ce := chromeEvent{

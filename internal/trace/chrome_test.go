@@ -122,32 +122,6 @@ func TestChromeSchema(t *testing.T) {
 	}
 }
 
-func TestChromeMaxEvents(t *testing.T) {
-	c := NewChrome()
-	c.MaxEvents = 3
-	for i := 0; i < 10; i++ {
-		c.Event(sim.TraceEvent{Kind: sim.EvAccess, Src: 0, Dst: 0})
-	}
-	if len(c.Events()) != 3 {
-		t.Fatalf("retained %d events, want 3", len(c.Events()))
-	}
-	if c.dropped != 7 {
-		t.Fatalf("dropped = %d, want 7", c.dropped)
-	}
-	var buf bytes.Buffer
-	if err := c.Export(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var out map[string]interface{}
-	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
-		t.Fatal(err)
-	}
-	od := out["otherData"].(map[string]interface{})
-	if od["droppedEvents"].(float64) != 7 {
-		t.Errorf("droppedEvents metadata = %v, want 7", od["droppedEvents"])
-	}
-}
-
 // TestPipelineFanOut checks one event stream feeds several sinks at once.
 func TestPipelineFanOut(t *testing.T) {
 	ch := NewChrome()

@@ -12,14 +12,15 @@ import (
 
 // DaemonParams bounds the online placement controller. The zero value takes
 // defaults. The controller shape deliberately mirrors internal/tune's lock
-// tuner: a fixed sampling cadence (Engine.Every daemon events, zero
-// simulated cost), EWMA smoothing of the windowed signal so one-window
-// bursts cannot trigger action, and a hysteresis/indifference band plus
-// hard budgets so the feedback loop cannot thrash.
+// tuner: a fixed sampling cadence (the autonomics plane's, zero simulated
+// cost), EWMA smoothing of the windowed signal so one-window bursts cannot
+// trigger action, and a hysteresis/indifference band plus hard budgets so
+// the feedback loop cannot thrash.
 type DaemonParams struct {
-	// Period is the sampling cadence (default 100us). Each tick diffs the
-	// live trace.Aggregate region vectors into one observation window. Two
-	// moves of one slot are at least eight periods apart.
+	// Period is the cadence of the plane that ticks the daemon (default
+	// 100us). Each tick diffs the live trace.Aggregate region vectors into
+	// one observation window. Two moves of one slot are at least eight
+	// periods apart.
 	Period sim.Duration
 	// Decay is the per-window EWMA retention of the smoothed access
 	// vectors (default 0.75, a ~4-window horizon — the same constant tune
@@ -48,11 +49,11 @@ type DaemonParams struct {
 	// destination but never confirm it, so only sustained shifts move data.
 	Confirm int
 	// Yield, when non-nil, marks regions another policy has claimed: the
-	// daemon folds their windows but never moves them. On a shared
-	// autonomics plane this is wired to the replication policy's Claimed,
-	// so a read-mostly slot the replicator is about to copy is never
-	// shuffled by the migrator first (nil: the daemon only defers to
-	// already-installed replicas).
+	// daemon folds their windows but never moves them. Attach wires it to
+	// the replication policy's Claimed when both run, so a read-mostly
+	// slot the replicator is about to copy is never shuffled by the
+	// migrator first (nil: the daemon only defers to already-installed
+	// replicas).
 	Yield func(region int) bool
 	// Exec picks the processor that executes a move, given the slot's
 	// current physical home. Default: the processor co-located with the
@@ -114,12 +115,14 @@ type Move struct {
 	At       sim.Time
 }
 
-// Daemon is the online placement controller: at every Period it diffs the
-// live aggregate's per-region access vectors into a window, EWMA-smooths
-// them, asks the analyzer's propose() for a ring-minimizing home against
-// the machine's cost model, and — when the improvement clears the Improve
-// band and the slot has budget and cooldown headroom — executes the move by
-// interrupting the processor co-located with the slot's current home. The
+// Daemon is the online placement controller. It is an autonomic.Policy with
+// no cadence of its own: at every tick of the plane it runs on, it diffs
+// the live aggregate's per-region access vectors into a window,
+// EWMA-smooths them, asks the analyzer's propose() for a ring-minimizing
+// home against the machine's cost model, and — when the improvement clears
+// the Improve band and the slot has budget and cooldown headroom —
+// executes the move by interrupting the processor co-located with the
+// slot's current home. The
 // migration itself (copy burst + brief migration lock) is charged by the
 // kernel's MigrateSlot path; the daemon's own observation and decision
 // cycle costs no simulated time, so a daemon that never finds a
@@ -151,7 +154,8 @@ type slotState struct {
 
 // NewDaemon builds a daemon over machine m, observing the live aggregate
 // agg (which must be installed as the machine's tracer) and managing the
-// given slots. Call Start to begin sampling.
+// given slots. Register it on an autonomic.Plane to begin sampling; Attach
+// does both for a kernel's slots.
 func NewDaemon(m *sim.Machine, agg *trace.Aggregate, topo autonomic.Topo, costs autonomic.Costs, params DaemonParams, slots []DaemonSlot) *Daemon {
 	d := &Daemon{m: m, agg: agg, topo: topo, costs: costs, weights: autonomic.NewWeights(topo, costs), p: params.withDefaults()}
 	n := agg.Modules()
@@ -180,18 +184,10 @@ func (d *Daemon) Moves() []Move { return d.moves }
 // Name implements autonomic.Policy.
 func (d *Daemon) Name() string { return "migrate" }
 
-// Start registers the sampling hook: a daemon event every Period that
-// neither consumes simulated time nor keeps the run alive. Determinism is
-// preserved the same way tune.Attach preserves it — the only feedback path
-// into the simulation is the migrations the daemon requests. Alternatively
-// register the daemon on an autonomic.Plane (it implements
-// autonomic.Policy) to share one cadence with the other policies; do not
-// do both.
-func (d *Daemon) Start() {
-	d.m.Eng.Every(d.p.Period, d.Tick)
-}
-
-// Tick implements autonomic.Policy: one observation window.
+// Tick implements autonomic.Policy: one observation window. It consumes no
+// simulated time; the only feedback path into the simulation is the
+// migrations the daemon requests, so determinism holds as it does for
+// tune's samplers.
 func (d *Daemon) Tick(now sim.Time) {
 	d.ticks++
 	// Projected per-module load for propose()'s tie-breaking, from the
@@ -322,10 +318,10 @@ func ManageKernel(k *kernel.Kernel) []DaemonSlot {
 // ReplicateKernel builds the replication policy's slot list from the same
 // kernel: per-slot read/write vectors come from the live aggregate's
 // split region matrices, and the actuators dispatch through the kernel's
-// interrupt gate like migrations do. Pair with ManageKernel on one
-// autonomic.Plane — the daemon skips replicated slots and the replicator
-// collapses write-hot ones, so the two policies hand objects back and
-// forth instead of fighting.
+// interrupt gate like migrations do. Attach pairs it with ManageKernel on
+// one autonomic.Plane — the daemon skips replicated slots and the
+// replicator collapses write-hot ones, so the two policies hand objects
+// back and forth instead of fighting.
 func ReplicateKernel(k *kernel.Kernel, agg *trace.Aggregate) []autonomic.ReplicaSlot {
 	var slots []autonomic.ReplicaSlot
 	for _, ref := range k.MigratableSlots() {
@@ -349,4 +345,33 @@ func ReplicateKernel(k *kernel.Kernel, agg *trace.Aggregate) []autonomic.Replica
 		})
 	}
 	return slots
+}
+
+// Attach wires the data policies over kernel k onto plane and starts the
+// plane. The replicator registers first when rp is non-nil, then the
+// migration daemon when dp is non-nil, so each tick's migrator sees the
+// traffic a replication just rerouted. When both run, the daemon's Yield
+// is the replicator's Claimed: the migrator never moves a slot the
+// replicator is about to copy. Both policies read the topology and access
+// costs of k's machine and observe agg, which must see the machine's
+// whole event stream (its tracer, or a sink of its pipeline). A nil return
+// is a policy that does not run.
+func Attach(plane *autonomic.Plane, k *kernel.Kernel, agg *trace.Aggregate, rp *autonomic.ReplicatorParams, dp *DaemonParams) (*autonomic.Replicator, *Daemon) {
+	topo, costs := autonomic.TopoOf(k.M), autonomic.CostsFromLatency(k.M.Lat())
+	var rep *autonomic.Replicator
+	var d *Daemon
+	if rp != nil {
+		rep = autonomic.NewReplicator(k.M, topo, costs, *rp, ReplicateKernel(k, agg))
+		plane.Add(rep)
+	}
+	if dp != nil {
+		p := *dp
+		if rep != nil {
+			p.Yield = rep.Claimed
+		}
+		d = NewDaemon(k.M, agg, topo, costs, p, ManageKernel(k))
+		plane.Add(d)
+	}
+	plane.Start(k.M.Eng)
+	return rep, d
 }

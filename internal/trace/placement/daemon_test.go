@@ -36,11 +36,8 @@ func daemonRun(seed uint64) string {
 		Tracer:      agg,
 		Migratable:  true,
 	})
-	d := placement.NewDaemon(sys.M, agg, autonomic.Topo{Stations: 4, ProcsPerStation: 4},
-		autonomic.DefaultCosts(),
-		placement.DaemonParams{Period: sim.Micros(25), Decay: 0.9, MinWeight: 0.25, Confirm: 3},
-		placement.ManageKernel(sys.K))
-	d.Start()
+	_, d := placement.Attach(autonomic.NewPlane(sim.Micros(25)), sys.K, agg, nil,
+		&placement.DaemonParams{Period: sim.Micros(25), Decay: 0.9, MinWeight: 0.25, Confirm: 3})
 	res := workload.IndependentFaults(sys, 4, 4, 6)
 	return fmt.Sprintf("%s|mig=%d words=%d cycles=%d|fault=%.6f|end=%v",
 		d.Report(), res.Stats.Migrations, res.Stats.MigratedWords,
@@ -72,11 +69,8 @@ func TestDaemonNoOpOnOptimalLayout(t *testing.T) {
 		// station-0 module, which is inside the indifference band.
 		SlotModule: func(c, slot, def int) int { return slot },
 	})
-	d := placement.NewDaemon(sys.M, agg, autonomic.Topo{Stations: 4, ProcsPerStation: 4},
-		autonomic.DefaultCosts(),
-		placement.DaemonParams{Period: sim.Micros(25), Decay: 0.9, MinWeight: 0.25, Confirm: 3},
-		placement.ManageKernel(sys.K))
-	d.Start()
+	_, d := placement.Attach(autonomic.NewPlane(sim.Micros(25)), sys.K, agg, nil,
+		&placement.DaemonParams{Period: sim.Micros(25), Decay: 0.9, MinWeight: 0.25, Confirm: 3})
 	res := workload.IndependentFaults(sys, 4, 4, 8)
 	if n := len(d.Moves()); n != 0 {
 		t.Fatalf("daemon made %d moves on an optimal layout:\n%s", n, d.Report())
@@ -114,7 +108,9 @@ func TestDaemonThrashBudget(t *testing.T) {
 				m.Mem.MigrateRegion(p, region, to)
 			},
 		}})
-	d.Start()
+	plane := autonomic.NewPlane(sim.Micros(25))
+	plane.Add(d)
+	plane.Start(m.Eng)
 
 	// Processors 0 (station 0) and 12 (station 3) alternate hammering the
 	// region in 200us phases — long enough for the daemon to commit to each

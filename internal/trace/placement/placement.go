@@ -13,8 +13,9 @@
 // measures when that trade wins.
 //
 // The Daemon shares its controller pattern with internal/tune's lock
-// tuner: a fixed sim.Engine.Every sampling cadence that charges no
-// simulated time, EWMA smoothing of the windowed signal, and
+// tuner: a fixed sampling cadence that charges no simulated time (the
+// autonomics plane's, which Attach wires), EWMA smoothing of the windowed
+// signal, and
 // act-only-past-a-threshold hysteresis. Where the tuner's saturation band
 // guards a free actuation (publishing a backoff constant), the daemon's
 // indifference band, confirmation streak, payback horizon, and per-slot

@@ -4,25 +4,20 @@
 // fault/RPC/IPI spans) emit sim.TraceEvent records; a Pipeline fans them
 // out to sinks — Chrome JSON for Perfetto, in-memory Aggregate for the
 // placement analyzer — so one traced run feeds both a visual timeline and
-// the access-topology analysis.
+// the access-topology analysis. A sink is any sim.Tracer; sinks must not
+// charge simulated time — they observe the run, they are not part of it.
 package trace
 
 import "hurricane/internal/sim"
 
-// Sink consumes trace events. Sinks must not charge simulated time — they
-// observe the run, they are not part of it.
-type Sink interface {
-	Event(sim.TraceEvent)
-}
-
 // Pipeline fans machine events out to any number of sinks, in order. It
-// implements sim.Tracer, so it installs directly on a machine.
+// is itself a sim.Tracer, so it installs directly on a machine.
 type Pipeline struct {
-	sinks []Sink
+	sinks []sim.Tracer
 }
 
 // NewPipeline builds a pipeline over the given sinks.
-func NewPipeline(sinks ...Sink) *Pipeline {
+func NewPipeline(sinks ...sim.Tracer) *Pipeline {
 	return &Pipeline{sinks: sinks}
 }
 

@@ -35,19 +35,10 @@ func TestServerPlaneObservationByteIdentical(t *testing.T) {
 
 	agg := trace.NewAggregate(16)
 	cfg := planeTestConfig(0x5eed, locks.KindSpin, agg)
-	topo := autonomic.Topo{Stations: 4, ProcsPerStation: 4}
 	never := 1e18 // MinWeight no slot can reach
 	cfg.Attach = func(sys *core.System) {
-		plane := autonomic.NewPlane(sim.Micros(100))
-		rep := autonomic.NewReplicator(sys.M, topo, autonomic.DefaultCosts(),
-			autonomic.ReplicatorParams{MinWeight: never},
-			placement.ReplicateKernel(sys.K, agg))
-		plane.Add(rep)
-		plane.Add(placement.NewDaemon(sys.M, agg, topo,
-			autonomic.DefaultCosts(),
-			placement.DaemonParams{MinWeight: never, Yield: rep.Claimed},
-			placement.ManageKernel(sys.K)))
-		plane.Start(sys.M.Eng)
+		placement.Attach(autonomic.NewPlane(sim.Micros(100)), sys.K, agg,
+			&autonomic.ReplicatorParams{MinWeight: never}, &placement.DaemonParams{MinWeight: never})
 	}
 	watched := ServerRun(cfg)
 

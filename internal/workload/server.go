@@ -34,16 +34,12 @@ type ServerConfig struct {
 	// LockKind selects the kernel's coarse-lock algorithm (KindTuned puts
 	// a feedback controller on every kernel lock).
 	LockKind locks.Kind
-	// Protocol selects optimistic or pessimistic deadlock management.
-	Protocol kernel.Protocol
 	// Migratable allocates kernel data in migratable regions (for an
 	// attached placement daemon).
 	Migratable bool
 	// Tracer, when non-nil, observes the whole run.
 	Tracer sim.Tracer
 
-	// Workers is how many processors serve requests (default: all).
-	Workers int
 	// Tenants is the number of tenants; ZipfS the access skew exponent.
 	Tenants int
 	ZipfS   float64
@@ -56,7 +52,8 @@ type ServerConfig struct {
 	Warmup sim.Duration
 	// QueueLimit bounds the admission queue; arrivals past it are dropped
 	// (counted, not served) — the admission control that keeps an
-	// overloaded open-loop run's drain finite. Default 4x Workers.
+	// overloaded open-loop run's drain finite. Default 4x the machine's
+	// processors, every one of which serves requests.
 	QueueLimit int
 	// Deadline, when nonzero, is the latency SLO: a request still queued
 	// when a worker picks it up more than Deadline after its arrival is
@@ -166,14 +163,8 @@ type serverRequest struct {
 
 // ServerRun executes the scenario and reports the tail-latency summary.
 func ServerRun(cfg ServerConfig) *ServerResult {
-	if cfg.Workers == 0 {
-		cfg.Workers = numProcsOf(cfg.Machine)
-	}
 	if cfg.Tenants == 0 {
 		cfg.Tenants = 16
-	}
-	if cfg.QueueLimit == 0 {
-		cfg.QueueLimit = 4 * cfg.Workers
 	}
 	if cfg.TenantDataWords > 0 && cfg.TenantTouch == 0 {
 		cfg.TenantTouch = 32
@@ -182,13 +173,16 @@ func ServerRun(cfg ServerConfig) *ServerResult {
 		Machine:     cfg.Machine,
 		ClusterSize: cfg.ClusterSize,
 		LockKind:    cfg.LockKind,
-		Protocol:    cfg.Protocol,
 		Migratable:  cfg.Migratable,
 		TuneParams:  cfg.TuneParams,
 		Tracer:      cfg.Tracer,
 	})
 	k := sys.K
 	m := sys.M
+	workers := m.NumProcs()
+	if cfg.QueueLimit == 0 {
+		cfg.QueueLimit = 4 * workers
+	}
 
 	// Per-tenant data regions: migratable slots the autonomics plane can
 	// act on, homed like the tenant's kernel objects so the initial layout
@@ -393,8 +387,8 @@ func ServerRun(cfg ServerConfig) *ServerResult {
 		}
 	}
 
-	bar := NewBarrier(cfg.Workers)
-	for w := 0; w < cfg.Workers; w++ {
+	bar := NewBarrier(workers)
+	for w := 0; w < workers; w++ {
 		w := w
 		sys.Spawn(w, func(p *sim.Proc) {
 			if w == 0 {
@@ -408,7 +402,7 @@ func ServerRun(cfg ServerConfig) *ServerResult {
 					k.VM.SetupRegion(p, region, file, base)
 					for v := 0; v < pagesPerTenant; v++ {
 						k.VM.SetupFCB(p, file+uint64(v))
-						k.VM.SetupPage(p, base+uint64(v), uint64(cfg.Workers),
+						k.VM.SetupPage(p, base+uint64(v), uint64(workers),
 							kernel.FlagCoherent, uint64(rank+1)<<20|uint64(v))
 					}
 				}
@@ -468,17 +462,4 @@ func ServerRun(cfg ServerConfig) *ServerResult {
 		res.GoodputRPS = float64(res.Completed) / (span.Microseconds() / 1e6)
 	}
 	return res
-}
-
-// numProcsOf reports how many processors cfg builds, without building a
-// machine: the sim defaults are 4x4 when unset.
-func numProcsOf(cfg sim.Config) int {
-	s, pps := cfg.Stations, cfg.ProcsPerStation
-	if s == 0 {
-		s = 4
-	}
-	if pps == 0 {
-		pps = 4
-	}
-	return s * pps
 }

@@ -21,7 +21,6 @@ func serverTestConfig(seed uint64, kind locks.Kind) ServerConfig {
 		Machine:     machine.Hector16(seed),
 		ClusterSize: 4,
 		LockKind:    kind,
-		Workers:     16,
 		Tenants:     16,
 		ZipfS:       1.0,
 		Arrivals: ArrivalSpec{
@@ -111,13 +110,10 @@ func TestServerControllerInteraction(t *testing.T) {
 	cfg.Migratable = true
 	agg := trace.NewAggregate(16)
 	cfg.Tracer = agg
-	topo := autonomic.Topo{Stations: 4, ProcsPerStation: 4}
 	var daemon *placement.Daemon
 	cfg.Attach = func(sys *core.System) {
-		daemon = placement.NewDaemon(sys.M, agg, topo,
-			autonomic.CostsFromLatency(sys.M.Lat()), placement.DefaultDaemonParams(),
-			placement.ManageKernel(sys.K))
-		daemon.Start()
+		dp := placement.DefaultDaemonParams()
+		_, daemon = placement.Attach(autonomic.NewPlane(dp.Period), sys.K, agg, nil, &dp)
 	}
 	r := ServerRun(cfg)
 	if r.Completed == 0 {

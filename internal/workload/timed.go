@@ -33,11 +33,10 @@ type TimedStressConfig struct {
 	// stations, so a partial-machine run still generates cross-station
 	// lock traffic. Unset, participants are processors 0..Procs-1.
 	Spread bool
-	// Home is the lock's (and protected data's) home module.
-	Home int
 	// PerStation, when set, gives every station its own lock and data —
 	// homed at the station's first processor-memory module — and each
-	// participant contends its own station's lock; Home is ignored. This is
+	// participant contends its own station's lock. Unset, one lock and its
+	// data live on module 0. This is
 	// the partitioned-kernel shape (per-module run queues, per-station
 	// allocators): simulated load on every logical process at once, which
 	// is what the parallel-speedup experiment has to offer the engine. A
@@ -112,10 +111,7 @@ func TimedStressRun(cfg TimedStressConfig) *TimedStressResult {
 	datas := make([]sim.Addr, nlocks)
 	owners := make([]sim.Addr, nlocks)
 	for s := range ls {
-		home := cfg.Home
-		if cfg.PerStation {
-			home = s * pps
-		}
+		home := s * pps
 		ls[s] = mk(m, home)
 		datas[s] = m.Alloc(home, 8)
 		owners[s] = m.Alloc(home, 1)
