@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race bench bench-smoke fuzz-smoke results bench-sim bench-diff bench-baseline wall-baseline jobs-equiv par-equiv trace-smoke server-smoke autonomic-smoke model-smoke doc-lint profile
+.PHONY: ci vet build test race bench bench-smoke fuzz-smoke results results-check bench-sim bench-diff bench-baseline wall-baseline jobs-equiv trace-smoke server-smoke autonomic-smoke model-smoke doc-lint profile
 
-ci: vet build test race bench-smoke fuzz-smoke bench-diff jobs-equiv par-equiv trace-smoke server-smoke autonomic-smoke model-smoke doc-lint
+ci: vet build test race bench-smoke fuzz-smoke bench-diff jobs-equiv results-check trace-smoke server-smoke autonomic-smoke model-smoke doc-lint
 
 vet:
 	$(GO) vet ./...
@@ -39,51 +39,65 @@ bench:
 bench-smoke:
 	$(GO) -C benchmark test ./...
 
-# Ten seconds of randomized event schedules against the engine's (time,
-# sequence) dispatch order, past the checked-in corpus that every
-# `go test` runs (internal/sim/testdata/fuzz).
+# Randomized inputs past the checked-in corpora that every `go test` runs
+# (testdata/fuzz): ten seconds of event schedules against the engine's
+# (time, sequence) dispatch order, then five of arrival specs.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzEventOrder$$' -fuzztime 10s ./internal/sim/
+	$(GO) test -run '^$$' -fuzz '^FuzzArrivals$$' -fuzztime 5s ./internal/workload/
 
 # Regenerate every table/figure plus the machine-readable BENCH_sim.json.
+# Stdout is the tables alone; it replaces results_full.txt only if the run
+# succeeds.
 results:
-	$(GO) run ./cmd/hurricane-bench | tee results_full.txt
+	$(GO) run ./cmd/hurricane-bench > results_full.txt.tmp || { rm -f results_full.txt.tmp; exit 1; }
+	mv results_full.txt.tmp results_full.txt
 
-# The quick summary, BENCH_sim.json: one run per make invocation, which
-# bench-diff and the smoke targets below all read.
+# The full run as a check: stdout carries no host timing, so the run must
+# reproduce results_full.txt byte for byte. A difference is a moved
+# simulated number: if intended, regenerate it (make results) and give the
+# reason in CHANGES.md.
+results-check:
+	$(GO) run ./cmd/hurricane-bench -json "" -walljson "" > /tmp/hurricane_results.txt
+	@diff -u results_full.txt /tmp/hurricane_results.txt || { \
+		echo "results-check: the full run differs from results_full.txt;" \
+			"if intended, run make results and give the reason in CHANGES.md" >&2; exit 1; }
+	@echo "results-check: the full run reproduces results_full.txt byte for byte"
+
+# The quick suite, run serially: one run per make invocation writes
+# BENCH_sim.json, which bench-diff and the smoke targets below all read,
+# and BENCH_wall.json, each experiment's engine event counts, which
+# jobs-equiv checks.
 bench-sim:
-	$(GO) run ./cmd/hurricane-bench -quick -json BENCH_sim.json > /dev/null
+	$(GO) run ./cmd/hurricane-bench -quick -jobs 1 -parworkers 1 -json BENCH_sim.json -walljson BENCH_wall.json > /tmp/hurricane_quick1.txt
 
-# Regression gate: compare the quick summary against the checked-in
-# baseline; fails on >5% regression in any us-unit figure metric. The
-# simulation is deterministic, so an unchanged tree diffs exactly.
+# Regression gate: the quick summary must equal the checked-in baseline
+# exactly. The simulation is deterministic, so any difference is a changed
+# number. Each metric's "name" line sits just above its "value" line, and
+# -F puts the experiment's name in each hunk header, so every hunk names
+# what moved.
 bench-diff: bench-sim
-	$(GO) run ./cmd/bench-diff
+	@diff -u -F '^      "name"' BENCH_sim.baseline.json BENCH_sim.json || { \
+		echo "bench-diff: the quick summary differs from BENCH_sim.baseline.json;" \
+			"if intended, run make bench-baseline and give the reason in CHANGES.md" >&2; exit 1; }
+	@echo "bench-diff: the quick summary equals BENCH_sim.baseline.json"
 
-# Determinism gate for the worker pool: the quick summary must be
-# byte-identical when cells run serially and on an 8-way pool. The serial
-# run also records each experiment's engine event counts, which must equal
-# BENCH_wall.baseline.json: a change that moves one does more (or less)
-# simulated work, and must regenerate the baseline (make wall-baseline)
-# with the reason in CHANGES.md.
-jobs-equiv:
-	$(GO) run ./cmd/hurricane-bench -quick -jobs 1 -json /tmp/hurricane_jobs1.json -walljson /tmp/hurricane_wall.json > /dev/null
-	$(GO) run ./cmd/hurricane-bench -quick -jobs 8 -json /tmp/hurricane_jobs8.json > /dev/null
-	cmp /tmp/hurricane_jobs1.json /tmp/hurricane_jobs8.json
-	@echo "jobs-equiv: -jobs 1 and -jobs 8 summaries are byte-identical"
-	@cmp BENCH_wall.baseline.json /tmp/hurricane_wall.json || { \
+# Determinism gate for both worker pools. The serial quick run's engine
+# event counts must equal BENCH_wall.baseline.json: a change that moves one
+# does more (or less) simulated work, and must regenerate the baseline
+# (make wall-baseline) with the reason in CHANGES.md. Then an 8-way
+# experiment pool, with 8 logical-process workers inside each
+# parallel-engine simulation, must print the same tables and write the same
+# summary byte for byte.
+jobs-equiv: bench-sim
+	@cmp BENCH_wall.baseline.json BENCH_wall.json || { \
 		echo "jobs-equiv: engine event counts differ from BENCH_wall.baseline.json;" \
 			"if intended, run make wall-baseline and give the reason in CHANGES.md" >&2; exit 1; }
 	@echo "jobs-equiv: per-experiment engine event counts equal BENCH_wall.baseline.json"
-
-# Determinism gate for the parallel discrete-event engine: the parstress
-# sweep must be byte-identical with 1 logical-process worker (the inline
-# serial reference) and an 8-way worker pool inside each simulation.
-par-equiv:
-	$(GO) run ./cmd/hurricane-bench -quick -run '^parstress$$' -parworkers 1 -json /tmp/hurricane_par1.json > /dev/null
-	$(GO) run ./cmd/hurricane-bench -quick -run '^parstress$$' -parworkers 8 -json /tmp/hurricane_par8.json > /dev/null
-	cmp /tmp/hurricane_par1.json /tmp/hurricane_par8.json
-	@echo "par-equiv: -parworkers 1 and -parworkers 8 summaries are byte-identical"
+	$(GO) run ./cmd/hurricane-bench -quick -jobs 8 -parworkers 8 -json /tmp/hurricane_jobs8.json -walljson "" > /tmp/hurricane_quick8.txt
+	cmp /tmp/hurricane_quick1.txt /tmp/hurricane_quick8.txt
+	cmp BENCH_sim.json /tmp/hurricane_jobs8.json
+	@echo "jobs-equiv: -jobs 1 -parworkers 1 and -jobs 8 -parworkers 8 print and write byte-identical output"
 
 # End-to-end check of the span pipeline: trace a tiny kernel workload,
 # feed the trace through traceanal, and require a non-empty placement

@@ -7,6 +7,11 @@
 // so they run on a worker pool (-jobs); results are merged in declaration
 // order, which keeps the summary byte-identical at any -jobs value.
 //
+// Stdout is the tables alone, a pure function of -seed and -quick:
+// `make results-check` holds the full run to results_full.txt byte for
+// byte. Host timing (each experiment's wall time, the run's events/sec)
+// and the files written go to stderr.
+//
 // Usage:
 //
 //	hurricane-bench                 # run everything (full rounds)
@@ -84,10 +89,11 @@ func main() {
 		return full
 	}
 
-	experiments := []struct {
+	type experiment struct {
 		name string
 		run  func() *exp.Table
-	}{
+	}
+	experiments := []experiment{
 		{"fig4", func() *exp.Table { return exp.Figure4(*seed) }},
 		{"uncontended", func() *exp.Table { return exp.Uncontended(*seed) }},
 		{"fig5a", func() *exp.Table { return exp.Figure5(*seed, 0, rounds(300, 60)) }},
@@ -114,15 +120,6 @@ func main() {
 		{"autonomic", func() *exp.Table { return exp.AutonomicSweep(*seed, rounds(40, 15)) }},
 		{"parstress", func() *exp.Table { return exp.ParStress(*seed, rounds(4000, 2500), !*quick) }},
 	}
-	if !*quick {
-		// Wall-clock speedup is a host measurement, not a simulated one:
-		// meaningless at CI scale and excluded from the deterministic quick
-		// summary by construction.
-		experiments = append(experiments, struct {
-			name string
-			run  func() *exp.Table
-		}{"parspeed", func() *exp.Table { return exp.ParSpeed(*seed, 4000) }})
-	}
 
 	var re *regexp.Regexp
 	if *runPat != "" {
@@ -133,16 +130,11 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	type job struct {
-		name string
-		run  func() *exp.Table
-	}
-	var selected []job
+	var selected []experiment
 	for _, e := range experiments {
-		if re != nil && !re.MatchString(e.name) {
-			continue
+		if re == nil || re.MatchString(e.name) {
+			selected = append(selected, e)
 		}
-		selected = append(selected, job{e.name, e.run})
 	}
 	if len(selected) == 0 {
 		fmt.Fprintln(os.Stderr, "no experiments matched; available:")
@@ -159,7 +151,6 @@ func main() {
 	// cells), buffer each table, then print and assemble the report in
 	// declaration order.
 	tables := make([]*exp.Table, len(selected))
-	durations := make([]time.Duration, len(selected))
 	counts := make([]eventCounts, len(selected))
 	start := time.Now()
 	exp.RunParallel(len(selected), func(i int) {
@@ -167,17 +158,15 @@ func main() {
 		d0, e0 := sim.TotalEvents()
 		tables[i] = selected[i].run()
 		d1, e1 := sim.TotalEvents()
-		durations[i] = time.Since(t0)
 		// Exact only when no other experiment ran meanwhile (-jobs 1).
 		counts[i] = eventCounts{Name: selected[i].name, Dispatched: d1 - d0, Elided: e1 - e0}
-		fmt.Fprintf(os.Stderr, "[%s done in %v]\n", selected[i].name, durations[i].Round(time.Millisecond))
+		fmt.Fprintf(os.Stderr, "[%s done in %v]\n", selected[i].name, time.Since(t0).Round(time.Millisecond))
 	})
 	total := time.Since(start)
 
 	report := exp.Report{Seed: *seed, Quick: *quick}
 	for i, e := range selected {
 		fmt.Println(tables[i].String())
-		fmt.Printf("[%s completed in %v wall time]\n\n", e.name, durations[i].Round(time.Millisecond))
 		report.Experiments = append(report.Experiments, exp.Result{
 			Name: e.name, Title: tables[i].Title, Metrics: tables[i].Metrics,
 		})
@@ -189,18 +178,18 @@ func main() {
 	if s := total.Seconds(); s > 0 {
 		rate = float64(events) / s
 	}
-	fmt.Printf("wall: %d experiments in %v at -jobs %d; %d engine events (%.0f%% elided), %.2fM events/sec\n",
+	fmt.Fprintf(os.Stderr, "wall: %d experiments in %v at -jobs %d; %d engine events (%.0f%% elided), %.2fM events/sec\n",
 		len(selected), total.Round(time.Millisecond), *jobs,
 		events, 100*float64(elided)/float64(max(events, 1)), rate/1e6)
 
 	if *jsonPath != "" {
 		writeJSON(*jsonPath, report)
-		fmt.Printf("wrote %s (%d experiments, %d metrics)\n", *jsonPath, len(selected), countMetrics(report))
+		fmt.Fprintf(os.Stderr, "wrote %s (%d experiments, %d metrics)\n", *jsonPath, len(selected), countMetrics(report))
 	}
 	if *wallPath != "" && *jobs == 1 {
 		writeJSON(*wallPath, wallReport{Seed: *seed, Quick: *quick, Experiments: counts,
 			Dispatched: dispatched, Elided: elided})
-		fmt.Printf("wrote %s (%d engine events)\n", *wallPath, events)
+		fmt.Fprintf(os.Stderr, "wrote %s (%d engine events)\n", *wallPath, events)
 	}
 	if *memprofile != "" {
 		f, err := os.Create(*memprofile)

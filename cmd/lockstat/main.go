@@ -86,10 +86,15 @@ const maxHoldUS = 1e6
 // validate rejects flag values the run cannot honor, before any machine is
 // built, so a bad invocation fails with one line instead of a panic, a run
 // that never ends, or zeroed statistics.
-func validate(name string, mc sim.Config, run string, procs, home int, holdUS float64, rounds, warmup, horizonMS int) error {
+func validate(name string, mc sim.Config, run string, auto bool, procs, home int, holdUS float64, rounds, warmup, horizonMS int) error {
 	if run == "server" {
-		if _, err := exp.NewServerCell(mc.Seed, name, locks.KindH2MCS, false, horizonMS); err != nil {
+		cell, err := serverCell(name, locks.KindH2MCS, mc.Seed, horizonMS, false, auto)
+		if err != nil {
 			return fmt.Errorf("-run server: %v", err)
+		}
+		// No request that arrives inside the warm-up is measured.
+		if c := cell.Config; c.Arrivals.Horizon <= c.Warmup {
+			return fmt.Errorf("-ms %d must exceed the server cell's %gms warm-up", horizonMS, c.Warmup.Microseconds()/1000)
 		}
 	}
 	maxProcs := mc.Stations * mc.ProcsPerStation
@@ -148,7 +153,7 @@ func main() {
 		os.Exit(2)
 	}
 	mc := mcfg(*seed)
-	if err := validate(*machineName, mc, *run, *procs, *home, *holdUS, *rounds, *warmup, *horizonMS); err != nil {
+	if err := validate(*machineName, mc, *run, *auto, *procs, *home, *holdUS, *rounds, *warmup, *horizonMS); err != nil {
 		fmt.Fprintf(os.Stderr, "lockstat: %v\n", err)
 		os.Exit(2)
 	}
@@ -328,22 +333,25 @@ func main() {
 	}
 }
 
-// runServer runs one sweep cell of the open-loop multi-tenant server — the
-// autonomic sweep's combined row with auto, else the server sweep's cell
-// for the machine and lock, with its placement daemon when migrate is set
-// — and prints to w the sojourn-time tail and the per-tenant breakdown,
+// serverCell is the sweep cell -run server runs: the autonomic sweep's
+// combined row with auto, else the server sweep's cell for the machine and
+// lock, with its placement daemon when migrate is set. The error names a
+// machine the sweep has no cell for.
+func serverCell(name string, kind locks.Kind, seed uint64, horizonMS int, migrate, auto bool) (*exp.ServerCell, error) {
+	if auto {
+		return exp.NewAutonomicCell(seed, name, horizonMS)
+	}
+	return exp.NewServerCell(seed, name, kind, migrate, horizonMS)
+}
+
+// runServer runs the open-loop multi-tenant server cell that serverCell
+// picks and prints to w the sojourn-time tail and the per-tenant breakdown,
 // then the reports of whichever controllers the cell runs: the tuned
 // kernel locks' decision logs, the plane's schedule, the replicator's
 // actions and the daemon's move log. The error names a machine the sweep
 // has no cell for.
 func runServer(w io.Writer, name string, kind locks.Kind, seed uint64, horizonMS int, migrate, auto bool) error {
-	var cell *exp.ServerCell
-	var err error
-	if auto {
-		cell, err = exp.NewAutonomicCell(seed, name, horizonMS)
-	} else {
-		cell, err = exp.NewServerCell(seed, name, kind, migrate, horizonMS)
-	}
+	cell, err := serverCell(name, kind, seed, horizonMS, migrate, auto)
 	if err != nil {
 		return err
 	}

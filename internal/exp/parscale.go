@@ -2,8 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"runtime"
-	"time"
 
 	"hurricane/internal/locks"
 	"hurricane/internal/machine"
@@ -15,7 +13,7 @@ import (
 // lpWorkers is the logical-process worker count the parstress experiment
 // runs under (hurricane-bench -parworkers). The parallel engine is
 // deterministic in its worker count, so this setting must never change a
-// published number — `make par-equiv` holds the whole summary to that.
+// published number — `make jobs-equiv` holds the whole summary to that.
 // (Distinct from the exp.SetParallelism pool, which parallelizes whole
 // experiment cells; this parallelizes stations inside one simulation.)
 var lpWorkers = 8
@@ -32,7 +30,7 @@ func SetParWorkers(n int) {
 // the paper's HECTOR, the §5.3 NUMAchine, and the two projected
 // NUMAchine-256/1024 configurations with their two-level ring hierarchy.
 // The 1024-processor preset runs 256 participants spread across all 64
-// stations (dense occupancy is the speedup experiment's job) and a
+// stations (dense occupancy is the benchmark's lp-engine workload) and a
 // shorter window.
 var parStressMachines = []struct {
 	name     string
@@ -56,8 +54,8 @@ var parStressKinds = []locks.Kind{
 }
 
 // ParStress runs the time-gated lock stress loop on the parallel engine
-// across the preset ladder — the experiment the `make par-equiv` gate
-// replays at worker counts 1 and 8 and compares byte for byte.
+// across the preset ladder — the experiment `make jobs-equiv` runs at
+// worker counts 1 and 8 and compares byte for byte.
 //
 // Beyond the equivalence duty it is the first dense look at the projected
 // machines: at 256 processors all but 1/32nd of lock traffic is
@@ -72,7 +70,7 @@ var parStressKinds = []locks.Kind{
 func ParStress(seed uint64, windowUS int, full bool) *Table {
 	t := &Table{
 		// The worker count is deliberately absent from the title: the summary
-		// must be byte-identical at any -parworkers value (the par-equiv gate).
+		// must be byte-identical at any -parworkers value (the jobs-equiv gate).
 		Title: fmt.Sprintf("Parallel-engine stress: time-gated lock loop, %dus window", windowUS),
 		Cols:  []string{"machine", "lock", "procs", "rounds", "thr(r/ms)", "wait(us)", "handoff%", "local%"},
 	}
@@ -144,78 +142,6 @@ func ParStress(seed uint64, windowUS int, full bool) *Table {
 					mc.name, c.ctl.Switches(), c.ctl.Mode(), c.ctl.RingFrac())
 			}
 		}
-	}
-	return t
-}
-
-// parSpeedWorkers are the worker counts the speedup experiment compares;
-// the first entry is the serial reference.
-var parSpeedWorkers = []int{1, 2, 4, 8}
-
-// ParSpeed measures the parallel engine's wall-clock scaling on a dense
-// NUMAchine-256 run: all 256 processors run the timed stress loop against
-// per-station locks (the partitioned-kernel shape — every logical process
-// carries real simulated load), once per worker count, and the table
-// reports host seconds, engine events per host second, and speedup over
-// the one-worker run. Every run's simulated result must be byte-identical
-// — the experiment panics if not, so a lookahead bug cannot hide behind a
-// good speedup number. A single global lock would serialize the simulated
-// machine itself (one critical section at a time, 255 blocked waiters),
-// leaving the engine nothing to run concurrently; the parstress sweep
-// covers that regime.
-//
-// The wall metrics are host measurements: run it standalone
-// (hurricane-bench -run '^parspeed$' -jobs 1) for clean numbers; under a
-// loaded pool they undercount.
-func ParSpeed(seed uint64, windowUS int) *Table {
-	t := &Table{
-		Title: fmt.Sprintf("Parallel-engine speedup: NUMAchine-256 dense per-station stress, %dus window", windowUS),
-		Cols:  []string{"workers", "wall(s)", "Mev/s", "speedup", "rounds"},
-	}
-	var ref string
-	var base float64
-	for _, w := range parSpeedWorkers {
-		cfg := machine.NUMAchine256(seed)
-		cfg.Workers = w
-		d0, e0 := sim.TotalEvents()
-		t0 := time.Now()
-		r := workload.TimedStressRun(workload.TimedStressConfig{
-			Machine:    cfg,
-			Kind:       locks.KindH2MCS,
-			Procs:      256,
-			PerStation: true,
-			Hold:       sim.Micros(6),
-			Think:      sim.Micros(20),
-			Warmup:     sim.Micros(200),
-			Window:     sim.Micros(float64(windowUS)),
-		})
-		wall := time.Since(t0).Seconds()
-		d1, e1 := sim.TotalEvents()
-		fp := r.Fingerprint()
-		if ref == "" {
-			ref = fp
-			base = wall
-		} else if fp != ref {
-			panic(fmt.Sprintf("parspeed: workers=%d produced different simulated results than workers=1", w))
-		}
-		events := float64((d1 - d0) + (e1 - e0))
-		evRate := 0.0
-		if wall > 0 {
-			evRate = events / wall
-		}
-		speedup := 0.0
-		if wall > 0 {
-			speedup = base / wall
-		}
-		t.AddRow(d(uint64(w)), fmt.Sprintf("%.3f", wall), f2(evRate/1e6), f2(speedup), d(r.Rounds))
-		t.AddMetric(fmt.Sprintf("speedup_w%d", w), speedup, "x")
-		t.AddMetric(fmt.Sprintf("events_per_sec_w%d", w), evRate, "ev/s")
-	}
-	t.Note("identical simulated bytes at every worker count; speedup is host wall clock only")
-	ncpu := runtime.GOMAXPROCS(0)
-	if ncpu < parSpeedWorkers[len(parSpeedWorkers)-1] {
-		t.Note("host exposes %d CPU(s): worker counts beyond that share cores, so the "+
-			"table bounds the engine's coordination overhead rather than its scaling", ncpu)
 	}
 	return t
 }

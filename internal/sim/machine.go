@@ -23,7 +23,7 @@ type Config struct {
 	// messages, and up to Workers goroutines executing LPs inside barrier-
 	// synchronized lookahead windows (see parallel.go). Workers == 1 runs
 	// the same partitioned model single-threaded and is the serial reference
-	// that `make par-equiv` compares higher worker counts against. The
+	// that `make jobs-equiv` compares higher worker counts against. The
 	// parallel model restricts the API surface: no tracing, no migratable
 	// regions, no Machine.SendIPI (use Proc.SendIPI), and cross-station
 	// coordination must go through simulated memory, not Park/Unpark.

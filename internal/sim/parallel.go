@@ -35,8 +35,8 @@ import (
 // Determinism is worker-count independent by construction: each LP's
 // window execution depends only on its own engine (workers share nothing
 // but the quiesced barrier), and routing order is fixed (LP index, then
-// outbox append order). `make par-equiv` holds the -workers 1 and
-// -workers 8 summaries byte-identical, mirroring the jobs-equiv gate.
+// outbox append order). `make jobs-equiv` holds the quick summary at
+// -parworkers 1 and -parworkers 8 byte-identical.
 //
 // LPs are pinned to workers (LP i is always driven by worker i mod
 // Workers), so a processor coroutine is only ever resumed — and at

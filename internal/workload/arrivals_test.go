@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"hurricane/internal/sim"
@@ -190,4 +191,60 @@ func TestArrivalsDeterministicAndSeedSensitive(t *testing.T) {
 	}() {
 		t.Fatal("different seeds produced identical schedules")
 	}
+}
+
+// within maps a fuzzed float into [lo, hi]: NaN and values below lo go to
+// lo, values above hi to hi.
+func within(x, lo, hi float64) float64 {
+	if !(x >= lo) {
+		return lo
+	}
+	return math.Min(x, hi)
+}
+
+// FuzzArrivals checks the schedule invariants of Generate on bounded
+// specs: mean gap 1-1000 us, horizon up to 20 ms, and burst factor, dwell
+// means, ramp and flash window inside their valid ranges. Arrivals
+// strictly increase inside [0, Horizon), the on/off tallies split the
+// arrivals and the horizon, a spec without MMPP modulation has nothing on,
+// and the same seed gives the same schedule. `make fuzz-smoke` runs it for
+// five seconds; the checked-in corpus under testdata/fuzz (the server
+// sweep's spec and plain Poisson) runs with every `go test`.
+func FuzzArrivals(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed uint64, gapUS, horizonUS, burst, onUS, offUS, rampFrom, rampTo, flashAt, flashFor, flashFactor float64) {
+		spec := ArrivalSpec{
+			MeanGap:     sim.Micros(within(gapUS, 1, 1000)),
+			Horizon:     sim.Micros(within(horizonUS, 0, 20_000)),
+			BurstFactor: within(burst, 0, 4),
+			OnMean:      sim.Micros(within(onUS, 0, 5000)),
+			OffMean:     sim.Micros(within(offUS, 0, 5000)),
+			RampFrom:    within(rampFrom, 0, 2),
+			RampTo:      within(rampTo, 0, 2),
+			FlashAt:     within(flashAt, 0, 1),
+			FlashFor:    within(flashFor, 0, 1),
+			FlashFactor: within(flashFactor, 0, 4),
+		}
+		a := spec.Generate(seed)
+		for i, at := range a.Times {
+			if at < 0 || at >= sim.Time(spec.Horizon) {
+				t.Fatalf("%+v: arrival %d at %v outside [0, %v)", spec, i, at, spec.Horizon)
+			}
+			if i > 0 && at <= a.Times[i-1] {
+				t.Fatalf("%+v: arrival %d at %v not after %v", spec, i, at, a.Times[i-1])
+			}
+		}
+		if a.OnCount+a.OffCount != len(a.Times) {
+			t.Fatalf("%+v: on %d + off %d arrivals, want %d", spec, a.OnCount, a.OffCount, len(a.Times))
+		}
+		if a.OnTime+a.OffTime != spec.Horizon {
+			t.Fatalf("%+v: on %v + off %v, want the horizon %v", spec, a.OnTime, a.OffTime, spec.Horizon)
+		}
+		mmpp := spec.BurstFactor > 1 && spec.OnMean > 0 && spec.OffMean > 0
+		if !mmpp && (a.OnCount != 0 || a.OnTime != 0) {
+			t.Fatalf("%+v: no MMPP, yet %d arrivals and %v on", spec, a.OnCount, a.OnTime)
+		}
+		if b := spec.Generate(seed); !reflect.DeepEqual(a, b) {
+			t.Fatalf("%+v: seed %d gave two schedules", spec, seed)
+		}
+	})
 }

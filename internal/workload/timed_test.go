@@ -48,11 +48,12 @@ func timedFingerprint(t *testing.T, cfg func(seed uint64) sim.Config, procs, wor
 	return r.Fingerprint()
 }
 
-// TestTimedStressWorkerEquivalence is the workload-level half of the
-// par-equiv gate: on every machine preset and every parallel-safe lock,
-// the timed stress loop must produce byte-identical results at 1, 2, and
-// NumCPU workers. Workers==1 runs the same logical-process engine with no
-// concurrency, so it is the serial reference.
+// TestTimedStressWorkerEquivalence is the workload-level half of
+// jobs-equiv's -parworkers check: on every machine preset and every
+// parallel-safe lock, the timed stress loop must produce byte-identical
+// results at 1, 2, and NumCPU workers. Workers==1 runs the same
+// logical-process engine with no concurrency, so it is the serial
+// reference.
 func TestTimedStressWorkerEquivalence(t *testing.T) {
 	for _, mp := range timedPresets {
 		for _, k := range timedKinds {
@@ -69,6 +70,31 @@ func TestTimedStressWorkerEquivalence(t *testing.T) {
 			})
 		}
 	}
+	// The dense shape of the benchmark's lp-engine workload: all 256
+	// NUMAchine-256 processors, each station on its own H2-MCS lock, so
+	// every logical process runs simulated work in every window.
+	t.Run("numachine256/per-station", func(t *testing.T) {
+		dense := func(workers int) string {
+			mc := machine.NUMAchine256(1)
+			mc.Workers = workers
+			return TimedStressRun(TimedStressConfig{
+				Machine:    mc,
+				Kind:       locks.KindH2MCS,
+				Procs:      256,
+				PerStation: true,
+				Hold:       sim.Micros(6),
+				Think:      sim.Micros(20),
+				Warmup:     sim.Micros(200),
+				Window:     sim.Micros(300),
+			}).Fingerprint()
+		}
+		ref := dense(1)
+		for _, w := range []int{2, 4, 8} {
+			if got := dense(w); got != ref {
+				t.Fatalf("workers=%d diverged from workers=1:\n--- w=1\n%s--- w=%d\n%s", w, ref, w, got)
+			}
+		}
+	})
 }
 
 // TestTimedStressDeterminism: same seed, same workers — same bytes; a
