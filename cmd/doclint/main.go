@@ -1,19 +1,19 @@
 // doclint is the documentation gate behind `make doc-lint`: it keeps the
 // prose and the code from drifting apart without a human having to notice.
 //
-//	doclint [-pkgs dir,dir,...] [-docs file,file,...]
+//	doclint
 //
 // Five checks, all fatal on failure:
 //
 //  1. Godoc coverage. Every exported identifier (type, function, method,
-//     and exported struct field) in the listed packages must carry a doc
-//     comment. The packages default to the ones whose exported surface is
-//     the contract other layers program against: internal/model,
+//     and exported struct field) in the packages of docPackages must
+//     carry a doc comment: the ones whose exported surface is the
+//     contract other layers program against, internal/model,
 //     internal/autonomic, internal/tune. Grouped const/var declarations
 //     count as documented when the group has a doc comment.
 //
-//  2. Markdown anchors. Every intra-repo link in the listed markdown
-//     files — [text](FILE.md), [text](#heading), [text](FILE.md#heading) —
+//  2. Markdown anchors. Every intra-repo link in the top-level docs
+//     (linkedDocs) — [text](FILE.md), [text](#heading), [text](FILE.md#heading) —
 //     must resolve: the file must exist and the fragment must match a
 //     heading's GitHub-style slug (lowercase, spaces to dashes,
 //     punctuation dropped). Broken links are how a docs overhaul rots.
@@ -43,7 +43,6 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"go/ast"
 	"go/parser"
@@ -54,18 +53,20 @@ import (
 	"strings"
 )
 
-func main() {
-	pkgs := flag.String("pkgs", "internal/model,internal/autonomic,internal/tune",
-		"comma-separated package directories whose exported identifiers must be documented")
-	docs := flag.String("docs", "README.md,DESIGN.md,EXPERIMENTS.md,ROADMAP.md",
-		"comma-separated markdown files whose intra-repo links must resolve")
-	flag.Parse()
+// docPackages are the package directories whose exported identifiers must
+// be documented; linkedDocs are the markdown files whose intra-repo links
+// must resolve.
+var (
+	docPackages = []string{"internal/model", "internal/autonomic", "internal/tune"}
+	linkedDocs  = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "ROADMAP.md"}
+)
 
+func main() {
 	var problems []string
-	for _, dir := range strings.Split(*pkgs, ",") {
-		problems = append(problems, lintPackage(strings.TrimSpace(dir))...)
+	for _, dir := range docPackages {
+		problems = append(problems, lintPackage(dir)...)
 	}
-	problems = append(problems, lintMarkdown(strings.Split(*docs, ","))...)
+	problems = append(problems, lintMarkdown(linkedDocs)...)
 	if l, errs := load("."); l == nil {
 		problems = append(problems, errs...)
 	} else {
@@ -194,7 +195,6 @@ func lintMarkdown(files []string) []string {
 	anchors := map[string]map[string]bool{}
 	var out []string
 	for _, f := range files {
-		f = strings.TrimSpace(f)
 		a, err := headingSlugs(f)
 		if err != nil {
 			out = append(out, fmt.Sprintf("%s: %v", f, err))
@@ -203,7 +203,6 @@ func lintMarkdown(files []string) []string {
 		anchors[f] = a
 	}
 	for _, f := range files {
-		f = strings.TrimSpace(f)
 		if anchors[f] == nil {
 			continue
 		}

@@ -234,7 +234,7 @@ func main() {
 			params := placement.DefaultDaemonParams()
 			params.Exec = func(int) int { return 0 }
 			region := r.DataRegion
-			topo, costs := autonomic.TopoOf(r.M), autonomic.CostsFromLatency(r.M.Lat())
+			topo, costs := autonomic.TopoOf(r.M.Config()), autonomic.CostsFromLatency(r.M.Lat())
 			if *auto {
 				rep = autonomic.NewReplicator(r.M, topo, costs,
 					autonomic.ReplicatorParams{Exec: func(int) int { return 0 }},

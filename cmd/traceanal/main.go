@@ -8,8 +8,10 @@
 //	traceanal trace.json
 //
 // The machine topology and latency weights are read from the trace's
-// otherData.machine metadata; -stations and -procs-per-station override
-// them (required for traces written without metadata).
+// otherData.machine metadata (a NUMAchine ring hierarchy's included, so
+// the global ring is priced at its own latency); -stations and
+// -procs-per-station override them (required for traces written without
+// metadata).
 package main
 
 import (
@@ -66,24 +68,28 @@ func main() {
 		os.Exit(1)
 	}
 
-	// Topology and cost weights: trace metadata, overridable by flags.
-	topo := autonomic.Topo{Stations: 4, ProcsPerStation: 4}
-	costs := autonomic.DefaultCosts()
+	// The traced machine's config: trace metadata, overridable by flags,
+	// HECTOR's where both are silent. Topology and cost weights derive from
+	// it exactly as the in-run policies derive them from their machine.
+	cfg := sim.Config{}.WithDefaults()
 	if meta, ok := tf.OtherData["machine"].(map[string]interface{}); ok {
-		topo.Stations = argInt(meta, "stations", topo.Stations)
-		topo.ProcsPerStation = argInt(meta, "procsPerStation", topo.ProcsPerStation)
-		costs = autonomic.Costs{
-			Local:   float64(argInt(meta, "latLocal", int(costs.Local))),
-			Station: float64(argInt(meta, "latStation", int(costs.Station))),
-			Ring:    float64(argInt(meta, "latRing", int(costs.Ring))),
-		}
+		cfg.Stations = argInt(meta, "stations", cfg.Stations)
+		cfg.ProcsPerStation = argInt(meta, "procsPerStation", cfg.ProcsPerStation)
+		cfg.StationsPerRing = argInt(meta, "stationsPerRing", cfg.StationsPerRing)
+		lat := &cfg.Lat
+		lat.Local = sim.Duration(argInt(meta, "latLocal", int(lat.Local)))
+		lat.Station = sim.Duration(argInt(meta, "latStation", int(lat.Station)))
+		lat.Ring = sim.Duration(argInt(meta, "latRing", int(lat.Ring)))
+		lat.Ring2 = sim.Duration(argInt(meta, "latRing2", int(lat.Ring2)))
 	}
 	if *stations > 0 {
-		topo.Stations = *stations
+		cfg.Stations = *stations
 	}
 	if *perStation > 0 {
-		topo.ProcsPerStation = *perStation
+		cfg.ProcsPerStation = *perStation
 	}
+	cfg = cfg.WithDefaults()
+	topo, costs := autonomic.TopoOf(cfg), autonomic.CostsFromLatency(cfg.Lat)
 
 	// Rebuild the aggregate the in-process pipeline would have produced.
 	agg := trace.NewAggregate(topo.Modules())

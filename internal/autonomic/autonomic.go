@@ -216,31 +216,29 @@ func Worthwhile(benefit float64, horizon int, cost float64) bool {
 
 // Topo is the machine topology the placement policies reason over (it must
 // match the running or traced machine; cmd/traceanal reads it from trace
-// metadata).
+// metadata). Build one with TopoOf.
 type Topo struct {
 	// Stations and ProcsPerStation mirror sim.Config's topology knobs.
 	Stations, ProcsPerStation int
+	// StationsPerRing mirrors sim.Config.StationsPerRing: the stations on
+	// each local ring of a NUMAchine hierarchy, 0 on a flat ring.
+	StationsPerRing int
 }
 
-// TopoOf returns machine m's topology.
-func TopoOf(m *sim.Machine) Topo {
-	cfg := m.Config()
-	return Topo{Stations: cfg.Stations, ProcsPerStation: cfg.ProcsPerStation}
+// TopoOf returns the topology of a machine built from cfg, defaults
+// applied (sim.Config.WithDefaults).
+func TopoOf(cfg sim.Config) Topo {
+	cfg = cfg.WithDefaults()
+	return Topo{Stations: cfg.Stations, ProcsPerStation: cfg.ProcsPerStation, StationsPerRing: cfg.StationsPerRing}
 }
 
 // Modules reports the module count.
 func (t Topo) Modules() int { return t.Stations * t.ProcsPerStation }
 
-// Dist classifies the distance from module src to module dst.
+// Dist classifies the distance from module src to module dst
+// (sim.Classify, as the memory system does).
 func (t Topo) Dist(src, dst int) sim.DistClass {
-	switch {
-	case src == dst:
-		return sim.DistLocal
-	case src/t.ProcsPerStation == dst/t.ProcsPerStation:
-		return sim.DistStation
-	default:
-		return sim.DistRing
-	}
+	return sim.Classify(src, dst, t.ProcsPerStation, t.StationsPerRing)
 }
 
 // Costs weighs one access at each distance class, in cycles. Use the
@@ -248,15 +246,16 @@ func (t Topo) Dist(src, dst int) sim.DistClass {
 type Costs struct {
 	// Local, Station, and Ring weigh one access at each distance class.
 	Local, Station, Ring float64
+	// Ring2 weighs one access across the global ring of a ring hierarchy
+	// (sim.DistGlobal); a flat machine makes none.
+	Ring2 float64
 }
 
 // CostsFromLatency derives weights from a machine's latency parameters.
 func CostsFromLatency(lat sim.Latency) Costs {
-	return Costs{Local: float64(lat.Local), Station: float64(lat.Station), Ring: float64(lat.Ring)}
+	return Costs{Local: float64(lat.Local), Station: float64(lat.Station),
+		Ring: float64(lat.Ring), Ring2: float64(lat.Ring2)}
 }
-
-// DefaultCosts are the HECTOR weights (10/19/23 cycles).
-func DefaultCosts() Costs { return CostsFromLatency(sim.DefaultLatency()) }
 
 // Of weighs one access at the given distance class.
 func (c Costs) Of(d sim.DistClass) float64 {
@@ -265,6 +264,8 @@ func (c Costs) Of(d sim.DistClass) float64 {
 		return c.Local
 	case sim.DistStation:
 		return c.Station
+	case sim.DistGlobal:
+		return c.Ring2
 	}
 	return c.Ring
 }

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"hurricane/internal/machine"
 	"hurricane/internal/sim"
 )
 
@@ -167,7 +168,7 @@ func TestTopoDistAndCosts(t *testing.T) {
 	if topo.Modules() != 16 {
 		t.Fatalf("Modules = %d, want 16", topo.Modules())
 	}
-	costs := DefaultCosts()
+	costs := CostsFromLatency(sim.DefaultLatency())
 	cases := []struct {
 		src, dst int
 		want     sim.DistClass
@@ -184,6 +185,26 @@ func TestTopoDistAndCosts(t *testing.T) {
 	if !(costs.Of(sim.DistLocal) < costs.Of(sim.DistStation) &&
 		costs.Of(sim.DistStation) < costs.Of(sim.DistRing)) {
 		t.Fatalf("costs not ordered local < station < ring: %+v", costs)
+	}
+
+	// NUMAchine-256's ring hierarchy: the policies must classify and price
+	// every access as the memory system routes it, global ring included.
+	cfg := machine.NUMAchine256(1)
+	m := sim.NewMachine(cfg)
+	topo = TopoOf(cfg)
+	for src := 0; src < topo.Modules(); src++ {
+		for dst := 0; dst < topo.Modules(); dst++ {
+			if got, want := topo.Dist(src, dst), m.Mem.Distance(src, dst); got != want {
+				t.Fatalf("numachine256 Dist(%d,%d) = %v, memory system says %v", src, dst, got, want)
+			}
+		}
+	}
+	if got := topo.Dist(0, 200); got != sim.DistGlobal {
+		t.Fatalf("numachine256 Dist(0,200) = %v, want global", got)
+	}
+	lat := m.Lat()
+	if got := CostsFromLatency(lat).Of(sim.DistGlobal); got != float64(lat.Ring2) {
+		t.Fatalf("numachine256 global-ring cost = %g, want Ring2 = %d", got, lat.Ring2)
 	}
 }
 

@@ -66,7 +66,7 @@ func TestReplicatorReplicatesReadMostlyRemoteTraffic(t *testing.T) {
 	region := m.Mem.NewRegion(0)
 	data := m.Alloc(region, 16)
 
-	r := autonomic.NewReplicator(m, testTopo, autonomic.DefaultCosts(),
+	r := autonomic.NewReplicator(m, testTopo, autonomic.CostsFromLatency(sim.DefaultLatency()),
 		autonomic.ReplicatorParams{
 			MinWeight: 2,
 			Exec:      func(int) int { return 0 }, // proc 0 runs the actuations
@@ -121,7 +121,7 @@ func TestReplicatorCollapsesWriteHotSlot(t *testing.T) {
 	region := m.Mem.NewRegion(0)
 	data := m.Alloc(region, 16)
 
-	r := autonomic.NewReplicator(m, testTopo, autonomic.DefaultCosts(),
+	r := autonomic.NewReplicator(m, testTopo, autonomic.CostsFromLatency(sim.DefaultLatency()),
 		autonomic.ReplicatorParams{
 			MinWeight: 2,
 			Exec:      func(int) int { return 0 },
@@ -184,14 +184,14 @@ func TestReplicatorAdversarialAlternationNoOscillation(t *testing.T) {
 	data := m.Alloc(region, 16)
 
 	plane := autonomic.NewPlane(sim.Micros(25))
-	rep := autonomic.NewReplicator(m, testTopo, autonomic.DefaultCosts(),
+	rep := autonomic.NewReplicator(m, testTopo, autonomic.CostsFromLatency(sim.DefaultLatency()),
 		autonomic.ReplicatorParams{
 			MinWeight: 1,
 			Exec:      func(int) int { return 0 },
 		},
 		[]autonomic.ReplicaSlot{regionSlot(m, agg, region, "data")})
 	plane.Add(rep)
-	d := placement.NewDaemon(m, agg, testTopo, autonomic.DefaultCosts(),
+	d := placement.NewDaemon(m, agg, testTopo, autonomic.CostsFromLatency(sim.DefaultLatency()),
 		placement.DaemonParams{
 			Period:    sim.Micros(25),
 			MinWeight: 1,
@@ -265,7 +265,7 @@ func TestReplicatorBudgetBoundsAlternation(t *testing.T) {
 	region := m.Mem.NewRegion(0)
 	data := m.Alloc(region, 16)
 
-	rep := autonomic.NewReplicator(m, testTopo, autonomic.DefaultCosts(),
+	rep := autonomic.NewReplicator(m, testTopo, autonomic.CostsFromLatency(sim.DefaultLatency()),
 		autonomic.ReplicatorParams{
 			MinWeight: 1,
 			Exec:      func(int) int { return 0 },
@@ -334,7 +334,7 @@ func TestReplicatorClaimedJurisdiction(t *testing.T) {
 			Writes: vec(12, writes),
 		}
 	}
-	r := autonomic.NewReplicator(m, testTopo, autonomic.DefaultCosts(),
+	r := autonomic.NewReplicator(m, testTopo, autonomic.CostsFromLatency(sim.DefaultLatency()),
 		autonomic.ReplicatorParams{MinWeight: 4},
 		[]autonomic.ReplicaSlot{
 			synth(readMostly, "read-mostly", 9, 1), // wf 0.10: in-band, read-mostly

@@ -255,10 +255,7 @@ func (r *Replicated) fetchData(p *sim.Proc, key uint64, home, c int) ([]uint64, 
 			return nil, false
 		}
 		r.FetchRetries++
-		p.Think(delay/2 + p.RNG().Duration(delay/2+1))
-		if delay < sim.Micros(200) {
-			delay *= 2
-		}
+		p.Backoff(&delay, sim.Micros(200))
 	}
 }
 
@@ -346,10 +343,7 @@ func (r *Replicated) GlobalUpdate(p *sim.Proc, key uint64, update func(h *sim.Pr
 		if st == StatusOK {
 			break
 		}
-		p.Think(delay/2 + p.RNG().Duration(delay/2+1))
-		if delay < sim.Micros(200) {
-			delay *= 2
-		}
+		p.Backoff(&delay, sim.Micros(200))
 	}
 
 	// Phase 2: update each replica cluster (retrying per cluster while its
@@ -424,10 +418,7 @@ func (r *Replicated) Destroy(p *sim.Proc, key uint64) bool {
 		if st == StatusOK {
 			break
 		}
-		p.Think(delay/2 + p.RNG().Duration(delay/2+1))
-		if delay < sim.Micros(200) {
-			delay *= 2
-		}
+		p.Backoff(&delay, sim.Micros(200))
 	}
 	r.rpc.Broadcast(p, -1, sim.Micros(4), func(h *sim.Proc, c int) Status {
 		if c == home || mask&(1<<uint(c)) == 0 {

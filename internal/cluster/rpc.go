@@ -174,10 +174,7 @@ func (r *RPC) Broadcast(p *sim.Proc, skip int, backoff sim.Duration, fn func(h *
 			if st != StatusRetry {
 				break
 			}
-			p.Think(delay/2 + p.RNG().Duration(delay/2+1))
-			if delay < sim.Micros(500) {
-				delay *= 2
-			}
+			p.Backoff(&delay, sim.Micros(500))
 		}
 	}
 }

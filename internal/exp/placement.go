@@ -71,7 +71,7 @@ func runPlacement(mc sim.Config, rounds int, moves map[int]int, daemon *placemen
 // analyze runs the offline analyzer over the phase's trace, against its
 // machine's topology and costs.
 func (ph placementPhase) analyze() *placement.Report {
-	return placement.Analyze(ph.agg, autonomic.TopoOf(ph.m), autonomic.CostsFromLatency(ph.m.Lat()))
+	return placement.Analyze(ph.agg, autonomic.TopoOf(ph.m.Config()), autonomic.CostsFromLatency(ph.m.Lat()))
 }
 
 // placementReport appends one phase's shared measurement columns (fault

@@ -163,12 +163,9 @@ func (pm *ProcessManager) removeDesc(p *sim.Proc, key uint64) {
 	})
 }
 
-func (pm *ProcessManager) backoff(p *sim.Proc, d *sim.Duration) {
-	p.Think(*d/2 + p.RNG().Duration(*d/2+1))
-	if *d < sim.Micros(400) {
-		*d *= 2
-	}
-}
+// retryBackoff is the doubling threshold of the process manager's
+// optimistic retries (sim.Proc.Backoff).
+const retryBackoff sim.Duration = 400 * sim.CyclesPerMicrosecond
 
 // --- public operations ---
 
@@ -203,7 +200,7 @@ func (pm *ProcessManager) Create(p *sim.Proc, pidKey, parentKey uint64) error {
 			if st == cluster.StatusAbsent {
 				return fmt.Errorf("kernel: new process %#x vanished", pidKey)
 			}
-			pm.backoff(p, &delay)
+			p.Backoff(&delay, retryBackoff)
 			continue
 		}
 		var oldHead uint64
@@ -222,7 +219,7 @@ func (pm *ProcessManager) Create(p *sim.Proc, pidKey, parentKey uint64) error {
 			return fmt.Errorf("kernel: parent %#x missing", parentKey)
 		default:
 			pm.releaseDesc(p, pidKey)
-			pm.backoff(p, &delay)
+			p.Backoff(&delay, retryBackoff)
 		}
 	}
 }
@@ -275,7 +272,7 @@ func (pm *ProcessManager) destroyOptimistic(p *sim.Proc, victim uint64) error {
 			return fmt.Errorf("kernel: destroy of missing process %#x", victim)
 		case cluster.StatusRetry:
 			pm.k.Stats.DestroyRetries++
-			pm.backoff(p, &delay)
+			p.Backoff(&delay, retryBackoff)
 			continue
 		}
 		if fc, _ := pm.readDesc(p, victim, dFirstChild); fc != 0 {
@@ -294,7 +291,7 @@ func (pm *ProcessManager) destroyOptimistic(p *sim.Proc, victim uint64) error {
 			// back off, restart from scratch (§2.3).
 			pm.releaseDesc(p, victim)
 			pm.k.Stats.DestroyRetries++
-			pm.backoff(p, &delay)
+			p.Backoff(&delay, retryBackoff)
 			continue
 		}
 		pm.removeDesc(p, victim)
@@ -311,7 +308,7 @@ func (pm *ProcessManager) destroyPessimistic(p *sim.Proc, victim uint64) error {
 			return fmt.Errorf("kernel: destroy of missing process %#x", victim)
 		case cluster.StatusRetry:
 			pm.k.Stats.DestroyRetries++
-			pm.backoff(p, &delay)
+			p.Backoff(&delay, retryBackoff)
 			continue
 		}
 		if fc, _ := pm.readDesc(p, victim, dFirstChild); fc != 0 {
@@ -325,7 +322,7 @@ func (pm *ProcessManager) destroyPessimistic(p *sim.Proc, victim uint64) error {
 		// re-read the (possibly changed) sibling link.
 		if st := pm.reserveDesc(p, victim); st != cluster.StatusOK {
 			pm.k.Stats.DestroyRetries++
-			pm.backoff(p, &delay)
+			p.Backoff(&delay, retryBackoff)
 			continue
 		}
 		pm.k.Stats.Reestablishments++
@@ -337,7 +334,7 @@ func (pm *ProcessManager) destroyPessimistic(p *sim.Proc, victim uint64) error {
 		if st == cluster.StatusRetry {
 			pm.releaseDesc(p, victim)
 			pm.k.Stats.DestroyRetries++
-			pm.backoff(p, &delay)
+			p.Backoff(&delay, retryBackoff)
 			continue
 		}
 		pm.removeDesc(p, victim)
@@ -409,7 +406,7 @@ func (pm *ProcessManager) Send(p *sim.Proc, from, to uint64) error {
 			return fmt.Errorf("kernel: sender %#x missing", from)
 		case cluster.StatusRetry:
 			pm.k.Stats.MsgRetries++
-			pm.backoff(p, &delay)
+			p.Backoff(&delay, retryBackoff)
 			continue
 		}
 		if pessimistic {
@@ -425,7 +422,7 @@ func (pm *ProcessManager) Send(p *sim.Proc, from, to uint64) error {
 				pm.releaseDesc(p, from)
 			}
 			pm.k.Stats.MsgRetries++
-			pm.backoff(p, &delay)
+			p.Backoff(&delay, retryBackoff)
 			continue
 		}
 		if st == cluster.StatusAbsent {
@@ -444,7 +441,7 @@ func (pm *ProcessManager) Send(p *sim.Proc, from, to uint64) error {
 				if st == cluster.StatusOK {
 					break
 				}
-				pm.backoff(p, &delay)
+				p.Backoff(&delay, retryBackoff)
 			}
 			pm.k.Stats.Reestablishments++
 		}

@@ -500,10 +500,7 @@ func (v *VM) cowCopy(p *sim.Proc, pid uint64, pe sim.Addr, pageKey uint64, res *
 			}
 			res.Retries++
 			v.pages.Release(p, pe, hybrid.Exclusive)
-			p.Think(delay/2 + p.RNG().Duration(delay/2+1))
-			if delay < sim.Micros(200) {
-				delay *= 2
-			}
+			p.Backoff(&delay, sim.Micros(200))
 			var ok bool
 			pe, ok = v.pages.Acquire(p, pageKey, hybrid.Exclusive)
 			if !ok {

@@ -157,22 +157,9 @@ type Machine struct {
 }
 
 // FromConfig derives the model's cost constants from a simulator config,
-// applying the same defaults sim.NewMachine would (HECTOR topology and
-// latency for zero values, Ring2 = 2x Ring when a ring hierarchy is
-// configured).
+// with the defaults sim.NewMachine applies (sim.Config.WithDefaults).
 func FromConfig(cfg sim.Config) Machine {
-	if cfg.Stations == 0 {
-		cfg.Stations = 4
-	}
-	if cfg.ProcsPerStation == 0 {
-		cfg.ProcsPerStation = 4
-	}
-	if cfg.Lat == (sim.Latency{}) {
-		cfg.Lat = sim.DefaultLatency()
-	}
-	if cfg.StationsPerRing > 0 && cfg.Lat.Ring2 == 0 {
-		cfg.Lat.Ring2 = 2 * cfg.Lat.Ring
-	}
+	cfg = cfg.WithDefaults()
 	us := func(d sim.Duration) float64 { return d.Microseconds() }
 	return Machine{
 		Stations:        cfg.Stations,

@@ -60,6 +60,14 @@ func numachine64(seed uint64) Config {
 	return Config{Stations: 8, ProcsPerStation: 8, Seed: seed, HasCAS: true, Lat: lat}
 }
 
+// numachine256 is machine.NUMAchine256: numachine64's latencies on 32
+// stations, 4 to a local ring, with a 150-cycle global-ring crossing.
+func numachine256(seed uint64) Config {
+	c := numachine64(seed)
+	c.Stations, c.StationsPerRing, c.Lat.Ring2 = 32, 4, 150
+	return c
+}
+
 // spinCase is one randomized contention scenario. Processor i sends an
 // interrupt to processor i+1 before its rounds listed in ipiRounds[i]; the
 // handler computes briefly, so it lands mid-poll as often as not.

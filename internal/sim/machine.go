@@ -30,7 +30,14 @@ type Config struct {
 	Workers int
 }
 
-func (c Config) withDefaults() Config {
+// WithDefaults returns c with every default applied: the HECTOR topology
+// (4 stations of 4 processors) and latencies for zero values, a ring
+// hierarchy of one group (StationsPerRing at least Stations, or negative)
+// treated as the flat ring, and Ring2 = 2x Ring on a hierarchy that leaves
+// it zero. NewMachine builds from it, and every layer that restates the
+// machine (model.FromConfig, autonomic.TopoOf, traceanal) reads through
+// it, so the defaults live here alone.
+func (c Config) WithDefaults() Config {
 	if c.Stations == 0 {
 		c.Stations = 4
 	}
@@ -39,6 +46,12 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Lat == (Latency{}) {
 		c.Lat = DefaultLatency()
+	}
+	if c.StationsPerRing >= c.Stations || c.StationsPerRing < 0 {
+		c.StationsPerRing = 0 // one group is just the flat machine
+	}
+	if c.StationsPerRing > 0 && c.Lat.Ring2 == 0 {
+		c.Lat.Ring2 = 2 * c.Lat.Ring
 	}
 	return c
 }
@@ -59,11 +72,11 @@ type Machine struct {
 // NewMachine builds a machine from cfg (zero fields take HECTOR defaults:
 // 4 stations × 4 processors).
 func NewMachine(cfg Config) *Machine {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	eng := NewEngine()
 	m := &Machine{
 		Eng: eng,
-		Mem: newMemory(eng, cfg.Stations, cfg.ProcsPerStation, cfg.StationsPerRing, cfg.Lat),
+		Mem: newMemory(eng, cfg),
 		cfg: cfg,
 	}
 	n := cfg.Stations * cfg.ProcsPerStation

@@ -26,10 +26,11 @@ func TestMachineDefaults(t *testing.T) {
 }
 
 // accessLatency measures the uncontended latency of a single operation by
-// processor 0 against an address on the given module.
-func accessLatency(t *testing.T, dstModule int, op func(p *Proc, a Addr)) Duration {
+// processor 0 of a machine built from cfg against an address on the given
+// module.
+func accessLatency(t *testing.T, cfg Config, dstModule int, op func(p *Proc, a Addr)) Duration {
 	t.Helper()
-	m := hector(1)
+	m := NewMachine(cfg)
 	a := m.Alloc(dstModule, 1)
 	var took Duration
 	m.Go(0, func(p *Proc) {
@@ -42,28 +43,35 @@ func accessLatency(t *testing.T, dstModule int, op func(p *Proc, a Addr)) Durati
 }
 
 func TestUncontendedAccessLatencies(t *testing.T) {
-	lat := DefaultLatency()
+	hec, n256 := Config{Seed: 1}, numachine256(1)
 	cases := []struct {
 		name   string
+		cfg    Config
 		module int
-		want   Duration
+		want   func(Latency) Duration
 	}{
-		{"local", 0, lat.Local},
-		{"on-station", 1, lat.Station},
-		{"cross-ring", 12, lat.Ring},
+		{"local", hec, 0, func(l Latency) Duration { return l.Local }},
+		{"on-station", hec, 1, func(l Latency) Duration { return l.Station }},
+		{"cross-ring", hec, 12, func(l Latency) Duration { return l.Ring }},
+		// Station 0's local ring holds stations 0-3 (modules 0-31); module
+		// 200 is on station 25, across the global ring.
+		{"numachine256 same-group", n256, 31, func(l Latency) Duration { return l.Ring }},
+		{"numachine256 cross-group", n256, 200, func(l Latency) Duration { return l.Ring2 }},
 	}
 	for _, c := range cases {
-		got := accessLatency(t, c.module, func(p *Proc, a Addr) { p.Load(a) })
-		if got != c.want {
-			t.Errorf("%s load latency = %d, want %d", c.name, got, c.want)
+		lat := c.cfg.WithDefaults().Lat
+		want := c.want(lat)
+		got := accessLatency(t, c.cfg, c.module, func(p *Proc, a Addr) { p.Load(a) })
+		if got != want {
+			t.Errorf("%s load latency = %d, want %d", c.name, got, want)
 		}
-		got = accessLatency(t, c.module, func(p *Proc, a Addr) { p.Store(a, 1) })
-		if got != c.want {
-			t.Errorf("%s store latency = %d, want %d", c.name, got, c.want)
+		got = accessLatency(t, c.cfg, c.module, func(p *Proc, a Addr) { p.Store(a, 1) })
+		if got != want {
+			t.Errorf("%s store latency = %d, want %d", c.name, got, want)
 		}
-		got = accessLatency(t, c.module, func(p *Proc, a Addr) { p.Swap(a, 1) })
-		if got != c.want+lat.AtomicExtra {
-			t.Errorf("%s swap latency = %d, want %d", c.name, got, c.want+lat.AtomicExtra)
+		got = accessLatency(t, c.cfg, c.module, func(p *Proc, a Addr) { p.Swap(a, 1) })
+		if got != want+lat.AtomicExtra {
+			t.Errorf("%s swap latency = %d, want %d", c.name, got, want+lat.AtomicExtra)
 		}
 	}
 }

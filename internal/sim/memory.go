@@ -134,32 +134,28 @@ type watchList struct {
 	head, tail *Proc
 }
 
-// newMemory builds the memory system for nStations*procsPerStation
-// processor-memory modules. stationsPerRing > 0 groups stations onto local
-// rings under one global ring; 0 keeps the flat single-ring machine.
-func newMemory(eng *Engine, nStations, procsPerStation, stationsPerRing int, lat Latency) *Memory {
-	n := nStations * procsPerStation
-	if stationsPerRing >= nStations || stationsPerRing < 0 {
-		stationsPerRing = 0 // one group is just the flat machine
-	}
-	if stationsPerRing > 0 && nStations%stationsPerRing != 0 {
-		panic(fmt.Sprintf("sim: %d stations do not divide into rings of %d", nStations, stationsPerRing))
+// newMemory builds the memory system of a machine with configuration cfg,
+// defaults applied (Config.WithDefaults): one module per processor, one
+// bus per station, and the flat ring or, with StationsPerRing set, the
+// local rings under one global ring.
+func newMemory(eng *Engine, cfg Config) *Memory {
+	nStations, spr := cfg.Stations, cfg.StationsPerRing
+	n := nStations * cfg.ProcsPerStation
+	if spr > 0 && nStations%spr != 0 {
+		panic(fmt.Sprintf("sim: %d stations do not divide into rings of %d", nStations, spr))
 	}
 	m := &Memory{
 		eng:             eng,
-		lat:             lat,
-		procsPerStation: procsPerStation,
-		stationsPerRing: stationsPerRing,
+		lat:             cfg.Lat,
+		procsPerStation: cfg.ProcsPerStation,
+		stationsPerRing: spr,
 		modules:         make([]Resource, n),
 		buses:           make([]Resource, nStations),
 		data:            make([][]uint64, n),
 		watchers:        make([]map[Addr]watchList, nStations+1),
 	}
-	if stationsPerRing > 0 {
-		if m.lat.Ring2 == 0 {
-			m.lat.Ring2 = 2 * m.lat.Ring
-		}
-		m.localRings = make([]Resource, nStations/stationsPerRing)
+	if spr > 0 {
+		m.localRings = make([]Resource, nStations/spr)
 		for i := range m.localRings {
 			m.localRings[i].Name = fmt.Sprintf("ring%d", i)
 		}
@@ -276,38 +272,16 @@ func (m *Memory) MigrateRegion(p *Proc, region, to int) (words int, cost Duratio
 }
 
 // burst charges a pipelined words-long DMA copy from module `from` to
-// module `to`: every word occupies the source module, the buses and
-// ring(s) along the path, and the destination module for one service time
-// each. It returns the total latency (last word landed), queueing
-// included. Shared by MigrateRegion and ReplicateRegion.
+// module `to`: every word occupies the source module, then each resource
+// of the route from `from` to `to` (path), for one service time each. It
+// returns the total latency (last word landed), queueing included. Shared
+// by MigrateRegion and ReplicateRegion.
 func (m *Memory) burst(from, to, words int) Duration {
 	now := m.eng.Now()
 	w := Duration(words)
 	t := m.modules[from].Acquire(now, m.lat.ModuleService*w)
-	var base Duration
-	if m.stationOf(from) == m.stationOf(to) {
-		base = m.lat.Station
-		t = m.buses[m.stationOf(to)].Acquire(t, m.lat.BusService*w)
-	} else {
-		fs, ts := m.stationOf(from), m.stationOf(to)
-		t = m.buses[fs].Acquire(t, m.lat.BusService*w)
-		if m.localRings == nil {
-			base = m.lat.Ring
-			t = m.ring.Acquire(t, m.lat.RingService*w)
-		} else if gf, gt := m.groupOf(fs), m.groupOf(ts); gf == gt {
-			base = m.lat.Ring
-			t = m.localRings[gf].Acquire(t, m.lat.RingService*w)
-		} else {
-			base = m.lat.Ring2
-			t = m.localRings[gf].Acquire(t, m.lat.RingService*w)
-			t = m.ring.Acquire(t, m.lat.RingService*w)
-			t = m.localRings[gt].Acquire(t, m.lat.RingService*w)
-		}
-		t = m.buses[ts].Acquire(t, m.lat.BusService*w)
-	}
-	t = m.modules[to].Acquire(t, m.lat.ModuleService*w)
-	done := t + m.lat.ModuleService*w + base
-	return done - now
+	t, base := m.path(from, to, t, w)
+	return t + m.lat.ModuleService*w + base - now
 }
 
 // ReplicateRegion installs a copy of a region on module `to`, charging the
@@ -444,19 +418,7 @@ func (m *Memory) Module(i int) *Resource { return &m.modules[m.Home(i)] }
 // call it only while the workers are quiesced (before Run or at a barrier).
 func (m *Memory) ResetStats() {
 	now := m.eng.Now()
-	for i := range m.modules {
-		m.modules[i].ResetStats(now)
-	}
-	for i := range m.buses {
-		m.buses[i].ResetStats(now)
-	}
-	for i := range m.localRings {
-		m.localRings[i].ResetStats(now)
-	}
-	for i := range m.ringPorts {
-		m.ringPorts[i].ResetStats(now)
-	}
-	m.ring.ResetStats(now)
+	m.Resources(func(r *Resource) { r.ResetStats(now) })
 }
 
 // Resources calls fn for every memory-system resource (modules, then buses,
@@ -507,12 +469,6 @@ func (m *Memory) access(p *Proc, a Addr, kind accessKind, operand, expect uint64
 		// copy; the primary competes on equal terms.
 		dst = m.nearestCopy(src, dst, reps)
 	}
-	if m.par != nil && m.stationOf(src) != m.stationOf(dst) {
-		// Parallel mode: the access leaves this station's logical process
-		// and travels as a timestamped inter-LP message (see parallel.go).
-		return m.par.remoteAccess(p, a, kind, operand, expect)
-	}
-	now := p.eng.Now()
 
 	// An atomic read-modify-write is two memory transactions on HECTOR:
 	// it occupies the module, buses and ring for both halves, though the
@@ -523,6 +479,12 @@ func (m *Memory) access(p *Proc, a Addr, kind accessKind, operand, expect uint64
 		nAcc = Duration(m.lat.AtomicAccesses)
 		extra = m.lat.AtomicExtra
 	}
+	if m.par != nil && m.stationOf(src) != m.stationOf(dst) {
+		// Parallel mode: the access leaves this station's logical process
+		// and travels as a timestamped inter-LP message (see parallel.go).
+		return m.par.remoteAccess(p, a, kind, operand, expect, nAcc, extra)
+	}
+	now := p.eng.Now()
 
 	t, base := m.path(src, dst, now, nAcc)
 
@@ -531,10 +493,7 @@ func (m *Memory) access(p *Proc, a Addr, kind accessKind, operand, expect uint64
 
 	w := m.word(a)
 	old = *w
-	ok = true
-	if kind == accCAS && old != expect {
-		ok = false
-	}
+	ok = kind != accCAS || old == expect
 	if len(reps) > 0 && ok && kind != accLoad {
 		// Write propagation: every extra copy is brought up to date by one
 		// plain transfer from the writer, and the writer waits for the last
@@ -557,27 +516,20 @@ func (m *Memory) access(p *Proc, a Addr, kind accessKind, operand, expect uint64
 		})
 	}
 
-	switch kind {
-	case accStore:
-		*w = operand
-		m.wakeWatchers(a, done)
-	case accSwap:
-		*w = operand
-		m.wakeWatchers(a, done)
-	case accCAS:
-		if ok {
-			*w = operand
-			m.wakeWatchers(a, done)
-		}
-	}
+	m.write(a, w, kind, ok, operand, done)
 	return old, done, ok
 }
 
-// path charges one nAcc-wide access from module src to module dst through
-// the interconnect, starting at t: it acquires the buses and ring(s) along
-// the way and the destination module, returning the module-acquisition
-// completion time and the distance-class base latency. Callers add base
-// (and any atomic extra) to the queueing delay themselves.
+// path routes one nAcc-wide access from module src to module dst through
+// the interconnect, starting at t, and returns the time the destination
+// module starts serving it and the distance class's base latency; callers
+// add base (and any atomic extra) to the queueing delay themselves. The
+// route has two halves: the source half (outbound: the source bus, then
+// the ring hops), which only a cross-station access takes, and the home
+// half, the home station's bus for any off-module access, then the module.
+// The classic engine runs both at issue. On the LP engine a cross-station
+// access's source half runs at issue (parSim.remoteAccess), and path runs
+// its home half alone, at the request's arrival (parSim.homeAccess).
 func (m *Memory) path(src, dst int, t Time, nAcc Duration) (Time, Duration) {
 	var base Duration
 	switch {
@@ -588,23 +540,55 @@ func (m *Memory) path(src, dst int, t Time, nAcc Duration) (Time, Duration) {
 		t = m.buses[m.stationOf(dst)].Acquire(t, m.lat.BusService*nAcc)
 	default:
 		ss, ds := m.stationOf(src), m.stationOf(dst)
-		t = m.buses[ss].Acquire(t, m.lat.BusService*nAcc)
-		if m.localRings == nil {
-			base = m.lat.Ring
-			t = m.ring.Acquire(t, m.lat.RingService*nAcc)
-		} else if gs, gd := m.groupOf(ss), m.groupOf(ds); gs == gd {
-			base = m.lat.Ring
-			t = m.localRings[gs].Acquire(t, m.lat.RingService*nAcc)
-		} else {
-			base = m.lat.Ring2
-			t = m.localRings[gs].Acquire(t, m.lat.RingService*nAcc)
-			t = m.ring.Acquire(t, m.lat.RingService*nAcc)
-			t = m.localRings[gd].Acquire(t, m.lat.RingService*nAcc)
+		if m.par == nil {
+			t, base = m.outbound(ss, ds, t, nAcc)
 		}
 		t = m.buses[ds].Acquire(t, m.lat.BusService*nAcc)
 	}
 	t = m.modules[dst].Acquire(t, m.lat.ModuleService*nAcc)
 	return t, base
+}
+
+// outbound is the source half of a cross-station access from station ss to
+// station ds, starting at t: it reserves the source station's bus, then
+// the ring hops, and returns the time the request leaves the ring and the
+// base latency, Ring or, between local-ring groups, Ring2. It is the only
+// code that knows the ring discipline: the classic engine reserves the
+// shared rings (the flat ring, or the source local ring, the global ring
+// and the destination local ring of a hierarchy), and the LP engine the
+// source station's injection port.
+func (m *Memory) outbound(ss, ds int, t Time, nAcc Duration) (Time, Duration) {
+	t = m.buses[ss].Acquire(t, m.lat.BusService*nAcc)
+	hop := m.lat.RingService * nAcc
+	gs, gd := m.groupOf(ss), m.groupOf(ds)
+	switch {
+	case m.par != nil:
+		t = m.ringPorts[ss].Acquire(t, hop)
+	case m.localRings == nil:
+		t = m.ring.Acquire(t, hop)
+	case gs == gd:
+		t = m.localRings[gs].Acquire(t, hop)
+	default:
+		t = m.localRings[gs].Acquire(t, hop)
+		t = m.ring.Acquire(t, hop)
+		t = m.localRings[gd].Acquire(t, hop)
+	}
+	if gs != gd {
+		return t, m.lat.Ring2
+	}
+	return t, m.lat.Ring
+}
+
+// write applies an access to the word w at address a: a store, a swap, or
+// a CAS that found its expected value (ok) writes v, and the word's
+// watchers wake at time at. A load or a failed CAS leaves the word alone.
+// Every simulated access of either engine updates its word here.
+func (m *Memory) write(a Addr, w *uint64, kind accessKind, ok bool, v uint64, at Time) {
+	if kind == accLoad || !ok {
+		return
+	}
+	*w = v
+	m.wakeWatchers(a, at)
 }
 
 // nearestCopy picks the copy of a replicated region closest to src by

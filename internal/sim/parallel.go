@@ -272,41 +272,26 @@ func (ps *parSim) shutdown() {
 }
 
 // remoteAccess performs a cross-station memory access as a request/response
-// message pair. It runs on the accessing processor's coroutine: the source
-// side charges its station bus and ring port, posts the request, and parks
-// until the home station's response unparks it at the completion time.
+// message pair. It runs on the accessing processor's coroutine: the
+// route's source half (Memory.outbound: the station bus and ring port) is
+// charged at issue, the request is posted, and the processor parks until
+// the home station's response unparks it at the completion time.
 // Uncontended it completes in exactly base+extra like the serial path; all
 // queueing it suffers is at the same per-resource granularity, but ring
 // contention is modeled at per-station injection ports rather than one
 // shared ring resource (a slotted-ring approximation — the serial and
 // parallel machines are distinct calibrations, compared in DESIGN.md).
-func (ps *parSim) remoteAccess(p *Proc, a Addr, kind accessKind, operand, expect uint64) (old uint64, done Time, ok bool) {
+func (ps *parSim) remoteAccess(p *Proc, a Addr, kind accessKind, operand, expect uint64, nAcc, extra Duration) (old uint64, done Time, ok bool) {
 	m := ps.m.Mem
-	now := p.eng.Now()
 	src := p.module
-	dst := m.homes[a.Module()]
-	ss, ds := m.stationOf(src), m.stationOf(dst)
-
-	nAcc := Duration(1)
-	var extra Duration
-	if kind == accSwap || kind == accCAS {
-		nAcc = Duration(m.lat.AtomicAccesses)
-		extra = m.lat.AtomicExtra
-	}
-	base := m.lat.Ring
-	if m.localRings != nil && m.groupOf(ss) != m.groupOf(ds) {
-		base = m.lat.Ring2
-	}
+	ss, ds := m.stationOf(src), m.StationOf(a.Module())
+	t, base := m.outbound(ss, ds, p.eng.Now(), nAcc)
 	req := base / 2    // request transit; >= window since window = Ring/2
 	resp := base - req // response transit; >= request transit
 
-	t := m.buses[ss].Acquire(now, m.lat.BusService*nAcc)
-	t = m.ringPorts[ss].Acquire(t, m.lat.RingService*nAcc)
-	arrive := t + req
-
 	p.remoteWait = true
-	ps.post(ss, ds, arrive, func() {
-		ps.homeAccess(p, ss, a, kind, operand, expect, nAcc, extra, resp)
+	ps.post(ss, ds, t+req, func() {
+		ps.homeAccess(p, src, a, kind, operand, expect, nAcc, extra, resp)
 	})
 	p.park()
 	p.remoteWait = false
@@ -314,34 +299,21 @@ func (ps *parSim) remoteAccess(p *Proc, a Addr, kind accessKind, operand, expect
 }
 
 // homeAccess is the home-station half of a remote access: it runs as an
-// event in the word's LP at the request's arrival time, charges the home
-// bus and module, applies the operation to the word, wakes any (home-
-// station) watchers, and posts the response back to the source station.
-func (ps *parSim) homeAccess(p *Proc, srcStation int, a Addr, kind accessKind, operand, expect uint64, nAcc Duration, extra, resp Duration) {
+// event in the word's LP at the request's arrival time, charges the
+// route's home half (Memory.path: the home bus and module), applies the
+// operation to the word, which wakes any (home-station) watchers, and
+// posts the response back to the source station.
+func (ps *parSim) homeAccess(p *Proc, src int, a Addr, kind accessKind, operand, expect uint64, nAcc, extra, resp Duration) {
 	m := ps.m.Mem
 	dst := m.homes[a.Module()]
 	ds := m.stationOf(dst)
-	arrive := ps.lps[ds].eng.Now()
-	t := m.buses[ds].Acquire(arrive, m.lat.BusService*nAcc)
-	t = m.modules[dst].Acquire(t, m.lat.ModuleService*nAcc)
+	t, _ := m.path(src, dst, ps.lps[ds].eng.Now(), nAcc)
 
 	w := m.word(a)
 	old := *w
-	ok := true
-	switch kind {
-	case accStore, accSwap:
-		*w = operand
-		m.wakeWatchers(a, t+extra)
-	case accCAS:
-		if old == expect {
-			*w = operand
-			m.wakeWatchers(a, t+extra)
-		} else {
-			ok = false
-		}
-	}
-	respAt := t + extra + resp
-	ps.post(ds, srcStation, respAt, func() {
+	ok := kind != accCAS || old == expect
+	m.write(a, w, kind, ok, operand, t+extra)
+	ps.post(ds, m.stationOf(src), t+extra+resp, func() {
 		p.remoteVal, p.remoteOK = old, ok
 		p.unparkAt(p.eng.Now())
 	})

@@ -203,26 +203,43 @@ func TestParallelIPI(t *testing.T) {
 // TestParallelUncontendedLatency pins the uncontended remote access cost to
 // the serial machine's: base + extra, with no hidden message overhead.
 func TestParallelUncontendedLatency(t *testing.T) {
-	cfg := Config{Stations: 2, ProcsPerStation: 2, Workers: 2}
-	m := NewMachine(cfg)
-	word := m.Alloc(2, 1) // station 1, remote to proc 0
-	var loadTook, swapTook Duration
-	m.Go(0, func(p *Proc) {
-		t0 := p.Now()
-		p.Load(word)
-		loadTook = Duration(p.Now() - t0)
-		t0 = p.Now()
-		p.Swap(word, 1)
-		swapTook = Duration(p.Now() - t0)
-	})
-	m.RunAll()
-	m.Shutdown()
-	lat := m.Lat()
-	if loadTook != lat.Ring {
-		t.Errorf("uncontended remote load took %d, want Ring=%d", loadTook, lat.Ring)
+	n256 := numachine256(1)
+	n256.Workers = 2
+	cases := []struct {
+		name   string
+		cfg    Config
+		module int // remote to processor 0
+		ring2  bool
+	}{
+		{"flat", Config{Stations: 2, ProcsPerStation: 2, Workers: 2}, 2, false},
+		// Module 200 is on station 25, across NUMAchine-256's global ring.
+		{"numachine256 cross-group", n256, 200, true},
 	}
-	if swapTook != lat.Ring+lat.AtomicExtra {
-		t.Errorf("uncontended remote swap took %d, want %d", swapTook, lat.Ring+lat.AtomicExtra)
+	for _, c := range cases {
+		m := NewMachine(c.cfg)
+		word := m.Alloc(c.module, 1)
+		var loadTook, swapTook Duration
+		m.Go(0, func(p *Proc) {
+			t0 := p.Now()
+			p.Load(word)
+			loadTook = Duration(p.Now() - t0)
+			t0 = p.Now()
+			p.Swap(word, 1)
+			swapTook = Duration(p.Now() - t0)
+		})
+		m.RunAll()
+		m.Shutdown()
+		lat := m.Lat()
+		want := lat.Ring
+		if c.ring2 {
+			want = lat.Ring2
+		}
+		if loadTook != want {
+			t.Errorf("%s: uncontended remote load took %d, want %d", c.name, loadTook, want)
+		}
+		if swapTook != want+lat.AtomicExtra {
+			t.Errorf("%s: uncontended remote swap took %d, want %d", c.name, swapTook, want+lat.AtomicExtra)
+		}
 	}
 }
 

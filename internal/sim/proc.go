@@ -210,6 +210,18 @@ func (p *Proc) Think(d Duration) {
 	p.checkIRQ()
 }
 
+// Backoff is one wait of the optimistic retry loops (§2.3): it thinks for
+// *delay/2 plus a uniform draw from [0, *delay/2], then doubles *delay
+// while it is below max. max is a doubling threshold, not a cap: the last
+// doubling may pass it, so a delay that starts at 4us under a 200us
+// threshold ends at 256us.
+func (p *Proc) Backoff(delay *Duration, max Duration) {
+	p.Think(*delay/2 + p.rng.Duration(*delay/2+1))
+	if *delay < max {
+		*delay *= 2
+	}
+}
+
 // Reg executes n register-to-register instructions.
 func (p *Proc) Reg(n int) {
 	p.counters.Reg += uint64(n)

@@ -46,22 +46,30 @@ func DistClassFromString(s string) DistClass {
 	return DistLocal
 }
 
+// Classify is the distance class of an access from module src to module
+// dst on a machine with procsPerStation processors per station and, when
+// stationsPerRing > 0, that many stations per local ring. It is the one
+// classification: the memory system (Memory.Distance), the placement
+// policies (autonomic.Topo.Dist) and the trace analysis all call it.
+func Classify(src, dst, procsPerStation, stationsPerRing int) DistClass {
+	ss, ds := src/procsPerStation, dst/procsPerStation
+	switch {
+	case src == dst:
+		return DistLocal
+	case ss == ds:
+		return DistStation
+	case stationsPerRing <= 0 || ss/stationsPerRing == ds/stationsPerRing:
+		return DistRing
+	}
+	return DistGlobal
+}
+
 // Distance classifies the topological distance from module src to module
 // dst given the machine's station grouping. Region ids resolve to the
 // physical module currently backing them, so the class reflects where the
 // words live right now, not where they were first allocated.
 func (m *Memory) Distance(src, dst int) DistClass {
-	src, dst = m.Home(src), m.Home(dst)
-	switch {
-	case src == dst:
-		return DistLocal
-	case m.stationOf(src) == m.stationOf(dst):
-		return DistStation
-	case m.localRings == nil || m.groupOf(m.stationOf(src)) == m.groupOf(m.stationOf(dst)):
-		return DistRing
-	default:
-		return DistGlobal
-	}
+	return Classify(m.Home(src), m.Home(dst), m.procsPerStation, m.stationsPerRing)
 }
 
 // EventKind is the type of a trace event.

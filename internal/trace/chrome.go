@@ -24,7 +24,9 @@ func NewChrome() *Chrome { return &Chrome{} }
 
 // SetMachine records the machine's topology and latency classes in the
 // trace metadata, so offline analysis (cmd/traceanal) can rebuild distance
-// classes and cost weights without being told the configuration.
+// classes and cost weights without being told the configuration. The ring
+// hierarchy (stationsPerRing, latRing2) is recorded only for a
+// hierarchical machine, so a flat machine's trace names no global ring.
 func (c *Chrome) SetMachine(m *sim.Machine) {
 	cfg := m.Config()
 	lat := m.Lat()
@@ -34,6 +36,10 @@ func (c *Chrome) SetMachine(m *sim.Machine) {
 		"latLocal":        uint64(lat.Local),
 		"latStation":      uint64(lat.Station),
 		"latRing":         uint64(lat.Ring),
+	}
+	if cfg.StationsPerRing > 0 {
+		c.machine["stationsPerRing"] = cfg.StationsPerRing
+		c.machine["latRing2"] = uint64(lat.Ring2)
 	}
 }
 

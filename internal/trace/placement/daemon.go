@@ -357,7 +357,7 @@ func ReplicateKernel(k *kernel.Kernel, agg *trace.Aggregate) []autonomic.Replica
 // whole event stream (its tracer, or a sink of its pipeline). A nil return
 // is a policy that does not run.
 func Attach(plane *autonomic.Plane, k *kernel.Kernel, agg *trace.Aggregate, rp *autonomic.ReplicatorParams, dp *DaemonParams) (*autonomic.Replicator, *Daemon) {
-	topo, costs := autonomic.TopoOf(k.M), autonomic.CostsFromLatency(k.M.Lat())
+	topo, costs := autonomic.TopoOf(k.M.Config()), autonomic.CostsFromLatency(k.M.Lat())
 	var rep *autonomic.Replicator
 	var d *Daemon
 	if rp != nil {

@@ -92,7 +92,7 @@ func TestDaemonThrashBudget(t *testing.T) {
 	region := m.Mem.NewRegion(0)
 	data := m.Alloc(region, 4)
 	d := placement.NewDaemon(m, agg, autonomic.Topo{Stations: 4, ProcsPerStation: 4},
-		autonomic.DefaultCosts(),
+		autonomic.CostsFromLatency(sim.DefaultLatency()),
 		placement.DaemonParams{
 			Period:    sim.Micros(25),
 			Decay:     0.9,

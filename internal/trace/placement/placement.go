@@ -215,9 +215,13 @@ func (r *Report) Moves() map[int]int {
 // String renders the report.
 func (r *Report) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "placement analysis: %d modules (%d stations x %d), costs %g/%g/%g cycles\n",
-		r.Topo.Modules(), r.Topo.Stations, r.Topo.ProcsPerStation,
-		r.Costs.Local, r.Costs.Station, r.Costs.Ring)
+	topo := fmt.Sprintf("%d stations x %d", r.Topo.Stations, r.Topo.ProcsPerStation)
+	costs := fmt.Sprintf("%g/%g/%g", r.Costs.Local, r.Costs.Station, r.Costs.Ring)
+	if r.Topo.StationsPerRing > 0 { // a ring hierarchy prices its global ring too
+		topo += fmt.Sprintf(", %d per local ring", r.Topo.StationsPerRing)
+		costs += fmt.Sprintf("/%g", r.Costs.Ring2)
+	}
+	fmt.Fprintf(&b, "placement analysis: %d modules (%s), costs %s cycles\n", r.Topo.Modules(), topo, costs)
 	section := func(title string, props []Proposal) {
 		if len(props) == 0 {
 			return
@@ -231,7 +235,7 @@ func (r *Report) String() string {
 					saved = 100 * (p.CurCost - p.NewCost) / p.CurCost
 				}
 				verdict = fmt.Sprintf("-> module %d (cost -%.0f%%, ring %d -> %d)",
-					p.Proposed, saved, p.CurByDist[sim.DistRing], p.NewByDist[sim.DistRing])
+					p.Proposed, saved, ringAccesses(p.CurByDist), ringAccesses(p.NewByDist))
 			}
 			fmt.Fprintf(&b, "  %-16s home %-3d %8d weight  %5.0f%% ring  %s\n",
 				p.Object, p.Home, p.Weight, ringPct(p.CurByDist), verdict)
@@ -242,6 +246,12 @@ func (r *Report) String() string {
 	return b.String()
 }
 
+// ringAccesses counts the accesses that cross a ring: a local ring's or,
+// on a ring hierarchy, the global ring's.
+func ringAccesses(d [sim.NumDistClasses]uint64) uint64 {
+	return d[sim.DistRing] + d[sim.DistGlobal]
+}
+
 func ringPct(d [sim.NumDistClasses]uint64) float64 {
 	var tot uint64
 	for _, n := range d {
@@ -250,5 +260,5 @@ func ringPct(d [sim.NumDistClasses]uint64) float64 {
 	if tot == 0 {
 		return 0
 	}
-	return 100 * float64(d[sim.DistRing]+d[sim.DistGlobal]) / float64(tot)
+	return 100 * float64(ringAccesses(d)) / float64(tot)
 }

@@ -12,56 +12,69 @@ import (
 // TestAnalyzeMovesRemoteData builds a trace where module 13's data is
 // accessed almost entirely from station 0: the analyzer must propose moving
 // it into station 0, and the projection must show the ring traffic gone.
+// On a ring hierarchy of two stations per local ring, the same accesses
+// cross the global ring: each is priced at Ring2, and the report's ring
+// column counts them.
 func TestAnalyzeMovesRemoteData(t *testing.T) {
-	topo := autonomic.Topo{Stations: 4, ProcsPerStation: 4}
-	agg := trace.NewAggregate(topo.Modules())
-	emit := func(src, dst int, n int) {
-		for i := 0; i < n; i++ {
-			agg.Event(sim.TraceEvent{Kind: sim.EvAccess, Src: src, Dst: dst,
-				Dist: topo.Dist(src, dst)})
+	for _, cfg := range []sim.Config{{}, {StationsPerRing: 2}} {
+		cfg = cfg.WithDefaults()
+		topo, costs := autonomic.TopoOf(cfg), autonomic.CostsFromLatency(cfg.Lat)
+		far := float64(cfg.Lat.Ring) // station 0 to module 13
+		if cfg.StationsPerRing > 0 {
+			far = float64(cfg.Lat.Ring2) // across the global ring
 		}
-	}
-	// Hot object homed on 13, hammered from modules 0-3 (all cross-ring).
-	emit(0, 13, 400)
-	emit(1, 13, 300)
-	emit(2, 13, 200)
-	emit(3, 13, 100)
-	emit(13, 13, 10) // a little local traffic from its own module
-	// A well-placed object for contrast: module 5 used from its own station.
-	emit(4, 5, 50)
-	emit(5, 5, 50)
+		agg := trace.NewAggregate(topo.Modules())
+		emit := func(src, dst int, n int) {
+			for i := 0; i < n; i++ {
+				agg.Event(sim.TraceEvent{Kind: sim.EvAccess, Src: src, Dst: dst,
+					Dist: topo.Dist(src, dst)})
+			}
+		}
+		// Hot object homed on 13, hammered from modules 0-3 (all cross-ring).
+		emit(0, 13, 400)
+		emit(1, 13, 300)
+		emit(2, 13, 200)
+		emit(3, 13, 100)
+		emit(13, 13, 10) // a little local traffic from its own module
+		// A well-placed object for contrast: module 5 used from its own station.
+		emit(4, 5, 50)
+		emit(5, 5, 50)
 
-	rep := Analyze(agg, topo, autonomic.DefaultCosts())
-	if len(rep.Data) != 2 {
-		t.Fatalf("got %d data proposals, want 2", len(rep.Data))
-	}
-	hot := rep.Data[0] // hottest first
-	if hot.Home != 13 || !hot.Moved() {
-		t.Fatalf("hot object not moved: %+v", hot)
-	}
-	if hot.Proposed/4 != 0 {
-		t.Fatalf("proposed module %d is not in station 0", hot.Proposed)
-	}
-	if hot.NewByDist[sim.DistRing] >= hot.CurByDist[sim.DistRing] {
-		t.Fatalf("ring accesses did not drop: %d -> %d",
-			hot.CurByDist[sim.DistRing], hot.NewByDist[sim.DistRing])
-	}
-	if hot.NewCost >= hot.CurCost {
-		t.Fatalf("cost did not drop: %.0f -> %.0f", hot.CurCost, hot.NewCost)
-	}
-	for _, p := range rep.Data[1:] {
-		if p.Home == 5 && p.Moved() {
-			t.Fatalf("well-placed module 5 data was moved: %+v", p)
+		rep := Analyze(agg, topo, costs)
+		if len(rep.Data) != 2 {
+			t.Fatalf("%+v: got %d data proposals, want 2", topo, len(rep.Data))
 		}
-	}
-	mv := rep.Moves()
-	if len(mv) != 1 || mv[13] != hot.Proposed {
-		t.Fatalf("Moves() = %v, want {13: %d}", mv, hot.Proposed)
-	}
-	out := rep.String()
-	for _, frag := range []string{"placement analysis", "data placement", "-> module", "keep"} {
-		if !strings.Contains(out, frag) {
-			t.Errorf("report missing %q:\n%s", frag, out)
+		hot := rep.Data[0] // hottest first
+		if hot.Home != 13 || !hot.Moved() {
+			t.Fatalf("%+v: hot object not moved: %+v", topo, hot)
+		}
+		if hot.Proposed/4 != 0 {
+			t.Fatalf("%+v: proposed module %d is not in station 0", topo, hot.Proposed)
+		}
+		if want := 1000*far + 10*costs.Local; hot.CurCost != want {
+			t.Fatalf("%+v: current cost %.0f, want %.0f (%g per cross-ring access)", topo, hot.CurCost, want, far)
+		}
+		if ringAccesses(hot.NewByDist) >= ringAccesses(hot.CurByDist) {
+			t.Fatalf("%+v: ring accesses did not drop: %d -> %d",
+				topo, ringAccesses(hot.CurByDist), ringAccesses(hot.NewByDist))
+		}
+		if hot.NewCost >= hot.CurCost {
+			t.Fatalf("%+v: cost did not drop: %.0f -> %.0f", topo, hot.CurCost, hot.NewCost)
+		}
+		for _, p := range rep.Data[1:] {
+			if p.Home == 5 && p.Moved() {
+				t.Fatalf("%+v: well-placed module 5 data was moved: %+v", topo, p)
+			}
+		}
+		mv := rep.Moves()
+		if len(mv) != 1 || mv[13] != hot.Proposed {
+			t.Fatalf("%+v: Moves() = %v, want {13: %d}", topo, mv, hot.Proposed)
+		}
+		out := rep.String()
+		for _, frag := range []string{"placement analysis", "data placement", "-> module", "keep", "ring 1000 -> 10)"} {
+			if !strings.Contains(out, frag) {
+				t.Errorf("%+v: report missing %q:\n%s", topo, frag, out)
+			}
 		}
 	}
 }
@@ -77,7 +90,7 @@ func TestAnalyzeLockProposals(t *testing.T) {
 				Dist: topo.Dist(src, 12)})
 		}
 	}
-	rep := Analyze(agg, topo, autonomic.DefaultCosts())
+	rep := Analyze(agg, topo, autonomic.CostsFromLatency(sim.DefaultLatency()))
 	if len(rep.Locks) != 1 {
 		t.Fatalf("got %d lock proposals, want 1", len(rep.Locks))
 	}
@@ -108,7 +121,7 @@ func TestAnalyzeSpreadsTies(t *testing.T) {
 	emit(1, 12, 100)
 	emit(0, 13, 100)
 	emit(1, 13, 100)
-	rep := Analyze(agg, topo, autonomic.DefaultCosts())
+	rep := Analyze(agg, topo, autonomic.CostsFromLatency(sim.DefaultLatency()))
 	if len(rep.Data) != 2 || !rep.Data[0].Moved() || !rep.Data[1].Moved() {
 		t.Fatalf("expected both objects moved: %+v", rep.Data)
 	}
@@ -177,7 +190,7 @@ func refPropose(object string, home int, vector []uint64, topo autonomic.Topo, c
 // vectors longer than it — both return the same proposal.
 func TestProposeMatchesReference(t *testing.T) {
 	topo := autonomic.Topo{Stations: 4, ProcsPerStation: 4}
-	costs := autonomic.DefaultCosts()
+	costs := autonomic.CostsFromLatency(sim.DefaultLatency())
 	w := autonomic.NewWeights(topo, costs)
 	cost := make([]float64, topo.Modules())
 	rng := sim.NewRNG(0x9a0)

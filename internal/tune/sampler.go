@@ -1,6 +1,7 @@
 package tune
 
 import (
+	"hurricane/internal/autonomic"
 	"hurricane/internal/sim"
 )
 
@@ -62,17 +63,17 @@ func (s *Sampler) Tick(now sim.Time) {
 	})
 }
 
-// Attach wires a Controller to a machine. With Params.Plane set the
-// sampler registers on the shared autonomics plane (one daemon cadence
-// ticks every policy in phase order); otherwise it self-schedules a
-// private daemon event every period — the historical shape, byte-identical
-// to the plane at the same period because daemon events at one timestamp
-// fire in registration order either way.
+// Attach wires a Controller to a machine: its sampler registers on
+// Params.Plane, the shared autonomics plane (one daemon cadence ticks
+// every policy in phase order), or, when the lock has none, on a plane of
+// its own at the default period, started on eng.
 func Attach(eng *sim.Engine, home *sim.Resource, probe func() Counters, c *Controller) {
 	s := NewSampler(home, probe, c)
 	if pl := c.p.Plane; pl != nil {
 		pl.Add(s)
 		return
 	}
-	eng.Every(period, s.Tick)
+	pl := autonomic.NewPlane(0)
+	pl.Add(s)
+	pl.Start(eng)
 }

@@ -32,7 +32,7 @@
 // This package, trace/placement's online Daemon, and the autonomic
 // Replicator are three instances of one controller pattern, built on the
 // shared signal and decision pieces of internal/autonomic: sample at a
-// fixed Engine.Every cadence (or on the shared autonomic.Plane), smooth
+// fixed cadence on an autonomic.Plane (shared, or the lock's own), smooth
 // the windowed signal (decayed ratios and an EWMA, all at 0.75 retention —
 // NUMA traffic and lock waits are equally bursty per window), and act only
 // past a threshold with hysteresis (the utilization saturation/relief band
@@ -86,10 +86,6 @@ func (m Mode) String() string {
 // the lock shape at run time, but the bounds and bands it moves them within
 // are fixed here.
 const (
-	// period is the sampling window of a self-scheduled controller. Shorter
-	// windows react faster; longer windows smooth transient bursts. Under a
-	// Plane the plane's period rules.
-	period sim.Duration = 100 * sim.CyclesPerMicrosecond
 	// SatHigh is the smoothed home-module utilization at or above which the
 	// module counts as saturating: the cap doubles, and if the cap is
 	// already at MaxCap the lock crosses over to queue mode. 0.70 sits
@@ -138,10 +134,9 @@ type Params struct {
 	// the two ends of the paper's own Figure 5 sweep).
 	MaxCap sim.Duration
 	// Plane, when non-nil, registers the controller's sampler on the shared
-	// autonomics plane instead of a private Engine.Every daemon: the plane's
+	// autonomics plane instead of a plane of its own (Attach): the plane's
 	// single cadence then ticks it alongside the placement and replication
-	// policies, so each phase observes the others' actions. The plane's
-	// period rules for a plane-scheduled sampler.
+	// policies, so each phase observes the others' actions.
 	Plane *autonomic.Plane
 }
 

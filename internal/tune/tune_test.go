@@ -410,8 +410,8 @@ func TestAttachSamplesUtilization(t *testing.T) {
 	// Shadow controller observation via the log.
 	Attach(eng, res, func() Counters { return Counters{} }, c)
 	// Window 1 [0,w]: w/2 busy cycles. Window 2 [w,2w]: reset at 1.5w.
-	// Window 3 [2w,3w]: 0.3w busy cycles.
-	const w = period
+	// Window 3 [2w,3w]: 0.3w busy cycles. w is the plane's default period.
+	w := sim.Micros(100)
 	eng.At(0, func() { res.Acquire(0, w/2) })
 	eng.At(w+w*4/10, func() { res.Acquire(w+w*4/10, w/10) })
 	eng.At(w+w/2, func() { res.ResetStats(w + w/2) })
@@ -445,10 +445,11 @@ func TestAttachDiffsLockCounters(t *testing.T) {
 	eng.At(10, func() {
 		cum = Counters{Attempts: 5, Failures: 2, Acquisitions: 3, WaitCycles: 90}
 	})
-	eng.At(period+10, func() {
+	w := sim.Micros(100) // the plane's default period
+	eng.At(w+10, func() {
 		cum = Counters{Attempts: 9, Failures: 2, Acquisitions: 7, WaitCycles: 150}
 	})
-	eng.At(2*period+1, func() {})
+	eng.At(2*w+1, func() {})
 	eng.RunAll()
 	log := c.Log()
 	if len(log) != 2 {

@@ -70,15 +70,13 @@ type LockStressResult struct {
 // holdWork is the critical section of every stress loop: the holder stores
 // into the protected data once per 2us chunk of the hold, so remote
 // spinning on the data's module slows the holder — the second-order effect
-// of §2.1 — and thinks out the remainder.
+// of §2.1 — and thinks out the remainder. The chunks are one fixed
+// instruction loop, so they run engine-side (sim.Proc.Sweep).
 func holdWork(p *sim.Proc, data sim.Addr, h sim.Duration) {
 	chunk := sim.Micros(2)
-	for h >= chunk {
-		p.Store(data+sim.Addr(p.ID()%8), uint64(p.ID()))
-		h -= chunk
-		p.Think(chunk - 20)
-	}
-	p.Think(h)
+	a := data + sim.Addr(p.ID()%8)
+	p.Sweep(int(h/chunk), func(int) sim.Addr { return a }, true, uint64(p.ID()), chunk-20)
+	p.Think(h % chunk)
 }
 
 // ResourceUtil is one resource's windowed activity summary.
