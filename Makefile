@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race bench bench-smoke fuzz-smoke results results-check bench-sim bench-diff bench-baseline wall-baseline jobs-equiv trace-smoke server-smoke autonomic-smoke model-smoke doc-lint profile
+.PHONY: ci vet build test race bench bench-smoke fuzz-smoke results results-check bench-sim bench-diff bench-baseline wall-baseline jobs-equiv trace-smoke server-smoke autonomic-smoke model-smoke examples-smoke doc-lint profile
 
-ci: vet build test race bench-smoke fuzz-smoke bench-diff jobs-equiv results-check trace-smoke server-smoke autonomic-smoke model-smoke doc-lint
+ci: vet build test race bench-smoke fuzz-smoke bench-diff jobs-equiv results-check trace-smoke server-smoke autonomic-smoke model-smoke examples-smoke doc-lint
 
 vet:
 	$(GO) vet ./...
@@ -152,6 +152,21 @@ model-smoke: bench-sim
 	grep -A 1 '"numachine64.pred_cross_spin_queue"' BENCH_sim.json | grep -q '"value": 1,'
 	grep -A 1 '"numachine256.pred_cross_spin_queue"' BENCH_sim.json | grep -q '"value": 1,'
 	@echo "model-smoke: calibrated model ranks the lock zoo correctly and puts the spin->queue crossover at p=1 on all machines"
+
+# The four examples run to completion (about 1 s together). The clustering
+# example is the only non-test caller of Replicated.GlobalUpdate and
+# Destroy, so its outcome is checked too: the update reached every
+# cluster's copy, the datum was destroyed, and the burst replicated once
+# per remote cluster.
+examples-smoke:
+	$(GO) run ./examples/quickstart > /dev/null
+	$(GO) run ./examples/pagefaults > /dev/null
+	$(GO) run ./examples/nativelocks > /dev/null
+	$(GO) run ./examples/clustering > /tmp/hurricane_clustering.txt
+	for c in 0 1 2 3; do grep -q "cluster $$c copy now 999" /tmp/hurricane_clustering.txt || exit 1; done
+	grep -q "destroyed everywhere" /tmp/hurricane_clustering.txt
+	grep -q "^12 acquisitions, 3 replications (one per remote cluster), 15 RPC calls total$$" /tmp/hurricane_clustering.txt
+	@echo "examples-smoke: every example runs; the clustered table updates, replicates and destroys across all four clusters"
 
 # Documentation gate: every exported identifier in the model, autonomic,
 # and tune packages carries a doc comment, every intra-repo markdown link

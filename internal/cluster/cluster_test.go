@@ -45,7 +45,7 @@ func TestTopologyPartition(t *testing.T) {
 func TestRPCExecutesOnPeer(t *testing.T) {
 	m := newHector(2)
 	topo := NewTopology(m, 4)
-	rpc := NewRPC(topo, nil)
+	rpc := NewRPC(topo, NewGate(m))
 	var ranOn = -1
 	for _, id := range topo.Procs(2) {
 		m.Go(id, Serve)
@@ -72,7 +72,7 @@ func TestRPCExecutesOnPeer(t *testing.T) {
 func TestRPCStatusRoundTrip(t *testing.T) {
 	m := newHector(3)
 	topo := NewTopology(m, 4)
-	rpc := NewRPC(topo, nil)
+	rpc := NewRPC(topo, NewGate(m))
 	m.Go(8, Serve)
 	var got []Status
 	m.Go(0, func(p *sim.Proc) {
@@ -114,7 +114,7 @@ func TestNullRPCCalibration(t *testing.T) {
 func TestLocalClusterCallIsDirect(t *testing.T) {
 	m := newHector(5)
 	topo := NewTopology(m, 4)
-	rpc := NewRPC(topo, nil)
+	rpc := NewRPC(topo, NewGate(m))
 	ran := false
 	m.Go(5, func(p *sim.Proc) {
 		st := rpc.Call(p, 1, func(h *sim.Proc) Status {

@@ -21,7 +21,7 @@ import (
 //
 // Cross-cluster operations follow the §2.3 optimistic deadlock avoidance
 // protocol: an RPC handler never waits on a reserve bit; it fails with
-// StatusRetry and the initiator backs off and retries.
+// StatusRetry (Reserve) and the initiator backs off and retries (Retry).
 type Replicated struct {
 	topo    *Topology
 	rpc     *RPC
@@ -48,28 +48,11 @@ type Replicated struct {
 func (r *Replicated) maskOff() sim.Addr { return hybrid.EntData + sim.Addr(r.payload) }
 
 // NewReplicated builds per-cluster tables of nbuckets chains and payload
-// user words, protected by coarse locks of the given kind. Each cluster's
-// instance is placed on the cluster's home module.
+// user words, each protected by its own coarse lock of the given kind.
+// Each cluster's instance is placed on the cluster's home module.
 func NewReplicated(topo *Topology, rpc *RPC, nbuckets, payload int, kind locks.Kind) *Replicated {
-	return NewReplicatedAt(topo, rpc, nbuckets, payload, kind, 0)
-}
-
-// NewReplicatedAt places each cluster's instance on a module chosen by
-// slot, striding across the cluster's modules (and stations, for large
-// clusters) so different kernel tables spread over the cluster's memory
-// instead of piling onto one module.
-func NewReplicatedAt(topo *Topology, rpc *RPC, nbuckets, payload int, kind locks.Kind, slot int) *Replicated {
-	r := &Replicated{
-		topo:    topo,
-		rpc:     rpc,
-		tables:  make([]*hybrid.Table, topo.N),
-		payload: payload,
-	}
-	for c := 0; c < topo.N; c++ {
-		r.tables[c] = hybrid.New(topo.M, topo.SlotModule(c, slot), nbuckets, payload+1, kind)
-	}
-	r.HomeOf = func(key uint64) int { return int(key % uint64(topo.N)) }
-	return r
+	lockOf := func(c int) locks.Lock { return locks.New(topo.M, kind, topo.HomeModule(c)) }
+	return NewReplicatedShared(topo, rpc, nbuckets, payload, lockOf, topo.HomeModule)
 }
 
 // NewReplicatedShared builds the per-cluster instances over caller-provided
@@ -112,9 +95,8 @@ func (r *Replicated) Local(p *sim.Proc) *hybrid.Table {
 }
 
 // Create installs a new master entry for key on its home cluster with the
-// given initial payload. Returns StatusOK, or StatusRetry exhausted into
-// eventual success (creation only races with other creates; the first
-// wins and later ones see StatusAbsent=false semantics via the bool).
+// given initial payload. It reports false if the key already exists there:
+// creation races only with other creates, and the first one wins.
 func (r *Replicated) Create(p *sim.Proc, key uint64, init []uint64) bool {
 	home := r.HomeOf(key)
 	c := r.topo.ClusterOf(p.ID())
@@ -220,22 +202,10 @@ func (r *Replicated) acquireNoCombine(p *sim.Proc, t *hybrid.Table, key uint64, 
 // fetchData copies the master's payload, retrying optimistically while the
 // master is reserved. ok is false if the key does not exist at its home.
 func (r *Replicated) fetchData(p *sim.Proc, key uint64, home, c int) ([]uint64, bool) {
-	delay := sim.Micros(4)
-	for {
-		var data []uint64
-		st := r.rpc.Call(p, home, func(h *sim.Proc) Status {
-			ht := r.tables[home]
-			var res Status
-			ht.WithLock(h, func() {
-				me := ht.SearchLocked(h, key)
-				if me == 0 {
-					res = StatusAbsent
-					return
-				}
-				if !ht.TryReserveLocked(h, me, hybrid.Shared) {
-					res = StatusRetry // reserved: potential deadlock, fail fast
-					return
-				}
+	var data []uint64
+	st := Retry(p, sim.Micros(200), &r.FetchRetries, func() Status {
+		return r.rpc.Call(p, home, func(h *sim.Proc) Status {
+			return Reserve(h, r.tables[home], key, hybrid.Shared, func(me sim.Addr) {
 				data = make([]uint64, r.payload)
 				for i := range data {
 					data[i] = h.Load(me + hybrid.EntData + sim.Addr(i))
@@ -244,19 +214,10 @@ func (r *Replicated) fetchData(p *sim.Proc, key uint64, home, c int) ([]uint64, 
 				h.Store(me+r.maskOff(), mask|1<<uint(c))
 				stw := h.Load(me + hybrid.EntStatus) // drop the shared hold
 				h.Store(me+hybrid.EntStatus, stw-2)
-				res = StatusOK
 			})
-			return res
 		})
-		switch st {
-		case StatusOK:
-			return data, true
-		case StatusAbsent:
-			return nil, false
-		}
-		r.FetchRetries++
-		p.Backoff(&delay, sim.Micros(200))
-	}
+	})
+	return data, st == StatusOK
 }
 
 // Release drops a reservation taken by Acquire.
@@ -302,6 +263,29 @@ func (r *Replicated) Read(p *sim.Proc, key uint64, nwords int) ([]uint64, bool) 
 	return vals, true
 }
 
+// reserveMaster is the first phase of GlobalUpdate and Destroy: it
+// reserves key's master exclusively at home, retrying while another
+// holder has it, and reads the replica mask in the same hold. Then, if
+// then is non-nil, it runs then on the master at home. ok is false if the
+// key does not exist.
+func (r *Replicated) reserveMaster(p *sim.Proc, key uint64, then func(h *sim.Proc, e sim.Addr)) (mask uint64, ok bool) {
+	home := r.HomeOf(key)
+	st := Retry(p, sim.Micros(200), nil, func() Status {
+		return r.rpc.Call(p, home, func(h *sim.Proc) Status {
+			var me sim.Addr
+			st := Reserve(h, r.tables[home], key, hybrid.Exclusive, func(e sim.Addr) {
+				me = e
+				mask = h.Load(e + r.maskOff())
+			})
+			if st == StatusOK && then != nil {
+				then(h, me)
+			}
+			return st
+		})
+	})
+	return mask, st == StatusOK
+}
+
 // GlobalUpdate applies update to the master and every replica of key,
 // using the pessimistic discipline of §2.5 for broadcasts: the caller
 // holds no local locks or reserve bits while the update runs. The master
@@ -309,74 +293,31 @@ func (r *Replicated) Read(p *sim.Proc, key uint64, nwords int) ([]uint64, bool) 
 // fetches and updates retry rather than observing a half-updated world.
 // Returns false if the key does not exist.
 func (r *Replicated) GlobalUpdate(p *sim.Proc, key uint64, update func(h *sim.Proc, e sim.Addr)) bool {
-	home := r.HomeOf(key)
-	var mask uint64
-
-	// Phase 1: reserve the master, apply the update there, read the mask.
-	delay := sim.Micros(4)
-	for {
-		st := r.rpc.Call(p, home, func(h *sim.Proc) Status {
-			ht := r.tables[home]
-			var res Status
-			ht.WithLock(h, func() {
-				me := ht.SearchLocked(h, key)
-				if me == 0 {
-					res = StatusAbsent
-					return
-				}
-				if !ht.TryReserveLocked(h, me, hybrid.Exclusive) {
-					res = StatusRetry
-					return
-				}
-				mask = h.Load(me + r.maskOff())
-				res = StatusOK
-			})
-			if res == StatusOK {
-				me, _ := ht.Lookup(h, key)
-				update(h, me)
-			}
-			return res
-		})
-		if st == StatusAbsent {
-			return false
-		}
-		if st == StatusOK {
-			break
-		}
-		p.Backoff(&delay, sim.Micros(200))
+	mask, ok := r.reserveMaster(p, key, update)
+	if !ok {
+		return false
 	}
+	home := r.HomeOf(key)
 
-	// Phase 2: update each replica cluster (retrying per cluster while its
-	// copy is reserved by local users).
-	r.rpc.Broadcast(p, -1, sim.Micros(4), func(h *sim.Proc, c int) Status {
+	// Update each replica cluster, retrying per cluster while its copy is
+	// reserved by local users.
+	r.rpc.Broadcast(p, func(h *sim.Proc, c int) Status {
 		if c == home || mask&(1<<uint(c)) == 0 {
 			return StatusOK
 		}
-		ct := r.tables[c]
-		var res Status
-		ct.WithLock(h, func() {
-			ce := ct.SearchLocked(h, key)
-			if ce == 0 {
-				res = StatusOK // replica discarded meanwhile
-				return
-			}
-			if !ct.TryReserveLocked(h, ce, hybrid.Exclusive) {
-				res = StatusRetry
-				return
-			}
-			res = StatusOK
-		})
-		if res != StatusOK {
-			return res
+		var ce sim.Addr
+		switch Reserve(h, r.tables[c], key, hybrid.Exclusive, func(e sim.Addr) { ce = e }) {
+		case StatusRetry:
+			return StatusRetry
+		case StatusAbsent:
+			return StatusOK // replica discarded meanwhile
 		}
-		if ce, ok := ct.Lookup(h, key); ok {
-			update(h, ce)
-			h.Store(ce+hybrid.EntStatus, 0)
-		}
+		update(h, ce)
+		h.Store(ce+hybrid.EntStatus, 0)
 		return StatusOK
 	})
 
-	// Phase 3: release the master.
+	// Release the master.
 	r.rpc.Call(p, home, func(h *sim.Proc) Status {
 		ht := r.tables[home]
 		if me, ok := ht.Lookup(h, key); ok {
@@ -388,56 +329,31 @@ func (r *Replicated) GlobalUpdate(p *sim.Proc, key uint64, update func(h *sim.Pr
 }
 
 // Destroy removes the master and all replicas of key. Same protocol shape
-// as GlobalUpdate. Returns false if the key does not exist.
+// as GlobalUpdate, except that a replica a local user holds answers
+// StatusRetry without being reserved. Returns false if the key does not
+// exist.
 func (r *Replicated) Destroy(p *sim.Proc, key uint64) bool {
-	home := r.HomeOf(key)
-	var mask uint64
-	delay := sim.Micros(4)
-	for {
-		st := r.rpc.Call(p, home, func(h *sim.Proc) Status {
-			ht := r.tables[home]
-			var res Status
-			ht.WithLock(h, func() {
-				me := ht.SearchLocked(h, key)
-				if me == 0 {
-					res = StatusAbsent
-					return
-				}
-				if !ht.TryReserveLocked(h, me, hybrid.Exclusive) {
-					res = StatusRetry
-					return
-				}
-				mask = h.Load(me + r.maskOff())
-				res = StatusOK
-			})
-			return res
-		})
-		if st == StatusAbsent {
-			return false
-		}
-		if st == StatusOK {
-			break
-		}
-		p.Backoff(&delay, sim.Micros(200))
+	mask, ok := r.reserveMaster(p, key, nil)
+	if !ok {
+		return false
 	}
-	r.rpc.Broadcast(p, -1, sim.Micros(4), func(h *sim.Proc, c int) Status {
+	home := r.HomeOf(key)
+	r.rpc.Broadcast(p, func(h *sim.Proc, c int) Status {
 		if c == home || mask&(1<<uint(c)) == 0 {
 			return StatusOK
 		}
 		ct := r.tables[c]
-		var res Status
+		res := StatusOK
 		ct.WithLock(h, func() {
 			ce := ct.SearchLocked(h, key)
 			if ce == 0 {
-				res = StatusOK
 				return
 			}
-			if st := h.Load(ce + hybrid.EntStatus); st != 0 {
+			if h.Load(ce+hybrid.EntStatus) != 0 {
 				res = StatusRetry // a local user holds the replica
 				return
 			}
 			ct.RemoveLocked(h, key)
-			res = StatusOK
 		})
 		return res
 	})

@@ -2,20 +2,6 @@ package cluster
 
 import "hurricane/internal/sim"
 
-// Status is the result of a remote operation under the optimistic deadlock
-// avoidance protocol (§2.3).
-type Status uint64
-
-const (
-	// StatusOK means the remote operation completed.
-	StatusOK Status = iota
-	// StatusRetry means the remote side met a reserve bit (potential
-	// deadlock): the caller must release its reserve bits and retry.
-	StatusRetry
-	// StatusAbsent means the remote side did not find the datum.
-	StatusAbsent
-)
-
 // Gate is the Stodolsky-style logical interrupt mask of §3.2:
 // inter-processor interrupts are a separately maskable class. A per-
 // processor flag is set before acquiring any lock an interrupt handler
@@ -93,8 +79,8 @@ type RPC struct {
 	Calls, Retries uint64
 }
 
-// NewRPC builds the RPC transport for a topology. gate may be nil if
-// logical masking is not used.
+// NewRPC builds the RPC transport for a topology, dispatching handlers
+// through gate.
 func NewRPC(t *Topology, gate *Gate) *RPC {
 	return &RPC{topo: t, gate: gate}
 }
@@ -142,11 +128,7 @@ func (r *RPC) Call(p *sim.Proc, targetCluster int, fn func(h *sim.Proc) Status) 
 				m.EmitSpan(sim.SpanIPI, "rpc serve", h.ID(), h0, h.Now(), caller, uint64(targetCluster))
 			}
 		}
-		if r.gate != nil {
-			r.gate.Dispatch(h, run)
-		} else {
-			run(h)
-		}
+		r.gate.Dispatch(h, run)
 	})
 	v := p.WaitLocal(reply, func(v uint64) bool { return v != 0 })
 	st := Status(v >> 1)
@@ -159,22 +141,14 @@ func (r *RPC) Call(p *sim.Proc, targetCluster int, fn func(h *sim.Proc) Status) 
 	return st
 }
 
-// Broadcast calls fn on every cluster in turn except those in skip,
-// stopping early is not possible — updates that must reach all replicas
-// (§2.5 pessimistic global updates) retry per cluster until each succeeds.
-func (r *RPC) Broadcast(p *sim.Proc, skip int, backoff sim.Duration, fn func(h *sim.Proc, c int) Status) {
+// Broadcast calls fn on every cluster in turn. Stopping early is not
+// possible: updates that must reach all replicas (§2.5 pessimistic global
+// updates) retry per cluster, under a 500 µs doubling threshold, until
+// each succeeds.
+func (r *RPC) Broadcast(p *sim.Proc, fn func(h *sim.Proc, c int) Status) {
 	for c := 0; c < r.topo.N; c++ {
-		if c == skip {
-			continue
-		}
-		c := c
-		delay := backoff
-		for {
-			st := r.Call(p, c, func(h *sim.Proc) Status { return fn(h, c) })
-			if st != StatusRetry {
-				break
-			}
-			p.Backoff(&delay, sim.Micros(500))
-		}
+		Retry(p, sim.Micros(500), nil, func() Status {
+			return r.Call(p, c, func(h *sim.Proc) Status { return fn(h, c) })
+		})
 	}
 }

@@ -186,6 +186,18 @@ func (t *Table) TryReserveLocked(p *sim.Proc, e sim.Addr, mode Mode) bool {
 	return true
 }
 
+// TryReserveKeyLocked searches for key and try-reserves the entry it
+// finds, in the coarse-lock hold the caller already has. It returns the
+// entry (0 if key is absent) and whether the reservation was set; false
+// with a nonzero entry means another holder has the entry reserved.
+func (t *Table) TryReserveKeyLocked(p *sim.Proc, key uint64, mode Mode) (sim.Addr, bool) {
+	e := t.SearchLocked(p, key)
+	if e == 0 {
+		return 0, false
+	}
+	return e, t.TryReserveLocked(p, e, mode)
+}
+
 // PeekSearch walks the chain for key with no simulated cost and no
 // locking. Instrumentation only (tests, experiment reporting) — simulated
 // code must use SearchLocked under the coarse lock.
@@ -246,13 +258,8 @@ func (t *Table) Reserve(p *sim.Proc, key uint64, mode Mode) (sim.Addr, bool) {
 	backoff := backoffInit
 	for {
 		var e sim.Addr
-		got := false
-		t.WithLock(p, func() {
-			e = t.SearchLocked(p, key)
-			if e != 0 {
-				got = t.TryReserveLocked(p, e, mode)
-			}
-		})
+		var got bool
+		t.WithLock(p, func() { e, got = t.TryReserveKeyLocked(p, key, mode) })
 		if e == 0 {
 			return 0, false
 		}

@@ -67,20 +67,7 @@ func (pm *ProcessManager) run(p *sim.Proc, key uint64, fn func(h *sim.Proc) clus
 func (pm *ProcessManager) reserveDesc(p *sim.Proc, key uint64) cluster.Status {
 	t := pm.tables[HomeOf(key)]
 	return pm.run(p, key, func(h *sim.Proc) cluster.Status {
-		var st cluster.Status
-		t.WithLock(h, func() {
-			e := t.SearchLocked(h, key)
-			if e == 0 {
-				st = cluster.StatusAbsent
-				return
-			}
-			if !t.TryReserveLocked(h, e, hybrid.Exclusive) {
-				st = cluster.StatusRetry
-				return
-			}
-			st = cluster.StatusOK
-		})
-		return st
+		return cluster.Reserve(h, t, key, hybrid.Exclusive, nil)
 	})
 }
 
@@ -126,27 +113,14 @@ func (pm *ProcessManager) writeDesc(p *sim.Proc, key uint64, off sim.Addr, v uin
 // withDesc reserves the descriptor, runs fn on its home cluster, and
 // releases — one round trip. fn's status is returned; Retry means the
 // reservation could not be taken.
-func (pm *ProcessManager) withDesc(p *sim.Proc, key uint64, fn func(h *sim.Proc, t *hybrid.Table, e sim.Addr) cluster.Status) cluster.Status {
+func (pm *ProcessManager) withDesc(p *sim.Proc, key uint64, fn func(h *sim.Proc, e sim.Addr) cluster.Status) cluster.Status {
 	t := pm.tables[HomeOf(key)]
 	return pm.run(p, key, func(h *sim.Proc) cluster.Status {
-		var st cluster.Status
 		var e sim.Addr
-		t.WithLock(h, func() {
-			e = t.SearchLocked(h, key)
-			if e == 0 {
-				st = cluster.StatusAbsent
-				return
-			}
-			if !t.TryReserveLocked(h, e, hybrid.Exclusive) {
-				st = cluster.StatusRetry
-				return
-			}
-			st = cluster.StatusOK
-		})
-		if st != cluster.StatusOK {
+		if st := cluster.Reserve(h, t, key, hybrid.Exclusive, func(r sim.Addr) { e = r }); st != cluster.StatusOK {
 			return st
 		}
-		st = fn(h, t, e)
+		st := fn(h, e)
 		h.Store(e+hybrid.EntStatus, 0)
 		return st
 	})
@@ -194,17 +168,19 @@ func (pm *ProcessManager) Create(p *sim.Proc, pidKey, parentKey uint64) error {
 	}
 	pm.k.checkKey(parentKey, classProc)
 
-	delay := sim.Micros(4)
-	for {
-		if st := pm.reserveDesc(p, pidKey); st != cluster.StatusOK {
-			if st == cluster.StatusAbsent {
-				return fmt.Errorf("kernel: new process %#x vanished", pidKey)
-			}
-			p.Backoff(&delay, retryBackoff)
-			continue
+	// Link under the child's reservation; a busy parent (or child)
+	// releases everything and retries.
+	var err error
+	cluster.Retry(p, retryBackoff, nil, func() cluster.Status {
+		switch st := pm.reserveDesc(p, pidKey); st {
+		case cluster.StatusAbsent:
+			err = fmt.Errorf("kernel: new process %#x vanished", pidKey)
+			return st
+		case cluster.StatusRetry:
+			return st
 		}
 		var oldHead uint64
-		st := pm.withDesc(p, parentKey, func(h *sim.Proc, t *hybrid.Table, e sim.Addr) cluster.Status {
+		st := pm.withDesc(p, parentKey, func(h *sim.Proc, e sim.Addr) cluster.Status {
 			oldHead = h.Load(e + hybrid.EntData + dFirstChild)
 			h.Store(e+hybrid.EntData+dFirstChild, pidKey)
 			return cluster.StatusOK
@@ -212,16 +188,13 @@ func (pm *ProcessManager) Create(p *sim.Proc, pidKey, parentKey uint64) error {
 		switch st {
 		case cluster.StatusOK:
 			pm.writeDesc(p, pidKey, dNextSib, oldHead)
-			pm.releaseDesc(p, pidKey)
-			return nil
 		case cluster.StatusAbsent:
-			pm.releaseDesc(p, pidKey)
-			return fmt.Errorf("kernel: parent %#x missing", parentKey)
-		default:
-			pm.releaseDesc(p, pidKey)
-			p.Backoff(&delay, retryBackoff)
+			err = fmt.Errorf("kernel: parent %#x missing", parentKey)
 		}
-	}
+		pm.releaseDesc(p, pidKey)
+		return st
+	})
+	return err
 }
 
 // Alive reports whether the descriptor exists. Uncharged instrumentation,
@@ -254,92 +227,44 @@ func (pm *ProcessManager) FirstChild(pidKey uint64) uint64 {
 // descriptors (victim, parent, predecessor sibling), potentially in three
 // clusters, must be updated consistently. The optimistic protocol holds
 // the victim's reserve bit across the remote steps and rolls everything
-// back on any conflict; the pessimistic protocol walks the chain holding
-// nothing, then re-establishes (revalidates) before the final splice.
+// back on any conflict; the pessimistic protocol releases the victim
+// after reading its parent and re-establishes it before reading the
+// sibling link and splicing.
 func (pm *ProcessManager) Destroy(p *sim.Proc, victim uint64) error {
 	pm.k.checkKey(victim, classProc)
-	if pm.k.cfg.Protocol == Pessimistic {
-		return pm.destroyPessimistic(p, victim)
-	}
-	return pm.destroyOptimistic(p, victim)
-}
-
-func (pm *ProcessManager) destroyOptimistic(p *sim.Proc, victim uint64) error {
-	delay := sim.Micros(4)
-	for {
-		switch pm.reserveDesc(p, victim) {
+	var err error
+	cluster.Retry(p, retryBackoff, &pm.k.Stats.DestroyRetries, func() cluster.Status {
+		switch st := pm.reserveDesc(p, victim); st {
 		case cluster.StatusAbsent:
-			return fmt.Errorf("kernel: destroy of missing process %#x", victim)
+			err = fmt.Errorf("kernel: destroy of missing process %#x", victim)
+			return st
 		case cluster.StatusRetry:
-			pm.k.Stats.DestroyRetries++
-			p.Backoff(&delay, retryBackoff)
-			continue
+			return st
 		}
 		if fc, _ := pm.readDesc(p, victim, dFirstChild); fc != 0 {
 			pm.releaseDesc(p, victim)
-			return fmt.Errorf("kernel: destroy of non-leaf process %#x", victim)
+			err = fmt.Errorf("kernel: destroy of non-leaf process %#x", victim)
+			return cluster.StatusOK // refused: nothing to retry
 		}
 		parent, _ := pm.readDesc(p, victim, dParent)
-		vnext, _ := pm.readDesc(p, victim, dNextSib)
-
-		st := cluster.StatusOK
-		if parent != 0 {
-			st = pm.unlink(p, parent, victim, vnext)
+		if pm.k.cfg.Protocol == Pessimistic {
+			pm.releaseDesc(p, victim)
+			if pm.reserveDesc(p, victim) != cluster.StatusOK {
+				return cluster.StatusRetry
+			}
+			pm.k.Stats.Reestablishments++
 		}
-		if st == cluster.StatusRetry {
-			// Conflict somewhere in the chain: release our reserve bits,
+		vnext, _ := pm.readDesc(p, victim, dNextSib)
+		if parent != 0 && pm.unlink(p, parent, victim, vnext) == cluster.StatusRetry {
+			// Conflict somewhere in the chain: release our reserve bit,
 			// back off, restart from scratch (§2.3).
 			pm.releaseDesc(p, victim)
-			pm.k.Stats.DestroyRetries++
-			p.Backoff(&delay, retryBackoff)
-			continue
+			return cluster.StatusRetry
 		}
 		pm.removeDesc(p, victim)
-		return nil
-	}
-}
-
-func (pm *ProcessManager) destroyPessimistic(p *sim.Proc, victim uint64) error {
-	delay := sim.Micros(4)
-	for {
-		// Brief hold just to read; nothing is held across remote steps.
-		switch pm.reserveDesc(p, victim) {
-		case cluster.StatusAbsent:
-			return fmt.Errorf("kernel: destroy of missing process %#x", victim)
-		case cluster.StatusRetry:
-			pm.k.Stats.DestroyRetries++
-			p.Backoff(&delay, retryBackoff)
-			continue
-		}
-		if fc, _ := pm.readDesc(p, victim, dFirstChild); fc != 0 {
-			pm.releaseDesc(p, victim)
-			return fmt.Errorf("kernel: destroy of non-leaf process %#x", victim)
-		}
-		parent, _ := pm.readDesc(p, victim, dParent)
-		pm.releaseDesc(p, victim)
-
-		// Re-establish: take the victim again for the splice+remove, and
-		// re-read the (possibly changed) sibling link.
-		if st := pm.reserveDesc(p, victim); st != cluster.StatusOK {
-			pm.k.Stats.DestroyRetries++
-			p.Backoff(&delay, retryBackoff)
-			continue
-		}
-		pm.k.Stats.Reestablishments++
-		vnext, _ := pm.readDesc(p, victim, dNextSib)
-		st := cluster.StatusOK
-		if parent != 0 {
-			st = pm.unlink(p, parent, victim, vnext)
-		}
-		if st == cluster.StatusRetry {
-			pm.releaseDesc(p, victim)
-			pm.k.Stats.DestroyRetries++
-			p.Backoff(&delay, retryBackoff)
-			continue
-		}
-		pm.removeDesc(p, victim)
-		return nil
-	}
+		return cluster.StatusOK
+	})
+	return err
 }
 
 // unlink splices victim out of parent's child list (victim is reserved by
@@ -348,7 +273,7 @@ func (pm *ProcessManager) destroyPessimistic(p *sim.Proc, victim uint64) error {
 func (pm *ProcessManager) unlink(p *sim.Proc, parent, victim, vnext uint64) cluster.Status {
 	var head uint64
 	found := false
-	st := pm.withDesc(p, parent, func(h *sim.Proc, t *hybrid.Table, e sim.Addr) cluster.Status {
+	st := pm.withDesc(p, parent, func(h *sim.Proc, e sim.Addr) cluster.Status {
 		head = h.Load(e + hybrid.EntData + dFirstChild)
 		if head == victim {
 			h.Store(e+hybrid.EntData+dFirstChild, vnext)
@@ -365,7 +290,7 @@ func (pm *ProcessManager) unlink(p *sim.Proc, parent, victim, vnext uint64) clus
 	cur := head
 	for cur != 0 {
 		var next uint64
-		st := pm.withDesc(p, cur, func(h *sim.Proc, t *hybrid.Table, e sim.Addr) cluster.Status {
+		st := pm.withDesc(p, cur, func(h *sim.Proc, e sim.Addr) cluster.Status {
 			next = h.Load(e + hybrid.EntData + dNextSib)
 			if next == victim {
 				h.Store(e+hybrid.EntData+dNextSib, vnext)
@@ -412,7 +337,7 @@ func (pm *ProcessManager) Send(p *sim.Proc, from, to uint64) error {
 		if pessimistic {
 			pm.releaseDesc(p, from)
 		}
-		st := pm.withDesc(p, to, func(h *sim.Proc, t *hybrid.Table, e sim.Addr) cluster.Status {
+		st := pm.withDesc(p, to, func(h *sim.Proc, e sim.Addr) cluster.Status {
 			n := h.Load(e + hybrid.EntData + dMsgs)
 			h.Store(e+hybrid.EntData+dMsgs, n+1)
 			return cluster.StatusOK

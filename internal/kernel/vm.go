@@ -331,10 +331,10 @@ func (v *VM) Fault(p *sim.Proc, pid uint64, regionKey, vpn uint64, write bool) (
 				state = fastFCBBusy
 			default:
 				pageKey = baseKey + vpn
-				pe = v.pages.Table(c).SearchLocked(p, pageKey)
-				if pe == 0 {
+				var ok bool
+				if pe, ok = v.pages.Table(c).TryReserveKeyLocked(p, pageKey, mode); pe == 0 {
 					state = fastPageMiss
-				} else if !v.pages.Table(c).TryReserveLocked(p, pe, mode) {
+				} else if !ok {
 					state = fastPageBusy
 				}
 				tPage = p.Now()
@@ -462,24 +462,11 @@ func (v *VM) cowCopy(p *sim.Proc, pid uint64, pe sim.Addr, pageKey uint64, res *
 		p.Store(pe+hybrid.EntData+pgRefcount, rc-1)
 	} else {
 		decrement := func(h *sim.Proc) cluster.Status {
-			ht := v.pages.Table(home)
-			var st cluster.Status
-			ht.WithLock(h, func() {
-				me := ht.SearchLocked(h, pageKey)
-				if me == 0 {
-					st = cluster.StatusAbsent
-					return
-				}
-				if !ht.TryReserveLocked(h, me, hybrid.Exclusive) {
-					st = cluster.StatusRetry
-					return
-				}
+			return cluster.Reserve(h, v.pages.Table(home), pageKey, hybrid.Exclusive, func(me sim.Addr) {
 				rc := h.Load(me + hybrid.EntData + pgRefcount)
 				h.Store(me+hybrid.EntData+pgRefcount, rc-1)
 				h.Store(me+hybrid.EntStatus, 0)
-				st = cluster.StatusOK
 			})
-			return st
 		}
 		delay := sim.Micros(4)
 		for {
@@ -556,9 +543,9 @@ func (v *VM) Unmap(p *sim.Proc, pid uint64, regionKey, vpn uint64) error {
 		} else {
 			found = true
 			baseKey := p.Load(re + hybrid.EntData + rgBase)
-			pe = v.pages.Table(c).SearchLocked(p, baseKey+vpn)
-			if pe != 0 && !v.pages.Table(c).TryReserveLocked(p, pe, hybrid.Exclusive) {
-				pe = 0 // busy: skip the descriptor update, the PTE clear suffices
+			// A busy descriptor is left to its holder: the PTE clear suffices.
+			if e, ok := v.pages.Table(c).TryReserveKeyLocked(p, baseKey+vpn, hybrid.Exclusive); ok {
+				pe = e
 			}
 		}
 	}
