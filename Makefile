@@ -114,12 +114,14 @@ trace-smoke:
 	@echo "trace-smoke: online placement daemon migrated kernel data mid-run"
 
 # End-to-end check of the open-loop server harness: a short lockstat
-# server run must report a populated sojourn tail and per-tenant skew,
+# server run must report a populated sojourn tail, its kernel RPC and
+# retry counts and per-tenant skew,
 # and the quick server sweep must publish p999 + rank-divergence metrics
 # on both machines.
 server-smoke: bench-sim
 	$(GO) run ./cmd/lockstat -run server -tune -ms 6 > /tmp/hurricane_server.txt
 	grep -Eq "sojourn \(us\): n=[1-9][0-9]* mean=[0-9.]+ p50=[0-9.]+ p95=[0-9.]+ p99=[0-9.]+ p999=[0-9.]+" /tmp/hurricane_server.txt
+	grep -Eq "kernel: [0-9]+ RPC calls \(set-up included\), [0-9]+\.[0-9]{2} per served request; retries: create [0-9]+, destroy [0-9]+, send [0-9]+$$" /tmp/hurricane_server.txt
 	grep -q "per-tenant" /tmp/hurricane_server.txt
 	grep -q "kernel lock controller" /tmp/hurricane_server.txt
 	grep -q '"hector16.CNA.p999"' BENCH_sim.json

@@ -366,6 +366,13 @@ func runServer(w io.Writer, name string, kind locks.Kind, seed uint64, horizonMS
 	fmt.Fprintf(w, "  offered %d  admitted %d  dropped %d (%.2f%%)  goodput %.0f r/s\n",
 		r.Offered, r.Admitted, r.Dropped, dropPct, r.GoodputRPS)
 	fmt.Fprintf(w, "  sojourn (us): %s\n", r.Lat.Tail())
+	ks, calls := r.KStats, r.Sys.K.RPC.Calls
+	perReq := 0.0
+	if ks.Requests > 0 {
+		perReq = float64(calls) / float64(ks.Requests)
+	}
+	fmt.Fprintf(w, "  kernel: %d RPC calls (set-up included), %.2f per served request; retries: create %d, destroy %d, send %d\n",
+		calls, perReq, ks.CreateRetries, ks.DestroyRetries, ks.MsgRetries)
 	fmt.Fprintln(w, "  per-tenant (rank order):")
 	for rank, ts := range r.Tenants {
 		fmt.Fprintf(w, "    tenant %-3d w=%.3f adm=%-5d drop=%-4d %s\n",

@@ -101,23 +101,62 @@ func tryUnderSaturation(seed uint64, attempts int, mk func(*sim.Machine) locks.T
 	return wins
 }
 
+// protocolSeeds is how many consecutive seeds Protocols runs each storm
+// at: which protocol finishes a single storm first changes from seed to
+// seed.
+const protocolSeeds = 8
+
 // Protocols compares the optimistic and pessimistic deadlock-management
-// disciplines on the two §2.5 stress cases: concurrent program destruction
-// and a copy-on-write fault storm.
+// disciplines on the two §2.5 stress cases, concurrent program destruction
+// and a copy-on-write fault storm, each at seeds seed…seed+7. It prints
+// each protocol's medians (nearest-rank p50) over the seeds and publishes,
+// per case, the ratio of the pessimistic to the optimistic median elapsed
+// time and the number of seeds at which optimistic finished first.
 func Protocols(seed uint64) *Table {
 	t := &Table{
 		Title: "Sec 2.3/2.5: optimistic vs pessimistic deadlock management",
-		Cols:  []string{"case", "protocol", "elapsed(us)", "retries", "re-establishments"},
+		Cols:  []string{"case", "protocol", "p50 elapsed(us)", "p50 retries", "p50 re-establishments"},
 	}
-	for _, proto := range []kernel.Protocol{kernel.Optimistic, kernel.Pessimistic} {
-		elapsed, st := destructionStorm(seed, proto, 12)
-		t.AddRow("program destruction", proto.String(), f1(elapsed.Microseconds()),
-			d(st.DestroyRetries), d(st.Reestablishments))
-	}
-	for _, proto := range []kernel.Protocol{kernel.Optimistic, kernel.Pessimistic} {
-		elapsed, st, retries := cowStorm(seed, proto)
-		t.AddRow("COW fault storm", proto.String(), f1(elapsed.Microseconds()),
-			fmt.Sprintf("%d (+%d fault retries)", st.COWCopies, retries), d(st.Reestablishments))
+	for _, c := range []struct {
+		name, metric string
+		// run returns one storm's elapsed µs, retries, re-establishments
+		// and (COW storm only) private copies made.
+		run func(seed uint64, proto kernel.Protocol) [4]float64
+	}{
+		{"program destruction", "destruction", func(seed uint64, proto kernel.Protocol) [4]float64 {
+			elapsed, st := destructionStorm(seed, proto, 12)
+			return [4]float64{elapsed.Microseconds(), float64(st.DestroyRetries), float64(st.Reestablishments), 0}
+		}},
+		{"COW fault storm", "cow", func(seed uint64, proto kernel.Protocol) [4]float64 {
+			elapsed, st, retries := cowStorm(seed, proto)
+			return [4]float64{elapsed.Microseconds(), float64(retries), float64(st.Reestablishments), float64(st.COWCopies)}
+		}},
+	} {
+		var dist [2][4]stats.Dist // optimistic, pessimistic × run's four values
+		wins := 0
+		for s := seed; s < seed+protocolSeeds; s++ {
+			opt, pess := c.run(s, kernel.Optimistic), c.run(s, kernel.Pessimistic)
+			for j := range opt {
+				dist[0][j].Add(opt[j])
+				dist[1][j].Add(pess[j])
+			}
+			if opt[0] < pess[0] {
+				wins++
+			}
+		}
+		for i, proto := range []kernel.Protocol{kernel.Optimistic, kernel.Pessimistic} {
+			p50 := func(j int) string { return fmt.Sprintf("%g", dist[i][j].Percentile(50)) }
+			retries := p50(1)
+			if c.metric == "cow" {
+				retries = fmt.Sprintf("%s copies (+%s fault retries)", p50(3), retries)
+			}
+			t.AddRow(c.name, proto.String(), f1(dist[i][0].Percentile(50)), retries, p50(2))
+		}
+		ratio := dist[1][0].Percentile(50) / dist[0][0].Percentile(50)
+		t.Note("%s: optimistic finished first at %d of %d seeds (%d-%d); pessimistic/optimistic p50 elapsed %.2f",
+			c.name, wins, protocolSeeds, seed, seed+protocolSeeds-1, ratio)
+		t.AddMetric(c.metric+".pess_over_opt", ratio, "ratio")
+		t.AddMetric(c.metric+".opt_faster", float64(wins), "count")
 	}
 	t.Note("paper: retries are rare overall, and where they happen (COW, destruction) the pessimistic scheme would have had to re-search anyway")
 	return t
@@ -162,6 +201,7 @@ func destructionStorm(seed uint64, proto kernel.Protocol, n int) (sim.Time, kern
 	})
 	sys.ServeOthers()
 	end := sys.Run(0)
+	k.CheckQuiescent()
 	return end - begun, k.Stats
 }
 
@@ -205,6 +245,7 @@ func cowStorm(seed uint64, proto kernel.Protocol) (sim.Time, kernel.Stats, int) 
 	})
 	sys.ServeOthers()
 	end := sys.Run(0)
+	k.CheckQuiescent()
 	return end - begun, k.Stats, totalRetries
 }
 

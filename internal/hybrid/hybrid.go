@@ -212,6 +212,16 @@ func (t *Table) PeekSearch(key uint64) sim.Addr {
 	return 0
 }
 
+// PeekWalk calls fn on every entry, chain by chain, with no simulated cost
+// and no locking. Instrumentation only, like PeekSearch.
+func (t *Table) PeekWalk(fn func(e sim.Addr)) {
+	for b := 0; b < t.nbuckets; b++ {
+		for e := sim.Addr(t.m.Mem.Peek(t.buckets + sim.Addr(b))); e != 0; e = sim.Addr(t.m.Mem.Peek(e + EntNext)) {
+			fn(e)
+		}
+	}
+}
+
 // --- High-level operations (Figure 1b protocol) ---
 
 // WithLock runs fn with the coarse lock held; fn may use the *Locked

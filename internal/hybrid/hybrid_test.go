@@ -353,3 +353,31 @@ func TestIndependentKeysConcurrency(t *testing.T) {
 		t.Errorf("coarse-grain overlapped holds it must serialize: %v", cg)
 	}
 }
+
+// TestPeekWalkVisitsEveryEntry: the uncharged walk reaches every entry of
+// every chain, removed entries excluded, and costs no simulated time.
+func TestPeekWalkVisitsEveryEntry(t *testing.T) {
+	m := newHector(1)
+	tb := New(m, 0, 2, 1, locks.KindH2MCS) // 2 chains for 9 keys
+	m.Go(0, func(p *sim.Proc) {
+		for k := uint64(1); k <= 9; k++ {
+			tb.Insert(p, tb.NewEntry(p, 0, k))
+		}
+		tb.WithLock(p, func() { tb.RemoveLocked(p, 4) })
+		t0 := p.Now()
+		seen := map[uint64]int{}
+		tb.PeekWalk(func(e sim.Addr) { seen[m.Mem.Peek(e+EntKey)]++ })
+		if p.Now() != t0 {
+			t.Errorf("walk took %d cycles", p.Now()-t0)
+		}
+		for k := uint64(1); k <= 9; k++ {
+			if want := map[bool]int{true: 0, false: 1}[k == 4]; seen[k] != want {
+				t.Errorf("key %d visited %d times, want %d", k, seen[k], want)
+			}
+		}
+		if len(seen) != 8 {
+			t.Errorf("visited %d keys, want 8", len(seen))
+		}
+	})
+	m.RunAll()
+}

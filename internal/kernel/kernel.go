@@ -12,6 +12,7 @@ import (
 	"fmt"
 
 	"hurricane/internal/cluster"
+	"hurricane/internal/hybrid"
 	"hurricane/internal/locks"
 	"hurricane/internal/sim"
 	"hurricane/internal/tune"
@@ -73,6 +74,7 @@ type Stats struct {
 	Faults            uint64 // page faults handled
 	COWCopies         uint64 // private pages instantiated by COW faults
 	CoherenceRPCs     uint64 // write-notices sent to page-descriptor masters
+	CreateRetries     uint64 // child-link restarts (busy parent or child)
 	DestroyRetries    uint64 // destruction restarts (reserve conflicts)
 	MsgRetries        uint64 // message-send restarts
 	Reestablishments  uint64 // pessimistic re-validations of released state
@@ -187,6 +189,32 @@ func (k *Kernel) Controllers() []*tune.Controller {
 		add(k.PM.tables[c].Lock())
 	}
 	return cs
+}
+
+// CheckQuiescent panics if any entry of the kernel's tables (process
+// descriptors, regions, FCBs, pages, address spaces) still has its reserve
+// word set: once a run has finished, every reservation must have been
+// released. It reads with uncharged peeks, so it costs no simulated time.
+func (k *Kernel) CheckQuiescent() {
+	for c := 0; c < k.Topo.N; c++ {
+		for _, nt := range []struct {
+			name string
+			t    *hybrid.Table
+		}{
+			{"process", k.PM.tables[c]},
+			{"region", k.VM.regions.Table(c)},
+			{"FCB", k.VM.fcbs.Table(c)},
+			{"page", k.VM.pages.Table(c)},
+			{"address-space", k.VM.aspaces[c]},
+		} {
+			nt.t.PeekWalk(func(e sim.Addr) {
+				if st := k.M.Mem.Peek(e + hybrid.EntStatus); st != 0 {
+					panic(fmt.Sprintf("kernel: key %#x in cluster %d's %s table still reserved (status %d) at quiescence",
+						k.M.Mem.Peek(e+hybrid.EntKey), c, nt.name, st))
+				}
+			})
+		}
+	}
 }
 
 // Key encoding: kernel objects are named by 64-bit keys whose high byte is

@@ -250,13 +250,13 @@ func TestProcessTreeCreateAndLinks(t *testing.T) {
 			}
 		}
 		// Head insertion: last created is first child.
-		fc, _ := k.PM.readDesc(p, root, dFirstChild)
+		fc := k.PM.FirstChild(root)
 		if fc != kids[2] {
 			t.Fatalf("firstChild = %#x, want %#x", fc, kids[2])
 		}
-		n1, _ := k.PM.readDesc(p, kids[2], dNextSib)
-		n2, _ := k.PM.readDesc(p, kids[1], dNextSib)
-		n3, _ := k.PM.readDesc(p, kids[0], dNextSib)
+		n1 := k.PM.PeekField(kids[2], dNextSib)
+		n2 := k.PM.PeekField(kids[1], dNextSib)
+		n3 := k.PM.PeekField(kids[0], dNextSib)
 		if n1 != kids[1] || n2 != kids[0] || n3 != 0 {
 			t.Fatalf("sibling chain wrong: %#x %#x %#x", n1, n2, n3)
 		}

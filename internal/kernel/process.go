@@ -63,52 +63,46 @@ func (pm *ProcessManager) run(p *sim.Proc, key uint64, fn func(h *sim.Proc) clus
 	return pm.k.RPC.Call(p, home, fn)
 }
 
-// reserveDesc try-reserves the descriptor and leaves it held by the caller.
-func (pm *ProcessManager) reserveDesc(p *sim.Proc, key uint64) cluster.Status {
+// reserveRead is the handler's reserve step (cluster.Reserve) on the
+// descriptor's home cluster, with the loads of the named fields in the same
+// handler: vals[i] receives field offs[i]. It returns the reserved entry,
+// which the caller releases with releaseWrite.
+func (pm *ProcessManager) reserveRead(p *sim.Proc, key uint64, offs []sim.Addr, vals []uint64) (sim.Addr, cluster.Status) {
 	t := pm.tables[HomeOf(key)]
-	return pm.run(p, key, func(h *sim.Proc) cluster.Status {
-		return cluster.Reserve(h, t, key, hybrid.Exclusive, nil)
+	var e sim.Addr
+	st := pm.run(p, key, func(h *sim.Proc) cluster.Status {
+		return cluster.Reserve(h, t, key, hybrid.Exclusive, func(r sim.Addr) {
+			e = r
+			for i, off := range offs {
+				vals[i] = h.Load(r + hybrid.EntData + off)
+			}
+		})
 	})
+	return e, st
 }
 
-// releaseDesc drops a reservation taken with reserveDesc.
-func (pm *ProcessManager) releaseDesc(p *sim.Proc, key uint64) {
+// releaseWrite stores vals[i] into field offs[i] of the caller's reserved
+// entry e and clears its status word, on the descriptor's home cluster. It
+// searches for nothing: nobody else can remove a reserved entry, and a
+// descriptor never moves.
+func (pm *ProcessManager) releaseWrite(p *sim.Proc, key uint64, e sim.Addr, offs []sim.Addr, vals []uint64) {
 	t := pm.tables[HomeOf(key)]
 	pm.run(p, key, func(h *sim.Proc) cluster.Status {
-		if e, ok := t.Lookup(h, key); ok {
-			h.Store(e+hybrid.EntStatus, 0)
+		for i, off := range offs {
+			h.Store(e+hybrid.EntData+off, vals[i])
 		}
+		t.ReleaseReserve(h, e, hybrid.Exclusive)
 		return cluster.StatusOK
 	})
 }
 
-// readDesc reads a field; the caller should hold the reservation.
-func (pm *ProcessManager) readDesc(p *sim.Proc, key uint64, off sim.Addr) (uint64, cluster.Status) {
-	t := pm.tables[HomeOf(key)]
-	var v uint64
-	st := pm.run(p, key, func(h *sim.Proc) cluster.Status {
-		e, ok := t.Lookup(h, key)
-		if !ok {
-			return cluster.StatusAbsent
-		}
-		v = h.Load(e + hybrid.EntData + off)
-		return cluster.StatusOK
-	})
-	return v, st
-}
-
-// writeDesc writes a field; the caller should hold the reservation.
-func (pm *ProcessManager) writeDesc(p *sim.Proc, key uint64, off sim.Addr, v uint64) cluster.Status {
-	t := pm.tables[HomeOf(key)]
-	return pm.run(p, key, func(h *sim.Proc) cluster.Status {
-		e, ok := t.Lookup(h, key)
-		if !ok {
-			return cluster.StatusAbsent
-		}
-		h.Store(e+hybrid.EntData+off, v)
-		return cluster.StatusOK
-	})
-}
+// The descriptor fields the operations read or write in their reserve and
+// release steps.
+var (
+	destroyFields = []sim.Addr{dFirstChild, dParent, dNextSib}
+	sentField     = []sim.Addr{dSent}
+	nextSibField  = []sim.Addr{dNextSib}
+)
 
 // withDesc reserves the descriptor, runs fn on its home cluster, and
 // releases — one round trip. fn's status is returned; Retry means the
@@ -144,17 +138,25 @@ const retryBackoff sim.Duration = 400 * sim.CyclesPerMicrosecond
 // --- public operations ---
 
 // Create installs a descriptor for pidKey and, if parentKey is nonzero,
-// links it at the head of the parent's child list. The link takes the
-// child's reservation across the parent update so concurrent tree walkers
-// never observe a half-linked child.
+// links it at the head of the parent's child list. The child is inserted
+// with its own reserve bit set and holds it across the parent update, so
+// concurrent tree walkers never observe a half-linked child; its release
+// writes the sibling link.
 func (pm *ProcessManager) Create(p *sim.Proc, pidKey, parentKey uint64) error {
 	pm.k.checkKey(pidKey, classProc)
+	if parentKey != 0 {
+		pm.k.checkKey(parentKey, classProc)
+	}
 	home := HomeOf(pidKey)
 	t := pm.tables[home]
+	var e sim.Addr
 	st := pm.run(p, pidKey, func(h *sim.Proc) cluster.Status {
-		e := t.NewEntry(h, pm.k.Topo.HomeModule(home), pidKey)
+		e = t.NewEntry(h, pm.k.Topo.HomeModule(home), pidKey)
 		h.Store(e+hybrid.EntData+dParent, parentKey)
 		h.Store(e+hybrid.EntData+dState, 1)
+		if parentKey != 0 {
+			h.Store(e+hybrid.EntStatus, 1) // born reserved by the caller
+		}
 		if !t.Insert(h, e) {
 			return cluster.StatusAbsent
 		}
@@ -166,32 +168,36 @@ func (pm *ProcessManager) Create(p *sim.Proc, pidKey, parentKey uint64) error {
 	if parentKey == 0 {
 		return nil
 	}
-	pm.k.checkKey(parentKey, classProc)
 
-	// Link under the child's reservation; a busy parent (or child)
-	// releases everything and retries.
+	// Link under the child's reservation; a busy parent releases the child
+	// and the next attempt reserves it again.
 	var err error
-	cluster.Retry(p, retryBackoff, nil, func() cluster.Status {
-		switch st := pm.reserveDesc(p, pidKey); st {
-		case cluster.StatusAbsent:
-			err = fmt.Errorf("kernel: new process %#x vanished", pidKey)
-			return st
-		case cluster.StatusRetry:
-			return st
+	held := true
+	cluster.Retry(p, retryBackoff, &pm.k.Stats.CreateRetries, func() cluster.Status {
+		if !held {
+			var st cluster.Status
+			if e, st = pm.reserveRead(p, pidKey, nil, nil); st != cluster.StatusOK {
+				if st == cluster.StatusAbsent {
+					err = fmt.Errorf("kernel: new process %#x vanished", pidKey)
+				}
+				return st
+			}
 		}
-		var oldHead uint64
-		st := pm.withDesc(p, parentKey, func(h *sim.Proc, e sim.Addr) cluster.Status {
-			oldHead = h.Load(e + hybrid.EntData + dFirstChild)
-			h.Store(e+hybrid.EntData+dFirstChild, pidKey)
+		oldHead := make([]uint64, 1)
+		st := pm.withDesc(p, parentKey, func(h *sim.Proc, pe sim.Addr) cluster.Status {
+			oldHead[0] = h.Load(pe + hybrid.EntData + dFirstChild)
+			h.Store(pe+hybrid.EntData+dFirstChild, pidKey)
 			return cluster.StatusOK
 		})
 		switch st {
 		case cluster.StatusOK:
-			pm.writeDesc(p, pidKey, dNextSib, oldHead)
+			pm.releaseWrite(p, pidKey, e, nextSibField, oldHead)
+			return st
 		case cluster.StatusAbsent:
 			err = fmt.Errorf("kernel: parent %#x missing", parentKey)
 		}
-		pm.releaseDesc(p, pidKey)
+		pm.releaseWrite(p, pidKey, e, nil, nil)
+		held = false
 		return st
 	})
 	return err
@@ -225,40 +231,41 @@ func (pm *ProcessManager) FirstChild(pidKey uint64) uint64 {
 // Destroy removes a leaf process from the system and from its parent's
 // child list — the paper's program-destruction case: up to three
 // descriptors (victim, parent, predecessor sibling), potentially in three
-// clusters, must be updated consistently. The optimistic protocol holds
-// the victim's reserve bit across the remote steps and rolls everything
-// back on any conflict; the pessimistic protocol releases the victim
-// after reading its parent and re-establishes it before reading the
-// sibling link and splicing.
+// clusters, must be updated consistently. The reserve step on the victim
+// reads its child-list head, parent and sibling link. The optimistic
+// protocol holds the victim's reserve bit across the remote steps and rolls
+// everything back on any conflict; the pessimistic protocol releases the
+// victim after the reserve step and re-establishes it, reading its fields
+// again, before splicing.
 func (pm *ProcessManager) Destroy(p *sim.Proc, victim uint64) error {
 	pm.k.checkKey(victim, classProc)
 	var err error
 	cluster.Retry(p, retryBackoff, &pm.k.Stats.DestroyRetries, func() cluster.Status {
-		switch st := pm.reserveDesc(p, victim); st {
+		f := make([]uint64, len(destroyFields)) // first child, parent, sibling link
+		e, st := pm.reserveRead(p, victim, destroyFields, f)
+		switch st {
 		case cluster.StatusAbsent:
 			err = fmt.Errorf("kernel: destroy of missing process %#x", victim)
 			return st
 		case cluster.StatusRetry:
 			return st
 		}
-		if fc, _ := pm.readDesc(p, victim, dFirstChild); fc != 0 {
-			pm.releaseDesc(p, victim)
-			err = fmt.Errorf("kernel: destroy of non-leaf process %#x", victim)
-			return cluster.StatusOK // refused: nothing to retry
-		}
-		parent, _ := pm.readDesc(p, victim, dParent)
-		if pm.k.cfg.Protocol == Pessimistic {
-			pm.releaseDesc(p, victim)
-			if pm.reserveDesc(p, victim) != cluster.StatusOK {
+		if f[0] == 0 && pm.k.cfg.Protocol == Pessimistic {
+			pm.releaseWrite(p, victim, e, nil, nil)
+			if e, st = pm.reserveRead(p, victim, destroyFields, f); st != cluster.StatusOK {
 				return cluster.StatusRetry
 			}
 			pm.k.Stats.Reestablishments++
 		}
-		vnext, _ := pm.readDesc(p, victim, dNextSib)
-		if parent != 0 && pm.unlink(p, parent, victim, vnext) == cluster.StatusRetry {
+		if f[0] != 0 {
+			pm.releaseWrite(p, victim, e, nil, nil)
+			err = fmt.Errorf("kernel: destroy of non-leaf process %#x", victim)
+			return cluster.StatusOK // refused: nothing to retry
+		}
+		if parent := f[1]; parent != 0 && pm.unlink(p, parent, victim, f[2]) == cluster.StatusRetry {
 			// Conflict somewhere in the chain: release our reserve bit,
 			// back off, restart from scratch (§2.3).
-			pm.releaseDesc(p, victim)
+			pm.releaseWrite(p, victim, e, nil, nil)
 			return cluster.StatusRetry
 		}
 		pm.removeDesc(p, victim)
@@ -317,16 +324,19 @@ func (pm *ProcessManager) unlink(p *sim.Proc, parent, victim, vnext uint64) clus
 // Send delivers a message from one process to another: both descriptors
 // must be held, and the pair is arbitrary — exactly the no-natural-order
 // case §2.5 blames for retries. The optimistic protocol reserves the
-// sender, then try-reserves the receiver remotely, rolling back on
-// conflict; the pessimistic protocol releases the sender before the remote
-// step and re-establishes afterwards.
+// sender, reading its send count, then try-reserves the receiver remotely,
+// rolling back on conflict; the pessimistic protocol releases the sender
+// before the remote step and re-establishes it, reading the count again,
+// afterwards. The sender's release writes the incremented count.
 func (pm *ProcessManager) Send(p *sim.Proc, from, to uint64) error {
 	pm.k.checkKey(from, classProc)
 	pm.k.checkKey(to, classProc)
 	delay := sim.Micros(4)
 	pessimistic := pm.k.cfg.Protocol == Pessimistic
+	sent := make([]uint64, 1)
 	for {
-		switch pm.reserveDesc(p, from) {
+		e, st := pm.reserveRead(p, from, sentField, sent)
+		switch st {
 		case cluster.StatusAbsent:
 			return fmt.Errorf("kernel: sender %#x missing", from)
 		case cluster.StatusRetry:
@@ -335,16 +345,16 @@ func (pm *ProcessManager) Send(p *sim.Proc, from, to uint64) error {
 			continue
 		}
 		if pessimistic {
-			pm.releaseDesc(p, from)
+			pm.releaseWrite(p, from, e, nil, nil)
 		}
-		st := pm.withDesc(p, to, func(h *sim.Proc, e sim.Addr) cluster.Status {
-			n := h.Load(e + hybrid.EntData + dMsgs)
-			h.Store(e+hybrid.EntData+dMsgs, n+1)
+		st = pm.withDesc(p, to, func(h *sim.Proc, re sim.Addr) cluster.Status {
+			n := h.Load(re + hybrid.EntData + dMsgs)
+			h.Store(re+hybrid.EntData+dMsgs, n+1)
 			return cluster.StatusOK
 		})
 		if st == cluster.StatusRetry {
 			if !pessimistic {
-				pm.releaseDesc(p, from)
+				pm.releaseWrite(p, from, e, nil, nil)
 			}
 			pm.k.Stats.MsgRetries++
 			p.Backoff(&delay, retryBackoff)
@@ -352,14 +362,14 @@ func (pm *ProcessManager) Send(p *sim.Proc, from, to uint64) error {
 		}
 		if st == cluster.StatusAbsent {
 			if !pessimistic {
-				pm.releaseDesc(p, from)
+				pm.releaseWrite(p, from, e, nil, nil)
 			}
 			return fmt.Errorf("kernel: receiver %#x missing", to)
 		}
 		if pessimistic {
 			// Re-establish the sender to record the send.
 			for {
-				st := pm.reserveDesc(p, from)
+				e, st = pm.reserveRead(p, from, sentField, sent)
 				if st == cluster.StatusAbsent {
 					return fmt.Errorf("kernel: sender %#x died mid-send", from)
 				}
@@ -370,9 +380,8 @@ func (pm *ProcessManager) Send(p *sim.Proc, from, to uint64) error {
 			}
 			pm.k.Stats.Reestablishments++
 		}
-		n, _ := pm.readDesc(p, from, dSent)
-		pm.writeDesc(p, from, dSent, n+1)
-		pm.releaseDesc(p, from)
+		sent[0]++
+		pm.releaseWrite(p, from, e, sentField, sent)
 		return nil
 	}
 }

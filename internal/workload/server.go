@@ -456,6 +456,7 @@ func ServerRun(cfg ServerConfig) *ServerResult {
 	}
 	sys.ServeOthers()
 	res.Elapsed = sys.Run(0)
+	k.CheckQuiescent()
 	res.KStats = k.Stats
 
 	if span := res.Elapsed - sim.Time(cfg.Warmup); span > 0 && res.Completed > 0 {
