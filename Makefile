@@ -100,16 +100,17 @@ jobs-equiv: bench-sim
 	@echo "jobs-equiv: -jobs 1 -parworkers 1 and -jobs 8 -parworkers 8 print and write byte-identical output"
 
 # End-to-end check of the span pipeline: trace a tiny kernel workload,
-# feed the trace through traceanal, and require a non-empty placement
-# report (both the data and lock sections must render).
+# require the run's own placement report to be non-empty (both the data and
+# lock sections must render, over the traced fault spans) and the written
+# file to be a trace-event document.
 trace-smoke:
-	$(GO) run ./cmd/clustersim -size 16 -procs 8 -rounds 5 -trace /tmp/hurricane_smoke.json > /dev/null
-	$(GO) run ./cmd/traceanal /tmp/hurricane_smoke.json > /tmp/hurricane_smoke.txt
+	$(GO) run ./cmd/lockstat -run faults -size 16 -procs 8 -rounds 5 -trace /tmp/hurricane_smoke.json > /tmp/hurricane_smoke.txt
 	grep -q "data placement" /tmp/hurricane_smoke.txt
 	grep -q "lock placement" /tmp/hurricane_smoke.txt
 	grep -q "span vm.fault" /tmp/hurricane_smoke.txt
+	grep -q '"traceEvents"' /tmp/hurricane_smoke.json
 	@echo "trace-smoke: traced kernel run produced a placement report"
-	$(GO) run ./cmd/clustersim -size 16 -procs 4 -rounds 8 -migrate > /tmp/hurricane_migrate.txt
+	$(GO) run ./cmd/lockstat -run faults -size 16 -procs 4 -rounds 8 -migrate > /tmp/hurricane_migrate.txt
 	grep -Eq "migrations: [1-9]" /tmp/hurricane_migrate.txt
 	@echo "trace-smoke: online placement daemon migrated kernel data mid-run"
 
@@ -131,16 +132,16 @@ server-smoke: bench-sim
 
 # End-to-end check of the kernel autonomics plane: the combined
 # tune+migrate+replicate run must beat every single policy on the mixed
-# tenant workload (the tentpole acceptance metric), and both interactive
-# harnesses must run the full plane under one cadence.
+# tenant workload (the tentpole acceptance metric), and lockstat's faults
+# and server modes must run the full plane under one cadence.
 autonomic-smoke: bench-sim
 	grep -A 1 '"hector16.combined_wins"' BENCH_sim.json | grep -q '"value": 3'
-	$(GO) run ./cmd/clustersim -size 16 -procs 4 -rounds 8 -autonomic > /tmp/hurricane_autosim.txt
+	$(GO) run ./cmd/lockstat -run faults -size 16 -procs 4 -rounds 8 -autonomic > /tmp/hurricane_autosim.txt
 	grep -q "autonomics plane" /tmp/hurricane_autosim.txt
 	grep -Eq "replication policy: [0-9]+ windows, [1-9]" /tmp/hurricane_autosim.txt
 	$(GO) run ./cmd/lockstat -run server -autonomic -ms 6 > /tmp/hurricane_autolock.txt
 	grep -q "autonomics plane" /tmp/hurricane_autolock.txt
-	@echo "autonomic-smoke: combined plane beats every single policy; both CLIs run it"
+	@echo "autonomic-smoke: combined plane beats every single policy; lockstat's faults and server modes run it"
 
 # End-to-end check of the analytic model pipeline: a CI-scale
 # calibrate-and-validate cell must fit residuals, rank the lock zoo

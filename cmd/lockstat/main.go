@@ -1,6 +1,7 @@
-// lockstat runs a single lock-contention experiment on the simulated
-// HECTOR machine and prints the latency distribution — a command-line
-// microscope for one (algorithm, processors, hold time) point of Figure 5.
+// lockstat runs one experiment point on a simulated machine and prints
+// what it measured — a command-line microscope for one (algorithm,
+// processors, hold time) point of Figure 5, one cluster size of Figure 7
+// (-run faults) or one cell of the server sweep (-run server).
 //
 //	lockstat -lock h2mcs -procs 16 -hold 25 -rounds 300
 //	lockstat -lock spin2ms -procs 16 -hold 25    # watch the starvation tail
@@ -8,7 +9,7 @@
 //	lockstat -tune -procs 16 -hold 25            # feedback-tuned lock + controller decisions
 //	lockstat -tune -machine numachine64 -procs 64    # tuning on the 64-proc NUMAchine
 //	lockstat -lock spin -machine numachine256 -procs 256 -rounds 10   # stress at 256 processors
-//	lockstat -lock h2mcs -procs 4 -rounds 20 -trace out.json   # chrome://tracing / Perfetto
+//	lockstat -lock h2mcs -procs 4 -rounds 20 -trace out.json   # chrome://tracing / Perfetto + placement analysis
 //
 // With -stats, warm-up rounds (default rounds/4) are excluded from every
 // number by a mid-run statistics reset: latency distributions, lock
@@ -32,6 +33,30 @@
 // replication policy for read-mostly data (-tune and -migrate remain the
 // single-policy aliases).
 //
+// With -run faults, lockstat runs the clustered kernel's page-fault
+// workloads at cluster size -size and prints fault latency plus the
+// cross-cluster traffic that explains it. -procs processes fault -rounds
+// times on -pages private pages each (-workload independent) or on -pages
+// pages they all share (-workload shared). With -migrate, kernel-data
+// slots live in migratable regions and the online placement daemon, with
+// the placement_online experiment's parameters, re-homes hot slots toward
+// their accessors mid-run; its move log and the charged migration cost are
+// printed after the run. -autonomic adds tuned kernel locks and the
+// replication policy for read-mostly kernel data on the daemon's plane.
+//
+//	lockstat -run faults -size 4 -rounds 20 -workload shared
+//	lockstat -run faults -size 1 -rounds 20 -lock spin
+//	lockstat -run faults -size 16 -procs 4 -rounds 20 -migrate
+//	lockstat -run faults -size 16 -procs 4 -rounds 20 -autonomic
+//
+// With -trace PATH, in stress and faults mode, one pipeline feeds a Chrome
+// trace-event sink and an access aggregate (under -migrate, the aggregate
+// the data policies read). After the run lockstat prints the event count,
+// the aggregate's summary (accesses by distance class, the hottest home
+// modules, the busiest span objects) and the placement analyzer's proposed
+// home for each traced piece of data and each lock, priced by the run's
+// own machine, then writes the Chrome file to PATH.
+//
 // With -run server, lockstat runs one cell of the server sweep — the
 // machine, lock and horizon chosen by -machine, -lock and -ms, with -migrate
 // the Tuned+mig row's placement daemon — and with -autonomic the autonomic
@@ -49,6 +74,7 @@ import (
 	"os"
 
 	"hurricane/internal/autonomic"
+	"hurricane/internal/core"
 	"hurricane/internal/exp"
 	"hurricane/internal/locks"
 	"hurricane/internal/machine"
@@ -86,7 +112,7 @@ const maxHoldUS = 1e6
 // validate rejects flag values the run cannot honor, before any machine is
 // built, so a bad invocation fails with one line instead of a panic, a run
 // that never ends, or zeroed statistics.
-func validate(name string, mc sim.Config, run string, auto bool, procs, home int, holdUS float64, rounds, warmup, horizonMS int) error {
+func validate(name string, mc sim.Config, run, wl string, auto bool, procs, home int, holdUS float64, rounds, warmup, horizonMS, size, pages int) error {
 	if run == "server" {
 		cell, err := serverCell(name, locks.KindH2MCS, mc.Seed, horizonMS, false, auto)
 		if err != nil {
@@ -99,8 +125,8 @@ func validate(name string, mc sim.Config, run string, auto bool, procs, home int
 	}
 	maxProcs := mc.Stations * mc.ProcsPerStation
 	switch {
-	case run != "stress" && run != "server":
-		return fmt.Errorf("unknown -run %q; choose stress or server", run)
+	case run != "stress" && run != "faults" && run != "server":
+		return fmt.Errorf("unknown -run %q; choose stress, faults or server", run)
 	case procs < 1 || procs > maxProcs:
 		return fmt.Errorf("-procs %d must be 1-%d (%s)", procs, maxProcs, name)
 	case home < 0 || home >= maxProcs:
@@ -113,6 +139,12 @@ func validate(name string, mc sim.Config, run string, auto bool, procs, home int
 		return fmt.Errorf("-warmup %d must be -1 (rounds/4) or 0-%d", warmup, rounds-1)
 	case horizonMS < 1:
 		return fmt.Errorf("-ms %d must be at least 1", horizonMS)
+	case size < 1 || maxProcs%size != 0:
+		return fmt.Errorf("-size %d must divide %d (%s)", size, maxProcs, name)
+	case pages < 1:
+		return fmt.Errorf("-pages %d must be at least 1", pages)
+	case wl != "independent" && wl != "shared":
+		return fmt.Errorf("-workload %q must be independent or shared", wl)
 	}
 	return nil
 }
@@ -120,19 +152,22 @@ func validate(name string, mc sim.Config, run string, auto bool, procs, home int
 func main() {
 	lock := flag.String("lock", "h2mcs", "mcs | h1mcs | h2mcs | spin | spin2ms | clh | adaptive | tuned | cohort | cna")
 	tuned := flag.Bool("tune", false, "shorthand for -lock tuned; prints the controller's decision log")
-	machineName := flag.String("machine", "hector16", "hector16 | numachine64 | numachine256 | numachine1024 (the last two: stress only)")
-	procs := flag.Int("procs", 16, "contending processors")
+	machineName := flag.String("machine", "hector16", "hector16 | numachine64 | numachine256 | numachine1024 (the last two: stress and faults only)")
+	procs := flag.Int("procs", 16, "contending processors (faults: faulting processes)")
 	holdUS := flag.Float64("hold", 25, "critical-section length in microseconds")
-	rounds := flag.Int("rounds", 300, "acquisitions per processor")
+	rounds := flag.Int("rounds", 300, "acquisitions per processor (faults: fault rounds per process)")
 	warmup := flag.Int("warmup", -1, "warm-up acquisitions per processor excluded from stats (-1 = rounds/4)")
 	seed := flag.Uint64("seed", 1, "simulation seed")
 	showStats := flag.Bool("stats", false, "print per-lock and per-resource telemetry")
-	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON file of the run")
+	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON file of the run and print its placement analysis")
 	home := flag.Int("home", 0, "home module of the lock and its protected data")
-	migrate := flag.Bool("migrate", false, "protected data in a migratable region managed by the online placement daemon")
+	migrate := flag.Bool("migrate", false, "online placement daemon over migratable data (stress: the protected data; faults: kernel-data slots)")
 	auto := flag.Bool("autonomic", false, "full autonomics plane: tuned lock + migration + replication under one cadence")
-	run := flag.String("run", "stress", "stress | server (open-loop multi-tenant server, tail-latency summary)")
+	run := flag.String("run", "stress", "stress | faults (clustered-kernel page faults) | server (open-loop multi-tenant server, tail-latency summary)")
 	horizonMS := flag.Int("ms", 20, "server mode: arrival horizon in simulated milliseconds")
+	size := flag.Int("size", 4, "faults mode: processors per cluster (must divide the machine's processor count)")
+	pages := flag.Int("pages", 4, "faults mode: pages per process (or shared pages)")
+	wl := flag.String("workload", "independent", "faults mode: independent | shared")
 	flag.Parse()
 
 	if *auto {
@@ -153,7 +188,7 @@ func main() {
 		os.Exit(2)
 	}
 	mc := mcfg(*seed)
-	if err := validate(*machineName, mc, *run, *auto, *procs, *home, *holdUS, *rounds, *warmup, *horizonMS); err != nil {
+	if err := validate(*machineName, mc, *run, *wl, *auto, *procs, *home, *holdUS, *rounds, *warmup, *horizonMS, *size, *pages); err != nil {
 		fmt.Fprintf(os.Stderr, "lockstat: %v\n", err)
 		os.Exit(2)
 	}
@@ -169,61 +204,109 @@ func main() {
 		return
 	}
 
-	us, counts := workload.UncontendedPair(*seed, kind)
-	fmt.Printf("%s: uncontended pair %.2fus (atomic/mem/reg/br = %d/%d/%d/%d)\n\n",
-		kind, us, counts.Atomic, counts.Mem, counts.Reg, counts.Branch)
-
-	var tracer *trace.Chrome
-	var agg *trace.Aggregate
-	var t sim.Tracer
-	if *tracePath != "" {
-		tracer = trace.NewChrome()
-		t = tracer
+	ch, agg, t := sinks(*tracePath, *migrate, mc.Stations*mc.ProcsPerStation)
+	var m *sim.Machine
+	if *run == "faults" {
+		m = runFaults(os.Stdout, core.Config{
+			Machine:     mc,
+			ClusterSize: *size,
+			LockKind:    kind,
+			Tracer:      t,
+			Migratable:  *migrate,
+		}, *wl, *procs, *pages, *rounds, ch != nil, *auto, agg)
+	} else {
+		m = runStress(os.Stdout, workload.StressConfig{
+			Machine: mc,
+			Kind:    kind,
+			Procs:   *procs,
+			Rounds:  *rounds,
+			Warmup:  *warmup,
+			Hold:    sim.Micros(*holdUS),
+			Home:    *home,
+			Tracer:  t,
+			Region:  *migrate,
+		}, *holdUS, *showStats, *auto, agg)
 	}
-	if *migrate {
-		// The daemon's control signal is the live aggregate; fan the event
-		// stream out if a Chrome trace was also requested.
-		agg = trace.NewAggregate(mc.Stations * mc.ProcsPerStation)
-		if tracer != nil {
-			t = trace.NewPipeline(tracer, agg)
-		} else {
-			t = agg
+	if ch != nil {
+		if err := finishTrace(os.Stdout, *tracePath, ch, agg, m); err != nil {
+			fmt.Fprintf(os.Stderr, "lockstat: %v\n", err)
+			os.Exit(1)
 		}
 	}
+}
 
-	// Build through StressConfig so the machine is selectable and, for the
-	// tuned lock, the controller stays reachable for the decision log.
-	var tl *locks.Tuned
-	var daemon *placement.Daemon
-	cfg := workload.StressConfig{
-		Machine: mc,
-		Kind:    kind,
-		Procs:   *procs,
-		Rounds:  *rounds,
-		Warmup:  *warmup,
-		Hold:    sim.Micros(*holdUS),
-		Home:    *home,
-		Tracer:  t,
-		Region:  *migrate,
+// sinks builds the run's tracer. With a trace path it is one pipeline
+// feeding a Chrome sink and an aggregate; with migrate alone, the
+// aggregate the data policies read; otherwise none. The aggregate is
+// returned whenever it exists, the Chrome sink only with a trace path.
+func sinks(path string, migrate bool, modules int) (*trace.Chrome, *trace.Aggregate, sim.Tracer) {
+	if path == "" && !migrate {
+		return nil, nil, nil
 	}
+	agg := trace.NewAggregate(modules)
+	if path == "" {
+		return nil, agg, agg
+	}
+	ch := trace.NewChrome()
+	return ch, agg, trace.NewPipeline(ch, agg)
+}
+
+// finishTrace prints the traced run's event count, its access summary and
+// the placement analyzer's proposals, priced by machine m's own topology
+// and latencies, then writes the Chrome trace-event file to path.
+func finishTrace(w io.Writer, path string, ch *trace.Chrome, agg *trace.Aggregate, m *sim.Machine) error {
+	fmt.Fprintf(w, "\ntrace: %d events\n", len(ch.Events()))
+	fmt.Fprint(w, agg.Summary())
+	fmt.Fprintln(w)
+	topo, costs := autonomic.TopoOf(m.Config()), autonomic.CostsFromLatency(m.Lat())
+	fmt.Fprint(w, placement.Analyze(agg, topo, costs).String())
+	f, err := os.Create(path)
+	if err != nil {
+		return fmt.Errorf("write trace: %w", err)
+	}
+	if err := ch.Export(f); err != nil {
+		f.Close()
+		return fmt.Errorf("write trace: %w", err)
+	}
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("write trace: %w", err)
+	}
+	fmt.Fprintf(w, "wrote %s (open in chrome://tracing or https://ui.perfetto.dev)\n", path)
+	return nil
+}
+
+// runStress runs the Figure 5 loop cfg describes and prints to w its
+// acquire-latency distribution, then the reports of whichever controllers
+// ran and, with showStats, the per-lock and per-resource telemetry. With
+// cfg.Region the placement daemon, and with auto the replicator, run over
+// the protected data and read agg, which must be cfg.Tracer or one of its
+// sinks. It returns the machine the run executed on.
+func runStress(w io.Writer, cfg workload.StressConfig, holdUS float64, showStats, auto bool, agg *trace.Aggregate) *sim.Machine {
+	us, counts := workload.UncontendedPair(cfg.Machine.Seed, cfg.Kind)
+	fmt.Fprintf(w, "%s: uncontended pair %.2fus (atomic/mem/reg/br = %d/%d/%d/%d)\n\n",
+		cfg.Kind, us, counts.Atomic, counts.Mem, counts.Reg, counts.Branch)
+
 	// The daemon, and with -autonomic the replicator, run on a plane. With
 	// -autonomic the tuned lock's sampler joins it as the lock comes up,
-	// ahead of the data policies.
+	// ahead of the data policies; the controller stays reachable for the
+	// decision log.
+	var tl *locks.Tuned
+	var daemon *placement.Daemon
 	var plane, tunePlane *autonomic.Plane
 	var rep *autonomic.Replicator
-	if *migrate {
+	if cfg.Region {
 		plane = autonomic.NewPlane(placement.DefaultDaemonParams().Period)
 	}
-	if *auto {
+	if auto {
 		tunePlane = plane
 	}
-	if kind == locks.KindTuned {
+	if cfg.Kind == locks.KindTuned {
 		cfg.MakeLock = func(m *sim.Machine, home int) locks.Lock {
 			tl = locks.NewTuned(m, home, tune.Params{Plane: tunePlane})
 			return tl
 		}
 	}
-	if *migrate {
+	if cfg.Region {
 		cfg.Attach = func(r *workload.LockStressObserved) {
 			// The stress run only starts -procs processors, so the default
 			// executor (the processor co-located with the data's home) may
@@ -235,7 +318,7 @@ func main() {
 			params.Exec = func(int) int { return 0 }
 			region := r.DataRegion
 			topo, costs := autonomic.TopoOf(r.M.Config()), autonomic.CostsFromLatency(r.M.Lat())
-			if *auto {
+			if auto {
 				rep = autonomic.NewReplicator(r.M, topo, costs,
 					autonomic.ReplicatorParams{Exec: func(int) int { return 0 }},
 					[]autonomic.ReplicaSlot{{
@@ -267,39 +350,36 @@ func main() {
 		}
 	}
 	r := workload.LockStressRun(cfg)
-	if tracer != nil {
-		tracer.SetMachine(r.M)
-	}
 	d := r.AcquireDist
-	fmt.Printf("%d procs x %d rounds (+%d warm-up), hold %gus:\n", *procs, *rounds, *warmup, *holdUS)
-	fmt.Printf("  acquire latency (us): mean %.1f  p50 %.1f  p95 %.1f  p99 %.1f  max %.0f\n",
+	fmt.Fprintf(w, "%d procs x %d rounds (+%d warm-up), hold %gus:\n", cfg.Procs, cfg.Rounds, cfg.Warmup, holdUS)
+	fmt.Fprintf(w, "  acquire latency (us): mean %.1f  p50 %.1f  p95 %.1f  p99 %.1f  max %.0f\n",
 		d.Mean(), d.Percentile(50), d.Percentile(95), d.Percentile(99), d.Max())
-	fmt.Printf("  acquires over 2ms: %.2f%%\n", d.FracAbove(2000)*100)
-	fmt.Printf("  throughput view: %.1f us/op machine-wide\n", r.PairUS+*holdUS)
+	fmt.Fprintf(w, "  acquires over 2ms: %.2f%%\n", d.FracAbove(2000)*100)
+	fmt.Fprintf(w, "  throughput view: %.1f us/op machine-wide\n", r.PairUS+holdUS)
 
 	if tl != nil {
-		fmt.Println()
-		fmt.Print(tl.Controller().Report())
+		fmt.Fprintln(w)
+		fmt.Fprint(w, tl.Controller().Report())
 	}
 
 	if daemon != nil {
-		fmt.Println()
+		fmt.Fprintln(w)
 		if rep != nil {
-			fmt.Print(plane.Report())
-			fmt.Print(rep.Report())
+			fmt.Fprint(w, plane.Report())
+			fmt.Fprint(w, rep.Report())
 		}
-		fmt.Print(daemon.Report())
-		fmt.Printf("data region home: module %d", r.M.Mem.Home(r.DataRegion))
+		fmt.Fprint(w, daemon.Report())
+		fmt.Fprintf(w, "data region home: module %d", r.M.Mem.Home(r.DataRegion))
 		if reps := r.M.Mem.Replicas(r.DataRegion); len(reps) > 0 {
-			fmt.Printf(", replicas on %v", reps)
+			fmt.Fprintf(w, ", replicas on %v", reps)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 
-	if *showStats {
-		fmt.Println()
-		fmt.Print(r.Lock.Report())
-		fmt.Printf("windowed resource utilization over [%v, %v]:\n", r.WindowStart, r.WindowEnd)
+	if showStats {
+		fmt.Fprintln(w)
+		fmt.Fprint(w, r.Lock.Report())
+		fmt.Fprintf(w, "windowed resource utilization over [%v, %v]:\n", r.WindowStart, r.WindowEnd)
 		for i, ru := range r.Resources {
 			marker := ""
 			if i == r.HomeModule {
@@ -309,28 +389,96 @@ func main() {
 			if ru.Utilization < 0.01 && i != r.HomeModule {
 				continue
 			}
-			fmt.Printf("  %-8s %5.1f%% busy  %7d requests  worst queue %6.1fus%s\n",
+			fmt.Fprintf(w, "  %-8s %5.1f%% busy  %7d requests  worst queue %6.1fus%s\n",
 				ru.Name, ru.Utilization*100, ru.Requests, ru.MaxQueueUS, marker)
 		}
 	}
+	return r.M
+}
 
-	if tracer != nil {
-		f, err := os.Create(*tracePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "create trace: %v\n", err)
-			os.Exit(1)
-		}
-		if err := tracer.Export(f); err != nil {
-			fmt.Fprintf(os.Stderr, "write trace: %v\n", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "close trace: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("\nwrote %s (%d events; open in chrome://tracing or https://ui.perfetto.dev)\n",
-			*tracePath, len(tracer.Events()))
+// runFaults builds the clustered kernel cc describes, runs the wl page-fault
+// workload on it (procs processes, pages pages, rounds rounds) and prints to
+// w the fault latency and the cross-cluster traffic that explains it. With
+// traced, each cluster's memory-manager lock is wrapped with telemetry, so
+// the trace carries its named wait and hold spans (at zero simulated cost).
+// With cc.Migratable the online placement daemon runs with
+// placement_online's parameters and reads agg, which must be cc.Tracer or
+// one of its sinks; with auto the replication policy and tuned kernel locks
+// (cc.LockKind tuned) join it on one plane. It returns the machine the run
+// executed on.
+func runFaults(w io.Writer, cc core.Config, wl string, procs, pages, rounds int, traced, auto bool, agg *trace.Aggregate) *sim.Machine {
+	// One cadence for every policy: with auto the tune samplers register
+	// on the plane during kernel construction, the data policies after.
+	dp := exp.OnlineDaemonParams()
+	var plane *autonomic.Plane
+	if cc.Migratable {
+		plane = autonomic.NewPlane(dp.Period)
 	}
+	if auto {
+		cc.TuneParams = &tune.Params{Plane: plane}
+	}
+	sys := core.NewSystem(cc)
+	if traced {
+		for c := 0; c < sys.K.Topo.N; c++ {
+			sys.K.VM.SetMMLock(c, locks.NewStats(sys.M, sys.K.VM.MMLock(c)))
+		}
+	}
+	var daemon *placement.Daemon
+	var rep *autonomic.Replicator
+	if cc.Migratable {
+		var rp *autonomic.ReplicatorParams
+		if auto {
+			rp = &autonomic.ReplicatorParams{Decay: 0.9, MinWeight: 0.25, Confirm: 3}
+		}
+		rep, daemon = placement.Attach(plane, sys.K, agg, rp, &dp)
+	}
+
+	var res workload.FaultResult
+	if wl == "shared" {
+		res = workload.SharedFaults(sys, procs, pages, rounds)
+	} else {
+		res = workload.IndependentFaults(sys, procs, pages, rounds)
+	}
+
+	d := res.Dist
+	fmt.Fprintf(w, "%s faults, %d procs, cluster size %d, %s locks:\n", wl, procs, cc.ClusterSize, cc.LockKind)
+	fmt.Fprintf(w, "  fault latency (us): mean %.1f  p50 %.1f  p95 %.1f  max %.0f\n",
+		d.Mean(), d.Percentile(50), d.Percentile(95), d.Max())
+	fmt.Fprintf(w, "  faults handled:     %d\n", res.Stats.Faults)
+	fmt.Fprintf(w, "  descriptor replications: %d\n", res.Replications)
+	fmt.Fprintf(w, "  coherence write notices: %d\n", res.Stats.CoherenceRPCs)
+	fmt.Fprintf(w, "  COW copies:              %d\n", res.Stats.COWCopies)
+	fmt.Fprintf(w, "  RPC calls:               %d (retried %d)\n", sys.K.RPC.Calls, sys.K.RPC.Retries)
+	fmt.Fprintf(w, "  IPI work deferred by the logical mask: %d\n", sys.K.Gate.Deferred)
+	fmt.Fprintf(w, "  elapsed: %v simulated\n", res.Elapsed)
+	if daemon != nil {
+		fmt.Fprintf(w, "  migrations: %d (%d words copied, %.1fus charged)\n",
+			res.Stats.Migrations, res.Stats.MigratedWords,
+			float64(res.Stats.MigrationCycles)/sim.CyclesPerMicrosecond)
+		fmt.Fprint(w, "  "+daemon.Report())
+	}
+	if rep != nil {
+		fmt.Fprint(w, "  "+plane.Report())
+		fmt.Fprint(w, "  "+rep.Report())
+		var switches uint64
+		for _, ctl := range sys.K.Controllers() {
+			switches += ctl.Switches()
+		}
+		fmt.Fprintf(w, "  kernel lock controllers: %d mode switches across %d clusters\n",
+			switches, len(sys.K.Controllers()))
+	}
+
+	// Memory-system hot spots (windowed: the window opened at machine
+	// construction, so this covers the whole run).
+	fmt.Fprintln(w, "  busiest memory modules:")
+	now := sys.M.Eng.Now()
+	for i := 0; i < sys.M.NumProcs(); i++ {
+		r := sys.M.Mem.Module(i)
+		if u := r.WindowUtilization(now); u > 0.10 {
+			fmt.Fprintf(w, "    module %-2d  %4.0f%% busy, worst queue %v\n", i, u*100, r.MaxQueue)
+		}
+	}
+	return sys.M
 }
 
 // serverCell is the sweep cell -run server runs: the autonomic sweep's

@@ -7,8 +7,10 @@ import (
 	"strings"
 	"testing"
 
+	"hurricane/internal/core"
 	"hurricane/internal/exp"
 	"hurricane/internal/locks"
+	"hurricane/internal/machine"
 )
 
 func TestValidate(t *testing.T) {
@@ -19,48 +21,65 @@ func TestValidate(t *testing.T) {
 		hold           float64
 		rounds, warmup int
 		ms             int
+		size, pages    int
+		wl             string
 		ok             bool
 	}{
-		{"hector16", "stress", false, 16, 0, 25, 300, -1, 20, true},
-		{"hector16", "stress", false, 1, 15, 0, 1, 0, 20, true},
-		{"numachine64", "stress", false, 64, 63, 1e6, 4, 3, 20, true},
-		{"hector16", "stress", false, 0, 0, 25, 300, -1, 20, false},
-		{"hector16", "stress", false, 17, 0, 25, 300, -1, 20, false},
-		{"hector16", "stress", false, 16, 16, 25, 300, -1, 20, false},
-		{"hector16", "stress", false, 16, 99, 25, 300, -1, 20, false},
-		{"hector16", "stress", false, 16, -1, 25, 300, -1, 20, false},
-		{"numachine64", "stress", false, 64, 64, 25, 300, -1, 20, false},
-		{"hector16", "stress", false, 2, 0, -5, 300, -1, 20, false},
-		{"hector16", "stress", false, 2, 0, math.NaN(), 300, -1, 20, false},
-		{"hector16", "stress", false, 2, 0, math.Inf(1), 300, -1, 20, false},
-		{"hector16", "stress", false, 2, 0, 2e6, 300, -1, 20, false},
-		{"hector16", "stress", false, 16, 0, 25, 0, -1, 20, false},
-		{"hector16", "stress", false, 16, 0, 25, -3, -1, 20, false},
-		{"hector16", "stress", false, 16, 0, 25, 300, -2, 20, false},
-		{"hector16", "stress", false, 16, 0, 25, 300, 300, 20, false},
-		{"hector16", "stress", false, 16, 0, 25, 300, -1, 0, false},
-		{"hector16", "stress", false, 16, 0, 25, 300, -1, -5, false},
-		{"hector16", "server", false, 16, 0, 25, 300, -1, 20, true},
-		{"numachine64", "server", false, 64, 0, 25, 300, -1, 20, true},
-		{"hector16", "bogus", false, 16, 0, 25, 300, -1, 20, false},
-		{"numachine256", "stress", false, 256, 255, 25, 10, -1, 20, true},
-		{"numachine256", "stress", false, 257, 0, 25, 10, -1, 20, false},
-		{"numachine256", "server", false, 16, 0, 25, 300, -1, 20, false},
-		{"numachine1024", "stress", false, 1024, 1023, 25, 10, -1, 20, true},
-		{"numachine1024", "stress", false, 1025, 0, 25, 10, -1, 20, false},
-		{"numachine1024", "server", false, 16, 0, 25, 300, -1, 20, false},
+		{"hector16", "stress", false, 16, 0, 25, 300, -1, 20, 4, 4, "independent", true},
+		{"hector16", "stress", false, 1, 15, 0, 1, 0, 20, 4, 4, "independent", true},
+		{"numachine64", "stress", false, 64, 63, 1e6, 4, 3, 20, 4, 4, "independent", true},
+		{"hector16", "stress", false, 0, 0, 25, 300, -1, 20, 4, 4, "independent", false},
+		{"hector16", "stress", false, 17, 0, 25, 300, -1, 20, 4, 4, "independent", false},
+		{"hector16", "stress", false, 16, 16, 25, 300, -1, 20, 4, 4, "independent", false},
+		{"hector16", "stress", false, 16, 99, 25, 300, -1, 20, 4, 4, "independent", false},
+		{"hector16", "stress", false, 16, -1, 25, 300, -1, 20, 4, 4, "independent", false},
+		{"numachine64", "stress", false, 64, 64, 25, 300, -1, 20, 4, 4, "independent", false},
+		{"hector16", "stress", false, 2, 0, -5, 300, -1, 20, 4, 4, "independent", false},
+		{"hector16", "stress", false, 2, 0, math.NaN(), 300, -1, 20, 4, 4, "independent", false},
+		{"hector16", "stress", false, 2, 0, math.Inf(1), 300, -1, 20, 4, 4, "independent", false},
+		{"hector16", "stress", false, 2, 0, 2e6, 300, -1, 20, 4, 4, "independent", false},
+		{"hector16", "stress", false, 16, 0, 25, 0, -1, 20, 4, 4, "independent", false},
+		{"hector16", "stress", false, 16, 0, 25, -3, -1, 20, 4, 4, "independent", false},
+		{"hector16", "stress", false, 16, 0, 25, 300, -2, 20, 4, 4, "independent", false},
+		{"hector16", "stress", false, 16, 0, 25, 300, 300, 20, 4, 4, "independent", false},
+		{"hector16", "stress", false, 16, 0, 25, 300, -1, 0, 4, 4, "independent", false},
+		{"hector16", "stress", false, 16, 0, 25, 300, -1, -5, 4, 4, "independent", false},
+		{"hector16", "server", false, 16, 0, 25, 300, -1, 20, 4, 4, "independent", true},
+		{"numachine64", "server", false, 64, 0, 25, 300, -1, 20, 4, 4, "independent", true},
+		{"hector16", "bogus", false, 16, 0, 25, 300, -1, 20, 4, 4, "independent", false},
+		{"numachine256", "stress", false, 256, 255, 25, 10, -1, 20, 4, 4, "independent", true},
+		{"numachine256", "stress", false, 257, 0, 25, 10, -1, 20, 4, 4, "independent", false},
+		{"numachine256", "server", false, 16, 0, 25, 300, -1, 20, 4, 4, "independent", false},
+		{"numachine1024", "stress", false, 1024, 1023, 25, 10, -1, 20, 4, 4, "independent", true},
+		{"numachine1024", "stress", false, 1025, 0, 25, 10, -1, 20, 4, 4, "independent", false},
+		{"numachine1024", "server", false, 16, 0, 25, 300, -1, 20, 4, 4, "independent", false},
 		// A horizon inside the cell's 2 ms warm-up measures nothing.
-		{"hector16", "server", false, 16, 0, 25, 300, -1, 2, false},
-		{"hector16", "server", true, 16, 0, 25, 300, -1, 2, false},
-		{"hector16", "server", false, 16, 0, 25, 300, -1, 3, true},
-		{"hector16", "server", true, 16, 0, 25, 300, -1, 3, true},
-		{"numachine64", "server", true, 64, 0, 25, 300, -1, 20, false},
+		{"hector16", "server", false, 16, 0, 25, 300, -1, 2, 4, 4, "independent", false},
+		{"hector16", "server", true, 16, 0, 25, 300, -1, 2, 4, 4, "independent", false},
+		{"hector16", "server", false, 16, 0, 25, 300, -1, 3, 4, 4, "independent", true},
+		{"hector16", "server", true, 16, 0, 25, 300, -1, 3, 4, 4, "independent", true},
+		{"numachine64", "server", true, 64, 0, 25, 300, -1, 20, 4, 4, "independent", false},
+		// -run faults: the size must divide the machine's processor count.
+		{"hector16", "faults", false, 16, 0, 25, 20, -1, 20, 4, 4, "independent", true},
+		{"hector16", "faults", false, 1, 0, 25, 1, -1, 20, 16, 1, "shared", true},
+		{"hector16", "faults", false, 16, 0, 25, 20, -1, 20, 1, 4, "shared", true},
+		{"hector16", "faults", false, 16, 0, 25, 20, -1, 20, 3, 4, "independent", false},
+		{"hector16", "faults", false, 16, 0, 25, 20, -1, 20, 0, 4, "independent", false},
+		{"hector16", "faults", false, 16, 0, 25, 20, -1, 20, 32, 4, "independent", false},
+		{"hector16", "faults", false, 99, 0, 25, 20, -1, 20, 4, 4, "independent", false},
+		{"hector16", "faults", false, 17, 0, 25, 20, -1, 20, 4, 4, "independent", false},
+		{"hector16", "faults", false, 0, 0, 25, 20, -1, 20, 4, 4, "independent", false},
+		{"hector16", "faults", false, 16, 0, 25, 20, -1, 20, 4, 0, "independent", false},
+		{"hector16", "faults", false, 16, 0, 25, 0, -1, 20, 4, 4, "independent", false},
+		{"hector16", "faults", false, 16, 0, 25, 20, -1, 20, 4, 4, "bogus", false},
+		{"numachine64", "faults", false, 64, 0, 25, 20, -1, 20, 8, 4, "shared", true},
+		{"numachine64", "faults", false, 64, 0, 25, 20, -1, 20, 48, 4, "independent", false},
 	}
 	for _, c := range cases {
-		err := validate(c.machine, machines[c.machine](1), c.run, c.auto, c.procs, c.home, c.hold, c.rounds, c.warmup, c.ms)
+		err := validate(c.machine, machines[c.machine](1), c.run, c.wl, c.auto, c.procs, c.home, c.hold, c.rounds, c.warmup, c.ms, c.size, c.pages)
 		if (err == nil) != c.ok {
-			t.Errorf("validate(%s -run %s autonomic=%v procs=%d home=%d hold=%g rounds=%d warmup=%d ms=%d) = %v, want ok=%v",
-				c.machine, c.run, c.auto, c.procs, c.home, c.hold, c.rounds, c.warmup, c.ms, err, c.ok)
+			t.Errorf("validate(%s -run %s autonomic=%v procs=%d home=%d hold=%g rounds=%d warmup=%d ms=%d size=%d pages=%d workload=%q) = %v, want ok=%v",
+				c.machine, c.run, c.auto, c.procs, c.home, c.hold, c.rounds, c.warmup, c.ms, c.size, c.pages, c.wl, err, c.ok)
 		}
 	}
 }
@@ -71,13 +90,6 @@ func TestValidate(t *testing.T) {
 // sweep's combined row.
 func TestServerRunsTheSweepCell(t *testing.T) {
 	const seed, ms = 1, 4
-	metrics := func(tb *exp.Table) map[string]float64 {
-		m := map[string]float64{}
-		for _, x := range tb.Metrics {
-			m[x.Name] = x.Value
-		}
-		return m
-	}
 	server := metrics(exp.ServerSweep(seed, ms))
 	autonomic := metrics(exp.AutonomicSweep(seed, ms))
 	for _, c := range []struct {
@@ -111,5 +123,60 @@ func TestServerRunsTheSweepCell(t *testing.T) {
 	}
 	if err := runServer(io.Discard, "numachine64", locks.KindTuned, seed, ms, true, true); err == nil {
 		t.Error("-autonomic ran on numachine64, where the autonomic sweep has no cell")
+	}
+}
+
+// metrics indexes a table's published metrics by name.
+func metrics(tb *exp.Table) map[string]float64 {
+	m := map[string]float64{}
+	for _, x := range tb.Metrics {
+		m[x.Name] = x.Value
+	}
+	return m
+}
+
+// TestFaultsRunsThePublishedCells holds -run faults to the figures it
+// quotes: at the quick suite's rounds and seed, the fault mean it prints
+// for a cell is the published Figure 7 metric of that cell, and with
+// -migrate it prints placement_online's HECTOR-16 online row (fault mean,
+// daemon moves, charged migration time).
+func TestFaultsRunsThePublishedCells(t *testing.T) {
+	const seed = 1
+	fig7a := metrics(exp.Figure7a(seed, 8))
+	fig7c := metrics(exp.Figure7c(seed, 8))
+	fig7d := metrics(exp.Figure7d(seed, 4, 3))
+	online := metrics(exp.PlacementOnline(seed, 24))
+	mean := func(v float64) string { return fmt.Sprintf("fault latency (us): mean %.1f  ", v) }
+	for _, c := range []struct {
+		name                string
+		kind                locks.Kind
+		wl                  string
+		size, procs, rounds int
+		migrate             bool
+		want                []string
+	}{
+		{"fig7a spin.fault_p16", locks.KindSpin, "independent", 16, 16, 8, false,
+			[]string{mean(fig7a["spin.fault_p16"])}},
+		{"fig7c fault_cs4", locks.KindH2MCS, "independent", 4, 16, 8, false,
+			[]string{mean(fig7c["fault_cs4"])}},
+		{"fig7d fault_cs1", locks.KindH2MCS, "shared", 1, 16, 3, false,
+			[]string{mean(fig7d["fault_cs1"])}},
+		{"placement_online hector16.online", locks.KindH2MCS, "independent", 16, 4, 24, true,
+			[]string{
+				mean(online["hector16.online.fault_mean"]),
+				fmt.Sprintf("migrations: %.0f (", online["hector16.online.moves"]),
+				fmt.Sprintf(", %.1fus charged)", online["hector16.online.migration_overhead"]),
+			}},
+	} {
+		mc := machine.Hector16(seed)
+		_, agg, tr := sinks("", c.migrate, mc.Stations*mc.ProcsPerStation)
+		var b strings.Builder
+		runFaults(&b, core.Config{Machine: mc, ClusterSize: c.size, LockKind: c.kind, Tracer: tr, Migratable: c.migrate},
+			c.wl, c.procs, 4, c.rounds, false, false, agg)
+		for _, want := range c.want {
+			if !strings.Contains(b.String(), want) {
+				t.Errorf("%s: report lacks the published %q:\n%s", c.name, want, b.String())
+			}
+		}
 	}
 }

@@ -214,9 +214,9 @@ func Worthwhile(benefit float64, horizon int, cost float64) bool {
 	return benefit*float64(horizon) >= cost
 }
 
-// Topo is the machine topology the placement policies reason over (it must
-// match the running or traced machine; cmd/traceanal reads it from trace
-// metadata). Build one with TopoOf.
+// Topo is the machine topology the placement policies and the trace
+// analysis reason over; it must match the running machine. Build one with
+// TopoOf from that machine's config.
 type Topo struct {
 	// Stations and ProcsPerStation mirror sim.Config's topology knobs.
 	Stations, ProcsPerStation int

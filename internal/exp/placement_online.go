@@ -8,12 +8,13 @@ import (
 
 // OnlineDaemonParams is the controller tuning for kernel data under a page
 // fault workload, which placement_online runs on both machines and
-// clustersim runs too: sampling fast (25us against a ~200us fault) so a
-// placement mistake is noticed within one fault; smoothing over a ~250us
-// horizon (Decay 0.9 at this cadence) so no single fault's burst dominates
-// the vector; MinWeight low enough that even the scratch slots' ~1
-// access/window steady rate clears it; and three confirming windows before
-// any copy. Budget and cooldown keep their defaults.
+// lockstat -run faults -migrate runs too: sampling fast (25us against a
+// ~200us fault) so a placement mistake is noticed within one fault;
+// smoothing over a ~250us horizon (Decay 0.9 at this cadence) so no single
+// fault's burst dominates the vector; MinWeight low enough that even the
+// scratch slots' ~1 access/window steady rate clears it; and three
+// confirming windows before any copy. Budget and cooldown keep their
+// defaults.
 func OnlineDaemonParams() placement.DaemonParams {
 	return placement.DaemonParams{
 		Period:    sim.Micros(25),

@@ -327,22 +327,25 @@ func (pm *ProcessManager) unlink(p *sim.Proc, parent, victim, vnext uint64) clus
 // sender, reading its send count, then try-reserves the receiver remotely,
 // rolling back on conflict; the pessimistic protocol releases the sender
 // before the remote step and re-establishes it, reading the count again,
-// afterwards. The sender's release writes the incremented count.
+// afterwards. The sender's release writes the incremented count. A process
+// cannot message itself: its own reservation would answer the receiver's
+// reserve step with Retry on every attempt.
 func (pm *ProcessManager) Send(p *sim.Proc, from, to uint64) error {
 	pm.k.checkKey(from, classProc)
 	pm.k.checkKey(to, classProc)
-	delay := sim.Micros(4)
+	if from == to {
+		return fmt.Errorf("kernel: process %#x cannot send to itself", from)
+	}
 	pessimistic := pm.k.cfg.Protocol == Pessimistic
 	sent := make([]uint64, 1)
-	for {
+	var err error
+	cluster.Retry(p, retryBackoff, &pm.k.Stats.MsgRetries, func() cluster.Status {
 		e, st := pm.reserveRead(p, from, sentField, sent)
-		switch st {
-		case cluster.StatusAbsent:
-			return fmt.Errorf("kernel: sender %#x missing", from)
-		case cluster.StatusRetry:
-			pm.k.Stats.MsgRetries++
-			p.Backoff(&delay, retryBackoff)
-			continue
+		if st != cluster.StatusOK {
+			if st == cluster.StatusAbsent {
+				err = fmt.Errorf("kernel: sender %#x missing", from)
+			}
+			return st
 		}
 		if pessimistic {
 			pm.releaseWrite(p, from, e, nil, nil)
@@ -352,36 +355,29 @@ func (pm *ProcessManager) Send(p *sim.Proc, from, to uint64) error {
 			h.Store(re+hybrid.EntData+dMsgs, n+1)
 			return cluster.StatusOK
 		})
-		if st == cluster.StatusRetry {
+		if st != cluster.StatusOK {
 			if !pessimistic {
 				pm.releaseWrite(p, from, e, nil, nil)
 			}
-			pm.k.Stats.MsgRetries++
-			p.Backoff(&delay, retryBackoff)
-			continue
-		}
-		if st == cluster.StatusAbsent {
-			if !pessimistic {
-				pm.releaseWrite(p, from, e, nil, nil)
+			if st == cluster.StatusAbsent {
+				err = fmt.Errorf("kernel: receiver %#x missing", to)
 			}
-			return fmt.Errorf("kernel: receiver %#x missing", to)
+			return st
 		}
 		if pessimistic {
 			// Re-establish the sender to record the send.
-			for {
+			if cluster.Retry(p, retryBackoff, nil, func() cluster.Status {
 				e, st = pm.reserveRead(p, from, sentField, sent)
-				if st == cluster.StatusAbsent {
-					return fmt.Errorf("kernel: sender %#x died mid-send", from)
-				}
-				if st == cluster.StatusOK {
-					break
-				}
-				p.Backoff(&delay, retryBackoff)
+				return st
+			}) == cluster.StatusAbsent {
+				err = fmt.Errorf("kernel: sender %#x died mid-send", from)
+				return cluster.StatusAbsent
 			}
 			pm.k.Stats.Reestablishments++
 		}
 		sent[0]++
 		pm.releaseWrite(p, from, e, sentField, sent)
-		return nil
-	}
+		return cluster.StatusOK
+	})
+	return err
 }

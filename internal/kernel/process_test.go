@@ -179,6 +179,36 @@ func TestSendRPCs(t *testing.T) {
 	})
 }
 
+// TestSendToSelfReturns: a process messaging itself is refused under both
+// protocols with an error, before any RPC, and leaves its descriptor
+// unreserved. Under the optimistic protocol the sender's own reservation
+// would otherwise answer the receiver's reserve step with Retry forever.
+func TestSendToSelfReturns(t *testing.T) {
+	forBothProtocols(t, func(t *testing.T, proto Protocol) {
+		a := PIDKey(2, 1)
+		var err error
+		var calls uint64
+		returned := false
+		k := runOnCluster0(t, proto, func(p *sim.Proc, k *Kernel) {
+			k.PM.Create(p, a, 0)
+			calls = rpcs(k, func() { err = k.PM.Send(p, a, a) })
+			returned = true
+		})
+		if !returned {
+			t.Fatal("Send(a, a) had not returned after one simulated second")
+		}
+		if err == nil || !strings.Contains(err.Error(), "itself") {
+			t.Errorf("Send(a, a) = %v, want an error naming the self-send", err)
+		}
+		if calls != 0 {
+			t.Errorf("Send(a, a) made %d RPCs, want 0", calls)
+		}
+		if st := status(t, k, a); st != 0 {
+			t.Errorf("%#x left with status %d", a, st)
+		}
+	})
+}
+
 // TestDestroyRPCs: destroying from cluster 0 a process homed on cluster 2
 // whose parent is homed on cluster 1 reads all three links in the reserve
 // step: reserve, parent splice, remove. The pessimistic protocol adds its

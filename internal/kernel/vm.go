@@ -468,32 +468,35 @@ func (v *VM) cowCopy(p *sim.Proc, pid uint64, pe sim.Addr, pageKey uint64, res *
 				h.Store(me+hybrid.EntStatus, 0)
 			})
 		}
-		delay := sim.Micros(4)
-		for {
+		// A refused decrement releases the source; the next attempt, after
+		// Retry's back-off, acquires it again.
+		var retries uint64
+		held := true
+		cluster.Retry(p, sim.Micros(200), &retries, func() cluster.Status {
+			var ok bool
+			if !held {
+				if pe, ok = v.pages.Acquire(p, pageKey, hybrid.Exclusive); !ok {
+					panic("kernel: COW source vanished during optimistic retry")
+				}
+			}
 			if v.k.cfg.Protocol == Pessimistic {
 				v.pages.Release(p, pe, hybrid.Exclusive)
 			}
 			st := v.k.RPC.Call(p, home, decrement)
 			if v.k.cfg.Protocol == Pessimistic {
-				var ok bool
 				pe, ok = v.pages.Acquire(p, pageKey, hybrid.Exclusive)
 				v.k.Stats.Reestablishments++
 				if !ok {
 					panic("kernel: COW source vanished during pessimistic decrement")
 				}
 			}
-			if st != cluster.StatusRetry {
-				break
+			if st == cluster.StatusRetry {
+				v.pages.Release(p, pe, hybrid.Exclusive)
+				held = false
 			}
-			res.Retries++
-			v.pages.Release(p, pe, hybrid.Exclusive)
-			p.Backoff(&delay, sim.Micros(200))
-			var ok bool
-			pe, ok = v.pages.Acquire(p, pageKey, hybrid.Exclusive)
-			if !ok {
-				panic("kernel: COW source vanished during optimistic retry")
-			}
-		}
+			return st
+		})
+		res.Retries += int(retries)
 		// Keep the local replica's view consistent.
 		rc := p.Load(pe + hybrid.EntData + pgRefcount)
 		if rc > 0 {

@@ -35,8 +35,8 @@ type Config struct {
 // hierarchy of one group (StationsPerRing at least Stations, or negative)
 // treated as the flat ring, and Ring2 = 2x Ring on a hierarchy that leaves
 // it zero. NewMachine builds from it, and every layer that restates the
-// machine (model.FromConfig, autonomic.TopoOf, traceanal) reads through
-// it, so the defaults live here alone.
+// machine (model.FromConfig, autonomic.TopoOf) reads through it, so the
+// defaults live here alone.
 func (c Config) WithDefaults() Config {
 	if c.Stations == 0 {
 		c.Stations = 4

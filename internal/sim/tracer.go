@@ -35,17 +35,6 @@ func (d DistClass) String() string {
 	return fmt.Sprintf("DistClass(%d)", int(d))
 }
 
-// DistClassFromString inverts String (trace files round-trip through
-// JSON). Unknown names map to DistLocal.
-func DistClassFromString(s string) DistClass {
-	for d := DistLocal; d < NumDistClasses; d++ {
-		if d.String() == s {
-			return d
-		}
-	}
-	return DistLocal
-}
-
 // Classify is the distance class of an access from module src to module
 // dst on a machine with procsPerStation processors per station and, when
 // stationsPerRing > 0, that many stations per local ring. It is the one
@@ -180,17 +169,6 @@ func (k SpanKind) String() string {
 		return "server.request"
 	}
 	return fmt.Sprintf("SpanKind(%d)", int(k))
-}
-
-// SpanKindFromString inverts String (trace files round-trip through JSON).
-// Unknown names map to SpanNone.
-func SpanKindFromString(s string) SpanKind {
-	for k := SpanNone; k <= SpanRequest; k++ {
-		if k.String() == s {
-			return k
-		}
-	}
-	return SpanNone
 }
 
 // TraceEvent is one typed record of simulated activity. Start==End for

@@ -106,21 +106,6 @@ func TestEmitSpanDistance(t *testing.T) {
 	if tr.events[2].Dst != -1 {
 		t.Fatalf("span 2 dst = %d, want -1", tr.events[2].Dst)
 	}
-	for k := SpanNone; k <= SpanIPI; k++ {
-		if got := SpanKindFromString(k.String()); got != k {
-			t.Errorf("SpanKindFromString(%q) = %v, want %v", k.String(), got, k)
-		}
-	}
-}
-
-// TestDistClassRoundTrip holds DistClassFromString to String for every
-// class, so a trace file's distances read back as written.
-func TestDistClassRoundTrip(t *testing.T) {
-	for d := DistLocal; d < NumDistClasses; d++ {
-		if got := DistClassFromString(d.String()); got != d {
-			t.Errorf("DistClassFromString(%q) = %v, want %v", d.String(), got, d)
-		}
-	}
 }
 
 // TestAllocBoundary is the regression test for the off-by-one in Alloc's

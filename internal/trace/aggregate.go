@@ -39,12 +39,6 @@ type Aggregate struct {
 	Objects map[ObjKey]*ObjStats
 }
 
-// maxRegions bounds how many region ids past the physical modules an
-// aggregate keeps vectors for. The vectors are indexed by id, and a trace
-// read back from a file (traceanal) may carry any address; a simulated
-// machine has a few dozen regions.
-const maxRegions = 1 << 16
-
 // RegionVecs holds one per-accessor-module vector per region id, indexed
 // by the id itself: an access finds its region's counters without
 // hashing. Entries stay nil until the region's first access, and every id
@@ -105,7 +99,7 @@ func (a *Aggregate) Event(ev sim.TraceEvent) {
 		if ev.Src >= 0 && ev.Src < a.modules && ev.Dst >= 0 && ev.Dst < a.modules {
 			a.Access[ev.Dst][ev.Src]++
 			a.AccessByDist[ev.Dist]++
-			if id := sim.Addr(ev.Arg).Module(); id >= a.modules && id-a.modules < maxRegions {
+			if id := sim.Addr(ev.Arg).Module(); id >= a.modules {
 				if id >= len(a.RegionAccess) || a.RegionAccess[id] == nil {
 					a.addRegion(id)
 				}

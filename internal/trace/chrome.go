@@ -14,34 +14,14 @@ import (
 // ("X") events; park/unpark and instants are thread-scoped instant ("i")
 // events. Timestamps are microseconds of simulated time, sorted ascending
 // on export so viewers (and the golden-file test) see a monotonic stream.
+// The file is for viewing: the analysis of a run is an Aggregate sink on
+// the same pipeline, read while the run's machine is still in hand.
 type Chrome struct {
-	events  []sim.TraceEvent
-	machine map[string]interface{}
+	events []sim.TraceEvent
 }
 
 // NewChrome returns an empty collector.
 func NewChrome() *Chrome { return &Chrome{} }
-
-// SetMachine records the machine's topology and latency classes in the
-// trace metadata, so offline analysis (cmd/traceanal) can rebuild distance
-// classes and cost weights without being told the configuration. The ring
-// hierarchy (stationsPerRing, latRing2) is recorded only for a
-// hierarchical machine, so a flat machine's trace names no global ring.
-func (c *Chrome) SetMachine(m *sim.Machine) {
-	cfg := m.Config()
-	lat := m.Lat()
-	c.machine = map[string]interface{}{
-		"stations":        cfg.Stations,
-		"procsPerStation": cfg.ProcsPerStation,
-		"latLocal":        uint64(lat.Local),
-		"latStation":      uint64(lat.Station),
-		"latRing":         uint64(lat.Ring),
-	}
-	if cfg.StationsPerRing > 0 {
-		c.machine["stationsPerRing"] = cfg.StationsPerRing
-		c.machine["latRing2"] = uint64(lat.Ring2)
-	}
-}
 
 // Event implements sim.Tracer, so Chrome is a pipeline sink or installs
 // alone.
@@ -65,9 +45,8 @@ type chromeEvent struct {
 
 // chromeTrace is the JSON object format of the trace-event spec.
 type chromeTrace struct {
-	TraceEvents     []chromeEvent          `json:"traceEvents"`
-	DisplayTimeUnit string                 `json:"displayTimeUnit"`
-	OtherData       map[string]interface{} `json:"otherData,omitempty"`
+	TraceEvents     []chromeEvent `json:"traceEvents"`
+	DisplayTimeUnit string        `json:"displayTimeUnit"`
 }
 
 // Export renders the collected events as Chrome trace-event JSON, sorted by
@@ -81,9 +60,6 @@ func (c *Chrome) Export(w io.Writer) error {
 	out := chromeTrace{
 		TraceEvents:     make([]chromeEvent, 0, len(sorted)),
 		DisplayTimeUnit: "ms",
-	}
-	if c.machine != nil {
-		out.OtherData = map[string]interface{}{"machine": c.machine}
 	}
 	for _, ev := range sorted {
 		ce := chromeEvent{

@@ -22,7 +22,6 @@ func goldenRun(t *testing.T) (*Chrome, *sim.Machine) {
 	c := NewChrome()
 	m := sim.NewMachine(sim.Config{Seed: 7})
 	m.SetTracer(c)
-	c.SetMachine(m)
 	local := m.Alloc(1, 1)
 	station := m.Alloc(2, 1)
 	ring := m.Alloc(13, 1)
@@ -79,21 +78,13 @@ func TestChromeSchema(t *testing.T) {
 			Dur  *float64               `json:"dur"`
 			Args map[string]interface{} `json:"args"`
 		} `json:"traceEvents"`
-		DisplayTimeUnit string                 `json:"displayTimeUnit"`
-		OtherData       map[string]interface{} `json:"otherData"`
+		DisplayTimeUnit string `json:"displayTimeUnit"`
 	}
 	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
 		t.Fatalf("export is not valid JSON: %v", err)
 	}
 	if out.DisplayTimeUnit != "ms" {
 		t.Errorf("displayTimeUnit = %q", out.DisplayTimeUnit)
-	}
-	machine, ok := out.OtherData["machine"].(map[string]interface{})
-	if !ok {
-		t.Fatal("otherData.machine metadata missing")
-	}
-	if got := machine["stations"].(float64); got != 4 {
-		t.Errorf("metadata stations = %v, want 4", got)
 	}
 
 	last := -1.0

@@ -182,7 +182,6 @@ func LockStressRun(cfg StressConfig) *LockStressObserved {
 	if cfg.Attach != nil {
 		cfg.Attach(res)
 	}
-	dist := &stats.Dist{}
 	bar := NewBarrier(cfg.Procs)
 	windowOpen := false
 	for i := 0; i < cfg.Procs; i++ {
@@ -214,9 +213,7 @@ func LockStressRun(cfg StressConfig) *LockStressObserved {
 				p.Think(p.RNG().Duration(cfg.Jitter))
 			}
 			for r := 0; r < cfg.Rounds; r++ {
-				t0 := p.Now()
 				l.Acquire(p)
-				dist.Add((p.Now() - t0).Microseconds())
 				holdWork(p, data, cfg.Hold)
 				l.Release(p)
 			}
@@ -227,10 +224,12 @@ func LockStressRun(cfg StressConfig) *LockStressObserved {
 	res.WindowEnd = m.Eng.Now()
 	measured := res.WindowEnd - res.WindowStart
 	perOp := float64(measured) / float64(cfg.Rounds) / sim.CyclesPerMicrosecond
+	// The telemetry wrapper's acquire distribution holds the measured
+	// rounds' acquires alone: the window reset precedes the first of them.
 	res.LockStressResult = LockStressResult{
 		PairUS:      perOp - cfg.Hold.Microseconds(),
-		AcquireUS:   dist.Mean(),
-		AcquireDist: dist,
+		AcquireUS:   l.AcquireUS.Mean(),
+		AcquireDist: &l.AcquireUS,
 	}
 	m.Mem.Resources(func(r *sim.Resource) {
 		res.Resources = append(res.Resources, ResourceUtil{
