@@ -102,7 +102,9 @@ jobs-equiv: bench-sim
 # End-to-end check of the span pipeline: trace a tiny kernel workload,
 # require the run's own placement report to be non-empty (both the data and
 # lock sections must render, over the traced fault spans) and the written
-# file to be a trace-event document.
+# file to be a trace-event document. Then the data policies, wired by
+# placement.Attach: on the clustered kernel, and in stress mode over the
+# lock's one protected region.
 trace-smoke:
 	$(GO) run ./cmd/lockstat -run faults -size 16 -procs 8 -rounds 5 -trace /tmp/hurricane_smoke.json > /tmp/hurricane_smoke.txt
 	grep -q "data placement" /tmp/hurricane_smoke.txt
@@ -113,6 +115,12 @@ trace-smoke:
 	$(GO) run ./cmd/lockstat -run faults -size 16 -procs 4 -rounds 8 -migrate > /tmp/hurricane_migrate.txt
 	grep -Eq "migrations: [1-9]" /tmp/hurricane_migrate.txt
 	@echo "trace-smoke: online placement daemon migrated kernel data mid-run"
+	$(GO) run ./cmd/lockstat -lock h2mcs -procs 4 -home 12 -migrate > /tmp/hurricane_stress_migrate.txt
+	grep -Eq "^placement daemon: [0-9]+ windows, [1-9][0-9]* moves$$" /tmp/hurricane_stress_migrate.txt
+	grep -Eq "^data region home: module [0-3]" /tmp/hurricane_stress_migrate.txt
+	$(GO) run ./cmd/lockstat -autonomic -procs 4 -home 12 -rounds 120 > /tmp/hurricane_stress_auto.txt
+	grep -Fq "policies [tune -> replicate -> migrate]" /tmp/hurricane_stress_auto.txt
+	@echo "trace-smoke: stress mode's daemon pulled the lock's data to its contenders' station; its plane ticks tune, replicate, migrate in that order"
 
 # End-to-end check of the open-loop server harness: a short lockstat
 # server run must report a populated sojourn tail, its kernel RPC and

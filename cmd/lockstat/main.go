@@ -112,7 +112,7 @@ const maxHoldUS = 1e6
 // validate rejects flag values the run cannot honor, before any machine is
 // built, so a bad invocation fails with one line instead of a panic, a run
 // that never ends, or zeroed statistics.
-func validate(name string, mc sim.Config, run, wl string, auto bool, procs, home int, holdUS float64, rounds, warmup, horizonMS, size, pages int) error {
+func validate(name string, mc sim.Config, run, wl string, auto, traced bool, procs, home int, holdUS float64, rounds, warmup, horizonMS, size, pages int) error {
 	if run == "server" {
 		cell, err := serverCell(name, locks.KindH2MCS, mc.Seed, horizonMS, false, auto)
 		if err != nil {
@@ -127,6 +127,8 @@ func validate(name string, mc sim.Config, run, wl string, auto bool, procs, home
 	switch {
 	case run != "stress" && run != "faults" && run != "server":
 		return fmt.Errorf("unknown -run %q; choose stress, faults or server", run)
+	case run == "server" && traced:
+		return fmt.Errorf("-trace works in stress and faults mode only, not with -run server")
 	case procs < 1 || procs > maxProcs:
 		return fmt.Errorf("-procs %d must be 1-%d (%s)", procs, maxProcs, name)
 	case home < 0 || home >= maxProcs:
@@ -188,7 +190,7 @@ func main() {
 		os.Exit(2)
 	}
 	mc := mcfg(*seed)
-	if err := validate(*machineName, mc, *run, *wl, *auto, *procs, *home, *holdUS, *rounds, *warmup, *horizonMS, *size, *pages); err != nil {
+	if err := validate(*machineName, mc, *run, *wl, *auto, *tracePath != "", *procs, *home, *holdUS, *rounds, *warmup, *horizonMS, *size, *pages); err != nil {
 		fmt.Fprintf(os.Stderr, "lockstat: %v\n", err)
 		os.Exit(2)
 	}
@@ -279,8 +281,9 @@ func finishTrace(w io.Writer, path string, ch *trace.Chrome, agg *trace.Aggregat
 // acquire-latency distribution, then the reports of whichever controllers
 // ran and, with showStats, the per-lock and per-resource telemetry. With
 // cfg.Region the placement daemon, and with auto the replicator, run over
-// the protected data and read agg, which must be cfg.Tracer or one of its
-// sinks. It returns the machine the run executed on.
+// the protected data (placement.Attach) and read agg, which must be
+// cfg.Tracer or one of its sinks. It returns the machine the run executed
+// on.
 func runStress(w io.Writer, cfg workload.StressConfig, holdUS float64, showStats, auto bool, agg *trace.Aggregate) *sim.Machine {
 	us, counts := workload.UncontendedPair(cfg.Machine.Seed, cfg.Kind)
 	fmt.Fprintf(w, "%s: uncontended pair %.2fus (atomic/mem/reg/br = %d/%d/%d/%d)\n\n",
@@ -295,7 +298,7 @@ func runStress(w io.Writer, cfg workload.StressConfig, holdUS float64, showStats
 	var plane, tunePlane *autonomic.Plane
 	var rep *autonomic.Replicator
 	if cfg.Region {
-		plane = autonomic.NewPlane(placement.DefaultDaemonParams().Period)
+		plane = autonomic.NewPlane(sim.Micros(100))
 	}
 	if auto {
 		tunePlane = plane
@@ -308,45 +311,33 @@ func runStress(w io.Writer, cfg workload.StressConfig, holdUS float64, showStats
 	}
 	if cfg.Region {
 		cfg.Attach = func(r *workload.LockStressObserved) {
-			// The stress run only starts -procs processors, so the default
-			// executor (the processor co-located with the data's home) may
-			// never be scheduled; run every copy on processor 0 instead.
-			// The copy itself needs no extra lock here: the region's words
-			// are re-pointed atomically and the burst is serialized against
-			// in-flight accesses by the module/ring resource queues.
-			params := placement.DefaultDaemonParams()
-			params.Exec = func(int) int { return 0 }
-			region := r.DataRegion
-			topo, costs := autonomic.TopoOf(r.M.Config()), autonomic.CostsFromLatency(r.M.Lat())
+			// The processor co-located with the data runs each copy (the
+			// stress loop serves interrupts on every processor). The copy
+			// needs no extra lock here: the region's words are re-pointed
+			// atomically and the burst is serialized against in-flight
+			// accesses by the module/ring resource queues.
+			m, region := r.M, r.DataRegion
+			var rp *autonomic.ReplicatorParams
 			if auto {
-				rep = autonomic.NewReplicator(r.M, topo, costs,
-					autonomic.ReplicatorParams{Exec: func(int) int { return 0 }},
-					[]autonomic.ReplicaSlot{{
-						Name:   "lock data",
-						Region: region,
-						Reads:  func() []uint64 { return agg.RegionReads.Of(region) },
-						Writes: func() []uint64 { return agg.RegionWrites.Of(region) },
-						Replicate: func(p *sim.Proc, to int) {
-							r.M.Mem.ReplicateRegion(p, region, to)
-						},
-						Collapse: func(p *sim.Proc) { r.M.Mem.CollapseRegion(region) },
-					}})
-				plane.Add(rep)
-				params.Yield = rep.Claimed
+				rp = &autonomic.ReplicatorParams{}
 			}
-			daemon = placement.NewDaemon(r.M, agg, topo, costs, params,
-				[]placement.DaemonSlot{{
-					Name:   "lock data",
-					Region: region,
-					Migrate: func(p *sim.Proc, to int) {
-						if r.M.Mem.Replicated(region) {
-							r.M.Mem.CollapseRegion(region)
-						}
-						r.M.Mem.MigrateRegion(p, region, to)
-					},
-				}})
-			plane.Add(daemon)
-			plane.Start(r.M.Eng)
+			rep, daemon = placement.Attach(plane, m, agg, rp, []autonomic.ReplicaSlot{{
+				Name:      "lock data",
+				Region:    region,
+				Reads:     func() []uint64 { return agg.RegionReads.Of(region) },
+				Writes:    func() []uint64 { return agg.RegionWrites.Of(region) },
+				Replicate: func(p *sim.Proc, to int) { m.Mem.ReplicateRegion(p, region, to) },
+				Collapse:  func(*sim.Proc) { m.Mem.CollapseRegion(region) },
+			}}, &placement.DaemonParams{}, []placement.DaemonSlot{{
+				Name:   "lock data",
+				Region: region,
+				Migrate: func(p *sim.Proc, to int) {
+					if m.Mem.Replicated(region) {
+						m.Mem.CollapseRegion(region)
+					}
+					m.Mem.MigrateRegion(p, region, to)
+				},
+			}})
 		}
 	}
 	r := workload.LockStressRun(cfg)
@@ -409,10 +400,9 @@ func runStress(w io.Writer, cfg workload.StressConfig, holdUS float64, showStats
 func runFaults(w io.Writer, cc core.Config, wl string, procs, pages, rounds int, traced, auto bool, agg *trace.Aggregate) *sim.Machine {
 	// One cadence for every policy: with auto the tune samplers register
 	// on the plane during kernel construction, the data policies after.
-	dp := exp.OnlineDaemonParams()
 	var plane *autonomic.Plane
 	if cc.Migratable {
-		plane = autonomic.NewPlane(dp.Period)
+		plane = autonomic.NewPlane(exp.OnlinePeriod)
 	}
 	if auto {
 		cc.TuneParams = &tune.Params{Plane: plane}
@@ -430,7 +420,9 @@ func runFaults(w io.Writer, cc core.Config, wl string, procs, pages, rounds int,
 		if auto {
 			rp = &autonomic.ReplicatorParams{Decay: 0.9, MinWeight: 0.25, Confirm: 3}
 		}
-		rep, daemon = placement.Attach(plane, sys.K, agg, rp, &dp)
+		dp := exp.OnlineDaemonParams()
+		rep, daemon = placement.Attach(plane, sys.M, agg,
+			rp, placement.ReplicateKernel(sys.K, agg), &dp, placement.ManageKernel(sys.K))
 	}
 
 	var res workload.FaultResult
@@ -460,12 +452,13 @@ func runFaults(w io.Writer, cc core.Config, wl string, procs, pages, rounds int,
 	if rep != nil {
 		fmt.Fprint(w, "  "+plane.Report())
 		fmt.Fprint(w, "  "+rep.Report())
+		ctls := sys.K.Controllers()
 		var switches uint64
-		for _, ctl := range sys.K.Controllers() {
+		for _, ctl := range ctls {
 			switches += ctl.Switches()
 		}
-		fmt.Fprintf(w, "  kernel lock controllers: %d mode switches across %d clusters\n",
-			switches, len(sys.K.Controllers()))
+		fmt.Fprintf(w, "  kernel lock controllers: %d across %d cluster(s), %d mode switches\n",
+			len(ctls), sys.K.Topo.N, switches)
 	}
 
 	// Memory-system hot spots (windowed: the window opened at machine

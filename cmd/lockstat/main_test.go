@@ -16,7 +16,7 @@ import (
 func TestValidate(t *testing.T) {
 	cases := []struct {
 		machine, run   string
-		auto           bool
+		auto, trace    bool
 		procs, home    int
 		hold           float64
 		rounds, warmup int
@@ -25,61 +25,66 @@ func TestValidate(t *testing.T) {
 		wl             string
 		ok             bool
 	}{
-		{"hector16", "stress", false, 16, 0, 25, 300, -1, 20, 4, 4, "independent", true},
-		{"hector16", "stress", false, 1, 15, 0, 1, 0, 20, 4, 4, "independent", true},
-		{"numachine64", "stress", false, 64, 63, 1e6, 4, 3, 20, 4, 4, "independent", true},
-		{"hector16", "stress", false, 0, 0, 25, 300, -1, 20, 4, 4, "independent", false},
-		{"hector16", "stress", false, 17, 0, 25, 300, -1, 20, 4, 4, "independent", false},
-		{"hector16", "stress", false, 16, 16, 25, 300, -1, 20, 4, 4, "independent", false},
-		{"hector16", "stress", false, 16, 99, 25, 300, -1, 20, 4, 4, "independent", false},
-		{"hector16", "stress", false, 16, -1, 25, 300, -1, 20, 4, 4, "independent", false},
-		{"numachine64", "stress", false, 64, 64, 25, 300, -1, 20, 4, 4, "independent", false},
-		{"hector16", "stress", false, 2, 0, -5, 300, -1, 20, 4, 4, "independent", false},
-		{"hector16", "stress", false, 2, 0, math.NaN(), 300, -1, 20, 4, 4, "independent", false},
-		{"hector16", "stress", false, 2, 0, math.Inf(1), 300, -1, 20, 4, 4, "independent", false},
-		{"hector16", "stress", false, 2, 0, 2e6, 300, -1, 20, 4, 4, "independent", false},
-		{"hector16", "stress", false, 16, 0, 25, 0, -1, 20, 4, 4, "independent", false},
-		{"hector16", "stress", false, 16, 0, 25, -3, -1, 20, 4, 4, "independent", false},
-		{"hector16", "stress", false, 16, 0, 25, 300, -2, 20, 4, 4, "independent", false},
-		{"hector16", "stress", false, 16, 0, 25, 300, 300, 20, 4, 4, "independent", false},
-		{"hector16", "stress", false, 16, 0, 25, 300, -1, 0, 4, 4, "independent", false},
-		{"hector16", "stress", false, 16, 0, 25, 300, -1, -5, 4, 4, "independent", false},
-		{"hector16", "server", false, 16, 0, 25, 300, -1, 20, 4, 4, "independent", true},
-		{"numachine64", "server", false, 64, 0, 25, 300, -1, 20, 4, 4, "independent", true},
-		{"hector16", "bogus", false, 16, 0, 25, 300, -1, 20, 4, 4, "independent", false},
-		{"numachine256", "stress", false, 256, 255, 25, 10, -1, 20, 4, 4, "independent", true},
-		{"numachine256", "stress", false, 257, 0, 25, 10, -1, 20, 4, 4, "independent", false},
-		{"numachine256", "server", false, 16, 0, 25, 300, -1, 20, 4, 4, "independent", false},
-		{"numachine1024", "stress", false, 1024, 1023, 25, 10, -1, 20, 4, 4, "independent", true},
-		{"numachine1024", "stress", false, 1025, 0, 25, 10, -1, 20, 4, 4, "independent", false},
-		{"numachine1024", "server", false, 16, 0, 25, 300, -1, 20, 4, 4, "independent", false},
+		{"hector16", "stress", false, false, 16, 0, 25, 300, -1, 20, 4, 4, "independent", true},
+		{"hector16", "stress", false, false, 1, 15, 0, 1, 0, 20, 4, 4, "independent", true},
+		{"numachine64", "stress", false, false, 64, 63, 1e6, 4, 3, 20, 4, 4, "independent", true},
+		{"hector16", "stress", false, false, 0, 0, 25, 300, -1, 20, 4, 4, "independent", false},
+		{"hector16", "stress", false, false, 17, 0, 25, 300, -1, 20, 4, 4, "independent", false},
+		{"hector16", "stress", false, false, 16, 16, 25, 300, -1, 20, 4, 4, "independent", false},
+		{"hector16", "stress", false, false, 16, 99, 25, 300, -1, 20, 4, 4, "independent", false},
+		{"hector16", "stress", false, false, 16, -1, 25, 300, -1, 20, 4, 4, "independent", false},
+		{"numachine64", "stress", false, false, 64, 64, 25, 300, -1, 20, 4, 4, "independent", false},
+		{"hector16", "stress", false, false, 2, 0, -5, 300, -1, 20, 4, 4, "independent", false},
+		{"hector16", "stress", false, false, 2, 0, math.NaN(), 300, -1, 20, 4, 4, "independent", false},
+		{"hector16", "stress", false, false, 2, 0, math.Inf(1), 300, -1, 20, 4, 4, "independent", false},
+		{"hector16", "stress", false, false, 2, 0, 2e6, 300, -1, 20, 4, 4, "independent", false},
+		{"hector16", "stress", false, false, 16, 0, 25, 0, -1, 20, 4, 4, "independent", false},
+		{"hector16", "stress", false, false, 16, 0, 25, -3, -1, 20, 4, 4, "independent", false},
+		{"hector16", "stress", false, false, 16, 0, 25, 300, -2, 20, 4, 4, "independent", false},
+		{"hector16", "stress", false, false, 16, 0, 25, 300, 300, 20, 4, 4, "independent", false},
+		{"hector16", "stress", false, false, 16, 0, 25, 300, -1, 0, 4, 4, "independent", false},
+		{"hector16", "stress", false, false, 16, 0, 25, 300, -1, -5, 4, 4, "independent", false},
+		{"hector16", "server", false, false, 16, 0, 25, 300, -1, 20, 4, 4, "independent", true},
+		{"numachine64", "server", false, false, 64, 0, 25, 300, -1, 20, 4, 4, "independent", true},
+		{"hector16", "bogus", false, false, 16, 0, 25, 300, -1, 20, 4, 4, "independent", false},
+		{"numachine256", "stress", false, false, 256, 255, 25, 10, -1, 20, 4, 4, "independent", true},
+		{"numachine256", "stress", false, false, 257, 0, 25, 10, -1, 20, 4, 4, "independent", false},
+		{"numachine256", "server", false, false, 16, 0, 25, 300, -1, 20, 4, 4, "independent", false},
+		{"numachine1024", "stress", false, false, 1024, 1023, 25, 10, -1, 20, 4, 4, "independent", true},
+		{"numachine1024", "stress", false, false, 1025, 0, 25, 10, -1, 20, 4, 4, "independent", false},
+		{"numachine1024", "server", false, false, 16, 0, 25, 300, -1, 20, 4, 4, "independent", false},
 		// A horizon inside the cell's 2 ms warm-up measures nothing.
-		{"hector16", "server", false, 16, 0, 25, 300, -1, 2, 4, 4, "independent", false},
-		{"hector16", "server", true, 16, 0, 25, 300, -1, 2, 4, 4, "independent", false},
-		{"hector16", "server", false, 16, 0, 25, 300, -1, 3, 4, 4, "independent", true},
-		{"hector16", "server", true, 16, 0, 25, 300, -1, 3, 4, 4, "independent", true},
-		{"numachine64", "server", true, 64, 0, 25, 300, -1, 20, 4, 4, "independent", false},
+		{"hector16", "server", false, false, 16, 0, 25, 300, -1, 2, 4, 4, "independent", false},
+		{"hector16", "server", true, false, 16, 0, 25, 300, -1, 2, 4, 4, "independent", false},
+		{"hector16", "server", false, false, 16, 0, 25, 300, -1, 3, 4, 4, "independent", true},
+		{"hector16", "server", true, false, 16, 0, 25, 300, -1, 3, 4, 4, "independent", true},
+		{"numachine64", "server", true, false, 64, 0, 25, 300, -1, 20, 4, 4, "independent", false},
 		// -run faults: the size must divide the machine's processor count.
-		{"hector16", "faults", false, 16, 0, 25, 20, -1, 20, 4, 4, "independent", true},
-		{"hector16", "faults", false, 1, 0, 25, 1, -1, 20, 16, 1, "shared", true},
-		{"hector16", "faults", false, 16, 0, 25, 20, -1, 20, 1, 4, "shared", true},
-		{"hector16", "faults", false, 16, 0, 25, 20, -1, 20, 3, 4, "independent", false},
-		{"hector16", "faults", false, 16, 0, 25, 20, -1, 20, 0, 4, "independent", false},
-		{"hector16", "faults", false, 16, 0, 25, 20, -1, 20, 32, 4, "independent", false},
-		{"hector16", "faults", false, 99, 0, 25, 20, -1, 20, 4, 4, "independent", false},
-		{"hector16", "faults", false, 17, 0, 25, 20, -1, 20, 4, 4, "independent", false},
-		{"hector16", "faults", false, 0, 0, 25, 20, -1, 20, 4, 4, "independent", false},
-		{"hector16", "faults", false, 16, 0, 25, 20, -1, 20, 4, 0, "independent", false},
-		{"hector16", "faults", false, 16, 0, 25, 0, -1, 20, 4, 4, "independent", false},
-		{"hector16", "faults", false, 16, 0, 25, 20, -1, 20, 4, 4, "bogus", false},
-		{"numachine64", "faults", false, 64, 0, 25, 20, -1, 20, 8, 4, "shared", true},
-		{"numachine64", "faults", false, 64, 0, 25, 20, -1, 20, 48, 4, "independent", false},
+		{"hector16", "faults", false, false, 16, 0, 25, 20, -1, 20, 4, 4, "independent", true},
+		{"hector16", "faults", false, false, 1, 0, 25, 1, -1, 20, 16, 1, "shared", true},
+		{"hector16", "faults", false, false, 16, 0, 25, 20, -1, 20, 1, 4, "shared", true},
+		{"hector16", "faults", false, false, 16, 0, 25, 20, -1, 20, 3, 4, "independent", false},
+		{"hector16", "faults", false, false, 16, 0, 25, 20, -1, 20, 0, 4, "independent", false},
+		{"hector16", "faults", false, false, 16, 0, 25, 20, -1, 20, 32, 4, "independent", false},
+		{"hector16", "faults", false, false, 99, 0, 25, 20, -1, 20, 4, 4, "independent", false},
+		{"hector16", "faults", false, false, 17, 0, 25, 20, -1, 20, 4, 4, "independent", false},
+		{"hector16", "faults", false, false, 0, 0, 25, 20, -1, 20, 4, 4, "independent", false},
+		{"hector16", "faults", false, false, 16, 0, 25, 20, -1, 20, 4, 0, "independent", false},
+		{"hector16", "faults", false, false, 16, 0, 25, 0, -1, 20, 4, 4, "independent", false},
+		{"hector16", "faults", false, false, 16, 0, 25, 20, -1, 20, 4, 4, "bogus", false},
+		{"numachine64", "faults", false, false, 64, 0, 25, 20, -1, 20, 8, 4, "shared", true},
+		{"numachine64", "faults", false, false, 64, 0, 25, 20, -1, 20, 48, 4, "independent", false},
+		// -trace: stress and faults mode only.
+		{"hector16", "stress", false, true, 4, 12, 25, 20, -1, 20, 4, 4, "independent", true},
+		{"hector16", "faults", true, true, 4, 0, 25, 8, -1, 20, 16, 4, "independent", true},
+		{"hector16", "server", false, true, 16, 0, 25, 300, -1, 3, 4, 4, "independent", false},
+		{"hector16", "server", true, true, 16, 0, 25, 300, -1, 3, 4, 4, "independent", false},
 	}
 	for _, c := range cases {
-		err := validate(c.machine, machines[c.machine](1), c.run, c.wl, c.auto, c.procs, c.home, c.hold, c.rounds, c.warmup, c.ms, c.size, c.pages)
+		err := validate(c.machine, machines[c.machine](1), c.run, c.wl, c.auto, c.trace, c.procs, c.home, c.hold, c.rounds, c.warmup, c.ms, c.size, c.pages)
 		if (err == nil) != c.ok {
-			t.Errorf("validate(%s -run %s autonomic=%v procs=%d home=%d hold=%g rounds=%d warmup=%d ms=%d size=%d pages=%d workload=%q) = %v, want ok=%v",
-				c.machine, c.run, c.auto, c.procs, c.home, c.hold, c.rounds, c.warmup, c.ms, c.size, c.pages, c.wl, err, c.ok)
+			t.Errorf("validate(%s -run %s autonomic=%v trace=%v procs=%d home=%d hold=%g rounds=%d warmup=%d ms=%d size=%d pages=%d workload=%q) = %v, want ok=%v",
+				c.machine, c.run, c.auto, c.trace, c.procs, c.home, c.hold, c.rounds, c.warmup, c.ms, c.size, c.pages, c.wl, err, c.ok)
 		}
 	}
 }
@@ -177,6 +182,35 @@ func TestFaultsRunsThePublishedCells(t *testing.T) {
 			if !strings.Contains(b.String(), want) {
 				t.Errorf("%s: report lacks the published %q:\n%s", c.name, want, b.String())
 			}
+		}
+	}
+}
+
+// TestFaultsControllerLine holds -run faults -autonomic's controller line
+// to what it counts: three tuned kernel locks per cluster, across the
+// run's clusters, traced or not (a trace wraps each memory-manager lock in
+// telemetry, which must not hide its controller).
+func TestFaultsControllerLine(t *testing.T) {
+	for _, size := range []int{16, 4} {
+		var lines [2]string
+		for i, traced := range []bool{false, true} {
+			mc := machine.Hector16(1)
+			_, agg, tr := sinks("", true, mc.Stations*mc.ProcsPerStation)
+			var b strings.Builder
+			runFaults(&b, core.Config{Machine: mc, ClusterSize: size, LockKind: locks.KindTuned, Tracer: tr, Migratable: true},
+				"independent", 4, 4, 8, traced, true, agg)
+			for _, l := range strings.Split(b.String(), "\n") {
+				if strings.Contains(l, "kernel lock controllers:") {
+					lines[i] = l
+				}
+			}
+			clusters := 16 / size
+			if want := fmt.Sprintf("kernel lock controllers: %d across %d cluster(s), ", 3*clusters, clusters); !strings.Contains(lines[i], want) {
+				t.Errorf("-size %d traced=%v: controller line %q lacks %q", size, traced, lines[i], want)
+			}
+		}
+		if lines[0] != lines[1] {
+			t.Errorf("-size %d: a trace changed the controller line:\n%s\n%s", size, lines[0], lines[1])
 		}
 	}
 }

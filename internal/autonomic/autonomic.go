@@ -23,6 +23,7 @@
 //	DecayedSum    s = decay*s + x            (windowed mass with a ~1/(1-decay) horizon)
 //	DecayedRatio  two DecayedSums whose ratio freezes below a mass floor
 //	EWMA          v = decay*v + (1-decay)*x  (smoothed level signal)
+//	Window        an EWMA per module of a cumulative count vector's windows
 //
 // Decision primitives:
 //
@@ -31,6 +32,7 @@
 //	Streak  consecutive-window confirmation of a candidate action
 //	Gate    per-target action budget + cooldown
 //	Worthwhile  the rent-vs-buy payback test for priced actuators
+//	Costs.Copy  the estimated cost those actuators' copies are priced at
 package autonomic
 
 import "hurricane/internal/sim"
@@ -116,6 +118,56 @@ func (e *EWMA) Observe(x float64) float64 {
 // Set restarts the smoother from v (e.g. a band midpoint after a switch).
 func (e *EWMA) Set(v float64) { e.V = v }
 
+// Window is a data slot's windowed access signal: each Fold diffs a
+// cumulative per-module count vector against the snapshot the last Fold
+// took and folds that window's counts, module by module, into an EWMA with
+// the policy's per-window retention. The data policies smooth one per
+// traffic vector they watch.
+type Window struct {
+	// V is the smoothed per-window count by source module.
+	V     []float64
+	snap  []uint64
+	decay float64
+}
+
+// NewWindow returns an empty window over n modules, smoothing at decay.
+func NewWindow(n int, decay float64) Window {
+	return Window{V: make([]float64, n), snap: make([]uint64, n), decay: decay}
+}
+
+// Fold takes one window: cum is the cumulative vector now. A nil or short
+// cum reads as zero past its end.
+func (w *Window) Fold(cum []uint64) {
+	for i := range w.V {
+		var cur uint64
+		if i < len(cum) {
+			cur = cum[i]
+		}
+		x := float64(cur - w.snap[i])
+		w.snap[i] = cur
+		w.V[i] = w.decay*w.V[i] + (1-w.decay)*x
+	}
+}
+
+// Mass reports the smoothed per-window count summed over the modules.
+func (w *Window) Mass() float64 {
+	var sum float64
+	for _, v := range w.V {
+		sum += v
+	}
+	return sum
+}
+
+// Total reports the cumulative count at the last Fold, summed over the
+// modules.
+func (w *Window) Total() float64 {
+	var sum float64
+	for _, c := range w.snap {
+		sum += float64(c)
+	}
+	return sum
+}
+
 // Band is a [Low, High] hysteresis band: escalate at or above High,
 // retreat at or below Low, and do nothing in between.
 type Band struct {
@@ -182,7 +234,9 @@ func (s *Streak) Observe(cand int) bool {
 func (s *Streak) Clear() { s.cand, s.n = -1, 0 }
 
 // Gate is the per-target action limiter: a hard budget over the whole run
-// plus a cooldown between consecutive actions on the same target.
+// plus a cooldown between consecutive actions on the same target. Ready
+// and Spend take the caller's clock: simulated time, or a count of
+// windows, in which unit Cooldown is then stated.
 type Gate struct {
 	// Budget is the hard action limit over the whole run.
 	Budget int
@@ -256,6 +310,10 @@ func CostsFromLatency(lat sim.Latency) Costs {
 	return Costs{Local: float64(lat.Local), Station: float64(lat.Station),
 		Ring: float64(lat.Ring), Ring2: float64(lat.Ring2)}
 }
+
+// Copy prices copying a region of the given size for a payback gate:
+// every word at the ring weight, whatever route the copy takes.
+func (c Costs) Copy(words int) float64 { return float64(words) * c.Ring }
 
 // Of weighs one access at the given distance class.
 func (c Costs) Of(d sim.DistClass) float64 {

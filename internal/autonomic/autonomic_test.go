@@ -78,6 +78,56 @@ func TestEWMAConvergesToLevel(t *testing.T) {
 	}
 }
 
+// Window folds exactly what the data policies' inline folds did: per
+// module, the window's count cur-snap at Decay, in module order; a nil or
+// short cumulative vector reads as zero past its end. Mass and Total sum
+// the smoothed and cumulative vectors in module order.
+func TestWindowMatchesInlineFold(t *testing.T) {
+	const n = 5
+	decay := 0.9 // a variable, as the policies' Decay is: 1-decay rounds at run time
+	w := NewWindow(n, decay)
+	snap, smooth := make([]uint64, n), make([]float64, n)
+	rng := sim.NewRNG(0x3f01d)
+	cum := make([]uint64, n)
+	for win := 0; win < 40; win++ {
+		for i := range cum {
+			cum[i] += uint64(rng.Intn(50))
+		}
+		var in []uint64 // nil: no traffic yet
+		switch {
+		case win >= 20:
+			in = cum
+		case win >= 3:
+			in = cum[:3] // short: modules 3 and 4 read as zero
+		}
+		w.Fold(in)
+		var mass, total float64
+		for i := 0; i < n; i++ {
+			var cur uint64
+			if i < len(in) {
+				cur = in[i]
+			}
+			x := float64(cur - snap[i])
+			snap[i] = cur
+			smooth[i] = decay*smooth[i] + (1-decay)*x
+			mass += smooth[i]
+			total += float64(cur)
+		}
+		if !slices.Equal(w.V, smooth) || w.Mass() != mass || w.Total() != total {
+			t.Fatalf("window %d: V %v mass %v total %v, inline fold %v mass %v total %v",
+				win, w.V, w.Mass(), w.Total(), smooth, mass, total)
+		}
+	}
+}
+
+// A copy is priced at the ring weight per word, whatever its route.
+func TestCostsCopy(t *testing.T) {
+	c := Costs{Local: 10, Station: 19, Ring: 23, Ring2: 40}
+	if got := c.Copy(16); got != 16*23 {
+		t.Fatalf("Copy(16) = %v, want %v", got, 16*23)
+	}
+}
+
 func TestBandThresholdsInclusive(t *testing.T) {
 	b := Band{Low: 0.2, High: 0.8}
 	if !b.Above(0.8) || b.Above(0.79) {
@@ -309,12 +359,12 @@ func refBestReplica(r *Replicator, s *replicaSlotState, home int, replicas []int
 		}
 		var saving float64
 		for src := 0; src < n; src++ {
-			if s.smoothR[src] == 0 {
+			if s.reads.V[src] == 0 {
 				continue
 			}
 			cur := serving(src)
 			if c := r.costs.Of(r.topo.Dist(src, cand)); c < cur {
-				saving += s.smoothR[src] * (cur - c)
+				saving += s.reads.V[src] * (cur - c)
 			}
 		}
 		benefit := saving - sumW*r.costs.Of(r.topo.Dist(home, cand))
@@ -331,14 +381,14 @@ func TestBestReplicaMatchesReference(t *testing.T) {
 	topo := Topo{Stations: 4, ProcsPerStation: 4}
 	m := sim.NewMachine(sim.Config{Seed: 1})
 	r := NewReplicator(m, topo, CostsFromLatency(m.Lat()), ReplicatorParams{}, nil)
-	s := &replicaSlotState{smoothR: make([]float64, topo.Modules())}
+	s := &replicaSlotState{reads: NewWindow(topo.Modules(), 0)}
 	rng := sim.NewRNG(0xbe57)
 	found := 0
 	for n := 0; n < 500; n++ {
-		for i := range s.smoothR {
-			s.smoothR[i] = 0
+		for i := range s.reads.V {
+			s.reads.V[i] = 0
 			if rng.Intn(3) > 0 {
-				s.smoothR[i] = 40 * rng.Float64()
+				s.reads.V[i] = 40 * rng.Float64()
 			}
 		}
 		home := rng.Intn(topo.Modules())

@@ -2,6 +2,7 @@ package autonomic
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"hurricane/internal/sim"
@@ -10,9 +11,11 @@ import (
 // ReplicaSlot is one kernel-data region under replication management. The
 // read/write vectors come from the live trace aggregate; the actuators
 // dispatch through the kernel (closures, so this package needs no kernel
-// dependency). The policy detects completion by watching the region's
-// replica set, not by callback — actuations may defer behind an interrupt
-// gate.
+// dependency). Each actuation interrupts the processor co-located with the
+// region's primary home, which must take interrupts (a processor that has
+// finished its work idles in cluster.Serve). The policy detects completion
+// by watching the region's replica set, not by callback — actuations may
+// defer behind an interrupt gate.
 type ReplicaSlot struct {
 	// Name labels the slot in the action log.
 	Name string
@@ -64,11 +67,8 @@ type ReplicatorParams struct {
 	Confirm int
 	// Payback is the rent-vs-buy horizon in windows (default 64): a
 	// replica's projected per-window read saving, net of the write-update
-	// penalty, must repay the copy cost (region words x ring weight).
+	// penalty, must repay the copy cost (Costs.Copy of the region's words).
 	Payback int
-	// Exec picks the processor that executes an action, given the slot's
-	// primary home (default: the co-located processor).
-	Exec func(home int) int
 }
 
 func (p ReplicatorParams) withDefaults() ReplicatorParams {
@@ -136,10 +136,9 @@ type Replicator struct {
 
 type replicaSlotState struct {
 	ReplicaSlot
-	snapR, snapW     []uint64
-	smoothR, smoothW []float64
-	gate             Gate
-	streak           Streak
+	reads, writes Window
+	gate          Gate
+	streak        Streak
 	// pending is an in-flight action: a target module for a replicate,
 	// collapseCand for a collapse, -1 when idle.
 	pending int
@@ -154,10 +153,8 @@ func NewReplicator(m *sim.Machine, topo Topo, costs Costs, params ReplicatorPara
 	for _, s := range slots {
 		st := &replicaSlotState{
 			ReplicaSlot: s,
-			snapR:       make([]uint64, n),
-			snapW:       make([]uint64, n),
-			smoothR:     make([]float64, n),
-			smoothW:     make([]float64, n),
+			reads:       NewWindow(n, r.p.Decay),
+			writes:      NewWindow(n, r.p.Decay),
 			gate:        Gate{Budget: replicaBudget, Cooldown: replicaCooldown},
 			streak:      NewStreak(r.p.Confirm),
 			pending:     -1,
@@ -193,12 +190,8 @@ func (r *Replicator) Claimed(region int) bool {
 	if len(r.m.Mem.Replicas(region)) > 0 {
 		return true
 	}
-	var sumR, sumW float64
-	for i := range s.smoothR {
-		sumR += s.smoothR[i]
-		sumW += s.smoothW[i]
-	}
-	weight := sumR + sumW
+	sumW := s.writes.Mass()
+	weight := s.reads.Mass() + sumW
 	return weight >= r.p.MinWeight && sumW < replicaWriteHigh*weight
 }
 
@@ -208,56 +201,27 @@ func (r *Replicator) Name() string { return "replicate" }
 // Tick implements Policy: one observation window.
 func (r *Replicator) Tick(now sim.Time) {
 	r.ticks++
-	n := r.topo.Modules()
 	for _, s := range r.slots {
 		// Fold the window into the EWMAs even when the slot cannot act —
 		// the signal must stay fresh for when it can.
-		fold := func(vec func() []uint64, snap []uint64, smooth []float64) {
-			var cum []uint64
-			if vec != nil {
-				cum = vec()
-			}
-			for i := 0; i < n; i++ {
-				var cur uint64
-				if cum != nil && i < len(cum) {
-					cur = cum[i]
-				}
-				w := float64(cur - snap[i])
-				snap[i] = cur
-				smooth[i] = r.p.Decay*smooth[i] + (1-r.p.Decay)*w
-			}
-		}
-		fold(s.Reads, s.snapR, s.smoothR)
-		fold(s.Writes, s.snapW, s.smoothW)
+		s.reads.Fold(s.Reads())
+		s.writes.Fold(s.Writes())
 
 		replicas := r.m.Mem.Replicas(s.Region)
 		if s.pending != -1 {
-			if s.pending == collapseCand {
-				if len(replicas) > 0 {
-					continue // collapse still in flight behind a gate
-				}
-			} else {
-				found := false
-				for _, m := range replicas {
-					if m == s.pending {
-						found = true
-					}
-				}
-				if !found {
-					continue // replica copy still in flight
-				}
+			if s.pending == collapseCand && len(replicas) > 0 {
+				continue // collapse still in flight behind a gate
+			}
+			if s.pending != collapseCand && !slices.Contains(replicas, s.pending) {
+				continue // replica copy still in flight
 			}
 			s.pending = -1
 		}
 		if !s.gate.Ready(now) {
 			continue
 		}
-		var sumR, sumW float64
-		for i := 0; i < n; i++ {
-			sumR += s.smoothR[i]
-			sumW += s.smoothW[i]
-		}
-		weight := sumR + sumW
+		sumW := s.writes.Mass()
+		weight := s.reads.Mass() + sumW
 		if weight < r.p.MinWeight {
 			continue
 		}
@@ -274,7 +238,7 @@ func (r *Replicator) Tick(now sim.Time) {
 			s.pending = collapseCand
 			s.gate.Spend(now)
 			r.actions = append(r.actions, ReplicaAction{Slot: s.Name, Kind: "collapse", Module: -1, At: now})
-			r.dispatch(home, s.Collapse)
+			r.m.SendIPI(home, s.Collapse)
 			continue
 		}
 		if wf <= replicaWriteLow && len(replicas) < r.maxReplicas {
@@ -283,8 +247,7 @@ func (r *Replicator) Tick(now sim.Time) {
 				s.streak.Clear()
 				continue
 			}
-			copyCost := float64(r.m.Mem.RegionWords(s.Region)) * r.costs.Ring
-			if !Worthwhile(benefit, r.p.Payback, copyCost) {
+			if !Worthwhile(benefit, r.p.Payback, r.costs.Copy(r.m.Mem.RegionWords(s.Region))) {
 				s.streak.Clear()
 				continue
 			}
@@ -297,7 +260,7 @@ func (r *Replicator) Tick(now sim.Time) {
 			s.gate.Spend(now)
 			r.actions = append(r.actions, ReplicaAction{Slot: s.Name, Kind: "replicate", Module: to, At: now})
 			rep := s.Replicate
-			r.dispatch(home, func(p *sim.Proc) { rep(p, to) })
+			r.m.SendIPI(home, func(p *sim.Proc) { rep(p, to) })
 			continue
 		}
 		// Inside the hysteresis band (or already fully replicated): no
@@ -327,26 +290,17 @@ func (r *Replicator) bestReplica(s *replicaSlotState, home int, replicas []int, 
 	}
 	best, bestBenefit := -1, 0.0
 	for cand := 0; cand < n; cand++ {
-		if cand == home {
-			continue
-		}
-		taken := false
-		for _, m := range replicas {
-			if m == cand {
-				taken = true
-			}
-		}
-		if taken {
+		if cand == home || slices.Contains(replicas, cand) {
 			continue
 		}
 		var saving float64
-		for src := 0; src < n; src++ {
-			if s.smoothR[src] == 0 {
+		for src, reads := range s.reads.V {
+			if reads == 0 {
 				continue
 			}
 			cur := serving[src]
 			if c := w.Of(src, cand); c < cur {
-				saving += s.smoothR[src] * (cur - c)
+				saving += reads * (cur - c)
 			}
 		}
 		// Every write to the region now also updates the new copy.
@@ -356,15 +310,6 @@ func (r *Replicator) bestReplica(s *replicaSlotState, home int, replicas []int, 
 		}
 	}
 	return best, bestBenefit
-}
-
-// dispatch interrupts the executing processor with the actuation.
-func (r *Replicator) dispatch(home int, fn func(*sim.Proc)) {
-	exec := home
-	if r.p.Exec != nil {
-		exec = r.p.Exec(home)
-	}
-	r.m.SendIPI(exec, fn)
 }
 
 // Report renders the action log as an indented block.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"hurricane/internal/autonomic"
+	"hurricane/internal/cluster"
 	"hurricane/internal/sim"
 	"hurricane/internal/trace"
 	"hurricane/internal/trace/placement"
@@ -67,10 +68,7 @@ func TestReplicatorReplicatesReadMostlyRemoteTraffic(t *testing.T) {
 	data := m.Alloc(region, 16)
 
 	r := autonomic.NewReplicator(m, testTopo, autonomic.CostsFromLatency(sim.DefaultLatency()),
-		autonomic.ReplicatorParams{
-			MinWeight: 2,
-			Exec:      func(int) int { return 0 }, // proc 0 runs the actuations
-		},
+		autonomic.ReplicatorParams{MinWeight: 2},
 		[]autonomic.ReplicaSlot{regionSlot(m, agg, region, "data")})
 	startPlane(m, r)
 
@@ -88,7 +86,8 @@ func TestReplicatorReplicatesReadMostlyRemoteTraffic(t *testing.T) {
 		}
 	})
 	m.Go(0, func(p *sim.Proc) {
-		// The IPI executor: alive for the whole run, doing nothing.
+		// The data's home processor runs the actuations: alive for the
+		// whole run, doing nothing else.
 		for p.Now() < horizon {
 			p.Think(50)
 		}
@@ -122,10 +121,7 @@ func TestReplicatorCollapsesWriteHotSlot(t *testing.T) {
 	data := m.Alloc(region, 16)
 
 	r := autonomic.NewReplicator(m, testTopo, autonomic.CostsFromLatency(sim.DefaultLatency()),
-		autonomic.ReplicatorParams{
-			MinWeight: 2,
-			Exec:      func(int) int { return 0 },
-		},
+		autonomic.ReplicatorParams{MinWeight: 2},
 		[]autonomic.ReplicaSlot{regionSlot(m, agg, region, "data")})
 	startPlane(m, r)
 
@@ -166,13 +162,14 @@ func TestReplicatorCollapsesWriteHotSlot(t *testing.T) {
 
 // The adversarial case the hysteresis band, budgets and the Yield hook
 // exist for: one slot alternating read-mostly and write-hot faster than
-// any placement can pay off, with BOTH policies live on one plane. The
-// run must stay bounded — each policy may be wrong at most its budget
-// times — and the two policies must hand the slot back and forth rather
-// than fight: no migration ever lands while the slot is replicated. Once
-// the daemon moves the slot onto its reader, replication has nothing left
-// to gain; TestReplicatorBudgetBoundsAlternation drives the replicator's
-// budget on its own.
+// any placement can pay off, with BOTH policies live on one plane, wired
+// by placement.Attach. The run must stay bounded — each policy may be
+// wrong at most its budget times — and the two policies must hand the
+// slot back and forth rather than fight: no migration ever lands while the
+// slot is replicated. Once the daemon moves the slot onto its reader,
+// replication has nothing left to gain;
+// TestReplicatorBudgetBoundsAlternation drives the replicator's budget on
+// its own.
 func TestReplicatorAdversarialAlternationNoOscillation(t *testing.T) {
 	// budget is the daemon's per-slot move budget; repBudget is the
 	// replicator's fixed per-slot action budget.
@@ -183,22 +180,10 @@ func TestReplicatorAdversarialAlternationNoOscillation(t *testing.T) {
 	region := m.Mem.NewRegion(0)
 	data := m.Alloc(region, 16)
 
-	plane := autonomic.NewPlane(sim.Micros(25))
-	rep := autonomic.NewReplicator(m, testTopo, autonomic.CostsFromLatency(sim.DefaultLatency()),
-		autonomic.ReplicatorParams{
-			MinWeight: 1,
-			Exec:      func(int) int { return 0 },
-		},
-		[]autonomic.ReplicaSlot{regionSlot(m, agg, region, "data")})
-	plane.Add(rep)
-	d := placement.NewDaemon(m, agg, testTopo, autonomic.CostsFromLatency(sim.DefaultLatency()),
-		placement.DaemonParams{
-			Period:    sim.Micros(25),
-			MinWeight: 1,
-			Budget:    budget,
-			Yield:     rep.Claimed,
-			Exec:      func(int) int { return 0 },
-		},
+	rep, d := placement.Attach(autonomic.NewPlane(sim.Micros(25)), m, agg,
+		&autonomic.ReplicatorParams{MinWeight: 1},
+		[]autonomic.ReplicaSlot{regionSlot(m, agg, region, "data")},
+		&placement.DaemonParams{MinWeight: 1, Budget: budget},
 		[]placement.DaemonSlot{{
 			Name:   "data",
 			Region: region,
@@ -211,12 +196,11 @@ func TestReplicatorAdversarialAlternationNoOscillation(t *testing.T) {
 				m.Mem.MigrateRegion(p, region, to)
 			},
 		}})
-	plane.Add(d)
-	plane.Start(m.Eng)
 
 	// 200us phases: read-mostly from station 3, then write-hot from
 	// station 3 — each long enough to confirm an action, far too short to
-	// repay one.
+	// repay one. Every processor serves interrupts once its work is done,
+	// so each action runs on the processor co-located with the data.
 	const phases = 12
 	m.Go(12, func(p *sim.Proc) {
 		for ph := 0; ph < phases; ph++ {
@@ -230,13 +214,20 @@ func TestReplicatorAdversarialAlternationNoOscillation(t *testing.T) {
 				p.Think(50)
 			}
 		}
+		cluster.Serve(p)
 	})
 	m.Go(0, func(p *sim.Proc) {
 		end := sim.Time(sim.Micros(200 * (phases + 1)))
 		for p.Now() < end {
 			p.Think(50)
 		}
+		cluster.Serve(p)
 	})
+	for i := 0; i < m.NumProcs(); i++ {
+		if i != 0 && i != 12 {
+			m.Go(i, cluster.Serve)
+		}
+	}
 	m.RunAll()
 	m.Shutdown()
 
@@ -266,10 +257,7 @@ func TestReplicatorBudgetBoundsAlternation(t *testing.T) {
 	data := m.Alloc(region, 16)
 
 	rep := autonomic.NewReplicator(m, testTopo, autonomic.CostsFromLatency(sim.DefaultLatency()),
-		autonomic.ReplicatorParams{
-			MinWeight: 1,
-			Exec:      func(int) int { return 0 },
-		},
+		autonomic.ReplicatorParams{MinWeight: 1},
 		[]autonomic.ReplicaSlot{regionSlot(m, agg, region, "data")})
 	startPlane(m, rep)
 

@@ -31,11 +31,11 @@ type placementPhase struct {
 // runPlacement executes the workload once on mc, as a single cluster
 // spanning the whole machine; the analyzer and the daemon take their
 // topology and cost model from the machine. A non-nil
-// moves map replays analyzer-proposed homes offline (kernel SlotModule); a
-// non-nil daemon parameter set instead allocates the kernel data in
-// migratable regions and lets the online daemon re-home it mid-run. Both
-// nil is the static baseline.
-func runPlacement(mc sim.Config, rounds int, moves map[int]int, daemon *placement.DaemonParams) placementPhase {
+// moves map replays analyzer-proposed homes offline (kernel SlotModule);
+// online instead allocates the kernel data in migratable regions and lets
+// the online daemon (OnlineDaemonParams, on a plane ticking every
+// OnlinePeriod) re-home it mid-run. Neither is the static baseline.
+func runPlacement(mc sim.Config, rounds int, moves map[int]int, online bool) placementPhase {
 	var ph placementPhase
 	ph.agg = trace.NewAggregate(procsOf(mc))
 	cfg := core.Config{
@@ -52,15 +52,14 @@ func runPlacement(mc sim.Config, rounds int, moves map[int]int, daemon *placemen
 			return def
 		}
 	}
-	if daemon != nil {
-		cfg.Migratable = true
-	}
+	cfg.Migratable = online
 	sys := core.NewSystem(cfg)
 	ph.m = sys.M
 	ph.mm = locks.NewStats(sys.M, sys.K.VM.MMLock(0))
 	sys.K.VM.SetMMLock(0, ph.mm)
-	if daemon != nil {
-		_, ph.daemon = placement.Attach(autonomic.NewPlane(daemon.Period), sys.K, ph.agg, nil, daemon)
+	if online {
+		dp := OnlineDaemonParams()
+		_, ph.daemon = placement.Attach(autonomic.NewPlane(OnlinePeriod), sys.M, ph.agg, nil, nil, &dp, placement.ManageKernel(sys.K))
 	}
 	res := workload.IndependentFaults(sys, 4, 4, rounds)
 	ph.faultUS = res.Dist.Mean()
@@ -137,12 +136,12 @@ func Placement(seed uint64, rounds int) *Table {
 
 	// Phase A: trace the default placement (doubling as the baseline run —
 	// tracing and telemetry charge no simulated time).
-	base := runPlacement(mc, rounds, nil, nil)
+	base := runPlacement(mc, rounds, nil, false)
 	rep := base.analyze()
 	moves := rep.Moves()
 
 	// Phase B: replay with the proposed homes.
-	placed := runPlacement(mc, rounds, moves, nil)
+	placed := runPlacement(mc, rounds, moves, false)
 
 	ringBase := placementReport(t, "", "baseline", base)
 	ringPlaced := placementReport(t, "", "placed", placed)

@@ -6,18 +6,21 @@ import (
 	"hurricane/internal/trace/placement"
 )
 
+// OnlinePeriod is the cadence of the plane OnlineDaemonParams is tuned
+// for: sampling fast (25us against a ~200us fault) so a placement mistake
+// is noticed within one fault. It makes the daemon's cooldown 200us.
+const OnlinePeriod sim.Duration = 25 * sim.CyclesPerMicrosecond
+
 // OnlineDaemonParams is the controller tuning for kernel data under a page
 // fault workload, which placement_online runs on both machines and
-// lockstat -run faults -migrate runs too: sampling fast (25us against a
-// ~200us fault) so a placement mistake is noticed within one fault;
-// smoothing over a ~250us horizon (Decay 0.9 at this cadence) so no single
-// fault's burst dominates the vector; MinWeight low enough that even the
-// scratch slots' ~1 access/window steady rate clears it; and three
-// confirming windows before any copy. Budget and cooldown keep their
-// defaults.
+// lockstat -run faults -migrate runs too, each on a plane ticking every
+// OnlinePeriod: smoothing over a ~250us horizon (Decay 0.9 at that
+// cadence) so no single fault's burst dominates the vector; MinWeight low
+// enough that even the scratch slots' ~1 access/window steady rate clears
+// it; and three confirming windows before any copy. Budget keeps its
+// default.
 func OnlineDaemonParams() placement.DaemonParams {
 	return placement.DaemonParams{
-		Period:    sim.Micros(25),
 		Decay:     0.9,
 		MinWeight: 0.25,
 		Confirm:   3,
@@ -58,12 +61,11 @@ func PlacementOnline(seed uint64, rounds int) *Table {
 		mc := setups[i].mc
 		o := &outs[i]
 		// Static striping doubles as the offline analyzer's training trace.
-		o.static = runPlacement(mc, rounds, nil, nil)
+		o.static = runPlacement(mc, rounds, nil, false)
 		moves := o.static.analyze().Moves()
 		o.offlineMoves = len(moves)
-		o.offline = runPlacement(mc, rounds, moves, nil)
-		dp := OnlineDaemonParams()
-		o.online = runPlacement(mc, rounds, nil, &dp)
+		o.offline = runPlacement(mc, rounds, moves, false)
+		o.online = runPlacement(mc, rounds, nil, true)
 	})
 
 	var rel [2]float64

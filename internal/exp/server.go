@@ -135,9 +135,8 @@ func serverCell(seed uint64, mc serverMachineConfig, lc serverLockConfig, horizo
 		c.Config.QueueLimit = 16 * procsOf(c.Config.Machine)
 	}
 	if lc.daemon {
-		dp := placement.DefaultDaemonParams()
-		c.Plane = autonomic.NewPlane(dp.Period)
-		c.attach(nil, &dp)
+		c.Plane = autonomic.NewPlane(sim.Micros(100))
+		c.attach(nil, &placement.DaemonParams{})
 	}
 	return c
 }
@@ -151,7 +150,8 @@ func (c *ServerCell) attach(rp *autonomic.ReplicatorParams, dp *placement.Daemon
 	c.Config.Tracer = agg
 	if c.Plane != nil {
 		c.Config.Attach = func(sys *core.System) {
-			c.Replicator, c.Daemon = placement.Attach(c.Plane, sys.K, agg, rp, dp)
+			c.Replicator, c.Daemon = placement.Attach(c.Plane, sys.M, agg,
+				rp, placement.ReplicateKernel(sys.K, agg), dp, placement.ManageKernel(sys.K))
 		}
 	}
 }

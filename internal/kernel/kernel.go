@@ -173,12 +173,16 @@ func (k *Kernel) EndRequest(p *sim.Proc, tenant uint64, arrival sim.Time) {
 
 // Controllers returns the tune.Controller of every feedback-tuned lock the
 // kernel owns (memory-manager, address-space and process-table locks), in
-// deterministic cluster order. Empty unless Config.LockKind is KindTuned —
-// the handle the controller-interaction tests use to check that kernel-wide
-// tuning does not oscillate.
+// deterministic cluster order, looking through a locks.Stats telemetry
+// wrapper. Empty unless Config.LockKind is KindTuned — the handle the
+// controller-interaction tests use to check that kernel-wide tuning does
+// not oscillate.
 func (k *Kernel) Controllers() []*tune.Controller {
 	var cs []*tune.Controller
 	add := func(l locks.Lock) {
+		if s, ok := l.(*locks.Stats); ok {
+			l = s.Unwrap()
+		}
 		if tl, ok := l.(*locks.Tuned); ok {
 			cs = append(cs, tl.Controller())
 		}

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"slices"
 	"testing"
 
 	"hurricane/internal/cluster"
@@ -25,6 +26,25 @@ func setupPrivate(p *sim.Proc, k *Kernel, home int, id uint64, npages int, refco
 		k.VM.SetupPage(p, base+uint64(v), refcount, flags, id<<16|uint64(v))
 	}
 	return region
+}
+
+// Controllers finds every tuned kernel lock's controller, three per
+// cluster, also behind the locks.Stats wrapper a traced run puts on each
+// memory-manager lock.
+func TestControllersSeeThroughStats(t *testing.T) {
+	m := sim.NewMachine(sim.Config{Seed: 1})
+	k := New(m, Config{ClusterSize: 4, LockKind: locks.KindTuned})
+	bare := k.Controllers()
+	if len(bare) != 3*k.Topo.N {
+		t.Fatalf("%d controllers in %d clusters, want 3 per cluster", len(bare), k.Topo.N)
+	}
+	for c := 0; c < k.Topo.N; c++ {
+		k.VM.SetMMLock(c, locks.NewStats(m, k.VM.MMLock(c)))
+	}
+	if wrapped := k.Controllers(); !slices.Equal(wrapped, bare) {
+		t.Fatalf("with Stats-wrapped memory-manager locks Controllers returns %d controllers, want the same %d",
+			len(wrapped), len(bare))
+	}
 }
 
 func TestKeyEncoding(t *testing.T) {

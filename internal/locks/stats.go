@@ -67,6 +67,9 @@ func NewStats(m *sim.Machine, l Lock) *Stats {
 // Name implements Lock.
 func (s *Stats) Name() string { return s.inner.Name() }
 
+// Unwrap returns the wrapped lock.
+func (s *Stats) Unwrap() Lock { return s.inner }
+
 // Home implements Lock.
 func (s *Stats) Home() int { return s.home }
 

@@ -15,13 +15,11 @@ import (
 // tuner: a fixed sampling cadence (the autonomics plane's, zero simulated
 // cost), EWMA smoothing of the windowed signal so one-window bursts cannot
 // trigger action, and a hysteresis/indifference band plus hard budgets so
-// the feedback loop cannot thrash.
+// the feedback loop cannot thrash. The cadence is the plane's alone: each
+// of its ticks diffs the live trace.Aggregate region vectors into one
+// observation window, and two moves of one slot are at least eight windows
+// apart.
 type DaemonParams struct {
-	// Period is the cadence of the plane that ticks the daemon (default
-	// 100us). Each tick diffs the live trace.Aggregate region vectors into
-	// one observation window. Two moves of one slot are at least eight
-	// periods apart.
-	Period sim.Duration
 	// Decay is the per-window EWMA retention of the smoothed access
 	// vectors (default 0.75, a ~4-window horizon — the same constant tune
 	// uses for its wait and utilization signals, and for the same reason:
@@ -44,8 +42,8 @@ type DaemonParams struct {
 	// worst-case migration traffic for an adversarial workload.
 	Budget int
 	// Confirm is how many consecutive windows the same destination must win
-	// before the move executes (default 2). A burst shorter than
-	// Confirm×Period — one processor's single fault, say — can nominate a
+	// before the move executes (default 2). A burst shorter than Confirm
+	// windows — one processor's single fault, say — can nominate a
 	// destination but never confirm it, so only sustained shifts move data.
 	Confirm int
 	// Yield, when non-nil, marks regions another policy has claimed: the
@@ -55,17 +53,9 @@ type DaemonParams struct {
 	// migrator first (nil: the daemon only defers to already-installed
 	// replicas).
 	Yield func(region int) bool
-	// Exec picks the processor that executes a move, given the slot's
-	// current physical home. Default: the processor co-located with the
-	// home (processor and module numbers coincide on HECTOR). Override
-	// when not every processor runs (lockstat's stress loop).
-	Exec func(home int) int
 }
 
 func (p DaemonParams) withDefaults() DaemonParams {
-	if p.Period == 0 {
-		p.Period = sim.Micros(100)
-	}
 	if p.Decay == 0 {
 		p.Decay = 0.75
 	}
@@ -85,15 +75,12 @@ func (p DaemonParams) withDefaults() DaemonParams {
 }
 
 // payback is the rent-vs-buy horizon, in windows: a move executes only if
-// its projected per-window saving repays the copy's estimated cost (region
-// words × the ring access weight) within payback windows. This is what
-// keeps large slots from chasing small improvements — the copy grows with
-// the slot, the saving does not — while leaving small slots cheap to
-// re-home.
+// its projected per-window saving repays the copy's estimated cost
+// (autonomic.Costs.Copy of the region's words) within payback windows. This
+// is what keeps large slots from chasing small improvements — the copy
+// grows with the slot, the saving does not — while leaving small slots
+// cheap to re-home.
 const payback = 64
-
-// DefaultDaemonParams returns the defaulted parameter set.
-func DefaultDaemonParams() DaemonParams { return DaemonParams{}.withDefaults() }
 
 // DaemonSlot is one migratable object under daemon management.
 type DaemonSlot struct {
@@ -144,9 +131,8 @@ type Daemon struct {
 
 type slotState struct {
 	DaemonSlot
-	snap   []uint64         // cumulative vector at last tick
-	smooth []float64        // EWMA of windowed diffs
-	ivec   []uint64         // smooth in fixed point, propose's input
+	win    autonomic.Window // the region's smoothed access vector
+	ivec   []uint64         // win.V in fixed point, propose's input
 	gate   autonomic.Gate   // per-slot move budget + cooldown
 	target int              // requested home of an in-flight move, -1 when idle
 	streak autonomic.Streak // destination confirmation across windows
@@ -155,7 +141,7 @@ type slotState struct {
 // NewDaemon builds a daemon over machine m, observing the live aggregate
 // agg (which must be installed as the machine's tracer) and managing the
 // given slots. Register it on an autonomic.Plane to begin sampling; Attach
-// does both for a kernel's slots.
+// does both.
 func NewDaemon(m *sim.Machine, agg *trace.Aggregate, topo autonomic.Topo, costs autonomic.Costs, params DaemonParams, slots []DaemonSlot) *Daemon {
 	d := &Daemon{m: m, agg: agg, topo: topo, costs: costs, weights: autonomic.NewWeights(topo, costs), p: params.withDefaults()}
 	n := agg.Modules()
@@ -164,13 +150,13 @@ func NewDaemon(m *sim.Machine, agg *trace.Aggregate, topo autonomic.Topo, costs 
 	for _, s := range slots {
 		d.slots = append(d.slots, &slotState{
 			DaemonSlot: s,
-			snap:       make([]uint64, n),
-			smooth:     make([]float64, n),
+			win:        autonomic.NewWindow(n, d.p.Decay),
 			ivec:       make([]uint64, n),
-			// The cooldown between two moves of one slot is eight sampling
-			// periods, so an oscillating workload at most flips a slot once
-			// per cooldown until the budget runs out.
-			gate:   autonomic.Gate{Budget: d.p.Budget, Cooldown: 8 * d.p.Period},
+			// The cooldown between two moves of one slot is eight windows
+			// of the plane (the gate's clock is the window count), so an
+			// oscillating workload at most flips a slot once per cooldown
+			// until the budget runs out.
+			gate:   autonomic.Gate{Budget: d.p.Budget, Cooldown: 8},
 			target: -1,
 			streak: autonomic.NewStreak(d.p.Confirm),
 		})
@@ -200,16 +186,7 @@ func (d *Daemon) Tick(now sim.Time) {
 	for _, s := range d.slots {
 		// Fold this window into the EWMA even when the slot cannot move
 		// right now — the signal must stay fresh for when it can.
-		vec := d.agg.RegionAccess.Of(s.Region)
-		for i := range s.smooth {
-			var cur uint64
-			if vec != nil {
-				cur = vec[i]
-			}
-			w := float64(cur - s.snap[i])
-			s.snap[i] = cur
-			s.smooth[i] = d.p.Decay*s.smooth[i] + (1-d.p.Decay)*w
-		}
+		s.win.Fold(d.agg.RegionAccess.Of(s.Region))
 		home := d.m.Mem.Home(s.Region)
 		if s.target >= 0 {
 			if home != s.target {
@@ -228,27 +205,24 @@ func (d *Daemon) Tick(now sim.Time) {
 			s.streak.Clear()
 			continue
 		}
-		if !s.gate.Ready(now) {
+		if !s.gate.Ready(sim.Time(d.ticks)) {
 			continue
 		}
-		var weight float64
+		if s.win.Mass() < d.p.MinWeight {
+			continue
+		}
 		ivec := s.ivec
-		for i, v := range s.smooth {
-			weight += v
+		for i, v := range s.win.V {
 			// Fixed-point (1/16 access) so propose() keeps the EWMA's
 			// fractional resolution.
 			ivec[i] = uint64(v*16 + 0.5)
-		}
-		if weight < d.p.MinWeight {
-			continue
 		}
 		prop := propose(s.Name, home, ivec, d.topo, d.weights, load, d.cost, d.p.Improve)
 		if prop.Moved() {
 			// Rent vs buy: the per-window saving (undo the fixed-point
 			// scale) must repay the copy within the payback horizon.
 			benefit := (prop.CurCost - prop.NewCost) / 16
-			copyCost := float64(d.m.Mem.RegionWords(s.Region)) * d.costs.Ring
-			if !autonomic.Worthwhile(benefit, payback, copyCost) {
+			if !autonomic.Worthwhile(benefit, payback, d.costs.Copy(d.m.Mem.RegionWords(s.Region))) {
 				prop.Proposed = prop.Home
 			}
 		}
@@ -262,25 +236,18 @@ func (d *Daemon) Tick(now sim.Time) {
 		s.streak.Clear()
 		to := prop.Proposed
 		s.target = to
-		s.gate.Spend(now)
+		s.gate.Spend(sim.Time(d.ticks))
 		// Shift the slot's cumulative traffic in the projected-load vector
 		// so the next slot this tick sees it and near-tied candidates
 		// spread instead of piling up (mirrors Analyze's assignment loop).
-		var slotTotal float64
-		for _, c := range s.snap {
-			slotTotal += float64(c)
-		}
+		slotTotal := s.win.Total()
 		load[to] += slotTotal
 		if home < n {
 			load[home] -= slotTotal
 		}
 		d.moves = append(d.moves, Move{Slot: s.Name, From: home, To: to, At: now})
-		exec := home
-		if d.p.Exec != nil {
-			exec = d.p.Exec(home)
-		}
 		mig := s.Migrate
-		d.m.SendIPI(exec, func(h *sim.Proc) { mig(h, to) })
+		d.m.SendIPI(home, func(h *sim.Proc) { mig(h, to) })
 	}
 }
 
@@ -301,7 +268,6 @@ func (d *Daemon) Report() string {
 func ManageKernel(k *kernel.Kernel) []DaemonSlot {
 	var slots []DaemonSlot
 	for _, ref := range k.MigratableSlots() {
-		ref := ref
 		slots = append(slots, DaemonSlot{
 			Name:   ref.Name(),
 			Region: ref.Region,
@@ -325,13 +291,11 @@ func ManageKernel(k *kernel.Kernel) []DaemonSlot {
 func ReplicateKernel(k *kernel.Kernel, agg *trace.Aggregate) []autonomic.ReplicaSlot {
 	var slots []autonomic.ReplicaSlot
 	for _, ref := range k.MigratableSlots() {
-		ref := ref
-		region := ref.Region
 		slots = append(slots, autonomic.ReplicaSlot{
 			Name:   ref.Name(),
-			Region: region,
-			Reads:  func() []uint64 { return agg.RegionReads.Of(region) },
-			Writes: func() []uint64 { return agg.RegionWrites.Of(region) },
+			Region: ref.Region,
+			Reads:  func() []uint64 { return agg.RegionReads.Of(ref.Region) },
+			Writes: func() []uint64 { return agg.RegionWrites.Of(ref.Region) },
 			Replicate: func(p *sim.Proc, to int) {
 				k.Gate.Dispatch(p, func(h *sim.Proc) {
 					k.ReplicateSlot(h, ref.Cluster, ref.Slot, to)
@@ -347,21 +311,24 @@ func ReplicateKernel(k *kernel.Kernel, agg *trace.Aggregate) []autonomic.Replica
 	return slots
 }
 
-// Attach wires the data policies over kernel k onto plane and starts the
-// plane. The replicator registers first when rp is non-nil, then the
-// migration daemon when dp is non-nil, so each tick's migrator sees the
-// traffic a replication just rerouted. When both run, the daemon's Yield
-// is the replicator's Claimed: the migrator never moves a slot the
-// replicator is about to copy. Both policies read the topology and access
-// costs of k's machine and observe agg, which must see the machine's
-// whole event stream (its tracer, or a sink of its pipeline). A nil return
-// is a policy that does not run.
-func Attach(plane *autonomic.Plane, k *kernel.Kernel, agg *trace.Aggregate, rp *autonomic.ReplicatorParams, dp *DaemonParams) (*autonomic.Replicator, *Daemon) {
-	topo, costs := autonomic.TopoOf(k.M.Config()), autonomic.CostsFromLatency(k.M.Lat())
+// Attach wires the data policies over machine m onto plane and starts the
+// plane. The replicator registers first when rp is non-nil, managing
+// replicas, then the migration daemon when dp is non-nil, managing slots,
+// so each tick's migrator sees the traffic a replication just rerouted.
+// When both run, the daemon's Yield is the replicator's Claimed: the
+// migrator never moves a slot the replicator is about to copy. Both
+// policies read the topology and access costs of m and observe agg, which
+// must see m's whole event stream (its tracer, or a sink of its pipeline).
+// Each actuation interrupts the processor co-located with the data, so
+// every processor must take interrupts (cluster.Serve when idle, as under
+// core.System). A kernel's slot lists are ReplicateKernel and ManageKernel.
+// A nil return is a policy that does not run.
+func Attach(plane *autonomic.Plane, m *sim.Machine, agg *trace.Aggregate, rp *autonomic.ReplicatorParams, replicas []autonomic.ReplicaSlot, dp *DaemonParams, slots []DaemonSlot) (*autonomic.Replicator, *Daemon) {
+	topo, costs := autonomic.TopoOf(m.Config()), autonomic.CostsFromLatency(m.Lat())
 	var rep *autonomic.Replicator
 	var d *Daemon
 	if rp != nil {
-		rep = autonomic.NewReplicator(k.M, topo, costs, *rp, ReplicateKernel(k, agg))
+		rep = autonomic.NewReplicator(m, topo, costs, *rp, replicas)
 		plane.Add(rep)
 	}
 	if dp != nil {
@@ -369,9 +336,9 @@ func Attach(plane *autonomic.Plane, k *kernel.Kernel, agg *trace.Aggregate, rp *
 		if rep != nil {
 			p.Yield = rep.Claimed
 		}
-		d = NewDaemon(k.M, agg, topo, costs, p, ManageKernel(k))
+		d = NewDaemon(m, agg, topo, costs, p, slots)
 		plane.Add(d)
 	}
-	plane.Start(k.M.Eng)
+	plane.Start(m.Eng)
 	return rep, d
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hurricane/internal/autonomic"
+	"hurricane/internal/cluster"
 	"hurricane/internal/core"
 	"hurricane/internal/locks"
 	"hurricane/internal/sim"
@@ -36,8 +37,8 @@ func daemonRun(seed uint64) string {
 		Tracer:      agg,
 		Migratable:  true,
 	})
-	_, d := placement.Attach(autonomic.NewPlane(sim.Micros(25)), sys.K, agg, nil,
-		&placement.DaemonParams{Period: sim.Micros(25), Decay: 0.9, MinWeight: 0.25, Confirm: 3})
+	_, d := placement.Attach(autonomic.NewPlane(sim.Micros(25)), sys.M, agg, nil, nil,
+		&placement.DaemonParams{Decay: 0.9, MinWeight: 0.25, Confirm: 3}, placement.ManageKernel(sys.K))
 	res := workload.IndependentFaults(sys, 4, 4, 6)
 	return fmt.Sprintf("%s|mig=%d words=%d cycles=%d|fault=%.6f|end=%v",
 		d.Report(), res.Stats.Migrations, res.Stats.MigratedWords,
@@ -69,8 +70,8 @@ func TestDaemonNoOpOnOptimalLayout(t *testing.T) {
 		// station-0 module, which is inside the indifference band.
 		SlotModule: func(c, slot, def int) int { return slot },
 	})
-	_, d := placement.Attach(autonomic.NewPlane(sim.Micros(25)), sys.K, agg, nil,
-		&placement.DaemonParams{Period: sim.Micros(25), Decay: 0.9, MinWeight: 0.25, Confirm: 3})
+	_, d := placement.Attach(autonomic.NewPlane(sim.Micros(25)), sys.M, agg, nil, nil,
+		&placement.DaemonParams{Decay: 0.9, MinWeight: 0.25, Confirm: 3}, placement.ManageKernel(sys.K))
 	res := workload.IndependentFaults(sys, 4, 4, 8)
 	if n := len(d.Moves()); n != 0 {
 		t.Fatalf("daemon made %d moves on an optimal layout:\n%s", n, d.Report())
@@ -91,16 +92,8 @@ func TestDaemonThrashBudget(t *testing.T) {
 	m.SetTracer(agg)
 	region := m.Mem.NewRegion(0)
 	data := m.Alloc(region, 4)
-	d := placement.NewDaemon(m, agg, autonomic.Topo{Stations: 4, ProcsPerStation: 4},
-		autonomic.CostsFromLatency(sim.DefaultLatency()),
-		placement.DaemonParams{
-			Period:    sim.Micros(25),
-			Decay:     0.9,
-			MinWeight: 0.25,
-			Confirm:   2,
-			Budget:    budget,
-			Exec:      func(int) int { return 0 },
-		},
+	_, d := placement.Attach(autonomic.NewPlane(sim.Micros(25)), m, agg, nil, nil,
+		&placement.DaemonParams{Decay: 0.9, MinWeight: 0.25, Confirm: 2, Budget: budget},
 		[]placement.DaemonSlot{{
 			Name:   "data",
 			Region: region,
@@ -108,13 +101,12 @@ func TestDaemonThrashBudget(t *testing.T) {
 				m.Mem.MigrateRegion(p, region, to)
 			},
 		}})
-	plane := autonomic.NewPlane(sim.Micros(25))
-	plane.Add(d)
-	plane.Start(m.Eng)
 
 	// Processors 0 (station 0) and 12 (station 3) alternate hammering the
 	// region in 200us phases — long enough for the daemon to commit to each
-	// station before the traffic flips away again.
+	// station before the traffic flips away again. Every processor serves
+	// interrupts once its work is done, so each move runs on the processor
+	// co-located with the data.
 	hammer := func(active bool, p *sim.Proc) {
 		deadline := p.Now() + sim.Time(sim.Micros(200))
 		for p.Now() < deadline {
@@ -130,13 +122,20 @@ func TestDaemonThrashBudget(t *testing.T) {
 		for ph := 0; ph < phases; ph++ {
 			hammer(ph%2 == 0, p)
 		}
-		p.Think(sim.Micros(100)) // outlive proc 12: it is the IPI executor
+		p.Think(sim.Micros(100)) // outlive proc 12's last phase
+		cluster.Serve(p)
 	})
 	m.Go(12, func(p *sim.Proc) {
 		for ph := 0; ph < phases; ph++ {
 			hammer(ph%2 == 1, p)
 		}
+		cluster.Serve(p)
 	})
+	for i := 0; i < m.NumProcs(); i++ {
+		if i != 0 && i != 12 {
+			m.Go(i, cluster.Serve)
+		}
+	}
 	m.RunAll()
 	m.Shutdown()
 

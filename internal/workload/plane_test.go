@@ -37,8 +37,9 @@ func TestServerPlaneObservationByteIdentical(t *testing.T) {
 	cfg := planeTestConfig(0x5eed, locks.KindSpin, agg)
 	never := 1e18 // MinWeight no slot can reach
 	cfg.Attach = func(sys *core.System) {
-		placement.Attach(autonomic.NewPlane(sim.Micros(100)), sys.K, agg,
-			&autonomic.ReplicatorParams{MinWeight: never}, &placement.DaemonParams{MinWeight: never})
+		placement.Attach(autonomic.NewPlane(sim.Micros(100)), sys.M, agg,
+			&autonomic.ReplicatorParams{MinWeight: never}, placement.ReplicateKernel(sys.K, agg),
+			&placement.DaemonParams{MinWeight: never}, placement.ManageKernel(sys.K))
 	}
 	watched := ServerRun(cfg)
 

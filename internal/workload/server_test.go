@@ -111,9 +111,10 @@ func TestServerControllerInteraction(t *testing.T) {
 	agg := trace.NewAggregate(16)
 	cfg.Tracer = agg
 	var daemon *placement.Daemon
+	const budget = 4 // the daemon's default per-slot move budget, stated
 	cfg.Attach = func(sys *core.System) {
-		dp := placement.DefaultDaemonParams()
-		_, daemon = placement.Attach(autonomic.NewPlane(dp.Period), sys.K, agg, nil, &dp)
+		_, daemon = placement.Attach(autonomic.NewPlane(sim.Micros(100)), sys.M, agg,
+			nil, nil, &placement.DaemonParams{Budget: budget}, placement.ManageKernel(sys.K))
 	}
 	r := ServerRun(cfg)
 	if r.Completed == 0 {
@@ -142,7 +143,6 @@ func TestServerControllerInteraction(t *testing.T) {
 			last = j
 		}
 	}
-	budget := placement.DefaultDaemonParams().Budget
 	perSlot := map[string]int{}
 	for _, mv := range daemon.Moves() {
 		perSlot[mv.Slot]++

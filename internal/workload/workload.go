@@ -5,6 +5,7 @@
 package workload
 
 import (
+	"hurricane/internal/cluster"
 	"hurricane/internal/core"
 	"hurricane/internal/kernel"
 	"hurricane/internal/locks"
@@ -148,6 +149,10 @@ type StressConfig struct {
 	// memory region (initially homed at Home) instead of directly on the
 	// home module, and records its id in the result's DataRegion — the
 	// handle an online placement daemon needs to re-home the data mid-run.
+	// Every processor then takes interrupts, so the one co-located with the
+	// data can run a policy's copy: those outside the loop idle in
+	// cluster.Serve from the start, and each participant after its last
+	// round, as under core.System.
 	Region bool
 	// Attach, when non-nil, runs after the machine, lock, and data exist
 	// but before any processor starts — the hook lockstat uses to install
@@ -217,7 +222,15 @@ func LockStressRun(cfg StressConfig) *LockStressObserved {
 				holdWork(p, data, cfg.Hold)
 				l.Release(p)
 			}
+			if cfg.Region {
+				cluster.Serve(p)
+			}
 		})
+	}
+	if cfg.Region {
+		for i := cfg.Procs; i < m.NumProcs(); i++ {
+			m.Go(i, cluster.Serve)
+		}
 	}
 	m.RunAll()
 	m.Shutdown()
