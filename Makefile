@@ -141,15 +141,17 @@ server-smoke: bench-sim
 # End-to-end check of the kernel autonomics plane: the combined
 # tune+migrate+replicate run must beat every single policy on the mixed
 # tenant workload (the tentpole acceptance metric), and lockstat's faults
-# and server modes must run the full plane under one cadence.
+# and server modes must run the full plane under one cadence; the faults
+# run's replication log must print the priced inputs of its decisions.
 autonomic-smoke: bench-sim
 	grep -A 1 '"hector16.combined_wins"' BENCH_sim.json | grep -q '"value": 3'
 	$(GO) run ./cmd/lockstat -run faults -size 16 -procs 4 -rounds 8 -autonomic > /tmp/hurricane_autosim.txt
 	grep -q "autonomics plane" /tmp/hurricane_autosim.txt
 	grep -Eq "replication policy: [0-9]+ windows, [1-9]" /tmp/hurricane_autosim.txt
+	grep -Eq "replicate -> module [0-9]+: saves [0-9]+\.[0-9] cycles/window, copy [0-9]+$$" /tmp/hurricane_autosim.txt
 	$(GO) run ./cmd/lockstat -run server -autonomic -ms 6 > /tmp/hurricane_autolock.txt
 	grep -q "autonomics plane" /tmp/hurricane_autolock.txt
-	@echo "autonomic-smoke: combined plane beats every single policy; lockstat's faults and server modes run it"
+	@echo "autonomic-smoke: combined plane beats every single policy; lockstat's faults and server modes run it, and the faults run prices each replication"
 
 # End-to-end check of the analytic model pipeline: a CI-scale
 # calibrate-and-validate cell must fit residuals, rank the lock zoo

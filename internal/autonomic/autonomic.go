@@ -125,27 +125,33 @@ func (e *EWMA) Set(v float64) { e.V = v }
 // traffic vector they watch.
 type Window struct {
 	// V is the smoothed per-window count by source module.
-	V     []float64
+	V []float64
+	// Raw is the last folded window's count by source module, unsmoothed:
+	// what a ledger that prices traffic as it happened adds up.
+	Raw   []float64
 	snap  []uint64
 	decay float64
 }
 
 // NewWindow returns an empty window over n modules, smoothing at decay.
 func NewWindow(n int, decay float64) Window {
-	return Window{V: make([]float64, n), snap: make([]uint64, n), decay: decay}
+	return Window{V: make([]float64, n), Raw: make([]float64, n), snap: make([]uint64, n), decay: decay}
 }
 
 // Fold takes one window: cum is the cumulative vector now. A nil or short
 // cum reads as zero past its end.
 func (w *Window) Fold(cum []uint64) {
-	for i := range w.V {
+	v := w.V
+	snap, raw := w.snap[:len(v)], w.Raw[:len(v)]
+	keep, gain := w.decay, 1-w.decay
+	for i := range v {
 		var cur uint64
 		if i < len(cum) {
 			cur = cum[i]
 		}
-		x := float64(cur - w.snap[i])
-		w.snap[i] = cur
-		w.V[i] = w.decay*w.V[i] + (1-w.decay)*x
+		x := float64(cur - snap[i])
+		snap[i], raw[i] = cur, x
+		v[i] = keep*v[i] + gain*x
 	}
 }
 

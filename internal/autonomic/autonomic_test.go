@@ -80,8 +80,9 @@ func TestEWMAConvergesToLevel(t *testing.T) {
 
 // Window folds exactly what the data policies' inline folds did: per
 // module, the window's count cur-snap at Decay, in module order; a nil or
-// short cumulative vector reads as zero past its end. Mass and Total sum
-// the smoothed and cumulative vectors in module order.
+// short cumulative vector reads as zero past its end. Raw keeps the
+// window's unsmoothed counts. Mass and Total sum the smoothed and
+// cumulative vectors in module order.
 func TestWindowMatchesInlineFold(t *testing.T) {
 	const n = 5
 	decay := 0.9 // a variable, as the policies' Decay is: 1-decay rounds at run time
@@ -102,6 +103,7 @@ func TestWindowMatchesInlineFold(t *testing.T) {
 		}
 		w.Fold(in)
 		var mass, total float64
+		raw := make([]float64, n)
 		for i := 0; i < n; i++ {
 			var cur uint64
 			if i < len(in) {
@@ -109,6 +111,7 @@ func TestWindowMatchesInlineFold(t *testing.T) {
 			}
 			x := float64(cur - snap[i])
 			snap[i] = cur
+			raw[i] = x
 			smooth[i] = decay*smooth[i] + (1-decay)*x
 			mass += smooth[i]
 			total += float64(cur)
@@ -116,6 +119,9 @@ func TestWindowMatchesInlineFold(t *testing.T) {
 		if !slices.Equal(w.V, smooth) || w.Mass() != mass || w.Total() != total {
 			t.Fatalf("window %d: V %v mass %v total %v, inline fold %v mass %v total %v",
 				win, w.V, w.Mass(), w.Total(), smooth, mass, total)
+		}
+		if !slices.Equal(w.Raw, raw) {
+			t.Fatalf("window %d: Raw %v, inline diff %v", win, w.Raw, raw)
 		}
 	}
 }
@@ -340,8 +346,10 @@ func TestWeightsMatchCosts(t *testing.T) {
 
 // refBestReplica is bestReplica as first written, re-deriving every
 // weight, and each reader's serving copy once per candidate: the
-// reference the tabulated version must match bit for bit.
-func refBestReplica(r *Replicator, s *replicaSlotState, home int, replicas []int, sumW float64) (int, float64) {
+// reference the tabulated version must match bit for bit. A candidate's
+// update price is each writer's smoothed writes at the weight from the
+// writer's module to the candidate.
+func refBestReplica(r *Replicator, s *replicaSlotState, home int, replicas []int) (int, float64) {
 	n := r.topo.Modules()
 	serving := func(src int) float64 {
 		c := r.costs.Of(r.topo.Dist(src, home))
@@ -367,7 +375,13 @@ func refBestReplica(r *Replicator, s *replicaSlotState, home int, replicas []int
 				saving += s.reads.V[src] * (cur - c)
 			}
 		}
-		benefit := saving - sumW*r.costs.Of(r.topo.Dist(home, cand))
+		var updates float64
+		for src := 0; src < n; src++ {
+			if s.writes.V[src] != 0 {
+				updates += s.writes.V[src] * r.costs.Of(r.topo.Dist(src, cand))
+			}
+		}
+		benefit := saving - updates
 		if benefit > bestBenefit {
 			best, bestBenefit = cand, benefit
 		}
@@ -375,13 +389,13 @@ func refBestReplica(r *Replicator, s *replicaSlotState, home int, replicas []int
 	return best, bestBenefit
 }
 
-// bestReplica prices each candidate once from the weight table, with the
-// same float operations in the same order as the reference.
+// bestReplica walks the weight table's rows, with the same float
+// operations per candidate in the same order as the reference.
 func TestBestReplicaMatchesReference(t *testing.T) {
 	topo := Topo{Stations: 4, ProcsPerStation: 4}
 	m := sim.NewMachine(sim.Config{Seed: 1})
 	r := NewReplicator(m, topo, CostsFromLatency(m.Lat()), ReplicatorParams{}, nil)
-	s := &replicaSlotState{reads: NewWindow(topo.Modules(), 0)}
+	s := &replicaSlotState{reads: NewWindow(topo.Modules(), 0), writes: NewWindow(topo.Modules(), 0)}
 	rng := sim.NewRNG(0xbe57)
 	found := 0
 	for n := 0; n < 500; n++ {
@@ -398,9 +412,14 @@ func TestBestReplicaMatchesReference(t *testing.T) {
 				replicas = append(replicas, mod)
 			}
 		}
-		sumW := 4 * rng.Float64()
-		gotCand, gotBenefit := r.bestReplica(s, home, replicas, sumW)
-		wantCand, wantBenefit := refBestReplica(r, s, home, replicas, sumW)
+		for i := range s.writes.V {
+			s.writes.V[i] = 0
+			if rng.Intn(4) == 0 {
+				s.writes.V[i] = 2 * rng.Float64()
+			}
+		}
+		gotCand, gotBenefit := r.bestReplica(s, home, replicas)
+		wantCand, wantBenefit := refBestReplica(r, s, home, replicas)
 		if gotCand != wantCand || gotBenefit != wantBenefit {
 			t.Fatalf("case %d: bestReplica = (%d, %v), reference (%d, %v)", n, gotCand, gotBenefit, wantCand, wantBenefit)
 		}

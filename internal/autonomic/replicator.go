@@ -35,8 +35,10 @@ type ReplicaSlot struct {
 const (
 	// replicaWriteLow and replicaWriteHigh are the write-fraction hysteresis
 	// band: replicate only at or below replicaWriteLow, collapse only at or
-	// above replicaWriteHigh. The gap is what keeps an alternating workload
-	// from flapping replicate<->collapse every phase shift.
+	// above replicaWriteHigh (and only once the replica set has lost more
+	// than a copy's price, see Replicator). The gap is what keeps an
+	// alternating workload from flapping replicate<->collapse every phase
+	// shift.
 	replicaWriteLow  = 0.05
 	replicaWriteHigh = 0.25
 	// replicaBudget caps replicate+collapse actions per slot over the whole
@@ -54,8 +56,9 @@ const (
 // confirmation streak, per-slot budget and cooldown, priced actuation —
 // with a write-fraction hysteresis band choosing between the two
 // actuators: a read-mostly region is worth replicating (every write then
-// pays an update per replica), a write-hot one must collapse back to a
-// single copy that migration alone may place.
+// pays an update per replica), a write-hot one whose updates have cost
+// more than its copies saved must collapse back to a single copy that
+// migration alone may place.
 type ReplicatorParams struct {
 	// Decay is the per-window EWMA retention of the smoothed read/write
 	// vectors (default 0.75 — the shared controller horizon).
@@ -87,7 +90,8 @@ func (p ReplicatorParams) withDefaults() ReplicatorParams {
 	return p
 }
 
-// ReplicaAction records one executed (requested) actuation.
+// ReplicaAction records one executed (requested) actuation and the priced
+// inputs that fired it, in weighted access cycles.
 type ReplicaAction struct {
 	// Slot names the replicated kernel data slot.
 	Slot string
@@ -97,6 +101,16 @@ type ReplicaAction struct {
 	Module int
 	// At is the simulated time the action was requested.
 	At sim.Time
+	// Benefit is a replicate's projected per-window read saving net of the
+	// new copy's write updates (0 for a collapse).
+	Benefit float64
+	// Saved and Charged are a collapse's ledger since the replica set last
+	// changed: the read cycles its copies saved and the write-update cycles
+	// they charged (0 for a replicate).
+	Saved, Charged float64
+	// Copy is the price of one copy of the region: what a replicate's
+	// payback horizon must repay, and what a collapse's net loss exceeded.
+	Copy float64
 }
 
 // collapseCand is the Streak candidate code for a collapse (replicate
@@ -107,12 +121,22 @@ const collapseCand = -2
 // read and write traffic into smoothed vectors, and on a read-mostly slot
 // (write fraction through replicaWriteLow) installs a replica on the
 // module where the projected read saving — each reader rerouted to its
-// nearest copy — net of the write-update penalty best repays the copy
-// within the payback horizon. A slot that turns write-hot (write fraction through
-// replicaWriteHigh) collapses back to its primary, returning it to the
-// migration policy's jurisdiction: the daemon skips replicated regions, so
-// replicate vs migrate vs pin is decided by the write fraction alone and
-// the two policies can never fight over one slot.
+// nearest copy — net of the new copy's write updates best repays the copy
+// within the payback horizon.
+//
+// Collapse is priced the same way, after the fact. While a slot is
+// replicated the policy keeps a ledger of each window's raw traffic since
+// the replica set last changed: a read served by a nearer copy saved the
+// weight difference to the primary, and a write charged one update per
+// copy from its writer's module, as Memory.access charges it. A replicated
+// slot collapses back to its primary only when its smoothed write fraction
+// is through replicaWriteHigh AND the updates have cost more than the
+// reads saved by over one copy's price: a smoothed write fraction spans
+// only a few requests, so one write burst on read-mostly data crosses the
+// band without repaying anything, and the ledger keeps that data
+// replicated. A collapse returns the slot to the migration policy's
+// jurisdiction: the daemon skips replicated regions and yields claimed
+// ones, so the two policies can never fight over one slot.
 type Replicator struct {
 	m       *sim.Machine
 	topo    Topo
@@ -127,9 +151,9 @@ type Replicator struct {
 	// byRegion indexes the slots by region id (nil where none), so Claimed
 	// finds a slot without a search.
 	byRegion []*replicaSlotState
-	// serving is bestReplica's per-source buffer: the weight of each
-	// reader's current nearest copy.
-	serving []float64
+	// saving is bestReplica's per-candidate buffer: the read saving a copy
+	// on each module would bring.
+	saving  []float64
 	actions []ReplicaAction
 	ticks   uint64
 }
@@ -142,13 +166,20 @@ type replicaSlotState struct {
 	// pending is an in-flight action: a target module for a replicate,
 	// collapseCand for a collapse, -1 when idle.
 	pending int
+	// copies is the size of the replica set the ledger prices; a set only
+	// grows by one copy or collapses to none, so a new size is a new set.
+	copies int
+	// saved and charged are the ledger: the read cycles the current
+	// replica set saved and the write-update cycles it charged, summed
+	// over the raw windows since the set last changed.
+	saved, charged float64
 }
 
 // NewReplicator builds the policy over machine m managing the given
 // slots. Register it on a Plane to run it.
 func NewReplicator(m *sim.Machine, topo Topo, costs Costs, params ReplicatorParams, slots []ReplicaSlot) *Replicator {
 	r := &Replicator{m: m, topo: topo, costs: costs, weights: NewWeights(topo, costs), p: params.withDefaults(),
-		maxReplicas: max(1, topo.Stations-1), serving: make([]float64, topo.Modules())}
+		maxReplicas: max(1, topo.Stations-1), saving: make([]float64, topo.Modules())}
 	n := topo.Modules()
 	for _, s := range slots {
 		st := &replicaSlotState{
@@ -208,6 +239,15 @@ func (r *Replicator) Tick(now sim.Time) {
 		s.writes.Fold(s.Writes())
 
 		replicas := r.m.Mem.Replicas(s.Region)
+		home := r.m.Mem.Home(s.Region)
+		// The ledger prices the current replica set alone: a new set,
+		// grown by a copy or collapsed, starts from zero.
+		if len(replicas) != s.copies {
+			s.copies, s.saved, s.charged = len(replicas), 0, 0
+		}
+		if len(replicas) > 0 {
+			r.price(s, home, replicas)
+		}
 		if s.pending != -1 {
 			if s.pending == collapseCand && len(replicas) > 0 {
 				continue // collapse still in flight behind a gate
@@ -226,28 +266,30 @@ func (r *Replicator) Tick(now sim.Time) {
 			continue
 		}
 		wf := sumW / weight
-		home := r.m.Mem.Home(s.Region)
+		copyCost := r.costs.Copy(r.m.Mem.RegionWords(s.Region))
 
-		if len(replicas) > 0 && wf >= replicaWriteHigh {
-			// Write-hot while replicated: every write is paying an update
-			// per replica. Collapse back to the single migratable copy.
+		if len(replicas) > 0 && wf >= replicaWriteHigh && s.charged-s.saved > copyCost {
+			// Write-hot while replicated, and the updates have already cost
+			// more than a copy beyond what the reads saved. Collapse back to
+			// the single migratable copy.
 			if !s.streak.Observe(collapseCand) {
 				continue
 			}
 			s.streak.Clear()
 			s.pending = collapseCand
 			s.gate.Spend(now)
-			r.actions = append(r.actions, ReplicaAction{Slot: s.Name, Kind: "collapse", Module: -1, At: now})
+			r.actions = append(r.actions, ReplicaAction{Slot: s.Name, Kind: "collapse", Module: -1, At: now,
+				Saved: s.saved, Charged: s.charged, Copy: copyCost})
 			r.m.SendIPI(home, s.Collapse)
 			continue
 		}
 		if wf <= replicaWriteLow && len(replicas) < r.maxReplicas {
-			cand, benefit := r.bestReplica(s, home, replicas, sumW)
+			cand, benefit := r.bestReplica(s, home, replicas)
 			if cand < 0 {
 				s.streak.Clear()
 				continue
 			}
-			if !Worthwhile(benefit, r.p.Payback, r.costs.Copy(r.m.Mem.RegionWords(s.Region))) {
+			if !Worthwhile(benefit, r.p.Payback, copyCost) {
 				s.streak.Clear()
 				continue
 			}
@@ -258,7 +300,8 @@ func (r *Replicator) Tick(now sim.Time) {
 			to := cand
 			s.pending = to
 			s.gate.Spend(now)
-			r.actions = append(r.actions, ReplicaAction{Slot: s.Name, Kind: "replicate", Module: to, At: now})
+			r.actions = append(r.actions, ReplicaAction{Slot: s.Name, Kind: "replicate", Module: to, At: now,
+				Benefit: benefit, Copy: copyCost})
 			rep := s.Replicate
 			r.m.SendIPI(home, func(p *sim.Proc) { rep(p, to) })
 			continue
@@ -271,45 +314,85 @@ func (r *Replicator) Tick(now sim.Time) {
 
 // bestReplica picks the candidate module whose replica yields the largest
 // net per-window benefit: each reader's traffic rerouted from its current
-// nearest copy to the candidate when closer, minus the write-update
-// penalty of one more copy. Returns (-1, 0) when no candidate nets out
-// positive. Each reader's current weight is found once per call, and
-// each candidate priced once.
-func (r *Replicator) bestReplica(s *replicaSlotState, home int, replicas []int, sumW float64) (int, float64) {
-	n := r.topo.Modules()
-	w := r.weights
-	serving := r.serving
-	for src := range serving {
-		c := w.Of(src, home)
-		for _, m := range replicas {
-			if v := w.Of(src, m); v < c {
-				c = v
-			}
-		}
-		serving[src] = c
-	}
-	best, bestBenefit := -1, 0.0
-	for cand := 0; cand < n; cand++ {
-		if cand == home || slices.Contains(replicas, cand) {
+// nearest copy to the candidate when closer, minus the updates one more
+// copy would charge the smoothed writes. Returns (-1, 0) when no candidate
+// nets out positive. Each reader's row of weights is walked once, summing
+// every candidate's saving in reader order, and a candidate's updates are
+// priced only when its saving could still win.
+func (r *Replicator) bestReplica(s *replicaSlotState, home int, replicas []int) (int, float64) {
+	saving := r.saving
+	clear(saving)
+	for src, reads := range s.reads.V {
+		if reads == 0 {
 			continue
 		}
-		var saving float64
-		for src, reads := range s.reads.V {
-			if reads == 0 {
-				continue
-			}
-			cur := serving[src]
-			if c := w.Of(src, cand); c < cur {
-				saving += reads * (cur - c)
+		row := r.weights.Row(src)
+		cur := nearest(row, home, replicas)
+		for cand, c := range row {
+			if c < cur {
+				saving[cand] += reads * (cur - c)
 			}
 		}
+	}
+	best, bestBenefit := -1, 0.0
+	for cand, sv := range saving {
+		// An existing copy, the primary included, is no nearer to any
+		// reader than its nearest copy, so it saves nothing; and updates
+		// cost >= 0, so a saving at or below the best cannot win.
+		if sv <= bestBenefit {
+			continue
+		}
 		// Every write to the region now also updates the new copy.
-		benefit := saving - sumW*w.Of(home, cand)
-		if benefit > bestBenefit {
+		if benefit := sv - r.updates(s.writes.V, cand); benefit > bestBenefit {
 			best, bestBenefit = cand, benefit
 		}
 	}
 	return best, bestBenefit
+}
+
+// nearest is the weight, in row (one source module's weights), of the
+// source's nearest copy: the primary on module home or a replica.
+func nearest(row []float64, home int, replicas []int) float64 {
+	c := row[home]
+	for _, m := range replicas {
+		c = min(c, row[m])
+	}
+	return c
+}
+
+// updates prices the update transfers a copy on module to charges a
+// window of writes (count by source module): one from each writer's
+// module, as Memory.access charges them. Both sides of the policy price
+// updates with it.
+func (r *Replicator) updates(writes []float64, to int) float64 {
+	var c float64
+	for src, n := range writes {
+		if n != 0 {
+			c += n * r.weights.Row(src)[to]
+		}
+	}
+	return c
+}
+
+// price adds the last window's raw traffic to the slot's ledger under the
+// current replica set: each read saved the primary's weight less its
+// nearest copy's, and each copy charged every write its update.
+func (r *Replicator) price(s *replicaSlotState, home int, replicas []int) {
+	wrote := false
+	for src, n := range s.reads.Raw {
+		wrote = wrote || s.writes.Raw[src] != 0
+		if n == 0 {
+			continue
+		}
+		row := r.weights.Row(src)
+		s.saved += n * (row[home] - nearest(row, home, replicas))
+	}
+	if !wrote {
+		return // most windows of read-mostly data charge nothing
+	}
+	for _, m := range replicas {
+		s.charged += r.updates(s.writes.Raw, m)
+	}
 }
 
 // Report renders the action log as an indented block.
@@ -318,9 +401,11 @@ func (r *Replicator) Report() string {
 	fmt.Fprintf(&b, "replication policy: %d windows, %d actions\n", r.ticks, len(r.actions))
 	for _, a := range r.actions {
 		if a.Kind == "collapse" {
-			fmt.Fprintf(&b, "  t=%-12v %-12s collapse to primary\n", a.At, a.Slot)
+			fmt.Fprintf(&b, "  t=%-12v %-12s collapse to primary: updates %.0f - saved %.0f > copy %.0f cycles\n",
+				a.At, a.Slot, a.Charged, a.Saved, a.Copy)
 		} else {
-			fmt.Fprintf(&b, "  t=%-12v %-12s replicate -> module %d\n", a.At, a.Slot, a.Module)
+			fmt.Fprintf(&b, "  t=%-12v %-12s replicate -> module %d: saves %.1f cycles/window, copy %.0f\n",
+				a.At, a.Slot, a.Module, a.Benefit, a.Copy)
 		}
 	}
 	return b.String()

@@ -160,6 +160,56 @@ func TestReplicatorCollapsesWriteHotSlot(t *testing.T) {
 	}
 }
 
+// One write burst on read-mostly data crosses the write-fraction band —
+// the smoothed fraction spans only a few windows — but repays nothing: the
+// reader's copy has saved more than the burst's updates cost. The slot
+// must keep its replica, and the reader its cheap loads.
+func TestReplicatorKeepsReplicaThroughWriteBurst(t *testing.T) {
+	m := sim.NewMachine(sim.Config{Seed: 1})
+	agg := trace.NewAggregate(16)
+	m.SetTracer(agg)
+	region := m.Mem.NewRegion(0)
+	data := m.Alloc(region, 16)
+
+	r := autonomic.NewReplicator(m, testTopo, autonomic.CostsFromLatency(sim.DefaultLatency()),
+		autonomic.ReplicatorParams{MinWeight: 2},
+		[]autonomic.ReplicaSlot{regionSlot(m, agg, region, "data")})
+	startPlane(m, r)
+
+	horizon := sim.Time(sim.Micros(2500))
+	m.Go(12, func(p *sim.Proc) {
+		for p.Now() < horizon {
+			p.Load(data)
+			p.Think(50)
+		}
+	})
+	m.Go(4, func(p *sim.Proc) {
+		// One burst from station 1 at 1ms: every word of the region written
+		// four times back to back, then silence.
+		p.Think(sim.Micros(1000))
+		for i := 0; i < 64; i++ {
+			p.Store(data+sim.Addr(i%16), uint64(i))
+		}
+	})
+	m.Go(0, func(p *sim.Proc) {
+		for p.Now() < horizon {
+			p.Think(50)
+		}
+	})
+	m.RunAll()
+	m.Shutdown()
+
+	if m.Mem.ReplicaUpdates == 0 {
+		t.Fatal("the burst charged no replica updates — it never met a replica")
+	}
+	if reps := m.Mem.Replicas(region); len(reps) != 1 || reps[0] != 12 {
+		t.Fatalf("replicas = %v after one write burst, want [12]:\n%s", reps, r.Report())
+	}
+	if n := len(r.Actions()); n != 1 {
+		t.Fatalf("%d actions, want the one replicate:\n%s", n, r.Report())
+	}
+}
+
 // The adversarial case the hysteresis band, budgets and the Yield hook
 // exist for: one slot alternating read-mostly and write-hot faster than
 // any placement can pay off, with BOTH policies live on one plane, wired
@@ -245,9 +295,15 @@ func TestReplicatorAdversarialAlternationNoOscillation(t *testing.T) {
 
 // With no migration policy to move the region onto its reader, a slot
 // alternating read-mostly and write-hot gives the replicator a fresh
-// replicate or collapse after every phase shift. Over 40 phases of 400us
-// (16ms) the 800us cooldown alone would let it act 14 times, so only the
-// per-slot budget of 4 can stop it — and must, exactly there.
+// replicate or collapse after every phase shift. The reads come from
+// station 3 and the writes from two processors of station 2, so each write
+// phase charges the reader's copy a ring-distance update per write and
+// outspends what the read phase saved by more than a copy: every phase
+// warrants its action. (One processor that both reads and writes would
+// sit on its own module's copy, which saves its reads more than it costs
+// its writes.) Over 40 phases of 400us (16ms) the 800us cooldown alone
+// would let it act 14 times, so only the per-slot budget of 4 can stop it
+// — and must, exactly there.
 func TestReplicatorBudgetBoundsAlternation(t *testing.T) {
 	const repBudget = 4
 	m := sim.NewMachine(sim.Config{Seed: 1})
@@ -262,22 +318,27 @@ func TestReplicatorBudgetBoundsAlternation(t *testing.T) {
 	startPlane(m, rep)
 
 	const phases = 40
-	m.Go(12, func(p *sim.Proc) {
-		for ph := 0; ph < phases; ph++ {
-			deadline := p.Now() + sim.Time(sim.Micros(400))
-			for p.Now() < deadline {
-				if ph%2 == 0 {
-					p.Load(data)
-				} else {
-					p.Store(data, uint64(ph))
+	phase := func(ph int) sim.Time { return sim.Time(ph) * sim.Time(sim.Micros(400)) }
+	// alternate runs access in the phases of the given parity and thinks
+	// through the others.
+	alternate := func(parity int, access func(p *sim.Proc, ph int)) func(p *sim.Proc) {
+		return func(p *sim.Proc) {
+			for ph := 0; ph < phases; ph++ {
+				for p.Now() < phase(ph+1) {
+					if ph%2 == parity {
+						access(p, ph)
+					}
+					p.Think(50)
 				}
-				p.Think(50)
 			}
 		}
-	})
+	}
+	m.Go(12, alternate(0, func(p *sim.Proc, _ int) { p.Load(data) }))
+	for _, w := range []int{8, 9} {
+		m.Go(w, alternate(1, func(p *sim.Proc, ph int) { p.Store(data, uint64(ph)) }))
+	}
 	m.Go(0, func(p *sim.Proc) {
-		end := sim.Time(sim.Micros(400 * (phases + 1)))
-		for p.Now() < end {
+		for p.Now() < phase(phases+1) {
 			p.Think(50)
 		}
 	})

@@ -84,10 +84,13 @@ func autonomicCell(seed uint64, row autonomicRow, horizonMS int) *ServerCell {
 		},
 	}}
 	// One 100us cadence for every policy — the tuner's calibrated window
-	// (a faster plane would re-tune the tuner), and long enough that the
-	// replicator's smoothed write fraction spans many requests per tenant
-	// (Decay 0.95 ≈ a 2ms horizon; a sub-request horizon would classify
-	// each tenant by its *last* request, not its mix).
+	// (a faster plane would re-tune the tuner). The replicator's smoothed
+	// write fraction (Decay 0.95, about a 2ms horizon) still spans only one
+	// to five requests per tenant, so one 128-word write request lifts a 2%
+	// tenant through the collapse band: it classifies a tenant by its last
+	// few requests, not its mix. What keeps read-mostly tenants replicated
+	// is the collapse's price — their updates must have cost more than
+	// their reads saved, by over a copy.
 	if row.tunePlane || row.migrate || row.replicate {
 		c.Plane = autonomic.NewPlane(sim.Micros(100))
 	}

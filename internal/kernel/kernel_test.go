@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"slices"
+	"strings"
 	"testing"
 
 	"hurricane/internal/cluster"
@@ -478,5 +479,42 @@ func TestMMLockInstrumentationHook(t *testing.T) {
 	k.M.RunAll()
 	if tl.n == 0 {
 		t.Fatal("wrapped memory-manager lock never acquired")
+	}
+}
+
+// CheckQuiescent walks every migratable slot's replica set: the set the
+// replication actuators leave passes, and each way of breaking it panics
+// naming the slot.
+func TestCheckQuiescentReplicaSets(t *testing.T) {
+	m := sim.NewMachine(sim.Config{Seed: 1})
+	k := New(m, Config{ClusterSize: 4, LockKind: locks.KindH2MCS, Migratable: true})
+	ref := k.MigratableSlots()[0]
+	for i := 1; i < m.NumProcs(); i++ {
+		m.Go(i, cluster.Serve)
+	}
+	m.Go(0, func(p *sim.Proc) {
+		k.ReplicateSlot(p, ref.Cluster, ref.Slot, 8)
+		k.ReplicateSlot(p, ref.Cluster, ref.Slot, 4)
+		cluster.Serve(p)
+	})
+	m.Eng.Run(sim.Micros(1000))
+	reps := m.Mem.Replicas(ref.Region)
+	if !slices.Equal(reps, []int{4, 8}) {
+		t.Fatalf("replicas %v, want [4 8]", reps)
+	}
+	k.CheckQuiescent()
+
+	home := m.Mem.Home(ref.Region)
+	for _, bad := range [][]int{{8, 4}, {4, 4}, {home, 8}, {4, m.NumProcs()}} {
+		copy(reps, bad) // the slice is live: corrupt the set in place
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "slot "+ref.Name()+"'s replica set") {
+					t.Errorf("set %v: check did not name the slot: %q", bad, msg)
+				}
+			}()
+			k.CheckQuiescent()
+		}()
 	}
 }

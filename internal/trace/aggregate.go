@@ -29,7 +29,8 @@ type Aggregate struct {
 	RegionAccess RegionVecs
 	// RegionReads and RegionWrites split RegionAccess by operation: loads
 	// on one side, stores and atomics (swap, cas) on the other. The
-	// replication policy feeds on the split — a region's write fraction is
+	// replication policy feeds on the split — a region's write fraction,
+	// and what its reads saved against what its writes' updates cost, is
 	// what decides replicate vs migrate vs collapse.
 	RegionReads  RegionVecs
 	RegionWrites RegionVecs

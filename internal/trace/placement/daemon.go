@@ -286,8 +286,9 @@ func ManageKernel(k *kernel.Kernel) []DaemonSlot {
 // split region matrices, and the actuators dispatch through the kernel's
 // interrupt gate like migrations do. Attach pairs it with ManageKernel on
 // one autonomic.Plane — the daemon skips replicated slots and the
-// replicator collapses write-hot ones, so the two policies hand objects
-// back and forth instead of fighting.
+// replicator collapses write-hot ones whose updates have outspent their
+// reads, so the two policies hand objects back and forth instead of
+// fighting.
 func ReplicateKernel(k *kernel.Kernel, agg *trace.Aggregate) []autonomic.ReplicaSlot {
 	var slots []autonomic.ReplicaSlot
 	for _, ref := range k.MigratableSlots() {
