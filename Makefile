@@ -118,9 +118,10 @@ trace-smoke:
 	$(GO) run ./cmd/lockstat -lock h2mcs -procs 4 -home 12 -migrate > /tmp/hurricane_stress_migrate.txt
 	grep -Eq "^placement daemon: [0-9]+ windows, [1-9][0-9]* moves$$" /tmp/hurricane_stress_migrate.txt
 	grep -Eq "^data region home: module [0-3]" /tmp/hurricane_stress_migrate.txt
+	grep -Eq "module 12 -> [0-9]+: saves [0-9]+\.[0-9] cycles/window, copy [0-9]+$$" /tmp/hurricane_stress_migrate.txt
 	$(GO) run ./cmd/lockstat -autonomic -procs 4 -home 12 -rounds 120 > /tmp/hurricane_stress_auto.txt
 	grep -Fq "policies [tune -> replicate -> migrate]" /tmp/hurricane_stress_auto.txt
-	@echo "trace-smoke: stress mode's daemon pulled the lock's data to its contenders' station; its plane ticks tune, replicate, migrate in that order"
+	@echo "trace-smoke: stress mode's daemon pulled the lock's data to its contenders' station, pricing the move; its plane ticks tune, replicate, migrate in that order"
 
 # End-to-end check of the open-loop server harness: a short lockstat
 # server run must report a populated sojourn tail, its kernel RPC and
@@ -142,7 +143,9 @@ server-smoke: bench-sim
 # tune+migrate+replicate run must beat every single policy on the mixed
 # tenant workload (the tentpole acceptance metric), and lockstat's faults
 # and server modes must run the full plane under one cadence; the faults
-# run's replication log must print the priced inputs of its decisions.
+# run's replication log must print the priced inputs of its decisions, and
+# a server run that leaves workers idle (the full sweep's 40 ms cell) must
+# wake some of them on a module holding the tenant's data.
 autonomic-smoke: bench-sim
 	grep -A 1 '"hector16.combined_wins"' BENCH_sim.json | grep -q '"value": 3'
 	$(GO) run ./cmd/lockstat -run faults -size 16 -procs 4 -rounds 8 -autonomic > /tmp/hurricane_autosim.txt
@@ -151,7 +154,9 @@ autonomic-smoke: bench-sim
 	grep -Eq "replicate -> module [0-9]+: saves [0-9]+\.[0-9] cycles/window, copy [0-9]+$$" /tmp/hurricane_autosim.txt
 	$(GO) run ./cmd/lockstat -run server -autonomic -ms 6 > /tmp/hurricane_autolock.txt
 	grep -q "autonomics plane" /tmp/hurricane_autolock.txt
-	@echo "autonomic-smoke: combined plane beats every single policy; lockstat's faults and server modes run it, and the faults run prices each replication"
+	$(GO) run ./cmd/lockstat -run server -autonomic -ms 40 > /tmp/hurricane_autodispatch.txt
+	grep -Eq "^  dispatch: [0-9]+ measured wake-ups by distance to the tenant data's nearest copy: local [1-9][0-9]*, station [0-9]+, ring [0-9]+, global [0-9]+$$" /tmp/hurricane_autodispatch.txt
+	@echo "autonomic-smoke: combined plane beats every single policy; lockstat's faults and server modes run it, the faults run prices each replication, and the server run wakes workers next to the tenant data"
 
 # End-to-end check of the analytic model pipeline: a CI-scale
 # calibrate-and-validate cell must fit residuals, rank the lock zoo

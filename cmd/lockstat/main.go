@@ -514,6 +514,12 @@ func runServer(w io.Writer, name string, kind locks.Kind, seed uint64, horizonMS
 	}
 	fmt.Fprintf(w, "  kernel: %d RPC calls (set-up included), %.2f per served request; retries: create %d, destroy %d, send %d\n",
 		calls, perReq, ks.CreateRetries, ks.DestroyRetries, ks.MsgRetries)
+	if cfg.TenantDataWords > 0 {
+		d := r.Dispatch
+		fmt.Fprintf(w, "  dispatch: %d measured wake-ups by distance to the tenant data's nearest copy: local %d, station %d, ring %d, global %d\n",
+			d[sim.DistLocal]+d[sim.DistStation]+d[sim.DistRing]+d[sim.DistGlobal],
+			d[sim.DistLocal], d[sim.DistStation], d[sim.DistRing], d[sim.DistGlobal])
+	}
 	fmt.Fprintln(w, "  per-tenant (rank order):")
 	for rank, ts := range r.Tenants {
 		fmt.Fprintf(w, "    tenant %-3d w=%.3f adm=%-5d drop=%-4d %s\n",

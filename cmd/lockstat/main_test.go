@@ -11,6 +11,8 @@ import (
 	"hurricane/internal/exp"
 	"hurricane/internal/locks"
 	"hurricane/internal/machine"
+	"hurricane/internal/sim"
+	"hurricane/internal/workload"
 )
 
 func TestValidate(t *testing.T) {
@@ -128,6 +130,39 @@ func TestServerRunsTheSweepCell(t *testing.T) {
 	}
 	if err := runServer(io.Discard, "numachine64", locks.KindTuned, seed, ms, true, true); err == nil {
 		t.Error("-autonomic ran on numachine64, where the autonomic sweep has no cell")
+	}
+}
+
+// TestServerDispatchLine holds the dispatch line to the run's own counts:
+// the autonomic cell, whose tenants have data regions, prints the counts
+// its ServerRun reports (some wake-ups local to a copy at 40 ms, where
+// workers go idle), and the server sweep's cell, whose tenants have none,
+// prints no such line.
+func TestServerDispatchLine(t *testing.T) {
+	const seed, ms = 1, 40
+	cell, err := serverCell("hector16", locks.KindTuned, seed, ms, true, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := workload.ServerRun(cell.Config).Dispatch
+	if d[sim.DistLocal] == 0 {
+		t.Fatalf("dispatch %v: no wake-up local to a copy", d)
+	}
+	want := fmt.Sprintf("  dispatch: %d measured wake-ups by distance to the tenant data's nearest copy: local %d, station %d, ring %d, global %d\n",
+		d[0]+d[1]+d[2]+d[3], d[0], d[1], d[2], d[3])
+	var b strings.Builder
+	if err := runServer(&b, "hector16", locks.KindTuned, seed, ms, true, true); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(b.String(), want) {
+		t.Errorf("autonomic run lacks %q:\n%s", want, b.String())
+	}
+	b.Reset()
+	if err := runServer(&b, "hector16", locks.KindH2MCS, seed, 4, false, false); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(b.String(), "dispatch:") {
+		t.Errorf("a run without tenant data printed a dispatch line:\n%s", b.String())
 	}
 }
 

@@ -144,8 +144,10 @@ type Replicator struct {
 	weights Weights
 	p       ReplicatorParams
 	// maxReplicas caps the extra copies per slot beyond the primary: one
-	// per other station, at least one — one copy per station is where the
-	// read saving saturates.
+	// per other station, at least one. It is a budget on copies and their
+	// write updates, not where the read saving stops: on HECTOR-16 a
+	// second copy inside a station still turns its own processor's reads
+	// from station to local (19 to 10 cycles).
 	maxReplicas int
 	slots       []*replicaSlotState
 	// byRegion indexes the slots by region id (nil where none), so Claimed

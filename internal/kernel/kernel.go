@@ -195,24 +195,31 @@ func (k *Kernel) Controllers() []*tune.Controller {
 	return cs
 }
 
+// checkReplicaSet panics, naming the slot and when the check ran, unless
+// the slot's replica set is a strictly increasing list of physical modules
+// without the primary's current one: the set the memory system's
+// nearest-copy reads, its per-copy write updates and the server's
+// dispatcher rely on. It costs no simulated time.
+func (k *Kernel) checkReplicaSet(ref SlotRef, when string) {
+	home, reps := k.M.Mem.Home(ref.Region), k.M.Mem.Replicas(ref.Region)
+	for i, r := range reps {
+		if r < 0 || r >= k.M.NumProcs() || r == home || (i > 0 && r <= reps[i-1]) {
+			panic(fmt.Sprintf("kernel: slot %s's replica set %v (primary on module %d) is not strictly increasing physical modules without the primary %s",
+				ref.Name(), reps, home, when))
+		}
+	}
+}
+
 // CheckQuiescent panics if any entry of the kernel's tables (process
 // descriptors, regions, FCBs, pages, address spaces) still has its reserve
 // word set: once a run has finished, every reservation must have been
-// released. It also panics, naming the slot, if a migratable slot's replica
-// set is not a strictly increasing list of physical modules without the
-// primary's current one: the set the memory system's nearest-copy reads
-// and per-copy write updates rely on, which replicas living for a whole
-// run must still be. It reads with uncharged peeks, so it costs no
-// simulated time.
+// released. It also runs every migratable slot's replica-set check (the
+// one MigrateSlot, ReplicateSlot and CollapseSlot run after each
+// actuation). It reads with uncharged peeks, so it costs no simulated
+// time.
 func (k *Kernel) CheckQuiescent() {
 	for _, ref := range k.MigratableSlots() {
-		home, reps := k.M.Mem.Home(ref.Region), k.M.Mem.Replicas(ref.Region)
-		for i, r := range reps {
-			if r < 0 || r >= k.M.NumProcs() || r == home || (i > 0 && r <= reps[i-1]) {
-				panic(fmt.Sprintf("kernel: slot %s's replica set %v (primary on module %d) is not strictly increasing physical modules without the primary at quiescence",
-					ref.Name(), reps, home))
-			}
-		}
+		k.checkReplicaSet(ref, "at quiescence")
 	}
 	for c := 0; c < k.Topo.N; c++ {
 		for _, nt := range []struct {

@@ -518,3 +518,33 @@ func TestCheckQuiescentReplicaSets(t *testing.T) {
 		}()
 	}
 }
+
+// Every actuation re-checks its slot's replica set: a set corrupted
+// mid-run panics at the slot's next replication, naming the slot and the
+// actuation, without waiting for the drain's CheckQuiescent.
+func TestActuationChecksReplicaSet(t *testing.T) {
+	m := sim.NewMachine(sim.Config{Seed: 1})
+	k := New(m, Config{ClusterSize: 4, LockKind: locks.KindH2MCS, Migratable: true})
+	ref := k.MigratableSlots()[0]
+	for i := 1; i < m.NumProcs(); i++ {
+		m.Go(i, cluster.Serve)
+	}
+	m.Go(0, func(p *sim.Proc) {
+		k.ReplicateSlot(p, ref.Cluster, ref.Slot, 8)
+		k.ReplicateSlot(p, ref.Cluster, ref.Slot, 4)
+		reps := m.Mem.Replicas(ref.Region)
+		reps[0], reps[1] = reps[1], reps[0] // the slice is live: [8 4]
+		k.ReplicateSlot(p, ref.Cluster, ref.Slot, 12)
+		t.Error("a replication over a corrupt set returned")
+		cluster.Serve(p)
+	})
+	msg := func() (msg string) {
+		defer func() { msg, _ = recover().(string) }()
+		m.Eng.Run(sim.Micros(1000))
+		return ""
+	}()
+	if want := "slot " + ref.Name() + "'s replica set [8 4 12]"; !strings.Contains(msg, want) ||
+		!strings.HasSuffix(msg, "after a replication") {
+		t.Fatalf("panic %q, want one naming %q after a replication", msg, want)
+	}
+}

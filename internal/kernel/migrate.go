@@ -45,18 +45,18 @@ func (k *Kernel) MigratableSlots() []SlotRef {
 	return refs
 }
 
-// slotRegion resolves a (cluster, slot) pair to its memory region: VM
-// slots under Config.Migratable, then workload extras.
-func (k *Kernel) slotRegion(c, slot int) int {
+// slotRef resolves a (cluster, slot) pair to its SlotRef: VM slots under
+// Config.Migratable, then workload extras.
+func (k *Kernel) slotRef(c, slot int) SlotRef {
 	if slot < slotsPerCluster {
 		if k.VM.slotRegions == nil {
 			panic("kernel: slot migration without Config.Migratable")
 		}
-		return k.VM.slotRegions[c][slot]
+		return SlotRef{Cluster: c, Slot: slot, Region: k.VM.slotRegions[c][slot]}
 	}
 	for _, e := range k.extras {
 		if e.Cluster == c && e.Slot == slot {
-			return e.Region
+			return e
 		}
 	}
 	panic(fmt.Sprintf("kernel: unknown slot c%d/slot%d", c, slot))
@@ -86,7 +86,8 @@ func (k *Kernel) migrationLock(c, slot int) locks.Lock {
 // through the Gate — the daemon's executor does exactly that, interrupting
 // the processor co-located with the slot's current home.
 func (k *Kernel) MigrateSlot(p *sim.Proc, c, slot, to int) int {
-	region := k.slotRegion(c, slot)
+	ref := k.slotRef(c, slot)
+	region := ref.Region
 	if k.M.Mem.Home(region) == to && !k.M.Mem.Replicated(region) {
 		return 0
 	}
@@ -106,6 +107,7 @@ func (k *Kernel) MigrateSlot(p *sim.Proc, c, slot, to int) int {
 	k.Stats.MigratedWords += uint64(words)
 	k.Stats.MigrationCycles += uint64(cost)
 	k.M.EmitSpan(sim.SpanMigrate, "migrate", p.ID(), start, p.Now(), to, uint64(words))
+	k.checkReplicaSet(ref, "after a migration")
 	return words
 }
 
@@ -114,7 +116,8 @@ func (k *Kernel) MigrateSlot(p *sim.Proc, c, slot, to int) int {
 // guarding lock, exactly like MigrateSlot charges a move. Returns the words
 // copied (0 if `to` already holds a copy — no lock taken, no cost).
 func (k *Kernel) ReplicateSlot(p *sim.Proc, c, slot, to int) int {
-	region := k.slotRegion(c, slot)
+	ref := k.slotRef(c, slot)
+	region := ref.Region
 	if k.M.Mem.Home(region) == to {
 		return 0
 	}
@@ -134,6 +137,7 @@ func (k *Kernel) ReplicateSlot(p *sim.Proc, c, slot, to int) int {
 	k.Stats.ReplicatedWords += uint64(words)
 	k.Stats.ReplicationCycles += uint64(cost)
 	k.M.EmitSpan(sim.SpanMigrate, "replicate", p.ID(), start, p.Now(), to, uint64(words))
+	k.checkReplicaSet(ref, "after a replication")
 	return words
 }
 
@@ -142,7 +146,8 @@ func (k *Kernel) ReplicateSlot(p *sim.Proc, c, slot, to int) int {
 // The invalidation itself is free; the lock hold serializes it against
 // concurrent kernel use of the slot.
 func (k *Kernel) CollapseSlot(p *sim.Proc, c, slot int) int {
-	region := k.slotRegion(c, slot)
+	ref := k.slotRef(c, slot)
+	region := ref.Region
 	if !k.M.Mem.Replicated(region) {
 		return 0
 	}
@@ -157,5 +162,6 @@ func (k *Kernel) CollapseSlot(p *sim.Proc, c, slot int) int {
 		k.Stats.Collapses++
 	}
 	k.M.EmitSpan(sim.SpanMigrate, "collapse", p.ID(), start, p.Now(), k.M.Mem.Home(region), uint64(n))
+	k.checkReplicaSet(ref, "after a collapse")
 	return n
 }

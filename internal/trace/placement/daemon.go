@@ -95,11 +95,18 @@ type DaemonSlot struct {
 	Migrate func(p *sim.Proc, to int)
 }
 
-// Move records one executed (requested) migration.
+// Move records one executed (requested) migration and the priced inputs
+// that fired it, in weighted access cycles.
 type Move struct {
 	Slot     string
 	From, To int
 	At       sim.Time
+	// Saves is the projected per-window access saving of the new home over
+	// the old one, from the smoothed window the move was decided on.
+	Saves float64
+	// Copy is the price of copying the region, which Saves had to repay
+	// within the payback horizon.
+	Copy float64
 }
 
 // Daemon is the online placement controller. It is an autonomic.Policy with
@@ -218,11 +225,13 @@ func (d *Daemon) Tick(now sim.Time) {
 			ivec[i] = uint64(v*16 + 0.5)
 		}
 		prop := propose(s.Name, home, ivec, d.topo, d.weights, load, d.cost, d.p.Improve)
+		var benefit, copyCost float64
 		if prop.Moved() {
 			// Rent vs buy: the per-window saving (undo the fixed-point
 			// scale) must repay the copy within the payback horizon.
-			benefit := (prop.CurCost - prop.NewCost) / 16
-			if !autonomic.Worthwhile(benefit, payback, d.costs.Copy(d.m.Mem.RegionWords(s.Region))) {
+			benefit = (prop.CurCost - prop.NewCost) / 16
+			copyCost = d.costs.Copy(d.m.Mem.RegionWords(s.Region))
+			if !autonomic.Worthwhile(benefit, payback, copyCost) {
 				prop.Proposed = prop.Home
 			}
 		}
@@ -245,18 +254,20 @@ func (d *Daemon) Tick(now sim.Time) {
 		if home < n {
 			load[home] -= slotTotal
 		}
-		d.moves = append(d.moves, Move{Slot: s.Name, From: home, To: to, At: now})
+		d.moves = append(d.moves, Move{Slot: s.Name, From: home, To: to, At: now, Saves: benefit, Copy: copyCost})
 		mig := s.Migrate
 		d.m.SendIPI(home, func(h *sim.Proc) { mig(h, to) })
 	}
 }
 
-// Report renders the move log as an indented block.
+// Report renders the move log as an indented block, each move with the
+// saving and copy price it acted on.
 func (d *Daemon) Report() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "placement daemon: %d windows, %d moves\n", d.ticks, len(d.moves))
 	for _, mv := range d.moves {
-		fmt.Fprintf(&b, "  t=%-12v %-12s module %d -> %d\n", mv.At, mv.Slot, mv.From, mv.To)
+		fmt.Fprintf(&b, "  t=%-12v %-12s module %d -> %d: saves %.1f cycles/window, copy %.0f\n",
+			mv.At, mv.Slot, mv.From, mv.To, mv.Saves, mv.Copy)
 	}
 	return b.String()
 }

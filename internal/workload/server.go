@@ -68,8 +68,9 @@ type ServerConfig struct {
 	// registered as a migratable kernel slot (kernel.RegisterSlot) — the
 	// handle the autonomics plane acts on. Each request then touches
 	// TenantTouch words of its tenant's region, reading or writing per
-	// TenantWriteFrac. Zero keeps the historical workload (and its RNG
-	// stream) byte for byte.
+	// TenantWriteFrac, and its arrival wakes the idle worker nearest a copy
+	// of that region (see ServerRun). Zero keeps the historical workload
+	// (and its RNG stream) byte for byte.
 	TenantDataWords int
 	// TenantTouch is how many tenant-data words each request touches
 	// (default 32, only with TenantDataWords set).
@@ -130,6 +131,11 @@ type ServerResult struct {
 	GoodputRPS float64
 	// Elapsed is the final simulated time (arrival horizon + drain).
 	Elapsed sim.Time
+	// Dispatch counts measured-window wake-ups by the woken worker's
+	// distance class (indexed by sim.DistClass) from its own module to the
+	// nearest copy of the arriving request's tenant data. Only tenants with
+	// a data region (TenantDataWords) count, so it is all zeros without one.
+	Dispatch [sim.NumDistClasses]uint64
 	// KStats snapshots the kernel counters after the run.
 	KStats kernel.Stats
 	// Sys is the system the run executed on (controllers, daemon, traces).
@@ -142,6 +148,7 @@ func (r *ServerResult) Fingerprint() string {
 	s := fmt.Sprintf("offered=%d admitted=%d dropped=%d abandoned=%d completed=%d elapsed=%d goodput=%.6f\n",
 		r.Offered, r.Admitted, r.Dropped, r.Abandoned, r.Completed, r.Elapsed, r.GoodputRPS)
 	s += fmt.Sprintf("lat %s\n", r.Lat.Tail())
+	s += fmt.Sprintf("dispatch %v\n", r.Dispatch)
 	s += fmt.Sprintf("kstats %+v\n", r.KStats)
 	for rank, t := range r.Tenants {
 		s += fmt.Sprintf("tenant %d w=%.4f adm=%d drop=%d aband=%d %s\n",
@@ -161,7 +168,47 @@ type serverRequest struct {
 	write bool // touch tenant data with stores (only with TenantDataWords)
 }
 
+// nearestIdle is the dispatcher's wake rule. idle lists the parked
+// workers' processor numbers, oldest-parked first; a worker is eligible when
+// c < 0 or clusterOf maps it to cluster c. Among the eligible it picks the
+// worker whose own module is nearest (by dist) any module in copies, the
+// tenant data's primary and replicas, ties going to the newest-parked. With
+// no copies every worker ties, so the pick is the newest-parked eligible
+// worker. It returns the pick's index into idle and its distance class
+// (DistLocal without copies), or -1 when no worker is eligible.
+func nearestIdle(idle []int, c int, clusterOf func(proc int) int, copies []int, dist func(src, dst int) sim.DistClass) (int, sim.DistClass) {
+	best, bestD := -1, sim.DistClass(sim.NumDistClasses)
+	for j := len(idle) - 1; j >= 0; j-- {
+		w := idle[j]
+		if c >= 0 && clusterOf(w) != c {
+			continue
+		}
+		d := sim.DistLocal
+		for i, mod := range copies {
+			if dm := dist(w, mod); i == 0 || dm < d {
+				d = dm
+			}
+		}
+		if d < bestD {
+			best, bestD = j, d
+			if d == sim.DistLocal {
+				break
+			}
+		}
+	}
+	return best, bestD
+}
+
 // ServerRun executes the scenario and reports the tail-latency summary.
+//
+// Dispatch is a zero-cost scheduler model: an arrival wakes one parked
+// worker able to serve its queue, the one whose module is nearest a copy of
+// the request's tenant data (the placement the kernel's ReplicateSlot and
+// MigrateSlot made), ties going to the newest-parked. This is the paper's
+// clustering at request granularity: replication brings read-mostly data
+// to some processors, and the dispatcher sends the request to one of them.
+// A tenant without a data region ties everywhere, which is the historical
+// newest-parked pop.
 func ServerRun(cfg ServerConfig) *ServerResult {
 	if cfg.Tenants == 0 {
 		cfg.Tenants = 16
@@ -188,13 +235,18 @@ func ServerRun(cfg ServerConfig) *ServerResult {
 	// act on, homed like the tenant's kernel objects so the initial layout
 	// matches the static placement. Created before Attach runs, so an
 	// attached daemon's slot list includes them.
-	var tenantBase []sim.Addr
+	var (
+		tenantBase []sim.Addr
+		tenantData []int // region id per rank
+	)
 	if cfg.TenantDataWords > 0 {
 		tenantBase = make([]sim.Addr, cfg.Tenants)
+		tenantData = make([]int, cfg.Tenants)
 		for rank := 0; rank < cfg.Tenants; rank++ {
 			c := rank % k.Topo.N
 			region := m.Mem.NewRegion(k.Topo.SlotModule(c, rank%4))
 			tenantBase[rank] = m.Mem.Alloc(region, cfg.TenantDataWords)
+			tenantData[rank] = region
 			k.RegisterSlot(c, fmt.Sprintf("tenant%d", rank), region)
 		}
 	}
@@ -245,10 +297,11 @@ func ServerRun(cfg ServerConfig) *ServerResult {
 
 	// Dispatch queues: a zero-cost kernel scheduler model. Arrivals enqueue
 	// (or drop past QueueLimit); idle workers park and are woken one per
-	// arrival. Affinized tenants (TenantAffinity) queue per cluster and
-	// only that cluster's workers serve them; everyone else shares one
-	// queue any worker drains. With no affinity the cluster queues stay
-	// empty and the dispatch is the historical single queue exactly.
+	// arrival, nearest the tenant's data first (nearestIdle). Affinized
+	// tenants (TenantAffinity) queue per cluster and only that cluster's
+	// workers serve them; everyone else shares one queue any worker drains.
+	// With no affinity the cluster queues stay empty and the dispatch is the
+	// historical single queue exactly.
 	affOf := func(rank int) int {
 		if cfg.TenantAffinity == nil {
 			return -1
@@ -260,7 +313,8 @@ func ServerRun(cfg ServerConfig) *ServerResult {
 		qhead      int
 		clusterQ   = make([][]int, k.Topo.N)
 		cHead      = make([]int, k.Topo.N)
-		idle       []*sim.Proc
+		idle       []int // parked workers' processor numbers, oldest first
+		copies     []int // wake's buffer: the arriving tenant's copy modules
 		done       bool
 		setupReady bool
 	)
@@ -273,18 +327,28 @@ func ServerRun(cfg ServerConfig) *ServerResult {
 		return n
 	}
 	// wake releases one parked worker able to serve cluster c's queue
-	// (c < 0: any worker). The scan runs newest-parked first, matching the
-	// historical LIFO pop.
-	wake := func(c int) {
-		for j := len(idle) - 1; j >= 0; j-- {
-			p := idle[j]
-			if c >= 0 && k.Topo.ClusterOf(p.ID()) != c {
-				continue
-			}
-			idle = append(idle[:j], idle[j+1:]...)
-			p.Unpark()
+	// (c < 0: any worker) on request i's arrival: the one nearest a copy of
+	// the request's tenant data, ties (and every tenant without data) going
+	// to the newest-parked, the historical LIFO pop. It reads the data's
+	// current placement at no simulated cost, and counts a measured wake
+	// by the woken worker's distance class.
+	clusterOf, dist := k.Topo.ClusterOf, m.Mem.Distance
+	wake := func(c, i int) {
+		copies = copies[:0]
+		if tenantData != nil {
+			region := tenantData[reqs[i].rank]
+			copies = append(append(copies, m.Mem.Home(region)), m.Mem.Replicas(region)...)
+		}
+		j, d := nearestIdle(idle, c, clusterOf, copies, dist)
+		if j < 0 {
 			return
 		}
+		if tenantData != nil && measured(i) {
+			res.Dispatch[d]++
+		}
+		w := idle[j]
+		idle = append(idle[:j], idle[j+1:]...)
+		m.Procs[w].Unpark()
 	}
 	arrive := func(i int) {
 		rank := reqs[i].rank
@@ -303,10 +367,10 @@ func ServerRun(cfg ServerConfig) *ServerResult {
 		}
 		if c := affOf(rank); c >= 0 {
 			clusterQ[c] = append(clusterQ[c], i)
-			wake(c)
+			wake(c, i)
 		} else {
 			queue = append(queue, i)
-			wake(-1)
+			wake(-1, i)
 		}
 	}
 	// Chain the arrival events so the pending-event heap stays small; the
@@ -319,8 +383,8 @@ func ServerRun(cfg ServerConfig) *ServerResult {
 				schedule(i + 1)
 			} else {
 				done = true
-				for _, p := range idle {
-					p.Unpark()
+				for _, w := range idle {
+					m.Procs[w].Unpark()
 				}
 				idle = idle[:0]
 			}
@@ -437,13 +501,13 @@ func ServerRun(cfg ServerConfig) *ServerResult {
 				if done {
 					return
 				}
-				idle = append(idle, p)
+				idle = append(idle, p.ID())
 				for {
 					p.Park()
 					// Spurious wake (an RPC IPI): still idle if listed.
 					stillIdle := false
 					for _, q := range idle {
-						if q == p {
+						if q == p.ID() {
 							stillIdle = true
 						}
 					}
