@@ -48,10 +48,12 @@ fuzz-smoke:
 
 # Regenerate every table/figure plus the machine-readable BENCH_sim.json.
 # Stdout is the tables alone; it replaces results_full.txt only if the run
-# succeeds.
+# succeeds. Then doc-lint names every EXPERIMENTS.md excerpt line the new
+# run no longer prints, with the lines to paste it from.
 results:
 	$(GO) run ./cmd/hurricane-bench > results_full.txt.tmp || { rm -f results_full.txt.tmp; exit 1; }
 	mv results_full.txt.tmp results_full.txt
+	$(GO) run ./cmd/doclint
 
 # The full run as a check: stdout carries no host timing, so the run must
 # reproduce results_full.txt byte for byte. A difference is a moved
@@ -188,15 +190,16 @@ examples-smoke:
 
 # Documentation gate: every exported identifier in the model, autonomic,
 # and tune packages carries a doc comment, every intra-repo markdown link
-# (file and #anchor) in the top-level docs resolves, and every
-# package-level declaration under internal/, exported or unexported, has a
-# non-test caller in this module or benchmark/ (or a `//doclint:keep
-# <reason>` line saying why it stays), every decimal in an
-# EXPERIMENTS.md table row appears in results_full.txt (host-timing tables
-# and derived cells, marked, are skipped), and every struct field under
-# internal/ that non-test code reads is also set by non-test code (a
-# default filled in under `if x.f == 0` does not count; tagged fields and
-# `//doclint:keep <reason>` fields are exempt).
+# (file and #anchor, slugged as GitHub does) in the top-level docs
+# resolves, and every package-level declaration under internal/, exported
+# or unexported, has a non-test caller in this module or benchmark/ (or a
+# `//doclint:keep <reason>` line saying why it stays), every table in
+# EXPERIMENTS.md is a ```results excerpt of results_full.txt (a `== title ==`
+# line of the run, then lines of that table verbatim and in the run's
+# order, rows skipped but never edited; no markdown table rows), and every
+# struct field under internal/ that non-test code reads is also set by
+# non-test code (a default filled in under `if x.f == 0` does not count;
+# tagged fields and `//doclint:keep <reason>` fields are exempt).
 doc-lint:
 	$(GO) run ./cmd/doclint
 

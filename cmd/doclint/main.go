@@ -15,8 +15,8 @@
 //  2. Markdown anchors. Every intra-repo link in the top-level docs
 //     (linkedDocs) — [text](FILE.md), [text](#heading), [text](FILE.md#heading) —
 //     must resolve: the file must exist and the fragment must match a
-//     heading's GitHub-style slug (lowercase, spaces to dashes,
-//     punctuation dropped). Broken links are how a docs overhaul rots.
+//     heading's GitHub slug (see slugify). Broken links are how a docs
+//     overhaul rots.
 //
 //  3. Reachability. Every package-level func, method, type, const and var
 //     declared in a non-test file under internal/, exported or not, must
@@ -27,11 +27,11 @@
 //     line; a keep without a reason is itself a problem. Struct fields are
 //     the fifth check's. See reach.go.
 //
-//  4. Quoted results. Every decimal in an EXPERIMENTS.md table row must
-//     appear in results_full.txt, the full run the tables quote, so a
-//     change that moves the run cannot leave a table stale. Tables marked
-//     as host timing and cells (or columns) marked as derived are skipped.
-//     See results.go.
+//  4. Quoted results. Every table in EXPERIMENTS.md is a ```results
+//     excerpt of results_full.txt, the full run: one of its `== title ==`
+//     lines, then lines of that table verbatim and in order, rows skipped
+//     at will. A change that moves the run names each stale line and the
+//     lines to paste from; a markdown table row fails. See results.go.
 //
 //  5. Set fields. Every struct field declared in a non-test file under
 //     internal/ that non-test code reads must also be set by non-test
@@ -51,6 +51,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
+	"unicode"
 )
 
 // docPackages are the package directories whose exported identifiers must
@@ -73,7 +74,7 @@ func main() {
 		problems = append(problems, reachability(l)...)
 		problems = append(problems, unsetFields(l)...)
 	}
-	problems = append(problems, lintTables("EXPERIMENTS.md", "results_full.txt")...)
+	problems = append(problems, lintExcerpts("EXPERIMENTS.md", "results_full.txt")...)
 
 	if len(problems) > 0 {
 		for _, p := range problems {
@@ -82,7 +83,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "doclint: %d problem(s)\n", len(problems))
 		os.Exit(1)
 	}
-	fmt.Println("doclint: all exported identifiers documented, all internal/ declarations reachable, every read internal/ field set, all markdown links resolve, all EXPERIMENTS.md table numbers in results_full.txt")
+	fmt.Println("doclint: all exported identifiers documented, all internal/ declarations reachable, every read internal/ field set, all markdown links resolve, every EXPERIMENTS.md table an excerpt of results_full.txt")
 }
 
 // lintPackage parses every non-test Go file in dir and reports exported
@@ -186,7 +187,6 @@ var (
 	// the lookbehind-free trick of stripping a leading '!'.
 	linkRE    = regexp.MustCompile(`\[[^\]]*\]\(([^)\s]+)\)`)
 	headingRE = regexp.MustCompile("^#{1,6}\\s+(.+?)\\s*$")
-	slugDrop  = regexp.MustCompile(`[^a-z0-9 _-]`)
 	codeFence = regexp.MustCompile("^(```|~~~)")
 )
 
@@ -244,19 +244,23 @@ func headingSlugs(path string) (map[string]bool, error) {
 	return slugs, nil
 }
 
-// slugify lowercases, strips inline code/link markup and punctuation, and
-// turns spaces into dashes — GitHub's heading-anchor algorithm, near
-// enough for ASCII headings.
+// slugify is GitHub's heading-anchor algorithm: link markup stripped,
+// letters, marks and digits (Unicode ones too), '_' and '-' kept and
+// lowercased, spaces turned to dashes, everything else dropped.
 func slugify(h string) string {
-	h = strings.ReplaceAll(h, "`", "")
 	// Strip link syntax in headings: [text](url) -> text.
 	h = linkRE.ReplaceAllStringFunc(h, func(s string) string {
 		return s[1:strings.Index(s, "]")]
 	})
-	h = strings.ToLower(h)
-	h = slugDrop.ReplaceAllString(h, "")
-	h = strings.ReplaceAll(h, " ", "-")
-	return h
+	return strings.Map(func(r rune) rune {
+		switch {
+		case r == ' ':
+			return '-'
+		case r == '_' || r == '-' || unicode.IsLetter(r) || unicode.IsMark(r) || unicode.IsNumber(r):
+			return unicode.ToLower(r)
+		}
+		return -1
+	}, h)
 }
 
 // lintLinks checks every link in one file against the anchor sets.

@@ -3,100 +3,77 @@ package main
 import (
 	"fmt"
 	"os"
-	"regexp"
+	"slices"
 	"strings"
 )
 
-// hostTimingMark, on the line just above a table, marks it as host timing:
-// wall seconds and host nanoseconds are measured on one host, not read off
-// the deterministic run, so the table check skips the whole table.
-const hostTimingMark = "<!-- doclint: host timing -->"
+// resultsFence opens an excerpt of the full run.
+const resultsFence = "```results"
 
-// derivedMark in a table cell marks the cell as derived (a ratio, or a
-// rounding of a number in the run's output), and in a header cell marks
-// the whole column.
-const derivedMark = "†"
-
-// lintTables checks that every decimal in a table row of the markdown file
-// doc appears in results, the output of a full run that the tables quote:
-// a table left stale by a change that moved the run shows up as a number
-// the run no longer prints. Tables marked as host timing and cells marked
-// as derived are skipped, and so are fenced code blocks.
-func lintTables(doc, results string) []string {
-	out, err := os.ReadFile(results)
+// lintExcerpts checks that every table in the markdown file doc is a
+// verbatim excerpt of results, the full run's output: a ```results block
+// whose first line is one of the run's `== title ==` lines and whose other
+// lines, trailing blanks trimmed, are lines of that title's section (title
+// to next blank line, notes included) in the run's order. Rows may be
+// skipped, never edited or reordered. A markdown table row outside a fence
+// would be a hand copy, so it fails too.
+func lintExcerpts(doc, results string) []string {
+	run, err := os.ReadFile(results)
 	if err != nil {
-		return []string{fmt.Sprintf("%s: %v", results, err)}
+		return []string{err.Error()}
 	}
-	printed := map[string]bool{}
-	for _, d := range decimals(string(out)) {
-		printed[d] = true
+	type section struct {
+		first int // the title's line number
+		lines []string
+	}
+	sections := map[string]*section{}
+	var cur *section
+	for i, line := range strings.Split(string(run), "\n") {
+		line = strings.TrimRight(line, " \t")
+		switch {
+		case line == "":
+			cur = nil
+		case cur != nil:
+			cur.lines = append(cur.lines, line)
+		case strings.HasPrefix(line, "== ") && strings.HasSuffix(line, " =="):
+			cur = &section{i + 1, []string{line}}
+			sections[line] = cur
+		}
 	}
 	data, err := os.ReadFile(doc)
 	if err != nil {
-		return []string{fmt.Sprintf("%s: %v", doc, err)}
+		return []string{err.Error()}
 	}
-	var problems []string
-	lines := strings.Split(string(data), "\n")
-	inFence, inTable, skipTable := false, false, false
-	var derivedCols []bool
-	for i, line := range lines {
-		if codeFence.MatchString(line) {
+	var out []string
+	bad := func(i int, format string, args ...any) {
+		out = append(out, fmt.Sprintf("%s:%d: ", doc, i+1)+fmt.Sprintf(format, args...))
+	}
+	inFence, excerpt := false, false
+	var sec *section // the open excerpt's section, nil after an unknown title
+	next := 0        // the first line of sec the excerpt's next line may match; 0 before the title
+	for i, line := range strings.Split(string(data), "\n") {
+		line = strings.TrimRight(line, " \t")
+		switch {
+		case codeFence.MatchString(line):
 			inFence = !inFence
-			continue
-		}
-		isRow := !inFence && strings.HasPrefix(strings.TrimSpace(line), "|")
-		if !isRow {
-			inTable = false
-			continue
-		}
-		cells := tableCells(line)
-		if !inTable {
-			// The header row: it opens the table and names its columns.
-			inTable = true
-			skipTable = i > 0 && strings.TrimSpace(lines[i-1]) == hostTimingMark
-			derivedCols = make([]bool, len(cells))
-			for c, cell := range cells {
-				derivedCols[c] = strings.Contains(cell, derivedMark)
+			excerpt, sec, next = inFence && line == resultsFence, nil, 0
+		case !inFence:
+			if strings.HasPrefix(strings.TrimSpace(line), "|") {
+				bad(i, "markdown table row: quote the run's lines from %s in a %s block", results, resultsFence)
 			}
-			continue
-		}
-		if skipTable || strings.Trim(line, "|-: \t") == "" {
-			continue // host timing, or the delimiter row
-		}
-		for c, cell := range cells {
-			if strings.Contains(cell, derivedMark) || c < len(derivedCols) && derivedCols[c] {
+		case !excerpt:
+		case next == 0:
+			if sec, next = sections[line], 1; sec == nil {
+				bad(i, "%q is not a table title of %s", line, results)
+			}
+		case sec != nil:
+			j := slices.Index(sec.lines[next:], line)
+			if j < 0 {
+				bad(i, "not a line of %s:%d-%d (%s) below the excerpt's previous line",
+					results, sec.first, sec.first+len(sec.lines)-1, sec.lines[0])
 				continue
 			}
-			for _, d := range decimals(cell) {
-				if !printed[d] {
-					problems = append(problems, fmt.Sprintf("%s:%d: %s is not in %s", doc, i+1, d, results))
-				}
-			}
-		}
-	}
-	return problems
-}
-
-// tableCells splits a markdown table row into its cells.
-func tableCells(row string) []string {
-	row = strings.TrimSpace(row)
-	row = strings.TrimPrefix(row, "|")
-	row = strings.TrimSuffix(row, "|")
-	return strings.Split(row, "|")
-}
-
-// numRun matches a maximal run of digits and dots.
-var numRun = regexp.MustCompile(`[0-9.]+`)
-
-// decimals returns the decimal numbers in s: runs of digits and dots,
-// trailing dots dropped, with exactly one dot between digits. A section
-// number such as 4.1.1 is not a decimal.
-func decimals(s string) []string {
-	var out []string
-	for _, run := range numRun.FindAllString(s, -1) {
-		run = strings.TrimRight(run, ".")
-		if dot := strings.IndexByte(run, '.'); dot > 0 && dot < len(run)-1 && strings.Count(run, ".") == 1 {
-			out = append(out, run)
+			next += j + 1
 		}
 	}
 	return out

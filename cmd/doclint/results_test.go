@@ -6,33 +6,26 @@ import (
 	"testing"
 )
 
-// TestTablesAgainstResults runs the quoted-results check on a fixture:
-// only table-row decimals missing from the run are flagged, and derived
-// cells, derived columns, host-timing tables and code fences are skipped.
-func TestTablesAgainstResults(t *testing.T) {
-	dir := filepath.Join("testdata", "tables")
+// TestExcerpts runs the quoted-results check on a fixture: an excerpt that
+// skips rows passes, and a digit edited, two rows swapped, a line taken
+// from another table, an unknown title and a markdown table row each fail
+// on their own line.
+func TestExcerpts(t *testing.T) {
+	dir := filepath.Join("testdata", "excerpts")
 	doc, results := filepath.Join(dir, "EXPERIMENTS.md"), filepath.Join(dir, "results.txt")
-	got := lintTables(doc, results)
+	notIn := func(line, from, to, title string) string {
+		return doc + ":" + line + ": not a line of " + results + ":" + from + "-" + to +
+			" (== " + title + " ==) below the excerpt's previous line"
+	}
+	got := lintExcerpts(doc, results)
 	want := []string{
-		doc + ":8: 1075.0 is not in " + results, // missing from the run
-		doc + ":8: 2.32 is not in " + results,   // a ratio left unmarked
-		doc + ":14: 12.34 is not in " + results, // only the marked column is skipped
-		doc + ":28: 4.1 is not in " + results,   // a section number is no decimal, 4.1 is
+		notIn("23", "9", "13", "Figure 7d: fault time us vs cluster size"),
+		notIn("31", "1", "7", "Figure 7a: fault time us vs p"),
+		notIn("38", "1", "7", "Figure 7a: fault time us vs p"),
+		doc + `:44: "== Figure 7e: no such table ==" is not a table title of ` + results,
+		doc + ":48: markdown table row: quote the run's lines from " + results + " in a ```results block",
 	}
 	if !slices.Equal(got, want) {
 		t.Errorf("problems:\n%q\nwant:\n%q", got, want)
-	}
-}
-
-func TestDecimals(t *testing.T) {
-	for s, want := range map[string][]string{
-		"1184.5 µs, 2.55×":  {"1184.5", "2.55"},
-		"§4.1.1 and 12.":    nil,
-		"p999 .5 0.6. 3.0s": {"0.6", "3.0"},
-		"[1.061, 1.066]":    {"1.061", "1.066"},
-	} {
-		if got := decimals(s); !slices.Equal(got, want) {
-			t.Errorf("decimals(%q) = %q, want %q", s, got, want)
-		}
 	}
 }

@@ -134,11 +134,11 @@ func faultSystem(seed uint64, clusterSize int, kind locks.Kind) *core.System {
 
 // Figure7a reproduces the independent-fault test on one 16-processor
 // cluster: fault response time vs p, distributed locks vs backoff spin
-// locks.
+// locks, and the spin lock's fault time over the distributed lock's.
 func Figure7a(seed uint64, rounds int) *Table {
 	t := &Table{
 		Title: "Figure 7a: independent faults, 1 cluster of 16 (fault time us vs p)",
-		Cols:  []string{"p", "DistributedLock", "SpinLock"},
+		Cols:  []string{"p", "DistributedLock", "SpinLock", "spin/DL"},
 	}
 	dls := make([]workload.FaultResult, len(ProcCounts))
 	sps := make([]workload.FaultResult, len(ProcCounts))
@@ -151,10 +151,11 @@ func Figure7a(seed uint64, rounds int) *Table {
 		}
 	})
 	for i, p := range ProcCounts {
-		t.AddRow(fmt.Sprintf("%d", p), f1(dls[i].Dist.Mean()), f1(sps[i].Dist.Mean()))
+		dl, sp := dls[i].Dist.Mean(), sps[i].Dist.Mean()
+		t.AddRow(fmt.Sprintf("%d", p), f1(dl), f1(sp), f2(sp/dl))
 		if p == 16 {
-			t.AddMetric("distributed.fault_p16", dls[i].Dist.Mean(), "us")
-			t.AddMetric("spin.fault_p16", sps[i].Dist.Mean(), "us")
+			t.AddMetric("distributed.fault_p16", dl, "us")
+			t.AddMetric("spin.fault_p16", sp, "us")
 		}
 	}
 	t.Note("paper: with 16 processors faulting, spin-lock latency is over 2x the distributed-lock latency")
@@ -162,11 +163,12 @@ func Figure7a(seed uint64, rounds int) *Table {
 }
 
 // Figure7b reproduces the shared-fault test on one 16-processor cluster:
-// all processes write-fault the same pages, barrier, unmap.
+// all processes write-fault the same pages, barrier, unmap; the columns are
+// Figure 7a's.
 func Figure7b(seed uint64, npages, rounds int) *Table {
 	t := &Table{
 		Title: "Figure 7b: shared faults, 1 cluster of 16 (fault time us vs p)",
-		Cols:  []string{"p", "DistributedLock", "SpinLock"},
+		Cols:  []string{"p", "DistributedLock", "SpinLock", "spin/DL"},
 	}
 	dls := make([]workload.FaultResult, len(ProcCounts))
 	sps := make([]workload.FaultResult, len(ProcCounts))
@@ -179,10 +181,11 @@ func Figure7b(seed uint64, npages, rounds int) *Table {
 		}
 	})
 	for i, p := range ProcCounts {
-		t.AddRow(fmt.Sprintf("%d", p), f1(dls[i].Dist.Mean()), f1(sps[i].Dist.Mean()))
+		dl, sp := dls[i].Dist.Mean(), sps[i].Dist.Mean()
+		t.AddRow(fmt.Sprintf("%d", p), f1(dl), f1(sp), f2(sp/dl))
 		if p == 16 {
-			t.AddMetric("distributed.fault_p16", dls[i].Dist.Mean(), "us")
-			t.AddMetric("spin.fault_p16", sps[i].Dist.Mean(), "us")
+			t.AddMetric("distributed.fault_p16", dl, "us")
+			t.AddMetric("spin.fault_p16", sp, "us")
 		}
 	}
 	t.Note("paper: the gap between lock types is much smaller than 7a (contention moves to the reserve bits)")

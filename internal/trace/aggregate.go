@@ -20,18 +20,17 @@ type Aggregate struct {
 	Access [][]uint64
 	// AccessByDist totals accesses by distance class.
 	AccessByDist [sim.NumDistClasses]uint64
-	// RegionAccess[region][src] counts accesses addressed to a migratable
-	// region (virtual module id ≥ modules, recovered from the event's raw
-	// address) by accessor module src. Two regions sharing one physical
-	// home stay distinguishable here, which is what lets the online
-	// placement daemon move them independently; the matrices above fold the
-	// same traffic into the physical home for distance accounting.
-	RegionAccess RegionVecs
-	// RegionReads and RegionWrites split RegionAccess by operation: loads
-	// on one side, stores and atomics (swap, cas) on the other. The
-	// replication policy feeds on the split — a region's write fraction,
-	// and what its reads saved against what its writes' updates cost, is
-	// what decides replicate vs migrate vs collapse.
+	// RegionReads[region][src] and RegionWrites[region][src] count accesses
+	// addressed to a migratable region (virtual module id ≥ modules,
+	// recovered from the event's raw address) by accessor module src:
+	// loads on one side, stores and atomics (swap, cas) on the other. Two
+	// regions sharing one physical home stay distinguishable here, which is
+	// what lets the online placement daemon move them independently; the
+	// matrices above fold the same traffic into the physical home for
+	// distance accounting. The replication policy feeds on the split — a
+	// region's write fraction, and what its reads saved against what its
+	// writes' updates cost, is what decides replicate vs migrate vs
+	// collapse — and the daemon on the sum.
 	RegionReads  RegionVecs
 	RegionWrites RegionVecs
 	// EventCount totals events by kind (EvAccess..EvInstant).
@@ -101,10 +100,9 @@ func (a *Aggregate) Event(ev sim.TraceEvent) {
 			a.Access[ev.Dst][ev.Src]++
 			a.AccessByDist[ev.Dist]++
 			if id := sim.Addr(ev.Arg).Module(); id >= a.modules {
-				if id >= len(a.RegionAccess) || a.RegionAccess[id] == nil {
+				if id >= len(a.RegionReads) || a.RegionReads[id] == nil {
 					a.addRegion(id)
 				}
-				a.RegionAccess[id][ev.Src]++
 				if ev.Name == "load" {
 					a.RegionReads[id][ev.Src]++
 				} else {
@@ -130,15 +128,13 @@ func (a *Aggregate) Event(ev sim.TraceEvent) {
 	}
 }
 
-// addRegion creates region id's three vectors, growing the indexes to
-// cover it.
+// addRegion creates region id's two vectors, growing the indexes to cover
+// it.
 func (a *Aggregate) addRegion(id int) {
-	if grow := id + 1 - len(a.RegionAccess); grow > 0 {
-		a.RegionAccess = append(a.RegionAccess, make(RegionVecs, grow)...)
+	if grow := id + 1 - len(a.RegionReads); grow > 0 {
 		a.RegionReads = append(a.RegionReads, make(RegionVecs, grow)...)
 		a.RegionWrites = append(a.RegionWrites, make(RegionVecs, grow)...)
 	}
-	a.RegionAccess[id] = make([]uint64, a.modules)
 	a.RegionReads[id] = make([]uint64, a.modules)
 	a.RegionWrites[id] = make([]uint64, a.modules)
 }

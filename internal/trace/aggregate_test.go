@@ -22,8 +22,8 @@ func access(op string, src, dst, id int) sim.TraceEvent {
 func TestAggregateRegionVectors(t *testing.T) {
 	agg := NewAggregate(16)
 	agg.Event(access("load", 3, 5, 5)) // a physical module: no vector
-	if len(agg.RegionAccess) != 0 {
-		t.Fatalf("an access to module 5 created region vectors: %v", agg.RegionAccess)
+	if len(agg.RegionReads) != 0 || len(agg.RegionWrites) != 0 {
+		t.Fatalf("an access to module 5 created region vectors: %v %v", agg.RegionReads, agg.RegionWrites)
 	}
 	agg.Event(access("load", 1, 2, 21))
 	agg.Event(access("store", 1, 2, 21))
@@ -32,12 +32,12 @@ func TestAggregateRegionVectors(t *testing.T) {
 	agg.Event(access("cas", 4, 9, 17))
 	agg.Event(access("load", 7, 9, 17))
 
-	want := map[int][3][]int{ // id: access, reads, writes by src
-		17: {{7, 7, 4, 4}, {7, 7}, {4, 4}},
-		21: {{1, 1}, {1}, {1}},
+	want := map[int][2][]int{ // id: reads, writes by src
+		17: {{7, 7}, {4, 4}},
+		21: {{1}, {1}},
 	}
 	for id, w := range want {
-		for i, vecs := range []RegionVecs{agg.RegionAccess, agg.RegionReads, agg.RegionWrites} {
+		for i, vecs := range []RegionVecs{agg.RegionReads, agg.RegionWrites} {
 			got := vecs.Of(id)
 			if len(got) != 16 {
 				t.Fatalf("region %d vector %d has %d entries, want 16", id, i, len(got))
@@ -55,12 +55,12 @@ func TestAggregateRegionVectors(t *testing.T) {
 		if _, ok := want[id]; ok {
 			continue
 		}
-		if agg.RegionAccess.Of(id) != nil || agg.RegionReads.Of(id) != nil || agg.RegionWrites.Of(id) != nil {
+		if agg.RegionReads.Of(id) != nil || agg.RegionWrites.Of(id) != nil {
 			t.Errorf("id %d has a region vector, but no access addressed it as a region", id)
 		}
 	}
-	if len(agg.RegionAccess) != 22 {
-		t.Errorf("region index grew to %d ids, want 22", len(agg.RegionAccess))
+	if len(agg.RegionReads) != 22 || len(agg.RegionWrites) != 22 {
+		t.Errorf("region indexes grew to %d and %d ids, want 22", len(agg.RegionReads), len(agg.RegionWrites))
 	}
 	if agg.Access[2][1] != 2 || agg.Access[9][4] != 2 || agg.Access[5][3] != 1 {
 		t.Errorf("physical matrix lost region traffic: %v", agg.Access)

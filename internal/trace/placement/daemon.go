@@ -87,7 +87,8 @@ type DaemonSlot struct {
 	// Name labels the slot in the move log.
 	Name string
 	// Region is the slot's sim memory region id; the live aggregate's
-	// RegionAccess vector for it is the daemon's control signal.
+	// accesses to it by source module, reads plus writes, are the daemon's
+	// control signal.
 	Region int
 	// Migrate performs the move on processor p. It may defer through an
 	// interrupt gate; the daemon detects completion by watching the
@@ -110,17 +111,17 @@ type Move struct {
 }
 
 // Daemon is the online placement controller. It is an autonomic.Policy with
-// no cadence of its own: at every tick of the plane it runs on, it diffs
-// the live aggregate's per-region access vectors into a window,
-// EWMA-smooths them, asks the analyzer's propose() for a ring-minimizing
-// home against the machine's cost model, and — when the improvement clears
-// the Improve band and the slot has budget and cooldown headroom —
-// executes the move by interrupting the processor co-located with the
-// slot's current home. The
-// migration itself (copy burst + brief migration lock) is charged by the
-// kernel's MigrateSlot path; the daemon's own observation and decision
-// cycle costs no simulated time, so a daemon that never finds a
-// worthwhile move leaves the run bit-identical.
+// no cadence of its own: at every tick of the plane it runs on, it sums
+// the live aggregate's per-region read and write vectors into a buffer it
+// owns, diffs that into a window, EWMA-smooths it, asks the analyzer's
+// propose() for a ring-minimizing home against the machine's cost model,
+// and — when the improvement clears the Improve band and the slot has
+// budget and cooldown headroom — executes the move by interrupting the
+// processor co-located with the slot's current home. The migration itself
+// (copy burst + brief migration lock) is charged by the kernel's
+// MigrateSlot path; the daemon's own observation and decision cycle costs
+// no simulated time, so a daemon that never finds a worthwhile move leaves
+// the run bit-identical.
 type Daemon struct {
 	m       *sim.Machine
 	agg     *trace.Aggregate
@@ -134,6 +135,8 @@ type Daemon struct {
 	// load and cost are Tick's per-module buffers: the projected load and
 	// propose's per-candidate costs.
 	load, cost []float64
+	// access is Tick's per-source buffer: one region's reads plus writes.
+	access []uint64
 }
 
 type slotState struct {
@@ -154,6 +157,7 @@ func NewDaemon(m *sim.Machine, agg *trace.Aggregate, topo autonomic.Topo, costs 
 	n := agg.Modules()
 	d.load = make([]float64, min(n, topo.Modules()))
 	d.cost = make([]float64, len(d.load))
+	d.access = make([]uint64, n)
 	for _, s := range slots {
 		d.slots = append(d.slots, &slotState{
 			DaemonSlot: s,
@@ -193,7 +197,7 @@ func (d *Daemon) Tick(now sim.Time) {
 	for _, s := range d.slots {
 		// Fold this window into the EWMA even when the slot cannot move
 		// right now — the signal must stay fresh for when it can.
-		s.win.Fold(d.agg.RegionAccess.Of(s.Region))
+		s.win.Fold(d.regionAccess(s.Region))
 		home := d.m.Mem.Home(s.Region)
 		if s.target >= 0 {
 			if home != s.target {
@@ -258,6 +262,20 @@ func (d *Daemon) Tick(now sim.Time) {
 		mig := s.Migrate
 		d.m.SendIPI(home, func(h *sim.Proc) { mig(h, to) })
 	}
+}
+
+// regionAccess returns the live aggregate's cumulative accesses to region
+// by source module, reads plus writes, in the daemon's buffer; nil while the
+// region has seen no access.
+func (d *Daemon) regionAccess(region int) []uint64 {
+	reads, writes := d.agg.RegionReads.Of(region), d.agg.RegionWrites.Of(region)
+	if reads == nil {
+		return nil
+	}
+	for i := range d.access {
+		d.access[i] = reads[i] + writes[i]
+	}
+	return d.access
 }
 
 // Report renders the move log as an indented block, each move with the
