@@ -145,9 +145,11 @@ server-smoke: bench-sim
 # tune+migrate+replicate run must beat every single policy on the mixed
 # tenant workload (the tentpole acceptance metric), and lockstat's faults
 # and server modes must run the full plane under one cadence; the faults
-# run's replication log must print the priced inputs of its decisions, and
-# a server run that leaves workers idle (the full sweep's 40 ms cell) must
-# wake some of them on a module holding the tenant's data.
+# run's replication log must print the priced inputs of its decisions, a
+# server run that leaves workers idle (the full sweep's 40 ms cell) must
+# wake some of them on a module holding the tenant's data, and the quick
+# cell (15 ms), where no worker is ever idle, must have freed workers take
+# requests ahead of the queue's head onto their own module's copy.
 autonomic-smoke: bench-sim
 	grep -A 1 '"hector16.combined_wins"' BENCH_sim.json | grep -q '"value": 3'
 	$(GO) run ./cmd/lockstat -run faults -size 16 -procs 4 -rounds 8 -autonomic > /tmp/hurricane_autosim.txt
@@ -158,7 +160,9 @@ autonomic-smoke: bench-sim
 	grep -q "autonomics plane" /tmp/hurricane_autolock.txt
 	$(GO) run ./cmd/lockstat -run server -autonomic -ms 40 > /tmp/hurricane_autodispatch.txt
 	grep -Eq "^  dispatch: [0-9]+ measured wake-ups by distance to the tenant data's nearest copy: local [1-9][0-9]*, station [0-9]+, ring [0-9]+, global [0-9]+$$" /tmp/hurricane_autodispatch.txt
-	@echo "autonomic-smoke: combined plane beats every single policy; lockstat's faults and server modes run it, the faults run prices each replication, and the server run wakes workers next to the tenant data"
+	$(GO) run ./cmd/lockstat -run server -autonomic -ms 15 > /tmp/hurricane_autodequeue.txt
+	grep -Eq "^  dequeue: [1-9][0-9]* measured requests taken ahead of their queue's head" /tmp/hurricane_autodequeue.txt
+	@echo "autonomic-smoke: combined plane beats every single policy; lockstat's faults and server modes run it, the faults run prices each replication, the server run wakes workers next to the tenant data, and the overloaded quick cell's freed workers take requests whose replicated data they hold"
 
 # End-to-end check of the analytic model pipeline: a CI-scale
 # calibrate-and-validate cell must fit residuals, rank the lock zoo

@@ -519,6 +519,8 @@ func runServer(w io.Writer, name string, kind locks.Kind, seed uint64, horizonMS
 		fmt.Fprintf(w, "  dispatch: %d measured wake-ups by distance to the tenant data's nearest copy: local %d, station %d, ring %d, global %d\n",
 			d[sim.DistLocal]+d[sim.DistStation]+d[sim.DistRing]+d[sim.DistGlobal],
 			d[sim.DistLocal], d[sim.DistStation], d[sim.DistRing], d[sim.DistGlobal])
+		fmt.Fprintf(w, "  dequeue: %d measured requests taken ahead of their queue's head by a worker holding a copy of their replicated data\n",
+			r.TakenAhead)
 	}
 	fmt.Fprintln(w, "  per-tenant (rank order):")
 	for rank, ts := range r.Tenants {

@@ -133,23 +133,26 @@ func TestServerRunsTheSweepCell(t *testing.T) {
 	}
 }
 
-// TestServerDispatchLine holds the dispatch line to the run's own counts:
-// the autonomic cell, whose tenants have data regions, prints the counts
-// its ServerRun reports (some wake-ups local to a copy at 40 ms, where
-// workers go idle), and the server sweep's cell, whose tenants have none,
-// prints no such line.
+// TestServerDispatchLine holds the dispatch and dequeue lines to the run's
+// own counts: the autonomic cell, whose tenants have data regions, prints
+// the counts its ServerRun reports (some wake-ups local to a copy at 40 ms,
+// where workers go idle, and some requests taken ahead of the head), the
+// dequeue line right after the dispatch line, and the server sweep's cell,
+// whose tenants have none, prints neither line.
 func TestServerDispatchLine(t *testing.T) {
 	const seed, ms = 1, 40
 	cell, err := serverCell("hector16", locks.KindTuned, seed, ms, true, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := workload.ServerRun(cell.Config).Dispatch
-	if d[sim.DistLocal] == 0 {
-		t.Fatalf("dispatch %v: no wake-up local to a copy", d)
+	r := workload.ServerRun(cell.Config)
+	d := r.Dispatch
+	if d[sim.DistLocal] == 0 || r.TakenAhead == 0 {
+		t.Fatalf("dispatch %v, %d taken ahead: no wake-up local to a copy, or no request taken ahead", d, r.TakenAhead)
 	}
 	want := fmt.Sprintf("  dispatch: %d measured wake-ups by distance to the tenant data's nearest copy: local %d, station %d, ring %d, global %d\n",
-		d[0]+d[1]+d[2]+d[3], d[0], d[1], d[2], d[3])
+		d[0]+d[1]+d[2]+d[3], d[0], d[1], d[2], d[3]) +
+		fmt.Sprintf("  dequeue: %d measured requests taken ahead of their queue's head by a worker holding a copy of their replicated data\n", r.TakenAhead)
 	var b strings.Builder
 	if err := runServer(&b, "hector16", locks.KindTuned, seed, ms, true, true); err != nil {
 		t.Fatal(err)
@@ -161,8 +164,8 @@ func TestServerDispatchLine(t *testing.T) {
 	if err := runServer(&b, "hector16", locks.KindH2MCS, seed, 4, false, false); err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(b.String(), "dispatch:") {
-		t.Errorf("a run without tenant data printed a dispatch line:\n%s", b.String())
+	if strings.Contains(b.String(), "dispatch:") || strings.Contains(b.String(), "dequeue:") {
+		t.Errorf("a run without tenant data printed a dispatch or dequeue line:\n%s", b.String())
 	}
 }
 

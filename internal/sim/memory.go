@@ -118,6 +118,13 @@ type Memory struct {
 	// replica — the classic read-mostly replication trade (see
 	// cluster/replicated.go for the lock-level analogue).
 	replicas [][]int
+	// near, indexed like replicas, is each replicated region's nearest-copy
+	// table: near[region][src] is the copy (primary or replica) that
+	// nearestCopy picks for a load from physical module src, so a
+	// replicated load does one index. ReplicateRegion rebuilds it and
+	// CollapseRegion drops it; MigrateRegion refuses a replicated region, so
+	// a move never stales one. It is nil while the region has one copy.
+	near [][]int
 	// ReplicaUpdates counts write-propagation transfers charged to keep
 	// replicas coherent (one per extra copy per write).
 	ReplicaUpdates uint64
@@ -317,6 +324,7 @@ func (m *Memory) ReplicateRegion(p *Proc, region, to int) (words int, cost Durat
 	}
 	if region >= len(m.replicas) {
 		m.replicas = append(m.replicas, make([][]int, region+1-len(m.replicas))...)
+		m.near = append(m.near, make([][]int, region+1-len(m.near))...)
 	}
 	reps := append(m.replicas[region], to)
 	// Keep the set sorted so nearest-copy tie-breaking is deterministic
@@ -325,6 +333,11 @@ func (m *Memory) ReplicateRegion(p *Proc, region, to int) (words int, cost Durat
 		reps[i], reps[i-1] = reps[i-1], reps[i]
 	}
 	m.replicas[region] = reps
+	near := make([]int, len(m.modules))
+	for src := range near {
+		near[src] = m.nearestCopy(src, m.homes[region], reps)
+	}
+	m.near[region] = near
 	if cost > 0 {
 		p.Think(cost)
 	}
@@ -342,8 +355,20 @@ func (m *Memory) CollapseRegion(region int) int {
 	n := len(m.Replicas(region))
 	if n > 0 {
 		m.replicas[region] = nil
+		m.near[region] = nil
 	}
 	return n
+}
+
+// NearestCopies returns a replicated region's nearest-copy table, indexed
+// by physical source module: the copy (primary or replica) a load from
+// that module reads. It is nil when the region has one copy or region is
+// no region id. The slice is live; do not mutate.
+func (m *Memory) NearestCopies(region int) []int {
+	if region < 0 || region >= len(m.near) {
+		return nil
+	}
+	return m.near[region]
 }
 
 // Replicas returns the region's extra copy modules (sorted, primary
@@ -467,7 +492,7 @@ func (m *Memory) access(p *Proc, a Addr, kind accessKind, operand, expect uint64
 	if len(reps) > 0 && kind == accLoad {
 		// A replicated region serves reads from the requester's nearest
 		// copy; the primary competes on equal terms.
-		dst = m.nearestCopy(src, dst, reps)
+		dst = m.near[idx][src]
 	}
 
 	// An atomic read-modify-write is two memory transactions on HECTOR:
@@ -593,7 +618,8 @@ func (m *Memory) write(a Addr, w *uint64, kind accessKind, ok bool, v uint64, at
 
 // nearestCopy picks the copy of a replicated region closest to src by
 // distance class, ties broken toward the lowest module number (primary
-// included), so the choice is deterministic.
+// included), so the choice is deterministic. ReplicateRegion tabulates it
+// for every source module.
 func (m *Memory) nearestCopy(src, primary int, reps []int) int {
 	best, bestD := primary, m.Distance(src, primary)
 	for _, r := range reps {

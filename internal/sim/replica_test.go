@@ -181,3 +181,69 @@ func TestReplicaSetsByRegionIndex(t *testing.T) {
 		}
 	}
 }
+
+// checkNearTable holds a region's nearest-copy table to nearestCopy for
+// every source module: nil with one copy, and otherwise each entry the copy
+// nearestCopy picks from the region's current primary and replica set.
+func checkNearTable(t *testing.T, m *Memory, r int) {
+	t.Helper()
+	tab, reps := m.NearestCopies(r), m.Replicas(r)
+	if len(reps) == 0 {
+		if tab != nil {
+			t.Fatalf("region %d has one copy but a table %v", r, tab)
+		}
+		return
+	}
+	if len(tab) != len(m.modules) {
+		t.Fatalf("primary %d replicas %v: table has %d entries, want %d", m.Home(r), reps, len(tab), len(m.modules))
+	}
+	for src := range m.modules {
+		if want := m.nearestCopy(src, m.Home(r), reps); tab[src] != want {
+			t.Fatalf("primary %d replicas %v: table sends module %d to %d, nearestCopy to %d",
+				m.Home(r), reps, src, tab[src], want)
+		}
+	}
+}
+
+// The nearest-copy table matches nearestCopy for every source module:
+// on HECTOR-16 over every primary and replica set of up to three copies,
+// built up one replication at a time, and on NUMAchine-256 over random
+// sets, with collapses and migrations of the primary in between.
+func TestNearestCopyTable(t *testing.T) {
+	m := hector(1).Mem
+	for primary := 0; primary < 16; primary++ {
+		r := m.NewRegion(primary)
+		for a := 0; a < 16; a++ {
+			for b := a; b < 16; b++ {
+				m.CollapseRegion(r)
+				checkNearTable(t, m, r)
+				m.ReplicateRegion(nil, r, a)
+				checkNearTable(t, m, r)
+				m.ReplicateRegion(nil, r, b)
+				checkNearTable(t, m, r)
+			}
+		}
+	}
+
+	m = NewMachine(Config{Stations: 32, ProcsPerStation: 8, StationsPerRing: 4, Seed: 1}).Mem
+	rng := NewRNG(3)
+	regions := []int{m.NewRegion(0), m.NewRegion(131), m.NewRegion(255)}
+	for trial := 0; trial < 300; trial++ {
+		r := regions[rng.Intn(len(regions))]
+		switch rng.Intn(4) {
+		case 0:
+			m.CollapseRegion(r)
+			m.MigrateRegion(nil, r, rng.Intn(256))
+		default:
+			m.ReplicateRegion(nil, r, rng.Intn(256))
+		}
+		for _, r := range regions {
+			checkNearTable(t, m, r)
+		}
+	}
+	for _, id := range []int{0, 255, regions[2] + 1, -1} {
+		if tab := m.NearestCopies(id); tab != nil {
+			t.Errorf("NearestCopies(%d) = %v, want nil", id, tab)
+		}
+	}
+}

@@ -145,3 +145,90 @@ func TestServerWakesTheDataHolder(t *testing.T) {
 		t.Errorf("dispatch counts %v for %d admitted requests, want %v", r.Dispatch, r.Admitted, want)
 	}
 }
+
+// TestDequeue table-tests the dequeue rule on HECTOR-16's memory, whose
+// tenant data tables come from real replications: a worker takes the
+// oldest request whose replicated data has a copy on its own module, else
+// the head, and the head once it has been passed over the limit; the pick
+// moves to the front and the requests it skipped keep their order.
+func TestDequeue(t *testing.T) {
+	mem := sim.NewMachine(machine.Hector16(1)).Mem
+	region := func(primary int, reps ...int) []int {
+		r := mem.NewRegion(primary)
+		for _, to := range reps {
+			mem.ReplicateRegion(nil, r, to)
+		}
+		return mem.NearestCopies(r)
+	}
+	// Requests are indices into tables: each one's tenant data table.
+	tables := [][]int{
+		nil,             // 0: no tenant data
+		region(8),       // 1: single copy on module 8
+		region(0, 8),    // 2: copies on modules 0 and 8
+		region(4, 12),   // 3: copies on modules 4 and 12
+		region(1, 8, 9), // 4: copies on modules 1, 8 and 9
+		region(5, 13),   // 5: copies on modules 5 and 13
+	}
+	near := func(req int) []int { return tables[req] }
+	cases := []struct {
+		name   string
+		q      []int
+		w      int
+		passed int
+		want   []int // q afterwards: the pick first
+		ahead  bool
+	}{
+		{"nothing qualifies: the head", []int{0, 1, 3}, 8, 0, []int{0, 1, 3}, false},
+		{"the first qualifying request, not a later one", []int{3, 0, 2, 4}, 8, 0, []int{2, 3, 0, 4}, true},
+		{"a qualifying head is the head", []int{2, 4, 0}, 8, 3, []int{2, 4, 0}, false},
+		{"single copy on the worker's module does not qualify", []int{0, 1, 4}, 8, 0, []int{4, 0, 1}, true},
+		{"single copy alone: the head", []int{3, 1}, 8, 0, []int{3, 1}, false},
+		{"a copy on the worker's station but not its module", []int{0, 3, 5}, 6, 0, []int{0, 3, 5}, false},
+		{"the station copy is skipped for a local one", []int{0, 3, 5}, 13, 0, []int{5, 0, 3}, true},
+		{"one bypass short of the limit", []int{0, 1, 3, 2}, 0, 15, []int{2, 0, 1, 3}, true},
+		{"head passed over the limit: the head", []int{0, 1, 3, 2}, 0, 16, []int{0, 1, 3, 2}, false},
+		{"skipped requests keep their order", []int{5, 3, 1, 0, 4, 2}, 9, 0, []int{4, 5, 3, 1, 0, 2}, true},
+	}
+	for _, tc := range cases {
+		q := slices.Clone(tc.q)
+		if ahead := dequeue(q, tc.w, tc.passed, 16, near); ahead != tc.ahead || !slices.Equal(q, tc.want) {
+			t.Errorf("%s: queue %v -> %v (ahead %v), want %v (ahead %v)", tc.name, tc.q, q, ahead, tc.want, tc.ahead)
+		}
+	}
+
+	// Random queues against a brute-force reference: the pick is the first
+	// request with a replica set holding the worker's module, unless the head
+	// has been passed over the limit, and the rest keep their order.
+	rng := sim.NewRNG(11)
+	var sets [][]int // each table's copy modules, primary first
+	tables = tables[:0]
+	for n := 0; n < 12; n++ {
+		copies := []int{rng.Intn(16)}
+		for r := rng.Intn(4); r > 0; r-- {
+			copies = append(copies, rng.Intn(16))
+		}
+		sets = append(sets, copies)
+		tables = append(tables, region(copies[0], copies[1:]...))
+	}
+	for trial := 0; trial < 2000; trial++ {
+		q := make([]int, 1+rng.Intn(20))
+		for i := range q {
+			q[i] = rng.Intn(len(tables))
+		}
+		w, passed := rng.Intn(16), rng.Intn(20)
+		qualifies := func(req int) bool {
+			primary, reps := sets[req][0], sets[req][1:]
+			replicated := slices.ContainsFunc(reps, func(r int) bool { return r != primary })
+			return replicated && slices.Contains(sets[req], w)
+		}
+		pick := 0
+		if j := slices.IndexFunc(q, qualifies); j > 0 && passed < 16 {
+			pick = j
+		}
+		want := append([]int{q[pick]}, slices.Delete(slices.Clone(q), pick, pick+1)...)
+		got := slices.Clone(q)
+		if ahead := dequeue(got, w, passed, 16, near); ahead != (pick > 0) || !slices.Equal(got, want) {
+			t.Fatalf("queue %v worker %d passed %d: got %v (ahead %v), want %v", q, w, passed, got, ahead, want)
+		}
+	}
+}

@@ -68,9 +68,11 @@ type ServerConfig struct {
 	// registered as a migratable kernel slot (kernel.RegisterSlot) — the
 	// handle the autonomics plane acts on. Each request then touches
 	// TenantTouch words of its tenant's region, reading or writing per
-	// TenantWriteFrac, and its arrival wakes the idle worker nearest a copy
-	// of that region (see ServerRun). Zero keeps the historical workload
-	// (and its RNG stream) byte for byte.
+	// TenantWriteFrac; its arrival wakes the idle worker nearest a copy of
+	// that region, and while the region is replicated a worker whose own
+	// module holds a copy may take the request ahead of its queue's head
+	// (see ServerRun). Zero keeps the historical workload (and its RNG
+	// stream) byte for byte.
 	TenantDataWords int
 	// TenantTouch is how many tenant-data words each request touches
 	// (default 32, only with TenantDataWords set).
@@ -136,6 +138,11 @@ type ServerResult struct {
 	// nearest copy of the arriving request's tenant data. Only tenants with
 	// a data region (TenantDataWords) count, so it is all zeros without one.
 	Dispatch [sim.NumDistClasses]uint64
+	// TakenAhead counts measured-window requests a worker took ahead of
+	// their queue's head because its own module holds a copy of their
+	// replicated tenant data (see dequeue). It is zero in a run with no
+	// replicas.
+	TakenAhead uint64
 	// KStats snapshots the kernel counters after the run.
 	KStats kernel.Stats
 	// Sys is the system the run executed on (controllers, daemon, traces).
@@ -148,7 +155,7 @@ func (r *ServerResult) Fingerprint() string {
 	s := fmt.Sprintf("offered=%d admitted=%d dropped=%d abandoned=%d completed=%d elapsed=%d goodput=%.6f\n",
 		r.Offered, r.Admitted, r.Dropped, r.Abandoned, r.Completed, r.Elapsed, r.GoodputRPS)
 	s += fmt.Sprintf("lat %s\n", r.Lat.Tail())
-	s += fmt.Sprintf("dispatch %v\n", r.Dispatch)
+	s += fmt.Sprintf("dispatch %v ahead=%d\n", r.Dispatch, r.TakenAhead)
 	s += fmt.Sprintf("kstats %+v\n", r.KStats)
 	for rank, t := range r.Tenants {
 		s += fmt.Sprintf("tenant %d w=%.4f adm=%d drop=%d aband=%d %s\n",
@@ -199,6 +206,30 @@ func nearestIdle(idle []int, c int, clusterOf func(proc int) int, copies []int, 
 	return best, bestD
 }
 
+// dequeue is the dispatcher's queue rule for worker w. q is a queue's
+// unserved part, oldest first, and passed counts how many times in a row
+// its head has been passed over. A request qualifies when its tenant data
+// is replicated and has a copy on w's own module: near(req) is that data's
+// nearest-copy table (sim.Memory.NearestCopies, nil for single-copy data or
+// none), which maps w to itself exactly when w's module holds a copy. The
+// pick is the oldest qualifying request, or the head when none qualifies or
+// the head has already been passed over limit times. dequeue moves the
+// pick to q[0] and each request it skipped back one slot, in order, and
+// reports whether the pick was taken ahead of the head.
+func dequeue(q []int, w, passed, limit int, near func(req int) []int) (ahead bool) {
+	if passed >= limit {
+		return false
+	}
+	for j, req := range q {
+		if t := near(req); t != nil && t[w] == w {
+			copy(q[1:j+1], q[:j])
+			q[0] = req
+			return j > 0
+		}
+	}
+	return false
+}
+
 // ServerRun executes the scenario and reports the tail-latency summary.
 //
 // Dispatch is a zero-cost scheduler model: an arrival wakes one parked
@@ -209,6 +240,15 @@ func nearestIdle(idle []int, c int, clusterOf func(proc int) int, copies []int, 
 // to some processors, and the dispatcher sends the request to one of them.
 // A tenant without a data region ties everywhere, which is the historical
 // newest-parked pop.
+//
+// A worker looking for work takes, from its cluster queue and then the
+// shared one, the oldest request whose replicated tenant data has a copy
+// on its own module, and the head when none has (dequeue): a freed
+// worker reads a local copy instead of crossing the bus for the head's.
+// The skipped requests keep their order, and a head passed over once per
+// processor in a row is taken next, so no request waits forever. Data with
+// one copy never jumps the queue: only slots the replicator owns reorder
+// it, and a run without replicas takes the head every time.
 func ServerRun(cfg ServerConfig) *ServerResult {
 	if cfg.Tenants == 0 {
 		cfg.Tenants = 16
@@ -297,11 +337,12 @@ func ServerRun(cfg ServerConfig) *ServerResult {
 
 	// Dispatch queues: a zero-cost kernel scheduler model. Arrivals enqueue
 	// (or drop past QueueLimit); idle workers park and are woken one per
-	// arrival, nearest the tenant's data first (nearestIdle). Affinized
-	// tenants (TenantAffinity) queue per cluster and only that cluster's
-	// workers serve them; everyone else shares one queue any worker drains.
-	// With no affinity the cluster queues stay empty and the dispatch is the
-	// historical single queue exactly.
+	// arrival, nearest the tenant's data first (nearestIdle), and a worker
+	// takes a request whose replicated data it holds first (dequeue).
+	// Affinized tenants (TenantAffinity) queue per cluster and only that
+	// cluster's workers serve them; everyone else shares one queue any
+	// worker drains. With no affinity the cluster queues stay empty and the
+	// dispatch is the historical single queue exactly.
 	affOf := func(rank int) int {
 		if cfg.TenantAffinity == nil {
 			return -1
@@ -311,8 +352,10 @@ func ServerRun(cfg ServerConfig) *ServerResult {
 	var (
 		queue      []int // indices into reqs, unaffinized
 		qhead      int
+		qPassed    int // times in a row queue[qhead] has been passed over
 		clusterQ   = make([][]int, k.Topo.N)
 		cHead      = make([]int, k.Topo.N)
+		cPassed    = make([]int, k.Topo.N)
 		idle       []int // parked workers' processor numbers, oldest first
 		copies     []int // wake's buffer: the arriving tenant's copy modules
 		done       bool
@@ -349,6 +392,31 @@ func ServerRun(cfg ServerConfig) *ServerResult {
 		w := idle[j]
 		idle = append(idle[:j], idle[j+1:]...)
 		m.Procs[w].Unpark()
+	}
+	// near reads request i's tenant data's nearest-copy table, at no
+	// simulated cost (nil without data or replicas).
+	near := func(i int) []int {
+		if tenantData == nil {
+			return nil
+		}
+		return m.Mem.NearestCopies(tenantData[reqs[i].rank])
+	}
+	// take serves worker w from the unserved part of q, q[*head:], by the
+	// dequeue rule and returns the request it took; passed is the queue's
+	// count of head bypasses, and a measured request taken ahead of the
+	// head counts in TakenAhead.
+	take := func(q []int, head, passed *int, w int) int {
+		u := q[*head:]
+		*head++
+		if dequeue(u, w, *passed, workers, near) {
+			*passed++
+			if measured(u[0]) {
+				res.TakenAhead++
+			}
+		} else {
+			*passed = 0
+		}
+		return u[0]
 	}
 	arrive := func(i int) {
 		rank := reqs[i].rank
@@ -487,15 +555,11 @@ func ServerRun(cfg ServerConfig) *ServerResult {
 				// have fewer eligible servers, so they get priority — then
 				// the shared queue.
 				if cHead[myc] < len(clusterQ[myc]) {
-					i := clusterQ[myc][cHead[myc]]
-					cHead[myc]++
-					handle(p, i)
+					handle(p, take(clusterQ[myc], &cHead[myc], &cPassed[myc], p.ID()))
 					continue
 				}
 				if qhead < len(queue) {
-					i := queue[qhead]
-					qhead++
-					handle(p, i)
+					handle(p, take(queue, &qhead, &qPassed, p.ID()))
 					continue
 				}
 				if done {
