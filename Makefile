@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race bench bench-smoke fuzz-smoke results results-check bench-sim bench-diff bench-baseline wall-baseline jobs-equiv trace-smoke server-smoke autonomic-smoke model-smoke examples-smoke doc-lint profile
+.PHONY: ci vet build test race bench bench-smoke fuzz-smoke results results-check bench-sim bench-diff bench-baseline wall-baseline jobs-equiv workload-check workload-baseline trace-smoke server-smoke autonomic-smoke model-smoke examples-smoke doc-lint profile
 
-ci: vet build test race bench-smoke fuzz-smoke bench-diff jobs-equiv results-check trace-smoke server-smoke autonomic-smoke model-smoke examples-smoke doc-lint
+ci: vet build test race bench-smoke fuzz-smoke bench-diff jobs-equiv results-check workload-check trace-smoke server-smoke autonomic-smoke model-smoke examples-smoke doc-lint
 
 vet:
 	$(GO) vet ./...
@@ -100,6 +100,35 @@ jobs-equiv: bench-sim
 	cmp /tmp/hurricane_quick1.txt /tmp/hurricane_quick8.txt
 	cmp BENCH_sim.json /tmp/hurricane_jobs8.json
 	@echo "jobs-equiv: -jobs 1 -parworkers 1 and -jobs 8 -parworkers 8 print and write byte-identical output"
+
+# The repo benchmark's simulated numbers as a gate. No other gate runs the
+# server and lock-zoo workloads at their benchmark size (the quick suite's
+# server cells are far smaller), so each of them runs once through
+# `bash benchmark/run.sh` at seed 1 with -seconds 0, which is two passes
+# with every sim_* metric taken from the first, and its sim_p50_us,
+# sim_tail_us, sim_ops_per_ms and correctness lines must equal
+# BENCH_workloads.baseline.txt. The simulation is deterministic, so any
+# difference is a moved number: if intended, run make workload-baseline
+# and give the reason in CHANGES.md. Host metrics (wall_s, setup_s,
+# rss_mb) are not checked.
+CHECKED_WORKLOADS = server-read server-write lock-zoo
+workload-lines = for w in $(CHECKED_WORKLOADS); do \
+		bash benchmark/run.sh -workload $$w -seed 1 -seconds 0 > /tmp/hurricane_workload.txt || exit 1; \
+		grep -E "^$$w (sim_p50_us|sim_tail_us|sim_ops_per_ms|correct=)" /tmp/hurricane_workload.txt || exit 1; \
+	done
+
+workload-check:
+	@$(workload-lines) > /tmp/hurricane_workloads.txt
+	@diff -u BENCH_workloads.baseline.txt /tmp/hurricane_workloads.txt || { \
+		echo "workload-check: the benchmark's simulated numbers differ from BENCH_workloads.baseline.txt;" \
+			"if intended, run make workload-baseline and give the reason in CHANGES.md" >&2; exit 1; }
+	@echo "workload-check: $(CHECKED_WORKLOADS) print BENCH_workloads.baseline.txt's simulated numbers at seed 1"
+
+# Refresh the benchmark numbers workload-check compares against (give the
+# reason in CHANGES.md).
+workload-baseline:
+	@$(workload-lines) > BENCH_workloads.baseline.txt.tmp || { rm -f BENCH_workloads.baseline.txt.tmp; exit 1; }
+	mv BENCH_workloads.baseline.txt.tmp BENCH_workloads.baseline.txt
 
 # End-to-end check of the span pipeline: trace a tiny kernel workload,
 # require the run's own placement report to be non-empty (both the data and

@@ -332,9 +332,7 @@ func runStress(w io.Writer, cfg workload.StressConfig, holdUS float64, showStats
 				Name:   "lock data",
 				Region: region,
 				Migrate: func(p *sim.Proc, to int) {
-					if m.Mem.Replicated(region) {
-						m.Mem.CollapseRegion(region)
-					}
+					m.Mem.CollapseRegion(region)
 					m.Mem.MigrateRegion(p, region, to)
 				},
 			}})
@@ -498,8 +496,8 @@ func runServer(w io.Writer, name string, kind locks.Kind, seed uint64, horizonMS
 	}
 	cfg := cell.Config
 	r := workload.ServerRun(cfg)
-	fmt.Fprintf(w, "%s %s: open-loop server, %dms horizon + drain (2ms warm-up), mean gap %gus\n",
-		name, cfg.LockKind, horizonMS, cfg.Arrivals.MeanGap.Microseconds())
+	fmt.Fprintf(w, "%s %s: open-loop server, %dms horizon + drain (%gms warm-up), mean gap %gus\n",
+		name, cfg.LockKind, horizonMS, cfg.Warmup.Microseconds()/1000, cfg.Arrivals.MeanGap.Microseconds())
 	dropPct := 0.0
 	if r.Offered > 0 {
 		dropPct = 100 * float64(r.Dropped) / float64(r.Offered)

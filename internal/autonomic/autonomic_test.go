@@ -390,7 +390,9 @@ func refBestReplica(r *Replicator, s *replicaSlotState, home int, replicas []int
 }
 
 // bestReplica walks the weight table's rows, with the same float
-// operations per candidate in the same order as the reference.
+// operations per candidate in the same order as the reference, over real
+// replica sets: the weight of the copy sim.Memory.NearestCopy serves is
+// bit for bit the reference's minimum over copies.
 func TestBestReplicaMatchesReference(t *testing.T) {
 	topo := Topo{Stations: 4, ProcsPerStation: 4}
 	m := sim.NewMachine(sim.Config{Seed: 1})
@@ -418,7 +420,11 @@ func TestBestReplicaMatchesReference(t *testing.T) {
 				s.writes.V[i] = 2 * rng.Float64()
 			}
 		}
-		gotCand, gotBenefit := r.bestReplica(s, home, replicas)
+		s.Region = m.Mem.NewRegion(home)
+		for _, to := range replicas {
+			m.Mem.ReplicateRegion(nil, s.Region, to)
+		}
+		gotCand, gotBenefit := r.bestReplica(s)
 		wantCand, wantBenefit := refBestReplica(r, s, home, replicas)
 		if gotCand != wantCand || gotBenefit != wantBenefit {
 			t.Fatalf("case %d: bestReplica = (%d, %v), reference (%d, %v)", n, gotCand, gotBenefit, wantCand, wantBenefit)

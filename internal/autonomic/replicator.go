@@ -2,7 +2,6 @@ package autonomic
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 
 	"hurricane/internal/sim"
@@ -220,7 +219,7 @@ func (r *Replicator) Claimed(region int) bool {
 		return false
 	}
 	s := r.byRegion[region]
-	if len(r.m.Mem.Replicas(region)) > 0 {
+	if r.m.Mem.Replicated(region) {
 		return true
 	}
 	sumW := s.writes.Mass()
@@ -248,13 +247,13 @@ func (r *Replicator) Tick(now sim.Time) {
 			s.copies, s.saved, s.charged = len(replicas), 0, 0
 		}
 		if len(replicas) > 0 {
-			r.price(s, home, replicas)
+			r.price(s)
 		}
 		if s.pending != -1 {
 			if s.pending == collapseCand && len(replicas) > 0 {
 				continue // collapse still in flight behind a gate
 			}
-			if s.pending != collapseCand && !slices.Contains(replicas, s.pending) {
+			if s.pending != collapseCand && r.m.Mem.NearestCopy(s.Region, s.pending) != s.pending {
 				continue // replica copy still in flight
 			}
 			s.pending = -1
@@ -286,7 +285,7 @@ func (r *Replicator) Tick(now sim.Time) {
 			continue
 		}
 		if wf <= replicaWriteLow && len(replicas) < r.maxReplicas {
-			cand, benefit := r.bestReplica(s, home, replicas)
+			cand, benefit := r.bestReplica(s)
 			if cand < 0 {
 				s.streak.Clear()
 				continue
@@ -315,13 +314,14 @@ func (r *Replicator) Tick(now sim.Time) {
 }
 
 // bestReplica picks the candidate module whose replica yields the largest
-// net per-window benefit: each reader's traffic rerouted from its current
-// nearest copy to the candidate when closer, minus the updates one more
-// copy would charge the smoothed writes. Returns (-1, 0) when no candidate
-// nets out positive. Each reader's row of weights is walked once, summing
-// every candidate's saving in reader order, and a candidate's updates are
-// priced only when its saving could still win.
-func (r *Replicator) bestReplica(s *replicaSlotState, home int, replicas []int) (int, float64) {
+// net per-window benefit: each reader's traffic rerouted from the copy it
+// reads now (sim.Memory.NearestCopy) to the candidate when closer, minus
+// the updates one more copy would charge the smoothed writes. Returns
+// (-1, 0) when no candidate nets out positive. Each reader's row of
+// weights is walked once, summing every candidate's saving in reader
+// order, and a candidate's updates are priced only when its saving could
+// still win.
+func (r *Replicator) bestReplica(s *replicaSlotState) (int, float64) {
 	saving := r.saving
 	clear(saving)
 	for src, reads := range s.reads.V {
@@ -329,7 +329,7 @@ func (r *Replicator) bestReplica(s *replicaSlotState, home int, replicas []int) 
 			continue
 		}
 		row := r.weights.Row(src)
-		cur := nearest(row, home, replicas)
+		cur := row[r.m.Mem.NearestCopy(s.Region, src)]
 		for cand, c := range row {
 			if c < cur {
 				saving[cand] += reads * (cur - c)
@@ -352,16 +352,6 @@ func (r *Replicator) bestReplica(s *replicaSlotState, home int, replicas []int) 
 	return best, bestBenefit
 }
 
-// nearest is the weight, in row (one source module's weights), of the
-// source's nearest copy: the primary on module home or a replica.
-func nearest(row []float64, home int, replicas []int) float64 {
-	c := row[home]
-	for _, m := range replicas {
-		c = min(c, row[m])
-	}
-	return c
-}
-
 // updates prices the update transfers a copy on module to charges a
 // window of writes (count by source module): one from each writer's
 // module, as Memory.access charges them. Both sides of the policy price
@@ -377,9 +367,12 @@ func (r *Replicator) updates(writes []float64, to int) float64 {
 }
 
 // price adds the last window's raw traffic to the slot's ledger under the
-// current replica set: each read saved the primary's weight less its
-// nearest copy's, and each copy charged every write its update.
-func (r *Replicator) price(s *replicaSlotState, home int, replicas []int) {
+// current replica set: each read saved the primary's weight less that of
+// the copy it read (sim.Memory.NearestCopy), and each copy charged every
+// write its update.
+func (r *Replicator) price(s *replicaSlotState) {
+	mem := r.m.Mem
+	home := mem.Home(s.Region)
 	wrote := false
 	for src, n := range s.reads.Raw {
 		wrote = wrote || s.writes.Raw[src] != 0
@@ -387,12 +380,12 @@ func (r *Replicator) price(s *replicaSlotState, home int, replicas []int) {
 			continue
 		}
 		row := r.weights.Row(src)
-		s.saved += n * (row[home] - nearest(row, home, replicas))
+		s.saved += n * (row[home] - row[mem.NearestCopy(s.Region, src)])
 	}
 	if !wrote {
 		return // most windows of read-mostly data charge nothing
 	}
-	for _, m := range replicas {
+	for _, m := range mem.Replicas(s.Region) {
 		s.charged += r.updates(s.writes.Raw, m)
 	}
 }

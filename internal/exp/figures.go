@@ -136,48 +136,34 @@ func faultSystem(seed uint64, clusterSize int, kind locks.Kind) *core.System {
 // cluster: fault response time vs p, distributed locks vs backoff spin
 // locks, and the spin lock's fault time over the distributed lock's.
 func Figure7a(seed uint64, rounds int) *Table {
-	t := &Table{
-		Title: "Figure 7a: independent faults, 1 cluster of 16 (fault time us vs p)",
-		Cols:  []string{"p", "DistributedLock", "SpinLock", "spin/DL"},
-	}
-	dls := make([]workload.FaultResult, len(ProcCounts))
-	sps := make([]workload.FaultResult, len(ProcCounts))
-	RunParallel(2*len(ProcCounts), func(i int) {
-		p := ProcCounts[i/2]
-		if i%2 == 0 {
-			dls[i/2] = workload.IndependentFaults(faultSystem(seed, 16, locks.KindH2MCS), p, 4, rounds)
-		} else {
-			sps[i/2] = workload.IndependentFaults(faultSystem(seed, 16, locks.KindSpin), p, 4, rounds)
-		}
-	})
-	for i, p := range ProcCounts {
-		dl, sp := dls[i].Dist.Mean(), sps[i].Dist.Mean()
-		t.AddRow(fmt.Sprintf("%d", p), f1(dl), f1(sp), f2(sp/dl))
-		if p == 16 {
-			t.AddMetric("distributed.fault_p16", dl, "us")
-			t.AddMetric("spin.fault_p16", sp, "us")
-		}
-	}
-	t.Note("paper: with 16 processors faulting, spin-lock latency is over 2x the distributed-lock latency")
-	return t
+	return figure7(seed, "Figure 7a: independent faults, 1 cluster of 16 (fault time us vs p)",
+		"paper: with 16 processors faulting, spin-lock latency is over 2x the distributed-lock latency",
+		workload.IndependentFaults, 4, rounds)
 }
 
 // Figure7b reproduces the shared-fault test on one 16-processor cluster:
 // all processes write-fault the same pages, barrier, unmap; the columns are
 // Figure 7a's.
 func Figure7b(seed uint64, npages, rounds int) *Table {
-	t := &Table{
-		Title: "Figure 7b: shared faults, 1 cluster of 16 (fault time us vs p)",
-		Cols:  []string{"p", "DistributedLock", "SpinLock", "spin/DL"},
-	}
+	return figure7(seed, "Figure 7b: shared faults, 1 cluster of 16 (fault time us vs p)",
+		"paper: the gap between lock types is much smaller than 7a (contention moves to the reserve bits)",
+		workload.SharedFaults, npages, rounds)
+}
+
+// figure7 is Figures 7a and 7b's body: run the fault workload, p
+// processors faulting npages pages for rounds rounds, on one 16-processor
+// cluster under distributed and spin locks at every ProcCounts p, and
+// tabulate both mean fault times and their ratio.
+func figure7(seed uint64, title, note string, faults func(sys *core.System, nprocs, npages, rounds int) workload.FaultResult, npages, rounds int) *Table {
+	t := &Table{Title: title, Cols: []string{"p", "DistributedLock", "SpinLock", "spin/DL"}}
 	dls := make([]workload.FaultResult, len(ProcCounts))
 	sps := make([]workload.FaultResult, len(ProcCounts))
 	RunParallel(2*len(ProcCounts), func(i int) {
 		p := ProcCounts[i/2]
 		if i%2 == 0 {
-			dls[i/2] = workload.SharedFaults(faultSystem(seed, 16, locks.KindH2MCS), p, npages, rounds)
+			dls[i/2] = faults(faultSystem(seed, 16, locks.KindH2MCS), p, npages, rounds)
 		} else {
-			sps[i/2] = workload.SharedFaults(faultSystem(seed, 16, locks.KindSpin), p, npages, rounds)
+			sps[i/2] = faults(faultSystem(seed, 16, locks.KindSpin), p, npages, rounds)
 		}
 	})
 	for i, p := range ProcCounts {
@@ -188,7 +174,7 @@ func Figure7b(seed uint64, npages, rounds int) *Table {
 			t.AddMetric("spin.fault_p16", sp, "us")
 		}
 	}
-	t.Note("paper: the gap between lock types is much smaller than 7a (contention moves to the reserve bits)")
+	t.Note("%s", note)
 	return t
 }
 

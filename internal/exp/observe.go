@@ -153,12 +153,8 @@ func LockUtilization64(seed uint64, rounds int) *Table {
 			continue
 		}
 		t.AddMetric(fmt.Sprintf("%s.spin.saturation_crossover_p", m.name), float64(p), "procs")
-		st := m.cfg(seed).ProcsPerStation
-		if st == 0 {
-			st = 4
-		}
 		t.Note("%s (%d procs/station): spin saturates the home module (>%.0f%%) from p=%d",
-			m.name, st, saturationUtil*100, p)
+			m.name, m.cfg(seed).WithDefaults().ProcsPerStation, saturationUtil*100, p)
 	}
 	return t
 }

@@ -74,6 +74,25 @@ func (k *Kernel) migrationLock(c, slot int) locks.Lock {
 	return k.VM.mmLocks[c]
 }
 
+// actOnSlot is the body every slot actuation shares: act runs masked
+// against interrupt handlers (the gate) and under the slot's guarding lock
+// (migrationLock); after the gate exits, record counts the actuation in
+// Stats and names its span's target module and argument; then the span,
+// named name and timed from before the gate, and the slot's replica-set
+// check, blamed on `when`, follow.
+func (k *Kernel) actOnSlot(p *sim.Proc, ref SlotRef, name, when string, act func(), record func() (to int, arg uint64)) {
+	l := k.migrationLock(ref.Cluster, ref.Slot)
+	start := p.Now()
+	k.Gate.Enter(p)
+	l.Acquire(p)
+	act()
+	l.Release(p)
+	k.Gate.Exit(p)
+	to, arg := record()
+	k.M.EmitSpan(sim.SpanMigrate, name, p.ID(), start, p.Now(), to, arg)
+	k.checkReplicaSet(ref, when)
+}
+
 // MigrateSlot re-homes cluster c's kernel-data slot onto physical module
 // `to`, charging the full cost to processor p: the slot's guarding lock is
 // held across a DMA-style copy burst that occupies the source module, the
@@ -91,23 +110,22 @@ func (k *Kernel) MigrateSlot(p *sim.Proc, c, slot, to int) int {
 	if k.M.Mem.Home(region) == to && !k.M.Mem.Replicated(region) {
 		return 0
 	}
-	l := k.migrationLock(c, slot)
-	start := p.Now()
-	k.Gate.Enter(p)
-	l.Acquire(p)
-	// A replicated slot collapses before its primary moves: migration under
-	// live replicas is undefined (the copies would point at stale homes).
-	if n := k.M.Mem.CollapseRegion(region); n > 0 {
-		k.Stats.Collapses++
-	}
-	words, cost := k.M.Mem.MigrateRegion(p, region, to)
-	l.Release(p)
-	k.Gate.Exit(p)
-	k.Stats.Migrations++
-	k.Stats.MigratedWords += uint64(words)
-	k.Stats.MigrationCycles += uint64(cost)
-	k.M.EmitSpan(sim.SpanMigrate, "migrate", p.ID(), start, p.Now(), to, uint64(words))
-	k.checkReplicaSet(ref, "after a migration")
+	var words int
+	var cost sim.Duration
+	k.actOnSlot(p, ref, "migrate", "after a migration", func() {
+		// A replicated slot collapses before its primary moves: migration
+		// under live replicas is undefined (the copies would point at stale
+		// homes).
+		if n := k.M.Mem.CollapseRegion(region); n > 0 {
+			k.Stats.Collapses++
+		}
+		words, cost = k.M.Mem.MigrateRegion(p, region, to)
+	}, func() (int, uint64) {
+		k.Stats.Migrations++
+		k.Stats.MigratedWords += uint64(words)
+		k.Stats.MigrationCycles += uint64(cost)
+		return to, uint64(words)
+	})
 	return words
 }
 
@@ -118,26 +136,19 @@ func (k *Kernel) MigrateSlot(p *sim.Proc, c, slot, to int) int {
 func (k *Kernel) ReplicateSlot(p *sim.Proc, c, slot, to int) int {
 	ref := k.slotRef(c, slot)
 	region := ref.Region
-	if k.M.Mem.Home(region) == to {
+	if k.M.Mem.NearestCopy(region, to) == to {
 		return 0
 	}
-	for _, r := range k.M.Mem.Replicas(region) {
-		if r == to {
-			return 0
-		}
-	}
-	l := k.migrationLock(c, slot)
-	start := p.Now()
-	k.Gate.Enter(p)
-	l.Acquire(p)
-	words, cost := k.M.Mem.ReplicateRegion(p, region, to)
-	l.Release(p)
-	k.Gate.Exit(p)
-	k.Stats.Replications++
-	k.Stats.ReplicatedWords += uint64(words)
-	k.Stats.ReplicationCycles += uint64(cost)
-	k.M.EmitSpan(sim.SpanMigrate, "replicate", p.ID(), start, p.Now(), to, uint64(words))
-	k.checkReplicaSet(ref, "after a replication")
+	var words int
+	var cost sim.Duration
+	k.actOnSlot(p, ref, "replicate", "after a replication", func() {
+		words, cost = k.M.Mem.ReplicateRegion(p, region, to)
+	}, func() (int, uint64) {
+		k.Stats.Replications++
+		k.Stats.ReplicatedWords += uint64(words)
+		k.Stats.ReplicationCycles += uint64(cost)
+		return to, uint64(words)
+	})
 	return words
 }
 
@@ -151,17 +162,14 @@ func (k *Kernel) CollapseSlot(p *sim.Proc, c, slot int) int {
 	if !k.M.Mem.Replicated(region) {
 		return 0
 	}
-	l := k.migrationLock(c, slot)
-	start := p.Now()
-	k.Gate.Enter(p)
-	l.Acquire(p)
-	n := k.M.Mem.CollapseRegion(region)
-	l.Release(p)
-	k.Gate.Exit(p)
-	if n > 0 {
-		k.Stats.Collapses++
-	}
-	k.M.EmitSpan(sim.SpanMigrate, "collapse", p.ID(), start, p.Now(), k.M.Mem.Home(region), uint64(n))
-	k.checkReplicaSet(ref, "after a collapse")
+	var n int
+	k.actOnSlot(p, ref, "collapse", "after a collapse", func() {
+		n = k.M.Mem.CollapseRegion(region)
+	}, func() (int, uint64) {
+		if n > 0 {
+			k.Stats.Collapses++
+		}
+		return k.M.Mem.Home(region), uint64(n)
+	})
 	return n
 }

@@ -120,8 +120,8 @@ type Memory struct {
 	replicas [][]int
 	// near, indexed like replicas, is each replicated region's nearest-copy
 	// table: near[region][src] is the copy (primary or replica) that
-	// nearestCopy picks for a load from physical module src, so a
-	// replicated load does one index. ReplicateRegion rebuilds it and
+	// nearestCopy picks for a load from physical module src, so
+	// NearestCopy answers with one index. ReplicateRegion rebuilds it and
 	// CollapseRegion drops it; MigrateRegion refuses a replicated region, so
 	// a move never stales one. It is nil while the region has one copy.
 	near [][]int
@@ -310,13 +310,8 @@ func (m *Memory) ReplicateRegion(p *Proc, region, to int) (words int, cost Durat
 	if to < 0 || to >= len(m.modules) {
 		panic(fmt.Sprintf("sim: ReplicateRegion to invalid module %d", to))
 	}
-	if to == m.homes[region] {
+	if m.NearestCopy(region, to) == to {
 		return 0, 0
-	}
-	for _, r := range m.Replicas(region) {
-		if r == to {
-			return 0, 0
-		}
 	}
 	words = len(m.data[region]) - 1
 	if words > 0 {
@@ -360,15 +355,18 @@ func (m *Memory) CollapseRegion(region int) int {
 	return n
 }
 
-// NearestCopies returns a replicated region's nearest-copy table, indexed
-// by physical source module: the copy (primary or replica) a load from
-// that module reads. It is nil when the region has one copy or region is
-// no region id. The slice is live; do not mutate.
-func (m *Memory) NearestCopies(region int) []int {
-	if region < 0 || region >= len(m.near) {
-		return nil
+// NearestCopy returns the physical module a load of region from physical
+// module src reads: the nearest copy (nearestCopy's pick, primary
+// included) while the region is replicated, and its primary otherwise, so
+// module w holds a copy exactly when NearestCopy(region, w) == w. A
+// physical module is its own primary. Loads, the server's dispatcher, the
+// replication policy and the kernel's actuators all ask it, so they agree
+// on which copy serves whom by construction.
+func (m *Memory) NearestCopy(region, src int) int {
+	if region >= 0 && region < len(m.near) && m.near[region] != nil {
+		return m.near[region][src]
 	}
-	return m.near[region]
+	return m.Home(region)
 }
 
 // Replicas returns the region's extra copy modules (sorted, primary
@@ -492,7 +490,7 @@ func (m *Memory) access(p *Proc, a Addr, kind accessKind, operand, expect uint64
 	if len(reps) > 0 && kind == accLoad {
 		// A replicated region serves reads from the requester's nearest
 		// copy; the primary competes on equal terms.
-		dst = m.near[idx][src]
+		dst = m.NearestCopy(idx, src)
 	}
 
 	// An atomic read-modify-write is two memory transactions on HECTOR:

@@ -182,33 +182,30 @@ func TestReplicaSetsByRegionIndex(t *testing.T) {
 	}
 }
 
-// checkNearTable holds a region's nearest-copy table to nearestCopy for
-// every source module: nil with one copy, and otherwise each entry the copy
-// nearestCopy picks from the region's current primary and replica set.
+// checkNearTable holds NearestCopy to nearestCopy for every source module
+// of a region: the copy nearestCopy picks from the region's current
+// primary and replica set, which is the primary itself while the region
+// has one copy.
 func checkNearTable(t *testing.T, m *Memory, r int) {
 	t.Helper()
-	tab, reps := m.NearestCopies(r), m.Replicas(r)
-	if len(reps) == 0 {
-		if tab != nil {
-			t.Fatalf("region %d has one copy but a table %v", r, tab)
-		}
-		return
-	}
-	if len(tab) != len(m.modules) {
-		t.Fatalf("primary %d replicas %v: table has %d entries, want %d", m.Home(r), reps, len(tab), len(m.modules))
-	}
+	home, reps := m.Home(r), m.Replicas(r)
 	for src := range m.modules {
-		if want := m.nearestCopy(src, m.Home(r), reps); tab[src] != want {
-			t.Fatalf("primary %d replicas %v: table sends module %d to %d, nearestCopy to %d",
-				m.Home(r), reps, src, tab[src], want)
+		want := m.nearestCopy(src, home, reps)
+		if len(reps) == 0 && want != home {
+			t.Fatalf("nearestCopy(%d, %d, nil) = %d, not the primary", src, home, want)
+		}
+		if got := m.NearestCopy(r, src); got != want {
+			t.Fatalf("primary %d replicas %v: NearestCopy sends module %d to %d, nearestCopy to %d",
+				home, reps, src, got, want)
 		}
 	}
 }
 
-// The nearest-copy table matches nearestCopy for every source module:
-// on HECTOR-16 over every primary and replica set of up to three copies,
-// built up one replication at a time, and on NUMAchine-256 over random
-// sets, with collapses and migrations of the primary in between.
+// NearestCopy matches nearestCopy for every source module: on HECTOR-16
+// over every primary and replica set of up to three copies, built up one
+// replication at a time, and on NUMAchine-256 over random sets, with
+// collapses and migrations of the primary in between. A single-copy or
+// collapsed region, and a physical module, answer with their primary.
 func TestNearestCopyTable(t *testing.T) {
 	m := hector(1).Mem
 	for primary := 0; primary < 16; primary++ {
@@ -241,9 +238,11 @@ func TestNearestCopyTable(t *testing.T) {
 			checkNearTable(t, m, r)
 		}
 	}
-	for _, id := range []int{0, 255, regions[2] + 1, -1} {
-		if tab := m.NearestCopies(id); tab != nil {
-			t.Errorf("NearestCopies(%d) = %v, want nil", id, tab)
+	for _, id := range []int{0, 131, 255} {
+		for src := 0; src < 256; src += 37 {
+			if got := m.NearestCopy(id, src); got != id {
+				t.Errorf("NearestCopy(%d, %d) = %d for physical module %d", id, src, got, id)
+			}
 		}
 	}
 }

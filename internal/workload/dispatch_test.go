@@ -17,12 +17,28 @@ func hector16Dist(src, dst int) sim.DistClass { return sim.Classify(src, dst, 4,
 // clusterOf4 maps a processor to its four-processor cluster.
 func clusterOf4(proc int) int { return proc / 4 }
 
+// placeData creates a tenant data region on mem with copies on the given
+// modules, the primary first, and returns the wake rule's distance for it:
+// each worker's distance class to the copy its loads read. No copies is no
+// tenant data, a nil distance.
+func placeData(mem *sim.Memory, copies []int) func(w int) sim.DistClass {
+	if len(copies) == 0 {
+		return nil
+	}
+	r := mem.NewRegion(copies[0])
+	for _, to := range copies[1:] {
+		mem.ReplicateRegion(nil, r, to)
+	}
+	return func(w int) sim.DistClass { return mem.Distance(w, mem.NearestCopy(r, w)) }
+}
+
 // TestNearestIdle table-tests the wake rule on HECTOR-16 with four-processor
-// clusters. Without copies it is the newest-parked eligible worker; with
-// copies it is the eligible worker nearest one, local before station before
-// ring, ties going to the newest-parked; and it never leaves an affinized
-// cluster.
+// clusters, over tenant data placed by real replications. Without copies it
+// is the newest-parked eligible worker; with copies it is the eligible
+// worker nearest one, local before station before ring, ties going to the
+// newest-parked; and it never leaves an affinized cluster.
 func TestNearestIdle(t *testing.T) {
+	mem := sim.NewMachine(machine.Hector16(1)).Mem
 	cases := []struct {
 		name   string
 		idle   []int // oldest-parked first
@@ -44,15 +60,15 @@ func TestNearestIdle(t *testing.T) {
 		{"nobody idle", nil, -1, []int{8}, -1, 0},
 	}
 	for _, tc := range cases {
-		j, d := nearestIdle(tc.idle, tc.c, clusterOf4, tc.copies, hector16Dist)
+		j, d := nearestIdle(tc.idle, tc.c, clusterOf4, placeData(mem, tc.copies))
 		if j != tc.want || (j >= 0 && d != tc.dist) {
 			t.Errorf("%s: got index %d (%v), want %d (%v)", tc.name, j, d, tc.want, tc.dist)
 		}
 	}
 
-	// Random idle lists against a brute-force reference: the pick is
-	// eligible, no eligible worker is nearer, and no nearer-or-equal one
-	// parked later.
+	// Random idle lists against a brute-force reference over the copy
+	// modules: the pick is eligible, no eligible worker is nearer, and no
+	// nearer-or-equal one parked later.
 	rng := sim.NewRNG(7)
 	for trial := 0; trial < 2000; trial++ {
 		perm := make([]int, 16)
@@ -84,7 +100,7 @@ func TestNearestIdle(t *testing.T) {
 				want = j
 			}
 		}
-		j, d := nearestIdle(idle, c, clusterOf4, copies, hector16Dist)
+		j, d := nearestIdle(idle, c, clusterOf4, placeData(mem, copies))
 		if j != want || (j >= 0 && d != near(idle[j])) {
 			t.Fatalf("idle %v cluster %d copies %v: got %d (%v), want %d", idle, c, copies, j, d, want)
 		}
@@ -147,29 +163,29 @@ func TestServerWakesTheDataHolder(t *testing.T) {
 }
 
 // TestDequeue table-tests the dequeue rule on HECTOR-16's memory, whose
-// tenant data tables come from real replications: a worker takes the
+// tenant data regions come from real replications: a worker takes the
 // oldest request whose replicated data has a copy on its own module, else
 // the head, and the head once it has been passed over the limit; the pick
 // moves to the front and the requests it skipped keep their order.
 func TestDequeue(t *testing.T) {
 	mem := sim.NewMachine(machine.Hector16(1)).Mem
-	region := func(primary int, reps ...int) []int {
+	region := func(primary int, reps ...int) int {
 		r := mem.NewRegion(primary)
 		for _, to := range reps {
 			mem.ReplicateRegion(nil, r, to)
 		}
-		return mem.NearestCopies(r)
+		return r
 	}
-	// Requests are indices into tables: each one's tenant data table.
-	tables := [][]int{
-		nil,             // 0: no tenant data
+	// Requests are indices into regions: each one's tenant data region.
+	regions := []int{
+		-1,              // 0: no tenant data
 		region(8),       // 1: single copy on module 8
 		region(0, 8),    // 2: copies on modules 0 and 8
 		region(4, 12),   // 3: copies on modules 4 and 12
 		region(1, 8, 9), // 4: copies on modules 1, 8 and 9
 		region(5, 13),   // 5: copies on modules 5 and 13
 	}
-	near := func(req int) []int { return tables[req] }
+	dataOf := func(req int) int { return regions[req] }
 	cases := []struct {
 		name   string
 		q      []int
@@ -191,7 +207,7 @@ func TestDequeue(t *testing.T) {
 	}
 	for _, tc := range cases {
 		q := slices.Clone(tc.q)
-		if ahead := dequeue(q, tc.w, tc.passed, 16, near); ahead != tc.ahead || !slices.Equal(q, tc.want) {
+		if ahead := dequeue(q, tc.w, tc.passed, 16, mem, dataOf); ahead != tc.ahead || !slices.Equal(q, tc.want) {
 			t.Errorf("%s: queue %v -> %v (ahead %v), want %v (ahead %v)", tc.name, tc.q, q, ahead, tc.want, tc.ahead)
 		}
 	}
@@ -200,20 +216,20 @@ func TestDequeue(t *testing.T) {
 	// request with a replica set holding the worker's module, unless the head
 	// has been passed over the limit, and the rest keep their order.
 	rng := sim.NewRNG(11)
-	var sets [][]int // each table's copy modules, primary first
-	tables = tables[:0]
+	var sets [][]int // each region's copy modules, primary first
+	regions = regions[:0]
 	for n := 0; n < 12; n++ {
 		copies := []int{rng.Intn(16)}
 		for r := rng.Intn(4); r > 0; r-- {
 			copies = append(copies, rng.Intn(16))
 		}
 		sets = append(sets, copies)
-		tables = append(tables, region(copies[0], copies[1:]...))
+		regions = append(regions, region(copies[0], copies[1:]...))
 	}
 	for trial := 0; trial < 2000; trial++ {
 		q := make([]int, 1+rng.Intn(20))
 		for i := range q {
-			q[i] = rng.Intn(len(tables))
+			q[i] = rng.Intn(len(regions))
 		}
 		w, passed := rng.Intn(16), rng.Intn(20)
 		qualifies := func(req int) bool {
@@ -227,8 +243,64 @@ func TestDequeue(t *testing.T) {
 		}
 		want := append([]int{q[pick]}, slices.Delete(slices.Clone(q), pick, pick+1)...)
 		got := slices.Clone(q)
-		if ahead := dequeue(got, w, passed, 16, near); ahead != (pick > 0) || !slices.Equal(got, want) {
+		if ahead := dequeue(got, w, passed, 16, mem, dataOf); ahead != (pick > 0) || !slices.Equal(got, want) {
 			t.Fatalf("queue %v worker %d passed %d: got %v (ahead %v), want %v", q, w, passed, got, ahead, want)
 		}
+	}
+}
+
+// TestQueues drives the dispatcher's queue type: take hands out requests
+// oldest first and counts consecutive bypasses of the head, nextQueue
+// serves a worker's own cluster queue before the shared one (the last),
+// and falls back to the shared queue, never another cluster's.
+func TestQueues(t *testing.T) {
+	mem := sim.NewMachine(machine.Hector16(1)).Mem
+	local := mem.NewRegion(3)
+	mem.ReplicateRegion(nil, local, 8)
+	dataOf := func(req int) int {
+		if req == 2 {
+			return local
+		}
+		return -1
+	}
+	q := reqQueue{reqs: []int{0, 1, 2, 3}}
+	for _, step := range []struct {
+		w, req int
+		ahead  bool
+		passed int
+	}{
+		{8, 2, true, 1},  // worker 8 holds request 2's copy: ahead of the head
+		{8, 0, false, 0}, // nothing else qualifies: the head, and the count resets
+		{8, 1, false, 0},
+		{3, 3, false, 0},
+	} {
+		req, ahead := q.take(step.w, 16, mem, dataOf)
+		if req != step.req || ahead != step.ahead || q.passed != step.passed {
+			t.Fatalf("take by worker %d = (%d, %v) passed %d, want (%d, %v) passed %d",
+				step.w, req, ahead, q.passed, step.req, step.ahead, step.passed)
+		}
+	}
+	if q.len() != 0 {
+		t.Fatalf("%d requests left after four takes of four", q.len())
+	}
+
+	queues := make([]reqQueue, 5) // four clusters, then the shared queue
+	if got := nextQueue(queues, 1); got != nil {
+		t.Fatalf("all queues empty: nextQueue = %v, want nil", got)
+	}
+	queues[2].reqs = []int{7}
+	if got := nextQueue(queues, 1); got != nil {
+		t.Fatalf("only cluster 2's queue holds work: cluster 1 got %v, want nil", got)
+	}
+	queues[4].reqs = []int{5}
+	if got := nextQueue(queues, 1); got != &queues[4] {
+		t.Fatal("cluster 1's queue is empty: nextQueue did not pick the shared queue")
+	}
+	if got := nextQueue(queues, 2); got != &queues[2] {
+		t.Fatal("cluster 2 holds work: nextQueue did not pick it before the shared queue")
+	}
+	queues[2].head = 1
+	if got := nextQueue(queues, 2); got != &queues[4] {
+		t.Fatal("cluster 2's queue is served out: nextQueue did not pick the shared queue")
 	}
 }

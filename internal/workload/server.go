@@ -178,12 +178,13 @@ type serverRequest struct {
 // nearestIdle is the dispatcher's wake rule. idle lists the parked
 // workers' processor numbers, oldest-parked first; a worker is eligible when
 // c < 0 or clusterOf maps it to cluster c. Among the eligible it picks the
-// worker whose own module is nearest (by dist) any module in copies, the
-// tenant data's primary and replicas, ties going to the newest-parked. With
-// no copies every worker ties, so the pick is the newest-parked eligible
-// worker. It returns the pick's index into idle and its distance class
-// (DistLocal without copies), or -1 when no worker is eligible.
-func nearestIdle(idle []int, c int, clusterOf func(proc int) int, copies []int, dist func(src, dst int) sim.DistClass) (int, sim.DistClass) {
+// worker nearest the tenant data, by dist(w), the distance class from w's
+// module to the copy a load from w reads (sim.Memory.NearestCopy), ties
+// going to the newest-parked. A nil dist (no tenant data) ties every
+// worker, so the pick is the newest-parked eligible worker. It returns the
+// pick's index into idle and its distance class (DistLocal with a nil
+// dist), or -1 when no worker is eligible.
+func nearestIdle(idle []int, c int, clusterOf func(proc int) int, dist func(w int) sim.DistClass) (int, sim.DistClass) {
 	best, bestD := -1, sim.DistClass(sim.NumDistClasses)
 	for j := len(idle) - 1; j >= 0; j-- {
 		w := idle[j]
@@ -191,10 +192,8 @@ func nearestIdle(idle []int, c int, clusterOf func(proc int) int, copies []int, 
 			continue
 		}
 		d := sim.DistLocal
-		for i, mod := range copies {
-			if dm := dist(w, mod); i == 0 || dm < d {
-				d = dm
-			}
+		if dist != nil {
+			d = dist(w)
 		}
 		if d < bestD {
 			best, bestD = j, d
@@ -208,26 +207,64 @@ func nearestIdle(idle []int, c int, clusterOf func(proc int) int, copies []int, 
 
 // dequeue is the dispatcher's queue rule for worker w. q is a queue's
 // unserved part, oldest first, and passed counts how many times in a row
-// its head has been passed over. A request qualifies when its tenant data
-// is replicated and has a copy on w's own module: near(req) is that data's
-// nearest-copy table (sim.Memory.NearestCopies, nil for single-copy data or
-// none), which maps w to itself exactly when w's module holds a copy. The
-// pick is the oldest qualifying request, or the head when none qualifies or
-// the head has already been passed over limit times. dequeue moves the
-// pick to q[0] and each request it skipped back one slot, in order, and
-// reports whether the pick was taken ahead of the head.
-func dequeue(q []int, w, passed, limit int, near func(req int) []int) (ahead bool) {
+// its head has been passed over. A request qualifies when its tenant data,
+// region(req) in mem (-1 for none), is replicated and w's own module holds
+// a copy: mem.NearestCopy(r, w) == w. The pick is the oldest qualifying
+// request, or the head when none qualifies or the head has already been
+// passed over limit times. dequeue moves the pick to q[0] and each request
+// it skipped back one slot, in order, and reports whether the pick was
+// taken ahead of the head.
+func dequeue(q []int, w, passed, limit int, mem *sim.Memory, region func(req int) int) (ahead bool) {
 	if passed >= limit {
 		return false
 	}
 	for j, req := range q {
-		if t := near(req); t != nil && t[w] == w {
+		if r := region(req); mem.Replicated(r) && mem.NearestCopy(r, w) == w {
 			copy(q[1:j+1], q[:j])
 			q[0] = req
 			return j > 0
 		}
 	}
 	return false
+}
+
+// reqQueue is one of the dispatcher's queues: the requests it admitted
+// (indices into the schedule), oldest first, of which reqs[head:] are
+// unserved, and how many times in a row its head has been passed over.
+type reqQueue struct {
+	reqs         []int
+	head, passed int
+}
+
+// len reports how many requests wait in the queue.
+func (q *reqQueue) len() int { return len(q.reqs) - q.head }
+
+// take serves worker w from the queue by the dequeue rule, whose arguments
+// it passes on, and returns the request taken and whether it was taken
+// ahead of the queue's head.
+func (q *reqQueue) take(w, limit int, mem *sim.Memory, region func(req int) int) (req int, ahead bool) {
+	u := q.reqs[q.head:]
+	q.head++
+	if ahead = dequeue(u, w, q.passed, limit, mem, region); ahead {
+		q.passed++
+	} else {
+		q.passed = 0
+	}
+	return u[0], ahead
+}
+
+// nextQueue returns the queue a worker of cluster c serves next: one queue
+// per cluster, then the shared one, last. The worker's own cluster queue
+// comes first while it holds a request, since affinized requests have
+// fewer eligible servers, then the shared queue; nil when both are empty.
+func nextQueue(queues []reqQueue, c int) *reqQueue {
+	if q := &queues[c]; q.len() > 0 {
+		return q
+	}
+	if q := &queues[len(queues)-1]; q.len() > 0 {
+		return q
+	}
+	return nil
 }
 
 // ServerRun executes the scenario and reports the tail-latency summary.
@@ -350,24 +387,27 @@ func ServerRun(cfg ServerConfig) *ServerResult {
 		return cfg.TenantAffinity(rank)
 	}
 	var (
-		queue      []int // indices into reqs, unaffinized
-		qhead      int
-		qPassed    int // times in a row queue[qhead] has been passed over
-		clusterQ   = make([][]int, k.Topo.N)
-		cHead      = make([]int, k.Topo.N)
-		cPassed    = make([]int, k.Topo.N)
+		// queues holds one queue per cluster, then the shared queue
+		// unaffinized requests wait in.
+		queues     = make([]reqQueue, k.Topo.N+1)
 		idle       []int // parked workers' processor numbers, oldest first
-		copies     []int // wake's buffer: the arriving tenant's copy modules
 		done       bool
 		setupReady bool
 	)
 	measured := func(i int) bool { return reqs[i].at >= sim.Time(cfg.Warmup) }
 	queued := func() int {
-		n := len(queue) - qhead
-		for c := range clusterQ {
-			n += len(clusterQ[c]) - cHead[c]
+		n := 0
+		for c := range queues {
+			n += queues[c].len()
 		}
 		return n
+	}
+	// dataOf reads request i's tenant data region (-1 without data).
+	dataOf := func(i int) int {
+		if tenantData == nil {
+			return -1
+		}
+		return tenantData[reqs[i].rank]
 	}
 	// wake releases one parked worker able to serve cluster c's queue
 	// (c < 0: any worker) on request i's arrival: the one nearest a copy of
@@ -375,48 +415,22 @@ func ServerRun(cfg ServerConfig) *ServerResult {
 	// to the newest-parked, the historical LIFO pop. It reads the data's
 	// current placement at no simulated cost, and counts a measured wake
 	// by the woken worker's distance class.
-	clusterOf, dist := k.Topo.ClusterOf, m.Mem.Distance
+	clusterOf := k.Topo.ClusterOf
 	wake := func(c, i int) {
-		copies = copies[:0]
-		if tenantData != nil {
-			region := tenantData[reqs[i].rank]
-			copies = append(append(copies, m.Mem.Home(region)), m.Mem.Replicas(region)...)
+		var dist func(w int) sim.DistClass
+		if r := dataOf(i); r >= 0 {
+			dist = func(w int) sim.DistClass { return m.Mem.Distance(w, m.Mem.NearestCopy(r, w)) }
 		}
-		j, d := nearestIdle(idle, c, clusterOf, copies, dist)
+		j, d := nearestIdle(idle, c, clusterOf, dist)
 		if j < 0 {
 			return
 		}
-		if tenantData != nil && measured(i) {
+		if dist != nil && measured(i) {
 			res.Dispatch[d]++
 		}
 		w := idle[j]
 		idle = append(idle[:j], idle[j+1:]...)
 		m.Procs[w].Unpark()
-	}
-	// near reads request i's tenant data's nearest-copy table, at no
-	// simulated cost (nil without data or replicas).
-	near := func(i int) []int {
-		if tenantData == nil {
-			return nil
-		}
-		return m.Mem.NearestCopies(tenantData[reqs[i].rank])
-	}
-	// take serves worker w from the unserved part of q, q[*head:], by the
-	// dequeue rule and returns the request it took; passed is the queue's
-	// count of head bypasses, and a measured request taken ahead of the
-	// head counts in TakenAhead.
-	take := func(q []int, head, passed *int, w int) int {
-		u := q[*head:]
-		*head++
-		if dequeue(u, w, *passed, workers, near) {
-			*passed++
-			if measured(u[0]) {
-				res.TakenAhead++
-			}
-		} else {
-			*passed = 0
-		}
-		return u[0]
 	}
 	arrive := func(i int) {
 		rank := reqs[i].rank
@@ -433,13 +447,13 @@ func ServerRun(cfg ServerConfig) *ServerResult {
 			res.Admitted++
 			res.Tenants[rank].Admitted++
 		}
-		if c := affOf(rank); c >= 0 {
-			clusterQ[c] = append(clusterQ[c], i)
-			wake(c, i)
-		} else {
-			queue = append(queue, i)
-			wake(-1, i)
+		c := affOf(rank)
+		q := &queues[len(queues)-1]
+		if c >= 0 {
+			q = &queues[c]
 		}
+		q.reqs = append(q.reqs, i)
+		wake(c, i)
 	}
 	// Chain the arrival events so the pending-event heap stays small; the
 	// last arrival closes the shop and wakes everyone for the drain.
@@ -551,15 +565,12 @@ func ServerRun(cfg ServerConfig) *ServerResult {
 			}
 			myc := k.Topo.ClusterOf(p.ID())
 			for {
-				// The worker's own cluster queue first — affinized requests
-				// have fewer eligible servers, so they get priority — then
-				// the shared queue.
-				if cHead[myc] < len(clusterQ[myc]) {
-					handle(p, take(clusterQ[myc], &cHead[myc], &cPassed[myc], p.ID()))
-					continue
-				}
-				if qhead < len(queue) {
-					handle(p, take(queue, &qhead, &qPassed, p.ID()))
+				if q := nextQueue(queues, myc); q != nil {
+					i, ahead := q.take(p.ID(), workers, m.Mem, dataOf)
+					if ahead && measured(i) {
+						res.TakenAhead++
+					}
+					handle(p, i)
 					continue
 				}
 				if done {
