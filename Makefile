@@ -41,10 +41,12 @@ bench-smoke:
 
 # Randomized inputs past the checked-in corpora that every `go test` runs
 # (testdata/fuzz): ten seconds of event schedules against the engine's
-# (time, sequence) dispatch order, then five of arrival specs.
+# (time, sequence) dispatch order, then five of arrival specs, then five of
+# sim<->native lock cross-validation schedules.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzEventOrder$$' -fuzztime 10s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz '^FuzzArrivals$$' -fuzztime 5s ./internal/workload/
+	$(GO) test -run '^$$' -fuzz '^FuzzCrossValidation$$' -fuzztime 5s ./internal/native/
 
 # Regenerate every table/figure plus the machine-readable BENCH_sim.json.
 # Stdout is the tables alone; it replaces results_full.txt only if the run

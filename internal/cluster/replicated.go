@@ -140,15 +140,7 @@ func (r *Replicated) Acquire(p *sim.Proc, key uint64, mode hybrid.Mode) (sim.Add
 	// Prepare a placeholder before taking the lock, then race to install
 	// it. Whoever installs it fetches; everyone else waits on its bit.
 	cand := t.NewEntry(p, r.topo.HomeModule(c), key)
-	installed := false
-	t.WithLock(p, func() {
-		if t.SearchLocked(p, key) == 0 {
-			t.InsertLocked(p, cand)
-			t.TryReserveLocked(p, cand, hybrid.Exclusive)
-			installed = true
-		}
-	})
-	if !installed {
+	if !installIfAbsent(p, t, key, cand, hybrid.Exclusive) {
 		// Someone else is fetching (or already has): take the normal
 		// path, which waits on their reserve bit.
 		return t.Reserve(p, key, mode)
@@ -185,6 +177,15 @@ func (r *Replicated) acquireNoCombine(p *sim.Proc, t *hybrid.Table, key uint64, 
 		p.Store(cand+hybrid.EntData+sim.Addr(i), v)
 	}
 	r.Replications++
+	if installIfAbsent(p, t, key, cand, mode) {
+		return cand, true
+	}
+	return t.Reserve(p, key, mode) // lost the race: use the winner's copy
+}
+
+// installIfAbsent links cand into t under t's coarse lock, reserved in
+// mode, unless key is already there; it reports whether cand went in.
+func installIfAbsent(p *sim.Proc, t *hybrid.Table, key uint64, cand sim.Addr, mode hybrid.Mode) bool {
 	installed := false
 	t.WithLock(p, func() {
 		if t.SearchLocked(p, key) == 0 {
@@ -193,10 +194,7 @@ func (r *Replicated) acquireNoCombine(p *sim.Proc, t *hybrid.Table, key uint64, 
 			installed = true
 		}
 	})
-	if installed {
-		return cand, true
-	}
-	return t.Reserve(p, key, mode) // lost the race: use the winner's copy
+	return installed
 }
 
 // fetchData copies the master's payload, retrying optimistically while the

@@ -17,10 +17,6 @@ var cohortKinds = []locks.Kind{
 	locks.KindSpin, locks.KindH2MCS, locks.KindCohort, locks.KindCNA,
 }
 
-// cohortSeeds is how many seeds each cell is averaged over (see tunedSeeds
-// for why single draws are too noisy at low contention).
-const cohortSeeds = 3
-
 // cohortJitter staggers each processor's first measured acquisition so a
 // FIFO lock's hand-off locality reflects the algorithm, not the ID-ordered
 // post-barrier enqueue artifact (see StressConfig.Jitter).
@@ -71,62 +67,9 @@ func CohortSweep(seed uint64, rounds int) *Table {
 	if warmup < 4 {
 		warmup = 4
 	}
-	type cellResult struct {
-		acq, pair, loc float64
-		mode           string
-	}
-	nLocks := len(cohortKinds) + 1 // + Tuned
-	type cellKey struct{ mi, pi, ki int }
-	var cells []cellKey
-	for mi, mc := range tunedMachines {
-		for pi := range mc.Procs {
-			for ki := 0; ki < nLocks; ki++ {
-				cells = append(cells, cellKey{mi, pi, ki})
-			}
-		}
-	}
-	results := make([]cellResult, len(cells))
-	RunParallel(len(cells), func(i int) {
-		c := cells[i]
-		mc := tunedMachines[c.mi]
-		p := mc.Procs[c.pi]
-		var res cellResult
-		for s := uint64(0); s < cohortSeeds; s++ {
-			cfg := workload.StressConfig{
-				Machine: mc.Cfg(seed),
-				Procs:   p, Rounds: rounds, Warmup: warmup, Hold: hold,
-				Jitter: cohortJitter,
-			}
-			cfg.Machine.Seed += s
-			var tl *locks.Tuned
-			if c.ki < len(cohortKinds) {
-				cfg.Kind = cohortKinds[c.ki]
-			} else {
-				cfg.MakeLock = func(m *sim.Machine, home int) locks.Lock {
-					tl = locks.NewTuned(m, home, tune.Params{})
-					return tl
-				}
-			}
-			r := workload.LockStressRun(cfg)
-			res.acq += r.AcquireUS
-			res.pair += r.PairUS
-			res.loc += stationLocalFrac(r.Lock)
-			if tl != nil {
-				res.mode = tl.Controller().Mode().String()
-			}
-		}
-		res.acq /= cohortSeeds
-		res.pair /= cohortSeeds
-		res.loc /= cohortSeeds
-		results[i] = res
-	})
-	cellAt := func(mi, pi, ki int) cellResult {
-		base := 0
-		for m := 0; m < mi; m++ {
-			base += len(tunedMachines[m].Procs) * nLocks
-		}
-		return results[base+pi*nLocks+ki]
-	}
+	nFixed := len(cohortKinds)
+	cells := runSweep(seed, sweepCols(cohortKinds, tune.Params{}),
+		workload.StressConfig{Rounds: rounds, Warmup: warmup, Hold: hold, Jitter: cohortJitter})
 	kindIdx := func(k locks.Kind) int {
 		for i, ck := range cohortKinds {
 			if ck == k {
@@ -139,24 +82,11 @@ func CohortSweep(seed uint64, rounds int) *Table {
 		worstPair, worstAcq, worstMin := 0.0, 0.0, 0.0
 		pmax := mc.Procs[len(mc.Procs)-1]
 		for pi, p := range mc.Procs {
-			row := []string{mc.Name, fmt.Sprintf("%d", p)}
-			var bestPair, bestAcq float64
-			for ki := range cohortKinds {
-				c := cellAt(mi, pi, ki)
-				row = append(row, f1(c.acq))
-				if bestPair == 0 || c.pair < bestPair {
-					bestPair = c.pair
-				}
-				if bestAcq == 0 || c.acq < bestAcq {
-					bestAcq = c.acq
-				}
-			}
-			tc := cellAt(mi, pi, len(cohortKinds))
-			row = append(row, f1(tc.acq),
-				f2(cellAt(mi, pi, kindIdx(locks.KindH2MCS)).loc),
-				f2(cellAt(mi, pi, kindIdx(locks.KindCohort)).loc),
-				f2(cellAt(mi, pi, kindIdx(locks.KindCNA)).loc),
-				f2(tc.loc))
+			at := cells[mi][pi]
+			row, bestAcq, bestPair := fixedRow([]string{mc.Name, fmt.Sprintf("%d", p)}, at[:nFixed])
+			mcs, coh, cna := at[kindIdx(locks.KindH2MCS)], at[kindIdx(locks.KindCohort)], at[kindIdx(locks.KindCNA)]
+			tc := at[nFixed]
+			row = append(row, f1(tc.acq), f2(mcs.loc), f2(coh.loc), f2(cna.loc), f2(tc.loc))
 			t.AddRow(row...)
 			// The adaptivity acceptance, on two views per level: mean
 			// acquire latency (the fairness-honest view) and per-round
@@ -183,13 +113,13 @@ func CohortSweep(seed uint64, rounds int) *Table {
 				worstMin = r
 			}
 			if p == pmax {
-				t.AddMetric(mc.Name+".cohort_acquire_pmax", cellAt(mi, pi, kindIdx(locks.KindCohort)).acq, "us")
-				t.AddMetric(mc.Name+".cna_acquire_pmax", cellAt(mi, pi, kindIdx(locks.KindCNA)).acq, "us")
-				t.AddMetric(mc.Name+".h2mcs_local_frac", cellAt(mi, pi, kindIdx(locks.KindH2MCS)).loc, "frac")
-				t.AddMetric(mc.Name+".cohort_local_frac", cellAt(mi, pi, kindIdx(locks.KindCohort)).loc, "frac")
-				t.AddMetric(mc.Name+".cna_local_frac", cellAt(mi, pi, kindIdx(locks.KindCNA)).loc, "frac")
+				t.AddMetric(mc.Name+".cohort_acquire_pmax", coh.acq, "us")
+				t.AddMetric(mc.Name+".cna_acquire_pmax", cna.acq, "us")
+				t.AddMetric(mc.Name+".h2mcs_local_frac", mcs.loc, "frac")
+				t.AddMetric(mc.Name+".cohort_local_frac", coh.loc, "frac")
+				t.AddMetric(mc.Name+".cna_local_frac", cna.loc, "frac")
 				t.Note("%s p=%d: tuned lock finished in %s mode, station-local fraction %.2f",
-					mc.Name, p, tc.mode, tc.loc)
+					mc.Name, p, tc.ctl.Mode(), tc.loc)
 			}
 		}
 		t.AddMetric(mc.Name+".tuned_worst_acquire_ratio", worstAcq, "ratio")

@@ -1,6 +1,9 @@
 package exp
 
-import "testing"
+import (
+	"sync"
+	"testing"
+)
 
 // metric looks up an exported metric by name.
 func metric(t *testing.T, tb *Table, name string) float64 {
@@ -14,6 +17,10 @@ func metric(t *testing.T, tb *Table, name string) float64 {
 	return 0
 }
 
+// cohortSweep10 is the quick-scale cohort sweep both cohort tests read; it
+// runs once per test binary.
+var cohortSweep10 = sync.OnceValue(func() *Table { return CohortSweep(1, 10) })
+
 // TestCohortSweepAcceptance pins the issue's acceptance criteria at quick
 // scale: on NUMAchine-64 at p=64 the hierarchical locks must batch grants
 // by station (station-local hand-off fraction at least twice H2-MCS's),
@@ -22,7 +29,7 @@ func metric(t *testing.T, tb *Table, name string) float64 {
 // latency or per-round elapsed time — see the metric comment in
 // CohortSweep for why the views trade against each other).
 func TestCohortSweepAcceptance(t *testing.T) {
-	tb := CohortSweep(1, 10)
+	tb := cohortSweep10()
 
 	mcs := metric(t, tb, "numachine64.h2mcs_local_frac")
 	for _, name := range []string{"numachine64.cohort_local_frac", "numachine64.cna_local_frac"} {
@@ -41,7 +48,7 @@ func TestCohortSweepAcceptance(t *testing.T) {
 // starvation bound must keep every processor progressing even at the
 // largest budget.
 func TestCohortSweepBatchKnob(t *testing.T) {
-	tb := CohortSweep(1, 10)
+	tb := cohortSweep10()
 	lo := metric(t, tb, "numachine64.batch1_local_frac")
 	hi := metric(t, tb, "numachine64.batch64_local_frac")
 	if hi <= lo {

@@ -120,7 +120,6 @@ func ModelSweep(seed uint64, rounds int) *Table {
 		mi, li     int
 		procs      int
 		hold       float64
-		fit        bool
 		cellRounds int
 	}
 	var cells []cellKey
@@ -132,14 +131,14 @@ func ModelSweep(seed uint64, rounds int) *Table {
 		for _, p := range mc.FitProcs {
 			for _, h := range mc.FitHolds {
 				for li := range modelLocks {
-					cells = append(cells, cellKey{mi, li, p, h, true, cellRounds})
+					cells = append(cells, cellKey{mi, li, p, h, cellRounds})
 				}
 			}
 		}
 		for _, p := range mc.ValProcs {
 			for _, h := range mc.ValHolds {
 				for li := range modelLocks {
-					cells = append(cells, cellKey{mi, li, p, h, false, cellRounds})
+					cells = append(cells, cellKey{mi, li, p, h, cellRounds})
 				}
 			}
 		}
@@ -166,7 +165,7 @@ func ModelSweep(seed uint64, rounds int) *Table {
 		for _, p := range mc.FitProcs {
 			for _, h := range mc.FitHolds {
 				for li, ml := range modelLocks {
-					m := at[cellKey{mi, li, p, h, true, cellRounds}]
+					m := at[cellKey{mi, li, p, h, cellRounds}]
 					obs = append(obs, model.Observation{
 						Lock: ml.L, Point: model.Point{Procs: p, HoldUS: h},
 						PairUS: m.pair, AcquireUS: m.acq,
@@ -187,7 +186,7 @@ func ModelSweep(seed uint64, rounds int) *Table {
 				measuredUS := make([]float64, len(modelLocks))
 				util := 0.0
 				for li, ml := range modelLocks {
-					m := at[cellKey{mi, li, p, h, false, cellRounds}]
+					m := at[cellKey{mi, li, p, h, cellRounds}]
 					pred := pr.Predict(ml.L, model.Point{Procs: p, HoldUS: h})
 					row = append(row, fmt.Sprintf("%.1f/%.1f", m.pair, pred.PairUS))
 					// Elapsed per round (overhead plus the hold): robust where

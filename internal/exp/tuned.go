@@ -31,12 +31,102 @@ var tunedMachines = []struct {
 	{"numachine64", machine.NUMAchine64, []int{1, 4, 16, 32, 64}},
 }
 
-// tunedSeeds is how many seeds each point is averaged over. At low
-// contention (p=2, ~40 measured acquisitions) a single run's mean acquire
-// latency swings +-25% purely from the phase alignment of backoff jitter
-// against the hold period — fixed locks swing as much as Tuned — so the
-// comparison is between expected latencies, not single draws.
-const tunedSeeds = 3
+// sweepSeeds is how many seeds each tuner-sweep cell is averaged over. At
+// low contention (p=2, ~40 measured acquisitions) a single run's mean
+// acquire latency swings +-25% purely from the phase alignment of backoff
+// jitter against the hold period — fixed locks swing as much as Tuned — so
+// the comparison is between expected latencies, not single draws.
+const sweepSeeds = 3
+
+// sweepLock is one lock column of a tuner sweep: a fixed kind, or, when
+// kind is locks.KindTuned, a tuned lock built with params.
+type sweepLock struct {
+	kind   locks.Kind
+	params tune.Params
+}
+
+// sweepCols lists kinds as fixed columns, then one tuned column per params.
+func sweepCols(kinds []locks.Kind, tuned ...tune.Params) []sweepLock {
+	cols := make([]sweepLock, 0, len(kinds)+len(tuned))
+	for _, k := range kinds {
+		cols = append(cols, sweepLock{kind: k})
+	}
+	for _, p := range tuned {
+		cols = append(cols, sweepLock{kind: locks.KindTuned, params: p})
+	}
+	return cols
+}
+
+// sweepCell is one (machine, p, lock) cell of a tuner sweep: the mean
+// acquire time, pair time and station-local hand-off fraction over
+// sweepSeeds seeded runs, plus, for a tuned column, the last seed's
+// controller and whether any seed switched mode.
+type sweepCell struct {
+	acq, pair, loc float64
+	ctl            *tune.Controller
+	crossed        bool
+}
+
+// runSweep runs every (machine, p, lock) cell over tunedMachines on the
+// worker pool, each as sweepSeeds runs of base with the cell's machine,
+// processors and lock filled in, and returns the cells indexed
+// [machine][p][lock]. Every cell owns its seed loop, so the per-cell float
+// accumulation order is identical at any parallelism level.
+func runSweep(seed uint64, cols []sweepLock, base workload.StressConfig) [][][]sweepCell {
+	type cellKey struct{ mi, pi, ki int }
+	var cells []cellKey
+	out := make([][][]sweepCell, len(tunedMachines))
+	for mi, mc := range tunedMachines {
+		out[mi] = make([][]sweepCell, len(mc.Procs))
+		for pi := range mc.Procs {
+			out[mi][pi] = make([]sweepCell, len(cols))
+			for ki := range cols {
+				cells = append(cells, cellKey{mi, pi, ki})
+			}
+		}
+	}
+	RunParallel(len(cells), func(i int) {
+		c := cells[i]
+		mc, col := tunedMachines[c.mi], cols[c.ki]
+		res := &out[c.mi][c.pi][c.ki]
+		for s := uint64(0); s < sweepSeeds; s++ {
+			cfg := base
+			cfg.Machine, cfg.Procs, cfg.Kind = mc.Cfg(seed+s), mc.Procs[c.pi], col.kind
+			if col.kind == locks.KindTuned {
+				cfg.MakeLock = func(m *sim.Machine, home int) locks.Lock {
+					return locks.NewTuned(m, home, col.params)
+				}
+			}
+			r := workload.LockStressRun(cfg)
+			res.acq += r.AcquireUS
+			res.pair += r.PairUS
+			res.loc += stationLocalFrac(r.Lock)
+			if tl, ok := r.Lock.Unwrap().(*locks.Tuned); ok {
+				res.ctl = tl.Controller()
+				res.crossed = res.crossed || res.ctl.Switches() > 0
+			}
+		}
+		res.acq /= sweepSeeds
+		res.pair /= sweepSeeds
+		res.loc /= sweepSeeds
+	})
+	return out
+}
+
+// fixedRow appends each fixed column's mean acquire time to row and returns
+// the best (lowest) mean acquire and pair times among them.
+func fixedRow(row []string, fixed []sweepCell) (_ []string, bestAcq, bestPair float64) {
+	for _, c := range fixed {
+		row = append(row, f1(c.acq))
+		if bestAcq == 0 || c.acq < bestAcq {
+			bestAcq = c.acq
+		}
+		if bestPair == 0 || c.pair < bestPair {
+			bestPair = c.pair
+		}
+	}
+	return row, bestAcq, bestPair
+}
 
 // TunedCrossover reproduces the Figure 5b spin-vs-queue crossover with the
 // feedback tuner in the loop: at each contention level, every
@@ -46,7 +136,7 @@ const tunedSeeds = 3
 // mode past measured saturation — without being told which regime it is
 // in. The warm-up rounds double as the controller's settling time, as the
 // sampling interrupt's convergence would in a kernel. Each cell is the
-// mean over tunedSeeds seeded runs.
+// mean over sweepSeeds seeded runs.
 //
 // Two views judge the result. The table shows mean acquire latency (the
 // figure's response time); the pair(us) column and the worst-ratio metric
@@ -81,100 +171,22 @@ func TunedCrossover(seed uint64, rounds int) *Table {
 	if warmup < 2 {
 		warmup = 2
 	}
-	type point struct{ acq, pair float64 }
-	// One pool cell per (machine, p, lock), where "lock" is each fixed kind
-	// plus the tuned lock; every cell owns its seed loop, so the per-cell
-	// float accumulation order is identical at any parallelism level. The
-	// reduction below then reads the cells back in declaration order.
-	type cellResult struct {
-		pt      point
-		ctl     *tune.Controller // tuned cells: controller of the last seed run
-		crossed bool
-	}
-	// Two tuned cells ride after the fixed kinds: the unconstrained
+	// Two tuned columns ride after the fixed kinds: the unconstrained
 	// controller, then the latency-bounded (MaxCap 40us) variant.
-	nLocks := len(tunedCrossoverKinds) + 2
-	type cellKey struct{ mi, pi, ki int }
-	var cells []cellKey
-	for mi, mc := range tunedMachines {
-		for pi := range mc.Procs {
-			for ki := 0; ki < nLocks; ki++ {
-				cells = append(cells, cellKey{mi, pi, ki})
-			}
-		}
-	}
-	results := make([]cellResult, len(cells))
-	RunParallel(len(cells), func(i int) {
-		c := cells[i]
-		mc := tunedMachines[c.mi]
-		p := mc.Procs[c.pi]
-		var res cellResult
-		if c.ki < len(tunedCrossoverKinds) {
-			for s := uint64(0); s < tunedSeeds; s++ {
-				cfg := workload.StressConfig{
-					Machine: mc.Cfg(seed), Kind: tunedCrossoverKinds[c.ki],
-					Procs: p, Rounds: rounds, Warmup: warmup, Hold: hold,
-				}
-				cfg.Machine.Seed += s
-				r := workload.LockStressRun(cfg)
-				res.pt.acq += r.AcquireUS
-				res.pt.pair += r.PairUS
-			}
-		} else {
-			var params tune.Params
-			if c.ki == len(tunedCrossoverKinds)+1 {
-				params.MaxCap = sim.Micros(40)
-			}
-			for s := uint64(0); s < tunedSeeds; s++ {
-				var tl *locks.Tuned
-				r := workload.LockStressRun(workload.StressConfig{
-					Machine: mc.Cfg(seed + s),
-					MakeLock: func(m *sim.Machine, home int) locks.Lock {
-						tl = locks.NewTuned(m, home, params)
-						return tl
-					},
-					Procs: p, Rounds: rounds, Warmup: warmup, Hold: hold,
-				})
-				res.pt.acq += r.AcquireUS
-				res.pt.pair += r.PairUS
-				res.ctl = tl.Controller()
-				res.crossed = res.crossed || res.ctl.Switches() > 0
-			}
-		}
-		res.pt.acq /= tunedSeeds
-		res.pt.pair /= tunedSeeds
-		results[i] = res
-	})
-	cellAt := func(mi, pi, ki int) cellResult {
-		base := 0
-		for m := 0; m < mi; m++ {
-			base += len(tunedMachines[m].Procs) * nLocks
-		}
-		return results[base+pi*nLocks+ki]
-	}
+	nFixed := len(tunedCrossoverKinds)
+	cells := runSweep(seed, sweepCols(tunedCrossoverKinds, tune.Params{}, tune.Params{MaxCap: sim.Micros(40)}),
+		workload.StressConfig{Rounds: rounds, Warmup: warmup, Hold: hold})
 	for mi, mc := range tunedMachines {
 		worstPair, worstAcq := 0.0, 0.0
 		crossoverP, lbCrossoverP := 0, 0
 		var pairRatios []string
 		for pi, p := range mc.Procs {
-			row := []string{mc.Name, fmt.Sprintf("%d", p)}
-			var bestAcq, bestPair float64
-			for ki := range tunedCrossoverKinds {
-				pt := cellAt(mi, pi, ki).pt
-				row = append(row, f1(pt.acq))
-				if bestAcq == 0 || pt.acq < bestAcq {
-					bestAcq = pt.acq
-				}
-				if bestPair == 0 || pt.pair < bestPair {
-					bestPair = pt.pair
-				}
-			}
-			tc := cellAt(mi, pi, len(tunedCrossoverKinds))
-			tuned, crossed, ctl := tc.pt, tc.crossed, tc.ctl
+			at := cells[mi][pi]
+			row, bestAcq, bestPair := fixedRow([]string{mc.Name, fmt.Sprintf("%d", p)}, at[:nFixed])
+			tuned, lb := at[nFixed], at[nFixed+1]
 			row = append(row, f1(tuned.acq), f1(tuned.pair),
-				fmt.Sprintf("%.0f", ctl.BackoffCap().Microseconds()), ctl.Mode().String())
-			lb := cellAt(mi, pi, len(tunedCrossoverKinds)+1)
-			row = append(row, f1(lb.pt.acq), f1(lb.pt.pair), lb.ctl.Mode().String())
+				fmt.Sprintf("%.0f", tuned.ctl.BackoffCap().Microseconds()), tuned.ctl.Mode().String(),
+				f1(lb.acq), f1(lb.pair), lb.ctl.Mode().String())
 			if lbCrossoverP == 0 && lb.crossed {
 				lbCrossoverP = p
 			}
@@ -192,7 +204,7 @@ func TunedCrossover(seed uint64, rounds int) *Table {
 				worstAcq = r
 			}
 			pairRatios = append(pairRatios, fmt.Sprintf("%.2f", pairRatio))
-			if crossoverP == 0 && crossed {
+			if crossoverP == 0 && tuned.crossed {
 				crossoverP = p
 			}
 			if p == mc.Procs[len(mc.Procs)-1] {
@@ -200,8 +212,8 @@ func TunedCrossover(seed uint64, rounds int) *Table {
 				t.AddMetric(mc.Name+".best_fixed_pmax", bestAcq, "us")
 				t.AddMetric(mc.Name+".tuned_pair_pmax", tuned.pair, "us")
 				t.AddMetric(mc.Name+".best_fixed_pair_pmax", bestPair, "us")
-				t.AddMetric(mc.Name+".tunedlb_acquire_pmax", lb.pt.acq, "us")
-				t.AddMetric(mc.Name+".tunedlb_pair_pmax", lb.pt.pair, "us")
+				t.AddMetric(mc.Name+".tunedlb_acquire_pmax", lb.acq, "us")
+				t.AddMetric(mc.Name+".tunedlb_pair_pmax", lb.pair, "us")
 			}
 		}
 		t.AddMetric(mc.Name+".tuned_worst_ratio", worstPair, "ratio")

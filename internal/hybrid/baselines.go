@@ -79,19 +79,6 @@ func (t *FineGrain) Name() string { return "fine-grain" }
 
 func (t *FineGrain) bucketOf(key uint64) int { return int(key % uint64(t.nbuckets)) }
 
-func (t *FineGrain) search(p *sim.Proc, key uint64) sim.Addr {
-	e := sim.Addr(p.Load(t.buckets + sim.Addr(t.bucketOf(key))))
-	for e != 0 {
-		p.Branch(1)
-		if p.Load(e+EntKey) == key {
-			return e
-		}
-		e = sim.Addr(p.Load(e + EntNext))
-	}
-	p.Branch(1)
-	return 0
-}
-
 // AcquireEntry implements Store: lock the bucket, find the element, and
 // take its spin lock with an atomic swap; if the element is busy, drop the
 // bucket lock, back off, and retry.
@@ -100,7 +87,7 @@ func (t *FineGrain) AcquireEntry(p *sim.Proc, key uint64) (sim.Addr, bool) {
 	for {
 		bl := t.bucketLocks[t.bucketOf(key)]
 		bl.Acquire(p)
-		e := t.search(p, key)
+		e := searchChain(p, t.buckets+sim.Addr(t.bucketOf(key)), key)
 		if e == 0 {
 			bl.Release(p)
 			return 0, false

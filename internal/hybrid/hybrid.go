@@ -119,7 +119,15 @@ func (t *Table) NewEntry(p *sim.Proc, module int, key uint64) sim.Addr {
 // SearchLocked walks the chain for key, charging one load per visited word,
 // and returns the entry address or 0.
 func (t *Table) SearchLocked(p *sim.Proc, key uint64) sim.Addr {
-	e := sim.Addr(p.Load(t.bucket(key)))
+	return searchChain(p, t.bucket(key), key)
+}
+
+// searchChain walks the chain whose head word is at bucket address b for
+// key, charging one load per visited word, and returns the entry address
+// or 0. The caller holds the chain's lock: Table's coarse lock, or
+// FineGrain's bucket lock.
+func searchChain(p *sim.Proc, b sim.Addr, key uint64) sim.Addr {
+	e := sim.Addr(p.Load(b))
 	for e != 0 {
 		p.Branch(1)
 		if p.Load(e+EntKey) == key {

@@ -247,9 +247,6 @@ func (v *VM) ensureAS(p *sim.Proc, pid uint64) (asK, hatK uint64) {
 
 // FaultResult describes a completed page fault.
 type FaultResult struct {
-	// PageKey is the descriptor finally mapped (differs from the faulted
-	// page after a COW copy).
-	PageKey uint64
 	// COWCopied reports that a private page was instantiated.
 	COWCopied bool
 	// Retries counts protocol retries taken during the fault.
@@ -391,15 +388,13 @@ func (v *VM) Fault(p *sim.Proc, pid uint64, regionKey, vpn uint64, write bool) (
 	v.work(p, costFCBWork)
 	v.work(p, costPageWork)
 
-	res.PageKey = pageKey
 	frame := p.Load(pe + hybrid.EntData + pgFrame)
 	if write {
 		refcount := p.Load(pe + hybrid.EntData + pgRefcount)
 		flags := p.Load(pe + hybrid.EntData + pgFlags)
 		switch {
 		case flags&FlagCOW != 0 && refcount > 1:
-			pe, pageKey, frame = v.cowCopy(p, pid, pe, pageKey, &res)
-			res.PageKey = pageKey
+			pe, frame = v.cowCopy(p, pid, pe, pageKey, &res)
 		case flags&FlagCoherent != 0 && HomeOf(pageKey) != v.k.Topo.ClusterOf(p.ID()):
 			pe = v.writeNotice(p, pe, pageKey, &res)
 		}
@@ -450,8 +445,8 @@ func (v *VM) writeNotice(p *sim.Proc, pe sim.Addr, pageKey uint64, res *FaultRes
 // cowCopy instantiates a private copy of a shared COW page: create a new
 // descriptor in this cluster, decrement the shared page's master refcount
 // (a cross-cluster operation under the deadlock protocol), and hand back
-// the new descriptor held exclusively.
-func (v *VM) cowCopy(p *sim.Proc, pid uint64, pe sim.Addr, pageKey uint64, res *FaultResult) (sim.Addr, uint64, uint64) {
+// the new descriptor held exclusively and its frame.
+func (v *VM) cowCopy(p *sim.Proc, pid uint64, pe sim.Addr, pageKey uint64, res *FaultResult) (sim.Addr, uint64) {
 	c := v.k.Topo.ClusterOf(p.ID())
 	home := HomeOf(pageKey)
 
@@ -517,7 +512,7 @@ func (v *VM) cowCopy(p *sim.Proc, pid uint64, pe sim.Addr, pageKey uint64, res *
 	v.work(p, costPageWork) // the copy itself
 	v.k.Stats.COWCopies++
 	res.COWCopied = true
-	return ne, newKey, newFrame
+	return ne, newFrame
 }
 
 // Unmap removes the PTE for (pid, vpn) on the calling processor and drops

@@ -87,9 +87,6 @@ func headPoll(p *sim.Proc, word sim.Addr, q Lock, bound func() sim.Duration, c *
 		if old == adFree || old == adGranted {
 			break
 		}
-		if c != nil {
-			c.fastFailures++
-		}
 		p.Think(delay/2 + p.RNG().Duration(delay/2+1))
 		if delay < bound() {
 			delay *= 2

@@ -51,15 +51,15 @@ type Tuned struct {
 }
 
 // tunedCounts is one station's shard of the Tuned observation counters:
-// fast-path swaps and how many found the word taken, completed Acquire
-// calls (and how many came from off-home stations), and their total
-// acquire latency. All cumulative; padded to a 64-byte line.
+// fast-path swaps, completed Acquire calls (and how many came from off-home
+// stations), and their total acquire latency. All cumulative; padded to a
+// 64-byte line.
 type tunedCounts struct {
-	fastAttempts, fastFailures uint64
-	acquisitions               uint64
-	remoteAcquisitions         uint64
-	waitCycles                 sim.Duration
-	_                          [3]uint64
+	fastAttempts       uint64
+	acquisitions       uint64
+	remoteAcquisitions uint64
+	waitCycles         sim.Duration
+	_                  [4]uint64
 }
 
 // NewTuned builds a tuned lock homed on module home and attaches its
@@ -79,7 +79,6 @@ func NewTuned(m *sim.Machine, home int, p tune.Params) *Tuned {
 		for i := range l.counts {
 			c := &l.counts[i]
 			t.Attempts += c.fastAttempts
-			t.Failures += c.fastFailures
 			t.Acquisitions += c.acquisitions
 			t.RemoteAcquisitions += c.remoteAcquisitions
 			t.WaitCycles += c.waitCycles
@@ -128,7 +127,6 @@ func (l *Tuned) acquire(p *sim.Proc) {
 		if old == adFree {
 			return
 		}
-		c.fastFailures++
 		if old == adGranted {
 			p.Store(l.word, adGranted)
 		}
@@ -159,7 +157,6 @@ func (l *Tuned) TryAcquire(p *sim.Proc) bool {
 	if old == adFree {
 		return true
 	}
-	c.fastFailures++
 	if old == adGranted {
 		p.Store(l.word, adGranted)
 	}

@@ -73,12 +73,14 @@ func TestTunedZeroContentionConvergence(t *testing.T) {
 	if c.BackoffCap() != tune.MinCap {
 		t.Fatalf("cap = %v, want MinCap %v", c.BackoffCap(), tune.MinCap)
 	}
-	var fastFailures uint64
+	// Uncontended, every acquisition is one fast-path swap that wins.
+	var attempts, acquisitions uint64
 	for i := range l.counts {
-		fastFailures += l.counts[i].fastFailures
+		attempts += l.counts[i].fastAttempts
+		acquisitions += l.counts[i].acquisitions
 	}
-	if fastFailures != 0 {
-		t.Fatalf("fast-path failures = %d, want 0", fastFailures)
+	if attempts != acquisitions {
+		t.Fatalf("fast-path attempts = %d, acquisitions = %d, want equal", attempts, acquisitions)
 	}
 	if c.Switches() != 0 {
 		t.Fatalf("mode switches = %d, want 0", c.Switches())

@@ -12,29 +12,11 @@ import (
 func TestCohortMutualExclusion(t *testing.T) {
 	l := NewCohort(2)
 	l.BatchLimit = 4
-	var held atomic.Int32
-	var total atomic.Int64
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		g := g
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s := g / 4
-			for i := 0; i < 500; i++ {
-				tok := l.Acquire(s)
-				if held.Add(1) != 1 {
-					t.Error("exclusion violated")
-				}
-				total.Add(1)
-				held.Add(-1)
-				l.Release(s, tok)
-			}
-		}()
-	}
-	wg.Wait()
-	if total.Load() != 4000 {
-		t.Fatalf("total = %d", total.Load())
+	if n := hammer(t, 8, 500, func(g int) func() {
+		tok := l.Acquire(g / 4)
+		return func() { l.Release(g/4, tok) }
+	}); n != 4000 {
+		t.Fatalf("total = %d", n)
 	}
 }
 
@@ -54,29 +36,11 @@ func TestCohortUncontendedReentry(t *testing.T) {
 func TestCNAMutualExclusion(t *testing.T) {
 	l := NewCNA()
 	l.SpillThreshold = 4
-	var held atomic.Int32
-	var total atomic.Int64
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		g := g
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s := g / 4
-			for i := 0; i < 500; i++ {
-				tok := l.Acquire(s)
-				if held.Add(1) != 1 {
-					t.Error("exclusion violated")
-				}
-				total.Add(1)
-				held.Add(-1)
-				l.Release(tok)
-			}
-		}()
-	}
-	wg.Wait()
-	if total.Load() != 4000 {
-		t.Fatalf("total = %d", total.Load())
+	if n := hammer(t, 8, 500, func(g int) func() {
+		tok := l.Acquire(g / 4)
+		return func() { l.Release(tok) }
+	}); n != 4000 {
+		t.Fatalf("total = %d", n)
 	}
 }
 

@@ -8,29 +8,46 @@ import (
 	"time"
 )
 
-func TestMCSMutualExclusion(t *testing.T) {
-	var l MCS
+// hammer runs goroutines goroutines of iters critical sections each and
+// returns how many sections ran. lock(g) takes the lock for goroutine g and
+// returns its unlock, or nil when a try failed. The sections are counted
+// with a plain increment before any other synchronization, so under -race
+// every hammer also checks that each hand-off publishes the previous
+// holder's writes.
+func hammer(t *testing.T, goroutines, iters int, lock func(g int) (unlock func())) int {
+	t.Helper()
 	var held atomic.Int32
-	var total atomic.Int64
+	sections := 0
 	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
+	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				tok := l.Acquire()
-				if held.Add(1) != 1 {
-					t.Error("exclusion violated")
+			for i := 0; i < iters; i++ {
+				unlock := lock(g)
+				if unlock == nil {
+					continue
 				}
-				total.Add(1)
+				sections++
+				if h := held.Add(1); h != 1 {
+					t.Errorf("exclusion violated: %d holders", h)
+				}
 				held.Add(-1)
-				l.Release(tok)
+				unlock()
 			}
 		}()
 	}
 	wg.Wait()
-	if total.Load() != 4000 {
-		t.Fatalf("total = %d", total.Load())
+	return sections
+}
+
+func TestMCSMutualExclusion(t *testing.T) {
+	var l MCS
+	if n := hammer(t, 8, 500, func(int) func() {
+		tok := l.Acquire()
+		return func() { l.Release(tok) }
+	}); n != 4000 {
+		t.Fatalf("total = %d", n)
 	}
 }
 
@@ -78,55 +95,30 @@ func TestMCSTryAcquire(t *testing.T) {
 	}
 }
 
+// TestMCSMixedTryAndAcquire mixes blocking acquirers (even goroutines)
+// with single-attempt trylocks (odd ones) on one lock.
 func TestMCSMixedTryAndAcquire(t *testing.T) {
 	var l MCS
-	var held atomic.Int32
-	var wg sync.WaitGroup
-	for g := 0; g < 6; g++ {
-		g := g
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 300; i++ {
-				if g%2 == 0 {
-					tok := l.Acquire()
-					if held.Add(1) != 1 {
-						t.Error("exclusion violated (acquire)")
-					}
-					held.Add(-1)
-					l.Release(tok)
-				} else if tok, ok := l.TryAcquire(); ok {
-					if held.Add(1) != 1 {
-						t.Error("exclusion violated (try)")
-					}
-					held.Add(-1)
-					l.Release(tok)
-				}
-			}
-		}()
-	}
-	wg.Wait()
+	hammer(t, 6, 300, func(g int) func() {
+		if g%2 == 0 {
+			tok := l.Acquire()
+			return func() { l.Release(tok) }
+		}
+		if tok, ok := l.TryAcquire(); ok {
+			return func() { l.Release(tok) }
+		}
+		return nil
+	})
 }
 
 func TestSpinLock(t *testing.T) {
 	var l Spin
-	var held atomic.Int32
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				l.Acquire()
-				if held.Add(1) != 1 {
-					t.Error("exclusion violated")
-				}
-				held.Add(-1)
-				l.Release()
-			}
-		}()
+	if n := hammer(t, 8, 200, func(int) func() {
+		l.Acquire()
+		return l.Release
+	}); n != 1600 {
+		t.Fatalf("total = %d", n)
 	}
-	wg.Wait()
 	if l.word.Load() != 0 {
 		t.Fatal("lock held after every goroutine released")
 	}
@@ -134,23 +126,12 @@ func TestSpinLock(t *testing.T) {
 
 func TestSpinThenBlock(t *testing.T) {
 	l := NewSpinThenBlock(8)
-	var held atomic.Int32
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				l.Acquire()
-				if held.Add(1) != 1 {
-					t.Error("exclusion violated")
-				}
-				held.Add(-1)
-				l.Release()
-			}
-		}()
+	if n := hammer(t, 8, 200, func(int) func() {
+		l.Acquire()
+		return l.Release
+	}); n != 1600 {
+		t.Fatalf("total = %d", n)
 	}
-	wg.Wait()
 	if len(l.ch) != 1 {
 		t.Fatal("lock held after every goroutine released")
 	}
@@ -393,27 +374,10 @@ func TestTableReserveWaitsOutWriter(t *testing.T) {
 func TestMCSHandoffChainUnderChurn(t *testing.T) {
 	// Force long queues so Release's hand-off and link-wait paths run.
 	var l MCS
-	var wg sync.WaitGroup
-	var order []int
-	var held atomic.Int32
-	for g := 0; g < 12; g++ {
-		g := g
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				tok := l.Acquire()
-				if held.Add(1) != 1 {
-					t.Error("exclusion violated")
-				}
-				order = append(order, g) // safe: we hold the lock
-				held.Add(-1)
-				l.Release(tok)
-			}
-		}()
-	}
-	wg.Wait()
-	if len(order) != 600 {
-		t.Fatalf("acquisitions = %d", len(order))
+	if n := hammer(t, 12, 50, func(int) func() {
+		tok := l.Acquire()
+		return func() { l.Release(tok) }
+	}); n != 600 {
+		t.Fatalf("acquisitions = %d", n)
 	}
 }

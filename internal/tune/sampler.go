@@ -55,7 +55,6 @@ func (s *Sampler) Tick(now sim.Time) {
 		HomeUtil: float64(busy-s.lastBusy) / float64(now-s.lastTime),
 		Lock: Counters{
 			Attempts:           cur.Attempts - s.last.Attempts,
-			Failures:           cur.Failures - s.last.Failures,
 			Acquisitions:       cur.Acquisitions - s.last.Acquisitions,
 			WaitCycles:         cur.WaitCycles - s.last.WaitCycles,
 			RemoteAcquisitions: cur.RemoteAcquisitions - s.last.RemoteAcquisitions,

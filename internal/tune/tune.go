@@ -164,9 +164,8 @@ const logLimit = 256
 // the sampler diffs successive snapshots into per-window Samples. All
 // counters must be monotone non-decreasing.
 type Counters struct {
-	// Attempts and Failures count fast-path swaps and how many found the
-	// word taken.
-	Attempts, Failures uint64
+	// Attempts counts fast-path swaps.
+	Attempts uint64
 	// Acquisitions counts completed Acquire calls.
 	Acquisitions uint64
 	// WaitCycles accumulates the total acquire latency of those
@@ -189,14 +188,6 @@ type Sample struct {
 	Lock Counters
 }
 
-// failFrac is the window's fast-path failure fraction (0 with no attempts).
-func (s Sample) failFrac() float64 {
-	if s.Lock.Attempts == 0 {
-		return 0
-	}
-	return float64(s.Lock.Failures) / float64(s.Lock.Attempts)
-}
-
 // Decision is the controller's state after one observation, for reports.
 // HomeUtil is the raw window measurement; UtilEWMA is the smoothed value
 // the decision was actually taken on.
@@ -209,8 +200,6 @@ type Decision struct {
 	UtilEWMA float64
 	// WaitUS is the per-acquisition wait estimate, in microseconds.
 	WaitUS float64
-	// FailFrac is the window's failed-swap fraction.
-	FailFrac float64
 	// RingFrac is the smoothed cross-station acquisition fraction.
 	RingFrac float64
 	// Cap is the spin backoff cap in force after the decision.
@@ -405,8 +394,7 @@ func (c *Controller) Observe(s Sample) {
 	if len(c.log) < logLimit {
 		c.log = append(c.log, Decision{
 			At: s.Now, HomeUtil: s.HomeUtil, UtilEWMA: util, WaitUS: waitUS,
-			FailFrac: s.failFrac(), RingFrac: c.ring.Value(),
-			Cap: c.cap, Head: c.head, Mode: c.mode,
+			RingFrac: c.ring.Value(), Cap: c.cap, Head: c.head, Mode: c.mode,
 		})
 	}
 }

@@ -443,11 +443,11 @@ func TestAttachDiffsLockCounters(t *testing.T) {
 	cum := Counters{}
 	Attach(eng, res, func() Counters { return cum }, c)
 	eng.At(10, func() {
-		cum = Counters{Attempts: 5, Failures: 2, Acquisitions: 3, WaitCycles: 90}
+		cum = Counters{Attempts: 5, Acquisitions: 3, WaitCycles: 90}
 	})
 	w := sim.Micros(100) // the plane's default period
 	eng.At(w+10, func() {
-		cum = Counters{Attempts: 9, Failures: 2, Acquisitions: 7, WaitCycles: 150}
+		cum = Counters{Attempts: 9, Acquisitions: 7, WaitCycles: 150}
 	})
 	eng.At(2*w+1, func() {})
 	eng.RunAll()
@@ -461,20 +461,16 @@ func TestAttachDiffsLockCounters(t *testing.T) {
 		t.Fatalf("window 1 wait = %v, want %v", log[0].WaitUS, want)
 	}
 	// Window 2 diffs to 60 cycles / 4 acquisitions, blended into the decayed
-	// estimator: (0.75*90+60)/(0.75*3+4) cycles. Fail frac: (9-5)=4 attempts,
-	// 0 failures.
+	// estimator: (0.75*90+60)/(0.75*3+4) cycles.
 	if want := (0.75*90 + 60) / (0.75*3 + 4) / sim.CyclesPerMicrosecond; log[1].WaitUS != want {
 		t.Fatalf("window 2 wait = %v, want %v", log[1].WaitUS, want)
-	}
-	if log[1].FailFrac != 0 {
-		t.Fatalf("window 2 fail frac = %v, want 0", log[1].FailFrac)
 	}
 }
 
 // TestControllerReportRendering sanity-checks the text report.
 func TestControllerReportRendering(t *testing.T) {
 	c := NewController(Params{}, 1)
-	c.Observe(Sample{Now: 100, HomeUtil: 0.9, Lock: Counters{Attempts: 10, Failures: 5}})
+	c.Observe(Sample{Now: 100, HomeUtil: 0.9, Lock: Counters{Attempts: 10}})
 	s := c.Report()
 	if s == "" || c.samples != 1 {
 		t.Fatalf("empty report or samples=%d", c.samples)
