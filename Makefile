@@ -105,26 +105,29 @@ jobs-equiv: bench-sim
 
 # The repo benchmark's simulated numbers as a gate. No other gate runs the
 # server and lock-zoo workloads at their benchmark size (the quick suite's
-# server cells are far smaller), so each of them runs once through
-# `bash benchmark/run.sh` at seed 1 with -seconds 0, which is two passes
-# with every sim_* metric taken from the first, and its sim_p50_us,
-# sim_tail_us, sim_ops_per_ms and correctness lines must equal
-# BENCH_workloads.baseline.txt. The simulation is deterministic, so any
-# difference is a moved number: if intended, run make workload-baseline
-# and give the reason in CHANGES.md. Host metrics (wall_s, setup_s,
-# rss_mb) are not checked.
+# server cells are far smaller), so each of them runs through
+# `bash benchmark/run.sh` at seeds 1 and 2 with -seconds 0, which is two
+# passes with every sim_* metric taken from the first, and its sim_p50_us,
+# sim_tail_us, sim_ops_per_ms and correctness lines, each prefixed with its
+# seed, must equal BENCH_workloads.baseline.txt. Two seeds, because a
+# placement change can move one seed's schedule and not another's. The
+# simulation is deterministic, so any difference is a moved number: if
+# intended, run make workload-baseline and give the reason in CHANGES.md.
+# Host metrics (wall_s, setup_s, rss_mb) are not checked.
 CHECKED_WORKLOADS = server-read server-write lock-zoo
-workload-lines = for w in $(CHECKED_WORKLOADS); do \
-		bash benchmark/run.sh -workload $$w -seed 1 -seconds 0 > /tmp/hurricane_workload.txt || exit 1; \
-		grep -E "^$$w (sim_p50_us|sim_tail_us|sim_ops_per_ms|correct=)" /tmp/hurricane_workload.txt || exit 1; \
-	done
+CHECKED_SEEDS = 1 2
+workload-lines = for s in $(CHECKED_SEEDS); do for w in $(CHECKED_WORKLOADS); do \
+		bash benchmark/run.sh -workload $$w -seed $$s -seconds 0 > /tmp/hurricane_workload.txt || exit 1; \
+		grep -E "^$$w (sim_p50_us|sim_tail_us|sim_ops_per_ms|correct=)" /tmp/hurricane_workload.txt > /tmp/hurricane_workload_lines.txt || exit 1; \
+		sed "s/^/seed $$s: /" /tmp/hurricane_workload_lines.txt; \
+	done; done
 
 workload-check:
 	@$(workload-lines) > /tmp/hurricane_workloads.txt
 	@diff -u BENCH_workloads.baseline.txt /tmp/hurricane_workloads.txt || { \
 		echo "workload-check: the benchmark's simulated numbers differ from BENCH_workloads.baseline.txt;" \
 			"if intended, run make workload-baseline and give the reason in CHANGES.md" >&2; exit 1; }
-	@echo "workload-check: $(CHECKED_WORKLOADS) print BENCH_workloads.baseline.txt's simulated numbers at seed 1"
+	@echo "workload-check: $(CHECKED_WORKLOADS) print BENCH_workloads.baseline.txt's simulated numbers at seeds $(CHECKED_SEEDS)"
 
 # Refresh the benchmark numbers workload-check compares against (give the
 # reason in CHANGES.md).

@@ -43,6 +43,8 @@
 // their accessors mid-run; its move log and the charged migration cost are
 // printed after the run. -autonomic adds tuned kernel locks and the
 // replication policy for read-mostly kernel data on the daemon's plane.
+// Tuned locks always sample on the run's plane when it has one, so
+// -lock tuned -migrate ticks them on the daemon's 25us cadence too.
 //
 //	lockstat -run faults -size 4 -rounds 20 -workload shared
 //	lockstat -run faults -size 1 -rounds 20 -lock spin
@@ -289,23 +291,20 @@ func runStress(w io.Writer, cfg workload.StressConfig, holdUS float64, showStats
 	fmt.Fprintf(w, "%s: uncontended pair %.2fus (atomic/mem/reg/br = %d/%d/%d/%d)\n\n",
 		cfg.Kind, us, counts.Atomic, counts.Mem, counts.Reg, counts.Branch)
 
-	// The daemon, and with -autonomic the replicator, run on a plane. With
-	// -autonomic the tuned lock's sampler joins it as the lock comes up,
-	// ahead of the data policies; the controller stays reachable for the
-	// decision log.
+	// The daemon, and with -autonomic the replicator, run on a plane. A
+	// tuned lock's sampler joins the run's plane as the lock comes up, ahead
+	// of the data policies, and gets one of its own when the run has none;
+	// the controller stays reachable for the decision log.
 	var tl *locks.Tuned
 	var daemon *placement.Daemon
-	var plane, tunePlane *autonomic.Plane
+	var plane *autonomic.Plane
 	var rep *autonomic.Replicator
 	if cfg.Region {
 		plane = autonomic.NewPlane(sim.Micros(100))
 	}
-	if auto {
-		tunePlane = plane
-	}
 	if cfg.Kind == locks.KindTuned {
 		cfg.MakeLock = func(m *sim.Machine, home int) locks.Lock {
-			tl = locks.NewTuned(m, home, tune.Params{Plane: tunePlane})
+			tl = locks.NewTuned(m, home, tune.Params{Plane: plane})
 			return tl
 		}
 	}
@@ -392,19 +391,18 @@ func runStress(w io.Writer, cfg workload.StressConfig, holdUS float64, showStats
 // the trace carries its named wait and hold spans (at zero simulated cost).
 // With cc.Migratable the online placement daemon runs with
 // placement_online's parameters and reads agg, which must be cc.Tracer or
-// one of its sinks; with auto the replication policy and tuned kernel locks
-// (cc.LockKind tuned) join it on one plane. It returns the machine the run
-// executed on.
+// one of its sinks; tuned kernel locks (cc.LockKind tuned), and with auto
+// the replication policy, join it on one plane. It returns the machine the
+// run executed on.
 func runFaults(w io.Writer, cc core.Config, wl string, procs, pages, rounds int, traced, auto bool, agg *trace.Aggregate) *sim.Machine {
-	// One cadence for every policy: with auto the tune samplers register
-	// on the plane during kernel construction, the data policies after.
+	// One cadence for every policy: tuned kernel locks register their
+	// samplers on the run's plane during kernel construction, the data
+	// policies after (without a plane, each lock samples on its own).
 	var plane *autonomic.Plane
 	if cc.Migratable {
 		plane = autonomic.NewPlane(exp.OnlinePeriod)
 	}
-	if auto {
-		cc.TuneParams = &tune.Params{Plane: plane}
-	}
+	cc.TuneParams = &tune.Params{Plane: plane}
 	sys := core.NewSystem(cc)
 	if traced {
 		for c := 0; c < sys.K.Topo.N; c++ {

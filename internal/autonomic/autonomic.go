@@ -336,19 +336,16 @@ func (c Costs) Of(d sim.DistClass) float64 {
 
 // Weights is Costs.Of(Topo.Dist(src, dst)) tabulated for every pair of the
 // topology's modules: a policy builds it once and looks weights up in its
-// per-window pricing loops instead of re-deriving them. A pair outside
-// the topology is priced directly.
+// per-window pricing loops instead of re-deriving them.
 type Weights struct {
-	topo  Topo
-	costs Costs
-	n     int
-	w     []float64 // row-major by src
+	n int
+	w []float64 // row-major by src
 }
 
 // NewWeights tabulates the weights of topology t under costs c.
 func NewWeights(t Topo, c Costs) Weights {
 	n := t.Modules()
-	w := Weights{topo: t, costs: c, n: n, w: make([]float64, n*n)}
+	w := Weights{n: n, w: make([]float64, n*n)}
 	for src := 0; src < n; src++ {
 		for dst := 0; dst < n; dst++ {
 			w.w[src*n+dst] = c.Of(t.Dist(src, dst))
@@ -360,11 +357,3 @@ func NewWeights(t Topo, c Costs) Weights {
 // Row returns the weights of an access from module src to a home at each
 // module of the topology, indexed by home. src must be one of them.
 func (w Weights) Row(src int) []float64 { return w.w[src*w.n : (src+1)*w.n] }
-
-// Of weighs one access from module src to a home at module dst.
-func (w Weights) Of(src, dst int) float64 {
-	if uint(src) >= uint(w.n) || uint(dst) >= uint(w.n) {
-		return w.costs.Of(w.topo.Dist(src, dst))
-	}
-	return w.w[src*w.n+dst]
-}

@@ -318,27 +318,21 @@ func TestPlaneStartTwicePanics(t *testing.T) {
 	pl.Start(m.Eng)
 }
 
-// Weights tabulates Costs.Of(Topo.Dist) for every module pair, and prices
-// a pair outside the topology directly.
+// Weights tabulates Costs.Of(Topo.Dist) for every module pair: row src
+// holds one weight per home module of the topology.
 func TestWeightsMatchCosts(t *testing.T) {
-	topo := Topo{Stations: 4, ProcsPerStation: 4}
-	c := Costs{Local: 10, Station: 19, Ring: 23}
-	w := NewWeights(topo, c)
-	for src := -1; src <= topo.Modules()+1; src++ {
-		for dst := -1; dst <= topo.Modules()+1; dst++ {
-			if got, want := w.Of(src, dst), c.Of(topo.Dist(src, dst)); got != want {
-				t.Errorf("Of(%d, %d) = %g, want %g", src, dst, got, want)
+	for _, topo := range []Topo{{Stations: 4, ProcsPerStation: 4}, {Stations: 8, ProcsPerStation: 2, StationsPerRing: 2}} {
+		c := Costs{Local: 10, Station: 19, Ring: 23, Ring2: 41}
+		w := NewWeights(topo, c)
+		for src := 0; src < topo.Modules(); src++ {
+			row := w.Row(src)
+			if len(row) != topo.Modules() {
+				t.Fatalf("%+v: Row(%d) has %d weights, want %d", topo, src, len(row), topo.Modules())
 			}
-		}
-	}
-	for src := 0; src < topo.Modules(); src++ {
-		row := w.Row(src)
-		if len(row) != topo.Modules() {
-			t.Fatalf("Row(%d) has %d weights, want %d", src, len(row), topo.Modules())
-		}
-		for dst, v := range row {
-			if v != w.Of(src, dst) {
-				t.Errorf("Row(%d)[%d] = %g, Of = %g", src, dst, v, w.Of(src, dst))
+			for dst, v := range row {
+				if want := c.Of(topo.Dist(src, dst)); v != want {
+					t.Errorf("%+v: Row(%d)[%d] = %g, want %g", topo, src, dst, v, want)
+				}
 			}
 		}
 	}

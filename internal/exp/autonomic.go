@@ -8,16 +8,14 @@ import (
 	"hurricane/internal/machine"
 	"hurricane/internal/sim"
 	"hurricane/internal/trace/placement"
-	"hurricane/internal/tune"
 	"hurricane/internal/workload"
 )
 
-// autonomicRow is one policy mix of the sweep: which policies run, and
-// whether the lock tuner's samplers share the plane's cadence.
+// autonomicRow is one policy mix of the sweep: the kernel's lock kind (the
+// tuner runs when it is KindTuned) and which data policies run.
 type autonomicRow struct {
 	name      string
 	kind      locks.Kind
-	tunePlane bool // tune samplers on the shared plane (KindTuned only)
 	migrate   bool
 	replicate bool
 }
@@ -26,11 +24,11 @@ type autonomicRow struct {
 // backoff spin locks, static placement, no replication), each adaptive
 // policy alone, then all three under one plane (the last row).
 var autonomicRows = []autonomicRow{
-	{"off", locks.KindSpin, false, false, false},
-	{"tune", locks.KindTuned, false, false, false},
-	{"migrate", locks.KindSpin, false, true, false},
-	{"replicate", locks.KindSpin, false, false, true},
-	{"combined", locks.KindTuned, true, true, true},
+	{"off", locks.KindSpin, false, false},
+	{"tune", locks.KindTuned, false, false},
+	{"migrate", locks.KindSpin, true, false},
+	{"replicate", locks.KindSpin, false, true},
+	{"combined", locks.KindTuned, true, true},
 }
 
 // NewAutonomicCell returns the autonomic sweep's combined row: tuned kernel
@@ -90,20 +88,11 @@ func autonomicCell(seed uint64, row autonomicRow, horizonMS int) *ServerCell {
 	// tenant through the collapse band: it classifies a tenant by its last
 	// few requests, not its mix. What keeps read-mostly tenants replicated
 	// is the collapse's price — their updates must have cost more than
-	// their reads saved, by over a copy.
-	if row.tunePlane || row.migrate || row.replicate {
+	// their reads saved, by over a copy. Both tuned rows run the default
+	// tuner on the plane (attach): it starts as the very spin lock the
+	// static rows run, and escalates only when its own measurements demand.
+	if row.kind == locks.KindTuned || row.migrate || row.replicate {
 		c.Plane = autonomic.NewPlane(sim.Micros(100))
-	}
-	if row.kind == locks.KindTuned {
-		// Default tuner in both tuned rows — it starts as the very spin
-		// lock the static rows run, and escalates only when its own
-		// measurements demand — so tune-only and combined differ in
-		// scheduling alone.
-		tp := tune.Params{}
-		if row.tunePlane {
-			tp.Plane = c.Plane
-		}
-		c.Config.TuneParams = &tp
 	}
 	var rp *autonomic.ReplicatorParams
 	var dp *placement.DaemonParams

@@ -84,7 +84,6 @@ func ParStress(seed uint64, windowUS int, full bool) *Table {
 		if mc.fullOnly && !full {
 			continue
 		}
-		_ = mc
 		ms = append(ms, mi)
 	}
 	nk := len(parStressKinds)
@@ -104,17 +103,16 @@ func ParStress(seed uint64, windowUS int, full bool) *Table {
 			Warmup:  sim.Micros(200),
 			Window:  sim.Micros(float64(windowUS) * mc.winScale),
 		}
-		var c cell
+		var tl *locks.Tuned
 		if kind == locks.KindTuned {
-			var tl *locks.Tuned
 			tcfg.MakeLock = func(m *sim.Machine, home int) locks.Lock {
 				tl = locks.NewTuned(m, home, tune.Params{})
 				return tl
 			}
-			c.res = workload.TimedStressRun(tcfg)
+		}
+		c := cell{res: workload.TimedStressRun(tcfg)}
+		if tl != nil {
 			c.ctl = tl.Controller()
-		} else {
-			c.res = workload.TimedStressRun(tcfg)
 		}
 		results[i] = c
 	})

@@ -11,6 +11,7 @@ import (
 	"hurricane/internal/sim"
 	"hurricane/internal/trace"
 	"hurricane/internal/trace/placement"
+	"hurricane/internal/tune"
 	"hurricane/internal/workload"
 )
 
@@ -142,17 +143,22 @@ func serverCell(seed uint64, mc serverMachineConfig, lc serverLockConfig, horizo
 }
 
 // attach makes the cell's kernel data migratable under a live aggregate
-// tracer and, when the cell has a plane, wires the data policies onto it
-// once the kernel exists (placement.Attach).
+// tracer and, when the cell has a plane, puts everything that samples on
+// it: tuned kernel locks register their samplers as the kernel comes up,
+// and the data policies are wired on once it exists (placement.Attach).
 func (c *ServerCell) attach(rp *autonomic.ReplicatorParams, dp *placement.DaemonParams) {
 	agg := trace.NewAggregate(procsOf(c.Config.Machine))
 	c.Config.Migratable = true
 	c.Config.Tracer = agg
-	if c.Plane != nil {
-		c.Config.Attach = func(sys *core.System) {
-			c.Replicator, c.Daemon = placement.Attach(c.Plane, sys.M, agg,
-				rp, placement.ReplicateKernel(sys.K, agg), dp, placement.ManageKernel(sys.K))
-		}
+	if c.Plane == nil {
+		return
+	}
+	if c.Config.LockKind == locks.KindTuned {
+		c.Config.TuneParams = &tune.Params{Plane: c.Plane}
+	}
+	c.Config.Attach = func(sys *core.System) {
+		c.Replicator, c.Daemon = placement.Attach(c.Plane, sys.M, agg,
+			rp, placement.ReplicateKernel(sys.K, agg), dp, placement.ManageKernel(sys.K))
 	}
 }
 

@@ -85,7 +85,7 @@ type Stats struct {
 	ReplicatedWords   uint64 // words copied installing those replicas
 	ReplicationCycles uint64 // cycles stalled in replication copy bursts
 	Collapses         uint64 // replica sets collapsed back to one copy
-	Requests          uint64 // server requests completed (BeginRequest/EndRequest)
+	Requests          uint64 // server requests completed (EndRequest)
 	RequestCycles     uint64 // total request sojourn time in cycles
 }
 
@@ -155,16 +155,11 @@ func (k *Kernel) RegisterSlot(c int, label string, region int) SlotRef {
 	return ref
 }
 
-// BeginRequest marks the start of a server request on processor p and
-// returns the timestamp EndRequest pairs with. The hooks cost no simulated
-// time: they model per-request accounting the kernel would keep in the
-// request descriptor it already touches.
-func (k *Kernel) BeginRequest(p *sim.Proc) sim.Time { return p.Now() }
-
-// EndRequest completes a request that arrived at `arrival` (which may
-// predate BeginRequest by the queueing delay): it bumps the kernel-wide
-// request counters and emits a SpanRequest trace span covering the whole
-// sojourn, tagged with the tenant rank.
+// EndRequest completes a server request that arrived at `arrival`, before
+// its queueing delay: it bumps the kernel-wide request counters and emits a
+// SpanRequest trace span covering the whole sojourn, tagged with the tenant
+// rank. It costs no simulated time: it models per-request accounting the
+// kernel would keep in the request descriptor it already touches.
 func (k *Kernel) EndRequest(p *sim.Proc, tenant uint64, arrival sim.Time) {
 	k.Stats.Requests++
 	k.Stats.RequestCycles += uint64(p.Now() - arrival)

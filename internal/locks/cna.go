@@ -134,7 +134,9 @@ func (l *CNA) Release(p *sim.Proc) {
 		old := p.Swap(l.lock, 0)
 		p.Branch(2)
 		if len(l.primary) == 0 && len(l.sec) == 0 {
+			// The lock goes free: its next owner starts a fresh batch.
 			l.tail = -1
+			l.passes = 0
 			return
 		}
 		// An enqueue raced in during the release: restore the tail and

@@ -27,7 +27,6 @@ package native
 // the global order step by step.
 
 import (
-	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -154,18 +153,15 @@ func (m *fifoModel) settled() uint64 { return 0 }
 // first same-station waiter in the main queue and defers the skipped
 // prefix to the secondary list; otherwise the secondary list (oldest
 // waiters) splices back in front and the head is granted. A lock that goes
-// free starts its next owner with a fresh batch budget, unless keepPasses
-// is set: that is the simulator-hosted CNA's policy today (see
-// TestSimCNAKeepsPassesAcrossIdle).
+// free starts its next owner with a fresh batch budget.
 type cnaModel struct {
 	pps, spill, passes int
-	keepPasses         bool
 	cs                 int
 	primary, sec       []int
 }
 
-func newCNAModel(pps, spill int, keepPasses bool) *cnaModel {
-	return &cnaModel{pps: pps, spill: spill, keepPasses: keepPasses, cs: -1}
+func newCNAModel(pps, spill int) *cnaModel {
+	return &cnaModel{pps: pps, spill: spill, cs: -1}
 }
 
 func (m *cnaModel) enqueue(a int) bool {
@@ -181,9 +177,7 @@ func (m *cnaModel) release() int {
 	sh := m.cs / m.pps
 	m.cs = -1
 	if len(m.primary) == 0 && len(m.sec) == 0 {
-		if !m.keepPasses {
-			m.passes = 0
-		}
+		m.passes = 0
 		return -1
 	}
 	if m.passes < m.spill {
@@ -508,14 +502,12 @@ const (
 )
 
 // lockFamily is one lock family under cross-validation: its grant model
-// and its simulator-hosted and native implementations. simModel, when set,
-// is the policy the simulator-hosted lock implements where it departs from
-// model; only FuzzCrossValidation uses it.
+// and its simulator-hosted and native implementations.
 type lockFamily struct {
-	name            string
-	model, simModel func(actors int) lockModel
-	sim             func(m *hsim.Machine) locks.Lock
-	native          func(t *testing.T, steps []schedStep, actors int) []csEntry
+	name   string
+	model  func(actors int) lockModel
+	sim    func(m *hsim.Machine) locks.Lock
+	native func(t *testing.T, steps []schedStep, actors int) []csEntry
 }
 
 var (
@@ -530,10 +522,9 @@ var (
 		},
 	}
 	cnaFamily = lockFamily{
-		name:     "cna",
-		model:    func(int) lockModel { return newCNAModel(crossPPS, crossBatch, false) },
-		simModel: func(int) lockModel { return newCNAModel(crossPPS, crossBatch, true) },
-		sim:      func(m *hsim.Machine) locks.Lock { return locks.NewCNA(m, 0, crossBatch) },
+		name:  "cna",
+		model: func(int) lockModel { return newCNAModel(crossPPS, crossBatch) },
+		sim:   func(m *hsim.Machine) locks.Lock { return locks.NewCNA(m, 0, crossBatch) },
 		native: func(t *testing.T, steps []schedStep, actors int) []csEntry {
 			l := NewCNA()
 			l.SpillThreshold = crossBatch
@@ -661,9 +652,7 @@ func TestSimNativeCohortCrossValidation(t *testing.T) {
 
 // FuzzCrossValidation searches schedules past the tests' seeds: its input
 // picks a family (0 MCS, 1 CNA, 2 cohort), a seed, 2–8 actors and 1–60
-// acquisitions, and every non-degenerate schedule must cross-validate. A
-// family with a simModel has its simulator-hosted lock checked against
-// that model's schedule instead.
+// acquisitions, and every non-degenerate schedule must cross-validate.
 func FuzzCrossValidation(f *testing.F) {
 	f.Fuzz(func(t *testing.T, family uint8, seed uint64, actors, acquires uint8) {
 		fam := []lockFamily{mcsFamily, cnaFamily, cohortFamily}[family%3]
@@ -672,30 +661,6 @@ func FuzzCrossValidation(f *testing.F) {
 		if degenerate {
 			t.Skip("degenerate schedule")
 		}
-		if fam.simModel == nil {
-			fam.crossValidate(t, steps, want, na)
-			return
-		}
-		diffEntries(t, "native "+fam.name, fam.native(t, steps, na), want)
-		steps, want = genSchedule(seed, na, nq, fam.simModel(na))
-		diffEntries(t, "sim "+fam.name, fam.runSim(t, steps, na), want)
+		fam.crossValidate(t, steps, want, na)
 	})
-}
-
-// TestSimCNAKeepsPassesAcrossIdle pins a divergence FuzzCrossValidation
-// found (its input is testdata/fuzz/FuzzCrossValidation/cna-keeps-passes):
-// the simulator-hosted CNA lock keeps its same-station pass count when its
-// queue empties, so after an idle spell it spills early, while the native
-// port, like Dice and Kogan's CNA, starts the next owner's batch at zero.
-// Mending the simulator moves published CNA numbers. When this test fails
-// because the simulator matches the model, delete simModel and this test.
-func TestSimCNAKeepsPassesAcrossIdle(t *testing.T) {
-	const seed, actors, acquires = 16, 8, 40
-	steps, want, _ := cnaFamily.schedule(seed, actors, acquires)
-	diffEntries(t, "native cna", cnaFamily.native(t, steps, actors), want)
-	if slices.Equal(cnaFamily.runSim(t, steps, actors), want) {
-		t.Fatal("the simulator's CNA now resets its pass count on an idle queue")
-	}
-	steps, want = genSchedule(seed, actors, acquires, cnaFamily.simModel(actors))
-	diffEntries(t, "sim cna", cnaFamily.runSim(t, steps, actors), want)
 }

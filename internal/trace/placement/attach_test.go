@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"reflect"
 	"slices"
 	"testing"
 
@@ -60,9 +61,9 @@ func TestAttachWiring(t *testing.T) {
 		rep, d := Attach(plane, sys.M, agg, rp, ReplicateKernel(sys.K, agg), dp, ManageKernel(sys.K))
 		checkWiring(t, "kernel", c.replicate, c.migrate, plane, rep, d)
 		if d != nil {
-			topo := autonomic.Topo{Stations: 8, ProcsPerStation: 8}
-			if d.topo != topo || d.costs != autonomic.CostsFromLatency(mc.Lat) {
-				t.Errorf("%+v: daemon prices %+v %+v, not the machine's", c, d.topo, d.costs)
+			topo, costs := autonomic.Topo{Stations: 8, ProcsPerStation: 8}, autonomic.CostsFromLatency(mc.Lat)
+			if d.costs != costs || !reflect.DeepEqual(d.weights, autonomic.NewWeights(topo, costs)) {
+				t.Errorf("%+v: daemon prices costs %+v and its weights, not the machine's %+v over %+v", c, d.costs, costs, topo)
 			}
 		}
 		workload.IndependentFaults(sys, 8, 2, 2)

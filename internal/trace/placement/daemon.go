@@ -125,7 +125,6 @@ type Move struct {
 type Daemon struct {
 	m       *sim.Machine
 	agg     *trace.Aggregate
-	topo    autonomic.Topo
 	costs   autonomic.Costs
 	weights autonomic.Weights
 	p       DaemonParams
@@ -141,28 +140,24 @@ type Daemon struct {
 
 type slotState struct {
 	DaemonSlot
-	win    autonomic.Window // the region's smoothed access vector
-	ivec   []uint64         // win.V in fixed point, propose's input
+	win    autonomic.Window // the region's smoothed access vector, propose's input
 	gate   autonomic.Gate   // per-slot move budget + cooldown
 	target int              // requested home of an in-flight move, -1 when idle
 	streak autonomic.Streak // destination confirmation across windows
 }
 
 // NewDaemon builds a daemon over machine m, observing the live aggregate
-// agg (which must be installed as the machine's tracer) and managing the
-// given slots. Register it on an autonomic.Plane to begin sampling; Attach
-// does both.
+// agg (which must be installed as the machine's tracer and count the
+// accesses of topo's modules) and managing the given slots. Register it on
+// an autonomic.Plane to begin sampling; Attach does both.
 func NewDaemon(m *sim.Machine, agg *trace.Aggregate, topo autonomic.Topo, costs autonomic.Costs, params DaemonParams, slots []DaemonSlot) *Daemon {
-	d := &Daemon{m: m, agg: agg, topo: topo, costs: costs, weights: autonomic.NewWeights(topo, costs), p: params.withDefaults()}
-	n := agg.Modules()
-	d.load = make([]float64, min(n, topo.Modules()))
-	d.cost = make([]float64, len(d.load))
-	d.access = make([]uint64, n)
+	n := modules(agg, topo)
+	d := &Daemon{m: m, agg: agg, costs: costs, weights: autonomic.NewWeights(topo, costs), p: params.withDefaults(),
+		load: make([]float64, n), cost: make([]float64, n), access: make([]uint64, n)}
 	for _, s := range slots {
 		d.slots = append(d.slots, &slotState{
 			DaemonSlot: s,
 			win:        autonomic.NewWindow(n, d.p.Decay),
-			ivec:       make([]uint64, n),
 			// The cooldown between two moves of one slot is eight windows
 			// of the plane (the gate's clock is the window count), so an
 			// oscillating workload at most flips a slot once per cooldown
@@ -190,8 +185,7 @@ func (d *Daemon) Tick(now sim.Time) {
 	// Projected per-module load for propose()'s tie-breaking, from the
 	// cumulative physical access matrix.
 	load := d.load
-	n := len(load)
-	for i := 0; i < n; i++ {
+	for i := range load {
 		load[i] = float64(d.agg.AccessTotal(i))
 	}
 	for _, s := range d.slots {
@@ -222,32 +216,25 @@ func (d *Daemon) Tick(now sim.Time) {
 		if s.win.Mass() < d.p.MinWeight {
 			continue
 		}
-		ivec := s.ivec
-		for i, v := range s.win.V {
-			// Fixed-point (1/16 access) so propose() keeps the EWMA's
-			// fractional resolution.
-			ivec[i] = uint64(v*16 + 0.5)
-		}
-		prop := propose(s.Name, home, ivec, d.topo, d.weights, load, d.cost, d.p.Improve)
+		to, cur, next := propose(home, s.win.V, d.weights, load, d.cost, d.p.Improve)
 		var benefit, copyCost float64
-		if prop.Moved() {
-			// Rent vs buy: the per-window saving (undo the fixed-point
-			// scale) must repay the copy within the payback horizon.
-			benefit = (prop.CurCost - prop.NewCost) / 16
+		if to != home {
+			// Rent vs buy: the per-window saving must repay the copy
+			// within the payback horizon.
+			benefit = cur - next
 			copyCost = d.costs.Copy(d.m.Mem.RegionWords(s.Region))
 			if !autonomic.Worthwhile(benefit, payback, copyCost) {
-				prop.Proposed = prop.Home
+				to = home
 			}
 		}
-		if !prop.Moved() {
+		if to == home {
 			s.streak.Clear()
 			continue
 		}
-		if !s.streak.Observe(prop.Proposed) {
+		if !s.streak.Observe(to) {
 			continue
 		}
 		s.streak.Clear()
-		to := prop.Proposed
 		s.target = to
 		s.gate.Spend(sim.Time(d.ticks))
 		// Shift the slot's cumulative traffic in the projected-load vector
@@ -255,9 +242,7 @@ func (d *Daemon) Tick(now sim.Time) {
 		// spread instead of piling up (mirrors Analyze's assignment loop).
 		slotTotal := s.win.Total()
 		load[to] += slotTotal
-		if home < n {
-			load[home] -= slotTotal
-		}
+		load[home] -= slotTotal
 		d.moves = append(d.moves, Move{Slot: s.Name, From: home, To: to, At: now, Saves: benefit, Copy: copyCost})
 		mig := s.Migrate
 		d.m.SendIPI(home, func(h *sim.Proc) { mig(h, to) })

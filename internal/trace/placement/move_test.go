@@ -67,3 +67,57 @@ func TestMoveCarriesPricedInputs(t *testing.T) {
 		t.Errorf("report lacks %q:\n%s", line, d.Report())
 	}
 }
+
+// TestDaemonRanksFractionalCounts holds the daemon to its smoothed signal
+// as it is: a slot read from each of station 3's modules under 1/32 access
+// per window, whose mass still clears MinWeight, is ranked on those
+// fractions and moved into station 3. Rounded to a coarse fixed point, the
+// same vector would be all zeros and price every home alike.
+func TestDaemonRanksFractionalCounts(t *testing.T) {
+	m := sim.NewMachine(sim.Config{Seed: 1})
+	topo, costs := autonomic.TopoOf(m.Config()), autonomic.CostsFromLatency(m.Lat())
+	agg := trace.NewAggregate(topo.Modules())
+	region := m.Mem.NewRegion(0)
+	data := m.Alloc(region, 1)
+	d := NewDaemon(m, agg, topo, costs, DaemonParams{Decay: 0.99, MinWeight: 0.05, Confirm: 1},
+		[]DaemonSlot{{Name: "data", Region: region, Migrate: func(*sim.Proc, int) {}}})
+	// Two windows, each with one load from every module of station 3.
+	for w := 1; w <= 2; w++ {
+		for src := 12; src < 16; src++ {
+			agg.Event(sim.TraceEvent{Kind: sim.EvAccess, Name: "load", Src: src, Dst: 0,
+				Dist: topo.Dist(src, 0), Arg: uint64(data)})
+		}
+		d.Tick(sim.Time(w))
+	}
+	win := &d.slots[0].win
+	for src, v := range win.V {
+		if v >= 1.0/32 {
+			t.Fatalf("module %d's smoothed count %v is not under 1/32 access per window", src, v)
+		}
+	}
+	if win.Mass() < d.p.MinWeight {
+		t.Fatalf("smoothed mass %v under MinWeight %v", win.Mass(), d.p.MinWeight)
+	}
+	mv := d.Moves()
+	if len(mv) != 1 || mv[0].From != 0 || mv[0].To/topo.ProcsPerStation != 3 {
+		t.Fatalf("moves %+v, want one from module 0 into station 3:\n%s", mv, d.Report())
+	}
+}
+
+// NewDaemon refuses an aggregate that does not count exactly the
+// topology's modules: the daemon ranks homes among those modules, from
+// vectors indexed by them.
+func TestNewDaemonChecksAggregateSize(t *testing.T) {
+	m := sim.NewMachine(sim.Config{Seed: 1})
+	topo, costs := autonomic.TopoOf(m.Config()), autonomic.CostsFromLatency(m.Lat())
+	for _, n := range []int{topo.Modules() / 2, topo.Modules() + 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewDaemon over a %d-module aggregate and a %d-module topology did not panic", n, topo.Modules())
+				}
+			}()
+			NewDaemon(m, trace.NewAggregate(n), topo, costs, DaemonParams{}, nil)
+		}()
+	}
+}

@@ -70,15 +70,13 @@ type Report struct {
 	Locks []Proposal
 }
 
-// Analyze derives placement proposals from an aggregated trace.
+// Analyze derives placement proposals from an aggregated trace, which
+// must count the accesses of topo's modules.
 func Analyze(agg *trace.Aggregate, topo autonomic.Topo, costs autonomic.Costs) *Report {
-	n := topo.Modules()
-	if agg.Modules() < n {
-		n = agg.Modules()
-	}
+	n := modules(agg, topo)
 	r := &Report{Topo: topo, Costs: costs}
 	w := autonomic.NewWeights(topo, costs)
-	cost := make([]float64, n)
+	vector, cost := make([]float64, n), make([]float64, n)
 
 	// load tracks projected incoming accesses per module as moves are
 	// assigned, so near-tied candidates spread instead of piling up.
@@ -86,16 +84,30 @@ func Analyze(agg *trace.Aggregate, topo autonomic.Topo, costs autonomic.Costs) *
 	for d := 0; d < n; d++ {
 		load[d] = float64(agg.AccessTotal(d))
 	}
+	// analyze ranks one object's access counts by source module and
+	// accounts the verdict by distance class at both homes.
+	analyze := func(object string, home int, counts []uint64) Proposal {
+		for src, c := range counts {
+			vector[src] = float64(c)
+		}
+		to, cur, next := propose(home, vector, w, load, cost, keepEpsilon)
+		p := Proposal{Object: object, Home: home, Proposed: to, CurCost: cur, NewCost: next}
+		for src, c := range counts {
+			p.Weight += c
+			p.CurByDist[topo.Dist(src, home)] += c
+			p.NewByDist[topo.Dist(src, to)] += c
+		}
+		return p
+	}
 
 	type item struct {
-		home   int
-		vector []uint64
-		total  uint64
+		home  int
+		total uint64
 	}
 	var items []item
 	for d := 0; d < n; d++ {
 		if t := agg.AccessTotal(d); t > 0 {
-			items = append(items, item{home: d, vector: agg.Access[d], total: t})
+			items = append(items, item{home: d, total: t})
 		}
 	}
 	sort.Slice(items, func(i, j int) bool {
@@ -105,7 +117,7 @@ func Analyze(agg *trace.Aggregate, topo autonomic.Topo, costs autonomic.Costs) *
 		return items[i].home < items[j].home
 	})
 	for _, it := range items {
-		p := propose(fmt.Sprintf("module %d data", it.home), it.home, it.vector, topo, w, load, cost, keepEpsilon)
+		p := analyze(fmt.Sprintf("module %d data", it.home), it.home, agg.Access[it.home])
 		if p.Moved() {
 			load[p.Proposed] += float64(it.total)
 			load[p.Home] -= float64(it.total)
@@ -120,55 +132,43 @@ func Analyze(agg *trace.Aggregate, topo autonomic.Topo, costs autonomic.Costs) *
 			continue
 		}
 		name := strings.TrimPrefix(o.Name, "wait ")
-		p := propose(fmt.Sprintf("lock %q", name), o.Home, o.BySrc, topo, w, load, cost, keepEpsilon)
-		r.Locks = append(r.Locks, p)
+		r.Locks = append(r.Locks, analyze(fmt.Sprintf("lock %q", name), o.Home, o.BySrc))
 	}
 	return r
 }
 
-// propose picks the cost-minimizing home for one access vector, with an
-// eps-wide indifference band and least-projected-load tie-breaking. The
-// offline analyzer uses keepEpsilon; the online Daemon passes its (wider)
-// Improve band, since an in-run move charges real copy traffic. The
-// candidates are the first len(load) modules of topo, which w weighs; cost is
-// scratch space for one cost per candidate, and each candidate is priced
-// once, summing its sources in module order.
-func propose(object string, home int, vector []uint64, topo autonomic.Topo, w autonomic.Weights, load, cost []float64, eps float64) Proposal {
-	n := len(load)
-	cost = cost[:n]
+// modules is the module count of topo, which agg must count accesses
+// over exactly: the analyzer and the daemon rank homes among these
+// modules, from vectors indexed by them.
+func modules(agg *trace.Aggregate, topo autonomic.Topo) int {
+	n := topo.Modules()
+	if agg.Modules() != n {
+		panic(fmt.Sprintf("placement: aggregate over %d modules, topology has %d", agg.Modules(), n))
+	}
+	return n
+}
+
+// propose ranks the homes for one access vector, indexed by source module
+// over the modules w weighs: it picks the cost-minimizing home with an
+// eps-wide indifference band and least-projected-load tie-breaking, and
+// returns the choice and the vector's cost at home and at the choice, in
+// weighted access cycles. The offline analyzer uses keepEpsilon; the online
+// Daemon passes its (wider) Improve band, since an in-run move charges real
+// copy traffic. load holds each module's projected load, and cost is
+// scratch space for one cost per module; each candidate is priced once,
+// summing its sources in module order.
+func propose(home int, vector []float64, w autonomic.Weights, load, cost []float64, eps float64) (to int, cur, next float64) {
 	clear(cost)
 	for src, cnt := range vector {
-		if cnt == 0 || src >= n {
+		if cnt == 0 {
 			continue
 		}
-		for cand, wt := range w.Row(src)[:n] {
-			cost[cand] += float64(cnt) * wt
+		for cand, wt := range w.Row(src) {
+			cost[cand] += cnt * wt
 		}
-	}
-	costOf := func(cand int) float64 {
-		if cand < n {
-			return cost[cand]
-		}
-		var c float64 // a home outside the candidates
-		for src, cnt := range vector {
-			if cnt == 0 || src >= n {
-				continue
-			}
-			c += float64(cnt) * w.Of(src, cand)
-		}
-		return c
-	}
-	byDist := func(cand int) (d [sim.NumDistClasses]uint64) {
-		for src, cnt := range vector {
-			if cnt == 0 || src >= n {
-				continue
-			}
-			d[topo.Dist(src, cand)] += cnt
-		}
-		return d
 	}
 
-	cur := costOf(home)
+	cur = cost[home]
 	best, bestCost := home, cur
 	for cand, c := range cost {
 		if c < bestCost {
@@ -177,28 +177,19 @@ func propose(object string, home int, vector []uint64, topo autonomic.Topo, w au
 	}
 	// Keep the current home when it is within the indifference band of the
 	// optimum; otherwise pick the least-loaded candidate within the band.
-	choice := home
+	to = home
 	if cur > bestCost*(1+eps) {
-		choice = best
+		to = best
 		for cand, c := range cost {
-			if cand == choice {
+			if cand == to {
 				continue
 			}
-			if c <= bestCost*(1+eps) && load[cand] < load[choice] {
-				choice = cand
+			if c <= bestCost*(1+eps) && load[cand] < load[to] {
+				to = cand
 			}
 		}
 	}
-
-	var wt uint64
-	for _, cnt := range vector {
-		wt += cnt
-	}
-	return Proposal{
-		Object: object, Home: home, Proposed: choice, Weight: wt,
-		CurCost: cur, NewCost: costOf(choice),
-		CurByDist: byDist(home), NewByDist: byDist(choice),
-	}
+	return to, cur, cost[to]
 }
 
 // Moves returns the proposed data moves as a current-home → new-home map.

@@ -133,26 +133,17 @@ func TestAnalyzeSpreadsTies(t *testing.T) {
 // refPropose is propose as first written, pricing a candidate each time it
 // looks at one: the reference the tabulated version must match bit for
 // bit.
-func refPropose(object string, home int, vector []uint64, topo autonomic.Topo, costs autonomic.Costs, load []float64, eps float64) Proposal {
+func refPropose(home int, vector []float64, topo autonomic.Topo, costs autonomic.Costs, load []float64, eps float64) (int, float64, float64) {
 	n := len(load)
 	cost := func(cand int) float64 {
 		var c float64
 		for src, cnt := range vector {
-			if cnt == 0 || src >= n {
+			if cnt == 0 {
 				continue
 			}
-			c += float64(cnt) * costs.Of(topo.Dist(src, cand))
+			c += cnt * costs.Of(topo.Dist(src, cand))
 		}
 		return c
-	}
-	byDist := func(cand int) (d [sim.NumDistClasses]uint64) {
-		for src, cnt := range vector {
-			if cnt == 0 || src >= n {
-				continue
-			}
-			d[topo.Dist(src, cand)] += cnt
-		}
-		return d
 	}
 	cur := cost(home)
 	best, bestCost := home, cur
@@ -173,48 +164,40 @@ func refPropose(object string, home int, vector []uint64, topo autonomic.Topo, c
 			}
 		}
 	}
-	var w uint64
-	for _, cnt := range vector {
-		w += cnt
-	}
-	return Proposal{
-		Object: object, Home: home, Proposed: choice, Weight: w,
-		CurCost: cur, NewCost: cost(choice),
-		CurByDist: byDist(home), NewByDist: byDist(choice),
-	}
+	return choice, cur, cost(choice)
 }
 
 // propose prices each candidate once from the weight table, with the same
-// float operations in the same order as the reference: on random vectors,
-// homes, loads and bands — some homes outside the candidate set, some
-// vectors longer than it — both return the same proposal.
+// float operations in the same order as the reference: on random vectors
+// (whole counts and fractions of an access), homes, loads and bands, both
+// choose the same home at the same two costs.
 func TestProposeMatchesReference(t *testing.T) {
 	topo := autonomic.Topo{Stations: 4, ProcsPerStation: 4}
 	costs := autonomic.CostsFromLatency(sim.DefaultLatency())
 	w := autonomic.NewWeights(topo, costs)
-	cost := make([]float64, topo.Modules())
+	n := topo.Modules()
+	cost := make([]float64, n)
 	rng := sim.NewRNG(0x9a0)
 	moved := 0
-	for n := 0; n < 500; n++ {
-		cands := topo.Modules() - rng.Intn(3)
-		vector := make([]uint64, topo.Modules())
+	for c := 0; c < 500; c++ {
+		vector := make([]float64, n)
 		for i := range vector {
 			if rng.Intn(3) > 0 {
-				vector[i] = uint64(rng.Intn(1 << uint(rng.Intn(14))))
+				vector[i] = float64(rng.Intn(1<<uint(rng.Intn(14)))) / float64(int(1)<<uint(rng.Intn(6)))
 			}
 		}
-		load := make([]float64, cands)
+		load := make([]float64, n)
 		for i := range load {
 			load[i] = float64(rng.Intn(4)) * 1000
 		}
-		home := rng.Intn(topo.Modules())
+		home := rng.Intn(n)
 		eps := []float64{0, keepEpsilon, 0.10, 0.25}[rng.Intn(4)]
-		got := propose("obj", home, vector, topo, w, load, cost, eps)
-		want := refPropose("obj", home, vector, topo, costs, load, eps)
-		if got != want {
-			t.Fatalf("case %d: propose = %+v\nreference %+v", n, got, want)
+		to, cur, next := propose(home, vector, w, load, cost, eps)
+		wantTo, wantCur, wantNext := refPropose(home, vector, topo, costs, load, eps)
+		if to != wantTo || cur != wantCur || next != wantNext {
+			t.Fatalf("case %d: propose = (%d, %v, %v), reference (%d, %v, %v)", c, to, cur, next, wantTo, wantCur, wantNext)
 		}
-		if got.Moved() {
+		if to != home {
 			moved++
 		}
 	}

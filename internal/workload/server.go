@@ -490,7 +490,6 @@ func ServerRun(cfg ServerConfig) *ServerResult {
 			}
 			return
 		}
-		k.BeginRequest(p)
 		pid := workerPID(p.ID())
 		region := tenantRegion(req.rank)
 		if _, err := k.VM.Fault(p, pid, region, req.vpn, true); err != nil {
